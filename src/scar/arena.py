@@ -121,6 +121,7 @@ class Arena:
         self.capture_mask = self._build_capture_mask()
         self.offsets, self.targets = self._build_successors()
         self._pred: tuple[np.ndarray, np.ndarray] | None = None
+        self._at_robber: dict[int, np.ndarray] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -212,6 +213,18 @@ class Arena:
         idx = np.arange(self.n_states, dtype=np.int64)
         return idx % self.n_players == self.n_players - 1
 
+    def cop_at_robber(self, m: int) -> np.ndarray:
+        """Per state: does cop m sit on the robber's vertex? Built on first
+        use and cached."""
+        if not 1 <= m <= self.n_players - 1:
+            raise ValidationError(f"cop {m} out of range 1..{self.n_players - 1}")
+        if m not in self._at_robber:
+            v = self.graph.vertex_count
+            mixes = np.arange(v**self.n_players, dtype=np.int64)
+            at = (mixes // self._strides[m - 1]) % v == mixes % v
+            self._at_robber[m] = np.repeat(at, self.n_players)
+        return self._at_robber[m]
+
     def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR table of predecessor lists (reverse of the successor table),
         built on first use and cached."""
@@ -226,6 +239,53 @@ class Arena:
             np.cumsum(counts, out=pred_offsets[1:])
             self._pred = (pred_offsets, pred_targets)
         return self._pred
+
+
+def row_best(arena: Arena, succ_keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
+    """Per state, the best of its successors' keys (succ_keys holds one key
+    per CSR edge): the largest on max_mask rows, the smallest elsewhere."""
+    seg = arena.offsets[:-1]
+    return np.where(
+        max_mask, np.maximum.reduceat(succ_keys, seg), np.minimum.reduceat(succ_keys, seg)
+    )
+
+
+class OptimalMoves:
+    """Optimal-move lookups shared by the solution types. A subclass sets
+    `arena` and defines `edge_opt`, a boolean per CSR edge that marks the
+    moves attaining the mover's optimum."""
+
+    arena: Arena
+    edge_opt: np.ndarray
+    _opt_offsets: np.ndarray | None = None
+    _opt_targets: np.ndarray | None = None
+
+    def _best_edges(self, keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
+        """Per CSR edge: does the target's key equal its row's best key?"""
+        a = self.arena
+        sv = keys[a.targets]
+        return sv == np.repeat(row_best(a, sv, max_mask), np.diff(a.offsets))
+
+    def _opt_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._opt_targets is None:
+            a = self.arena
+            keep = self.edge_opt
+            counts = np.add.reduceat(keep.astype(np.int64), a.offsets[:-1])
+            offsets = np.zeros(a.n_states + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+            self._opt_offsets = offsets
+            self._opt_targets = a.targets[keep]
+        return self._opt_offsets, self._opt_targets
+
+    def opt_indices(self, idx: int) -> np.ndarray:
+        if self.arena.capture_mask[idx]:
+            raise ValidationError("no moves are defined from a capture state")
+        offsets, targets = self._opt_csr()
+        return targets[offsets[idx] : offsets[idx + 1]]
+
+    def opt_moves(self, s: State) -> tuple[State, ...]:
+        idx = self.arena.index(s)
+        return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(idx))
 
 
 def build_arena(

@@ -56,13 +56,6 @@ def in_script_g(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) 
     return bool((cr.values[arena.noncapture_indices()] >= INT_INF).any())
 
 
-def _cop_at_robber_mask(arena: Arena, m: int) -> np.ndarray:
-    v, n = arena.graph.vertex_count, arena.n_players
-    mixes = np.arange(v**n, dtype=np.int64)
-    at = (mixes // arena._strides[m - 1]) % v == mixes % v
-    return np.repeat(at, n)
-
-
 def _guarantee_winning_set(
     arena: Arena, cr: CrSolution, m: int, adversarial_ties: bool
 ) -> np.ndarray:
@@ -84,7 +77,7 @@ def _guarantee_winning_set(
         offsets = np.zeros(arena.n_states + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         targets = arena.targets[keep]
-        wanted = arena.capture_mask & _cop_at_robber_mask(arena, m)
+        wanted = arena.capture_mask & arena.cop_at_robber(m)
         init = np.where(wanted, 0, INT_INF).astype(np.int64)
         if adversarial_ties:
             minimizing = np.zeros(arena.n_states, dtype=bool)

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 from .arena import DEFAULT_MAX_STATES, GameParams, State, build_arena, parse_state
 from .classify import classify
@@ -270,6 +271,33 @@ def _cache_key(args, command: str) -> str | None:
     return os.path.join(cache_dir, hashlib.sha256(blob).hexdigest() + ".json")
 
 
+def _read_cache(path: str) -> str | None:
+    """The cached output at path, or None when the entry is missing,
+    unreadable or not one this program wrote (it is then overwritten)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    output = entry.get("output") if isinstance(entry, dict) else None
+    return output if isinstance(output, str) else None
+
+
+def _write_cache(path: str, text: str) -> None:
+    """Write the entry through a unique temporary file, so concurrent
+    writers never share one and readers never see a partial entry."""
+    cache_dir = os.path.dirname(path)
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump({"output": text}, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _add_graph_flags(p):
     p.add_argument("--graph", help="edge-list file (lines 'u v', 0-based)")
     p.add_argument("--builtin", help="named graph: path:K, cycle:K, complete:K, "
@@ -351,9 +379,9 @@ def main(argv=None) -> int:
         cache_path = None
         if args.command != "verify":
             cache_path = _cache_key(args, args.command)
-            if cache_path and os.path.exists(cache_path):
-                with open(cache_path, encoding="utf-8") as fh:
-                    print(json.load(fh)["output"])
+            cached = _read_cache(cache_path) if cache_path else None
+            if cached is not None:
+                print(cached)
                 return 0
         text, code = args.func(args)
     except ValidationError as exc:
@@ -364,11 +392,7 @@ def main(argv=None) -> int:
         return 3
     print(text)
     if cache_path and code == 0:
-        os.makedirs(os.path.dirname(cache_path), exist_ok=True)
-        tmp = cache_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"output": text}, fh)
-        os.replace(tmp, cache_path)
+        _write_cache(cache_path, text)
     return code
 
 

@@ -19,21 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arena import DEFAULT_MAX_STATES, INFINITY, Arena, State
+from .arena import DEFAULT_MAX_STATES, INFINITY, Arena, OptimalMoves, State
 from .errors import StateCountExceededError, UniquenessViolationError, ValidationError
 from .fixpoint import INT_INF, solve_layers
 from .graphs import Graph
 
 
-class CrSolution:
+class CrSolution(OptimalMoves):
     """Value table plus optimal-move structure for the capture-time game."""
 
     def __init__(self, arena: Arena, values: np.ndarray):
         self.arena = arena
         self.values = values
         self._edge_opt: np.ndarray | None = None
-        self._opt_offsets: np.ndarray | None = None
-        self._opt_targets: np.ndarray | None = None
         self._capture_mask_bits: np.ndarray | None = None
         self._capturer: np.ndarray | None = None
 
@@ -59,35 +57,8 @@ class CrSolution:
         stay at INT_INF.
         """
         if self._edge_opt is None:
-            a = self.arena
-            sv = self.values[a.targets]
-            seg = a.offsets[:-1]
-            lo = np.minimum.reduceat(sv, seg)
-            hi = np.maximum.reduceat(sv, seg)
-            best = np.where(~a.robber_mover_mask(), lo, hi)
-            self._edge_opt = sv == np.repeat(best, np.diff(a.offsets))
+            self._edge_opt = self._best_edges(self.values, self.arena.robber_mover_mask())
         return self._edge_opt
-
-    def _opt_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._opt_targets is None:
-            a = self.arena
-            keep = self.edge_opt
-            counts = np.add.reduceat(keep.astype(np.int64), a.offsets[:-1])
-            offsets = np.zeros(a.n_states + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            self._opt_offsets = offsets
-            self._opt_targets = a.targets[keep]
-        return self._opt_offsets, self._opt_targets
-
-    def opt_indices(self, idx: int) -> np.ndarray:
-        if self.arena.capture_mask[idx]:
-            raise ValidationError("no moves are defined from a capture state")
-        offsets, targets = self._opt_csr()
-        return targets[offsets[idx] : offsets[idx + 1]]
-
-    def opt_moves(self, s: State) -> tuple[State, ...]:
-        idx = self.arena.index(s)
-        return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(idx))
 
     # -- attribution ------------------------------------------------------------
 

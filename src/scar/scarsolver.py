@@ -11,20 +11,35 @@ sits on the robber:
     m is not a captor            -> eps/(N-1-K),
     the robber is never caught   -> 0.
 
-Values are fractions.Fraction throughout; value iteration starts at zero,
-increases monotonically, and stops on exact fixpoint equality, so results
-carry no rounding at all. A final full Bellman sweep re-checks every residual
-before the solution is returned.
+Every coefficient is >= 0 and 0 < gamma < 1, so each value is c * gamma^t for
+a terminal class c and the game is a reachability game with nonnegative
+costs. It is solved by retrograde analysis in decreasing order of value, as
+Dijkstra's algorithm settles distances: a heap of distinct Fraction values,
+each holding a numpy batch of states, is seeded with one batch per terminal
+class (captor count K and whether m is a captor). Popping the largest value
+settles its whole batch as one level. Along the predecessor table a
+maximizing predecessor is then worth gamma times that value at once (no
+later level is larger), and a minimizing one when its last successor has
+settled (every other successor settled at a value no smaller). States never
+settled are worth 0. Values that are exactly equal share one level; no float enters.
+
+A solution stores the ascending tuple of levels and one int rank per state.
+Before it is returned, a vectorised Bellman check runs over the ranks: every
+distinct (state rank, best-successor rank) pair on noncapture rows must
+satisfy level = gamma * level exactly, and every distinct (rank, terminal
+class) pair on capture rows must carry the class coefficient. The fixpoint
+is unique for gamma < 1, so passing the check proves the answer.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 import numpy as np
 
-from .arena import Arena, GameParams, State, concat_ranges
-from .errors import NonConvergenceError, ValidationError
+from .arena import Arena, GameParams, OptimalMoves, State, concat_ranges, row_best
+from .errors import ScarError, ValidationError
 
 Q0 = Fraction(0)
 
@@ -46,125 +61,140 @@ def terminal_payoff(s: State, m: int, params: GameParams) -> Fraction:
     return params.epsilon / (n - 1 - captors)
 
 
-class GameSolution:
-    """Exact value table for one player's discounted game on an arena."""
+class GameSolution(OptimalMoves):
+    """Exact value table for one player's discounted game on an arena: the
+    ascending distinct values `levels` and each state's `rank` into them."""
 
     def __init__(
         self,
         arena: Arena,
         player: int,
         gamma: Fraction,
-        values: list,
+        levels: tuple[Fraction, ...],
+        rank: np.ndarray,
         rounds: int,
-        max_mask: np.ndarray | None = None,
+        max_mask: np.ndarray,
     ):
         self.arena = arena
         self.player = player
         self.gamma = gamma
-        self.values = values
-        self.rounds = rounds
-        if max_mask is None:
-            max_mask = np.arange(arena.n_states) % arena.n_players == player - 1
+        self.levels = levels
+        self.rank = rank
+        self.rounds = rounds  # settled levels
         self._max_mask = max_mask
         self._edge_opt: np.ndarray | None = None
-        self._opt_offsets: np.ndarray | None = None
-        self._opt_targets: np.ndarray | None = None
+        self._values: tuple[Fraction, ...] | None = None
 
     def value(self, s: State | int) -> Fraction:
         idx = s if isinstance(s, int) else self.arena.index(s)
-        return self.values[idx]
+        return self.levels[self.rank[idx]]
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The value of every state, in index order (built on first use)."""
+        if self._values is None:
+            self._values = tuple(self.levels[r] for r in self.rank.tolist())
+        return self._values
 
     @property
     def edge_opt(self) -> np.ndarray:
         """Boolean per CSR edge: does the move attain the mover's optimum
-        under the roles this game was solved with?"""
+        under the roles this game was solved with? False on capture rows."""
         if self._edge_opt is None:
             a = self.arena
-            eo = np.zeros(len(a.targets), dtype=bool)
-            offsets, targets, values = a.offsets, a.targets, self.values
-            mx = self._max_mask
-            for i in a.noncapture_indices():
-                lo, hi = offsets[i], offsets[i + 1]
-                tv = [values[t] for t in targets[lo:hi]]
-                best = max(tv) if mx[i] else min(tv)
-                for k, val in enumerate(tv):
-                    if val == best:
-                        eo[lo + k] = True
+            eo = self._best_edges(self.rank, self._max_mask)
+            eo[np.repeat(a.capture_mask, np.diff(a.offsets))] = False
             self._edge_opt = eo
         return self._edge_opt
 
-    def _opt_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._opt_targets is None:
-            a = self.arena
-            keep = self.edge_opt
-            counts = np.add.reduceat(keep.astype(np.int64), a.offsets[:-1])
-            offsets = np.zeros(a.n_states + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            self._opt_offsets = offsets
-            self._opt_targets = a.targets[keep]
-        return self._opt_offsets, self._opt_targets
 
-    def opt_indices(self, idx: int) -> np.ndarray:
-        if self.arena.capture_mask[idx]:
-            raise ValidationError("no moves are defined from a capture state")
-        offsets, targets = self._opt_csr()
-        return targets[offsets[idx] : offsets[idx + 1]]
-
-    def opt_moves(self, s: State) -> tuple[State, ...]:
-        idx = self.arena.index(s)
-        return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(idx))
-
-
-_multi_slice = concat_ranges
-
-
-def _iterate(
+def _solve(
     arena: Arena,
+    player: int,
     gamma: Fraction,
     max_mask: np.ndarray,
-    terminal: list,
-    cap_rounds: int,
-) -> tuple[list, int]:
-    """Monotone exact value iteration from zero. Only states whose successor
-    values moved are recomputed each round (the fixpoint is the same; the
-    worklist just skips provably settled states)."""
-    offsets, targets = arena.offsets, arena.targets
-    pred_offsets, pred_targets = arena.predecessors()
-    capture = arena.capture_mask
-    values = list(terminal)
-    frontier = arena.noncapture_indices()
-    touched = np.zeros(arena.n_states, dtype=bool)
-
-    for rounds in range(1, cap_rounds + 1):
-        changed: list[int] = []
-        for i in frontier:
-            lo, hi = offsets[i], offsets[i + 1]
-            tv = [values[t] for t in targets[lo:hi]]
-            new = gamma * (max(tv) if max_mask[i] else min(tv))
-            old = values[i]
-            if new != old:
-                if new < old:
-                    raise AssertionError("value iteration decreased a value")
-                values[i] = new
-                changed.append(i)
-        if not changed:
-            # verify the fixpoint with one full Bellman sweep
-            for i in arena.noncapture_indices():
-                lo, hi = offsets[i], offsets[i + 1]
-                tv = [values[t] for t in targets[lo:hi]]
-                if values[i] != gamma * (max(tv) if max_mask[i] else min(tv)):
-                    raise AssertionError("nonzero Bellman residual at fixpoint")
-            return values, rounds
-        ch = np.asarray(changed, dtype=np.int64)
-        touched[:] = False
-        touched[pred_targets[_multi_slice(pred_offsets[ch], pred_offsets[ch + 1])]] = True
-        frontier = np.nonzero(touched & ~capture)[0]
-    raise NonConvergenceError(f"no fixpoint within {cap_rounds} rounds")
-
-
-def solve_game(
-    arena: Arena, player: int, params: GameParams, cap_rounds: int | None = None
+    terminal_class: np.ndarray,
+    coeffs: list[Fraction],
 ) -> GameSolution:
+    """Settle exact values in decreasing order. terminal_class gives each
+    capture state's index into coeffs (it is ignored elsewhere)."""
+    if not isinstance(gamma, Fraction) or not 0 < gamma < 1:
+        raise ValidationError(f"gamma must be a rational in (0,1), got {gamma}")
+    if any(c < 0 for c in coeffs):
+        raise ValidationError(f"terminal coefficients must be >= 0, got {coeffs}")
+    capture = arena.capture_mask
+    pred_offsets, pred_targets = arena.predecessors()
+
+    batches: dict[Fraction, list[np.ndarray]] = {}
+    heap: list[Fraction] = []  # negated keys of batches
+
+    def push(value: Fraction, states: np.ndarray) -> None:
+        if value not in batches:
+            batches[value] = []
+            heapq.heappush(heap, -value)
+        batches[value].append(states)
+
+    cap_idx = np.nonzero(capture)[0]
+    for k, c in enumerate(coeffs):
+        if c > 0:
+            states = cap_idx[terminal_class[cap_idx] == k]
+            if states.size:
+                push(c, states)
+
+    queued = capture.copy()  # capture states never settle from successors
+    remaining = np.diff(arena.offsets)
+    settled = np.full(arena.n_states, -1, dtype=np.int64)  # pop order
+    popped: list[Fraction] = []
+    while heap:
+        v = -heapq.heappop(heap)
+        batch = np.concatenate(batches.pop(v))
+        settled[batch] = len(popped)
+        popped.append(v)
+        preds = pred_targets[concat_ranges(pred_offsets[batch], pred_offsets[batch + 1])]
+        preds = preds[~queued[preds]]
+        if preds.size == 0:
+            continue
+        is_max = max_mask[preds]
+        ready = np.unique(preds[is_max])
+        mins, hits = np.unique(preds[~is_max], return_counts=True)
+        remaining[mins] -= hits
+        ready = np.concatenate((ready, mins[remaining[mins] == 0]))
+        if ready.size:
+            queued[ready] = True
+            push(gamma * v, ready)
+
+    # ascending levels; every unsettled state shares the level 0 at rank 0
+    zero = bool((settled < 0).any())
+    levels = tuple(([Q0] if zero else []) + popped[::-1])
+    rank = np.where(settled < 0, 0, len(levels) - 1 - settled)
+    sol = GameSolution(arena, player, gamma, levels, rank, len(popped), max_mask)
+    _check_bellman(sol, terminal_class, coeffs)
+    return sol
+
+
+def _check_bellman(sol: GameSolution, terminal_class: np.ndarray, coeffs: list) -> None:
+    """Raise unless the ranked table satisfies every equation of the game
+    exactly, checked once per distinct (rank, best-successor rank) and
+    (rank, terminal class) pair."""
+    a, levels, rank = sol.arena, sol.levels, sol.rank
+    where = f"discounted game of player {sol.player} on {a.n_states} states"
+    if any(lo >= hi for lo, hi in zip(levels, levels[1:])):
+        raise ScarError(f"{where}: levels are not strictly ascending")
+    nc = ~a.capture_mask
+    best = row_best(a, rank[a.targets], sol._max_mask)
+    size = len(levels)
+    for key in np.unique(rank[nc] * size + best[nc]).tolist():
+        r, b = divmod(key, size)
+        if levels[r] != sol.gamma * levels[b]:
+            raise ScarError(f"{where}: Bellman residual at level {levels[r]}")
+    cap = a.capture_mask
+    for key in np.unique(rank[cap] * len(coeffs) + terminal_class[cap]).tolist():
+        r, k = divmod(key, len(coeffs))
+        if levels[r] != coeffs[k]:
+            raise ScarError(f"{where}: capture level {levels[r]} != coefficient {coeffs[k]}")
+
+
+def solve_game(arena: Arena, player: int, params: GameParams) -> GameSolution:
     """Solve cop `player`'s discounted game on the arena."""
     n = arena.n_players
     if params.n_players != n:
@@ -173,33 +203,27 @@ def solve_game(
         )
     if not 1 <= player <= n - 1:
         raise ValidationError(f"player must be a cop in 1..{n - 1}, got {player}")
-    terminal = [Q0] * arena.n_states
-    for idx in np.nonzero(arena.capture_mask)[0]:
-        terminal[idx] = terminal_payoff(arena.state_of(int(idx)), player, params)
+    # terminal class 2K + [m is a captor], K the number of captors
+    captors = sum(arena.cop_at_robber(j).astype(np.int64) for j in range(1, n))
+    terminal_class = 2 * captors + arena.cop_at_robber(player)
+    coeffs = [Q0] * (2 * n)
+    classes, reps = np.unique(terminal_class[arena.capture_mask], return_index=True)
+    cap_idx = np.nonzero(arena.capture_mask)[0]
+    for k, rep in zip(classes.tolist(), cap_idx[reps].tolist()):
+        coeffs[k] = terminal_payoff(arena.state_of(rep), player, params)
     max_mask = np.arange(arena.n_states) % n == player - 1
-    cap = 4 * arena.n_states if cap_rounds is None else cap_rounds
-    values, rounds = _iterate(arena, params.gamma, max_mask, terminal, cap)
-    return GameSolution(arena, player, params.gamma, values, rounds)
+    return _solve(arena, player, params.gamma, max_mask, terminal_class, coeffs)
 
 
-def solve_discounted_capture(
-    arena: Arena, gamma: Fraction, cap_rounds: int | None = None
-) -> GameSolution:
+def solve_discounted_capture(arena: Arena, gamma: Fraction) -> GameSolution:
     """The survival-time game in discounted form: every cop maximizes
     gamma^(capture time) with terminal coefficient 1, the robber minimizes
     it (gamma < 1, so small capture times are worth more). Its value is
     gamma**T and its optimal-move sets match the capture-time game's
     exactly, which the test suite uses as a cross-check."""
-    if not isinstance(gamma, Fraction) or not 0 < gamma < 1:
-        raise ValidationError(f"gamma must be a rational in (0,1), got {gamma}")
-    terminal = [Q0] * arena.n_states
-    one = Fraction(1)
-    for idx in np.nonzero(arena.capture_mask)[0]:
-        terminal[idx] = one
-    max_mask = ~np.asarray(arena.robber_mover_mask())
-    cap = 4 * arena.n_states if cap_rounds is None else cap_rounds
-    values, rounds = _iterate(arena, gamma, max_mask, terminal, cap)
-    return GameSolution(arena, arena.n_players, gamma, values, rounds, max_mask=max_mask)
+    terminal_class = np.zeros(arena.n_states, dtype=np.int64)
+    max_mask = ~arena.robber_mover_mask()
+    return _solve(arena, arena.n_players, gamma, max_mask, terminal_class, [Fraction(1)])
 
 
 def opt_move_table(sol: GameSolution, token: int) -> dict[State, tuple[State, ...]]:

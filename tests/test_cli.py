@@ -214,3 +214,19 @@ def test_error_paths_are_not_cached(capsys, tmp_path):
     code, _, _ = run(capsys, *argv)
     assert code == 2
     assert list(tmp_path.iterdir()) == []
+
+@pytest.mark.parametrize(
+    "bad_entry",
+    ['{"output": "trunc', '{"foo": 1}', '["output"]', '{"output": 7}', "\xff\xfe"],
+    ids=["truncated", "foreign", "list", "non-string", "not-utf8"],
+)
+def test_bad_cache_entry_is_a_miss_and_is_overwritten(capsys, tmp_path, bad_entry):
+    argv = ["arena-stats", "--builtin", "path:2", "--n", "3", "--cache-dir", str(tmp_path)]
+    _, first, _ = run(capsys, *argv)
+    (entry,) = tmp_path.iterdir()
+    entry.write_bytes(bad_entry.encode("latin-1"))
+    code, second, err = run(capsys, *argv)
+    assert (code, second, err) == (0, first, "")
+    (rewritten,) = tmp_path.iterdir()  # no temporary file left behind
+    assert rewritten == entry
+    assert json.loads(entry.read_text(encoding="utf-8")) == {"output": first.rstrip("\n")}

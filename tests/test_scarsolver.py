@@ -4,14 +4,17 @@ capture-time cross-solve."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scar import (
     GameParams,
     Q,
+    ScarError,
     State,
     ValidationError,
     build_arena,
     builtin,
+    graph_from_edges,
     opt_move_table,
     simulate,
     solve_capture_time,
@@ -19,9 +22,9 @@ from scar import (
     terminal_payoff,
 )
 from scar.fixpoint import INT_INF
-from scar.scarsolver import solve_discounted_capture
+from scar.scarsolver import _check_bellman, _solve, solve_discounted_capture
 
-from oracles import cell, discounted_values, play_payoff
+from oracles import cell, discounted_values, is_capture, play_payoff, successors
 
 
 def test_terminal_payoff_single_captor():
@@ -182,3 +185,76 @@ def test_solve_game_validates_player_and_params():
         solve_game(a, 0, GameParams(3, Q(1, 2), Q(0)))
     with pytest.raises(ValidationError):
         solve_game(a, 1, GameParams(4, Q(1, 2), Q(0)))  # player count mismatch
+
+@st.composite
+def small_games(draw):
+    """A random connected graph on 2-4 vertices (a random spanning tree plus
+    extra edges), N in {3, 4} (at most 1024 states), one cop, and (gamma,
+    epsilon) with epsilon 0, the cap, or a random rational below the cap."""
+    v = draw(st.integers(2, 4))
+    tree = [(draw(st.integers(0, u - 1)), u) for u in range(1, v)]
+    others = [(a, b) for b in range(v) for a in range(b) if (a, b) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    n = draw(st.sampled_from([3, 4]))
+    m = draw(st.integers(1, n - 1))
+    gamma = draw(st.sampled_from([Q(1, 7), Q(1, 2), Q(99, 100), Q(9999, 10000)]))
+    cap = Q(1, n - 1)
+    epsilon = draw(
+        st.one_of(st.just(Q(0)), st.just(cap), st.fractions(0, cap, max_denominator=30))
+    )
+    return graph_from_edges(v, tree + extra), n, m, gamma, epsilon
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_games())
+def test_solve_game_matches_oracle_on_random_graphs(game):
+    g, n, m, gamma, epsilon = game
+    a = build_arena(g, n)
+    sol = solve_game(a, m, GameParams(n, gamma, epsilon))
+    want = discounted_values(g, n, m, gamma, epsilon)
+    for s, v in want.items():
+        assert sol.value(State(*s)) == v
+    for s in want:
+        if is_capture(s):
+            continue
+        i = a.index(State(*s))
+        opts = {a.index(State(*t)): want[t] for t in successors(g, s)}
+        best = max(opts.values()) if s[2] == m else min(opts.values())
+        lo, hi = a.offsets[i], a.offsets[i + 1]
+        got = set(a.targets[lo:hi][sol.edge_opt[lo:hi]].tolist())
+        assert got == {j for j, v in opts.items() if v == best}
+    assert len(sol.levels) == len(set(sol.values))
+
+
+def test_levels_are_distinct_and_ranks_index_them():
+    a = build_arena(builtin("path", 3), 3)
+    sol = solve_game(a, 1, GameParams(3, Q(1, 2), Q(1, 10)))
+    assert list(sol.levels) == sorted(set(sol.levels))
+    assert sol.rounds == len(sol.levels) - (sol.levels[0] == 0)
+    for i in range(a.n_states):
+        assert sol.value(i) == sol.levels[sol.rank[i]] == sol.values[i]
+
+
+def test_engine_rejects_gamma_outside_unit_interval_and_negative_coefficients():
+    a = build_arena(builtin("path", 2), 3)
+    classes = np.zeros(a.n_states, dtype=np.int64)
+    max_mask = ~a.robber_mover_mask()
+    for gamma in (Q(0), Q(1), Q(3, 2), 0.5):
+        with pytest.raises(ValidationError):
+            _solve(a, 3, gamma, max_mask, classes, [Q(1)])
+    with pytest.raises(ValidationError):
+        _solve(a, 3, Q(1, 2), max_mask, classes, [Q(-1)])
+
+
+def test_bellman_check_rejects_a_wrong_table():
+    a = build_arena(builtin("path", 3), 3)
+    classes = np.zeros(a.n_states, dtype=np.int64)
+    sol = solve_discounted_capture(a, Q(1, 2))
+    _check_bellman(sol, classes, [Q(1)])
+    moved = int(np.nonzero((~a.capture_mask) & (sol.rank > 0))[0][0])
+    sol.rank[moved] -= 1
+    with pytest.raises(ScarError, match="Bellman residual"):
+        _check_bellman(sol, classes, [Q(1)])
+    sol.rank[moved] += 1
+    with pytest.raises(ScarError, match="coefficient"):
+        _check_bellman(sol, classes, [Q(1, 3)])
