@@ -33,14 +33,12 @@ from .errors import (
     GraphFormatError,
     IllegalMoveError,
     MalformedLineError,
-    NonConvergenceError,
     ScarError,
     SelfLoopError,
     StateCountExceededError,
     UniquenessViolationError,
     ValidationError,
 )
-from .fixpoint import backend_name
 from .graphs import (
     Graph,
     attach_leaf,

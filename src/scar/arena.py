@@ -17,6 +17,7 @@ ordered by ascending target vertex of the moving token.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,6 +179,15 @@ class Arena:
             mix = mix * v + x
         return mix * n + (s.mover - 1)
 
+    def index_of(self, s: State | int) -> int:
+        """The index of s, given as a State or as an index already (any
+        integer type, numpy's included)."""
+        if isinstance(s, numbers.Integral):
+            if not 0 <= s < self.n_states:
+                raise ValidationError(f"state index {s} out of range")
+            return int(s)
+        return self.index(s)
+
     def state_of(self, idx: int) -> State:
         n, v = self.n_players, self.graph.vertex_count
         if not 0 <= idx < self.n_states:
@@ -194,8 +204,7 @@ class Arena:
     # -- queries ------------------------------------------------------------
 
     def is_capture(self, s: State | int) -> bool:
-        idx = s if isinstance(s, int) else self.index(s)
-        return bool(self.capture_mask[idx])
+        return bool(self.capture_mask[self.index_of(s)])
 
     def mover_of(self, idx: int) -> int:
         return idx % self.n_players + 1
@@ -209,9 +218,13 @@ class Arena:
     def noncapture_indices(self) -> np.ndarray:
         return np.nonzero(~self.capture_mask)[0]
 
+    def mover_mask(self, *tokens: int) -> np.ndarray:
+        """Per state: is the token to move one of `tokens`?"""
+        turn = np.isin(np.arange(1, self.n_players + 1), tokens)
+        return np.tile(turn, self.n_states // self.n_players)
+
     def robber_mover_mask(self) -> np.ndarray:
-        idx = np.arange(self.n_states, dtype=np.int64)
-        return idx % self.n_players == self.n_players - 1
+        return self.mover_mask(self.n_players)
 
     def cop_at_robber(self, m: int) -> np.ndarray:
         """Per state: does cop m sit on the robber's vertex? Built on first
@@ -229,16 +242,33 @@ class Arena:
         """CSR table of predecessor lists (reverse of the successor table),
         built on first use and cached."""
         if self._pred is None:
-            rows = np.repeat(
-                np.arange(self.n_states, dtype=np.int64), np.diff(self.offsets)
-            )
-            order = np.argsort(self.targets, kind="stable")
-            pred_targets = rows[order]
-            counts = np.bincount(self.targets, minlength=self.n_states)
-            pred_offsets = np.zeros(self.n_states + 1, dtype=np.int64)
-            np.cumsum(counts, out=pred_offsets[1:])
-            self._pred = (pred_offsets, pred_targets)
+            self._pred = reverse_csr(self.offsets, self.targets)
         return self._pred
+
+
+def reverse_csr(offsets: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The predecessor CSR of a successor CSR: int64 offsets and, while
+    state ids fit, int32 sources, each list in ascending order."""
+    n = len(offsets) - 1
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    # ordered by target, then source; equal keys are equal entries
+    keys = np.asarray(targets, dtype=np.int64) * n + rows
+    del rows
+    keys.sort()
+    np.remainder(keys, n, out=keys)
+    pred_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=pred_offsets[1:])
+    return pred_offsets, keys.astype(np.int32 if n < 2**31 else np.int64)
+
+
+def filter_csr(
+    offsets: np.ndarray, targets: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR table holding only the edges marked in `keep`."""
+    counts = np.add.reduceat(keep, offsets[:-1], dtype=np.int64)
+    new_offsets = np.zeros(len(offsets), dtype=np.int64)
+    np.cumsum(counts, out=new_offsets[1:])
+    return new_offsets, targets[keep]
 
 
 def row_best(arena: Arena, succ_keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
@@ -268,24 +298,20 @@ class OptimalMoves:
 
     def _opt_csr(self) -> tuple[np.ndarray, np.ndarray]:
         if self._opt_targets is None:
-            a = self.arena
-            keep = self.edge_opt
-            counts = np.add.reduceat(keep.astype(np.int64), a.offsets[:-1])
-            offsets = np.zeros(a.n_states + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            self._opt_offsets = offsets
-            self._opt_targets = a.targets[keep]
+            self._opt_offsets, self._opt_targets = filter_csr(
+                self.arena.offsets, self.arena.targets, self.edge_opt
+            )
         return self._opt_offsets, self._opt_targets
 
-    def opt_indices(self, idx: int) -> np.ndarray:
+    def opt_indices(self, s: State | int) -> np.ndarray:
+        idx = self.arena.index_of(s)
         if self.arena.capture_mask[idx]:
             raise ValidationError("no moves are defined from a capture state")
         offsets, targets = self._opt_csr()
         return targets[offsets[idx] : offsets[idx + 1]]
 
-    def opt_moves(self, s: State) -> tuple[State, ...]:
-        idx = self.arena.index(s)
-        return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(idx))
+    def opt_moves(self, s: State | int) -> tuple[State, ...]:
+        return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(s))
 
 
 def build_arena(
@@ -331,7 +357,7 @@ def _flood(offsets: np.ndarray, targets: np.ndarray, seed: np.ndarray,
 def reachable_noncapture(arena: Arena, s0: State | int) -> np.ndarray:
     """Sorted indices of every noncapture state reachable from s0 along
     successor steps that never enter a capture state (s0 included)."""
-    start = s0 if isinstance(s0, int) else arena.index(s0)
+    start = arena.index_of(s0)
     if arena.capture_mask[start]:
         raise ValidationError("reachability is defined from a noncapture state")
     seed = np.zeros(arena.n_states, dtype=bool)
@@ -359,7 +385,7 @@ def simulate(arena: Arena, s0: State | int, profile, max_steps: int | None = Non
     (a dict or a callable). Deterministic profiles must repeat a state before
     2*|states| moves, so the default budget makes the inf verdict certain.
     """
-    idx = s0 if isinstance(s0, int) else arena.index(s0)
+    idx = arena.index_of(s0)
     if max_steps is None:
         max_steps = 2 * arena.n_states
     choose = profile if callable(profile) else profile.__getitem__

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arena import DEFAULT_MAX_STATES, Arena, State, build_arena
+from .arena import DEFAULT_MAX_STATES, Arena, State, build_arena, filter_csr, reverse_csr
 from .crsolver import CrSolution, solve_capture_time
 from .errors import ValidationError
 from .fixpoint import INT_INF, solve_layers
@@ -61,37 +61,32 @@ def _guarantee_winning_set(
 ) -> np.ndarray:
     """States from which cop m, moving only along its capture-time-optimal
     edges, reaches a capture state it takes part in, no matter what every
-    other token does. Captures without m are absorbing losses."""
+    other token does. Captures without m are absorbing losses. Both
+    variants are solved together over one restricted table and cached."""
     cache = getattr(arena, "_guarantee_cache", None)
     if cache is None:
         cache = {}
         arena._guarantee_cache = cache
-    key = (m, adversarial_ties)
-    if key not in cache:
-        n = arena.n_players
-        rows = np.repeat(
-            np.arange(arena.n_states, dtype=np.int64), np.diff(arena.offsets)
-        )
-        keep = (rows % n != m - 1) | cr.edge_opt
-        counts = np.add.reduceat(keep.astype(np.int64), arena.offsets[:-1])
-        offsets = np.zeros(arena.n_states + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        targets = arena.targets[keep]
+    if (m, adversarial_ties) not in cache:
+        m_rows = arena.mover_mask(m)
+        keep = np.repeat(~m_rows, np.diff(arena.offsets))
+        keep |= cr.edge_opt
+        offsets, targets = filter_csr(arena.offsets, arena.targets, keep)
+        preds = reverse_csr(offsets, targets)
         wanted = arena.capture_mask & arena.cop_at_robber(m)
         init = np.where(wanted, 0, INT_INF).astype(np.int64)
-        if adversarial_ties:
-            minimizing = np.zeros(arena.n_states, dtype=bool)
-        else:
-            minimizing = np.arange(arena.n_states, dtype=np.int64) % n == m - 1
-        vals = solve_layers(offsets, targets, minimizing, arena.capture_mask, init)
-        cache[key] = vals < INT_INF
-    return cache[key]
+        for adversarial, minimizing in ((False, m_rows), (True, np.zeros_like(m_rows))):
+            vals = solve_layers(
+                offsets, targets, minimizing, arena.capture_mask, init, predecessors=preds
+            )
+            cache[m, adversarial] = vals < INT_INF
+    return cache[m, adversarial_ties]
 
 
 def g3_guarantee_test(
     arena: Arena, crsol: CrSolution, s: State | int, adversarial_ties: bool = False
 ) -> bool:
-    idx = s if isinstance(s, int) else arena.index(s)
+    idx = arena.index_of(s)
     if arena.capture_mask[idx]:
         raise ValidationError("the guarantee test is asked from noncapture states")
     if crsol.values[idx] >= INT_INF:

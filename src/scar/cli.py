@@ -2,7 +2,9 @@
 the packaged verification suite.
 
 Exit codes: 0 success, 1 verification-suite failures, 2 invalid input,
-3 solver failure (non-convergence / attribution violation).
+3 solver failure (a failed self-check or an attribution violation).
+A cache entry that cannot be written is reported as a warning on stderr and
+leaves the exit code alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .arena import DEFAULT_MAX_STATES, GameParams, State, build_arena, parse_sta
 from .classify import classify
 from .crsolver import capture_attribution, solve_capture_time
 from .errors import ScarError, ValidationError
-from .fixpoint import INT_INF, backend_name
+from .fixpoint import INT_INF
 from .graphs import Graph, builtin, load_edge_list, serialize_edge_list
 from .positionality import check_positionality, scan_region
 from .rationals import format_rational, parse_rational
@@ -78,7 +80,6 @@ def cmd_arena_stats(args) -> tuple[str, int]:
             "capture_states": captures,
             "noncapture_states": arena.n_states - captures,
             "move_edges": int(len(arena.targets)),
-            "fixpoint_backend": backend_name(),
         }
     ), 0
 
@@ -392,7 +393,10 @@ def main(argv=None) -> int:
         return 3
     print(text)
     if cache_path and code == 0:
-        _write_cache(cache_path, text)
+        try:
+            _write_cache(cache_path, text)
+        except OSError as exc:
+            print(f"warning: result not cached: {exc}", file=sys.stderr)
     return code
 
 

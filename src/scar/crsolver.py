@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arena import DEFAULT_MAX_STATES, INFINITY, Arena, OptimalMoves, State
+from .arena import DEFAULT_MAX_STATES, INFINITY, Arena, OptimalMoves, State, concat_ranges
 from .errors import StateCountExceededError, UniquenessViolationError, ValidationError
 from .fixpoint import INT_INF, solve_layers
 from .graphs import Graph
@@ -38,8 +38,7 @@ class CrSolution(OptimalMoves):
     # -- values ---------------------------------------------------------------
 
     def capture_time(self, s: State | int) -> int | float:
-        idx = s if isinstance(s, int) else self.arena.index(s)
-        v = self.values[idx]
+        v = self.values[self.arena.index_of(s)]
         return INFINITY if v >= INT_INF else int(v)
 
     def finite_mask(self) -> np.ndarray:
@@ -67,33 +66,25 @@ class CrSolution(OptimalMoves):
 
         Capture states carry the cops sitting on the robber. A finite
         noncapture state carries the union over all optimal plays from it,
-        computed along increasing value (optimal moves always step the value
-        down by exactly one, so successors are already resolved).
+        computed level by level in increasing value (optimal moves always
+        step the value down by exactly one, so successors are resolved).
         """
         if self._capture_mask_bits is not None:
             return self._capture_mask_bits
         a = self.arena
-        v, n = a.graph.vertex_count, a.n_players
-        mixes = np.arange(v**n, dtype=np.int64)
-        robber = mixes % v
-        mix_bits = np.zeros(v**n, dtype=np.uint32)
-        for j in range(1, n):
-            at_robber = (mixes // a._strides[j - 1]) % v == robber
-            mix_bits |= at_robber.astype(np.uint32) << (j - 1)
-        bits = np.repeat(mix_bits, n)
-        bits[~a.capture_mask] = 0
+        bits = np.zeros(a.n_states, dtype=np.uint32)
+        for j in range(1, a.n_players):
+            bits |= a.cop_at_robber(j).astype(np.uint32) << np.uint32(j - 1)
 
         offsets, targets = self._opt_csr()
-        order = np.argsort(self.values, kind="stable")
-        vals = self.values
-        for idx in order:
-            t = vals[idx]
-            if t == 0 or t >= INT_INF:
-                continue
-            m = np.uint32(0)
-            for j in targets[offsets[idx] : offsets[idx + 1]]:
-                m |= bits[j]
-            bits[idx] = m
+        finite_nc = np.flatnonzero(~a.capture_mask & self.finite_mask())
+        by_value = finite_nc[np.argsort(self.values[finite_nc], kind="stable")]
+        cuts = np.flatnonzero(np.diff(self.values[by_value])) + 1
+        for level in np.split(by_value, cuts) if by_value.size else ():
+            starts, ends = offsets[level], offsets[level + 1]
+            succ_bits = bits[targets[concat_ranges(starts, ends)]]
+            seg = np.concatenate(([0], np.cumsum(ends - starts)[:-1]))
+            bits[level] = np.bitwise_or.reduceat(succ_bits, seg)
         self._capture_mask_bits = bits
         return bits
 
@@ -150,6 +141,7 @@ def solve_capture_time(arena: Arena) -> CrSolution:
             ~arena.robber_mover_mask(),
             arena.capture_mask,
             init,
+            predecessors=arena.predecessors(),
         )
         sol = CrSolution(arena, values)
         arena._cr_solution = sol
@@ -158,7 +150,7 @@ def solve_capture_time(arena: Arena) -> CrSolution:
 
 def capture_attribution(sol: CrSolution, s: State | int) -> tuple[int, int]:
     """(capturing cop, capture time) for a noncapture state of finite value."""
-    idx = s if isinstance(s, int) else sol.arena.index(s)
+    idx = sol.arena.index_of(s)
     if sol.arena.capture_mask[idx]:
         raise ValidationError("attribution is defined for noncapture states")
     t = sol.values[idx]

@@ -37,10 +37,6 @@ class IllegalMoveError(ScarError):
     """A simulated move is not a legal successor of the current state."""
 
 
-class NonConvergenceError(ScarError):
-    """A fixpoint iteration hit its hard round cap without stabilising."""
-
-
 class UniquenessViolationError(ScarError):
     """Two optimal plays disagree on the capturing cop or the capture time.
 

@@ -242,7 +242,7 @@ def simulate_trigger(
     until the deviant's chosen move first differs from it; from the next
     move on the others follow profile.punishment[deviant]. The deviant keeps
     playing its own table throughout."""
-    idx = s0 if isinstance(s0, int) else arena.index(s0)
+    idx = arena.index_of(s0)
     if max_steps is None:
         max_steps = 4 * arena.n_states
     dev_player, dev_table = deviant if deviant is not None else (None, None)

@@ -86,8 +86,7 @@ class GameSolution(OptimalMoves):
         self._values: tuple[Fraction, ...] | None = None
 
     def value(self, s: State | int) -> Fraction:
-        idx = s if isinstance(s, int) else self.arena.index(s)
-        return self.levels[self.rank[idx]]
+        return self.levels[self.rank[self.arena.index_of(s)]]
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -211,7 +210,7 @@ def solve_game(arena: Arena, player: int, params: GameParams) -> GameSolution:
     cap_idx = np.nonzero(arena.capture_mask)[0]
     for k, rep in zip(classes.tolist(), cap_idx[reps].tolist()):
         coeffs[k] = terminal_payoff(arena.state_of(rep), player, params)
-    max_mask = np.arange(arena.n_states) % n == player - 1
+    max_mask = arena.mover_mask(player)
     return _solve(arena, player, params.gamma, max_mask, terminal_class, coeffs)
 
 

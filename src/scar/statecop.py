@@ -48,18 +48,21 @@ def coalition_winning_set(arena: Arena, coalition) -> np.ndarray:
         cache = {}
         arena._coalition_cache = cache
     if cs not in cache:
-        movers = np.arange(arena.n_states, dtype=np.int64) % arena.n_players + 1
-        minimizing = np.isin(movers, sorted(cs))
         init = np.where(arena.capture_mask, 0, INT_INF).astype(np.int64)
         vals = solve_layers(
-            arena.offsets, arena.targets, minimizing, arena.capture_mask, init
+            arena.offsets,
+            arena.targets,
+            arena.mover_mask(*cs),
+            arena.capture_mask,
+            init,
+            predecessors=arena.predecessors(),
         )
         cache[cs] = vals < INT_INF
     return cache[cs]
 
 
 def guaranteed_capture(arena: Arena, s: State | int, coalition) -> bool:
-    idx = s if isinstance(s, int) else arena.index(s)
+    idx = arena.index_of(s)
     if arena.capture_mask[idx]:
         raise ValidationError("guaranteed capture is asked from noncapture states")
     return bool(coalition_winning_set(arena, coalition)[idx])
@@ -68,7 +71,7 @@ def guaranteed_capture(arena: Arena, s: State | int, coalition) -> bool:
 def state_cop_number(arena: Arena, s: State | int) -> int | float:
     """Least coalition size that wins from s; math.inf when even all
     N-1 cops together cannot force a capture."""
-    idx = s if isinstance(s, int) else arena.index(s)
+    idx = arena.index_of(s)
     if arena.capture_mask[idx]:
         raise ValidationError("the state cop number is defined on noncapture states")
     n = arena.n_players
@@ -90,15 +93,14 @@ class StateCopReport:
     witness_bits: np.ndarray
 
     def value(self, s: State | int) -> int | float:
-        idx = s if isinstance(s, int) else self.arena.index(s)
+        idx = self.arena.index_of(s)
         if self.arena.capture_mask[idx]:
             raise ValidationError("the state cop number is defined on noncapture states")
         v = self.values[idx]
         return math.inf if v >= INT_INF else int(v)
 
     def witness_coalition(self, s: State | int) -> tuple[int, ...]:
-        idx = s if isinstance(s, int) else self.arena.index(s)
-        bits = int(self.witness_bits[idx])
+        bits = int(self.witness_bits[self.arena.index_of(s)])
         return tuple(j + 1 for j in range(self.arena.n_players - 1) if bits >> j & 1)
 
     def max_over_noncapture(self) -> int | float:

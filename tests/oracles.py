@@ -4,10 +4,16 @@ rules directly: plain dict-based finite-horizon backward induction over
 
 Horizons are grown until two consecutive tables agree, which is a fixpoint
 of the (deterministic) one-step operator and hence the game value.
+
+`jacobi_layers` is the reference for the CSR-level layer solve: synchronous
+rounds of the min-max operator over every state, from all-INT_INF down to
+the greatest fixpoint.
 """
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 INF = float("inf")
 
@@ -127,3 +133,37 @@ def play_payoff(states, m, n_players, gamma, epsilon):
         return Fraction(0)
     t = len(states) - 1
     return gamma**t * payoff_coeff(states[-1], m, n_players, epsilon)
+
+
+def capture_credit(g, n_players, times):
+    """Per state, the set of cops credited with the capture: the cops on
+    the robber at a capture state; at a noncapture state of finite capture
+    time (`times` from capture_times) the union over its successors one move
+    closer to capture; empty where the robber escapes."""
+    credit = {}
+    for s in sorted(times, key=times.get):
+        t = times[s]
+        cops, robber, _ = s
+        if t == 0:
+            credit[s] = {i + 1 for i, c in enumerate(cops) if c == robber}
+        elif t == INF:
+            credit[s] = set()
+        else:
+            credit[s] = set().union(*(credit[u] for u in successors(g, s) if times[u] == t - 1))
+    return credit
+
+
+def jacobi_layers(offsets, targets, minimizing, frozen, init, int_inf):
+    """val = init on frozen rows, 1 + min/max over successors elsewhere,
+    iterated in synchronous rounds from int_inf until nothing changes."""
+    seg = offsets[:-1]
+    vals = np.where(frozen, init, int_inf).astype(np.int64)
+    for _ in range(len(vals) + 2):
+        sv = vals[targets]
+        best = np.where(minimizing, np.minimum.reduceat(sv, seg), np.maximum.reduceat(sv, seg))
+        new = np.where(frozen, vals, np.where(best >= int_inf, int_inf, best + 1))
+        assert (new <= vals).all(), "a round increased a value"
+        if np.array_equal(new, vals):
+            return vals
+        vals = new
+    raise AssertionError("reference rounds did not stabilize")

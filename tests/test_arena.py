@@ -194,3 +194,51 @@ def test_simulate_rejects_illegal_moves():
 
     with pytest.raises(IllegalMoveError):
         simulate(a, State((0, 0), 2, 1), teleport)
+
+
+def test_queries_accept_numpy_indices():
+    """Every query that takes a state also takes its index, as a Python or
+    a numpy integer, and refuses an index outside the arena."""
+    from scar import (
+        build_trigger_profile,
+        capture_attribution,
+        g3_guarantee_test,
+        guaranteed_capture,
+        solve_capture_time,
+        solve_game,
+        state_cop_number,
+        state_cop_report,
+    )
+    from scar.positionality import simulate_trigger, solve_all_games
+
+    a = build_arena(builtin("path", 2), 3)
+    params = GameParams(3, Q(1, 2), Q(0))
+    cr = solve_capture_time(a)
+    game = solve_game(a, 1, params)
+    report = state_cop_report(a)
+    profile = build_trigger_profile(cr, solve_all_games(a, params))
+    queries = [
+        a.is_capture,
+        lambda s: reachable_noncapture(a, s).tolist(),
+        lambda s: simulate(a, s, profile.cooperative),
+        cr.capture_time,
+        lambda s: capture_attribution(cr, s),
+        lambda s: cr.opt_indices(s).tolist(),
+        cr.opt_moves,
+        game.value,
+        lambda s: guaranteed_capture(a, s, [1]),
+        lambda s: state_cop_number(a, s),
+        report.value,
+        report.witness_coalition,
+        lambda s: g3_guarantee_test(a, cr, s),
+        lambda s: simulate_trigger(a, profile, s),
+    ]
+    s = State((0, 0), 1, 1)
+    i = a.index(s)
+    for query in queries:
+        want = query(s)
+        assert query(i) == want
+        assert query(np.int64(i)) == want
+        assert query(np.int32(i)) == want
+        with pytest.raises(ValidationError):
+            query(np.int64(a.n_states))

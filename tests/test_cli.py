@@ -26,7 +26,10 @@ def test_arena_stats_shape(capsys):
     assert got["vertices"] == 2 and got["edges"] == 1
     assert got["n_states"] == 24
     assert got["capture_states"] + got["noncapture_states"] == 24
-    assert got["fixpoint_backend"] in ("compiled", "numpy")
+    assert set(got) == {
+        "vertices", "edges", "n_players", "n_states", "capture_states",
+        "noncapture_states", "move_edges",
+    }
 
 
 def test_cr_solve_summary_and_state(capsys):
@@ -153,6 +156,16 @@ def test_cache_round_trip(capsys, tmp_path):
     _, second, _ = run(capsys, *argv)
     assert second == first
     assert entries[0].stat().st_mtime_ns == stamp  # replayed, not recomputed
+
+
+def test_failed_cache_write_warns_and_keeps_the_exit_code(capsys, tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    argv = ["arena-stats", "--builtin", "path:2", "--n", "3"]
+    _, want, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--cache-dir", str(not_a_dir))
+    assert (code, out) == (0, want)
+    assert err.startswith("warning: ") and err.count("\n") == 1
 
 
 def test_cache_distinguishes_requests(capsys, tmp_path):

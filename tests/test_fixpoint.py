@@ -1,18 +1,24 @@
-"""Both fixpoint backends must produce the same greatest fixpoint (the
-Cython kernel sweeps in place, the numpy fallback sweeps synchronously;
-uniqueness of the fixpoint makes the order irrelevant)."""
-
-import pathlib
-import subprocess
-import sys
+"""The retrograde layer solve against the Jacobi-round reference and the
+brute-force oracles, plus its input checks and its exact fixpoint check."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import scar
-from scar import NonConvergenceError, build_arena, builtin
-from scar.fixpoint import INT_INF, backend_name, solve_layers
+from scar import (
+    ScarError,
+    State,
+    ValidationError,
+    build_arena,
+    builtin,
+    coalition_winning_set,
+    solve_capture_time,
+)
+from scar.arena import reverse_csr
+from scar.fixpoint import INT_INF, check_fixpoint, solve_layers
+
+from oracles import INF, capture_credit, capture_times, coalition_wins, jacobi_layers
+from strategies import connected_graphs
 
 
 def cr_inputs(name, k, n):
@@ -24,26 +30,57 @@ def cr_inputs(name, k, n):
 
 
 @pytest.mark.parametrize("name, k, n", [("path", 4, 3), ("cycle", 5, 3), ("petersen", None, 3)])
-def test_backends_agree_on_capture_time_instances(name, k, n):
+def test_matches_jacobi_on_capture_time_instances(name, k, n):
     a, minimizing, frozen, init = cr_inputs(name, k, n)
-    got_np = solve_layers(a.offsets, a.targets, minimizing, frozen, init, backend="numpy")
-    got_c = solve_layers(a.offsets, a.targets, minimizing, frozen, init, backend="compiled")
-    assert np.array_equal(got_np, got_c)
+    got = solve_layers(a.offsets, a.targets, minimizing, frozen, init)
+    want = jacobi_layers(a.offsets, a.targets, minimizing, frozen, init, INT_INF)
+    assert np.array_equal(got, want)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_backends_agree_on_random_roles(data):
-    """Random minimizing/frozen role assignments on a real successor table."""
-    a = build_arena(builtin("cycle", 4), 3)
-    n = a.n_states
-    minimizing = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    frozen = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    frozen |= a.capture_mask  # keep at least the capture sinks frozen
-    init = np.zeros(n, dtype=np.int64)
-    got_np = solve_layers(a.offsets, a.targets, minimizing, frozen, init, backend="numpy")
-    got_c = solve_layers(a.offsets, a.targets, minimizing, frozen, init, backend="compiled")
-    assert np.array_equal(got_np, got_c)
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(), st.sampled_from([3, 4]), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 0.95), st.floats(0.0, 0.3))
+def test_matches_jacobi_on_random_roles(g, n, seed, p_min, p_frozen):
+    """Random minimizing/frozen roles and frozen values 0 or INT_INF on real
+    successor tables; the predecessor table is passed in or built inside."""
+    a = build_arena(g, n)
+    rng = np.random.default_rng(seed)
+    minimizing = rng.random(a.n_states) < p_min
+    frozen = rng.random(a.n_states) < p_frozen
+    init = np.where(rng.random(a.n_states) < 0.5, 0, INT_INF).astype(np.int64)
+    want = jacobi_layers(a.offsets, a.targets, minimizing, frozen, init, INT_INF)
+    got = solve_layers(a.offsets, a.targets, minimizing, frozen, init)
+    assert np.array_equal(got, want)
+    got = solve_layers(
+        a.offsets, a.targets, minimizing, frozen, init, predecessors=a.predecessors()
+    )
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs(), st.sampled_from([3, 4]))
+def test_capture_times_and_credit_match_oracle(g, n):
+    a = build_arena(g, n)
+    sol = solve_capture_time(a)
+    bits = sol._cop_bits()
+    times = capture_times(g, n)
+    credit = capture_credit(g, n, times)
+    for s, t in times.items():
+        i = a.index(State(*s))
+        assert sol.capture_time(i) == (float("inf") if t == INF else t)
+        assert {j + 1 for j in range(n - 1) if bits[i] >> j & 1} == credit[s]
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs(), st.sampled_from([3, 4]), st.data())
+def test_coalition_sets_match_oracle(g, n, data):
+    coalition = data.draw(
+        st.lists(st.integers(1, n - 1), min_size=1, max_size=n - 1, unique=True)
+    )
+    a = build_arena(g, n)
+    won = coalition_winning_set(a, coalition)
+    for s, w in coalition_wins(g, n, coalition).items():
+        assert won[a.index(State(*s))] == w
 
 
 def test_values_are_a_fixpoint_and_layered():
@@ -59,13 +96,6 @@ def test_values_are_a_fixpoint_and_layered():
         assert vals[i] == want
 
 
-@pytest.mark.parametrize("backend", ["numpy", "compiled"])
-def test_cap_zero_raises(backend):
-    a, minimizing, frozen, init = cr_inputs("path", 3, 3)
-    with pytest.raises(NonConvergenceError):
-        solve_layers(a.offsets, a.targets, minimizing, frozen, init, cap=0, backend=backend)
-
-
 def test_frozen_sinks_can_hold_inf():
     """A frozen INT_INF state must act as a dead end, not a target."""
     a, minimizing, frozen, init = cr_inputs("path", 3, 3)
@@ -79,31 +109,33 @@ def test_frozen_sinks_can_hold_inf():
     assert vals[i] == INT_INF
 
 
-def test_pure_python_env_selects_numpy_backend():
-    # A clean environment away from the repo root: only SCAR_PURE is
-    # scar-specific. PYTHONPATH is the absolute directory holding the
-    # parent's own scar package, so a bare checkout (PYTHONPATH=src,
-    # relative) and an installed package both import the same code.
-    import_root = pathlib.Path(scar.__file__).resolve().parent.parent
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import scar; from scar.fixpoint import backend_name; "
-            "print(backend_name()); print(scar.__file__)",
-        ],
-        env={"SCAR_PURE": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root)},
-        capture_output=True,
-        text=True,
-        cwd="/",
-    )
-    assert out.returncode == 0, out.stderr
-    backend, child_file = out.stdout.splitlines()
-    assert pathlib.Path(child_file).resolve() == pathlib.Path(scar.__file__).resolve()
-    assert backend == "numpy"
+def test_frozen_values_other_than_zero_or_inf_are_refused():
+    a, minimizing, frozen, init = cr_inputs("path", 3, 3)
+    init[np.flatnonzero(frozen)[0]] = 5
+    with pytest.raises(ValidationError):
+        solve_layers(a.offsets, a.targets, minimizing, frozen, init)
 
 
-def test_default_backend_is_compiled_here():
-    # the compiled kernel is optional (it needs Cython at install time);
-    # either backend is accepted, and the numpy fallback keeps the package working
-    assert backend_name() in ("compiled", "numpy")
+def test_fixpoint_check_rejects_a_corrupted_table():
+    a, minimizing, frozen, init = cr_inputs("petersen", None, 3)
+    vals = solve_layers(a.offsets, a.targets, minimizing, frozen, init)
+    check_fixpoint(a.offsets, a.targets, minimizing, frozen, init, vals)
+    finite = np.flatnonzero(~frozen & (vals < INT_INF))
+    escape = np.flatnonzero(~frozen & (vals >= INT_INF))
+    assert finite.size and escape.size
+    for i, wrong in ((finite[-1], vals[finite[-1]] + 1), (finite[0], INT_INF),
+                     (escape[0], 7), (np.flatnonzero(frozen)[0], 1)):
+        bad = vals.copy()
+        bad[i] = wrong
+        with pytest.raises(ScarError, match="its equation gives"):
+            check_fixpoint(a.offsets, a.targets, minimizing, frozen, init, bad)
+
+
+def test_reverse_csr_lists_every_edge_once_by_target():
+    a = build_arena(builtin("petersen"), 3)
+    offsets, sources = reverse_csr(a.offsets, a.targets)
+    assert sources.dtype == np.int32
+    rows = np.repeat(np.arange(a.n_states), np.diff(a.offsets))
+    want = sorted(zip(a.targets.tolist(), rows.tolist()))
+    targets = np.repeat(np.arange(a.n_states), np.diff(offsets))
+    assert list(zip(targets.tolist(), sources.tolist())) == want

@@ -14,7 +14,6 @@ from scar import (
     ValidationError,
     build_arena,
     builtin,
-    graph_from_edges,
     opt_move_table,
     simulate,
     solve_capture_time,
@@ -25,6 +24,7 @@ from scar.fixpoint import INT_INF
 from scar.scarsolver import _check_bellman, _solve, solve_discounted_capture
 
 from oracles import cell, discounted_values, is_capture, play_payoff, successors
+from strategies import connected_graphs
 
 
 def test_terminal_payoff_single_captor():
@@ -188,13 +188,10 @@ def test_solve_game_validates_player_and_params():
 
 @st.composite
 def small_games(draw):
-    """A random connected graph on 2-4 vertices (a random spanning tree plus
-    extra edges), N in {3, 4} (at most 1024 states), one cop, and (gamma,
-    epsilon) with epsilon 0, the cap, or a random rational below the cap."""
-    v = draw(st.integers(2, 4))
-    tree = [(draw(st.integers(0, u - 1)), u) for u in range(1, v)]
-    others = [(a, b) for b in range(v) for a in range(b) if (a, b) not in tree]
-    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    """A random connected graph on 2-4 vertices, N in {3, 4} (at most 1024
+    states), one cop, and (gamma, epsilon) with epsilon 0, the cap, or a
+    random rational below the cap."""
+    g = draw(connected_graphs())
     n = draw(st.sampled_from([3, 4]))
     m = draw(st.integers(1, n - 1))
     gamma = draw(st.sampled_from([Q(1, 7), Q(1, 2), Q(99, 100), Q(9999, 10000)]))
@@ -202,7 +199,7 @@ def small_games(draw):
     epsilon = draw(
         st.one_of(st.just(Q(0)), st.just(cap), st.fractions(0, cap, max_denominator=30))
     )
-    return graph_from_edges(v, tree + extra), n, m, gamma, epsilon
+    return g, n, m, gamma, epsilon
 
 
 @settings(max_examples=25, deadline=None)
