@@ -182,11 +182,11 @@ class Arena:
     def index_of(self, s: State | int) -> int:
         """The index of s, given as a State or as an index already (any
         integer type, numpy's included)."""
-        if isinstance(s, numbers.Integral):
-            if not 0 <= s < self.n_states:
-                raise ValidationError(f"state index {s} out of range")
-            return int(s)
-        return self.index(s)
+        if isinstance(s, State) or not isinstance(s, numbers.Integral):
+            return self.index(s)
+        if not 0 <= s < self.n_states:
+            raise ValidationError(f"state index {s} out of range")
+        return int(s)
 
     def state_of(self, idx: int) -> State:
         n, v = self.n_players, self.graph.vertex_count
@@ -271,10 +271,11 @@ def filter_csr(
     return new_offsets, targets[keep]
 
 
-def row_best(arena: Arena, succ_keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
-    """Per state, the best of its successors' keys (succ_keys holds one key
-    per CSR edge): the largest on max_mask rows, the smallest elsewhere."""
-    seg = arena.offsets[:-1]
+def row_best(offsets: np.ndarray, succ_keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
+    """Per row of a CSR table, the best of its successors' keys (succ_keys
+    holds one key per edge): the largest on max_mask rows, the smallest
+    elsewhere."""
+    seg = offsets[:-1]
     return np.where(
         max_mask, np.maximum.reduceat(succ_keys, seg), np.minimum.reduceat(succ_keys, seg)
     )
@@ -294,7 +295,7 @@ class OptimalMoves:
         """Per CSR edge: does the target's key equal its row's best key?"""
         a = self.arena
         sv = keys[a.targets]
-        return sv == np.repeat(row_best(a, sv, max_mask), np.diff(a.offsets))
+        return sv == np.repeat(row_best(a.offsets, sv, max_mask), np.diff(a.offsets))
 
     def _opt_csr(self) -> tuple[np.ndarray, np.ndarray]:
         if self._opt_targets is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arena import DEFAULT_MAX_STATES, INFINITY, Arena, OptimalMoves, State, concat_ranges
-from .errors import StateCountExceededError, UniquenessViolationError, ValidationError
+from .errors import ScarError, StateCountExceededError, UniquenessViolationError, ValidationError
 from .fixpoint import INT_INF, solve_layers
 from .graphs import Graph
 
@@ -98,7 +98,8 @@ class CrSolution(OptimalMoves):
                     trail.append(int(j))
                     break
             else:  # pragma: no cover - bits are unions over these successors
-                raise AssertionError("attribution bit lost along optimal play")
+                raise ScarError(f"capture attribution: cop bit {bit} lost along optimal "
+                                f"play from {self.arena.state_of(start).literal()}")
         return tuple(self.arena.state_of(i) for i in trail)
 
     def capturer_table(self) -> np.ndarray:

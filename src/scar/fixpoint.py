@@ -1,41 +1,143 @@
-"""Integer min-max layer solve over a CSR successor table.
+"""One exact retrograde engine for every reachability game in the package.
 
-One routine serves every reachability-flavoured solve in the package:
+A game is a CSR successor table, an `eager` mask, a `frozen` mask, seed
+batches `(key, states)` of frozen states, a monotone `step` on keys and a
+top key `never` that `step` fixes. Its equations are
 
-    val[s] = init[s]                          if frozen[s]  (0 or INT_INF)
-    val[s] = 1 + min over successors          if minimizing[s]
-    val[s] = 1 + max over successors          otherwise
+    key[s] = its seed's key (never when unseeded)   if frozen[s]
+    key[s] = step(smallest successor key)           if eager[s]
+    key[s] = step(largest successor key)            otherwise
 
-with INT_INF for "never". A state ends up finite exactly when the min side
-can force the play into a frozen 0 state, and the finite value is the number
-of token moves it needs against worst-case max-side play.
-
-Instantiations: capture-time solve (cops minimize), coalition attractors
-(coalition minimizes, everyone else maximizes), guarantee tests on restricted
-move tables, and the classic simultaneous-move game.
-
-The table is built by retrograde analysis, the attractor construction of
+When step(k) > k below never, their only solution is the one `retrograde`
+builds in time linear in the edges: the attractor construction of
 reachability games (Grädel, Thomas & Wilke, eds., Automata, Logics, and
-Infinite Games, LNCS 2500, 2002), in time linear in the edges: layer d is
-the frontier of states settled at d. Over the predecessor CSR, every
-unsettled predecessor of the frontier loses one remaining successor; a
-state settles at d + 1 when its count reaches 0. The count starts at 1 for
-minimizing states and at the out-degree for maximizing ones. States never
-settled keep INT_INF.
+Infinite Games, LNCS 2500, 2002), smallest key first, as Dijkstra's
+algorithm settles distances. A heap pops one seed batch per key and settles
+it as a level. Over the predecessor CSR every unsettled predecessor of the
+level loses one remaining successor (one `np.unique` count per level), and
+a state whose count reaches 0 is pushed at step(key). The count starts at 1
+for eager states, which settle on their first settled successor, and at the
+out-degree elsewhere, which settle on their last. The rest take `never`.
 
-Every solve ends with `check_fixpoint`, a vectorised exact check of every
-equation above. Its only solution is the distance table, so passing the
-check proves the answer.
+The engine returns the ascending keys and one int rank per state and ends
+with `check_fixpoint`, a vectorised exact check of every equation over the
+ranks: O(edges) numpy work plus one `step` per level. Passing it proves the
+answer. Instantiations:
+
+- `solve_layers`: key = depth, step k+1, never = INT_INF. Capture-time
+  solve (cops eager), coalition attractors, guarantee tests on restricted
+  move tables, and the classic simultaneous-move game.
+- `scarsolver`: key = -value, step gamma*k, never = 0. The per-cop
+  discounted games and the discounted capture-time game.
 """
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
-from .arena import concat_ranges, reverse_csr
+from .arena import concat_ranges, reverse_csr, row_best
 from .errors import ScarError, ValidationError
 
 INT_INF = 2**62
+
+
+def retrograde(
+    offsets: np.ndarray,
+    targets: np.ndarray,
+    eager: np.ndarray,
+    frozen: np.ndarray,
+    seeds: list[tuple[object, np.ndarray]],
+    step,
+    never,
+    predecessors: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[list, np.ndarray]:
+    """Solve the game; returns (ascending keys, int rank per state).
+
+    Every seeded state must be frozen. A seed keyed `never` is left
+    unsettled and a key above it is refused. `predecessors` is the table's
+    reverse CSR (`arena.reverse_csr`) when the caller has it cached; it is
+    built here otherwise.
+    """
+    pred_offsets, pred_targets = (
+        reverse_csr(offsets, targets) if predecessors is None else predecessors
+    )
+    batches: dict = {}
+    heap: list = []
+
+    def push(key, states: np.ndarray) -> None:
+        if key not in batches:
+            heapq.heappush(heap, key)
+        batches.setdefault(key, []).append(states)
+
+    for key, states in seeds:
+        if key > never:
+            raise ValidationError(f"seed key {key} lies above never ({never})")
+        if key < never and states.size:
+            push(key, states)
+
+    queued = np.array(frozen, dtype=bool)  # frozen states never settle from successors
+    remaining = np.where(eager, 1, np.diff(offsets))
+    n = len(queued)
+    rank = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
+    levels: list = []
+    while heap:
+        key = heapq.heappop(heap)
+        batch = np.concatenate(batches.pop(key))
+        rank[batch] = len(levels)
+        levels.append(key)
+        preds = pred_targets[concat_ranges(pred_offsets[batch], pred_offsets[batch + 1])]
+        preds, hits = np.unique(preds[~queued[preds]], return_counts=True)
+        remaining[preds] -= hits
+        ready = preds[remaining[preds] <= 0]
+        if ready.size:
+            queued[ready] = True
+            push(step(key), ready)
+    unsettled = rank < 0
+    if unsettled.any():
+        rank[unsettled] = len(levels)
+        levels.append(never)
+    check_fixpoint(offsets, targets, eager, frozen, seeds, step, never, levels, rank)
+    return levels, rank
+
+
+def check_fixpoint(
+    offsets: np.ndarray,
+    targets: np.ndarray,
+    eager: np.ndarray,
+    frozen: np.ndarray,
+    seeds: list[tuple[object, np.ndarray]],
+    step,
+    never,
+    levels: list,
+    rank: np.ndarray,
+) -> None:
+    """Raise ScarError unless (levels, rank) satisfies every equation of the
+    game exactly: levels strictly ascend, a frozen row holds its seed's rank
+    (never's when unseeded), and any other row holds nxt[best successor
+    rank], where nxt[r] is the rank of step(levels[r])."""
+    n = len(rank)
+    where = f"retrograde solve on {n} states"
+    if any(lo >= hi for lo, hi in zip(levels, levels[1:])):
+        raise ScarError(f"{where}: levels are not strictly ascending")
+    if n and not 0 <= rank.min() <= rank.max() < len(levels):
+        raise ScarError(f"{where}: a rank lies outside the {len(levels)} levels")
+    at = {key: r for r, key in enumerate(levels)}
+    nxt = np.array([at.get(step(key), -1) for key in levels], dtype=rank.dtype)
+    held = np.full(n, at.get(never, -1), dtype=rank.dtype)
+    for key, states in seeds:
+        held[states] = at.get(key, -1)
+    best = row_best(offsets, rank[targets], ~eager)
+    want = np.where(frozen, held, nxt[best])
+    bad = np.flatnonzero(want != rank)
+    if bad.size:
+        i = int(bad[0])
+        gives = levels[want[i]] if want[i] >= 0 else "a key outside the levels"
+        raise ScarError(
+            f"{where}: state {i} holds {levels[rank[i]]}, "
+            f"its equation gives {gives} ({bad.size} states wrong)"
+        )
 
 
 def solve_layers(
@@ -46,62 +148,22 @@ def solve_layers(
     init: np.ndarray,
     predecessors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Solve the layered game; returns the int64 value array (INT_INF = never).
+    """The integer game: returns the int64 value array (INT_INF = never)
 
-    `frozen` states keep their `init` value, which must be 0 (a target) or
-    INT_INF (a dead sink); `init` is ignored elsewhere. `predecessors` is the
-    table's reverse CSR (`arena.reverse_csr`) when the caller has it cached;
-    it is built here otherwise.
+        val[s] = init[s]                   if frozen[s]  (0 or INT_INF)
+        val[s] = 1 + min over successors   if minimizing[s]
+        val[s] = 1 + max over successors   otherwise
+
+    A state ends up finite exactly when the min side can force the play into
+    a frozen 0 state, and the finite value is the number of token moves it
+    needs against worst-case max-side play. `init` is ignored off `frozen`.
     """
     minimizing = np.asarray(minimizing, dtype=bool)
     frozen = np.asarray(frozen, dtype=bool)
     held = init[frozen]
     if not ((held == 0) | (held == INT_INF)).all():
         raise ValidationError("a frozen state must hold 0 or INT_INF")
-    pred_offsets, pred_targets = (
-        reverse_csr(offsets, targets) if predecessors is None else predecessors
-    )
-    remaining = np.where(minimizing, 1, np.diff(offsets))
-    unsettled = ~frozen
-    frontier = np.flatnonzero(frozen & (init == 0))
-    vals = np.full(len(frozen), INT_INF, dtype=np.int64)
-    vals[frontier] = 0
-    depth = 0
-    while frontier.size:
-        preds = pred_targets[concat_ranges(pred_offsets[frontier], pred_offsets[frontier + 1])]
-        preds, hits = np.unique(preds[unsettled[preds]], return_counts=True)
-        remaining[preds] -= hits
-        frontier = preds[remaining[preds] <= 0]
-        depth += 1
-        vals[frontier] = depth
-        unsettled[frontier] = False
-    check_fixpoint(offsets, targets, minimizing, frozen, init, vals)
-    return vals
-
-
-def check_fixpoint(
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    minimizing: np.ndarray,
-    frozen: np.ndarray,
-    init: np.ndarray,
-    vals: np.ndarray,
-) -> None:
-    """Raise ScarError unless vals satisfies every equation of the game
-    exactly: frozen rows hold init, every other row 1 + the min or max of
-    its successors (INT_INF when that is INT_INF). An INT_INF minimizing row
-    thus has only INT_INF successors and an INT_INF maximizing row at least
-    one."""
-    succ = vals[targets]
-    seg = offsets[:-1]
-    best = np.where(
-        minimizing, np.minimum.reduceat(succ, seg), np.maximum.reduceat(succ, seg)
-    )
-    want = np.where(frozen, init, np.where(best >= INT_INF, INT_INF, best + 1))
-    bad = np.flatnonzero(want != vals)
-    if bad.size:
-        i = int(bad[0])
-        raise ScarError(
-            f"layer solve on {len(vals)} states: state {i} holds {int(vals[i])}, "
-            f"its equation gives {int(want[i])} ({bad.size} states wrong)"
-        )
+    seeds = [(0, np.flatnonzero(frozen & (init == 0)))]
+    depths, rank = retrograde(offsets, targets, minimizing, frozen, seeds,
+                              lambda d: min(d + 1, INT_INF), INT_INF, predecessors)
+    return np.array(depths, dtype=np.int64)[rank]

@@ -41,7 +41,7 @@ from .arena import (
     reachable_noncapture,
 )
 from .crsolver import CrSolution, solve_capture_time
-from .errors import IllegalMoveError, ValidationError
+from .errors import IllegalMoveError, ScarError, ValidationError
 from .graphs import Graph
 from .scarsolver import GameSolution, solve_game
 
@@ -80,6 +80,26 @@ def _state_tests(
     return meets, inside
 
 
+def _start(arena: Arena, s0: State | int) -> tuple[int, State]:
+    """The index and the State of a start given as either."""
+    idx = arena.index_of(s0)
+    return idx, s0 if isinstance(s0, State) else arena.state_of(idx)
+
+
+def _checked_verdict(arena: Arena, params: GameParams, s0: State, positional: bool,
+                     nonpositional: bool, witnesses: tuple = ()) -> PositionalityVerdict:
+    """The verdict, once it admits a trigger profile: one always exists, so
+    a verdict without one is a solver fault."""
+    if not (positional or nonpositional):
+        raise ScarError(
+            f"positionality check at {s0.literal()} on {arena.graph.vertex_count} vertices, "
+            f"N={params.n_players}, gamma={params.gamma}, epsilon={params.epsilon}: "
+            "neither a positional nor a nonpositional trigger profile exists"
+        )
+    return PositionalityVerdict(params.n_players, params.gamma, params.epsilon, s0,
+                                positional, nonpositional, witnesses)
+
+
 def _verdict(
     arena: Arena,
     tests: tuple[dict[int, np.ndarray], dict[int, np.ndarray]],
@@ -98,17 +118,7 @@ def _verdict(
     witnesses = tuple(
         (arena.mover_of(i), m, arena.state_of(i)) for i, m in fail_pairs
     )
-    positional = not fail_pairs
-    assert positional or nonpositional, "a trigger profile always exists"
-    return PositionalityVerdict(
-        params.n_players,
-        params.gamma,
-        params.epsilon,
-        s0,
-        positional,
-        nonpositional,
-        witnesses,
-    )
+    return _checked_verdict(arena, params, s0, not fail_pairs, nonpositional, witnesses)
 
 
 def solve_all_games(arena: Arena, params: GameParams) -> dict[int, GameSolution]:
@@ -116,15 +126,18 @@ def solve_all_games(arena: Arena, params: GameParams) -> dict[int, GameSolution]
     return {m: solve_game(arena, m, params) for m in range(1, arena.n_players)}
 
 
-def check_positionality(arena: Arena, s0: State, params: GameParams) -> PositionalityVerdict:
+def check_positionality(
+    arena: Arena, s0: State | int, params: GameParams
+) -> PositionalityVerdict:
+    idx, s0 = _start(arena, s0)
     cr = solve_capture_time(arena)
     games = solve_all_games(arena, params)
     tests = _state_tests(arena, cr, games)
-    return _verdict(arena, tests, params, s0, reachable_noncapture(arena, s0))
+    return _verdict(arena, tests, params, s0, reachable_noncapture(arena, idx))
 
 
 def check_positionality_many(
-    arena: Arena, params: GameParams, starts: list[State]
+    arena: Arena, params: GameParams, starts: list[State | int]
 ) -> list[PositionalityVerdict]:
     """check_positionality over many starts, with the games solved once and
     the per-start questions answered by two backward reachability sweeps
@@ -139,32 +152,20 @@ def check_positionality_many(
     pred_offsets, pred_targets = arena.predecessors()
     sees_fail = _flood(pred_offsets, pred_targets, ~all_meet, arena.capture_mask)
     sees_loose = _flood(pred_offsets, pred_targets, ~all_inside, arena.capture_mask)
-    out = []
-    for s0 in starts:
-        idx = arena.index(s0)
-        if arena.capture_mask[idx]:
-            raise ValidationError("start states must be noncapture")
-        positional = not bool(sees_fail[idx])
-        nonpositional = bool(sees_loose[idx])
-        assert positional or nonpositional, "a trigger profile always exists"
-        out.append(
-            PositionalityVerdict(
-                params.n_players,
-                params.gamma,
-                params.epsilon,
-                s0,
-                positional,
-                nonpositional,
-                (),
-            )
-        )
-    return out
+    picked = [_start(arena, s0) for s0 in starts]
+    idx = np.array([i for i, _ in picked], dtype=np.int64)
+    if arena.capture_mask[idx].any():
+        raise ValidationError("start states must be noncapture")
+    return [
+        _checked_verdict(arena, params, s0, not fail, loose)
+        for (_, s0), fail, loose in zip(picked, sees_fail[idx].tolist(), sees_loose[idx].tolist())
+    ]
 
 
 def scan_region(
     g: Graph,
     n_players: int,
-    s0: State,
+    s0: State | int,
     gamma_grid: list[Fraction],
     epsilon_grid: list[Fraction],
     allow_wide_epsilon: bool = False,
@@ -173,8 +174,9 @@ def scan_region(
     """One verdict per (epsilon, gamma) grid point, epsilon outermost, with
     the arena, the capture-time solution and the reachable set shared."""
     arena = build_arena(g, n_players, max_states)
+    idx, s0 = _start(arena, s0)
     cr = solve_capture_time(arena)
-    reach = reachable_noncapture(arena, arena.index(s0))
+    reach = reachable_noncapture(arena, idx)
     out = []
     for eps in epsilon_grid:
         for gamma in gamma_grid:

@@ -12,34 +12,29 @@ sits on the robber:
     the robber is never caught   -> 0.
 
 Every coefficient is >= 0 and 0 < gamma < 1, so each value is c * gamma^t for
-a terminal class c and the game is a reachability game with nonnegative
-costs. It is solved by retrograde analysis in decreasing order of value, as
-Dijkstra's algorithm settles distances: a heap of distinct Fraction values,
-each holding a numpy batch of states, is seeded with one batch per terminal
-class (captor count K and whether m is a captor). Popping the largest value
-settles its whole batch as one level. Along the predecessor table a
-maximizing predecessor is then worth gamma times that value at once (no
-later level is larger), and a minimizing one when its last successor has
-settled (every other successor settled at a value no smaller). States never
-settled are worth 0. Values that are exactly equal share one level; no float enters.
+a terminal class c and the game is a reachability game. It is solved by the
+package's one retrograde engine, `fixpoint.retrograde`, on keys -value with
+step gamma*k and never = 0: one seed batch per terminal class (captor count
+K and whether m is a captor), cop m eager. Levels settle in decreasing order
+of value, as Dijkstra's algorithm settles distances; states never settled
+are worth 0, and values that are exactly equal share one level. No float
+enters.
 
-A solution stores the ascending tuple of levels and one int rank per state.
-Before it is returned, a vectorised Bellman check runs over the ranks: every
-distinct (state rank, best-successor rank) pair on noncapture rows must
-satisfy level = gamma * level exactly, and every distinct (rank, terminal
-class) pair on capture rows must carry the class coefficient. The fixpoint
-is unique for gamma < 1, so passing the check proves the answer.
+A solution stores the ascending tuple of values `levels` and one int rank
+per state. Every solve ends with the engine's exact check of every Bellman
+equation; the fixpoint is unique for gamma < 1, so passing it proves the
+answer.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 
 import numpy as np
 
-from .arena import Arena, GameParams, OptimalMoves, State, concat_ranges, row_best
-from .errors import ScarError, ValidationError
+from .arena import Arena, GameParams, OptimalMoves, State
+from .errors import ValidationError
+from .fixpoint import retrograde
 
 Q0 = Fraction(0)
 
@@ -68,16 +63,12 @@ class GameSolution(OptimalMoves):
     def __init__(
         self,
         arena: Arena,
-        player: int,
-        gamma: Fraction,
         levels: tuple[Fraction, ...],
         rank: np.ndarray,
         rounds: int,
         max_mask: np.ndarray,
     ):
         self.arena = arena
-        self.player = player
-        self.gamma = gamma
         self.levels = levels
         self.rank = rank
         self.rounds = rounds  # settled levels
@@ -107,90 +98,24 @@ class GameSolution(OptimalMoves):
         return self._edge_opt
 
 
-def _solve(
-    arena: Arena,
-    player: int,
-    gamma: Fraction,
-    max_mask: np.ndarray,
-    terminal_class: np.ndarray,
-    coeffs: list[Fraction],
+def _discounted(
+    arena: Arena, gamma: Fraction, max_mask: np.ndarray, seeds: list
 ) -> GameSolution:
-    """Settle exact values in decreasing order. terminal_class gives each
-    capture state's index into coeffs (it is ignored elsewhere)."""
-    if not isinstance(gamma, Fraction) or not 0 < gamma < 1:
-        raise ValidationError(f"gamma must be a rational in (0,1), got {gamma}")
-    if any(c < 0 for c in coeffs):
-        raise ValidationError(f"terminal coefficients must be >= 0, got {coeffs}")
-    capture = arena.capture_mask
-    pred_offsets, pred_targets = arena.predecessors()
-
-    batches: dict[Fraction, list[np.ndarray]] = {}
-    heap: list[Fraction] = []  # negated keys of batches
-
-    def push(value: Fraction, states: np.ndarray) -> None:
-        if value not in batches:
-            batches[value] = []
-            heapq.heappush(heap, -value)
-        batches[value].append(states)
-
-    cap_idx = np.nonzero(capture)[0]
-    for k, c in enumerate(coeffs):
-        if c > 0:
-            states = cap_idx[terminal_class[cap_idx] == k]
-            if states.size:
-                push(c, states)
-
-    queued = capture.copy()  # capture states never settle from successors
-    remaining = np.diff(arena.offsets)
-    settled = np.full(arena.n_states, -1, dtype=np.int64)  # pop order
-    popped: list[Fraction] = []
-    while heap:
-        v = -heapq.heappop(heap)
-        batch = np.concatenate(batches.pop(v))
-        settled[batch] = len(popped)
-        popped.append(v)
-        preds = pred_targets[concat_ranges(pred_offsets[batch], pred_offsets[batch + 1])]
-        preds = preds[~queued[preds]]
-        if preds.size == 0:
-            continue
-        is_max = max_mask[preds]
-        ready = np.unique(preds[is_max])
-        mins, hits = np.unique(preds[~is_max], return_counts=True)
-        remaining[mins] -= hits
-        ready = np.concatenate((ready, mins[remaining[mins] == 0]))
-        if ready.size:
-            queued[ready] = True
-            push(gamma * v, ready)
-
-    # ascending levels; every unsettled state shares the level 0 at rank 0
-    zero = bool((settled < 0).any())
-    levels = tuple(([Q0] if zero else []) + popped[::-1])
-    rank = np.where(settled < 0, 0, len(levels) - 1 - settled)
-    sol = GameSolution(arena, player, gamma, levels, rank, len(popped), max_mask)
-    _check_bellman(sol, terminal_class, coeffs)
-    return sol
-
-
-def _check_bellman(sol: GameSolution, terminal_class: np.ndarray, coeffs: list) -> None:
-    """Raise unless the ranked table satisfies every equation of the game
-    exactly, checked once per distinct (rank, best-successor rank) and
-    (rank, terminal class) pair."""
-    a, levels, rank = sol.arena, sol.levels, sol.rank
-    where = f"discounted game of player {sol.player} on {a.n_states} states"
-    if any(lo >= hi for lo, hi in zip(levels, levels[1:])):
-        raise ScarError(f"{where}: levels are not strictly ascending")
-    nc = ~a.capture_mask
-    best = row_best(a, rank[a.targets], sol._max_mask)
-    size = len(levels)
-    for key in np.unique(rank[nc] * size + best[nc]).tolist():
-        r, b = divmod(key, size)
-        if levels[r] != sol.gamma * levels[b]:
-            raise ScarError(f"{where}: Bellman residual at level {levels[r]}")
-    cap = a.capture_mask
-    for key in np.unique(rank[cap] * len(coeffs) + terminal_class[cap]).tolist():
-        r, k = divmod(key, len(coeffs))
-        if levels[r] != coeffs[k]:
-            raise ScarError(f"{where}: capture level {levels[r]} != coefficient {coeffs[k]}")
+    """Run the engine on keys -value from the capture states' seed batches
+    `(coefficient, states)`, and rank the values in ascending order."""
+    keys, rank = retrograde(
+        arena.offsets,
+        arena.targets,
+        max_mask,
+        arena.capture_mask,
+        [(-c, states) for c, states in seeds],
+        lambda key: gamma * key,
+        Q0,
+        arena.predecessors(),
+    )
+    levels = tuple(-key for key in reversed(keys))
+    rounds = len(keys) - (keys[-1] == Q0)
+    return GameSolution(arena, levels, len(keys) - 1 - rank, rounds, max_mask)
 
 
 def solve_game(arena: Arena, player: int, params: GameParams) -> GameSolution:
@@ -202,16 +127,16 @@ def solve_game(arena: Arena, player: int, params: GameParams) -> GameSolution:
         )
     if not 1 <= player <= n - 1:
         raise ValidationError(f"player must be a cop in 1..{n - 1}, got {player}")
-    # terminal class 2K + [m is a captor], K the number of captors
-    captors = sum(arena.cop_at_robber(j).astype(np.int64) for j in range(1, n))
-    terminal_class = 2 * captors + arena.cop_at_robber(player)
-    coeffs = [Q0] * (2 * n)
-    classes, reps = np.unique(terminal_class[arena.capture_mask], return_index=True)
-    cap_idx = np.nonzero(arena.capture_mask)[0]
-    for k, rep in zip(classes.tolist(), cap_idx[reps].tolist()):
-        coeffs[k] = terminal_payoff(arena.state_of(rep), player, params)
-    max_mask = arena.mover_mask(player)
-    return _solve(arena, player, params.gamma, max_mask, terminal_class, coeffs)
+    # one seed per terminal class 2K + [m is a captor], K the number of captors
+    cap_idx = np.flatnonzero(arena.capture_mask)
+    captors = sum(arena.cop_at_robber(j)[cap_idx].astype(np.int64) for j in range(1, n))
+    terminal_class = 2 * captors + arena.cop_at_robber(player)[cap_idx]
+    _, reps, inverse = np.unique(terminal_class, return_index=True, return_inverse=True)
+    seeds = [
+        (terminal_payoff(arena.state_of(int(cap_idx[rep])), player, params), cap_idx[inverse == k])
+        for k, rep in enumerate(reps.tolist())
+    ]
+    return _discounted(arena, params.gamma, arena.mover_mask(player), seeds)
 
 
 def solve_discounted_capture(arena: Arena, gamma: Fraction) -> GameSolution:
@@ -220,9 +145,10 @@ def solve_discounted_capture(arena: Arena, gamma: Fraction) -> GameSolution:
     it (gamma < 1, so small capture times are worth more). Its value is
     gamma**T and its optimal-move sets match the capture-time game's
     exactly, which the test suite uses as a cross-check."""
-    terminal_class = np.zeros(arena.n_states, dtype=np.int64)
-    max_mask = ~arena.robber_mover_mask()
-    return _solve(arena, arena.n_players, gamma, max_mask, terminal_class, [Fraction(1)])
+    if not isinstance(gamma, Fraction) or not 0 < gamma < 1:
+        raise ValidationError(f"gamma must be a rational in (0,1), got {gamma}")
+    seeds = [(Fraction(1), np.flatnonzero(arena.capture_mask))]
+    return _discounted(arena, gamma, ~arena.robber_mover_mask(), seeds)
 
 
 def opt_move_table(sol: GameSolution, token: int) -> dict[State, tuple[State, ...]]:

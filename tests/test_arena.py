@@ -202,8 +202,11 @@ def test_queries_accept_numpy_indices():
     from scar import (
         build_trigger_profile,
         capture_attribution,
+        check_positionality,
+        check_positionality_many,
         g3_guarantee_test,
         guaranteed_capture,
+        scan_region,
         solve_capture_time,
         solve_game,
         state_cop_number,
@@ -232,6 +235,9 @@ def test_queries_accept_numpy_indices():
         report.witness_coalition,
         lambda s: g3_guarantee_test(a, cr, s),
         lambda s: simulate_trigger(a, profile, s),
+        lambda s: check_positionality(a, s, params),
+        lambda s: check_positionality_many(a, params, [s]),
+        lambda s: scan_region(a.graph, 3, s, [Q(1, 2)], [Q(0)]),
     ]
     s = State((0, 0), 1, 1)
     i = a.index(s)
@@ -242,3 +248,5 @@ def test_queries_accept_numpy_indices():
         assert query(np.int32(i)) == want
         with pytest.raises(ValidationError):
             query(np.int64(a.n_states))
+    # a verdict names its start as a State however the start was given
+    assert check_positionality(a, np.int64(i), params).s0 == s

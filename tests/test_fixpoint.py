@@ -1,4 +1,4 @@
-"""The retrograde layer solve against the Jacobi-round reference and the
+"""The retrograde engine against the Jacobi-round reference and the
 brute-force oracles, plus its input checks and its exact fixpoint check."""
 
 import numpy as np
@@ -15,7 +15,7 @@ from scar import (
     solve_capture_time,
 )
 from scar.arena import reverse_csr
-from scar.fixpoint import INT_INF, check_fixpoint, solve_layers
+from scar.fixpoint import INT_INF, check_fixpoint, retrograde, solve_layers
 
 from oracles import INF, capture_credit, capture_times, coalition_wins, jacobi_layers
 from strategies import connected_graphs
@@ -116,19 +116,60 @@ def test_frozen_values_other_than_zero_or_inf_are_refused():
         solve_layers(a.offsets, a.targets, minimizing, frozen, init)
 
 
+def layer_game(a, minimizing, frozen, init):
+    """solve_layers' instantiation of the engine, as positional arguments."""
+    seeds = [(0, np.flatnonzero(frozen & (init == 0)))]
+    return (a.offsets, a.targets, minimizing, frozen, seeds,
+            lambda k: min(k + 1, INT_INF), INT_INF)
+
+
 def test_fixpoint_check_rejects_a_corrupted_table():
     a, minimizing, frozen, init = cr_inputs("petersen", None, 3)
-    vals = solve_layers(a.offsets, a.targets, minimizing, frozen, init)
-    check_fixpoint(a.offsets, a.targets, minimizing, frozen, init, vals)
-    finite = np.flatnonzero(~frozen & (vals < INT_INF))
-    escape = np.flatnonzero(~frozen & (vals >= INT_INF))
-    assert finite.size and escape.size
-    for i, wrong in ((finite[-1], vals[finite[-1]] + 1), (finite[0], INT_INF),
-                     (escape[0], 7), (np.flatnonzero(frozen)[0], 1)):
-        bad = vals.copy()
+    game = layer_game(a, minimizing, frozen, init)
+    levels, rank = retrograde(*game)
+    check_fixpoint(*game, levels, rank)
+    vals = np.array(levels)[rank]
+    assert np.array_equal(vals, solve_layers(a.offsets, a.targets, minimizing, frozen, init))
+    top = len(levels) - 1
+    finite = np.flatnonzero(~frozen & (rank < top))
+    escape = np.flatnonzero(~frozen & (rank == top))
+    assert finite.size and escape.size and levels[top] == INT_INF
+    for i, wrong in ((finite[-1], rank[finite[-1]] + 1), (finite[0], top),
+                     (escape[0], top - 1), (np.flatnonzero(frozen)[0], 1)):
+        bad = rank.copy()
         bad[i] = wrong
         with pytest.raises(ScarError, match="its equation gives"):
-            check_fixpoint(a.offsets, a.targets, minimizing, frozen, init, bad)
+            check_fixpoint(*game, levels, bad)
+    with pytest.raises(ScarError, match="outside the"):
+        check_fixpoint(*game, levels, np.where(rank == top, top + 1, rank))
+    with pytest.raises(ScarError, match="not strictly ascending"):
+        check_fixpoint(*game, [levels[1], levels[0], *levels[2:]], rank)
+    # state 1 moves to the target 0 only; a table missing depth 1 is refused
+    tiny = (np.array([0, 1, 2]), np.array([0, 0]), np.array([True, True]),
+            np.array([True, False]), [(0, np.array([0]))], game[5], INT_INF)
+    check_fixpoint(*tiny, [0, 1], np.array([0, 1]))
+    with pytest.raises(ScarError, match="its equation gives a key outside the levels"):
+        check_fixpoint(*tiny, [0], np.array([0, 0]))
+
+
+def test_fixpoint_check_rejects_a_frozen_row_off_its_seed():
+    """A frozen row must hold its own seed's rank, never's when unseeded,
+    even where that rank would satisfy the row's move equation."""
+    a, minimizing, frozen, init = cr_inputs("path", 3, 3)
+    sink = int(np.flatnonzero(~frozen)[0])
+    frozen[sink], init[sink] = True, INT_INF
+    game = layer_game(a, minimizing, frozen, init)
+    levels, rank = retrograde(*game)
+    check_fixpoint(*game, levels, rank)
+    target = int(np.flatnonzero(frozen & (init == 0))[0])
+    best = [int(rank[a.succ_indices(i)].min()) for i in (target, sink)]
+    for i, wrong in ((target, 1), (target, best[0] + 1), (sink, 0), (sink, best[1] + 1)):
+        if wrong == rank[i]:
+            continue
+        bad = rank.copy()
+        bad[i] = wrong
+        with pytest.raises(ScarError, match=f"state {i} holds"):
+            check_fixpoint(*game, levels, bad)
 
 
 def test_reverse_csr_lists_every_edge_once_by_target():

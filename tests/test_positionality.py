@@ -8,6 +8,7 @@ from scar import (
     GameParams,
     IllegalMoveError,
     Q,
+    ScarError,
     State,
     ValidationError,
     build_arena,
@@ -20,6 +21,8 @@ from scar import (
     simulate_trigger,
     solve_capture_time,
 )
+from scar import positionality
+from scar.cli import main
 from scar.positionality import solve_all_games
 
 
@@ -173,3 +176,26 @@ def test_check_rejects_capture_start():
     a = _p2_arena()
     with pytest.raises(ValidationError):
         check_positionality(a, State((0, 1), 1, 1), GameParams(3, Q(1, 2), Q(0)))
+
+def test_a_verdict_without_a_trigger_profile_is_a_solver_error(monkeypatch, capsys):
+    """Set tests that leave neither kind of profile are a solver fault: a
+    ScarError naming the instance, and exit 3 from the CLI, under python -O
+    too."""
+
+    def contradictory(arena, cr, games):
+        everywhere = np.ones(arena.n_states, dtype=bool)
+        return {m: ~everywhere for m in games}, {m: everywhere for m in games}
+
+    monkeypatch.setattr(positionality, "_state_tests", contradictory)
+    monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
+    a = _p2_arena()
+    params = GameParams(3, Q(1, 2), Q(0))
+    s0 = State((0, 0), 1, 1)
+    with pytest.raises(ScarError, match="at 0,0;1;1 on 2 vertices, N=3, gamma=1/2"):
+        check_positionality(a, s0, params)
+    with pytest.raises(ScarError, match="neither a positional nor a nonpositional"):
+        check_positionality_many(a, params, [s0])
+    args = ["poscheck", "--builtin", "path:2", "--n", "3", "--s0", "0,0;1;1",
+            "--gamma", "1/2", "--epsilon", "0"]
+    assert main(args) == 3
+    assert "solver error: positionality check at 0,0;1;1" in capsys.readouterr().err

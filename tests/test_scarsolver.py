@@ -20,8 +20,8 @@ from scar import (
     solve_game,
     terminal_payoff,
 )
-from scar.fixpoint import INT_INF
-from scar.scarsolver import _check_bellman, _solve, solve_discounted_capture
+from scar.fixpoint import INT_INF, check_fixpoint, retrograde
+from scar.scarsolver import solve_discounted_capture
 
 from oracles import cell, discounted_values, is_capture, play_payoff, successors
 from strategies import connected_graphs
@@ -232,26 +232,37 @@ def test_levels_are_distinct_and_ranks_index_them():
         assert sol.value(i) == sol.levels[sol.rank[i]] == sol.values[i]
 
 
+def capture_game(a, gamma, coefficient=Q(1)):
+    """solve_discounted_capture's instantiation of the engine (keys are
+    negated values), as positional arguments."""
+    seeds = [(-coefficient, np.flatnonzero(a.capture_mask))]
+    return (a.offsets, a.targets, ~a.robber_mover_mask(), a.capture_mask, seeds,
+            lambda k: gamma * k, Q(0))
+
+
 def test_engine_rejects_gamma_outside_unit_interval_and_negative_coefficients():
     a = build_arena(builtin("path", 2), 3)
-    classes = np.zeros(a.n_states, dtype=np.int64)
-    max_mask = ~a.robber_mover_mask()
     for gamma in (Q(0), Q(1), Q(3, 2), 0.5):
         with pytest.raises(ValidationError):
-            _solve(a, 3, gamma, max_mask, classes, [Q(1)])
-    with pytest.raises(ValidationError):
-        _solve(a, 3, Q(1, 2), max_mask, classes, [Q(-1)])
+            solve_discounted_capture(a, gamma)
+    with pytest.raises(ValidationError, match="above never"):
+        retrograde(*capture_game(a, Q(1, 2), Q(-1)))
 
 
 def test_bellman_check_rejects_a_wrong_table():
     a = build_arena(builtin("path", 3), 3)
-    classes = np.zeros(a.n_states, dtype=np.int64)
+    game = capture_game(a, Q(1, 2))
+    keys, rank = retrograde(*game)
     sol = solve_discounted_capture(a, Q(1, 2))
-    _check_bellman(sol, classes, [Q(1)])
+    assert keys == [-v for v in reversed(sol.levels)]
+    assert np.array_equal(rank, len(keys) - 1 - sol.rank)
+    check_fixpoint(*game, keys, rank)
     moved = int(np.nonzero((~a.capture_mask) & (sol.rank > 0))[0][0])
-    sol.rank[moved] -= 1
-    with pytest.raises(ScarError, match="Bellman residual"):
-        _check_bellman(sol, classes, [Q(1)])
-    sol.rank[moved] += 1
-    with pytest.raises(ScarError, match="coefficient"):
-        _check_bellman(sol, classes, [Q(1, 3)])
+    rank[moved] += 1
+    with pytest.raises(ScarError, match=f"state {moved} holds"):
+        check_fixpoint(*game, keys, rank)
+    rank[moved] -= 1
+    with pytest.raises(ScarError, match="its equation gives a key outside the levels"):
+        check_fixpoint(*capture_game(a, Q(1, 2), Q(1, 3)), keys, rank)
+    with pytest.raises(ScarError, match="its equation gives"):
+        check_fixpoint(*capture_game(a, Q(1, 3)), keys, rank)
