@@ -55,7 +55,7 @@ from .positionality import (
     TriggerRun,
     build_trigger_profile,
     check_positionality,
-    check_positionality_many,
+    positionality_table,
     scan_region,
     simulate_trigger,
 )

@@ -119,21 +119,13 @@ class Arena:
         self.n_players = n_players
         self.n_states = n_states
         self._strides = [v ** (n_players - j) for j in range(1, n_players + 1)]
-        self.capture_mask = self._build_capture_mask()
+        self._memo: dict = {}
+        self.capture_mask = np.logical_or.reduce(
+            [self.cop_at_robber(j) for j in range(1, n_players)]
+        )
         self.offsets, self.targets = self._build_successors()
-        self._pred: tuple[np.ndarray, np.ndarray] | None = None
-        self._at_robber: dict[int, np.ndarray] = {}
 
     # -- construction -------------------------------------------------------
-
-    def _build_capture_mask(self) -> np.ndarray:
-        v, n = self.graph.vertex_count, self.n_players
-        mixes = np.arange(v**n, dtype=np.int64)
-        robber = mixes % v
-        cap = np.zeros(v**n, dtype=bool)
-        for j in range(1, n):  # cop tokens
-            cap |= (mixes // self._strides[j - 1]) % v == robber
-        return np.repeat(cap, n)
 
     def _build_successors(self) -> tuple[np.ndarray, np.ndarray]:
         g, n, v = self.graph, self.n_players, self.graph.vertex_count
@@ -226,24 +218,30 @@ class Arena:
     def robber_mover_mask(self) -> np.ndarray:
         return self.mover_mask(self.n_players)
 
+    def memo(self, key, build):
+        """The table derived from this arena under `key`, made by `build()`
+        on first use and kept for the arena's lifetime."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def cop_at_robber(self, m: int) -> np.ndarray:
-        """Per state: does cop m sit on the robber's vertex? Built on first
-        use and cached."""
+        """Per state: does cop m sit on the robber's vertex? Memoized."""
         if not 1 <= m <= self.n_players - 1:
             raise ValidationError(f"cop {m} out of range 1..{self.n_players - 1}")
-        if m not in self._at_robber:
+
+        def build() -> np.ndarray:
             v = self.graph.vertex_count
             mixes = np.arange(v**self.n_players, dtype=np.int64)
             at = (mixes // self._strides[m - 1]) % v == mixes % v
-            self._at_robber[m] = np.repeat(at, self.n_players)
-        return self._at_robber[m]
+            return np.repeat(at, self.n_players)
+
+        return self.memo(("cop_at_robber", m), build)
 
     def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR table of predecessor lists (reverse of the successor table),
-        built on first use and cached."""
-        if self._pred is None:
-            self._pred = reverse_csr(self.offsets, self.targets)
-        return self._pred
+        """CSR table of predecessor lists (reverse of the successor table).
+        Memoized."""
+        return self.memo("predecessors", lambda: reverse_csr(self.offsets, self.targets))
 
 
 def reverse_csr(offsets: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

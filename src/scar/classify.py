@@ -56,18 +56,16 @@ def in_script_g(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) 
     return bool((cr.values[arena.noncapture_indices()] >= INT_INF).any())
 
 
-def _guarantee_winning_set(
-    arena: Arena, cr: CrSolution, m: int, adversarial_ties: bool
-) -> np.ndarray:
+def _guarantee_winning_sets(
+    arena: Arena, cr: CrSolution, m: int
+) -> tuple[np.ndarray, np.ndarray]:
     """States from which cop m, moving only along its capture-time-optimal
     edges, reaches a capture state it takes part in, no matter what every
-    other token does. Captures without m are absorbing losses. Both
-    variants are solved together over one restricted table and cached."""
-    cache = getattr(arena, "_guarantee_cache", None)
-    if cache is None:
-        cache = {}
-        arena._guarantee_cache = cache
-    if (m, adversarial_ties) not in cache:
+    other token does: (canonical, adversarial-ties). Captures without m are
+    absorbing losses. Both variants are solved in one build over one
+    restricted table and memoized on the arena."""
+
+    def build() -> tuple[np.ndarray, np.ndarray]:
         m_rows = arena.mover_mask(m)
         keep = np.repeat(~m_rows, np.diff(arena.offsets))
         keep |= cr.edge_opt
@@ -75,12 +73,13 @@ def _guarantee_winning_set(
         preds = reverse_csr(offsets, targets)
         wanted = arena.capture_mask & arena.cop_at_robber(m)
         init = np.where(wanted, 0, INT_INF).astype(np.int64)
-        for adversarial, minimizing in ((False, m_rows), (True, np.zeros_like(m_rows))):
-            vals = solve_layers(
-                offsets, targets, minimizing, arena.capture_mask, init, predecessors=preds
-            )
-            cache[m, adversarial] = vals < INT_INF
-    return cache[m, adversarial_ties]
+        return tuple(
+            solve_layers(offsets, targets, minimizing, arena.capture_mask, init,
+                         predecessors=preds) < INT_INF
+            for minimizing in (m_rows, np.zeros_like(m_rows))
+        )
+
+    return arena.memo(("guarantee", m), build)
 
 
 def g3_guarantee_test(
@@ -94,7 +93,7 @@ def g3_guarantee_test(
     if state_cop_number(arena, idx) != 1:
         raise ValidationError("the guarantee test needs a state with cop number 1")
     m = int(crsol.capturer_table()[idx])
-    return bool(_guarantee_winning_set(arena, crsol, m, adversarial_ties)[idx])
+    return bool(_guarantee_winning_sets(arena, crsol, m)[adversarial_ties][idx])
 
 
 def _fmt(value: int | float) -> int | str:
@@ -129,8 +128,7 @@ def classify(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) -> 
         capturer = cr.capturer_table()
         for m in np.unique(capturer[idxs]):
             sub = idxs[capturer[idxs] == int(m)]
-            w_exists = _guarantee_winning_set(arena, cr, int(m), adversarial_ties=False)
-            w_adv = _guarantee_winning_set(arena, cr, int(m), adversarial_ties=True)
+            w_exists, w_adv = _guarantee_winning_sets(arena, cr, int(m))
             fails = sub[~w_exists[sub]]
             if fails.size:
                 exists_ok = False

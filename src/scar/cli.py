@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import os
+import pathlib
 import sys
 import tempfile
 
@@ -252,11 +254,22 @@ def cmd_verify(args) -> tuple[str, int]:
 # -- plumbing -----------------------------------------------------------------
 
 
+@functools.cache
+def _package_digest() -> str:
+    """sha256 over the package's own sources and manifest, so that an entry
+    written by any other version of the package is a miss."""
+    root = pathlib.Path(__file__).parent
+    h = hashlib.sha256()
+    for path in [*sorted(root.glob("*.py")), root / "data" / "verification_suite.json"]:
+        h.update(f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    return h.hexdigest()
+
+
 def _cache_key(args, command: str) -> str | None:
     cache_dir = args.cache_dir or os.environ.get("SCAR_CACHE_DIR")
     if not cache_dir:
         return None
-    request = {"command": command}
+    request = {"command": command, "package": _package_digest()}
     if getattr(args, "graph", None) or getattr(args, "builtin", None):
         request["graph"] = serialize_edge_list(_load_graph(args))
     for field in ("n", "max_states", "allow_wide_epsilon", "csv", "state", "s0"):

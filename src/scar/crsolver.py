@@ -131,22 +131,20 @@ class CrSolution(OptimalMoves):
         return capturer
 
 
+def forced_capture_depths(arena: Arena, chasing: np.ndarray) -> np.ndarray:
+    """Per state, the moves to a capture that the movers marked in `chasing`
+    can force while every other mover flees; INT_INF where they cannot."""
+    init = np.where(arena.capture_mask, 0, INT_INF).astype(np.int64)
+    return solve_layers(arena.offsets, arena.targets, chasing, arena.capture_mask, init,
+                        predecessors=arena.predecessors())
+
+
 def solve_capture_time(arena: Arena) -> CrSolution:
-    """Solve the joint capture-time game on the arena (cached per arena)."""
-    sol = getattr(arena, "_cr_solution", None)
-    if sol is None:
-        init = np.where(arena.capture_mask, 0, INT_INF).astype(np.int64)
-        values = solve_layers(
-            arena.offsets,
-            arena.targets,
-            ~arena.robber_mover_mask(),
-            arena.capture_mask,
-            init,
-            predecessors=arena.predecessors(),
-        )
-        sol = CrSolution(arena, values)
-        arena._cr_solution = sol
-    return sol
+    """Solve the joint capture-time game on the arena (memoized on it)."""
+    return arena.memo(
+        "capture_time",
+        lambda: CrSolution(arena, forced_capture_depths(arena, ~arena.robber_mover_mask())),
+    )
 
 
 def capture_attribution(sol: CrSolution, s: State | int) -> tuple[int, int]:

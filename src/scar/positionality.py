@@ -18,6 +18,12 @@ because the optimal strategy sets of all games involved are exactly the
 products of their per-state arg-opt sets. At least one of the two booleans
 is always true.
 
+A start fails a test iff it reaches a failing state, so `positionality_table`
+answers every start at once with one backward flood per test from the
+failing states. `check_positionality` and `scan_region` keep a forward flood
+from their one start instead: their witness lists name the failing states
+that this start reaches.
+
 Verdicts only ever use full arg-opt sets. Concrete tables (for simulation)
 use the canonical tie-break: the move with the lowest target vertex.
 """
@@ -61,64 +67,55 @@ class PositionalityVerdict:
 
 def _state_tests(
     arena: Arena, cr: CrSolution, games: dict[int, GameSolution]
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Per-state outcomes of the two set tests for every cop game m:
-    meets[m][i] — cop m's optimal edge set at state i intersects the
-    capture-time-optimal set; inside[m][i] — it is contained in it.
-    Capture rows are vacuously True. Start-independent."""
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Per-state outcomes of the two set tests: meets[m][i] — cop m's
+    optimal edge set at state i intersects the capture-time-optimal set;
+    inside[i] — every cop's is contained in it. Capture rows are vacuously
+    True. Start-independent."""
     rows = np.repeat(np.arange(arena.n_states), np.diff(arena.offsets))
     cr_keep = cr.edge_opt
     nc = ~arena.capture_mask
     meets: dict[int, np.ndarray] = {}
-    inside: dict[int, np.ndarray] = {}
+    inside = np.ones(arena.n_states, dtype=bool)
     for m, sol in games.items():
         keep = sol.edge_opt
         met = np.bincount(rows[keep & cr_keep], minlength=arena.n_states)
         opt = np.bincount(rows[keep], minlength=arena.n_states)
         meets[m] = ~nc | (met > 0)
-        inside[m] = ~nc | (met == opt)
+        inside &= ~nc | (met == opt)
     return meets, inside
 
 
-def _start(arena: Arena, s0: State | int) -> tuple[int, State]:
-    """The index and the State of a start given as either."""
-    idx = arena.index_of(s0)
-    return idx, s0 if isinstance(s0, State) else arena.state_of(idx)
-
-
-def _checked_verdict(arena: Arena, params: GameParams, s0: State, positional: bool,
-                     nonpositional: bool, witnesses: tuple = ()) -> PositionalityVerdict:
-    """The verdict, once it admits a trigger profile: one always exists, so
-    a verdict without one is a solver fault."""
-    if not (positional or nonpositional):
-        raise ScarError(
-            f"positionality check at {s0.literal()} on {arena.graph.vertex_count} vertices, "
-            f"N={params.n_players}, gamma={params.gamma}, epsilon={params.epsilon}: "
-            "neither a positional nor a nonpositional trigger profile exists"
-        )
-    return PositionalityVerdict(params.n_players, params.gamma, params.epsilon, s0,
-                                positional, nonpositional, witnesses)
+def _no_profile(arena: Arena, params: GameParams, s0: State) -> ScarError:
+    """A trigger profile always exists, so a start with neither kind is a
+    solver fault."""
+    return ScarError(
+        f"positionality check at {s0.literal()} on {arena.graph.vertex_count} vertices, "
+        f"N={params.n_players}, gamma={params.gamma}, epsilon={params.epsilon}: "
+        "neither a positional nor a nonpositional trigger profile exists"
+    )
 
 
 def _verdict(
     arena: Arena,
-    tests: tuple[dict[int, np.ndarray], dict[int, np.ndarray]],
+    tests: tuple[dict[int, np.ndarray], np.ndarray],
     params: GameParams,
     s0: State,
     reachable: np.ndarray,
 ) -> PositionalityVerdict:
     meets, inside = tests
     fail_pairs: list[tuple[int, int]] = []
-    nonpositional = False
     for m in sorted(meets):
         fail_pairs.extend((int(i), m) for i in reachable[~meets[m][reachable]])
-        if not inside[m][reachable].all():
-            nonpositional = True
+    nonpositional = not inside[reachable].all()
+    if fail_pairs and not nonpositional:
+        raise _no_profile(arena, params, s0)
     fail_pairs.sort()
     witnesses = tuple(
         (arena.mover_of(i), m, arena.state_of(i)) for i, m in fail_pairs
     )
-    return _checked_verdict(arena, params, s0, not fail_pairs, nonpositional, witnesses)
+    return PositionalityVerdict(params.n_players, params.gamma, params.epsilon, s0,
+                                not fail_pairs, nonpositional, witnesses)
 
 
 def solve_all_games(arena: Arena, params: GameParams) -> dict[int, GameSolution]:
@@ -129,37 +126,29 @@ def solve_all_games(arena: Arena, params: GameParams) -> dict[int, GameSolution]
 def check_positionality(
     arena: Arena, s0: State | int, params: GameParams
 ) -> PositionalityVerdict:
-    idx, s0 = _start(arena, s0)
+    idx = arena.index_of(s0)
     cr = solve_capture_time(arena)
     games = solve_all_games(arena, params)
     tests = _state_tests(arena, cr, games)
-    return _verdict(arena, tests, params, s0, reachable_noncapture(arena, idx))
+    return _verdict(arena, tests, params, arena.state_of(idx), reachable_noncapture(arena, idx))
 
 
-def check_positionality_many(
-    arena: Arena, params: GameParams, starts: list[State | int]
-) -> list[PositionalityVerdict]:
-    """check_positionality over many starts, with the games solved once and
-    the per-start questions answered by two backward reachability sweeps
-    (can this start reach a state failing the intersection / subset test?).
-    Verdict booleans are exact; witness tuples are left empty here — query a
-    single start when the offending states themselves are wanted."""
-    cr = solve_capture_time(arena)
-    games = solve_all_games(arena, params)
-    meets, inside = _state_tests(arena, cr, games)
-    all_meet = np.logical_and.reduce([meets[m] for m in sorted(meets)])
-    all_inside = np.logical_and.reduce([inside[m] for m in sorted(inside)])
+def positionality_table(arena: Arena, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
+    """The verdict booleans at every start at once: (positional,
+    nonpositional), two bool arrays indexed by state. The games are solved
+    once and each array comes from one backward reachability sweep: can the
+    start reach a state failing the intersection / subset test? Capture rows
+    hold True in both, as the set tests are vacuous there."""
+    meets, inside = _state_tests(arena, solve_capture_time(arena), solve_all_games(arena, params))
     pred_offsets, pred_targets = arena.predecessors()
-    sees_fail = _flood(pred_offsets, pred_targets, ~all_meet, arena.capture_mask)
-    sees_loose = _flood(pred_offsets, pred_targets, ~all_inside, arena.capture_mask)
-    picked = [_start(arena, s0) for s0 in starts]
-    idx = np.array([i for i, _ in picked], dtype=np.int64)
-    if arena.capture_mask[idx].any():
-        raise ValidationError("start states must be noncapture")
-    return [
-        _checked_verdict(arena, params, s0, not fail, loose)
-        for (_, s0), fail, loose in zip(picked, sees_fail[idx].tolist(), sees_loose[idx].tolist())
-    ]
+    sees_fail = _flood(pred_offsets, pred_targets,
+                       ~np.logical_and.reduce(list(meets.values())), arena.capture_mask)
+    sees_loose = _flood(pred_offsets, pred_targets, ~inside, arena.capture_mask)
+    positional, nonpositional = ~sees_fail, sees_loose | arena.capture_mask
+    neither = np.flatnonzero(~(positional | nonpositional))
+    if neither.size:
+        raise _no_profile(arena, params, arena.state_of(int(neither[0])))
+    return positional, nonpositional
 
 
 def scan_region(
@@ -174,7 +163,8 @@ def scan_region(
     """One verdict per (epsilon, gamma) grid point, epsilon outermost, with
     the arena, the capture-time solution and the reachable set shared."""
     arena = build_arena(g, n_players, max_states)
-    idx, s0 = _start(arena, s0)
+    idx = arena.index_of(s0)
+    s0 = arena.state_of(idx)
     cr = solve_capture_time(arena)
     reach = reachable_noncapture(arena, idx)
     out = []

@@ -24,9 +24,9 @@ import numpy as np
 
 from .arena import DEFAULT_MAX_STATES, Arena, State, build_arena
 from .errors import ValidationError
-from .fixpoint import INT_INF, solve_layers
+from .fixpoint import INT_INF
 from .graphs import Graph
-from .crsolver import classic_cop_number
+from .crsolver import classic_cop_number, forced_capture_depths
 
 
 def _coalition_key(arena: Arena, coalition) -> frozenset[int]:
@@ -43,22 +43,9 @@ def coalition_winning_set(arena: Arena, coalition) -> np.ndarray:
     """Boolean per state: can this cop coalition force reaching a capture
     state against adversarial play of all other tokens? Cached on the arena."""
     cs = _coalition_key(arena, coalition)
-    cache = getattr(arena, "_coalition_cache", None)
-    if cache is None:
-        cache = {}
-        arena._coalition_cache = cache
-    if cs not in cache:
-        init = np.where(arena.capture_mask, 0, INT_INF).astype(np.int64)
-        vals = solve_layers(
-            arena.offsets,
-            arena.targets,
-            arena.mover_mask(*cs),
-            arena.capture_mask,
-            init,
-            predecessors=arena.predecessors(),
-        )
-        cache[cs] = vals < INT_INF
-    return cache[cs]
+    return arena.memo(
+        ("coalition", cs), lambda: forced_capture_depths(arena, arena.mover_mask(*cs)) < INT_INF
+    )
 
 
 def guaranteed_capture(arena: Arena, s: State | int, coalition) -> bool:

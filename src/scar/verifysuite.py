@@ -13,19 +13,26 @@ returns structured results; the CLI renders them as PASS/FAIL lines.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .arena import GameParams, State, all_cops_one_side, build_arena, parse_state
+import numpy as np
+
+from .arena import Arena, GameParams, State, all_cops_one_side, build_arena, parse_state
 from .classify import classify
 from .crsolver import classic_cop_number
 from .errors import ValidationError
 from .graphs import Graph, attach_leaf, bridge, builtin, graph_from_edges
-from .positionality import check_positionality_many
+from .positionality import positionality_table
 from .rationals import parse_rational
 from .statecop import crosscheck_theorem, state_cop_report
+
+
+# the verdict booleans a poscheck case can pin, in the order mismatches are reported
+_VERDICTS = ("positional", "nonpositional")
 
 
 @dataclass(frozen=True)
@@ -70,18 +77,24 @@ def build_recipe(recipe: dict) -> Graph:
     raise ValidationError(f"unrecognized graph recipe {recipe}")
 
 
-def _starts(case: dict, g: Graph, arena) -> list[State]:
+def _starts(case: dict, g: Graph, arena: Arena) -> np.ndarray:
+    """The indices of the case's start states, all noncapture."""
     sel = case.get("s0", "canonical")
-    if sel == "canonical":
-        cops = tuple([0] * (case["n"] - 1))
-        return [State(cops, g.vertex_count - 1, 1)]
     if sel == "all-noncapture":
-        return [arena.state_of(int(i)) for i in arena.noncapture_indices()]
-    return [parse_state(sel, case["n"], g.vertex_count)]
+        return arena.noncapture_indices()
+    if sel == "canonical":
+        s0 = State(tuple([0] * (case["n"] - 1)), g.vertex_count - 1, 1)
+    else:
+        s0 = parse_state(sel, case["n"], g.vertex_count)
+    if arena.is_capture(s0):
+        raise ValidationError(f"case {case['id']}: start state {s0.literal()} is a capture state")
+    return np.array([arena.index(s0)])
 
 
-def _expected(form: dict, g: Graph, s0: State, gamma: Fraction, eps: Fraction) -> bool:
-    """Closed-form expectations a case can pin a verdict against."""
+def _expected(form: dict, gamma: Fraction, eps: Fraction, one_side):
+    """Closed-form expectations a case can pin a verdict against: one bool
+    for every start, or one per start. one_side() gives the starts' one-side
+    tests."""
     if "const" in form:
         return bool(form["const"])
     if "two_cop_window" in form:
@@ -95,8 +108,7 @@ def _expected(form: dict, g: Graph, s0: State, gamma: Fraction, eps: Fraction) -
     if "gamma_at_most" in form:
         return gamma <= parse_rational(form["gamma_at_most"])
     if "one_side_and_gamma_at_most" in form:
-        cap = parse_rational(form["one_side_and_gamma_at_most"])
-        return all_cops_one_side(g, s0) and gamma <= cap
+        return one_side() & (gamma <= parse_rational(form["one_side_and_gamma_at_most"]))
     raise ValidationError(f"unrecognized expectation form {form}")
 
 
@@ -109,32 +121,33 @@ def _run_poscheck(case: dict) -> CaseResult:
     n = case["n"]
     arena = build_arena(g, n)
     starts = _starts(case, g, arena)
-    expect = case["expect"]
-    bad: list[str] = []
-    points = 0
+    one_side = functools.cache(
+        lambda: np.array([all_cops_one_side(g, arena.state_of(int(i))) for i in starts])
+    )
+    bad, points, first = 0, 0, None
     for eps in _grid(case, "epsilon_grid"):
         for gamma in _grid(case, "gamma_grid"):
             params = GameParams(n, gamma, eps, case.get("allow_wide_epsilon", False))
-            for verdict in check_positionality_many(arena, params, starts):
-                points += 1
-                if "positional" in expect:
-                    want = _expected(expect["positional"], g, verdict.s0, gamma, eps)
-                    if verdict.positional_exists != want:
-                        bad.append(
-                            f"positional_exists={verdict.positional_exists} "
-                            f"(expected {want}) at s0={verdict.s0.literal()} "
-                            f"gamma={gamma} epsilon={eps}"
-                        )
-                if "nonpositional" in expect:
-                    want = _expected(expect["nonpositional"], g, verdict.s0, gamma, eps)
-                    if verdict.nonpositional_exists != want:
-                        bad.append(
-                            f"nonpositional_exists={verdict.nonpositional_exists} "
-                            f"(expected {want}) at s0={verdict.s0.literal()} "
-                            f"gamma={gamma} epsilon={eps}"
-                        )
+            table = dict(zip(_VERDICTS, positionality_table(arena, params)))
+            points += starts.size
+            misses = []  # (start position, verdict order, message)
+            for key, form in case["expect"].items():
+                if key not in table:
+                    raise ValidationError(f"unrecognized verdict {key!r} in case {case['id']}")
+                got = table[key][starts]
+                want = np.broadcast_to(_expected(form, gamma, eps, one_side), got.shape)
+                off = np.flatnonzero(got != want)
+                bad += off.size
+                if off.size:
+                    at = off[0]
+                    misses.append((at, _VERDICTS.index(key),
+                                   f"{key}_exists={got[at]} (expected {want[at]})"))
+            if misses and first is None:
+                at, _, what = min(misses)
+                s0 = arena.state_of(int(starts[at])).literal()
+                first = f"{what} at s0={s0} gamma={gamma} epsilon={eps}"
     if bad:
-        return CaseResult(case["id"], False, f"{len(bad)}/{points} points off; first: {bad[0]}")
+        return CaseResult(case["id"], False, f"{bad}/{points} points off; first: {first}")
     return CaseResult(case["id"], True, f"{points} grid points match")
 
 

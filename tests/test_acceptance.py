@@ -15,11 +15,11 @@ from scar import (
     all_cops_one_side,
     build_arena,
     builtin,
-    check_positionality_many,
     classic_cop_number,
     classify,
     coalition_winning_set,
     crosscheck_theorem,
+    positionality_table,
     simulate,
     solve_capture_time,
     solve_game,
@@ -52,21 +52,19 @@ def _report(num, desc):
     return deco
 
 
-def _starts(arena):
-    return [arena.state_of(int(i)) for i in arena.noncapture_indices()]
-
-
-def _all_verdicts(g, n, gamma, eps):
+def _table(g, n, gamma, eps):
+    """(positional, nonpositional) at every noncapture start."""
     a = build_arena(g, n)
-    return check_positionality_many(a, GameParams(n, gamma, eps), _starts(a))
+    nc = a.noncapture_indices()
+    return tuple(column[nc] for column in positionality_table(a, GameParams(n, gamma, eps)))
 
 
 @_report(1, "two-vertex region formula over the 7 x 39 grid, under 5s")
 def test_criterion_01():
     t0 = time.perf_counter()
     a = build_arena(builtin("path", 2), 3)
-    starts = _starts(a)
-    assert len(starts) == 6
+    nc = a.noncapture_indices()
+    assert len(nc) == 6
     for eps in (Q(0), Q(1, 10), Q(1, 5), Q(3, 10), Q(2, 5), Q(9, 20), Q(1, 2)):
         for k in range(1, 40):
             gamma = Q(k, 40)
@@ -75,8 +73,8 @@ def test_criterion_01():
                 and gamma * gamma >= eps / (1 - eps)
                 and gamma <= Q(1) / (2 - 2 * eps)
             )
-            verdicts = check_positionality_many(a, GameParams(3, gamma, eps), starts)
-            assert all(v.positional_exists is want for v in verdicts), (eps, gamma)
+            positional, _ = positionality_table(a, GameParams(3, gamma, eps))
+            assert (positional[nc] == want).all(), (eps, gamma)
     assert time.perf_counter() - t0 < 5
 
 
@@ -85,24 +83,24 @@ def test_criterion_02():
     for n in (4, 5):
         for eps in (Q(1, 10), Q(1, 4)):
             for gamma in GAMMA3:
-                verdicts = _all_verdicts(builtin("path", 2), n, gamma, eps)
-                assert verdicts and all(not v.positional_exists for v in verdicts)
+                positional, _ = _table(builtin("path", 2), n, gamma, eps)
+                assert positional.size and not positional.any()
 
 
 @_report(3, "two vertices, four players, eps 0: positional iff gamma <= 1/3")
 def test_criterion_03():
     for gamma, want in ((Q(1, 4), True), (Q(1, 3), True), (Q(2, 5), False), (Q(3, 4), False)):
-        verdicts = _all_verdicts(builtin("path", 2), 4, gamma, Q(0))
-        assert all(v.positional_exists is want for v in verdicts), gamma
-        assert all(v.nonpositional_exists for v in verdicts), gamma
+        positional, nonpositional = _table(builtin("path", 2), 4, gamma, Q(0))
+        assert (positional == want).all(), gamma
+        assert nonpositional.all(), gamma
 
 
 @_report(4, "positive epsilon on P3, K3, S3, C4 at three gammas: never positional")
 def test_criterion_04():
     for g in (builtin("path", 3), builtin("complete", 3), builtin("star", 3), builtin("cycle", 4)):
         for gamma in GAMMA3:
-            verdicts = _all_verdicts(g, 3, gamma, Q(1, 10))
-            assert verdicts and all(not v.positional_exists for v in verdicts)
+            positional, _ = _table(g, 3, gamma, Q(1, 10))
+            assert positional.size and not positional.any()
 
 
 @_report(5, "paths: positional iff cops on one side and gamma <= 1/2, under 10s")
@@ -110,12 +108,12 @@ def test_criterion_05():
     t0 = time.perf_counter()
     for g in (builtin("path", 3), builtin("path", 4)):
         a = build_arena(g, 3)
-        starts = _starts(a)
+        nc = a.noncapture_indices()
+        one_side = np.array([all_cops_one_side(g, a.state_of(int(i))) for i in nc])
         for gamma in (Q(1, 4), Q(1, 2), Q(51, 100), Q(3, 4)):
-            verdicts = check_positionality_many(a, GameParams(3, gamma, Q(0)), starts)
-            for s0, v in zip(starts, verdicts):
-                want = all_cops_one_side(g, s0) and gamma <= Q(1, 2)
-                assert v.positional_exists is want, (g.vertex_count, gamma, s0)
+            positional, _ = positionality_table(a, GameParams(3, gamma, Q(0)))
+            off = np.flatnonzero(positional[nc] != (one_side & (gamma <= Q(1, 2))))
+            assert not off.size, (g.vertex_count, gamma, a.state_of(int(nc[off[0]])))
     assert time.perf_counter() - t0 < 10
 
 
@@ -131,11 +129,11 @@ def test_criterion_06():
     ]
     for g in small:
         for gamma in GAMMA3:
-            verdicts = _all_verdicts(g, 3, gamma, Q(0))
-            assert verdicts and all(not v.positional_exists for v in verdicts)
-    verdicts = _all_verdicts(builtin("petersen"), 4, Q(1, 2), Q(0))
-    assert len(verdicts) == 29160
-    assert all(not v.positional_exists for v in verdicts)
+            positional, _ = _table(g, 3, gamma, Q(0))
+            assert positional.size and not positional.any()
+    positional, _ = _table(builtin("petersen"), 4, Q(1, 2), Q(0))
+    assert positional.size == 29160
+    assert not positional.any()
     assert time.perf_counter() - t0 <= 600
 
 
@@ -162,18 +160,18 @@ def test_criterion_07(suite_graphs):
 @_report(8, "three-player Petersen at eps 0: positional at every start and gamma")
 def test_criterion_08(suite_graphs):
     for gamma in (Q(1, 10), Q(1, 2), Q(9, 10)):
-        verdicts = _all_verdicts(suite_graphs["petersen"], 3, gamma, Q(0))
-        assert len(verdicts) == 2430
-        assert all(v.positional_exists for v in verdicts)
+        positional, _ = _table(suite_graphs["petersen"], 3, gamma, Q(0))
+        assert positional.size == 2430
+        assert positional.all()
 
 
 @_report(9, "Petersen with a leaf: positional at 1/2, not at 51/100")
 def test_criterion_09(suite_graphs):
     g = suite_graphs["petersen_leaf"]
-    at_half = _all_verdicts(g, 3, Q(1, 2), Q(0))
-    assert at_half and all(v.positional_exists for v in at_half)
-    above = _all_verdicts(g, 3, Q(51, 100), Q(0))
-    assert all(not v.positional_exists for v in above)
+    at_half, _ = _table(g, 3, Q(1, 2), Q(0))
+    assert at_half.size and at_half.all()
+    above, _ = _table(g, 3, Q(51, 100), Q(0))
+    assert not above.any()
 
 
 @_report(10, "the intermediate-coalition specimen is never positional")
@@ -181,8 +179,8 @@ def test_criterion_10(suite_graphs):
     g = suite_graphs["petersen_c4"]
     for eps in (Q(0), Q(1, 10)):
         for gamma in (Q(1, 4), Q(1, 2)):
-            verdicts = _all_verdicts(g, 3, gamma, eps)
-            assert verdicts and all(not v.positional_exists for v in verdicts)
+            positional, _ = _table(g, 3, gamma, eps)
+            assert positional.size and not positional.any()
 
 
 @_report(11, "cycle-with-tail: state cop numbers 1 and 2, classic number 2")

@@ -203,9 +203,9 @@ def test_queries_accept_numpy_indices():
         build_trigger_profile,
         capture_attribution,
         check_positionality,
-        check_positionality_many,
         g3_guarantee_test,
         guaranteed_capture,
+        positionality_table,
         scan_region,
         solve_capture_time,
         solve_game,
@@ -220,6 +220,7 @@ def test_queries_accept_numpy_indices():
     game = solve_game(a, 1, params)
     report = state_cop_report(a)
     profile = build_trigger_profile(cr, solve_all_games(a, params))
+    table = positionality_table(a, params)
     queries = [
         a.is_capture,
         lambda s: reachable_noncapture(a, s).tolist(),
@@ -236,7 +237,7 @@ def test_queries_accept_numpy_indices():
         lambda s: g3_guarantee_test(a, cr, s),
         lambda s: simulate_trigger(a, profile, s),
         lambda s: check_positionality(a, s, params),
-        lambda s: check_positionality_many(a, params, [s]),
+        lambda s: [bool(column[a.index_of(s)]) for column in table],
         lambda s: scan_region(a.graph, 3, s, [Q(1, 2)], [Q(0)]),
     ]
     s = State((0, 0), 1, 1)

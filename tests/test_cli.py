@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from scar import cli
 from scar.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -156,6 +157,18 @@ def test_cache_round_trip(capsys, tmp_path):
     _, second, _ = run(capsys, *argv)
     assert second == first
     assert entries[0].stat().st_mtime_ns == stamp  # replayed, not recomputed
+
+
+def test_cache_misses_an_entry_from_another_package_version(capsys, tmp_path, monkeypatch):
+    argv = ["arena-stats", "--builtin", "path:2", "--n", "3", "--cache-dir", str(tmp_path)]
+    _, want, _ = run(capsys, *argv)
+    (entry,) = tmp_path.iterdir()
+    entry.write_text(json.dumps({"output": "stale"}), encoding="utf-8")
+    assert run(capsys, *argv)[1] == "stale\n"  # same package: replayed
+    monkeypatch.setattr(cli, "_package_digest", lambda: "another version", raising=False)
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, want)  # computed again, not replayed
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_failed_cache_write_warns_and_keeps_the_exit_code(capsys, tmp_path):

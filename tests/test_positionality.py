@@ -1,8 +1,10 @@
 """Trigger-profile positionality: the two-vertex region formula, witness
-soundness, batch/single agreement, and the concrete trigger controller."""
+soundness, table/single-start agreement, and the concrete trigger
+controller."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scar import (
     GameParams,
@@ -15,7 +17,7 @@ from scar import (
     build_trigger_profile,
     builtin,
     check_positionality,
-    check_positionality_many,
+    positionality_table,
     reachable_noncapture,
     scan_region,
     simulate_trigger,
@@ -24,6 +26,8 @@ from scar import (
 from scar import positionality
 from scar.cli import main
 from scar.positionality import solve_all_games
+
+from strategies import connected_graphs
 
 
 def _p2_arena():
@@ -82,26 +86,35 @@ def test_positional_verdicts_carry_no_witnesses():
     assert v.positional_exists and v.witnesses == ()
 
 
-def test_batch_agrees_with_single_starts(suite_graphs):
+def _assert_table_agrees_with_single_starts(a, params):
+    positional, nonpositional = positionality_table(a, params)
+    assert positional.shape == nonpositional.shape == (a.n_states,)
+    assert positional[a.capture_mask].all() and nonpositional[a.capture_mask].all()
+    for i in a.noncapture_indices():
+        one = check_positionality(a, i, params)
+        assert positional[i] == one.positional_exists, (one.s0, params)
+        assert nonpositional[i] == one.nonpositional_exists, (one.s0, params)
+
+
+def test_table_agrees_with_single_starts(suite_graphs):
     for name in ("p3", "c4"):
         a = build_arena(suite_graphs[name], 3)
-        starts = [a.state_of(int(i)) for i in a.noncapture_indices()]
         for gamma, eps in ((Q(1, 2), Q(0)), (Q(51, 100), Q(0)), (Q(1, 4), Q(1, 10))):
-            params = GameParams(3, gamma, eps)
-            batch = check_positionality_many(a, params, starts)
-            for s0, got in zip(starts, batch):
-                one = check_positionality(a, s0, params)
-                assert got.positional_exists == one.positional_exists, (name, s0)
-                assert got.nonpositional_exists == one.nonpositional_exists
-                assert got.witnesses == ()
+            _assert_table_agrees_with_single_starts(a, GameParams(3, gamma, eps))
 
 
-def test_batch_rejects_capture_starts():
-    a = _p2_arena()
-    with pytest.raises(ValidationError):
-        check_positionality_many(
-            a, GameParams(3, Q(1, 2), Q(0)), [State((1, 0), 1, 1)]
-        )
+# four vertices with N=4 would cost ~2 s per example in single-start checks
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from([3, 4]).flatmap(
+        lambda n: st.tuples(connected_graphs(max_vertices=7 - n), st.just(n))
+    ),
+    st.sampled_from([Q(1, 4), Q(1, 2), Q(51, 100), Q(3, 4)]),
+    st.sampled_from([Q(0), Q(1, 10), Q(1, 3)]),
+)
+def test_table_agrees_with_single_starts_on_random_graphs(graph_and_n, gamma, eps):
+    g, n = graph_and_n
+    _assert_table_agrees_with_single_starts(build_arena(g, n), GameParams(n, gamma, eps))
 
 
 def test_scan_region_matches_pointwise():
@@ -184,7 +197,7 @@ def test_a_verdict_without_a_trigger_profile_is_a_solver_error(monkeypatch, caps
 
     def contradictory(arena, cr, games):
         everywhere = np.ones(arena.n_states, dtype=bool)
-        return {m: ~everywhere for m in games}, {m: everywhere for m in games}
+        return {m: ~everywhere for m in games}, everywhere
 
     monkeypatch.setattr(positionality, "_state_tests", contradictory)
     monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
@@ -193,8 +206,8 @@ def test_a_verdict_without_a_trigger_profile_is_a_solver_error(monkeypatch, caps
     s0 = State((0, 0), 1, 1)
     with pytest.raises(ScarError, match="at 0,0;1;1 on 2 vertices, N=3, gamma=1/2"):
         check_positionality(a, s0, params)
-    with pytest.raises(ScarError, match="neither a positional nor a nonpositional"):
-        check_positionality_many(a, params, [s0])
+    with pytest.raises(ScarError, match="at 0,0;1;1 on 2 vertices, N=3, gamma=1/2.*neither"):
+        positionality_table(a, params)
     args = ["poscheck", "--builtin", "path:2", "--n", "3", "--s0", "0,0;1;1",
             "--gamma", "1/2", "--epsilon", "0"]
     assert main(args) == 3

@@ -1,5 +1,9 @@
-"""Packaged verification manifest: schema, filtering, and a green run."""
+"""Packaged verification manifest: schema, filtering, a green run, and
+poscheck cases that must fail."""
 
+import pytest
+
+from scar import ValidationError
 from scar.verifysuite import build_recipe, load_manifest, run_case, run_suite
 
 
@@ -49,3 +53,52 @@ def test_single_case_runner_matches_suite():
     res = run_case(case)
     assert res.case_id == case["id"]
     assert res.passed
+
+
+def _poscheck(expect, gamma_grid, graph=None, **extra):
+    return {
+        "id": "synthetic", "kind": "poscheck", "basis": "derived",
+        "graph": graph or {"builtin": "path", "k": 2}, "n": 3,
+        "s0": "all-noncapture", "gamma_grid": gamma_grid, "epsilon_grid": ["0"],
+        "expect": expect, **extra,
+    }
+
+
+@pytest.mark.parametrize(
+    "case, detail",
+    [
+        (_poscheck({"positional": {"gamma_at_most": "3/4"}}, ["1/2", "3/4"]),
+         "6/12 points off; first: positional_exists=False (expected True) "
+         "at s0=0,0;1;1 gamma=3/4 epsilon=0"),
+        # a mismatch in both verdicts at one start reports the positional one
+        (_poscheck({"nonpositional": {"const": False}, "positional": {"const": True}},
+                   ["3/4"]),
+         "12/6 points off; first: positional_exists=False (expected True) "
+         "at s0=0,0;1;1 gamma=3/4 epsilon=0"),
+        (_poscheck({"positional": {"one_side_and_gamma_at_most": "3/4"}}, ["1/2", "3/4"],
+                   graph={"builtin": "path", "k": 3}),
+         "30/72 points off; first: positional_exists=False (expected True) "
+         "at s0=0,0;1;1 gamma=3/4 epsilon=0"),
+        (_poscheck({"positional": {"const": True}}, ["3/4"], s0="1,1;0;2"),
+         "1/1 points off; first: positional_exists=False (expected True) "
+         "at s0=1,1;0;2 gamma=3/4 epsilon=0"),
+    ],
+    ids=["gamma-cap", "both-verdicts", "one-side", "literal-start"],
+)
+def test_a_wrong_poscheck_expectation_fails(case, detail):
+    res = run_case(case)
+    assert (res.case_id, res.passed, res.detail) == ("synthetic", False, detail)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (_poscheck({"positional": {"const": True}}, ["1/2"], s0="0,1;1;1"),
+         "start state 0,1;1;1 is a capture state"),
+        (_poscheck({"positonal": {"const": True}}, ["1/2"]), "unrecognized verdict 'positonal'"),
+    ],
+    ids=["capture-start", "misspelt-verdict"],
+)
+def test_a_malformed_poscheck_case_is_refused(case, message):
+    with pytest.raises(ValidationError, match=message):
+        run_case(case)
