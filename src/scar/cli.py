@@ -1,8 +1,9 @@
 """Command-line front end: JSON reports, scan tables, result caching, and
 the packaged verification suite.
 
-Exit codes: 0 success, 1 verification-suite failures, 2 invalid input,
-3 solver failure (a failed self-check or an attribution violation).
+Exit codes: 0 success, 1 verification-suite failures, 2 invalid input or a
+request too large for memory, 3 solver failure (a failed self-check or an
+attribution violation).
 A cache entry that cannot be written is reported as a warning on stderr and
 leaves the exit code alone.
 """
@@ -312,6 +313,15 @@ def _write_cache(path: str, text: str) -> None:
         raise
 
 
+def _out_of_memory(args) -> str:
+    """What ran out of memory, named by the size of the request's arena."""
+    if not hasattr(args, "n"):
+        return "out of memory"
+    v = _load_graph(args).vertex_count
+    return (f"out of memory on {v} vertices with N={args.n} "
+            f"({v**args.n * args.n} states); try a smaller graph or N")
+
+
 def _add_graph_flags(p):
     p.add_argument("--graph", help="edge-list file (lines 'u v', 0-based)")
     p.add_argument("--builtin", help="named graph: path:K, cycle:K, complete:K, "
@@ -400,6 +410,9 @@ def main(argv=None) -> int:
         text, code = args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {_out_of_memory(args)}", file=sys.stderr)
         return 2
     except ScarError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

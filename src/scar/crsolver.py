@@ -139,12 +139,18 @@ def forced_capture_depths(arena: Arena, chasing: np.ndarray) -> np.ndarray:
                         predecessors=arena.predecessors())
 
 
+def capture_depths(arena: Arena) -> np.ndarray:
+    """The capture-time game's value array, memoized on the arena. Kept
+    apart from the solution, which refers back to the arena, so that a
+    caller needing only the values does not tie the arena into a cycle."""
+    return arena.memo(
+        "capture_depths", lambda: forced_capture_depths(arena, ~arena.robber_mover_mask())
+    )
+
+
 def solve_capture_time(arena: Arena) -> CrSolution:
     """Solve the joint capture-time game on the arena (memoized on it)."""
-    return arena.memo(
-        "capture_time",
-        lambda: CrSolution(arena, forced_capture_depths(arena, ~arena.robber_mover_mask())),
-    )
+    return arena.memo("capture_time", lambda: CrSolution(arena, capture_depths(arena)))
 
 
 def capture_attribution(sol: CrSolution, s: State | int) -> tuple[int, int]:

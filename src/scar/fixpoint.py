@@ -19,10 +19,16 @@ a state whose count reaches 0 is pushed at step(key). The count starts at 1
 for eager states, which settle on their first settled successor, and at the
 out-degree elsewhere, which settle on their last. The rest take `never`.
 
-The engine returns the ascending keys and one int rank per state and ends
-with `check_fixpoint`, a vectorised exact check of every equation over the
-ranks: O(edges) numpy work plus one `step` per level. Passing it proves the
-answer. Instantiations:
+The engine returns the ascending keys, one int rank per state and one
+origin per level, and ends with `check_fixpoint`, a vectorised exact check
+of every equation over the ranks: O(edges) numpy work plus one `step` per
+level. Passing it proves the answer. The origins cost O(levels): a level is
+`("seed", i)` when all its states came from seed batch i, `("step", r)` when
+all were pushed at step(levels[r]), `("never", None)` for the unsettled
+rest, and `("tied", None)` when it merged batches of different origins.
+Without a tie, every key is a seed key or a chain of steps from one, which
+is what lets `scarsolver` re-evaluate a solved game at another discount
+(and re-prove it with `check_fixpoint`) without a new run. Instantiations:
 
 - `solve_layers`: key = depth, step k+1, never = INT_INF. Capture-time
   solve (cops eager), coalition attractors, guarantee tests on restricted
@@ -52,8 +58,9 @@ def retrograde(
     step,
     never,
     predecessors: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[list, np.ndarray]:
-    """Solve the game; returns (ascending keys, int rank per state).
+) -> tuple[list, np.ndarray, list[tuple[str, int | None]]]:
+    """Solve the game; returns (ascending keys, int rank per state, origin
+    per level).
 
     Every seeded state must be frozen. A seed keyed `never` is left
     unsettled and a key above it is refused. `predecessors` is the table's
@@ -63,43 +70,52 @@ def retrograde(
     pred_offsets, pred_targets = (
         reverse_csr(offsets, targets) if predecessors is None else predecessors
     )
-    batches: dict = {}
+    batches: dict = {}  # key -> [origin, state arrays]; keys hash once per push
     heap: list = []
 
-    def push(key, states: np.ndarray) -> None:
-        if key not in batches:
+    def push(key, states: np.ndarray, origin: tuple[str, int]) -> None:
+        batch = batches.get(key)
+        if batch is None:
             heapq.heappush(heap, key)
-        batches.setdefault(key, []).append(states)
+            batches[key] = [origin, [states]]
+        else:
+            if batch[0] != origin:
+                batch[0] = ("tied", None)
+            batch[1].append(states)
 
-    for key, states in seeds:
+    for i, (key, states) in enumerate(seeds):
         if key > never:
             raise ValidationError(f"seed key {key} lies above never ({never})")
         if key < never and states.size:
-            push(key, states)
+            push(key, states, ("seed", i))
 
     queued = np.array(frozen, dtype=bool)  # frozen states never settle from successors
     remaining = np.where(eager, 1, np.diff(offsets))
     n = len(queued)
     rank = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
     levels: list = []
+    origins: list[tuple[str, int | None]] = []
     while heap:
         key = heapq.heappop(heap)
-        batch = np.concatenate(batches.pop(key))
+        origin, parts = batches.pop(key)
+        batch = np.concatenate(parts)
         rank[batch] = len(levels)
         levels.append(key)
+        origins.append(origin)
         preds = pred_targets[concat_ranges(pred_offsets[batch], pred_offsets[batch + 1])]
         preds, hits = np.unique(preds[~queued[preds]], return_counts=True)
         remaining[preds] -= hits
         ready = preds[remaining[preds] <= 0]
         if ready.size:
             queued[ready] = True
-            push(step(key), ready)
+            push(step(key), ready, ("step", len(levels) - 1))
     unsettled = rank < 0
     if unsettled.any():
         rank[unsettled] = len(levels)
         levels.append(never)
+        origins.append(("never", None))
     check_fixpoint(offsets, targets, eager, frozen, seeds, step, never, levels, rank)
-    return levels, rank
+    return levels, rank, origins
 
 
 def check_fixpoint(
@@ -164,6 +180,6 @@ def solve_layers(
     if not ((held == 0) | (held == INT_INF)).all():
         raise ValidationError("a frozen state must hold 0 or INT_INF")
     seeds = [(0, np.flatnonzero(frozen & (init == 0)))]
-    depths, rank = retrograde(offsets, targets, minimizing, frozen, seeds,
-                              lambda d: min(d + 1, INT_INF), INT_INF, predecessors)
+    depths, rank, _ = retrograde(offsets, targets, minimizing, frozen, seeds,
+                                 lambda d: min(d + 1, INT_INF), INT_INF, predecessors)
     return np.array(depths, dtype=np.int64)[rank]

@@ -22,7 +22,15 @@ A start fails a test iff it reaches a failing state, so `positionality_table`
 answers every start at once with one backward flood per test from the
 failing states. `check_positionality` and `scan_region` keep a forward flood
 from their one start instead: their witness lists name the failing states
-that this start reaches.
+that this start reaches. Both refuse a capture-state start before solving
+anything.
+
+The tests read nothing of a game but its optimal edges. `solve_game` hands
+back the same solution at the same (gamma, epsilon), and a solution re-used
+at another gamma keeps its optimal edges, so along a gamma grid the edge
+arrays are often the very objects of the previous point; the arena keeps
+the last table with the edge arrays it came from, and returns it while they
+are the same.
 
 Verdicts only ever use full arg-opt sets. Concrete tables (for simulation)
 use the canonical tie-break: the move with the lowest target vertex.
@@ -123,10 +131,18 @@ def solve_all_games(arena: Arena, params: GameParams) -> dict[int, GameSolution]
     return {m: solve_game(arena, m, params) for m in range(1, arena.n_players)}
 
 
+def _start(arena: Arena, s0: State | int) -> int:
+    """The index of a start state, which must not be a capture state."""
+    idx = arena.index_of(s0)
+    if arena.capture_mask[idx]:
+        raise ValidationError(f"s0 {arena.state_of(idx).literal()} is a capture state")
+    return idx
+
+
 def check_positionality(
     arena: Arena, s0: State | int, params: GameParams
 ) -> PositionalityVerdict:
-    idx = arena.index_of(s0)
+    idx = _start(arena, s0)
     cr = solve_capture_time(arena)
     games = solve_all_games(arena, params)
     tests = _state_tests(arena, cr, games)
@@ -138,8 +154,16 @@ def positionality_table(arena: Arena, params: GameParams) -> tuple[np.ndarray, n
     nonpositional), two bool arrays indexed by state. The games are solved
     once and each array comes from one backward reachability sweep: can the
     start reach a state failing the intersection / subset test? Capture rows
-    hold True in both, as the set tests are vacuous there."""
-    meets, inside = _state_tests(arena, solve_capture_time(arena), solve_all_games(arena, params))
+    hold True in both, as the set tests are vacuous there. The arrays are
+    shared with later calls that find the same optimal edges: read only."""
+    games = solve_all_games(arena, params)
+    edges = [sol.edge_opt for sol in games.values()]
+    kept = arena.memo("last_positionality_table", lambda: [None])
+    if kept[0] is not None:
+        kept_edges, table = kept[0]
+        if all(x is y for x, y in zip(kept_edges, edges)):
+            return table
+    meets, inside = _state_tests(arena, solve_capture_time(arena), games)
     pred_offsets, pred_targets = arena.predecessors()
     sees_fail = _flood(pred_offsets, pred_targets,
                        ~np.logical_and.reduce(list(meets.values())), arena.capture_mask)
@@ -148,6 +172,8 @@ def positionality_table(arena: Arena, params: GameParams) -> tuple[np.ndarray, n
     neither = np.flatnonzero(~(positional | nonpositional))
     if neither.size:
         raise _no_profile(arena, params, arena.state_of(int(neither[0])))
+    positional.flags.writeable = nonpositional.flags.writeable = False
+    kept[0] = (edges, (positional, nonpositional))
     return positional, nonpositional
 
 
@@ -163,7 +189,7 @@ def scan_region(
     """One verdict per (epsilon, gamma) grid point, epsilon outermost, with
     the arena, the capture-time solution and the reachable set shared."""
     arena = build_arena(g, n_players, max_states)
-    idx = arena.index_of(s0)
+    idx = _start(arena, s0)
     s0 = arena.state_of(idx)
     cr = solve_capture_time(arena)
     reach = reachable_noncapture(arena, idx)

@@ -24,17 +24,33 @@ A solution stores the ascending tuple of values `levels` and one int rank
 per state. Every solve ends with the engine's exact check of every Bellman
 equation; the fixpoint is unique for gamma < 1, so passing it proves the
 answer.
+
+The engine also reports where each level came from, so every level is a
+symbol c * gamma^t: a terminal coefficient c reached t moves from capture,
+or 0 for the states never settled. `solve_game` keeps the last solution of
+each cop's game on the arena with its symbols. Asked again at the same
+(gamma, epsilon), it returns that solution. At a new gamma with the same
+epsilon, it re-evaluates the symbols from the top value down and stops at
+the first pair that is not strictly descending. If none is, the run at the
+new gamma would settle the same levels in the same order, so the old ranks,
+rounds and optimal moves stand with the new values, and the same exact
+check proves them. A level where a seed met a step (an exact tie, such as
+gamma = 1/(2-2*eps) on a path) has no single symbol, and the next gamma is
+solved afresh.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .arena import Arena, GameParams, OptimalMoves, State
 from .errors import ValidationError
-from .fixpoint import retrograde
+from .fixpoint import check_fixpoint, retrograde
 
 Q0 = Fraction(0)
 
@@ -97,13 +113,31 @@ class GameSolution(OptimalMoves):
             self._edge_opt = eo
         return self._edge_opt
 
+    def _with_levels(self, levels: tuple[Fraction, ...]) -> GameSolution:
+        """The same ranks, rounds and optimal moves under other level values."""
+        moved = copy.copy(self)
+        moved.levels, moved._values = levels, None
+        return moved
 
-def _discounted(
-    arena: Arena, gamma: Fraction, max_mask: np.ndarray, seeds: list
-) -> GameSolution:
-    """Run the engine on keys -value from the capture states' seed batches
-    `(coefficient, states)`, and rank the values in ascending order."""
-    keys, rank = retrograde(
+
+@dataclass(frozen=True)
+class _Solved:
+    """The last solve of one cop's game on an arena, with the seed batches
+    it was solved from. `symbols` holds one (c, t) per level, value
+    c * gamma^t, aligned with `solution.levels`; None when a level was
+    tied."""
+
+    gamma: Fraction
+    epsilon: Fraction
+    seeds: list[tuple[Fraction, np.ndarray]]
+    solution: GameSolution
+    symbols: tuple[tuple[Fraction, int], ...] | None
+
+
+def _engine_game(arena: Arena, gamma: Fraction, max_mask: np.ndarray, seeds: list) -> tuple:
+    """The engine's arguments for a discounted game from the capture states'
+    seed batches `(coefficient, states)`: keys -value, step gamma*k, never 0."""
+    return (
         arena.offsets,
         arena.targets,
         max_mask,
@@ -111,15 +145,81 @@ def _discounted(
         [(-c, states) for c, states in seeds],
         lambda key: gamma * key,
         Q0,
-        arena.predecessors(),
     )
+
+
+def _discounted(
+    arena: Arena, gamma: Fraction, max_mask: np.ndarray, seeds: list
+) -> tuple[GameSolution, tuple[tuple[Fraction, int], ...] | None]:
+    """Run the engine and rank the values in ascending order; returns the
+    solution and its level symbols (None when a level is tied)."""
+    keys, rank, origins = retrograde(
+        *_engine_game(arena, gamma, max_mask, seeds), arena.predecessors()
+    )
+    symbols: list[tuple[Fraction, int]] | None = []
+    for kind, at in origins:
+        if kind == "seed":
+            symbols.append((seeds[at][0], 0))
+        elif kind == "step":
+            c, t = symbols[at]
+            symbols.append((c, t + 1))
+        elif kind == "never":
+            symbols.append((Q0, 0))
+        else:
+            symbols = None
+            break
     levels = tuple(-key for key in reversed(keys))
     rounds = len(keys) - (keys[-1] == Q0)
-    return GameSolution(arena, levels, len(keys) - 1 - rank, rounds, max_mask)
+    sol = GameSolution(arena, levels, len(keys) - 1 - rank, rounds, max_mask)
+    return sol, None if symbols is None else tuple(reversed(symbols))
+
+
+def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> GameSolution | None:
+    """last's solution at discount gamma, or None when a level was tied or
+    the symbols' values there are not strictly descending from the top
+    down (checked pair by pair, stopping at the first pair out of order).
+    The moved solution passes the engine's exact check before it is
+    returned; a failure there is a ScarError, not a fallback."""
+    if last.symbols is None:
+        return None
+    values: list[Fraction] = []
+    for c, t in reversed(last.symbols):
+        value = c * gamma**t
+        if values and not value < values[-1]:
+            return None
+        values.append(value)
+    old = last.solution
+    check_fixpoint(
+        *_engine_game(arena, gamma, old._max_mask, last.seeds),
+        [-v for v in values],
+        len(values) - 1 - old.rank,
+    )
+    return old._with_levels(tuple(reversed(values)))
+
+
+def _terminal_classes(arena: Arena, player: int) -> list[tuple[State, np.ndarray]]:
+    """Cop `player`'s terminal classes: one (representative, capture state
+    indices) per captor count K and whether the player is a captor.
+    Memoized on the arena."""
+
+    def build() -> list[tuple[State, np.ndarray]]:
+        cap_idx = np.flatnonzero(arena.capture_mask)
+        captors = sum(
+            arena.cop_at_robber(j)[cap_idx].astype(np.int64) for j in range(1, arena.n_players)
+        )
+        terminal_class = 2 * captors + arena.cop_at_robber(player)[cap_idx]
+        _, reps, inverse = np.unique(terminal_class, return_index=True, return_inverse=True)
+        return [
+            (arena.state_of(int(cap_idx[rep])), cap_idx[inverse == k])
+            for k, rep in enumerate(reps.tolist())
+        ]
+
+    return arena.memo(("terminal_classes", player), build)
 
 
 def solve_game(arena: Arena, player: int, params: GameParams) -> GameSolution:
-    """Solve cop `player`'s discounted game on the arena."""
+    """Solve cop `player`'s discounted game on the arena, re-using the last
+    solve of this game on the arena where that is proven to hold."""
     n = arena.n_players
     if params.n_players != n:
         raise ValidationError(
@@ -127,16 +227,24 @@ def solve_game(arena: Arena, player: int, params: GameParams) -> GameSolution:
         )
     if not 1 <= player <= n - 1:
         raise ValidationError(f"player must be a cop in 1..{n - 1}, got {player}")
-    # one seed per terminal class 2K + [m is a captor], K the number of captors
-    cap_idx = np.flatnonzero(arena.capture_mask)
-    captors = sum(arena.cop_at_robber(j)[cap_idx].astype(np.int64) for j in range(1, n))
-    terminal_class = 2 * captors + arena.cop_at_robber(player)[cap_idx]
-    _, reps, inverse = np.unique(terminal_class, return_index=True, return_inverse=True)
-    seeds = [
-        (terminal_payoff(arena.state_of(int(cap_idx[rep])), player, params), cap_idx[inverse == k])
-        for k, rep in enumerate(reps.tolist())
-    ]
-    return _discounted(arena, params.gamma, arena.mover_mask(player), seeds)
+    slot = arena.memo(("last_game", player), lambda: [None])
+    last: _Solved | None = slot[0]
+    if last is not None and last.epsilon == params.epsilon:
+        if last.gamma == params.gamma:
+            return last.solution
+        sol = _reordered(arena, last, params.gamma)
+        if sol is not None:
+            slot[0] = dataclasses.replace(last, gamma=params.gamma, solution=sol)
+            return sol
+    # one seed batch per distinct terminal coefficient, so that equal
+    # coefficients do not count as a tie
+    merged: dict[Fraction, list[np.ndarray]] = {}
+    for rep, states in _terminal_classes(arena, player):
+        merged.setdefault(terminal_payoff(rep, player, params), []).append(states)
+    seeds = [(c, np.concatenate(parts)) for c, parts in merged.items()]
+    sol, symbols = _discounted(arena, params.gamma, arena.mover_mask(player), seeds)
+    slot[0] = _Solved(params.gamma, params.epsilon, seeds, sol, symbols)
+    return sol
 
 
 def solve_discounted_capture(arena: Arena, gamma: Fraction) -> GameSolution:
@@ -148,7 +256,7 @@ def solve_discounted_capture(arena: Arena, gamma: Fraction) -> GameSolution:
     if not isinstance(gamma, Fraction) or not 0 < gamma < 1:
         raise ValidationError(f"gamma must be a rational in (0,1), got {gamma}")
     seeds = [(Fraction(1), np.flatnonzero(arena.capture_mask))]
-    return _discounted(arena, gamma, ~arena.robber_mover_mask(), seeds)
+    return _discounted(arena, gamma, ~arena.robber_mover_mask(), seeds)[0]
 
 
 def opt_move_table(sol: GameSolution, token: int) -> dict[State, tuple[State, ...]]:

@@ -26,7 +26,7 @@ from .arena import DEFAULT_MAX_STATES, Arena, State, build_arena
 from .errors import ValidationError
 from .fixpoint import INT_INF
 from .graphs import Graph
-from .crsolver import classic_cop_number, forced_capture_depths
+from .crsolver import capture_depths, classic_cop_number, forced_capture_depths
 
 
 def _coalition_key(arena: Arena, coalition) -> frozenset[int]:
@@ -41,11 +41,17 @@ def _coalition_key(arena: Arena, coalition) -> frozenset[int]:
 
 def coalition_winning_set(arena: Arena, coalition) -> np.ndarray:
     """Boolean per state: can this cop coalition force reaching a capture
-    state against adversarial play of all other tokens? Cached on the arena."""
+    state against adversarial play of all other tokens? Cached on the arena.
+    The coalition of all N-1 cops chases on every move but the robber's,
+    which is the capture-time game, so it reads that game's values."""
     cs = _coalition_key(arena, coalition)
-    return arena.memo(
-        ("coalition", cs), lambda: forced_capture_depths(arena, arena.mover_mask(*cs)) < INT_INF
-    )
+
+    def build() -> np.ndarray:
+        if len(cs) == arena.n_players - 1:
+            return capture_depths(arena) < INT_INF
+        return forced_capture_depths(arena, arena.mover_mask(*cs)) < INT_INF
+
+    return arena.memo(("coalition", cs), build)
 
 
 def guaranteed_capture(arena: Arena, s: State | int, coalition) -> bool:
@@ -127,6 +133,16 @@ class TheoremCrosscheck:
     witness: str | None = None
 
 
+def _hardest_state(g: Graph, n_players: int, max_states: int) -> tuple[int | float, str]:
+    """max c(G|s) over noncapture states, and a state attaining it. Its
+    arena is freed on return, before the classic arena is built."""
+    arena = build_arena(g, n_players, max_states)
+    report = state_cop_report(arena)
+    nc = arena.noncapture_indices()
+    at = int(nc[np.argmax(report.values[nc])])
+    return report.max_over_noncapture(), arena.state_of(at).literal()
+
+
 def crosscheck_theorem(
     g: Graph, n_players: int, k_max: int | None = None, max_states: int = DEFAULT_MAX_STATES
 ) -> TheoremCrosscheck:
@@ -136,18 +152,11 @@ def crosscheck_theorem(
         k_max = n_players - 1
     if k_max < n_players - 1:
         raise ValidationError(f"k_max must be at least N-1 = {n_players - 1}")
-    arena = build_arena(g, n_players, max_states)
-    report = state_cop_report(arena)
-    state_side = report.max_over_noncapture()
+    state_side, hardest = _hardest_state(g, n_players, max_states)
     classic_side = classic_cop_number(g, k_max, max_states)
     if state_side == math.inf:
         agree = classic_side > n_players - 1  # including inf from the k_max cutoff
     else:
         agree = classic_side == state_side
-    witness = None
-    if not agree:
-        nc = arena.noncapture_indices()
-        vals = report.values[nc]
-        at = nc[int(np.argmax(vals))]
-        witness = arena.state_of(int(at)).literal()
-    return TheoremCrosscheck(n_players, classic_side, state_side, agree, witness)
+    return TheoremCrosscheck(n_players, classic_side, state_side, agree,
+                             None if agree else hardest)

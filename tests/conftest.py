@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from scar import Graph, attach_leaf, bridge, builtin, load_edge_list
+from scar import Graph, attach_leaf, bridge, builtin, load_edge_list, scarsolver
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -35,3 +35,18 @@ def suite_graphs(tail_cycle) -> dict[str, Graph]:
         "petersen_p3": bridge(pet, 0, builtin("path", 3), 0),
         "petersen_c4": bridge(pet, 0, builtin("cycle", 4), 0),
     }
+
+
+@pytest.fixture
+def discounted_runs(monkeypatch) -> list:
+    """A list that gains one entry per run of the engine on a discounted
+    game from here on: a fresh solve adds one, a re-used solution none."""
+    runs = []
+    engine = scarsolver.retrograde
+
+    def counted(*args):
+        runs.append(1)
+        return engine(*args)
+
+    monkeypatch.setattr(scarsolver, "retrograde", counted)
+    return runs

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from scar import cli
+from scar import cli, positionality
 from scar.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -256,3 +256,26 @@ def test_bad_cache_entry_is_a_miss_and_is_overwritten(capsys, tmp_path, bad_entr
     (rewritten,) = tmp_path.iterdir()  # no temporary file left behind
     assert rewritten == entry
     assert json.loads(entry.read_text(encoding="utf-8")) == {"output": first.rstrip("\n")}
+
+
+def test_poscheck_refuses_a_capture_start_with_exit_2(capsys, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("a game was solved")
+
+    monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
+    monkeypatch.setattr(positionality, "solve_game", unexpected)
+    code, out, err = run(capsys, "poscheck", "--builtin", "petersen", "--n", "4",
+                         "--s0", "0,1,2;0;1", "--gamma", "1/2", "--epsilon", "0")
+    assert (code, out, err) == (2, "", "error: s0 0,1,2;0;1 is a capture state\n")
+
+
+def test_running_out_of_memory_is_one_error_line_with_exit_2(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cli, "build_arena", exhausted)
+    code, out, err = run(capsys, "arena-stats", "--builtin", "complete:39", "--n", "4")
+    assert (code, out) == (2, "")
+    assert err == ("error: out of memory on 39 vertices with N=4 (9253764 states); "
+                   "try a smaller graph or N\n")

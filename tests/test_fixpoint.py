@@ -126,7 +126,7 @@ def layer_game(a, minimizing, frozen, init):
 def test_fixpoint_check_rejects_a_corrupted_table():
     a, minimizing, frozen, init = cr_inputs("petersen", None, 3)
     game = layer_game(a, minimizing, frozen, init)
-    levels, rank = retrograde(*game)
+    levels, rank, _ = retrograde(*game)
     check_fixpoint(*game, levels, rank)
     vals = np.array(levels)[rank]
     assert np.array_equal(vals, solve_layers(a.offsets, a.targets, minimizing, frozen, init))
@@ -152,6 +152,23 @@ def test_fixpoint_check_rejects_a_corrupted_table():
         check_fixpoint(*tiny, [0], np.array([0, 0]))
 
 
+def test_every_level_reports_where_its_key_came_from():
+    """A chain 2 -> 1 -> 0 from seed state 0 and a self-loop 3 that never
+    settles; a second seed at key 1 meets the step from key 0 in a tie."""
+    step = lambda k: min(k + 1, INT_INF)
+    offsets, targets = np.array([0, 1, 2, 3, 4, 5]), np.array([0, 0, 1, 3, 4])
+    eager = np.ones(5, dtype=bool)
+    frozen = np.array([True, False, False, False, True])
+    chain = [(0, np.array([0])), (INT_INF, np.array([4]))]
+    levels, rank, origins = retrograde(offsets, targets, eager, frozen, chain, step, INT_INF)
+    assert levels == [0, 1, 2, INT_INF] and rank.tolist() == [0, 1, 2, 3, 3]
+    assert origins == [("seed", 0), ("step", 0), ("step", 1), ("never", None)]
+    tied = [(0, np.array([0])), (1, np.array([4]))]
+    levels, rank, origins = retrograde(offsets, targets, eager, frozen, tied, step, INT_INF)
+    assert levels == [0, 1, 2, INT_INF] and rank.tolist() == [0, 1, 2, 3, 1]
+    assert origins == [("seed", 0), ("tied", None), ("step", 1), ("never", None)]
+
+
 def test_fixpoint_check_rejects_a_frozen_row_off_its_seed():
     """A frozen row must hold its own seed's rank, never's when unseeded,
     even where that rank would satisfy the row's move equation."""
@@ -159,7 +176,7 @@ def test_fixpoint_check_rejects_a_frozen_row_off_its_seed():
     sink = int(np.flatnonzero(~frozen)[0])
     frozen[sink], init[sink] = True, INT_INF
     game = layer_game(a, minimizing, frozen, init)
-    levels, rank = retrograde(*game)
+    levels, rank, _ = retrograde(*game)
     check_fixpoint(*game, levels, rank)
     target = int(np.flatnonzero(frozen & (init == 0))[0])
     best = [int(rank[a.succ_indices(i)].min()) for i in (target, sink)]

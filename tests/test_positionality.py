@@ -190,6 +190,43 @@ def test_check_rejects_capture_start():
     with pytest.raises(ValidationError):
         check_positionality(a, State((0, 1), 1, 1), GameParams(3, Q(1, 2), Q(0)))
 
+
+def test_a_capture_start_is_refused_before_any_solve(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("a game was solved")
+
+    monkeypatch.setattr(positionality, "solve_game", unexpected)
+    monkeypatch.setattr(positionality, "solve_capture_time", unexpected)
+    a = build_arena(builtin("petersen"), 4)
+    start = State((0, 1, 2), 0, 1)
+    with pytest.raises(ValidationError, match="^s0 0,1,2;0;1 is a capture state$"):
+        check_positionality(a, start, GameParams(4, Q(1, 2), Q(0)))
+    with pytest.raises(ValidationError, match="^s0 0,1,2;0;1 is a capture state$"):
+        scan_region(builtin("petersen"), 4, start, [Q(1, 2)], [Q(0)])
+
+
+def test_many_starts_solve_each_game_once(discounted_runs):
+    a = build_arena(builtin("path", 4), 4)
+    params = GameParams(4, Q(1, 2), Q(0))
+    for i in a.noncapture_indices()[:20]:
+        check_positionality(a, i, params)
+    assert len(discounted_runs) == 3
+
+
+def test_the_table_is_kept_while_the_optimal_edges_are(discounted_runs):
+    """Along gamma the table is recomputed only when some game's optimal
+    edges change, and matches a cold arena at every point."""
+    a = _p2_arena()
+    grid = [Q(1, 4), Q(3, 10), Q(1, 3), Q(1, 2), Q(3, 5)]
+    tables = [positionality_table(a, GameParams(3, gamma, Q(1, 10))) for gamma in grid]
+    assert tables[1][0] is tables[0][0] and tables[1][1] is tables[0][1]
+    assert len(discounted_runs) < 2 * len(grid)
+    for gamma, (positional, nonpositional) in zip(grid, tables):
+        cold = positionality_table(_p2_arena(), GameParams(3, gamma, Q(1, 10)))
+        assert np.array_equal(positional, cold[0]) and np.array_equal(nonpositional, cold[1])
+        assert not positional.flags.writeable
+
+
 def test_a_verdict_without_a_trigger_profile_is_a_solver_error(monkeypatch, capsys):
     """Set tests that leave neither kind of profile are a solver fault: a
     ScarError naming the instance, and exit 3 from the CLI, under python -O

@@ -20,6 +20,7 @@ from scar import (
     solve_game,
     terminal_payoff,
 )
+from scar import scarsolver
 from scar.fixpoint import INT_INF, check_fixpoint, retrograde
 from scar.scarsolver import solve_discounted_capture
 
@@ -252,7 +253,7 @@ def test_engine_rejects_gamma_outside_unit_interval_and_negative_coefficients():
 def test_bellman_check_rejects_a_wrong_table():
     a = build_arena(builtin("path", 3), 3)
     game = capture_game(a, Q(1, 2))
-    keys, rank = retrograde(*game)
+    keys, rank, _ = retrograde(*game)
     sol = solve_discounted_capture(a, Q(1, 2))
     assert keys == [-v for v in reversed(sol.levels)]
     assert np.array_equal(rank, len(keys) - 1 - sol.rank)
@@ -266,3 +267,70 @@ def test_bellman_check_rejects_a_wrong_table():
         check_fixpoint(*capture_game(a, Q(1, 2), Q(1, 3)), keys, rank)
     with pytest.raises(ScarError, match="its equation gives"):
         check_fixpoint(*capture_game(a, Q(1, 3)), keys, rank)
+
+
+def _same_solution(warm, fresh):
+    assert warm.levels == fresh.levels
+    assert np.array_equal(warm.rank, fresh.rank)
+    assert np.array_equal(warm.edge_opt, fresh.edge_opt)
+    assert warm.rounds == fresh.rounds
+    assert warm.values == fresh.values
+
+
+# ties: gamma = 1/(2-2*eps) on p2 N=3, and the manifest's 1/2 and 1/3
+TIES = (Q(1, 3), Q(1, 2))
+GAMMAS = (Q(1, 5), Q(1, 4), Q(3, 10), Q(2, 5), Q(5, 9), Q(3, 5), Q(2, 3), Q(3, 4), Q(9, 10))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([3, 4]).flatmap(
+        lambda n: st.tuples(connected_graphs(max_vertices=4), st.just(n))
+    ),
+    st.sampled_from([Q(0), Q(1, 10), Q(1, 4), Q(1, 3)]),
+    st.lists(st.sampled_from(GAMMAS), max_size=5, unique=True),
+)
+def test_a_warm_arena_matches_fresh_solves_along_a_gamma_grid(graph_and_n, eps, gammas):
+    """Re-used solutions along an ascending gamma grid, exact ties
+    included, equal a fresh solve on a fresh arena at every point."""
+    g, n = graph_and_n
+    grid = sorted({*gammas, *TIES, 1 / (2 - 2 * eps)})
+    warm = build_arena(g, n)
+    for gamma in grid:
+        params = GameParams(n, gamma, eps)
+        fresh = build_arena(g, n)
+        for m in range(1, n):
+            _same_solution(solve_game(warm, m, params), solve_game(fresh, m, params))
+
+
+def test_a_solved_game_is_reused_along_gamma_until_its_order_breaks(discounted_runs):
+    """On p2 N=3 at eps = 1/10 the levels keep their order over [1/4, 3/10];
+    1/3 is an exact tie, and a tied level cannot be carried to 1/2."""
+    a = build_arena(builtin("path", 2), 3)
+    eps = Q(1, 10)
+    first = solve_game(a, 1, GameParams(3, Q(1, 4), eps))
+    assert solve_game(a, 1, GameParams(3, Q(1, 4), eps)) is first
+    moved = solve_game(a, 1, GameParams(3, Q(3, 10), eps))
+    assert len(discounted_runs) == 1
+    assert moved.rank is first.rank and moved.levels != first.levels
+    _same_solution(moved, solve_game(build_arena(builtin("path", 2), 3), 1,
+                                     GameParams(3, Q(3, 10), eps)))
+    del discounted_runs[:]
+    for gamma in (Q(1, 3), Q(1, 2)):
+        solve_game(a, 1, GameParams(3, gamma, eps))
+    assert len(discounted_runs) == 2
+    solve_game(a, 1, GameParams(3, Q(1, 2), Q(0)))  # a new epsilon is solved afresh
+    assert len(discounted_runs) == 3
+
+
+def test_a_reused_solution_must_pass_the_exact_check(monkeypatch, discounted_runs):
+    a = build_arena(builtin("path", 2), 3)
+    solve_game(a, 1, GameParams(3, Q(1, 4), Q(1, 10)))
+
+    def refuse(*args):
+        raise ScarError("check refused")
+
+    monkeypatch.setattr(scarsolver, "check_fixpoint", refuse)
+    with pytest.raises(ScarError, match="check refused"):
+        solve_game(a, 1, GameParams(3, Q(3, 10), Q(1, 10)))
+    assert len(discounted_runs) == 1

@@ -19,6 +19,9 @@ from scar import (
     state_cop_report,
 )
 
+from scar.crsolver import forced_capture_depths
+from scar.fixpoint import INT_INF
+
 from oracles import cell, coalition_wins
 
 
@@ -137,3 +140,14 @@ def test_winning_sets_are_cached_per_arena():
     first = coalition_winning_set(a, (1,))
     again = coalition_winning_set(a, (1,))
     assert first is again
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_all_cop_coalition_is_the_capture_time_game(suite_graphs, n):
+    """All N-1 cops chase on every move but the robber's, so their winning
+    set is read off the capture-time game; it equals a solve of its own."""
+    for name, g in suite_graphs.items():
+        a = build_arena(g, n)
+        cops = range(1, n)
+        assert np.array_equal(a.mover_mask(*cops), ~a.robber_mover_mask())
+        direct = forced_capture_depths(a, a.mover_mask(*cops)) < INT_INF
+        assert np.array_equal(coalition_winning_set(a, cops), direct), name

@@ -41,6 +41,14 @@ def test_every_case_passes():
     assert not bad, [(r.case_id, r.detail) for r in bad]
 
 
+def test_the_region_case_reuses_solved_games_along_gamma(discounted_runs):
+    """p2-n3-region asks 2 games at 39 x 7 points; between order breakpoints
+    of the level values a solved game is re-used, not solved again."""
+    case = next(c for c in load_manifest() if c["id"] == "p2-n3-region")
+    assert run_case(case).passed
+    assert len(discounted_runs) <= 52
+
+
 def test_filtering_by_id_substring():
     results = run_suite(["p2-n3"])
     assert results
