@@ -12,6 +12,22 @@ is defined uniformly) but every solver treats them as terminal.
 States are packed densely: index = ((x1*V + x2)*V + ... + xN)*N + (mover-1),
 so |states| = V^N * N. Successor lists are stored once in CSR form and are
 ordered by ascending target vertex of the moving token.
+
+Both move tables are built slot by slot. Row s of the successor table lists
+s with the mover's token moved to each vertex of its closed neighbourhood,
+the turn advanced; slot r of the row is the r-th such vertex, so the table
+is written in max(deg)+1 vectorised passes, one per slot. The predecessors
+of s are s with the *previous* mover's token moved the same way and the
+turn stepped back (moves are symmetric), so the predecessor table comes
+from the same builder, already ascending, with no sort. `reverse_csr`
+remains for tables with no such structure (filtered move tables and the
+classic arena).
+
+On a regular graph every row of both tables has width deg+1. The row
+helpers (`row_best`, `row_counts`, `per_edge`, `row_reader`) detect that
+rectangular case from the offsets and work on a `(rows, width)` view: a
+min/max or sum sweep over the columns and a plain row gather. Ragged tables
+take `reduceat` and `concat_ranges`.
 """
 
 from __future__ import annotations
@@ -123,37 +139,49 @@ class Arena:
         self.capture_mask = np.logical_or.reduce(
             [self.cop_at_robber(j) for j in range(1, n_players)]
         )
-        self.offsets, self.targets = self._build_successors()
+        self.offsets, self.targets = self._slots(back=False)
 
     # -- construction -------------------------------------------------------
 
-    def _build_successors(self) -> tuple[np.ndarray, np.ndarray]:
+    def _slots(self, back: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR table whose row s lists s with one token moved to each
+        vertex of that token's closed neighbourhood, in ascending order: the
+        mover's token with the turn advanced (successors), or with `back`
+        the previous mover's token with the turn stepped back
+        (predecessors). One vectorised pass per neighbour rank."""
         g, n, v = self.graph, self.n_players, self.graph.vertex_count
+        nbhd = [g.closed_neighborhood(u) for u in range(v)]
+        sizes = np.array([len(c) for c in nbhd], dtype=np.int64)
+        width, narrowest = int(sizes.max()), int(sizes.min())
+        hop = np.zeros((v, width), dtype=np.int64)
+        for u, c in enumerate(nbhd):
+            hop[u, : len(c)] = np.subtract(c, u)
+        stride = np.array(self._strides, dtype=np.int64) * n
+        advance = np.where(np.arange(n) < n - 1, 1, 1 - n)
+        turn = -advance if back else advance
+        # shift[r, t*v + u]: the index change when token t moves from u to
+        # the r-th vertex of its closed neighbourhood
+        shift = (hop.T[:, None, :] * stride[:, None] + turn[:, None]).reshape(width, n * v)
+
         idx = np.arange(self.n_states, dtype=np.int64)
-        mover0 = (idx % n).astype(np.int64)
-        mix = idx // n
-        degp1 = np.array([g.degree(u) + 1 for u in range(v)], dtype=np.int64)
-
-        moving_vertex = np.empty(self.n_states, dtype=np.int64)
-        for tok in range(1, n + 1):
-            sel = mover0 == tok - 1
-            moving_vertex[sel] = (mix[sel] // self._strides[tok - 1]) % v
-
-        counts = degp1[moving_vertex]
+        token = (idx - int(back)) % n
+        vertex = idx // stride[token] % v
+        key = token * v + vertex
+        widths = sizes[vertex]
+        del token, vertex
         offsets = np.zeros(self.n_states + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        targets = np.empty(offsets[-1], dtype=np.int64)
-
-        for tok in range(1, n + 1):
-            stride = self._strides[tok - 1] * n
-            mover_delta = 1 if tok < n else 1 - n
-            for u in range(v):
-                sel = np.nonzero((mover0 == tok - 1) & (moving_vertex == u))[0]
-                if sel.size == 0:
-                    continue
-                base = offsets[sel]
-                for rank, w in enumerate(g.closed_neighborhood(u)):
-                    targets[base + rank] = sel + (w - u) * stride + mover_delta
+        np.cumsum(widths, out=offsets[1:])
+        targets = np.empty(offsets[-1], np.int32 if back and self.n_states < 2**31 else np.int64)
+        first = offsets[:-1]
+        for r in range(width):
+            if r < narrowest:
+                # every row has slot r; on a rectangular table it is every
+                # width-th cell, a strided write rather than a scatter
+                cells = slice(r, None, width) if narrowest == width else first + r
+                targets[cells] = idx + shift[r][key]
+            else:
+                rows = np.flatnonzero(widths > r)
+                targets[first[rows] + r] = rows + shift[r][key[rows]]
         return offsets, targets
 
     # -- state codec --------------------------------------------------------
@@ -239,16 +267,17 @@ class Arena:
         return self.memo(("cop_at_robber", m), build)
 
     def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR table of predecessor lists (reverse of the successor table).
-        Memoized."""
-        return self.memo("predecessors", lambda: reverse_csr(self.offsets, self.targets))
+        """CSR table of predecessor lists, equal to `reverse_csr(offsets,
+        targets)`: int64 offsets and, while state ids fit, int32 sources in
+        ascending order. Memoized."""
+        return self.memo("predecessors", lambda: self._slots(back=True))
 
 
 def reverse_csr(offsets: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The predecessor CSR of a successor CSR: int64 offsets and, while
     state ids fit, int32 sources, each list in ascending order."""
     n = len(offsets) - 1
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    rows = per_edge(offsets, np.arange(n, dtype=np.int64))
     # ordered by target, then source; equal keys are equal entries
     keys = np.asarray(targets, dtype=np.int64) * n + rows
     del rows
@@ -259,24 +288,73 @@ def reverse_csr(offsets: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
     return pred_offsets, keys.astype(np.int32 if n < 2**31 else np.int64)
 
 
-def filter_csr(
-    offsets: np.ndarray, targets: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR table holding only the edges marked in `keep`."""
-    counts = np.add.reduceat(keep, offsets[:-1], dtype=np.int64)
-    new_offsets = np.zeros(len(offsets), dtype=np.int64)
-    np.cumsum(counts, out=new_offsets[1:])
-    return new_offsets, targets[keep]
+def row_width(offsets: np.ndarray) -> int | None:
+    """The common width d >= 1 of every row of a CSR table, or None when
+    the rows differ or there are none. The row helpers below read a table
+    with width d as a `(rows, d)` array."""
+    n = len(offsets) - 1
+    if n <= 0:
+        return None
+    d, rest = divmod(int(offsets[-1]), n)
+    if rest or d == 0 or not np.array_equal(offsets, np.arange(0, d * n + 1, d)):
+        return None
+    return d
+
+
+def _columns(ufunc, table: np.ndarray, dtype=None) -> np.ndarray:
+    """ufunc folded across the columns of a 2-D array: one pass per column."""
+    out = table[:, 0].astype(dtype or table.dtype)
+    for c in range(1, table.shape[1]):
+        ufunc(out, table[:, c], out=out)
+    return out
+
+
+def per_edge(offsets: np.ndarray, row_values: np.ndarray) -> np.ndarray:
+    """Each row's value repeated once per edge of the row."""
+    d = row_width(offsets)
+    return np.repeat(row_values, np.diff(offsets) if d is None else d)
+
+
+def row_counts(offsets: np.ndarray, edge_mask: np.ndarray) -> np.ndarray:
+    """Per row of a CSR table with no empty row, how many of its edges
+    edge_mask marks (int64)."""
+    d = row_width(offsets)
+    if d is not None:
+        return _columns(np.add, edge_mask.reshape(-1, d), np.int64)
+    return np.add.reduceat(edge_mask, offsets[:-1], dtype=np.int64)
 
 
 def row_best(offsets: np.ndarray, succ_keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
-    """Per row of a CSR table, the best of its successors' keys (succ_keys
-    holds one key per edge): the largest on max_mask rows, the smallest
-    elsewhere."""
+    """Per row of a CSR table with no empty row, the best of its
+    successors' keys (succ_keys holds one key per edge): the largest on
+    max_mask rows, the smallest elsewhere."""
+    d = row_width(offsets)
+    if d is not None:
+        table = succ_keys.reshape(-1, d)
+        return np.where(max_mask, _columns(np.maximum, table), _columns(np.minimum, table))
     seg = offsets[:-1]
     return np.where(
         max_mask, np.maximum.reduceat(succ_keys, seg), np.minimum.reduceat(succ_keys, seg)
     )
+
+
+def row_reader(offsets: np.ndarray, targets: np.ndarray):
+    """A function from an array of row indices to the concatenation of
+    those rows of a CSR table."""
+    d = row_width(offsets)
+    if d is None:
+        return lambda rows: targets[concat_ranges(offsets[rows], offsets[rows + 1])]
+    table = targets.reshape(-1, d)
+    return lambda rows: table[rows].ravel()
+
+
+def filter_csr(
+    offsets: np.ndarray, targets: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR table holding only the edges marked in `keep`."""
+    new_offsets = np.zeros(len(offsets), dtype=np.int64)
+    np.cumsum(row_counts(offsets, keep), out=new_offsets[1:])
+    return new_offsets, targets[keep]
 
 
 class OptimalMoves:
@@ -293,7 +371,7 @@ class OptimalMoves:
         """Per CSR edge: does the target's key equal its row's best key?"""
         a = self.arena
         sv = keys[a.targets]
-        return sv == np.repeat(row_best(a.offsets, sv, max_mask), np.diff(a.offsets))
+        return sv == per_edge(a.offsets, row_best(a.offsets, sv, max_mask))
 
     def _opt_csr(self) -> tuple[np.ndarray, np.ndarray]:
         if self._opt_targets is None:
@@ -342,11 +420,11 @@ def _flood(offsets: np.ndarray, targets: np.ndarray, seed: np.ndarray,
            blocked: np.ndarray) -> np.ndarray:
     """Mask of states reachable from the seed mask without ever stepping
     into (or out of) a blocked state; seeds are included as-is."""
+    read = row_reader(offsets, targets)
     seen = seed & ~blocked
     frontier = np.nonzero(seen)[0]
     while frontier.size:
-        nbrs = targets[concat_ranges(offsets[frontier], offsets[frontier + 1])]
-        nbrs = np.unique(nbrs)
+        nbrs = np.unique(read(frontier))
         nbrs = nbrs[~seen[nbrs] & ~blocked[nbrs]]
         seen[nbrs] = True
         frontier = nbrs

@@ -31,7 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arena import DEFAULT_MAX_STATES, Arena, State, build_arena, filter_csr, reverse_csr
+from .arena import (
+    DEFAULT_MAX_STATES,
+    Arena,
+    State,
+    build_arena,
+    filter_csr,
+    per_edge,
+    reverse_csr,
+)
 from .crsolver import CrSolution, solve_capture_time
 from .errors import ValidationError
 from .fixpoint import INT_INF, solve_layers
@@ -67,7 +75,7 @@ def _guarantee_winning_sets(
 
     def build() -> tuple[np.ndarray, np.ndarray]:
         m_rows = arena.mover_mask(m)
-        keep = np.repeat(~m_rows, np.diff(arena.offsets))
+        keep = per_edge(arena.offsets, ~m_rows)
         keep |= cr.edge_opt
         offsets, targets = filter_csr(arena.offsets, arena.targets, keep)
         preds = reverse_csr(offsets, targets)

@@ -40,10 +40,11 @@ is what lets `scarsolver` re-evaluate a solved game at another discount
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 
 import numpy as np
 
-from .arena import concat_ranges, reverse_csr, row_best
+from .arena import reverse_csr, row_best, row_reader
 from .errors import ScarError, ValidationError
 
 INT_INF = 2**62
@@ -64,12 +65,12 @@ def retrograde(
 
     Every seeded state must be frozen. A seed keyed `never` is left
     unsettled and a key above it is refused. `predecessors` is the table's
-    reverse CSR (`arena.reverse_csr`) when the caller has it cached; it is
-    built here otherwise.
+    reverse CSR (`Arena.predecessors()` for an arena's own table) when the
+    caller has it; `reverse_csr` builds it here otherwise.
     """
-    pred_offsets, pred_targets = (
-        reverse_csr(offsets, targets) if predecessors is None else predecessors
-    )
+    if predecessors is None:
+        predecessors = reverse_csr(offsets, targets)
+    read_preds = row_reader(*predecessors)
     batches: dict = {}  # key -> [origin, state arrays]; keys hash once per push
     heap: list = []
 
@@ -102,7 +103,7 @@ def retrograde(
         rank[batch] = len(levels)
         levels.append(key)
         origins.append(origin)
-        preds = pred_targets[concat_ranges(pred_offsets[batch], pred_offsets[batch + 1])]
+        preds = read_preds(batch)
         preds, hits = np.unique(preds[~queued[preds]], return_counts=True)
         remaining[preds] -= hits
         ready = preds[remaining[preds] <= 0]
@@ -132,18 +133,33 @@ def check_fixpoint(
     """Raise ScarError unless (levels, rank) satisfies every equation of the
     game exactly: levels strictly ascend, a frozen row holds its seed's rank
     (never's when unseeded), and any other row holds nxt[best successor
-    rank], where nxt[r] is the rank of step(levels[r])."""
+    rank], where nxt[r] is the rank of step(levels[r]). Keys are only
+    compared, never hashed: nxt comes from one merge walk, which finds
+    every step of a monotone `step`, and a key not found ranks -1, which no
+    row holds."""
     n = len(rank)
     where = f"retrograde solve on {n} states"
     if any(lo >= hi for lo, hi in zip(levels, levels[1:])):
         raise ScarError(f"{where}: levels are not strictly ascending")
     if n and not 0 <= rank.min() <= rank.max() < len(levels):
         raise ScarError(f"{where}: a rank lies outside the {len(levels)} levels")
-    at = {key: r for r, key in enumerate(levels)}
-    nxt = np.array([at.get(step(key), -1) for key in levels], dtype=rank.dtype)
-    held = np.full(n, at.get(never, -1), dtype=rank.dtype)
+
+    top = len(levels)
+
+    def rank_of(key) -> int:
+        r = bisect_left(levels, key)
+        return r if r < top and levels[r] == key else -1
+
+    nxt = np.empty(top, dtype=rank.dtype)
+    lo = 0
+    for r, key in enumerate(levels):
+        stepped = step(key)
+        while lo < top and levels[lo] < stepped:
+            lo += 1
+        nxt[r] = lo if lo < top and levels[lo] == stepped else -1
+    held = np.full(n, rank_of(never), dtype=rank.dtype)
     for key, states in seeds:
-        held[states] = at.get(key, -1)
+        held[states] = rank_of(key)
     best = row_best(offsets, rank[targets], ~eager)
     want = np.where(frozen, held, nxt[best])
     bad = np.flatnonzero(want != rank)

@@ -53,6 +53,7 @@ from .arena import (
     _flood,
     build_arena,
     reachable_noncapture,
+    row_counts,
 )
 from .crsolver import CrSolution, solve_capture_time
 from .errors import IllegalMoveError, ScarError, ValidationError
@@ -80,15 +81,14 @@ def _state_tests(
     optimal edge set at state i intersects the capture-time-optimal set;
     inside[i] — every cop's is contained in it. Capture rows are vacuously
     True. Start-independent."""
-    rows = np.repeat(np.arange(arena.n_states), np.diff(arena.offsets))
     cr_keep = cr.edge_opt
     nc = ~arena.capture_mask
     meets: dict[int, np.ndarray] = {}
     inside = np.ones(arena.n_states, dtype=bool)
     for m, sol in games.items():
         keep = sol.edge_opt
-        met = np.bincount(rows[keep & cr_keep], minlength=arena.n_states)
-        opt = np.bincount(rows[keep], minlength=arena.n_states)
+        met = row_counts(arena.offsets, keep & cr_keep)
+        opt = row_counts(arena.offsets, keep)
         meets[m] = ~nc | (met > 0)
         inside &= ~nc | (met == opt)
     return meets, inside

@@ -48,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arena import Arena, GameParams, OptimalMoves, State
+from .arena import Arena, GameParams, OptimalMoves, State, per_edge
 from .errors import ValidationError
 from .fixpoint import check_fixpoint, retrograde
 
@@ -109,7 +109,7 @@ class GameSolution(OptimalMoves):
         if self._edge_opt is None:
             a = self.arena
             eo = self._best_edges(self.rank, self._max_mask)
-            eo[np.repeat(a.capture_mask, np.diff(a.offsets))] = False
+            eo[per_edge(a.offsets, a.capture_mask)] = False
             self._edge_opt = eo
         return self._edge_opt
 

@@ -22,9 +22,20 @@ from scar import (
     reachable_noncapture,
     simulate,
 )
-from scar.arena import concat_ranges, is_capture
+from scar.arena import (
+    concat_ranges,
+    filter_csr,
+    is_capture,
+    per_edge,
+    reverse_csr,
+    row_best,
+    row_counts,
+    row_reader,
+    row_width,
+)
 
 from oracles import all_states, cell, successors as oracle_successors
+from strategies import connected_graphs
 
 
 def test_state_count():
@@ -62,6 +73,66 @@ def test_successors_match_reference(name, k, n):
     for s in all_states(g, n):
         mine = [a.state_of(int(j)) for j in a.succ_indices(a.index(State(*s)))]
         assert [cell(t.cops, t.robber, t.mover) for t in mine] == oracle_successors(g, s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs(max_vertices=5), st.sampled_from([2, 3, 4]))
+def test_slot_tables_match_the_oracle_and_the_sorted_reverse(g, n):
+    """Successors equal the oracle's lists, predecessors equal the sorted
+    reverse of the successor table, and both are rectangular exactly when
+    the graph is regular."""
+    a = build_arena(g, n)
+    for s in all_states(g, n):
+        want = [a.index(State(*t)) for t in oracle_successors(g, s)]
+        assert a.succ_indices(a.index(State(*s))).tolist() == want
+    preds = a.predecessors()
+    rev = reverse_csr(a.offsets, a.targets)
+    for mine, ref in zip(preds, rev):
+        assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
+    regular = len({len(nb) for nb in g.neighbors}) == 1
+    for offsets in (a.offsets, preds[0]):
+        assert (row_width(offsets) is not None) == regular
+
+
+def _one_wide(a):
+    """The arena's table filtered to the first edge of every row."""
+    keep = np.zeros(len(a.targets), dtype=bool)
+    keep[a.offsets[:-1]] = True
+    return filter_csr(a.offsets, a.targets, keep)
+
+
+@pytest.mark.parametrize("name, k, width", [
+    ("petersen", None, 4), ("cycle", 5, 3), ("star", 4, None), ("path", 4, None),
+])
+@pytest.mark.parametrize("one_wide", [False, True])
+def test_row_helpers_match_reduceat_and_concat_ranges(name, k, width, one_wide):
+    a = build_arena(builtin(name, k) if k else builtin(name), 3)
+    offsets, targets = _one_wide(a) if one_wide else (a.offsets, a.targets)
+    assert row_width(offsets) == (1 if one_wide else width)
+    rng = np.random.default_rng(7)
+    n, seg, sizes = a.n_states, offsets[:-1], np.diff(offsets)
+
+    keys = rng.integers(0, 50, n)[targets]
+    max_mask = rng.random(n) < 0.5
+    want = np.where(max_mask, np.maximum.reduceat(keys, seg), np.minimum.reduceat(keys, seg))
+    assert np.array_equal(row_best(offsets, keys, max_mask), want)
+
+    values = rng.integers(0, 9, n)
+    assert np.array_equal(per_edge(offsets, values), np.repeat(values, sizes))
+    mask = rng.random(len(targets)) < 0.4
+    assert np.array_equal(row_counts(offsets, mask), np.add.reduceat(mask, seg, dtype=np.int64))
+
+    read = row_reader(offsets, targets)
+    for rows in (rng.choice(n, 40), np.arange(n), np.empty(0, dtype=np.int64)):
+        want = targets[concat_ranges(offsets[rows], offsets[rows + 1])]
+        assert np.array_equal(read(rows), want)
+
+
+def test_row_width_reads_the_offsets():
+    assert row_width(np.array([0, 2, 4, 6])) == 2
+    assert row_width(np.array([0, 1, 3, 4])) is None
+    assert row_width(np.array([0, 0, 0])) is None
+    assert row_width(np.array([0])) is None
 
 
 def test_successor_targets_sorted_by_moved_vertex():

@@ -1,6 +1,8 @@
 """The retrograde engine against the Jacobi-round reference and the
 brute-force oracles, plus its input checks and its exact fixpoint check."""
 
+from functools import total_ordering
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,40 @@ def test_fixpoint_check_rejects_a_corrupted_table():
     check_fixpoint(*tiny, [0, 1], np.array([0, 1]))
     with pytest.raises(ScarError, match="its equation gives a key outside the levels"):
         check_fixpoint(*tiny, [0], np.array([0, 0]))
+
+
+@total_ordering
+class Unhashable:
+    """An ordered key that refuses to be hashed."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __eq__(self, other):
+        return self.k == other.k
+
+    def __lt__(self, other):
+        return self.k < other.k
+
+    def __hash__(self):
+        raise AssertionError("the check hashed a key")
+
+
+def test_fixpoint_check_compares_keys_without_hashing():
+    """State 2 moves to 1, 1 to 0, and 0 is seeded: depths 0, 1, 2."""
+    key = [Unhashable(k) for k in range(4)]
+    never = Unhashable(INT_INF)
+    chain = (np.array([0, 1, 2, 3]), np.array([0, 0, 1]), np.ones(3, dtype=bool),
+             np.array([True, False, False]), [(key[0], np.array([0]))],
+             lambda k: Unhashable(min(k.k + 1, INT_INF)), never)
+    check_fixpoint(*chain, key[:3], np.array([0, 1, 2]))
+    check_fixpoint(*chain, [*key[:3], never], np.array([0, 1, 2]))
+    with pytest.raises(ScarError, match="state 2 holds .* a key outside the levels"):
+        check_fixpoint(*chain, key[:2], np.array([0, 1, 1]))
+    with pytest.raises(ScarError, match="state 0 holds"):
+        check_fixpoint(*chain, key[:3], np.array([1, 1, 2]))
+    with pytest.raises(ScarError, match="state 0 holds .* a key outside the levels"):
+        check_fixpoint(*chain, key[1:4], np.array([0, 1, 2]))
 
 
 def test_every_level_reports_where_its_key_came_from():
