@@ -28,6 +28,13 @@ helpers (`row_best`, `row_counts`, `per_edge`, `row_reader`) detect that
 rectangular case from the offsets and work on a `(rows, width)` view: a
 min/max or sum sweep over the columns and a plain row gather. Ragged tables
 take `reduceat` and `concat_ranges`.
+
+`reachable_noncapture` floods the successor table one frontier at a time,
+with the width rule of `fixpoint.retrograde`: a frontier whose successor
+list has at least n/16 entries (n states, `WIDE_FRONTIER` = 16) is marked
+in a fresh bool array and read back with `flatnonzero`, a narrower one is
+sorted with `np.unique`. Either way the next frontier is ascending, and the flood
+stays linear in the edges it reads.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ from .graphs import Graph, is_path_graph, path_order
 INFINITY = math.inf
 
 DEFAULT_MAX_STATES = 10**7
+
+# A frontier whose row list holds at least n / WIDE_FRONTIER entries, out of
+# n states, is counted over every state at once instead of being sorted.
+WIDE_FRONTIER = 16
 
 
 @dataclass(frozen=True)
@@ -359,33 +370,29 @@ def filter_csr(
 
 class OptimalMoves:
     """Optimal-move lookups shared by the solution types. A subclass sets
-    `arena` and defines `edge_opt`, a boolean per CSR edge that marks the
-    moves attaining the mover's optimum."""
+    `arena` and defines `_opt_keys()`, the per-state keys and the mask of
+    rows that take the largest successor key (the smallest elsewhere): the
+    moves to a row's best key are its mover's optimal moves."""
 
     arena: Arena
-    edge_opt: np.ndarray
-    _opt_offsets: np.ndarray | None = None
-    _opt_targets: np.ndarray | None = None
 
-    def _best_edges(self, keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
+    def _best_edges(self) -> np.ndarray:
         """Per CSR edge: does the target's key equal its row's best key?"""
         a = self.arena
+        keys, max_mask = self._opt_keys()
         sv = keys[a.targets]
         return sv == per_edge(a.offsets, row_best(a.offsets, sv, max_mask))
 
-    def _opt_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._opt_targets is None:
-            self._opt_offsets, self._opt_targets = filter_csr(
-                self.arena.offsets, self.arena.targets, self.edge_opt
-            )
-        return self._opt_offsets, self._opt_targets
-
     def opt_indices(self, s: State | int) -> np.ndarray:
+        """The optimal successors of noncapture state s, ascending: the
+        targets of row s whose key equals the row's best."""
         idx = self.arena.index_of(s)
         if self.arena.capture_mask[idx]:
             raise ValidationError("no moves are defined from a capture state")
-        offsets, targets = self._opt_csr()
-        return targets[offsets[idx] : offsets[idx + 1]]
+        keys, max_mask = self._opt_keys()
+        row = self.arena.succ_indices(idx)
+        succ = keys[row]
+        return row[succ == (succ.max() if max_mask[idx] else succ.min())]
 
     def opt_moves(self, s: State | int) -> tuple[State, ...]:
         return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(s))
@@ -421,13 +428,21 @@ def _flood(offsets: np.ndarray, targets: np.ndarray, seed: np.ndarray,
     """Mask of states reachable from the seed mask without ever stepping
     into (or out of) a blocked state; seeds are included as-is."""
     read = row_reader(offsets, targets)
+    n = len(blocked)
     seen = seed & ~blocked
-    frontier = np.nonzero(seen)[0]
+    fresh = ~(seen | blocked)  # states a step may still enter
+    frontier = np.flatnonzero(seen)
     while frontier.size:
-        nbrs = np.unique(read(frontier))
-        nbrs = nbrs[~seen[nbrs] & ~blocked[nbrs]]
-        seen[nbrs] = True
-        frontier = nbrs
+        nbrs = read(frontier)
+        if WIDE_FRONTIER * nbrs.size >= n:
+            hit = np.zeros(n, dtype=bool)
+            hit[nbrs] = True
+            frontier = np.flatnonzero(hit & fresh)
+        else:
+            nbrs = np.unique(nbrs)
+            frontier = nbrs[fresh[nbrs]]
+        fresh[frontier] = False
+        seen[frontier] = True
     return seen
 
 

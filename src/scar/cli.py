@@ -31,7 +31,7 @@ from .graphs import Graph, builtin, load_edge_list, serialize_edge_list
 from .positionality import check_positionality, scan_region
 from .rationals import format_rational, parse_rational
 from .statecop import state_cop_report
-from .verifysuite import run_suite
+from .verifysuite import load_manifest, run_suite
 
 WITNESS_CAP = 50
 
@@ -63,8 +63,13 @@ def _load_graph(args) -> Graph:
     raise ValidationError("a graph is required: --graph FILE or --builtin NAME[:K]")
 
 
-def _grid(text: str) -> list:
-    return [parse_rational(part) for part in text.split(",") if part.strip()]
+def _grid(args, field: str) -> list:
+    """The rationals of a comma-separated grid option; an empty grid is bad
+    input."""
+    values = [parse_rational(part) for part in getattr(args, field).split(",") if part.strip()]
+    if not values:
+        raise ValidationError(f"--{field.replace('_', '-')} lists no values")
+    return values
 
 
 # -- subcommands ------------------------------------------------------------
@@ -189,8 +194,8 @@ def cmd_scan(args) -> tuple[str, int]:
         g,
         args.n,
         s0,
-        _grid(args.gamma_grid),
-        _grid(args.epsilon_grid),
+        _grid(args, "gamma_grid"),
+        _grid(args, "epsilon_grid"),
         args.allow_wide_epsilon,
         args.max_states,
     )
@@ -230,6 +235,10 @@ def cmd_scan(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
+    ids = [case["id"] for case in load_manifest()]
+    for pattern in args.ids:
+        if not any(pattern in case_id for case_id in ids):
+            raise ValidationError(f"no manifest case id contains {pattern!r}")
     results = run_suite(args.ids or None)
     lines = []
     for r in results:
@@ -281,7 +290,7 @@ def _cache_key(args, command: str) -> str | None:
             request[field] = format_rational(parse_rational(getattr(args, field)))
     for field in ("gamma_grid", "epsilon_grid"):
         if getattr(args, field, None) is not None:
-            request[field] = [format_rational(x) for x in _grid(getattr(args, field))]
+            request[field] = [format_rational(x) for x in _grid(args, field)]
     blob = json.dumps(request, sort_keys=True).encode()
     return os.path.join(cache_dir, hashlib.sha256(blob).hexdigest() + ".json")
 

@@ -19,7 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arena import DEFAULT_MAX_STATES, INFINITY, Arena, OptimalMoves, State, concat_ranges
+from .arena import (
+    DEFAULT_MAX_STATES,
+    INFINITY,
+    Arena,
+    OptimalMoves,
+    State,
+    _columns,
+    row_reader,
+    row_width,
+)
 from .errors import ScarError, StateCountExceededError, UniquenessViolationError, ValidationError
 from .fixpoint import INT_INF, solve_layers
 from .graphs import Graph
@@ -31,6 +40,7 @@ class CrSolution(OptimalMoves):
     def __init__(self, arena: Arena, values: np.ndarray):
         self.arena = arena
         self.values = values
+        self._robber_rows = arena.robber_mover_mask()
         self._edge_opt: np.ndarray | None = None
         self._capture_mask_bits: np.ndarray | None = None
         self._capturer: np.ndarray | None = None
@@ -56,8 +66,11 @@ class CrSolution(OptimalMoves):
         stay at INT_INF.
         """
         if self._edge_opt is None:
-            self._edge_opt = self._best_edges(self.values, self.arena.robber_mover_mask())
+            self._edge_opt = self._best_edges()
         return self._edge_opt
+
+    def _opt_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.values, self._robber_rows
 
     # -- attribution ------------------------------------------------------------
 
@@ -66,8 +79,12 @@ class CrSolution(OptimalMoves):
 
         Capture states carry the cops sitting on the robber. A finite
         noncapture state carries the union over all optimal plays from it,
-        computed level by level in increasing value (optimal moves always
-        step the value down by exactly one, so successors are resolved).
+        computed level by level in increasing value. Every optimal move
+        steps the value down by exactly one, and every move to a successor
+        of value one less is optimal (it attains the row's minimum for a
+        cop and its maximum for the robber), so a level of value t ORs the
+        bits of its successors of value t-1, which are already resolved:
+        a column sweep on a rectangular table, `reduceat` on a ragged one.
         """
         if self._capture_mask_bits is not None:
             return self._capture_mask_bits
@@ -76,24 +93,30 @@ class CrSolution(OptimalMoves):
         for j in range(1, a.n_players):
             bits |= a.cop_at_robber(j).astype(np.uint32) << np.uint32(j - 1)
 
-        offsets, targets = self._opt_csr()
         finite_nc = np.flatnonzero(~a.capture_mask & self.finite_mask())
-        by_value = finite_nc[np.argsort(self.values[finite_nc], kind="stable")]
-        cuts = np.flatnonzero(np.diff(self.values[by_value])) + 1
-        for level in np.split(by_value, cuts) if by_value.size else ():
-            starts, ends = offsets[level], offsets[level + 1]
-            succ_bits = bits[targets[concat_ranges(starts, ends)]]
-            seg = np.concatenate(([0], np.cumsum(ends - starts)[:-1]))
-            bits[level] = np.bitwise_or.reduceat(succ_bits, seg)
+        depth = self.values[finite_nc]
+        if depth.size:
+            # a small unsigned dtype lets the stable sort run as a radix sort
+            order = np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")
+            by_value, depth = finite_nc[order], depth[order]
+            cuts = np.flatnonzero(np.diff(depth)) + 1
+            read, width = row_reader(a.offsets, a.targets), row_width(a.offsets)
+            for level, t in zip(np.split(by_value, cuts), depth[np.r_[0, cuts]]):
+                succ = read(level)
+                succ_bits = np.where(self.values[succ] == t - 1, bits[succ], np.uint32(0))
+                if width is None:
+                    sizes = a.offsets[level + 1] - a.offsets[level]
+                    bits[level] = np.bitwise_or.reduceat(succ_bits, np.cumsum(sizes) - sizes)
+                else:
+                    bits[level] = _columns(np.bitwise_or, succ_bits.reshape(-1, width))
         self._capture_mask_bits = bits
         return bits
 
     def _walk_to_capture(self, start: int, bit: int) -> tuple[State, ...]:
-        offsets, targets = self._opt_csr()
         bits = self._cop_bits()
         trail = [start]
         while not self.arena.capture_mask[trail[-1]]:
-            for j in targets[offsets[trail[-1]] : offsets[trail[-1] + 1]]:
+            for j in self.opt_indices(trail[-1]):
                 if bits[j] & bit:
                     trail.append(int(j))
                     break

@@ -12,12 +12,23 @@ When step(k) > k below never, their only solution is the one `retrograde`
 builds in time linear in the edges: the attractor construction of
 reachability games (Grädel, Thomas & Wilke, eds., Automata, Logics, and
 Infinite Games, LNCS 2500, 2002), smallest key first, as Dijkstra's
-algorithm settles distances. A heap pops one seed batch per key and settles
-it as a level. Over the predecessor CSR every unsettled predecessor of the
-level loses one remaining successor (one `np.unique` count per level), and
-a state whose count reaches 0 is pushed at step(key). The count starts at 1
+algorithm settles distances. The pending batches are kept in a list
+ascending by key, found by bisection, so keys are compared and never
+hashed; the smallest is settled as a level. Over the predecessor CSR every
+unsettled predecessor of the level loses one remaining successor, and a
+state whose count reaches 0 is pushed at step(key). The count starts at 1
 for eager states, which settle on their first settled successor, and at the
 out-degree elsewhere, which settle on their last. The rest take `never`.
+
+How a level is counted depends on the length p of its predecessor list, out
+of n states. A wide level (16p >= n; 16 is `arena.WIDE_FRONTIER`) is counted
+over every state at once with one `np.bincount`, and its ready states are
+read back with `flatnonzero`; a narrow one is sorted and counted with
+`np.unique`. Both give the ready states in ascending order, so the levels do
+not depend on the rule. The engine stays linear: a wide level's O(n) work is
+at most 16 times the predecessor entries it gathered. This is the
+top-down/bottom-up switch of Beamer, Asanović & Patterson,
+Direction-optimizing breadth-first search (SC 2012).
 
 The engine returns the ascending keys, one int rank per state and one
 origin per level, and ends with `check_fixpoint`, a vectorised exact check
@@ -39,12 +50,11 @@ is what lets `scarsolver` re-evaluate a solved game at another discount
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 
 import numpy as np
 
-from .arena import reverse_csr, row_best, row_reader
+from .arena import WIDE_FRONTIER, reverse_csr, row_best, row_reader
 from .errors import ScarError, ValidationError
 
 INT_INF = 2**62
@@ -63,26 +73,28 @@ def retrograde(
     """Solve the game; returns (ascending keys, int rank per state, origin
     per level).
 
-    Every seeded state must be frozen. A seed keyed `never` is left
-    unsettled and a key above it is refused. `predecessors` is the table's
-    reverse CSR (`Arena.predecessors()` for an arena's own table) when the
-    caller has it; `reverse_csr` builds it here otherwise.
+    Every row of the table must hold a move, and every seeded state must
+    be frozen. A seed keyed `never` is left unsettled and a key above it is
+    refused. `predecessors` is the table's reverse CSR
+    (`Arena.predecessors()` for an arena's own table) when the caller has
+    it; `reverse_csr` builds it here otherwise.
     """
     if predecessors is None:
         predecessors = reverse_csr(offsets, targets)
     read_preds = row_reader(*predecessors)
-    batches: dict = {}  # key -> [origin, state arrays]; keys hash once per push
-    heap: list = []
+    pending: list = []  # keys of the unsettled batches, ascending
+    batches: list = []  # per pending key: [origin, state arrays]
 
     def push(key, states: np.ndarray, origin: tuple[str, int]) -> None:
-        batch = batches.get(key)
-        if batch is None:
-            heapq.heappush(heap, key)
-            batches[key] = [origin, [states]]
-        else:
+        i = bisect_left(pending, key)
+        if i < len(pending) and pending[i] == key:
+            batch = batches[i]
             if batch[0] != origin:
                 batch[0] = ("tied", None)
             batch[1].append(states)
+        else:
+            pending.insert(i, key)
+            batches.insert(i, [origin, [states]])
 
     for i, (key, states) in enumerate(seeds):
         if key > never:
@@ -96,17 +108,21 @@ def retrograde(
     rank = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
     levels: list = []
     origins: list[tuple[str, int | None]] = []
-    while heap:
-        key = heapq.heappop(heap)
-        origin, parts = batches.pop(key)
+    while pending:
+        key = pending.pop(0)
+        origin, parts = batches.pop(0)
         batch = np.concatenate(parts)
         rank[batch] = len(levels)
         levels.append(key)
         origins.append(origin)
         preds = read_preds(batch)
-        preds, hits = np.unique(preds[~queued[preds]], return_counts=True)
-        remaining[preds] -= hits
-        ready = preds[remaining[preds] <= 0]
+        if WIDE_FRONTIER * preds.size >= n:
+            remaining -= np.bincount(preds, minlength=n)
+            ready = np.flatnonzero((remaining <= 0) & ~queued)
+        else:
+            preds, hits = np.unique(preds[~queued[preds]], return_counts=True)
+            remaining[preds] -= hits
+            ready = preds[remaining[preds] <= 0]
         if ready.size:
             queued[ready] = True
             push(step(key), ready, ("step", len(levels) - 1))

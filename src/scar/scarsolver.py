@@ -108,10 +108,13 @@ class GameSolution(OptimalMoves):
         under the roles this game was solved with? False on capture rows."""
         if self._edge_opt is None:
             a = self.arena
-            eo = self._best_edges(self.rank, self._max_mask)
+            eo = self._best_edges()
             eo[per_edge(a.offsets, a.capture_mask)] = False
             self._edge_opt = eo
         return self._edge_opt
+
+    def _opt_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.rank, self._max_mask
 
     def _with_levels(self, levels: tuple[Fraction, ...]) -> GameSolution:
         """The same ranks, rounds and optimal moves under other level values."""

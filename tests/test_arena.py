@@ -206,6 +206,39 @@ def test_reachable_covers_everything_on_rich_graphs():
     assert len(reach) == noncapture
 
 
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs(max_vertices=5), st.sampled_from([3, 4]), st.data())
+def test_reachable_noncapture_matches_a_breadth_first_search(g, n, data):
+    a = build_arena(g, n)
+    start = data.draw(st.sampled_from(a.noncapture_indices().tolist()))
+    s0 = a.state_of(start)
+    first = cell(s0.cops, s0.robber, s0.mover)
+    seen, todo = {first}, [first]
+    while todo:
+        for nxt in oracle_successors(g, todo.pop()):
+            if nxt not in seen and nxt[1] not in nxt[0]:
+                seen.add(nxt)
+                todo.append(nxt)
+    want = sorted(a.index(State(*s)) for s in seen)
+    assert reachable_noncapture(a, start).tolist() == want
+
+
+@pytest.mark.parametrize("name, k, n", [
+    ("path", 3, 3), ("cycle", 4, 3), ("star", 3, 3), ("complete", 3, 3), ("path", 2, 4),
+])
+def test_opt_indices_are_the_rows_optimal_edges(name, k, n):
+    """One row's optimal moves, read from the row alone, are the row's
+    targets that `edge_opt` marks, for both solution types."""
+    from scar import solve_capture_time, solve_game
+
+    a = build_arena(builtin(name, k), n)
+    for sol in (solve_capture_time(a), solve_game(a, 1, GameParams(n, Q(1, 2), Q(0)))):
+        for i in a.noncapture_indices().tolist():
+            lo, hi = a.offsets[i], a.offsets[i + 1]
+            want = a.targets[lo:hi][sol.edge_opt[lo:hi]]
+            assert np.array_equal(sol.opt_indices(i), want)
+
+
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 6)), max_size=8))
 def test_concat_ranges_matches_numpy(pairs):
     starts = np.array([p[0] for p in pairs], dtype=np.int64)

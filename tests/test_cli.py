@@ -232,6 +232,21 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_verify_refuses_a_pattern_that_matches_no_case(capsys):
+    code, out, err = run(capsys, "verify", "p2-n3", "nosuchcase")
+    assert (code, out, err) == (2, "", "error: no manifest case id contains 'nosuchcase'\n")
+
+
+@pytest.mark.parametrize("flag", ["--gamma-grid", "--epsilon-grid"], ids=["gamma", "epsilon"])
+@pytest.mark.parametrize("empty", ["", " , "], ids=["empty", "blank"])
+def test_scan_refuses_an_empty_grid(capsys, monkeypatch, flag, empty):
+    monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
+    grids = {"--gamma-grid": "1/2", "--epsilon-grid": "0", flag: empty}
+    code, out, err = run(capsys, "scan", "--builtin", "path:2", "--n", "3", "--s0", "0,0;1;1",
+                         *(part for item in grids.items() for part in item))
+    assert (code, out, err) == (2, "", f"error: {flag} lists no values\n")
+
+
 def test_error_paths_are_not_cached(capsys, tmp_path):
     argv = [
         "arena-stats", "--builtin", "nosuchgraph", "--n", "3",

@@ -15,6 +15,7 @@ from scar import (
     simulate,
     solve_capture_time,
 )
+from scar.arena import concat_ranges, filter_csr
 from scar.crsolver import (
     build_classic_arena,
     classic_cop_number,
@@ -132,6 +133,54 @@ def test_attribution_never_ambiguous_on_suite(suite_graphs):
         a = build_arena(suite_graphs[name], 3)
         sol = solve_capture_time(a)
         sol.capturer_table()  # raises UniquenessViolationError on ambiguity
+
+
+def reference_cop_bits(sol):
+    """Capture credit built from the table of optimal moves: filter the
+    moves by `edge_opt`, then OR each level's successors in one `reduceat`,
+    in increasing value."""
+    a = sol.arena
+    bits = np.zeros(a.n_states, dtype=np.uint32)
+    for j in range(1, a.n_players):
+        bits |= a.cop_at_robber(j).astype(np.uint32) << np.uint32(j - 1)
+    offsets, targets = filter_csr(a.offsets, a.targets, sol.edge_opt)
+    finite_nc = np.flatnonzero(~a.capture_mask & sol.finite_mask())
+    for t in np.unique(sol.values[finite_nc]):
+        level = finite_nc[sol.values[finite_nc] == t]
+        starts, ends = offsets[level], offsets[level + 1]
+        seg = np.concatenate(([0], np.cumsum(ends - starts)[:-1]))
+        bits[level] = np.bitwise_or.reduceat(bits[targets[concat_ranges(starts, ends)]], seg)
+    return bits
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_attribution_matches_the_filtered_table_reference(suite_graphs, n):
+    """Rectangular tables (petersen, c5) and ragged ones (p4, s3,
+    tail_cycle) alike; no suite graph has a tied capture."""
+    for g in suite_graphs.values():
+        a = build_arena(g, n)
+        sol = solve_capture_time(a)
+        want = reference_cop_bits(sol)
+        assert np.array_equal(sol._cop_bits(), want)
+        single = np.where(~a.capture_mask & sol.finite_mask(), want, 0)
+        capturer = np.zeros(a.n_states, dtype=np.int8)
+        for b in range(n - 1):
+            capturer[single == 1 << b] = b + 1
+        assert np.array_equal(sol.capturer_table(), capturer)
+
+
+def test_witness_play_follows_optimal_moves_to_its_cop(suite_graphs):
+    """The play a uniqueness violation would show for one cop's bit."""
+    a = build_arena(suite_graphs["tail_cycle"], 3)
+    sol = solve_capture_time(a)
+    capturer = sol.capturer_table()
+    for i in np.flatnonzero(~a.capture_mask & sol.finite_mask())[::7].tolist():
+        cop = int(capturer[i])
+        play = sol._walk_to_capture(i, 1 << (cop - 1))
+        assert len(play) == sol.values[i] + 1
+        assert play[-1].cops[cop - 1] == play[-1].robber
+        for s, t in zip(play, play[1:]):
+            assert a.index(t) in sol.opt_indices(s)
 
 
 def test_attribution_consistent_with_greedy_play(suite_graphs):

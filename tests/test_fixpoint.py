@@ -1,12 +1,14 @@
 """The retrograde engine against the Jacobi-round reference and the
 brute-force oracles, plus its input checks and its exact fixpoint check."""
 
+from collections import Counter
 from functools import total_ordering
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scar import arena as arena_module, fixpoint
 from scar import (
     ScarError,
     State,
@@ -16,7 +18,7 @@ from scar import (
     coalition_winning_set,
     solve_capture_time,
 )
-from scar.arena import reverse_csr
+from scar.arena import WIDE_FRONTIER, reverse_csr
 from scar.fixpoint import INT_INF, check_fixpoint, retrograde, solve_layers
 
 from oracles import INF, capture_credit, capture_times, coalition_wins, jacobi_layers
@@ -233,3 +235,108 @@ def test_reverse_csr_lists_every_edge_once_by_target():
     want = sorted(zip(a.targets.tolist(), rows.tolist()))
     targets = np.repeat(np.arange(a.n_states), np.diff(offsets))
     assert list(zip(targets.tolist(), sources.tolist())) == want
+
+
+class CountingNumpy:
+    """numpy as a module sees it, except that calls of `np.bincount` and
+    `np.unique` are counted."""
+
+    def __init__(self, calls: Counter):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("bincount", "unique"):
+            return attr
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.fixture
+def frontier_spy(monkeypatch):
+    """watch(module) counts the module's `np.bincount` and `np.unique`
+    calls and records the length of every row list that its `row_reader`
+    readers return, one per level or frontier; returns (calls, lengths)."""
+
+    def watch(module) -> tuple[Counter, list[int]]:
+        calls: Counter = Counter()
+        lengths: list[int] = []
+        make_reader = module.row_reader
+
+        def recording_reader(offsets, targets):
+            read = make_reader(offsets, targets)
+
+            def recorded(rows):
+                out = read(rows)
+                lengths.append(out.size)
+                return out
+
+            return recorded
+
+        monkeypatch.setattr(module, "np", CountingNumpy(calls))
+        monkeypatch.setattr(module, "row_reader", recording_reader)
+        return calls, lengths
+
+    return watch
+
+
+@pytest.mark.parametrize("name, k, n", [("petersen", None, 4), ("path", 12, 3)])
+def test_wide_and_narrow_frontiers_both_run(frontier_spy, name, k, n):
+    """A level or flood frontier whose row list has at least
+    n / WIDE_FRONTIER entries is counted over every state, a narrower one
+    is sorted; on these arenas both rules run, and the answers equal the
+    references."""
+    a, every_cop, frozen, init = cr_inputs(name, k, n)
+    preds = a.predecessors()
+    calls, lengths = frontier_spy(fixpoint)
+    # the capture-time game, and cop 1 chasing alone
+    for minimizing in (every_cop, a.mover_mask(1)):
+        got = solve_layers(a.offsets, a.targets, minimizing, frozen, init, predecessors=preds)
+        want = jacobi_layers(a.offsets, a.targets, minimizing, frozen, init, INT_INF)
+        assert np.array_equal(got, want)
+    wide = sum(WIDE_FRONTIER * p >= a.n_states for p in lengths)
+    assert calls["bincount"] == wide > 0
+    assert calls["unique"] == len(lengths) - wide > 0
+
+    calls, lengths = frontier_spy(arena_module)
+    start = int(np.flatnonzero(~a.capture_mask)[0])
+    reach = arena_module.reachable_noncapture(a, start)
+    wide = sum(WIDE_FRONTIER * p >= a.n_states for p in lengths)
+    assert calls["bincount"] == 0 and 0 < wide < len(lengths)
+    assert calls["unique"] == len(lengths) - wide
+    # the reference: synchronous rounds from the start over all moves at once
+    seen = np.zeros(a.n_states, dtype=bool)
+    seen[start] = True
+    while True:
+        hit = np.zeros(a.n_states, dtype=bool)
+        hit[a.targets[np.repeat(seen, np.diff(a.offsets))]] = True
+        grown = seen | (hit & ~a.capture_mask)
+        if np.array_equal(grown, seen):
+            break
+        seen = grown
+    assert np.array_equal(reach, np.flatnonzero(seen))
+
+
+def test_equal_keys_merge_by_comparison_alone():
+    """The pending batches are matched by comparing keys, never hashing
+    them: two seeds with equal keys settle as one level (of mixed origin),
+    and a seed that meets a step is tied."""
+    key = [Unhashable(k) for k in range(3)]
+    never = Unhashable(INT_INF)
+    step = lambda k: Unhashable(min(k.k + 1, INT_INF))
+    # 2 -> 1 -> 0 and 3 -> 3; states 0 and 4 are frozen, 3 never settles
+    offsets, targets = np.array([0, 1, 2, 3, 4, 5]), np.array([0, 0, 1, 3, 4])
+    eager = np.ones(5, dtype=bool)
+    frozen = np.array([True, False, False, False, True])
+    merged = [(key[0], np.array([0])), (Unhashable(0), np.array([4]))]
+    levels, rank, origins = retrograde(offsets, targets, eager, frozen, merged, step, never)
+    assert [k.k for k in levels] == [0, 1, 2, INT_INF] and rank.tolist() == [0, 1, 2, 3, 0]
+    assert origins == [("tied", None), ("step", 0), ("step", 1), ("never", None)]
+    meets = [(key[0], np.array([0])), (key[2], np.array([4]))]
+    levels, rank, origins = retrograde(offsets, targets, eager, frozen, meets, step, never)
+    assert [k.k for k in levels] == [0, 1, 2, INT_INF] and rank.tolist() == [0, 1, 2, 3, 2]
+    assert origins == [("seed", 0), ("step", 0), ("tied", None), ("never", None)]
