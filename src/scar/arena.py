@@ -19,15 +19,18 @@ the turn advanced; slot r of the row is the r-th such vertex, so the table
 is written in max(deg)+1 vectorised passes, one per slot. The predecessors
 of s are s with the *previous* mover's token moved the same way and the
 turn stepped back (moves are symmetric), so the predecessor table comes
-from the same builder, already ascending, with no sort. `reverse_csr`
-remains for tables with no such structure (filtered move tables and the
-classic arena).
+from the same builder, already ascending, with no sort. The classic arena
+(`crsolver`) builds both its tables the same way, and `classify` filters
+this predecessor table by the moves it keeps. `reverse_csr` remains only
+for `fixpoint.retrograde` called without predecessors on a hand-made table.
 
 On a regular graph every row of both tables has width deg+1. The row
-helpers (`row_best`, `row_counts`, `per_edge`, `row_reader`) detect that
-rectangular case from the offsets and work on a `(rows, width)` view: a
-min/max or sum sweep over the columns and a plain row gather. Ragged tables
-take `reduceat` and `concat_ranges`.
+helpers (`row_best`, `row_counts`, `row_fold`, `per_edge`, `row_reader`)
+work such a rectangular table as a `(rows, width)` view: a min/max or sum
+sweep over the columns and a plain row gather. Ragged tables take
+`reduceat` and `concat_ranges`. Each table's width is decided once, when
+the package builds the table (`_decided`), and looked up by its offsets
+array from then on; offsets made elsewhere are measured on every call.
 
 `reachable_noncapture` floods the successor table one frontier at a time,
 with the width rule of `fixpoint.retrograde`: a frontier whose successor
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,6 +62,16 @@ DEFAULT_MAX_STATES = 10**7
 WIDE_FRONTIER = 16
 
 
+def count_of(n, least: int, need: str) -> int:
+    """n as an int, refused with "need <need>" unless it is an integer of
+    at least `least`. Any integer type counts, numpy's included, but bool."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValidationError(f"need {need}, got {type(n).__name__} {n!r}")
+    if n < least:
+        raise ValidationError(f"need {need}, got {n}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Player count and payoff parameters for the discounted games.
@@ -73,9 +87,8 @@ class GameParams:
     allow_wide_epsilon: bool = False
 
     def __post_init__(self):
-        n = self.n_players
-        if not isinstance(n, int) or n < 3:
-            raise ValidationError(f"need at least 3 players (2 cops), got {n}")
+        n = count_of(self.n_players, 3, "at least 3 players (2 cops)")
+        object.__setattr__(self, "n_players", n)
         if not isinstance(self.gamma, Fraction) or not 0 < self.gamma < 1:
             raise ValidationError(f"gamma must be a rational in (0,1), got {self.gamma}")
         cap = Fraction(1, 2) if self.allow_wide_epsilon else Fraction(1, n - 1)
@@ -134,8 +147,7 @@ class Arena:
     """Dense state space + CSR successor table for one (graph, N) pair."""
 
     def __init__(self, graph: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES):
-        if not isinstance(n_players, int) or n_players < 2:
-            raise ValidationError(f"need at least 2 players, got {n_players}")
+        n_players = count_of(n_players, 2, "at least 2 players")
         v = graph.vertex_count
         n_states = v**n_players * n_players
         if n_states > max_states:
@@ -160,13 +172,9 @@ class Arena:
         mover's token with the turn advanced (successors), or with `back`
         the previous mover's token with the turn stepped back
         (predecessors). One vectorised pass per neighbour rank."""
-        g, n, v = self.graph, self.n_players, self.graph.vertex_count
-        nbhd = [g.closed_neighborhood(u) for u in range(v)]
-        sizes = np.array([len(c) for c in nbhd], dtype=np.int64)
-        width, narrowest = int(sizes.max()), int(sizes.min())
-        hop = np.zeros((v, width), dtype=np.int64)
-        for u, c in enumerate(nbhd):
-            hop[u, : len(c)] = np.subtract(c, u)
+        n, v = self.n_players, self.graph.vertex_count
+        sizes, hop = closed_hops(self.graph)
+        width, narrowest = hop.shape[1], int(sizes.min())
         stride = np.array(self._strides, dtype=np.int64) * n
         advance = np.where(np.arange(n) < n - 1, 1, 1 - n)
         turn = -advance if back else advance
@@ -193,7 +201,7 @@ class Arena:
             else:
                 rows = np.flatnonzero(widths > r)
                 targets[first[rows] + r] = rows + shift[r][key[rows]]
-        return offsets, targets
+        return _decided(offsets), targets
 
     # -- state codec --------------------------------------------------------
 
@@ -284,9 +292,22 @@ class Arena:
         return self.memo("predecessors", lambda: self._slots(back=True))
 
 
+def closed_hops(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex u, the size of its closed neighbourhood, and the table
+    whose row u lists c - u for each member c, ascending, padded with zeros
+    to the largest size."""
+    nbhd = [graph.closed_neighborhood(u) for u in range(graph.vertex_count)]
+    sizes = np.array([len(c) for c in nbhd], dtype=np.int64)
+    hop = np.zeros((len(nbhd), int(sizes.max())), dtype=np.int64)
+    for u, c in enumerate(nbhd):
+        hop[u, : len(c)] = np.subtract(c, u)
+    return sizes, hop
+
+
 def reverse_csr(offsets: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The predecessor CSR of a successor CSR: int64 offsets and, while
-    state ids fit, int32 sources, each list in ascending order."""
+    state ids fit, int32 sources, each list in ascending order. A sort of
+    every edge, for tables with no structure to build it from."""
     n = len(offsets) - 1
     rows = per_edge(offsets, np.arange(n, dtype=np.int64))
     # ordered by target, then source; equal keys are equal entries
@@ -296,13 +317,36 @@ def reverse_csr(offsets: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
     np.remainder(keys, n, out=keys)
     pred_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(targets, minlength=n), out=pred_offsets[1:])
-    return pred_offsets, keys.astype(np.int32 if n < 2**31 else np.int64)
+    return _decided(pred_offsets), keys.astype(np.int32 if n < 2**31 else np.int64)
+
+
+# A memo of `_measured` for the tables the package builds, under
+# id(offsets); a weak reference to the offsets array drops the entry when
+# the array dies, before its id can be reused.
+_widths: dict[int, tuple[weakref.ref, int | None]] = {}
+
+
+def _decided(offsets: np.ndarray) -> np.ndarray:
+    """Decide the row width of a table just built, once, and return its
+    offsets; `row_width` looks the width up from then on. The offsets must
+    not change afterwards."""
+    key = id(offsets)
+    _widths[key] = (weakref.ref(offsets, lambda _: _widths.pop(key, None)), _measured(offsets))
+    return offsets
 
 
 def row_width(offsets: np.ndarray) -> int | None:
     """The common width d >= 1 of every row of a CSR table, or None when
     the rows differ or there are none. The row helpers below read a table
-    with width d as a `(rows, d)` array."""
+    with width d as a `(rows, d)` array. Decided when the package built
+    the table, measured for offsets made elsewhere."""
+    known = _widths.get(id(offsets))
+    if known is not None and known[0]() is offsets:
+        return known[1]
+    return _measured(offsets)
+
+
+def _measured(offsets: np.ndarray) -> int | None:
     n = len(offsets) - 1
     if n <= 0:
         return None
@@ -335,6 +379,16 @@ def row_counts(offsets: np.ndarray, edge_mask: np.ndarray) -> np.ndarray:
     return np.add.reduceat(edge_mask, offsets[:-1], dtype=np.int64)
 
 
+def row_fold(ufunc, offsets: np.ndarray, rows: np.ndarray, edge_values: np.ndarray) -> np.ndarray:
+    """ufunc folded over each of `rows` (none of them empty), given one
+    value per edge of those rows in the order `row_reader` lists them."""
+    d = row_width(offsets)
+    if d is not None:
+        return _columns(ufunc, edge_values.reshape(-1, d))
+    sizes = offsets[rows + 1] - offsets[rows]
+    return ufunc.reduceat(edge_values, np.cumsum(sizes) - sizes)
+
+
 def row_best(offsets: np.ndarray, succ_keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
     """Per row of a CSR table with no empty row, the best of its
     successors' keys (succ_keys holds one key per edge): the largest on
@@ -365,7 +419,7 @@ def filter_csr(
     """The CSR table holding only the edges marked in `keep`."""
     new_offsets = np.zeros(len(offsets), dtype=np.int64)
     np.cumsum(row_counts(offsets, keep), out=new_offsets[1:])
-    return new_offsets, targets[keep]
+    return _decided(new_offsets), targets[keep]
 
 
 class OptimalMoves:

@@ -36,9 +36,11 @@ from .arena import (
     Arena,
     State,
     build_arena,
+    concat_ranges,
     filter_csr,
     per_edge,
-    reverse_csr,
+    row_fold,
+    row_reader,
 )
 from .crsolver import CrSolution, solve_capture_time
 from .errors import ValidationError
@@ -64,6 +66,31 @@ def in_script_g(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) 
     return bool((cr.values[arena.noncapture_indices()] >= INT_INF).any())
 
 
+def _restricted_tables(arena: Arena, cr: CrSolution, m: int):
+    """Cop m's restricted game: the successor table with cop m's rows cut
+    to their capture-time-optimal moves, and its predecessor table. Every
+    predecessor row lists sources of one mover, so only the rows after m's
+    turn lose sources: s stays a predecessor of t when t's value is the
+    best (smallest) value among s's successors."""
+    m_rows = arena.mover_mask(m)
+    keep = per_edge(arena.offsets, ~m_rows)
+    keep |= cr.edge_opt
+    offsets, targets = filter_csr(arena.offsets, arena.targets, keep)
+    del keep
+
+    sources = np.flatnonzero(m_rows)
+    best = np.empty(arena.n_states, dtype=np.int64)  # read at m's rows only
+    best[sources] = row_fold(np.minimum, arena.offsets, sources,
+                             cr.values[row_reader(arena.offsets, arena.targets)(sources)])
+    pred_offsets, pred_sources = arena.predecessors()
+    after = np.flatnonzero(arena.mover_mask(m % arena.n_players + 1))
+    sizes = pred_offsets[after + 1] - pred_offsets[after]
+    edges = concat_ranges(pred_offsets[after], pred_offsets[after + 1])
+    kept = np.ones(len(pred_sources), dtype=bool)
+    kept[edges] = best[pred_sources[edges]] == np.repeat(cr.values[after], sizes)
+    return (offsets, targets), filter_csr(pred_offsets, pred_sources, kept)
+
+
 def _guarantee_winning_sets(
     arena: Arena, cr: CrSolution, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -75,10 +102,7 @@ def _guarantee_winning_sets(
 
     def build() -> tuple[np.ndarray, np.ndarray]:
         m_rows = arena.mover_mask(m)
-        keep = per_edge(arena.offsets, ~m_rows)
-        keep |= cr.edge_opt
-        offsets, targets = filter_csr(arena.offsets, arena.targets, keep)
-        preds = reverse_csr(offsets, targets)
+        (offsets, targets), preds = _restricted_tables(arena, cr, m)
         wanted = arena.capture_mask & arena.cop_at_robber(m)
         init = np.where(wanted, 0, INT_INF).astype(np.int64)
         return tuple(

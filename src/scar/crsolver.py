@@ -9,7 +9,13 @@ targets, and the punishment play for the robber.
 
 `classic_cop_win` solves the textbook pursuit variant on the same graph for
 comparison: all cops relocate simultaneously in one turn, then the robber
-moves, every token may stay put.
+moves, every token may stay put. State (cops, r, turn) has index
+(mix(cops)*V + r)*2 + turn, turn 0 for the cops. A cop row lists the k-fold
+product of the cops' closed neighbourhoods (lexicographic, cop 1 slowest),
+a robber row the robber's closed neighbourhood. Moves being symmetric, the
+sources of (cops, r, 0) are (cops, r', 1) for r' in N[r] and those of
+(cops, r, 1) are (cops', r, 0) for cops' in the product: the successor
+builder with the roles swapped gives the predecessor table, with no sort.
 """
 
 from __future__ import annotations
@@ -25,9 +31,11 @@ from .arena import (
     Arena,
     OptimalMoves,
     State,
-    _columns,
+    _decided,
+    closed_hops,
+    count_of,
+    row_fold,
     row_reader,
-    row_width,
 )
 from .errors import ScarError, StateCountExceededError, UniquenessViolationError, ValidationError
 from .fixpoint import INT_INF, solve_layers
@@ -100,15 +108,11 @@ class CrSolution(OptimalMoves):
             order = np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")
             by_value, depth = finite_nc[order], depth[order]
             cuts = np.flatnonzero(np.diff(depth)) + 1
-            read, width = row_reader(a.offsets, a.targets), row_width(a.offsets)
+            read = row_reader(a.offsets, a.targets)
             for level, t in zip(np.split(by_value, cuts), depth[np.r_[0, cuts]]):
                 succ = read(level)
                 succ_bits = np.where(self.values[succ] == t - 1, bits[succ], np.uint32(0))
-                if width is None:
-                    sizes = a.offsets[level + 1] - a.offsets[level]
-                    bits[level] = np.bitwise_or.reduceat(succ_bits, np.cumsum(sizes) - sizes)
-                else:
-                    bits[level] = _columns(np.bitwise_or, succ_bits.reshape(-1, width))
+                bits[level] = row_fold(np.bitwise_or, a.offsets, level, succ_bits)
         self._capture_mask_bits = bits
         return bits
 
@@ -213,54 +217,79 @@ class ClassicArena:
             mix = mix * v + c
         return (mix * v + robber) * 2 + turn
 
+    def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR table of predecessor lists, equal to `reverse_csr(offsets,
+        targets)`: int64 offsets and, while state ids fit, int32 sources in
+        ascending order."""
+        return _classic_slots(self.graph, self.cop_count, cops_turn=1)
+
+
+def _joint_moves(sizes: np.ndarray, hop: np.ndarray, k: int, unit: int):
+    """CSR table over the mixes of k cops: row m lists the index change of
+    every joint move from m in lexicographic order, cop i's step counting
+    unit * V^(k-1-i). Built cop by cop from the last, in one pass per rank
+    in the new cop's closed neighbourhood."""
+    v = len(sizes)
+    off, moves = np.array([0, 1]), np.zeros(1, dtype=np.int64)  # no cops: one move
+    for i in reversed(range(k)):
+        width = np.diff(off)
+        rest = np.repeat(np.arange(len(width)), width)  # the row of each move
+        place = np.arange(len(moves)) - off[rest]
+        off = np.zeros(v * len(width) + 1, dtype=np.int64)
+        np.cumsum(np.outer(sizes, width), out=off[1:])
+        # row (c, rest) holds one block of rest's moves per step of cop i
+        first = off[:-1].reshape(v, -1)[:, rest] + place
+        out = np.empty(off[-1], dtype=np.int64)
+        for r in range(hop.shape[1]):
+            cs = np.flatnonzero(sizes > r)
+            out[first[cs] + r * width[rest]] = hop[cs, r, None] * (unit * v ** (k - 1 - i)) + moves
+        moves = out
+    return off, moves
+
+
+def _classic_slots(graph: Graph, k: int, cops_turn: int) -> tuple[np.ndarray, np.ndarray]:
+    """The classic arena's CSR table whose rows of turn `cops_turn` list the
+    cops' joint moves and whose other rows the robber's, each move flipping
+    the turn: the successors with cops_turn=0, the predecessors with 1.
+    Each pass writes the rows of one robber vertex."""
+    v = graph.vertex_count
+    sizes, hop = closed_hops(graph)
+    joint_off, joint = _joint_moves(sizes, hop, k, 2 * v)
+    joint_width = np.diff(joint_off)
+    n_mix = len(joint_width)
+    offsets = np.zeros(n_mix * v * 2 + 1, dtype=np.int64)
+    widths = offsets[1:].reshape(n_mix, v, 2)  # per state (mix, robber, turn)
+    widths[:, :, cops_turn] = joint_width[:, None]
+    widths[:, :, 1 - cops_turn] = sizes
+    np.cumsum(offsets, out=offsets)
+    first = offsets[:-1].reshape(n_mix, v, 2)
+    targets = np.empty(offsets[-1], np.int32 if cops_turn and len(offsets) <= 2**31 else np.int64)
+    mix_state = np.arange(n_mix) * 2 * v
+    place = np.arange(len(joint)) - np.repeat(joint_off[:-1], joint_width)
+    # a move lands on the other turn: 1 - cops_turn from a cop row, cops_turn
+    # from a robber row; here the cop rows' targets at robber 0
+    joint += np.repeat(mix_state + 1 - cops_turn, joint_width)
+    for r in range(v):
+        cells = np.repeat(first[:, r, cops_turn], joint_width)
+        cells += place
+        targets[cells] = joint
+        joint += 2
+        size = sizes[r]
+        cells = first[:, r, 1 - cops_turn, None] + np.arange(size)
+        targets[cells] = (mix_state + cops_turn + 2 * r)[:, None] + 2 * hop[r, :size]
+    return _decided(offsets), targets
+
 
 def build_classic_arena(
     graph: Graph, cop_count: int, max_states: int = DEFAULT_MAX_STATES
 ) -> ClassicArena:
-    v, k = graph.vertex_count, cop_count
-    if not isinstance(k, int) or k < 1:
-        raise ValidationError(f"need at least one cop, got {k}")
+    v, k = graph.vertex_count, count_of(cop_count, 1, "at least one cop")
     n_states = v**k * v * 2
     if n_states > max_states:
         raise StateCountExceededError(
             f"classic arena would hold {n_states} states (> cap {max_states})"
         )
-    nbhd = [np.array(graph.closed_neighborhood(u), dtype=np.int64) for u in range(v)]
-    degp1 = np.array([len(nb) for nb in nbhd], dtype=np.int64)
-
-    # every joint relocation of the k cops, per cop mix
-    mix_succ: list[np.ndarray] = []
-    for mix in range(v**k):
-        digits = []
-        rem = mix
-        for _ in range(k):
-            digits.append(rem % v)
-            rem //= v
-        digits.reverse()
-        acc = np.zeros(1, dtype=np.int64)
-        for u in digits:
-            acc = (acc[:, None] * v + nbhd[u][None, :]).ravel()
-        mix_succ.append(acc)
-
-    counts = np.empty(n_states, dtype=np.int64)
-    counts[0::2] = np.repeat(np.array([len(a) for a in mix_succ], dtype=np.int64), v)
-    counts[1::2] = np.tile(degp1, v**k)
-    offsets = np.zeros(n_states + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    targets = np.empty(offsets[-1], dtype=np.int64)
-
-    nb2 = [2 * nb for nb in nbhd]
-    for mix in range(v**k):
-        cop_block = mix_succ[mix] * (2 * v) + 1
-        rob_base = mix * (2 * v)
-        state = mix * v * 2
-        for r in range(v):
-            lo = offsets[state]
-            targets[lo : lo + len(cop_block)] = cop_block + 2 * r
-            lo = offsets[state + 1]
-            targets[lo : lo + len(nb2[r])] = rob_base + nb2[r]
-            state += 2
-
+    offsets, targets = _classic_slots(graph, k, cops_turn=0)
     mixes = np.arange(v**k, dtype=np.int64)
     robber_row = np.arange(v, dtype=np.int64)[None, :]
     cap_mr = np.zeros((v**k, v), dtype=bool)
@@ -273,7 +302,8 @@ def build_classic_arena(
 
 def classic_values(arena: ClassicArena) -> np.ndarray:
     init = np.where(arena.capture, 0, INT_INF).astype(np.int64)
-    return solve_layers(arena.offsets, arena.targets, arena.cop_turn, arena.capture, init)
+    return solve_layers(arena.offsets, arena.targets, arena.cop_turn, arena.capture, init,
+                        predecessors=arena.predecessors())
 
 
 def classic_cop_win(graph: Graph, cop_count: int, max_states: int = DEFAULT_MAX_STATES) -> bool:

@@ -75,9 +75,11 @@ def retrograde(
 
     Every row of the table must hold a move, and every seeded state must
     be frozen. A seed keyed `never` is left unsettled and a key above it is
-    refused. `predecessors` is the table's reverse CSR
-    (`Arena.predecessors()` for an arena's own table) when the caller has
-    it; `reverse_csr` builds it here otherwise.
+    refused. `predecessors` is the table's reverse CSR. Every solve in
+    the package passes one built from the table's structure
+    (`Arena.predecessors()`, `ClassicArena.predecessors()`, classify's
+    restricted table); for a hand-made table `reverse_csr` sorts the edges
+    here.
     """
     if predecessors is None:
         predecessors = reverse_csr(offsets, targets)

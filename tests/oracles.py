@@ -167,3 +167,33 @@ def jacobi_layers(offsets, targets, minimizing, frozen, init, int_inf):
             return vals
         vals = new
     raise AssertionError("reference rounds did not stabilize")
+
+
+def classic_arena(g, k):
+    """The classic k-cop game's tables, written out from its rules: states
+    (cops, robber, turn) at index (mix(cops)*V + robber)*2 + turn, turn 0
+    for the cops, who relocate jointly to any tuple of closed-neighbourhood
+    vertices (lexicographic order); the robber then steps likewise. Returns
+    (offsets, targets, capture, cop_turn) as lists."""
+    v = g.vertex_count
+    closed = [sorted(set(g.neighbors[u]) | {u}) for u in range(v)]
+
+    def index(cops, robber, turn):
+        mix = 0
+        for c in cops:
+            mix = mix * v + c
+        return (mix * v + robber) * 2 + turn
+
+    offsets, targets, capture, cop_turn = [0], [], [], []
+    for cops in product(range(v), repeat=k):
+        for robber in range(v):
+            for turn in (0, 1):
+                if turn == 0:
+                    moves = [index(c, robber, 1) for c in product(*(closed[x] for x in cops))]
+                else:
+                    moves = [index(cops, r, 0) for r in closed[robber]]
+                targets.extend(moves)
+                offsets.append(len(targets))
+                capture.append(robber in cops)
+                cop_turn.append(turn == 0)
+    return offsets, targets, capture, cop_turn

@@ -21,7 +21,10 @@ from scar import (
     parse_state,
     reachable_noncapture,
     simulate,
+    solve_capture_time,
+    state_cop_report,
 )
+import scar.arena as arena_module
 from scar.arena import (
     concat_ranges,
     filter_csr,
@@ -30,6 +33,7 @@ from scar.arena import (
     reverse_csr,
     row_best,
     row_counts,
+    row_fold,
     row_reader,
     row_width,
 )
@@ -126,6 +130,48 @@ def test_row_helpers_match_reduceat_and_concat_ranges(name, k, width, one_wide):
     for rows in (rng.choice(n, 40), np.arange(n), np.empty(0, dtype=np.int64)):
         want = targets[concat_ranges(offsets[rows], offsets[rows + 1])]
         assert np.array_equal(read(rows), want)
+
+    rows = np.sort(rng.choice(n, 40))
+    edges = concat_ranges(offsets[rows], offsets[rows + 1])
+    want = np.minimum.reduceat(keys[edges], np.cumsum(sizes[rows]) - sizes[rows])
+    assert np.array_equal(row_fold(np.minimum, offsets, rows, keys[edges]), want)
+
+
+def test_package_tables_keep_the_width_decided_at_build(monkeypatch):
+    """The arena's tables are not measured again by the row helpers, and a
+    table's recorded width goes when its offsets array goes."""
+    a = build_arena(builtin("petersen"), 3)
+    preds = a.predecessors()
+
+    def measured_again(offsets):
+        raise AssertionError("a built table's width was measured again")
+
+    monkeypatch.setattr(arena_module, "_measured", measured_again)
+    assert row_width(a.offsets) == 4 and row_width(preds[0]) == 4
+    solve_capture_time(a).capturer_table()
+    state_cop_report(a)
+    monkeypatch.undo()
+
+    offsets, _ = _one_wide(a)
+    key = id(offsets)
+    assert arena_module._widths[key][1] == 1
+    del offsets
+    assert key not in arena_module._widths
+
+
+@pytest.mark.parametrize("n", [np.int64(3), np.int8(2)])
+def test_player_count_may_be_a_numpy_integer(n):
+    a = build_arena(builtin("cycle", 4), n)
+    assert type(a.n_players) is int and a.n_states == 4**n * n
+    assert GameParams(np.int64(3), Q(1, 2), Q(0)).n_players == 3
+
+
+@pytest.mark.parametrize("n, named", [(True, "bool"), (3.0, "float"), ("3", "str")])
+def test_player_count_refuses_bools_and_non_integers(n, named):
+    with pytest.raises(ValidationError, match=named):
+        build_arena(builtin("cycle", 4), n)
+    with pytest.raises(ValidationError, match=named):
+        GameParams(n, Q(1, 2), Q(0))
 
 
 def test_row_width_reads_the_offsets():

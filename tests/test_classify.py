@@ -1,6 +1,8 @@
 """Taxonomy classifier: verdicts on the specimen graphs plus coherence
 between the classes and the sweeps they are defined from."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,11 @@ from scar import (
     solve_capture_time,
     state_cop_report,
 )
+from scar.arena import filter_csr, per_edge, reverse_csr
 from scar.fixpoint import INT_INF
+
+# the package exports the function `classify` under the module's name
+classify_module = importlib.import_module("scar.classify")
 
 
 def test_membership_in_script_g(suite_graphs):
@@ -110,3 +116,16 @@ def test_small_graphs_stay_out_at_four_players():
     got = classify(builtin("path", 3), 4)
     assert got.klass == "NotInG"
     assert got.evidence["max_state_cop_number"] != "inf"
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_restricted_tables_equal_the_filtered_table_and_its_sorted_reverse(suite_graphs, n):
+    for name, g in suite_graphs.items():
+        a = build_arena(g, n)
+        cr = solve_capture_time(a)
+        for m in range(1, n):
+            (offsets, targets), preds = classify_module._restricted_tables(a, cr, m)
+            keep = per_edge(a.offsets, ~a.mover_mask(m)) | cr.edge_opt
+            want = filter_csr(a.offsets, a.targets, keep)
+            assert np.array_equal(offsets, want[0]) and np.array_equal(targets, want[1])
+            for mine, ref in zip(preds, reverse_csr(*want)):
+                assert mine.dtype == ref.dtype and np.array_equal(mine, ref), (name, m)
