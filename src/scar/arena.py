@@ -10,27 +10,37 @@ Capture states are absorbing: they keep successor lists (the move structure
 is defined uniformly) but every solver treats them as terminal.
 
 States are packed densely: index = ((x1*V + x2)*V + ... + xN)*N + (mover-1),
-so |states| = V^N * N. Successor lists are stored once in CSR form and are
+so |states| = V^N * N. Successor lists are stored in CSR form and are
 ordered by ascending target vertex of the moving token.
 
-Both move tables are built slot by slot. Row s of the successor table lists
-s with the mover's token moved to each vertex of its closed neighbourhood,
-the turn advanced; slot r of the row is the r-th such vertex, so the table
-is written in max(deg)+1 vectorised passes, one per slot. The predecessors
-of s are s with the *previous* mover's token moved the same way and the
-turn stepped back (moves are symmetric), so the predecessor table comes
-from the same builder, already ascending, with no sort. The classic arena
-(`crsolver`) builds both its tables the same way, and `classify` filters
-this predecessor table by the moves it keeps. `reverse_csr` remains only
-for `fixpoint.retrograde` called without predecessors on a hand-made table.
+Both move tables are built slot by slot, on first use. Row s of the
+successor table lists s with the mover's token moved to each vertex of
+its closed neighbourhood, the turn advanced; slot r of the row is the
+r-th such vertex, so the table is written in max(deg)+1 vectorised
+passes, one per slot. The predecessors of s are s with the *previous*
+mover's token moved the same way and the turn stepped back (moves are
+symmetric), so the predecessor table comes from the same builder, already
+ascending, with no sort. The classic arena (`crsolver`) builds both its
+tables the same way. Only positionality, the discounted games, `simulate`
+and reachability build full tables; `succ_indices` makes one row alone.
+
+The integer layers (capture time, attribution, coalitions, classify's
+guarantee games) run on the orbit quotient: a graph automorphism applied
+to every token preserves moves, captures, captors and turns, so their
+answers are constant on orbits. Row i of the quotient is the row of orbit
+i's smallest state (`_slots` on those rows), each target replaced by its
+orbit, duplicates kept. Those multiplicities differ with orbit sizes, so
+no structure gives its predecessor table: `reverse_csr` sorts it, cheaply
+at that size, and stays here for it. The trivial group gives the arena.
 
 On a regular graph every row of both tables has width deg+1. The row
 helpers (`row_best`, `row_counts`, `row_fold`, `per_edge`, `row_reader`)
 work such a rectangular table as a `(rows, width)` view: a min/max or sum
 sweep over the columns and a plain row gather. Ragged tables take
-`reduceat` and `concat_ranges`. Each table's width is decided once, when
-the package builds the table (`_decided`), and looked up by its offsets
-array from then on; offsets made elsewhere are measured on every call.
+`reduceat` and `concat_ranges`. Each table's width is decided once, from
+its row sizes when the package builds the table (`_decided`), and looked
+up by its offsets array from then on; offsets made elsewhere are measured
+on every call.
 
 `reachable_noncapture` floods the successor table one frontier at a time,
 with the width rule of `fixpoint.retrograde`: a frontier whose successor
@@ -42,6 +52,7 @@ stays linear in the edges it reads.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import weakref
@@ -51,7 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IllegalMoveError, StateCountExceededError, ValidationError
-from .graphs import Graph, is_path_graph, path_order
+from .graphs import Graph, automorphism_generators, is_path_graph, path_order
 
 INFINITY = math.inf
 
@@ -162,16 +173,20 @@ class Arena:
         self.capture_mask = np.logical_or.reduce(
             [self.cop_at_robber(j) for j in range(1, n_players)]
         )
-        self.offsets, self.targets = self._slots(back=False)
 
     # -- construction -------------------------------------------------------
 
-    def _slots(self, back: bool) -> tuple[np.ndarray, np.ndarray]:
+    # the successor table's int64 offsets and targets, built on first use
+    offsets = property(lambda self: self.memo("successors", lambda: self._slots(False))[0])
+    targets = property(lambda self: self.memo("successors", lambda: self._slots(False))[1])
+
+    def _slots(self, back: bool, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The CSR table whose row s lists s with one token moved to each
         vertex of that token's closed neighbourhood, in ascending order: the
         mover's token with the turn advanced (successors), or with `back`
         the previous mover's token with the turn stepped back
-        (predecessors). One vectorised pass per neighbour rank."""
+        (predecessors). One vectorised pass per neighbour rank. With `rows`,
+        an ascending int64 array of states, the table holds only their rows."""
         n, v = self.n_players, self.graph.vertex_count
         sizes, hop = closed_hops(self.graph)
         width, narrowest = hop.shape[1], int(sizes.min())
@@ -182,13 +197,13 @@ class Arena:
         # the r-th vertex of its closed neighbourhood
         shift = (hop.T[:, None, :] * stride[:, None] + turn[:, None]).reshape(width, n * v)
 
-        idx = np.arange(self.n_states, dtype=np.int64)
+        idx = np.arange(self.n_states, dtype=np.int64) if rows is None else rows
         token = (idx - int(back)) % n
         vertex = idx // stride[token] % v
         key = token * v + vertex
         widths = sizes[vertex]
         del token, vertex
-        offsets = np.zeros(self.n_states + 1, dtype=np.int64)
+        offsets = np.zeros(len(idx) + 1, dtype=np.int64)
         np.cumsum(widths, out=offsets[1:])
         targets = np.empty(offsets[-1], np.int32 if back and self.n_states < 2**31 else np.int64)
         first = offsets[:-1]
@@ -199,9 +214,9 @@ class Arena:
                 cells = slice(r, None, width) if narrowest == width else first + r
                 targets[cells] = idx + shift[r][key]
             else:
-                rows = np.flatnonzero(widths > r)
-                targets[first[rows] + r] = rows + shift[r][key[rows]]
-        return _decided(offsets), targets
+                at = np.flatnonzero(widths > r)
+                targets[first[at] + r] = idx[at] + shift[r][key[at]]
+        return _decided(offsets, widths), targets
 
     # -- state codec --------------------------------------------------------
 
@@ -249,7 +264,11 @@ class Arena:
         return idx % self.n_players + 1
 
     def succ_indices(self, idx: int) -> np.ndarray:
-        return self.targets[self.offsets[idx] : self.offsets[idx + 1]]
+        """Row idx of the successor table, computed on its own."""
+        n, token = self.n_players, idx % self.n_players
+        stride = self._strides[token] * n
+        u, step = idx // stride % self.graph.vertex_count, 1 if token < n - 1 else 1 - n
+        return idx + step + (np.array(self.graph.closed_neighborhood(u)) - u) * stride
 
     def successors(self, s: State) -> list[State]:
         return [self.state_of(int(j)) for j in self.succ_indices(self.index(s))]
@@ -291,6 +310,59 @@ class Arena:
         ascending order. Memoized."""
         return self.memo("predecessors", lambda: self._slots(back=True))
 
+    def quotient(self) -> Quotient:
+        """The orbit quotient under `automorphism_generators`. Memoized."""
+        return self.memo("quotient", lambda: _quotient(self))
+
+
+@dataclass(frozen=True)
+class Quotient:
+    """An arena's orbits under graph automorphisms acting on every token:
+    orbit i stands for its smallest state `reps[i]` (ascending), and its row
+    lists the orbit of each of reps[i]'s successors, in order, duplicates
+    kept. State s lies in orbit `mix_orbit[s // N] * N + s % N`."""
+
+    n_players: int
+    mix_orbit: np.ndarray  # per position tuple, the index of its orbit of tuples
+    reps: np.ndarray
+    offsets: np.ndarray
+    targets: np.ndarray
+    predecessors: tuple[np.ndarray, np.ndarray]
+
+    def lift(self, per_orbit: np.ndarray) -> np.ndarray:
+        """Per state, the entry of its orbit."""
+        return per_orbit.reshape(-1, self.n_players)[self.mix_orbit].reshape(-1)
+
+
+def _orbit_labels(gens: list[tuple[int, ...]], v: int, n: int) -> np.ndarray:
+    """Per position tuple (mixed radix V), the smallest tuple of its orbit
+    under the group `gens` generate: each round lowers every label to its
+    image's under each generator, then jumps pointers (label[label]), until
+    a fixpoint. Images are made afresh each round, in O(V^N) memory."""
+    label = np.arange(v**n, dtype=np.int64)
+    while True:
+        moved = label
+        for p in gens:
+            image = functools.reduce(np.add.outer, [np.multiply(p, v**k) for k in range(n)][::-1])
+            moved = np.minimum(moved, moved[image.ravel()])
+        moved = moved[moved]
+        if np.array_equal(moved, label):
+            return label
+        label = moved
+
+
+def _quotient(arena: Arena) -> Quotient:
+    n, v = arena.n_players, arena.graph.vertex_count
+    label = _orbit_labels(automorphism_generators(arena.graph), v, n)
+    roots = label == np.arange(v**n)
+    mix_orbit = (np.cumsum(roots) - 1)[label]
+    reps = (np.flatnonzero(roots)[:, None] * n + np.arange(n)).ravel()
+    if len(reps) == arena.n_states:  # the trivial group: the arena itself
+        return Quotient(n, mix_orbit, reps, arena.offsets, arena.targets, arena.predecessors())
+    offsets, targets = arena._slots(back=False, rows=reps)
+    targets = mix_orbit[targets // n] * n + targets % n
+    return Quotient(n, mix_orbit, reps, offsets, targets, reverse_csr(offsets, targets))
+
 
 def closed_hops(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Per vertex u, the size of its closed neighbourhood, and the table
@@ -316,8 +388,9 @@ def reverse_csr(offsets: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
     keys.sort()
     np.remainder(keys, n, out=keys)
     pred_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(targets, minlength=n), out=pred_offsets[1:])
-    return _decided(pred_offsets), keys.astype(np.int32 if n < 2**31 else np.int64)
+    counts = np.bincount(targets, minlength=n)
+    np.cumsum(counts, out=pred_offsets[1:])
+    return _decided(pred_offsets, counts), keys.astype(np.int32 if n < 2**31 else np.int64)
 
 
 # A memo of `_measured` for the tables the package builds, under
@@ -326,12 +399,13 @@ def reverse_csr(offsets: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
 _widths: dict[int, tuple[weakref.ref, int | None]] = {}
 
 
-def _decided(offsets: np.ndarray) -> np.ndarray:
-    """Decide the row width of a table just built, once, and return its
-    offsets; `row_width` looks the width up from then on. The offsets must
-    not change afterwards."""
+def _decided(offsets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Record the row width of a table just built from its row sizes, once,
+    and return its offsets; `row_width` looks the width up from then on.
+    The offsets must not change afterwards."""
     key = id(offsets)
-    _widths[key] = (weakref.ref(offsets, lambda _: _widths.pop(key, None)), _measured(offsets))
+    width = int(sizes[0]) if sizes.size and sizes.min() == sizes.max() > 0 else None
+    _widths[key] = (weakref.ref(offsets, lambda _: _widths.pop(key, None)), width)
     return offsets
 
 
@@ -418,8 +492,9 @@ def filter_csr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The CSR table holding only the edges marked in `keep`."""
     new_offsets = np.zeros(len(offsets), dtype=np.int64)
-    np.cumsum(row_counts(offsets, keep), out=new_offsets[1:])
-    return _decided(new_offsets), targets[keep]
+    counts = row_counts(offsets, keep)
+    np.cumsum(counts, out=new_offsets[1:])
+    return _decided(new_offsets, counts), targets[keep]
 
 
 class OptimalMoves:
@@ -431,11 +506,8 @@ class OptimalMoves:
     arena: Arena
 
     def _best_edges(self) -> np.ndarray:
-        """Per CSR edge: does the target's key equal its row's best key?"""
-        a = self.arena
-        keys, max_mask = self._opt_keys()
-        sv = keys[a.targets]
-        return sv == per_edge(a.offsets, row_best(a.offsets, sv, max_mask))
+        """Per edge of the arena's table: is it one of its row's best?"""
+        return best_edges(self.arena.offsets, self.arena.targets, *self._opt_keys())
 
     def opt_indices(self, s: State | int) -> np.ndarray:
         """The optimal successors of noncapture state s, ascending: the
@@ -450,6 +522,13 @@ class OptimalMoves:
 
     def opt_moves(self, s: State | int) -> tuple[State, ...]:
         return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(s))
+
+
+def best_edges(offsets, targets, keys, max_mask) -> np.ndarray:
+    """Per edge of a CSR table with no empty row: is the target's key its
+    row's best, the largest on max_mask rows and the smallest elsewhere?"""
+    sv = keys[targets]
+    return sv == per_edge(offsets, row_best(offsets, sv, max_mask))
 
 
 def build_arena(

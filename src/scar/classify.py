@@ -35,12 +35,11 @@ from .arena import (
     DEFAULT_MAX_STATES,
     Arena,
     State,
+    best_edges,
     build_arena,
-    concat_ranges,
     filter_csr,
     per_edge,
-    row_fold,
-    row_reader,
+    reverse_csr,
 )
 from .crsolver import CrSolution, solve_capture_time
 from .errors import ValidationError
@@ -67,28 +66,14 @@ def in_script_g(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) 
 
 
 def _restricted_tables(arena: Arena, cr: CrSolution, m: int):
-    """Cop m's restricted game: the successor table with cop m's rows cut
-    to their capture-time-optimal moves, and its predecessor table. Every
-    predecessor row lists sources of one mover, so only the rows after m's
-    turn lose sources: s stays a predecessor of t when t's value is the
-    best (smallest) value among s's successors."""
-    m_rows = arena.mover_mask(m)
-    keep = per_edge(arena.offsets, ~m_rows)
-    keep |= cr.edge_opt
-    offsets, targets = filter_csr(arena.offsets, arena.targets, keep)
-    del keep
-
-    sources = np.flatnonzero(m_rows)
-    best = np.empty(arena.n_states, dtype=np.int64)  # read at m's rows only
-    best[sources] = row_fold(np.minimum, arena.offsets, sources,
-                             cr.values[row_reader(arena.offsets, arena.targets)(sources)])
-    pred_offsets, pred_sources = arena.predecessors()
-    after = np.flatnonzero(arena.mover_mask(m % arena.n_players + 1))
-    sizes = pred_offsets[after + 1] - pred_offsets[after]
-    edges = concat_ranges(pred_offsets[after], pred_offsets[after + 1])
-    kept = np.ones(len(pred_sources), dtype=bool)
-    kept[edges] = best[pred_sources[edges]] == np.repeat(cr.values[after], sizes)
-    return (offsets, targets), filter_csr(pred_offsets, pred_sources, kept)
+    """Cop m's restricted game on the arena's orbit quotient: the quotient's
+    table with cop m's rows cut to their capture-time-optimal moves, and its
+    predecessor table."""
+    q = arena.quotient()
+    keep = per_edge(q.offsets, ~arena.mover_mask(m)[q.reps])
+    keep |= best_edges(q.offsets, q.targets, cr.values[q.reps], arena.robber_mover_mask()[q.reps])
+    table = filter_csr(q.offsets, q.targets, keep)
+    return table, reverse_csr(*table)
 
 
 def _guarantee_winning_sets(
@@ -98,16 +83,18 @@ def _guarantee_winning_sets(
     edges, reaches a capture state it takes part in, no matter what every
     other token does: (canonical, adversarial-ties). Captures without m are
     absorbing losses. Both variants are solved in one build over one
-    restricted table and memoized on the arena."""
+    restricted table of the orbit quotient and memoized on the arena."""
 
     def build() -> tuple[np.ndarray, np.ndarray]:
-        m_rows = arena.mover_mask(m)
+        q = arena.quotient()
+        m_rows = arena.mover_mask(m)[q.reps]
         (offsets, targets), preds = _restricted_tables(arena, cr, m)
-        wanted = arena.capture_mask & arena.cop_at_robber(m)
+        capture = arena.capture_mask[q.reps]
+        wanted = capture & arena.cop_at_robber(m)[q.reps]
         init = np.where(wanted, 0, INT_INF).astype(np.int64)
         return tuple(
-            solve_layers(offsets, targets, minimizing, arena.capture_mask, init,
-                         predecessors=preds) < INT_INF
+            q.lift(solve_layers(offsets, targets, minimizing, capture, init,
+                                predecessors=preds) < INT_INF)
             for minimizing in (m_rows, np.zeros_like(m_rows))
         )
 

@@ -79,6 +79,7 @@ def cmd_arena_stats(args) -> tuple[str, int]:
     g = _load_graph(args)
     arena = build_arena(g, args.n, args.max_states)
     captures = int(arena.capture_mask.sum())
+    # the mover sits on vertex u in N V^(N-1) states, each with deg(u) + 1 moves
     return _dump(
         {
             "vertices": g.vertex_count,
@@ -87,7 +88,7 @@ def cmd_arena_stats(args) -> tuple[str, int]:
             "n_states": arena.n_states,
             "capture_states": captures,
             "noncapture_states": arena.n_states - captures,
-            "move_edges": int(len(arena.targets)),
+            "move_edges": arena.n_states // g.vertex_count * (2 * g.edge_count + g.vertex_count),
         }
     ), 0
 

@@ -43,15 +43,13 @@ from .graphs import Graph
 
 
 class CrSolution(OptimalMoves):
-    """Value table plus optimal-move structure for the capture-time game."""
+    """A view of the capture-time game's values, optimal moves and capture
+    attribution, which the arena memoizes as arrays that do not refer back."""
 
     def __init__(self, arena: Arena, values: np.ndarray):
         self.arena = arena
         self.values = values
         self._robber_rows = arena.robber_mover_mask()
-        self._edge_opt: np.ndarray | None = None
-        self._capture_mask_bits: np.ndarray | None = None
-        self._capturer: np.ndarray | None = None
 
     # -- values ---------------------------------------------------------------
 
@@ -73,17 +71,16 @@ class CrSolution(OptimalMoves):
         are equally hopeless) and the robber rows keep exactly the moves that
         stay at INT_INF.
         """
-        if self._edge_opt is None:
-            self._edge_opt = self._best_edges()
-        return self._edge_opt
+        return self.arena.memo("capture_edge_opt", self._best_edges)
 
     def _opt_keys(self) -> tuple[np.ndarray, np.ndarray]:
         return self.values, self._robber_rows
 
     # -- attribution ------------------------------------------------------------
 
-    def _cop_bits(self) -> np.ndarray:
-        """Per state, the bitmask of cops that can be credited with capture.
+    def _orbit_bits(self) -> np.ndarray:
+        """Per orbit of the arena's quotient, the bitmask of cops that can
+        be credited with capture. Memoized on the arena.
 
         Capture states carry the cops sitting on the robber. A finite
         noncapture state carries the union over all optimal plays from it,
@@ -93,28 +90,34 @@ class CrSolution(OptimalMoves):
         cop and its maximum for the robber), so a level of value t ORs the
         bits of its successors of value t-1, which are already resolved:
         a column sweep on a rectangular table, `reduceat` on a ragged one.
+        Automorphisms map optimal plays onto ones with the same captors.
         """
-        if self._capture_mask_bits is not None:
-            return self._capture_mask_bits
-        a = self.arena
-        bits = np.zeros(a.n_states, dtype=np.uint32)
-        for j in range(1, a.n_players):
-            bits |= a.cop_at_robber(j).astype(np.uint32) << np.uint32(j - 1)
+        a, q = self.arena, self.arena.quotient()
 
-        finite_nc = np.flatnonzero(~a.capture_mask & self.finite_mask())
-        depth = self.values[finite_nc]
-        if depth.size:
-            # a small unsigned dtype lets the stable sort run as a radix sort
-            order = np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")
-            by_value, depth = finite_nc[order], depth[order]
-            cuts = np.flatnonzero(np.diff(depth)) + 1
-            read = row_reader(a.offsets, a.targets)
-            for level, t in zip(np.split(by_value, cuts), depth[np.r_[0, cuts]]):
-                succ = read(level)
-                succ_bits = np.where(self.values[succ] == t - 1, bits[succ], np.uint32(0))
-                bits[level] = row_fold(np.bitwise_or, a.offsets, level, succ_bits)
-        self._capture_mask_bits = bits
-        return bits
+        def build() -> np.ndarray:
+            bits = np.zeros(len(q.reps), dtype=np.uint32)
+            for j in range(1, a.n_players):
+                bits |= a.cop_at_robber(j)[q.reps].astype(np.uint32) << np.uint32(j - 1)
+            values = self.values[q.reps]
+            finite_nc = np.flatnonzero(~a.capture_mask[q.reps] & (values < INT_INF))
+            depth = values[finite_nc]
+            if depth.size:
+                # a small unsigned dtype lets the stable sort run as a radix sort
+                order = np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")
+                by_value, depth = finite_nc[order], depth[order]
+                cuts = np.flatnonzero(np.diff(depth)) + 1
+                read = row_reader(q.offsets, q.targets)
+                for level, t in zip(np.split(by_value, cuts), depth[np.r_[0, cuts]]):
+                    succ = read(level)
+                    succ_bits = np.where(values[succ] == t - 1, bits[succ], np.uint32(0))
+                    bits[level] = row_fold(np.bitwise_or, q.offsets, level, succ_bits)
+            return bits
+
+        return a.memo("cop_bits", build)
+
+    def _cop_bits(self) -> np.ndarray:
+        """Per state, the bitmask of cops that can be credited with capture."""
+        return self.arena.quotient().lift(self._orbit_bits())
 
     def _walk_to_capture(self, start: int, bit: int) -> tuple[State, ...]:
         bits = self._cop_bits()
@@ -133,15 +136,16 @@ class CrSolution(OptimalMoves):
         """int8 per state: the unique capturing cop on finite noncapture
         states, 0 elsewhere. Raises UniquenessViolationError (with two
         witness plays) if any state admits optimal captures by two cops."""
-        if self._capturer is not None:
-            return self._capturer
-        a = self.arena
-        bits = self._cop_bits()
-        finite_nc = (~a.capture_mask) & self.finite_mask()
+        return self.arena.memo("capturer", self._capturer)
+
+    def _capturer(self) -> np.ndarray:
+        a, q = self.arena, self.arena.quotient()
+        bits = self._orbit_bits()
+        finite_nc = ~a.capture_mask[q.reps] & (self.values[q.reps] < INT_INF)
         multi = finite_nc & ((bits & (bits - 1)) != 0)
         if multi.any():
-            idx = int(np.nonzero(multi)[0][0])
-            m = int(bits[idx])
+            at = np.flatnonzero(multi)[0]  # its representative is the first such state
+            idx, m = int(q.reps[at]), int(bits[at])
             first = m & -m
             second_m = m & ~first
             second = second_m & -second_m
@@ -151,33 +155,34 @@ class CrSolution(OptimalMoves):
                 play_a=self._walk_to_capture(idx, first),
                 play_b=self._walk_to_capture(idx, second),
             )
-        capturer = np.zeros(a.n_states, dtype=np.int8)
+        capturer = np.zeros(len(bits), dtype=np.int8)
         for b in range(a.n_players - 1):
             capturer[finite_nc & (bits == np.uint32(1 << b))] = b + 1
-        self._capturer = capturer
-        return capturer
+        return q.lift(capturer)
 
 
 def forced_capture_depths(arena: Arena, chasing: np.ndarray) -> np.ndarray:
     """Per state, the moves to a capture that the movers marked in `chasing`
-    can force while every other mover flees; INT_INF where they cannot."""
-    init = np.where(arena.capture_mask, 0, INT_INF).astype(np.int64)
-    return solve_layers(arena.offsets, arena.targets, chasing, arena.capture_mask, init,
-                        predecessors=arena.predecessors())
+    can force while every other mover flees; INT_INF where they cannot.
+    Solved on the arena's orbit quotient, where the value is constant."""
+    q = arena.quotient()
+    frozen = arena.capture_mask[q.reps]
+    init = np.where(frozen, 0, INT_INF).astype(np.int64)
+    return q.lift(solve_layers(q.offsets, q.targets, chasing[q.reps], frozen, init,
+                               predecessors=q.predecessors))
 
 
 def capture_depths(arena: Arena) -> np.ndarray:
-    """The capture-time game's value array, memoized on the arena. Kept
-    apart from the solution, which refers back to the arena, so that a
-    caller needing only the values does not tie the arena into a cycle."""
+    """The capture-time game's value array, memoized on the arena."""
     return arena.memo(
         "capture_depths", lambda: forced_capture_depths(arena, ~arena.robber_mover_mask())
     )
 
 
 def solve_capture_time(arena: Arena) -> CrSolution:
-    """Solve the joint capture-time game on the arena (memoized on it)."""
-    return arena.memo("capture_time", lambda: CrSolution(arena, capture_depths(arena)))
+    """Solve the joint capture-time game on the arena (its tables are
+    memoized on the arena)."""
+    return CrSolution(arena, capture_depths(arena))
 
 
 def capture_attribution(sol: CrSolution, s: State | int) -> tuple[int, int]:
@@ -277,7 +282,7 @@ def _classic_slots(graph: Graph, k: int, cops_turn: int) -> tuple[np.ndarray, np
         size = sizes[r]
         cells = first[:, r, 1 - cops_turn, None] + np.arange(size)
         targets[cells] = (mix_state + cops_turn + 2 * r)[:, None] + 2 * hop[r, :size]
-    return _decided(offsets), targets
+    return _decided(offsets, np.diff(offsets)), targets
 
 
 def build_classic_arena(

@@ -1,7 +1,7 @@
 """Finite simple connected undirected graphs with dense 0-based vertex ids.
 
-This is deliberately minimal: adjacency sets plus the handful of named
-constructions the solvers and the verification suite need. Vertex ids are
+This is deliberately minimal: adjacency sets, the named constructions the
+solvers and the verification suite need, and an automorphism search. Vertex ids are
 always 0..n-1; every constructor validates simplicity and connectivity.
 """
 
@@ -266,6 +266,84 @@ def path_order(g: Graph) -> list[int]:
         prev = order[-1]
         order.append(nxt[0])
     return order
+
+
+# Work the automorphism search may do before it settles for the generators
+# found so far. Any subgroup of Aut(G) gives a correct orbit quotient, so
+# running out costs speed, never an answer.
+SEARCH_EFFORT = 100_000
+
+
+def is_automorphism(g: Graph, perm) -> bool:
+    """Is perm, a list of vertex images, a bijection mapping edges onto edges?"""
+    return sorted(perm) == list(range(g.vertex_count)) and all(
+        tuple(sorted(perm[w] for w in nb)) == g.neighbors[p] for p, nb in zip(perm, g.neighbors))
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), each checked with `is_automorphism`: a
+    stabiliser-chain search over the base b_0 = 0, b_1, ... in BFS order.
+    From the last base point to the first, it fixes b_0..b_{i-1} and seeks
+    an automorphism sending b_i to each vertex not yet in b_i's orbit under
+    the generators found so far, extending the map in base order with
+    images among the neighbours of the BFS parent's image. Once
+    SEARCH_EFFORT is spent (1 + deg b per candidate image of b) it returns
+    the generators found so far, of a subgroup."""
+    v, nbrs = g.vertex_count, g.neighbors
+    order, parent = [0], [-1] * v
+    for u in order:
+        for w in nbrs[u]:
+            if w and parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    effort = SEARCH_EFFORT
+    image: list[int] = []
+    used: set[int] = set()
+
+    def extend(k0: int, first: list[int]) -> tuple[int, ...] | None:
+        """Complete the map, fixed on order[:k0], to an automorphism that
+        sends order[k0] into `first`."""
+        nonlocal effort
+        k, tried = k0, [iter(first)]
+        while k < v and effort >= 0:
+            if len(tried) == k - k0:  # entering level k
+                tried.append(iter([c for c in nbrs[image[parent[order[k]]]] if c not in used]))
+            b = order[k]
+            mapped = {image[w] for w in nbrs[b] if image[w] >= 0}
+            for c in tried[-1]:
+                effort -= 1 + len(nbrs[b])
+                if len(nbrs[c]) == len(nbrs[b]) and mapped == used.intersection(nbrs[c]):
+                    image[b] = c
+                    used.add(c)
+                    k += 1
+                    break
+            else:
+                tried.pop()
+                if k == k0:
+                    return None
+                k -= 1
+                used.discard(image[order[k]])
+                image[order[k]] = -1
+        return tuple(image) if k == v else None
+
+    gens: list[tuple[int, ...]] = []
+    for i in reversed(range(v)):
+        orbit, grow = {order[i]}, set()
+        for c in range(v) if i == 0 else nbrs[parent[order[i]]]:
+            while grow:  # close the orbit under the generators found so far
+                grow = {p[x] for p in gens for x in grow} - orbit
+                orbit |= grow
+            if c in orbit or c in order[:i]:
+                continue
+            used = set(order[:i])
+            image = [w if w in used else -1 for w in range(v)]
+            perm = extend(i, [c])
+            if effort < 0:
+                return gens
+            if perm is not None and is_automorphism(g, perm):
+                gens.append(perm)
+                grow = set(orbit)
+    return gens
 
 
 def is_path_graph(g: Graph) -> bool:

@@ -127,6 +127,30 @@ def coalition_wins(g, n_players, coalition):
     return _stabilize(g, n_players, step, initial)
 
 
+def guarantee_wins(g, n_players, m, times, adversarial_ties):
+    """States from which cop m, moving only along moves to a successor of
+    least capture time (`times` from capture_times), reaches a capture it
+    takes part in whatever every other token does; with adversarial_ties
+    the adversary also picks among m's least moves. A capture without m is
+    a loss."""
+
+    def initial(s):
+        cops, robber, _ = s
+        return cops[m - 1] == robber
+
+    def step(s, table):
+        if is_capture(s):
+            return table[s]
+        opts = successors(g, s)
+        if s[2] != m:
+            return all(table[t] for t in opts)
+        least = min(times[t] for t in opts)
+        kept = [table[t] for t in opts if times[t] == least]
+        return all(kept) if adversarial_ties else any(kept)
+
+    return _stabilize(g, n_players, step, initial)
+
+
 def play_payoff(states, m, n_players, gamma, epsilon):
     """Discounted payoff cop m collects from a finished trajectory."""
     if not is_capture(states[-1]):

@@ -17,7 +17,7 @@ from scar import (
     solve_capture_time,
     state_cop_report,
 )
-from scar.arena import filter_csr, per_edge, reverse_csr
+from scar.arena import concat_ranges, filter_csr, per_edge, reverse_csr
 from scar.fixpoint import INT_INF
 
 # the package exports the function `classify` under the module's name
@@ -119,13 +119,21 @@ def test_small_graphs_stay_out_at_four_players():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_restricted_tables_equal_the_filtered_table_and_its_sorted_reverse(suite_graphs, n):
+    """Cop m's restricted game lives on the orbit quotient: orbit i's row
+    lists the orbits of the moves that the arena's filtered table keeps at
+    the orbit's representative, in order, and the predecessor table is its
+    sorted reverse."""
     for name, g in suite_graphs.items():
         a = build_arena(g, n)
         cr = solve_capture_time(a)
+        q = a.quotient()
+        orbit = q.lift(np.arange(len(q.reps)))
         for m in range(1, n):
             (offsets, targets), preds = classify_module._restricted_tables(a, cr, m)
             keep = per_edge(a.offsets, ~a.mover_mask(m)) | cr.edge_opt
-            want = filter_csr(a.offsets, a.targets, keep)
-            assert np.array_equal(offsets, want[0]) and np.array_equal(targets, want[1])
-            for mine, ref in zip(preds, reverse_csr(*want)):
+            want_offsets, want_targets = filter_csr(a.offsets, a.targets, keep)
+            rows = concat_ranges(want_offsets[q.reps], want_offsets[q.reps + 1])
+            assert np.array_equal(np.diff(offsets), np.diff(want_offsets)[q.reps]), (name, m)
+            assert np.array_equal(targets, orbit[want_targets[rows]]), (name, m)
+            for mine, ref in zip(preds, reverse_csr(offsets, targets)):
                 assert mine.dtype == ref.dtype and np.array_equal(mine, ref), (name, m)

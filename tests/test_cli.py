@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from scar import cli, positionality
+from scar import Arena, build_arena, builtin, cli, positionality
 from scar.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -31,6 +31,24 @@ def test_arena_stats_shape(capsys):
         "vertices", "edges", "n_players", "n_states", "capture_states",
         "noncapture_states", "move_edges",
     }
+
+
+def test_arena_stats_counts_the_moves_without_building_them(capsys, monkeypatch):
+    """move_edges is N V^(N-1) (2E + V), the length of the successor table,
+    so complete:39 N=4 answers without allocating its 360,896,796 targets."""
+    monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
+    for spec, n in [("petersen", 3), ("path:5", 4), ("star:4", 3), ("cycle:4", 2)]:
+        name, _, k = spec.partition(":")
+        g = builtin(name, int(k)) if k else builtin(name)
+        _, out, _ = run(capsys, "arena-stats", "--builtin", spec, "--n", str(n))
+        assert json.loads(out)["move_edges"] == len(build_arena(g, n).targets), spec
+
+    def unbuilt(*args):
+        raise AssertionError("a move table was built")
+
+    monkeypatch.setattr(Arena, "_slots", unbuilt)
+    code, out, _ = run(capsys, "arena-stats", "--builtin", "complete:39", "--n", "4")
+    assert (code, json.loads(out)["move_edges"]) == (0, 360_896_796)
 
 
 def test_cr_solve_summary_and_state(capsys):

@@ -1,8 +1,10 @@
 """Capture-time game: values against the reference solver, optimal move
 structure, capture attribution, and the classic simultaneous-move game."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -170,6 +172,20 @@ def test_attribution_matches_the_filtered_table_reference(suite_graphs, n):
         for b in range(n - 1):
             capturer[single == 1 << b] = b + 1
         assert np.array_equal(sol.capturer_table(), capturer)
+
+
+def test_an_arena_read_for_attribution_is_freed_with_its_last_name():
+    """The arena memoizes the capture layer as arrays, not as a solution
+    that refers back to it, so reference counting alone frees it."""
+    gc.disable()
+    try:
+        a = build_arena(builtin("petersen"), 3)
+        solve_capture_time(a).capturer_table()
+        gone = weakref.ref(a)
+        del a
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_witness_play_follows_optimal_moves_to_its_cop(suite_graphs):
