@@ -20,9 +20,9 @@ r-th such vertex, so the table is written in max(deg)+1 vectorised
 passes, one per slot. The predecessors of s are s with the *previous*
 mover's token moved the same way and the turn stepped back (moves are
 symmetric), so the predecessor table comes from the same builder, already
-ascending, with no sort. The classic arena (`crsolver`) builds both its
-tables the same way. Only positionality, the discounted games, `simulate`
-and reachability build full tables; `succ_indices` makes one row alone.
+ascending, with no sort. Only positionality, the discounted games and
+reachability build full tables; `succ_indices` makes one row alone, and
+`simulate` checks each move against it.
 
 The integer layers (capture time, attribution, coalitions, classify's
 guarantee games) run on the orbit quotient: a graph automorphism applied
@@ -618,26 +618,33 @@ def simulate(arena: Arena, s0: State | int, profile, max_steps: int | None = Non
     visited = {idx}
     cycled = False
     while not arena.capture_mask[trail[-1]] and len(trail) <= max_steps:
-        cur = trail[-1]
-        nxt = int(choose(cur))
-        lo, hi = arena.offsets[cur], arena.offsets[cur + 1]
-        if nxt not in arena.targets[lo:hi]:
-            raise IllegalMoveError(
-                f"{arena.state_of(nxt).literal()} is not a successor of "
-                f"{arena.state_of(cur).literal()}"
-            )
+        nxt = checked_move(arena, trail[-1], int(choose(trail[-1])))
         trail.append(nxt)
         if nxt in visited:
             cycled = True
             break
         visited.add(nxt)
+    return finished_play(arena, trail, cycled)
 
+
+def checked_move(arena: Arena, cur: int, nxt: int) -> int:
+    """nxt, refused with IllegalMoveError unless it is a successor of cur."""
+    if nxt not in arena.succ_indices(cur):
+        raise IllegalMoveError(
+            f"{arena.state_of(nxt).literal()} is not a successor of "
+            f"{arena.state_of(cur).literal()}"
+        )
+    return nxt
+
+
+def finished_play(arena: Arena, trail: list[int], cycled: bool) -> Play:
+    """The Play of a finished trail of state indices: a capture, with its
+    time and captors, if the trail ends in one, else an escape."""
     states = tuple(arena.state_of(i) for i in trail)
-    last = trail[-1]
-    if arena.capture_mask[last]:
-        robber = states[-1].robber
-        cops = frozenset(i + 1 for i, c in enumerate(states[-1].cops) if c == robber)
-        return Play(states, len(trail) - 1, cops, cycled=False)
+    if arena.capture_mask[trail[-1]]:
+        fin = states[-1]
+        cops = frozenset(i + 1 for i, c in enumerate(fin.cops) if c == fin.robber)
+        return Play(states, len(trail) - 1, cops)
     return Play(states, INFINITY, frozenset(), cycled=cycled)
 
 

@@ -200,39 +200,23 @@ def cmd_scan(args) -> tuple[str, int]:
         args.allow_wide_epsilon,
         args.max_states,
     )
+    table = [
+        {
+            "epsilon": format_rational(v.epsilon),
+            "gamma": format_rational(v.gamma),
+            "positional_exists": v.positional_exists,
+            "nonpositional_exists": v.nonpositional_exists,
+            "witness_count": len(v.witnesses),
+        }
+        for v in rows
+    ]
     if args.csv:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["epsilon", "gamma", "positional_exists", "nonpositional_exists", "witness_count"]
-        )
-        for v in rows:
-            writer.writerow(
-                [
-                    format_rational(v.epsilon),
-                    format_rational(v.gamma),
-                    v.positional_exists,
-                    v.nonpositional_exists,
-                    len(v.witnesses),
-                ]
-            )
+        writer = csv.DictWriter(buf, fieldnames=list(table[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(table)
         return buf.getvalue().rstrip("\n"), 0
-    return _dump(
-        {
-            "n_players": args.n,
-            "s0": s0.literal(),
-            "rows": [
-                {
-                    "epsilon": format_rational(v.epsilon),
-                    "gamma": format_rational(v.gamma),
-                    "positional_exists": v.positional_exists,
-                    "nonpositional_exists": v.nonpositional_exists,
-                    "witness_count": len(v.witnesses),
-                }
-                for v in rows
-            ],
-        }
-    ), 0
+    return _dump({"n_players": args.n, "s0": s0.literal(), "rows": table}), 0
 
 
 def cmd_verify(args) -> tuple[str, int]:

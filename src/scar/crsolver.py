@@ -7,21 +7,17 @@ robber escapes forever). This single table drives everything downstream:
 optimal-move sets, attribution of the capture to one cop, the invariant-check
 targets, and the punishment play for the robber.
 
-`classic_cop_win` solves the textbook pursuit variant on the same graph for
-comparison: all cops relocate simultaneously in one turn, then the robber
-moves, every token may stay put. State (cops, r, turn) has index
-(mix(cops)*V + r)*2 + turn, turn 0 for the cops. A cop row lists the k-fold
-product of the cops' closed neighbourhoods (lexicographic, cop 1 slowest),
-a robber row the robber's closed neighbourhood. Moves being symmetric, the
-sources of (cops, r, 0) are (cops, r', 1) for r' in N[r] and those of
-(cops, r, 1) are (cops', r, 0) for cops' in the product: the successor
-builder with the roles swapped gives the predecessor table, with no sort.
+`classic_cop_win` answers the textbook pursuit variant, where all k cops
+relocate at once and then the robber moves, with the capture-time game for
+N = k+1 players read at the states where cop 1 moves. The cops are one team
+with one objective, so moving them one at a time within a block decides
+nothing a joint move does not; the robber stays put inside the block, and a
+capture in the middle of the block is a capture in both games.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +27,6 @@ from .arena import (
     Arena,
     OptimalMoves,
     State,
-    _decided,
-    closed_hops,
     count_of,
     row_fold,
     row_reader,
@@ -201,122 +195,22 @@ def capture_attribution(sol: CrSolution, s: State | int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClassicArena:
-    """State space for the k-cop simultaneous-move game: (cop k-tuple, robber,
-    whose turn), cops relocating as one block. index = (mix(cops)*V + r)*2 + turn
-    with turn 0 = cops."""
-
-    graph: Graph
-    cop_count: int
-    n_states: int
-    offsets: np.ndarray
-    targets: np.ndarray
-    capture: np.ndarray
-    cop_turn: np.ndarray
-
-    def index(self, cops: tuple[int, ...], robber: int, turn: int) -> int:
-        v = self.graph.vertex_count
-        mix = 0
-        for c in cops:
-            mix = mix * v + c
-        return (mix * v + robber) * 2 + turn
-
-    def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR table of predecessor lists, equal to `reverse_csr(offsets,
-        targets)`: int64 offsets and, while state ids fit, int32 sources in
-        ascending order."""
-        return _classic_slots(self.graph, self.cop_count, cops_turn=1)
-
-
-def _joint_moves(sizes: np.ndarray, hop: np.ndarray, k: int, unit: int):
-    """CSR table over the mixes of k cops: row m lists the index change of
-    every joint move from m in lexicographic order, cop i's step counting
-    unit * V^(k-1-i). Built cop by cop from the last, in one pass per rank
-    in the new cop's closed neighbourhood."""
-    v = len(sizes)
-    off, moves = np.array([0, 1]), np.zeros(1, dtype=np.int64)  # no cops: one move
-    for i in reversed(range(k)):
-        width = np.diff(off)
-        rest = np.repeat(np.arange(len(width)), width)  # the row of each move
-        place = np.arange(len(moves)) - off[rest]
-        off = np.zeros(v * len(width) + 1, dtype=np.int64)
-        np.cumsum(np.outer(sizes, width), out=off[1:])
-        # row (c, rest) holds one block of rest's moves per step of cop i
-        first = off[:-1].reshape(v, -1)[:, rest] + place
-        out = np.empty(off[-1], dtype=np.int64)
-        for r in range(hop.shape[1]):
-            cs = np.flatnonzero(sizes > r)
-            out[first[cs] + r * width[rest]] = hop[cs, r, None] * (unit * v ** (k - 1 - i)) + moves
-        moves = out
-    return off, moves
-
-
-def _classic_slots(graph: Graph, k: int, cops_turn: int) -> tuple[np.ndarray, np.ndarray]:
-    """The classic arena's CSR table whose rows of turn `cops_turn` list the
-    cops' joint moves and whose other rows the robber's, each move flipping
-    the turn: the successors with cops_turn=0, the predecessors with 1.
-    Each pass writes the rows of one robber vertex."""
-    v = graph.vertex_count
-    sizes, hop = closed_hops(graph)
-    joint_off, joint = _joint_moves(sizes, hop, k, 2 * v)
-    joint_width = np.diff(joint_off)
-    n_mix = len(joint_width)
-    offsets = np.zeros(n_mix * v * 2 + 1, dtype=np.int64)
-    widths = offsets[1:].reshape(n_mix, v, 2)  # per state (mix, robber, turn)
-    widths[:, :, cops_turn] = joint_width[:, None]
-    widths[:, :, 1 - cops_turn] = sizes
-    np.cumsum(offsets, out=offsets)
-    first = offsets[:-1].reshape(n_mix, v, 2)
-    targets = np.empty(offsets[-1], np.int32 if cops_turn and len(offsets) <= 2**31 else np.int64)
-    mix_state = np.arange(n_mix) * 2 * v
-    place = np.arange(len(joint)) - np.repeat(joint_off[:-1], joint_width)
-    # a move lands on the other turn: 1 - cops_turn from a cop row, cops_turn
-    # from a robber row; here the cop rows' targets at robber 0
-    joint += np.repeat(mix_state + 1 - cops_turn, joint_width)
-    for r in range(v):
-        cells = np.repeat(first[:, r, cops_turn], joint_width)
-        cells += place
-        targets[cells] = joint
-        joint += 2
-        size = sizes[r]
-        cells = first[:, r, 1 - cops_turn, None] + np.arange(size)
-        targets[cells] = (mix_state + cops_turn + 2 * r)[:, None] + 2 * hop[r, :size]
-    return _decided(offsets, np.diff(offsets)), targets
-
-
-def build_classic_arena(
-    graph: Graph, cop_count: int, max_states: int = DEFAULT_MAX_STATES
-) -> ClassicArena:
+def _classic_wins(graph: Graph, cop_count: int, max_states: int) -> np.ndarray:
+    """Per (cops, robber) cell, a (V^k, V) bool array: can k cops moving
+    first force a capture in the classic game?"""
     v, k = graph.vertex_count, count_of(cop_count, 1, "at least one cop")
-    n_states = v**k * v * 2
-    if n_states > max_states:
+    if 2 * v ** (k + 1) > max_states:
         raise StateCountExceededError(
-            f"classic arena would hold {n_states} states (> cap {max_states})"
+            f"classic arena would hold {2 * v ** (k + 1)} states (> cap {max_states})"
         )
-    offsets, targets = _classic_slots(graph, k, cops_turn=0)
-    mixes = np.arange(v**k, dtype=np.int64)
-    robber_row = np.arange(v, dtype=np.int64)[None, :]
-    cap_mr = np.zeros((v**k, v), dtype=bool)
-    for i in range(k):
-        cap_mr |= ((mixes // v ** (k - 1 - i)) % v)[:, None] == robber_row
-    capture = np.repeat(cap_mr.ravel(), 2)
-    cop_turn = np.arange(n_states, dtype=np.int64) % 2 == 0
-    return ClassicArena(graph, k, n_states, offsets, targets, capture, cop_turn)
-
-
-def classic_values(arena: ClassicArena) -> np.ndarray:
-    init = np.where(arena.capture, 0, INT_INF).astype(np.int64)
-    return solve_layers(arena.offsets, arena.targets, arena.cop_turn, arena.capture, init,
-                        predecessors=arena.predecessors())
+    arena = Arena(graph, k + 1, max_states=(k + 1) * v ** (k + 1))
+    return (capture_depths(arena)[:: k + 1] < INT_INF).reshape(v**k, v)
 
 
 def classic_cop_win(graph: Graph, cop_count: int, max_states: int = DEFAULT_MAX_STATES) -> bool:
     """Do k cops win the simultaneous-move game from *every* start (cops to
     move first)?"""
-    arena = build_classic_arena(graph, cop_count, max_states)
-    vals = classic_values(arena)
-    return bool((vals[arena.cop_turn] < INT_INF).all())
+    return bool(_classic_wins(graph, cop_count, max_states).all())
 
 
 def classic_cop_win_placement(
@@ -324,11 +218,7 @@ def classic_cop_win_placement(
 ) -> bool:
     """Variant where the cops choose their starting tuple first and the robber
     answers with the worst vertex for them."""
-    arena = build_classic_arena(graph, cop_count, max_states)
-    vals = classic_values(arena)
-    v = graph.vertex_count
-    cop_vals = (vals[0::2] < INT_INF).reshape(v**cop_count, v)
-    return bool(cop_vals.all(axis=1).any())
+    return bool(_classic_wins(graph, cop_count, max_states).all(axis=1).any())
 
 
 def classic_cop_number(
@@ -336,8 +226,7 @@ def classic_cop_number(
 ) -> int | float:
     """Least k <= k_max with classic_cop_win, else math.inf. k_max defaults
     to the vertex count (every graph is caught by that many cops)."""
-    if k_max is None:
-        k_max = graph.vertex_count
+    k_max = graph.vertex_count if k_max is None else count_of(k_max, 1, "k_max of at least 1")
     for k in range(1, k_max + 1):
         if classic_cop_win(graph, k, max_states):
             return k

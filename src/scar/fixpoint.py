@@ -42,8 +42,9 @@ is what lets `scarsolver` re-evaluate a solved game at another discount
 (and re-prove it with `check_fixpoint`) without a new run. Instantiations:
 
 - `solve_layers`: key = depth, step k+1, never = INT_INF. Capture-time
-  solve (cops eager), coalition attractors, guarantee tests on restricted
-  move tables, and the classic simultaneous-move game.
+  solve (cops eager), which also answers the classic simultaneous-move
+  game, coalition attractors, and guarantee tests on restricted move
+  tables.
 - `scarsolver`: key = -value, step gamma*k, never = 0. The per-cop
   discounted games and the discounted capture-time game.
 """
@@ -76,10 +77,10 @@ def retrograde(
     Every row of the table must hold a move, and every seeded state must
     be frozen. A seed keyed `never` is left unsettled and a key above it is
     refused. `predecessors` is the table's reverse CSR. Every solve in
-    the package passes one built from the table's structure
-    (`Arena.predecessors()`, `ClassicArena.predecessors()`, classify's
-    restricted table); for a hand-made table `reverse_csr` sorts the edges
-    here.
+    the package passes one: `Arena.predecessors()`, built from the
+    table's structure, or the orbit quotient's and classify's restricted
+    table's, sorted once by `reverse_csr`; for a table passed without one
+    `reverse_csr` sorts the edges here.
     """
     if predecessors is None:
         predecessors = reverse_csr(offsets, targets)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .errors import (
     DisconnectedGraphError,
     DuplicateEdgeError,
+    GraphFormatError,
     MalformedLineError,
     SelfLoopError,
     ValidationError,
@@ -131,6 +132,8 @@ def load_edge_list(path) -> Graph:
             return parse_edge_list(fh.read())
     except OSError as exc:
         raise ValidationError(f"cannot read edge list {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"edge list {path!r} is not UTF-8 text: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -45,18 +45,19 @@ import numpy as np
 
 from .arena import (
     DEFAULT_MAX_STATES,
-    INFINITY,
     Arena,
     GameParams,
     Play,
     State,
     _flood,
     build_arena,
+    checked_move,
+    finished_play,
     reachable_noncapture,
     row_counts,
 )
 from .crsolver import CrSolution, solve_capture_time
-from .errors import IllegalMoveError, ScarError, ValidationError
+from .errors import ScarError, ValidationError
 from .graphs import Graph
 from .scarsolver import GameSolution, solve_game
 
@@ -276,13 +277,7 @@ def simulate_trigger(
         cur = trail[-1]
         mover = arena.mover_of(cur)
         if dev_player is not None and mover == dev_player:
-            nxt = int(dev_table[cur])
-            lo, hi = arena.offsets[cur], arena.offsets[cur + 1]
-            if nxt not in arena.targets[lo:hi]:
-                raise IllegalMoveError(
-                    f"{arena.state_of(nxt).literal()} is not a successor of "
-                    f"{arena.state_of(cur).literal()}"
-                )
+            nxt = checked_move(arena, cur, int(dev_table[cur]))
             if not punishing and nxt != profile.cooperative[cur]:
                 punishing = True
                 switch_time = len(trail)  # this move's 1-based number
@@ -297,12 +292,5 @@ def simulate_trigger(
             break
         visited.add(key)
 
-    states = tuple(arena.state_of(i) for i in trail)
-    last = trail[-1]
-    if arena.capture_mask[last]:
-        fin = states[-1]
-        cops = frozenset(i + 1 for i, c in enumerate(fin.cops) if c == fin.robber)
-        play = Play(states, len(trail) - 1, cops, cycled=False)
-    else:
-        play = Play(states, INFINITY, frozenset(), cycled=cycled)
+    play = finished_play(arena, trail, cycled)
     return TriggerRun(play, switch_time, dev_player if switch_time is not None else None)

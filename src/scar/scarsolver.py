@@ -90,17 +90,9 @@ class GameSolution(OptimalMoves):
         self.rounds = rounds  # settled levels
         self._max_mask = max_mask
         self._edge_opt: np.ndarray | None = None
-        self._values: tuple[Fraction, ...] | None = None
 
     def value(self, s: State | int) -> Fraction:
         return self.levels[self.rank[self.arena.index_of(s)]]
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        """The value of every state, in index order (built on first use)."""
-        if self._values is None:
-            self._values = tuple(self.levels[r] for r in self.rank.tolist())
-        return self._values
 
     @property
     def edge_opt(self) -> np.ndarray:
@@ -119,7 +111,7 @@ class GameSolution(OptimalMoves):
     def _with_levels(self, levels: tuple[Fraction, ...]) -> GameSolution:
         """The same ranks, rounds and optimal moves under other level values."""
         moved = copy.copy(self)
-        moved.levels, moved._values = levels, None
+        moved.levels = levels
         return moved
 
 

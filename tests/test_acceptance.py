@@ -227,13 +227,13 @@ def _oracle_agreement():
                     # Bellman equation exactly, capture rows the payoff rule
                     for i in range(a.n_states):
                         if a.capture_mask[i]:
-                            assert sol.values[i] == terminal_payoff(
+                            assert sol.value(i) == terminal_payoff(
                                 a.state_of(i), m, params
                             )
                         else:
-                            tv = [sol.values[int(j)] for j in a.succ_indices(i)]
+                            tv = [sol.value(int(j)) for j in a.succ_indices(i)]
                             best = max(tv) if a.mover_of(i) == m else min(tv)
-                            assert sol.values[i] == gamma * best
+                            assert sol.value(i) == gamma * best
 
 
 def _monotone_iterates():

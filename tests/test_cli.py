@@ -255,6 +255,16 @@ def test_verify_refuses_a_pattern_that_matches_no_case(capsys):
     assert (code, out, err) == (2, "", "error: no manifest case id contains 'nosuchcase'\n")
 
 
+def test_a_graph_file_that_is_not_utf8_is_one_error_line_with_exit_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"\xff\xfe0 1\n")
+    code, out, err = run(capsys, "cr-solve", "--graph", str(bad), "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: edge list {str(bad)!r} is not UTF-8 text")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", ["--gamma-grid", "--epsilon-grid"], ids=["gamma", "epsilon"])
 @pytest.mark.parametrize("empty", ["", " , "], ids=["empty", "blank"])
 def test_scan_refuses_an_empty_grid(capsys, monkeypatch, flag, empty):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from scar import (
     State,
+    StateCountExceededError,
     ValidationError,
     build_arena,
     builtin,
@@ -19,17 +20,11 @@ from scar import (
     simulate,
     solve_capture_time,
 )
-from scar.arena import concat_ranges, filter_csr, reverse_csr
-from scar.crsolver import (
-    build_classic_arena,
-    classic_cop_number,
-    classic_cop_win,
-    classic_cop_win_placement,
-    classic_values,
-)
-from scar.fixpoint import INT_INF, solve_layers
+from scar.arena import concat_ranges, filter_csr
+from scar.crsolver import classic_cop_number, classic_cop_win, classic_cop_win_placement
+from scar.fixpoint import INT_INF
 
-from oracles import capture_times, cell, classic_arena as oracle_classic_arena
+from oracles import capture_times, cell, classic_arena as oracle_classic_arena, jacobi_layers
 from strategies import connected_graphs
 
 
@@ -220,14 +215,6 @@ def test_attribution_consistent_with_greedy_play(suite_graphs):
 # -- classic (simultaneous relocation) game ----------------------------------
 
 
-def test_classic_arena_shape():
-    g = builtin("path", 3)
-    ca = build_classic_arena(g, 1)
-    assert ca.n_states == 3 * 3 * 2
-    idx = ca.index((1,), 2, 0)
-    assert ca.cop_turn[idx]
-
-
 @pytest.mark.parametrize(
     "name, k, want",
     [
@@ -260,46 +247,56 @@ def test_classic_cop_number_inf_when_k_max_too_small():
     assert classic_cop_number(builtin("petersen"), k_max=2) == math.inf
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_vertices=5), st.sampled_from([1, 2, 3]))
-def test_classic_tables_match_the_rules(g, k):
-    """The classic tables equal the oracle's, the predecessor table equals
-    the sorted reverse of the successor table (dtypes included), and the
-    solve through it equals the solve that builds its own reverse."""
-    a = build_classic_arena(g, k)
-    offsets, targets, capture, cop_turn = oracle_classic_arena(g, k)
-    assert a.offsets.tolist() == offsets
-    assert a.targets.tolist() == targets
-    assert a.capture.tolist() == capture
-    assert a.cop_turn.tolist() == cop_turn
-    preds = a.predecessors()
-    for mine, ref in zip(preds, reverse_csr(a.offsets, a.targets)):
-        assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
-    init = np.where(a.capture, 0, INT_INF).astype(np.int64)
-    alone = solve_layers(a.offsets, a.targets, a.cop_turn, a.capture, init)
-    assert np.array_equal(classic_values(a), alone)
+def test_classic_wins_match_the_rules(g, k):
+    """Both classic verdicts, cell by cell, equal the oracle's classic
+    arena solved by plain Jacobi rounds: the universal win holds where
+    every (cops, robber) cell with the cops to move is won, the placement
+    win where some cop tuple wins against every robber vertex."""
+    offsets, targets, capture, cop_turn = map(np.array, oracle_classic_arena(g, k))
+    init = np.where(capture, 0, INT_INF)
+    vals = jacobi_layers(offsets, targets, cop_turn, capture, init, INT_INF)
+    won = (vals[cop_turn] < INT_INF).reshape(g.vertex_count**k, g.vertex_count)
+    assert classic_cop_win(g, k) == won.all()
+    assert classic_cop_win_placement(g, k) == won.all(axis=1).any()
 
 
-def test_classic_tables_build_in_little_more_than_their_own_memory():
-    """Building Petersen's k=3 classic arena (680,000 moves) and its
-    predecessor table peaks at most 1.5 times the bytes of the two tables
-    (1.20 measured; sorting the reverse took 1.95)."""
-    g = builtin("petersen")
+def test_classic_cop_win_on_the_dodecahedron_stays_small():
+    """Three cops on the dodecahedron: the 4-player capture-time game on its
+    orbit quotient, whose tracemalloc peak measured 9.6 MB; the classic
+    arena's two tables alone held 130 MB."""
+    g = builtin("dodecahedron")
     tracemalloc.start()
     try:
-        a = build_classic_arena(g, 3)
-        preds = a.predecessors()
+        assert classic_cop_win(g, 3) is True
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tables = a.offsets.nbytes + a.targets.nbytes + preds[0].nbytes + preds[1].nbytes
-    assert peak <= 1.5 * tables
+    assert peak <= 32 * 2**20
+
+
+def test_classic_state_cap_counts_the_classic_arena():
+    """Petersen k=3: the classic arena has 2 * 10^4 states, and the cap is
+    checked against that count, not against the 4-player arena's."""
+    g = builtin("petersen")
+    assert classic_cop_win(g, 3, max_states=20_000) is True
+    with pytest.raises(StateCountExceededError,
+                       match=r"classic arena would hold 20000 states \(> cap 19999\)"):
+        classic_cop_win_placement(g, 3, max_states=19_999)
+
+
+@pytest.mark.parametrize("k_max, named", [(True, "bool"), (1.5, "float"), (0, "got 0")])
+def test_classic_cop_number_refuses_a_bad_k_max(k_max, named):
+    with pytest.raises(ValidationError, match=named):
+        classic_cop_number(builtin("cycle", 4), k_max=k_max)
 
 
 def test_classic_cop_count_may_be_a_numpy_integer():
     g = builtin("cycle", 4)
     assert classic_cop_win(g, np.int64(2)) is True
-    assert build_classic_arena(g, np.int32(1)).cop_count == 1
+    assert classic_cop_win_placement(g, np.int32(1)) is False
+    assert classic_cop_number(g, k_max=np.int32(2)) == 2
 
 
 @pytest.mark.parametrize("k, named", [(True, "bool"), (np.bool_(True), "bool"), (2.0, "float")])

@@ -19,6 +19,7 @@ from scar import (
     build_arena,
     builtin,
     graph_from_edges,
+    simulate,
     solve_capture_time,
     state_cop_report,
 )
@@ -182,3 +183,19 @@ def test_commands_answer_without_the_full_move_table(capsys, monkeypatch):
         code = main([argv[0], "--builtin", "petersen", "--n", "4", *argv[1:]])
         out = capsys.readouterr().out
         assert (code, out) == (0, json.dumps(want, indent=2, sort_keys=True) + "\n"), argv
+
+
+def test_simulate_plays_without_the_full_move_table(monkeypatch):
+    """simulate checks each move against its own row, so a capture-time-
+    optimal play from every finite start of Petersen N=3 builds no table."""
+    a = build_arena(builtin("petersen"), 3)
+    sol = solve_capture_time(a)
+    finite = np.flatnonzero(sol.finite_mask() & ~a.capture_mask)
+
+    def no_table(self, back, rows=None):
+        raise AssertionError("a move table was built")
+
+    monkeypatch.setattr(Arena, "_slots", no_table)
+    for i in finite[:: max(1, len(finite) // 50)]:
+        play = simulate(a, int(i), lambda j: sol.opt_indices(j)[0])
+        assert play.capture_time == sol.capture_time(int(i))

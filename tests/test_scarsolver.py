@@ -115,17 +115,17 @@ def test_bellman_residuals_are_zero(suite_graphs):
             sol = solve_game(a, m, params)
             for i in range(a.n_states):
                 if a.capture_mask[i]:
-                    assert sol.values[i] == terminal_payoff(a.state_of(i), m, params)
+                    assert sol.value(i) == terminal_payoff(a.state_of(i), m, params)
                     continue
-                opts = [sol.values[int(j)] for j in a.succ_indices(i)]
+                opts = [sol.value(int(j)) for j in a.succ_indices(i)]
                 best = max(opts) if a.mover_of(i) == m else min(opts)
-                assert sol.values[i] == params.gamma * best
+                assert sol.value(i) == params.gamma * best
 
 
 def test_values_bounded_by_unit_interval(suite_graphs):
     a = build_arena(suite_graphs["c5"], 3)
     sol = solve_game(a, 2, GameParams(3, Q(9, 10), Q(1, 3)))
-    assert all(0 <= v <= 1 for v in sol.values)
+    assert all(0 <= sol.value(i) <= 1 for i in range(a.n_states))
 
 
 def test_greedy_play_collects_exactly_the_value():
@@ -171,7 +171,7 @@ def test_discounted_capture_is_gamma_to_the_capture_time(suite_graphs):
         for i in range(a.n_states):
             t = cr.values[i]
             want = Q(0) if t >= INT_INF else gamma ** int(t)
-            assert disc.values[i] == want
+            assert disc.value(i) == want
         for i in np.nonzero(~a.capture_mask)[0]:
             assert set(map(int, disc.opt_indices(int(i)))) == set(
                 map(int, cr.opt_indices(int(i)))
@@ -221,7 +221,7 @@ def test_solve_game_matches_oracle_on_random_graphs(game):
         lo, hi = a.offsets[i], a.offsets[i + 1]
         got = set(a.targets[lo:hi][sol.edge_opt[lo:hi]].tolist())
         assert got == {j for j, v in opts.items() if v == best}
-    assert len(sol.levels) == len(set(sol.values))
+    assert len(sol.levels) == len({sol.value(i) for i in range(a.n_states)})
 
 
 def test_levels_are_distinct_and_ranks_index_them():
@@ -230,7 +230,7 @@ def test_levels_are_distinct_and_ranks_index_them():
     assert list(sol.levels) == sorted(set(sol.levels))
     assert sol.rounds == len(sol.levels) - (sol.levels[0] == 0)
     for i in range(a.n_states):
-        assert sol.value(i) == sol.levels[sol.rank[i]] == sol.values[i]
+        assert sol.value(i) == sol.levels[sol.rank[i]]
 
 
 def capture_game(a, gamma, coefficient=Q(1)):
@@ -274,7 +274,9 @@ def _same_solution(warm, fresh):
     assert np.array_equal(warm.rank, fresh.rank)
     assert np.array_equal(warm.edge_opt, fresh.edge_opt)
     assert warm.rounds == fresh.rounds
-    assert warm.values == fresh.values
+    assert [warm.value(i) for i in range(warm.arena.n_states)] == [
+        fresh.value(i) for i in range(fresh.arena.n_states)
+    ]
 
 
 # ties: gamma = 1/(2-2*eps) on p2 N=3, and the manifest's 1/2 and 1/3
