@@ -30,17 +30,17 @@ to every token preserves moves, captures, captors and turns, so their
 answers are constant on orbits. Row i of the quotient is the row of orbit
 i's smallest state (`_slots` on those rows), each target replaced by its
 orbit, duplicates kept. Those multiplicities differ with orbit sizes, so
-no structure gives its predecessor table: `reverse_csr` sorts it, cheaply
-at that size, and stays here for it. The trivial group gives the arena.
+no structure gives its predecessor table: `Csr.reverse` sorts it, cheaply
+at that size. The trivial group gives the arena.
 
-On a regular graph every row of both tables has width deg+1. The row
-helpers (`row_best`, `row_counts`, `row_fold`, `per_edge`, `row_reader`)
-work such a rectangular table as a `(rows, width)` view: a min/max or sum
-sweep over the columns and a plain row gather. Ragged tables take
-`reduceat` and `concat_ranges`. Each table's width is decided once, from
-its row sizes when the package builds the table (`_decided`), and looked
-up by its offsets array from then on; offsets made elsewhere are measured
-on every call.
+Every table is a `Csr`, which carries its width: d when every row holds
+d >= 1 entries, as both tables do with d = deg+1 on a regular graph, else
+None. Its row methods (`row_best`, `row_counts`, `row_fold`, `per_edge`,
+`row_reader`) work a table of width d as a `(rows, d)` view, a column
+sweep and a plain row gather, and a ragged one with `reduceat` and
+`concat_ranges`. Each builder decides the width from the row sizes it
+has, and the arrays are read-only; `Csr.measured` reads the width off
+arrays made outside the package.
 
 `reachable_noncapture` floods the successor table one frontier at a time,
 with the width rule of `fixpoint.retrograde`: a frontier whose successor
@@ -55,7 +55,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -176,11 +175,12 @@ class Arena:
 
     # -- construction -------------------------------------------------------
 
-    # the successor table's int64 offsets and targets, built on first use
-    offsets = property(lambda self: self.memo("successors", lambda: self._slots(False))[0])
-    targets = property(lambda self: self.memo("successors", lambda: self._slots(False))[1])
+    # the successor table, built on first use, and its int64 arrays
+    moves = property(lambda self: self.memo("successors", lambda: self._slots(False)))
+    offsets = property(lambda self: self.moves.offsets)
+    targets = property(lambda self: self.moves.targets)
 
-    def _slots(self, back: bool, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def _slots(self, back: bool, rows: np.ndarray | None = None) -> Csr:
         """The CSR table whose row s lists s with one token moved to each
         vertex of that token's closed neighbourhood, in ascending order: the
         mover's token with the turn advanced (successors), or with `back`
@@ -203,10 +203,9 @@ class Arena:
         key = token * v + vertex
         widths = sizes[vertex]
         del token, vertex
-        offsets = np.zeros(len(idx) + 1, dtype=np.int64)
-        np.cumsum(widths, out=offsets[1:])
-        targets = np.empty(offsets[-1], np.int32 if back and self.n_states < 2**31 else np.int64)
-        first = offsets[:-1]
+        targets = np.empty(widths.sum(), np.int32 if back and self.n_states < 2**31 else np.int64)
+        table = Csr.of_sizes(widths, targets.view())  # read-only; written through `targets`
+        first = table.offsets[:-1]
         for r in range(width):
             if r < narrowest:
                 # every row has slot r; on a rectangular table it is every
@@ -216,7 +215,7 @@ class Arena:
             else:
                 at = np.flatnonzero(widths > r)
                 targets[first[at] + r] = idx[at] + shift[r][key[at]]
-        return _decided(offsets, widths), targets
+        return table
 
     # -- state codec --------------------------------------------------------
 
@@ -270,9 +269,6 @@ class Arena:
         u, step = idx // stride % self.graph.vertex_count, 1 if token < n - 1 else 1 - n
         return idx + step + (np.array(self.graph.closed_neighborhood(u)) - u) * stride
 
-    def successors(self, s: State) -> list[State]:
-        return [self.state_of(int(j)) for j in self.succ_indices(self.index(s))]
-
     def noncapture_indices(self) -> np.ndarray:
         return np.nonzero(~self.capture_mask)[0]
 
@@ -286,9 +282,10 @@ class Arena:
 
     def memo(self, key, build):
         """The table derived from this arena under `key`, made by `build()`
-        on first use and kept for the arena's lifetime."""
+        on first use and kept for the arena's lifetime, its arrays read-only
+        since every later caller shares them."""
         if key not in self._memo:
-            self._memo[key] = build()
+            self._memo[key] = _read_only(build())
         return self._memo[key]
 
     def cop_at_robber(self, m: int) -> np.ndarray:
@@ -304,10 +301,10 @@ class Arena:
 
         return self.memo(("cop_at_robber", m), build)
 
-    def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR table of predecessor lists, equal to `reverse_csr(offsets,
-        targets)`: int64 offsets and, while state ids fit, int32 sources in
-        ascending order. Memoized."""
+    def predecessors(self) -> Csr:
+        """The table of predecessor lists, equal to `moves.reverse()`: int64
+        offsets and, while state ids fit, int32 sources in ascending order.
+        Memoized."""
         return self.memo("predecessors", lambda: self._slots(back=True))
 
     def quotient(self) -> Quotient:
@@ -318,16 +315,16 @@ class Arena:
 @dataclass(frozen=True)
 class Quotient:
     """An arena's orbits under graph automorphisms acting on every token:
-    orbit i stands for its smallest state `reps[i]` (ascending), and its row
-    lists the orbit of each of reps[i]'s successors, in order, duplicates
-    kept. State s lies in orbit `mix_orbit[s // N] * N + s % N`."""
+    orbit i stands for its smallest state `reps[i]` (ascending), its row of
+    `moves` lists the orbit of each of reps[i]'s successors, in order,
+    duplicates kept, and `preds` is the reverse of `moves`. State s lies in
+    orbit `mix_orbit[s // N] * N + s % N`."""
 
     n_players: int
     mix_orbit: np.ndarray  # per position tuple, the index of its orbit of tuples
     reps: np.ndarray
-    offsets: np.ndarray
-    targets: np.ndarray
-    predecessors: tuple[np.ndarray, np.ndarray]
+    moves: Csr
+    preds: Csr
 
     def lift(self, per_orbit: np.ndarray) -> np.ndarray:
         """Per state, the entry of its orbit."""
@@ -357,11 +354,13 @@ def _quotient(arena: Arena) -> Quotient:
     roots = label == np.arange(v**n)
     mix_orbit = (np.cumsum(roots) - 1)[label]
     reps = (np.flatnonzero(roots)[:, None] * n + np.arange(n)).ravel()
+    _read_only((mix_orbit, reps))
     if len(reps) == arena.n_states:  # the trivial group: the arena itself
-        return Quotient(n, mix_orbit, reps, arena.offsets, arena.targets, arena.predecessors())
-    offsets, targets = arena._slots(back=False, rows=reps)
-    targets = mix_orbit[targets // n] * n + targets % n
-    return Quotient(n, mix_orbit, reps, offsets, targets, reverse_csr(offsets, targets))
+        return Quotient(n, mix_orbit, reps, arena.moves, arena.predecessors())
+    moves = arena._slots(back=False, rows=reps)
+    orbits = mix_orbit[moves.targets // n] * n + moves.targets % n
+    moves = Csr.of_sizes(np.diff(moves.offsets), orbits)  # its own, writable row starts
+    return Quotient(n, mix_orbit, reps, moves, moves.reverse())
 
 
 def closed_hops(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -376,58 +375,14 @@ def closed_hops(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return sizes, hop
 
 
-def reverse_csr(offsets: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The predecessor CSR of a successor CSR: int64 offsets and, while
-    state ids fit, int32 sources, each list in ascending order. A sort of
-    every edge, for tables with no structure to build it from."""
-    n = len(offsets) - 1
-    rows = per_edge(offsets, np.arange(n, dtype=np.int64))
-    # ordered by target, then source; equal keys are equal entries
-    keys = np.asarray(targets, dtype=np.int64) * n + rows
-    del rows
-    keys.sort()
-    np.remainder(keys, n, out=keys)
-    pred_offsets = np.zeros(n + 1, dtype=np.int64)
-    counts = np.bincount(targets, minlength=n)
-    np.cumsum(counts, out=pred_offsets[1:])
-    return _decided(pred_offsets, counts), keys.astype(np.int32 if n < 2**31 else np.int64)
-
-
-# A memo of `_measured` for the tables the package builds, under
-# id(offsets); a weak reference to the offsets array drops the entry when
-# the array dies, before its id can be reused.
-_widths: dict[int, tuple[weakref.ref, int | None]] = {}
-
-
-def _decided(offsets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Record the row width of a table just built from its row sizes, once,
-    and return its offsets; `row_width` looks the width up from then on.
-    The offsets must not change afterwards."""
-    key = id(offsets)
-    width = int(sizes[0]) if sizes.size and sizes.min() == sizes.max() > 0 else None
-    _widths[key] = (weakref.ref(offsets, lambda _: _widths.pop(key, None)), width)
-    return offsets
-
-
-def row_width(offsets: np.ndarray) -> int | None:
-    """The common width d >= 1 of every row of a CSR table, or None when
-    the rows differ or there are none. The row helpers below read a table
-    with width d as a `(rows, d)` array. Decided when the package built
-    the table, measured for offsets made elsewhere."""
-    known = _widths.get(id(offsets))
-    if known is not None and known[0]() is offsets:
-        return known[1]
-    return _measured(offsets)
-
-
-def _measured(offsets: np.ndarray) -> int | None:
-    n = len(offsets) - 1
-    if n <= 0:
-        return None
-    d, rest = divmod(int(offsets[-1]), n)
-    if rest or d == 0 or not np.array_equal(offsets, np.arange(0, d * n + 1, d)):
-        return None
-    return d
+def _read_only(value):
+    """value, with every ndarray in it (in tuples and lists too) read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    return value
 
 
 def _columns(ufunc, table: np.ndarray, dtype=None) -> np.ndarray:
@@ -438,63 +393,102 @@ def _columns(ufunc, table: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
-def per_edge(offsets: np.ndarray, row_values: np.ndarray) -> np.ndarray:
-    """Each row's value repeated once per edge of the row."""
-    d = row_width(offsets)
-    return np.repeat(row_values, np.diff(offsets) if d is None else d)
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """A table in CSR form: row i lists targets[offsets[i]:offsets[i+1]].
+    `width` is d when every row holds d >= 1 entries, else None; the
+    methods read a table of width d as a `(rows, d)` array. Both arrays
+    are read-only, so the width stays true. Unpacks as (offsets, targets)."""
 
+    offsets: np.ndarray
+    targets: np.ndarray
+    width: int | None
 
-def row_counts(offsets: np.ndarray, edge_mask: np.ndarray) -> np.ndarray:
-    """Per row of a CSR table with no empty row, how many of its edges
-    edge_mask marks (int64)."""
-    d = row_width(offsets)
-    if d is not None:
-        return _columns(np.add, edge_mask.reshape(-1, d), np.int64)
-    return np.add.reduceat(edge_mask, offsets[:-1], dtype=np.int64)
+    def __post_init__(self):
+        # numpy copies a read-only index array, so reduceat reads the row
+        # starts through a view taken before the arrays turn read-only
+        object.__setattr__(self, "_starts", self.offsets[:-1])
+        self.offsets.flags.writeable = self.targets.flags.writeable = False
 
+    def __iter__(self):
+        return iter((self.offsets, self.targets))
 
-def row_fold(ufunc, offsets: np.ndarray, rows: np.ndarray, edge_values: np.ndarray) -> np.ndarray:
-    """ufunc folded over each of `rows` (none of them empty), given one
-    value per edge of those rows in the order `row_reader` lists them."""
-    d = row_width(offsets)
-    if d is not None:
-        return _columns(ufunc, edge_values.reshape(-1, d))
-    sizes = offsets[rows + 1] - offsets[rows]
-    return ufunc.reduceat(edge_values, np.cumsum(sizes) - sizes)
+    @classmethod
+    def of_sizes(cls, sizes: np.ndarray, targets: np.ndarray) -> Csr:
+        """Row i holds the next sizes[i] entries of `targets`; the width comes from the sizes."""
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        width = int(sizes[0]) if sizes.size and sizes.min() == sizes.max() > 0 else None
+        return cls(offsets, targets, width)
 
+    @classmethod
+    def measured(cls, offsets, targets) -> Csr:
+        """The table of arrays made elsewhere, its width read off the offsets."""
+        offsets, targets = np.asarray(offsets).view(), np.asarray(targets).view()
+        n = len(offsets) - 1
+        d = int(offsets[-1]) // n if n > 0 else 0
+        same = d > 0 and np.array_equal(offsets, np.arange(0, d * n + 1, d))
+        return cls(offsets, targets, d if same else None)
 
-def row_best(offsets: np.ndarray, succ_keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
-    """Per row of a CSR table with no empty row, the best of its
-    successors' keys (succ_keys holds one key per edge): the largest on
-    max_mask rows, the smallest elsewhere."""
-    d = row_width(offsets)
-    if d is not None:
-        table = succ_keys.reshape(-1, d)
-        return np.where(max_mask, _columns(np.maximum, table), _columns(np.minimum, table))
-    seg = offsets[:-1]
-    return np.where(
-        max_mask, np.maximum.reduceat(succ_keys, seg), np.minimum.reduceat(succ_keys, seg)
-    )
+    def per_edge(self, row_values: np.ndarray) -> np.ndarray:
+        """Each row's value repeated once per edge of the row."""
+        return np.repeat(row_values, np.diff(self.offsets) if self.width is None else self.width)
 
+    def row_counts(self, edge_mask: np.ndarray) -> np.ndarray:
+        """Per row (none empty), how many of its edges edge_mask marks (int64)."""
+        if self.width is not None:
+            return _columns(np.add, edge_mask.reshape(-1, self.width), np.int64)
+        return np.add.reduceat(edge_mask, self._starts, dtype=np.int64)
 
-def row_reader(offsets: np.ndarray, targets: np.ndarray):
-    """A function from an array of row indices to the concatenation of
-    those rows of a CSR table."""
-    d = row_width(offsets)
-    if d is None:
-        return lambda rows: targets[concat_ranges(offsets[rows], offsets[rows + 1])]
-    table = targets.reshape(-1, d)
-    return lambda rows: table[rows].ravel()
+    def row_fold(self, ufunc, rows: np.ndarray, edge_values: np.ndarray) -> np.ndarray:
+        """ufunc folded over each of `rows` (none of them empty), given one
+        value per edge of those rows in the order `row_reader` lists them."""
+        if self.width is not None:
+            return _columns(ufunc, edge_values.reshape(-1, self.width))
+        sizes = self.offsets[rows + 1] - self.offsets[rows]
+        return ufunc.reduceat(edge_values, np.cumsum(sizes) - sizes)
 
+    def row_best(self, succ_keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
+        """Per row (none empty), the best of its edges' `succ_keys`: the
+        largest on max_mask rows, the smallest elsewhere."""
+        if self.width is not None:
+            table = succ_keys.reshape(-1, self.width)
+            return np.where(max_mask, _columns(np.maximum, table), _columns(np.minimum, table))
+        seg = self._starts
+        return np.where(
+            max_mask, np.maximum.reduceat(succ_keys, seg), np.minimum.reduceat(succ_keys, seg)
+        )
 
-def filter_csr(
-    offsets: np.ndarray, targets: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR table holding only the edges marked in `keep`."""
-    new_offsets = np.zeros(len(offsets), dtype=np.int64)
-    counts = row_counts(offsets, keep)
-    np.cumsum(counts, out=new_offsets[1:])
-    return _decided(new_offsets, counts), targets[keep]
+    def row_reader(self):
+        """A function from row indices to the concatenation of those rows."""
+        offsets, targets = self
+        if self.width is None:
+            return lambda rows: targets[concat_ranges(offsets[rows], offsets[rows + 1])]
+        table = targets.reshape(-1, self.width)
+        return lambda rows: table[rows].ravel()
+
+    def best_edges(self, keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
+        """Per edge (no row empty): is the target's key its row's best, the
+        largest on max_mask rows and the smallest elsewhere?"""
+        sv = keys[self.targets]
+        return sv == self.per_edge(self.row_best(sv, max_mask))
+
+    def filter(self, keep: np.ndarray) -> Csr:
+        """The table holding only the edges marked in `keep`."""
+        return Csr.of_sizes(self.row_counts(keep), self.targets[keep])
+
+    def reverse(self) -> Csr:
+        """The predecessor table: int64 offsets and, while state ids fit,
+        int32 sources, each list in ascending order. A sort of every edge,
+        for tables with no structure to build it from."""
+        n = len(self.offsets) - 1
+        counts = np.bincount(self.targets, minlength=n)
+        # ordered by target, then source; equal keys are equal entries
+        keys = self.per_edge(np.arange(n, dtype=np.int64))
+        keys += np.asarray(self.targets, dtype=np.int64) * n
+        keys.sort()
+        np.remainder(keys, n, out=keys)
+        return Csr.of_sizes(counts, keys.astype(np.int32 if n < 2**31 else np.int64))
 
 
 class OptimalMoves:
@@ -504,10 +498,6 @@ class OptimalMoves:
     moves to a row's best key are its mover's optimal moves."""
 
     arena: Arena
-
-    def _best_edges(self) -> np.ndarray:
-        """Per edge of the arena's table: is it one of its row's best?"""
-        return best_edges(self.arena.offsets, self.arena.targets, *self._opt_keys())
 
     def opt_indices(self, s: State | int) -> np.ndarray:
         """The optimal successors of noncapture state s, ascending: the
@@ -522,13 +512,6 @@ class OptimalMoves:
 
     def opt_moves(self, s: State | int) -> tuple[State, ...]:
         return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(s))
-
-
-def best_edges(offsets, targets, keys, max_mask) -> np.ndarray:
-    """Per edge of a CSR table with no empty row: is the target's key its
-    row's best, the largest on max_mask rows and the smallest elsewhere?"""
-    sv = keys[targets]
-    return sv == per_edge(offsets, row_best(offsets, sv, max_mask))
 
 
 def build_arena(
@@ -556,11 +539,11 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.cumsum(step)
 
 
-def _flood(offsets: np.ndarray, targets: np.ndarray, seed: np.ndarray,
-           blocked: np.ndarray) -> np.ndarray:
-    """Mask of states reachable from the seed mask without ever stepping
-    into (or out of) a blocked state; seeds are included as-is."""
-    read = row_reader(offsets, targets)
+def _flood(moves: Csr, seed: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """Mask of states reachable from the seed mask along `moves` without
+    ever stepping into (or out of) a blocked state; seeds are included
+    as-is."""
+    read = moves.row_reader()
     n = len(blocked)
     seen = seed & ~blocked
     fresh = ~(seen | blocked)  # states a step may still enter
@@ -587,7 +570,7 @@ def reachable_noncapture(arena: Arena, s0: State | int) -> np.ndarray:
         raise ValidationError("reachability is defined from a noncapture state")
     seed = np.zeros(arena.n_states, dtype=bool)
     seed[start] = True
-    return np.nonzero(_flood(arena.offsets, arena.targets, seed, arena.capture_mask))[0]
+    return np.nonzero(_flood(arena.moves, seed, arena.capture_mask))[0]
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,7 @@ from .arena import (
     DEFAULT_MAX_STATES,
     Arena,
     State,
-    best_edges,
     build_arena,
-    filter_csr,
-    per_edge,
-    reverse_csr,
 )
 from .crsolver import CrSolution, solve_capture_time
 from .errors import ValidationError
@@ -70,10 +66,10 @@ def _restricted_tables(arena: Arena, cr: CrSolution, m: int):
     table with cop m's rows cut to their capture-time-optimal moves, and its
     predecessor table."""
     q = arena.quotient()
-    keep = per_edge(q.offsets, ~arena.mover_mask(m)[q.reps])
-    keep |= best_edges(q.offsets, q.targets, cr.values[q.reps], arena.robber_mover_mask()[q.reps])
-    table = filter_csr(q.offsets, q.targets, keep)
-    return table, reverse_csr(*table)
+    keep = q.moves.per_edge(~arena.mover_mask(m)[q.reps])
+    keep |= q.moves.best_edges(cr.values[q.reps], arena.robber_mover_mask()[q.reps])
+    table = q.moves.filter(keep)
+    return table, table.reverse()
 
 
 def _guarantee_winning_sets(
@@ -88,13 +84,12 @@ def _guarantee_winning_sets(
     def build() -> tuple[np.ndarray, np.ndarray]:
         q = arena.quotient()
         m_rows = arena.mover_mask(m)[q.reps]
-        (offsets, targets), preds = _restricted_tables(arena, cr, m)
+        moves, preds = _restricted_tables(arena, cr, m)
         capture = arena.capture_mask[q.reps]
         wanted = capture & arena.cop_at_robber(m)[q.reps]
         init = np.where(wanted, 0, INT_INF).astype(np.int64)
         return tuple(
-            q.lift(solve_layers(offsets, targets, minimizing, capture, init,
-                                predecessors=preds) < INT_INF)
+            q.lift(solve_layers(moves, minimizing, capture, init, predecessors=preds) < INT_INF)
             for minimizing in (m_rows, np.zeros_like(m_rows))
         )
 
@@ -115,7 +110,7 @@ def g3_guarantee_test(
     return bool(_guarantee_winning_sets(arena, crsol, m)[adversarial_ties][idx])
 
 
-def _fmt(value: int | float) -> int | str:
+def _int_or_inf(value: int | float) -> int | str:
     return "inf" if value == math.inf or value >= INT_INF else int(value)
 
 
@@ -127,7 +122,7 @@ def classify(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) -> 
     nc = ~arena.capture_mask
     rm = arena.robber_mover_mask()
 
-    evidence: dict = {"max_state_cop_number": _fmt(report.max_over_noncapture())}
+    evidence: dict = {"max_state_cop_number": _int_or_inf(report.max_over_noncapture())}
 
     inf_nc = nc & (vals >= INT_INF)
     if inf_nc.any():

@@ -23,7 +23,7 @@ import sys
 import tempfile
 
 from .arena import DEFAULT_MAX_STATES, GameParams, State, build_arena, parse_state
-from .classify import classify
+from .classify import _int_or_inf, classify
 from .crsolver import capture_attribution, solve_capture_time
 from .errors import ScarError, ValidationError
 from .fixpoint import INT_INF
@@ -38,12 +38,6 @@ WITNESS_CAP = 50
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _int_or_inf(v) -> int | str:
-    if v == math.inf or v >= INT_INF:
-        return "inf"
-    return int(v)
 
 
 def _load_graph(args) -> Graph:

@@ -28,8 +28,6 @@ from .arena import (
     OptimalMoves,
     State,
     count_of,
-    row_fold,
-    row_reader,
 )
 from .errors import ScarError, StateCountExceededError, UniquenessViolationError, ValidationError
 from .fixpoint import INT_INF, solve_layers
@@ -65,7 +63,8 @@ class CrSolution(OptimalMoves):
         are equally hopeless) and the robber rows keep exactly the moves that
         stay at INT_INF.
         """
-        return self.arena.memo("capture_edge_opt", self._best_edges)
+        a = self.arena
+        return a.memo("capture_edge_opt", lambda: a.moves.best_edges(*self._opt_keys()))
 
     def _opt_keys(self) -> tuple[np.ndarray, np.ndarray]:
         return self.values, self._robber_rows
@@ -100,11 +99,11 @@ class CrSolution(OptimalMoves):
                 order = np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")
                 by_value, depth = finite_nc[order], depth[order]
                 cuts = np.flatnonzero(np.diff(depth)) + 1
-                read = row_reader(q.offsets, q.targets)
+                read = q.moves.row_reader()
                 for level, t in zip(np.split(by_value, cuts), depth[np.r_[0, cuts]]):
                     succ = read(level)
                     succ_bits = np.where(values[succ] == t - 1, bits[succ], np.uint32(0))
-                    bits[level] = row_fold(np.bitwise_or, q.offsets, level, succ_bits)
+                    bits[level] = q.moves.row_fold(np.bitwise_or, level, succ_bits)
             return bits
 
         return a.memo("cop_bits", build)
@@ -162,8 +161,7 @@ def forced_capture_depths(arena: Arena, chasing: np.ndarray) -> np.ndarray:
     q = arena.quotient()
     frozen = arena.capture_mask[q.reps]
     init = np.where(frozen, 0, INT_INF).astype(np.int64)
-    return q.lift(solve_layers(q.offsets, q.targets, chasing[q.reps], frozen, init,
-                               predecessors=q.predecessors))
+    return q.lift(solve_layers(q.moves, chasing[q.reps], frozen, init, predecessors=q.preds))
 
 
 def capture_depths(arena: Arena) -> np.ndarray:

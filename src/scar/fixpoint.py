@@ -1,8 +1,8 @@
 """One exact retrograde engine for every reachability game in the package.
 
-A game is a CSR successor table, an `eager` mask, a `frozen` mask, seed
-batches `(key, states)` of frozen states, a monotone `step` on keys and a
-top key `never` that `step` fixes. Its equations are
+A game is a successor table (an `arena.Csr`), an `eager` mask, a `frozen`
+mask, seed batches `(key, states)` of frozen states, a monotone `step` on
+keys and a top key `never` that `step` fixes. Its equations are
 
     key[s] = its seed's key (never when unseeded)   if frozen[s]
     key[s] = step(smallest successor key)           if eager[s]
@@ -14,7 +14,7 @@ reachability games (Grädel, Thomas & Wilke, eds., Automata, Logics, and
 Infinite Games, LNCS 2500, 2002), smallest key first, as Dijkstra's
 algorithm settles distances. The pending batches are kept in a list
 ascending by key, found by bisection, so keys are compared and never
-hashed; the smallest is settled as a level. Over the predecessor CSR every
+hashed; the smallest is settled as a level. Over the predecessor table every
 unsettled predecessor of the level loses one remaining successor, and a
 state whose count reaches 0 is pushed at step(key). The count starts at 1
 for eager states, which settle on their first settled successor, and at the
@@ -55,36 +55,35 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .arena import WIDE_FRONTIER, reverse_csr, row_best, row_reader
+from .arena import WIDE_FRONTIER, Csr
 from .errors import ScarError, ValidationError
 
 INT_INF = 2**62
 
 
 def retrograde(
-    offsets: np.ndarray,
-    targets: np.ndarray,
+    moves: Csr,
     eager: np.ndarray,
     frozen: np.ndarray,
     seeds: list[tuple[object, np.ndarray]],
     step,
     never,
-    predecessors: tuple[np.ndarray, np.ndarray] | None = None,
+    predecessors: Csr | None = None,
 ) -> tuple[list, np.ndarray, list[tuple[str, int | None]]]:
-    """Solve the game; returns (ascending keys, int rank per state, origin
-    per level).
+    """Solve the game on the table `moves`; returns (ascending keys, int
+    rank per state, origin per level).
 
     Every row of the table must hold a move, and every seeded state must
     be frozen. A seed keyed `never` is left unsettled and a key above it is
-    refused. `predecessors` is the table's reverse CSR. Every solve in
-    the package passes one: `Arena.predecessors()`, built from the
-    table's structure, or the orbit quotient's and classify's restricted
-    table's, sorted once by `reverse_csr`; for a table passed without one
-    `reverse_csr` sorts the edges here.
+    refused. `predecessors` is the table's reverse. Every solve in the
+    package passes one: `Arena.predecessors()`, built from the table's
+    structure, or the orbit quotient's and classify's restricted table's,
+    sorted once by `Csr.reverse`; for a table passed without one
+    `moves.reverse()` sorts the edges here.
     """
     if predecessors is None:
-        predecessors = reverse_csr(offsets, targets)
-    read_preds = row_reader(*predecessors)
+        predecessors = moves.reverse()
+    read_preds = predecessors.row_reader()
     pending: list = []  # keys of the unsettled batches, ascending
     batches: list = []  # per pending key: [origin, state arrays]
 
@@ -106,7 +105,7 @@ def retrograde(
             push(key, states, ("seed", i))
 
     queued = np.array(frozen, dtype=bool)  # frozen states never settle from successors
-    remaining = np.where(eager, 1, np.diff(offsets))
+    remaining = np.where(eager, 1, np.diff(moves.offsets))
     n = len(queued)
     rank = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
     levels: list = []
@@ -134,13 +133,12 @@ def retrograde(
         rank[unsettled] = len(levels)
         levels.append(never)
         origins.append(("never", None))
-    check_fixpoint(offsets, targets, eager, frozen, seeds, step, never, levels, rank)
+    check_fixpoint(moves, eager, frozen, seeds, step, never, levels, rank)
     return levels, rank, origins
 
 
 def check_fixpoint(
-    offsets: np.ndarray,
-    targets: np.ndarray,
+    moves: Csr,
     eager: np.ndarray,
     frozen: np.ndarray,
     seeds: list[tuple[object, np.ndarray]],
@@ -150,12 +148,12 @@ def check_fixpoint(
     rank: np.ndarray,
 ) -> None:
     """Raise ScarError unless (levels, rank) satisfies every equation of the
-    game exactly: levels strictly ascend, a frozen row holds its seed's rank
-    (never's when unseeded), and any other row holds nxt[best successor
-    rank], where nxt[r] is the rank of step(levels[r]). Keys are only
-    compared, never hashed: nxt comes from one merge walk, which finds
-    every step of a monotone `step`, and a key not found ranks -1, which no
-    row holds."""
+    game on the table `moves` exactly: levels strictly ascend, a frozen row
+    holds its seed's rank (never's when unseeded), and any other row holds
+    nxt[best successor rank], where nxt[r] is the rank of step(levels[r]).
+    Keys are only compared, never hashed: nxt comes from one merge walk,
+    which finds every step of a monotone `step`, and a key not found ranks
+    -1, which no row holds."""
     n = len(rank)
     where = f"retrograde solve on {n} states"
     if any(lo >= hi for lo, hi in zip(levels, levels[1:])):
@@ -179,7 +177,7 @@ def check_fixpoint(
     held = np.full(n, rank_of(never), dtype=rank.dtype)
     for key, states in seeds:
         held[states] = rank_of(key)
-    best = row_best(offsets, rank[targets], ~eager)
+    best = moves.row_best(rank[moves.targets], ~eager)
     want = np.where(frozen, held, nxt[best])
     bad = np.flatnonzero(want != rank)
     if bad.size:
@@ -191,15 +189,9 @@ def check_fixpoint(
         )
 
 
-def solve_layers(
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    minimizing: np.ndarray,
-    frozen: np.ndarray,
-    init: np.ndarray,
-    predecessors: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """The integer game: returns the int64 value array (INT_INF = never)
+def solve_layers(moves: Csr, *game: np.ndarray, predecessors: Csr | None = None) -> np.ndarray:
+    """The integer game `solve_layers(moves, minimizing, frozen, init)`:
+    returns the int64 value array (INT_INF = never)
 
         val[s] = init[s]                   if frozen[s]  (0 or INT_INF)
         val[s] = 1 + min over successors   if minimizing[s]
@@ -208,13 +200,17 @@ def solve_layers(
     A state ends up finite exactly when the min side can force the play into
     a frozen 0 state, and the finite value is the number of token moves it
     needs against worst-case max-side play. `init` is ignored off `frozen`.
+    Bare offsets and targets may stand for `moves`, measured once.
     """
+    if not isinstance(moves, Csr):
+        moves, game = Csr.measured(moves, game[0]), game[1:]
+    minimizing, frozen, init = game
     minimizing = np.asarray(minimizing, dtype=bool)
     frozen = np.asarray(frozen, dtype=bool)
     held = init[frozen]
     if not ((held == 0) | (held == INT_INF)).all():
         raise ValidationError("a frozen state must hold 0 or INT_INF")
     seeds = [(0, np.flatnonzero(frozen & (init == 0)))]
-    depths, rank, _ = retrograde(offsets, targets, minimizing, frozen, seeds,
+    depths, rank, _ = retrograde(moves, minimizing, frozen, seeds,
                                  lambda d: min(d + 1, INT_INF), INT_INF, predecessors)
     return np.array(depths, dtype=np.int64)[rank]

@@ -54,7 +54,6 @@ from .arena import (
     checked_move,
     finished_play,
     reachable_noncapture,
-    row_counts,
 )
 from .crsolver import CrSolution, solve_capture_time
 from .errors import ScarError, ValidationError
@@ -88,8 +87,8 @@ def _state_tests(
     inside = np.ones(arena.n_states, dtype=bool)
     for m, sol in games.items():
         keep = sol.edge_opt
-        met = row_counts(arena.offsets, keep & cr_keep)
-        opt = row_counts(arena.offsets, keep)
+        met = arena.moves.row_counts(keep & cr_keep)
+        opt = arena.moves.row_counts(keep)
         meets[m] = ~nc | (met > 0)
         inside &= ~nc | (met == opt)
     return meets, inside
@@ -165,10 +164,9 @@ def positionality_table(arena: Arena, params: GameParams) -> tuple[np.ndarray, n
         if all(x is y for x, y in zip(kept_edges, edges)):
             return table
     meets, inside = _state_tests(arena, solve_capture_time(arena), games)
-    pred_offsets, pred_targets = arena.predecessors()
-    sees_fail = _flood(pred_offsets, pred_targets,
-                       ~np.logical_and.reduce(list(meets.values())), arena.capture_mask)
-    sees_loose = _flood(pred_offsets, pred_targets, ~inside, arena.capture_mask)
+    preds = arena.predecessors()
+    sees_fail = _flood(preds, ~np.logical_and.reduce(list(meets.values())), arena.capture_mask)
+    sees_loose = _flood(preds, ~inside, arena.capture_mask)
     positional, nonpositional = ~sees_fail, sees_loose | arena.capture_mask
     neither = np.flatnonzero(~(positional | nonpositional))
     if neither.size:

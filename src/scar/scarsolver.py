@@ -48,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arena import Arena, GameParams, OptimalMoves, State, per_edge
+from .arena import Arena, GameParams, OptimalMoves, State
 from .errors import ValidationError
 from .fixpoint import check_fixpoint, retrograde
 
@@ -87,6 +87,7 @@ class GameSolution(OptimalMoves):
         self.arena = arena
         self.levels = levels
         self.rank = rank
+        rank.flags.writeable = False
         self.rounds = rounds  # settled levels
         self._max_mask = max_mask
         self._edge_opt: np.ndarray | None = None
@@ -97,11 +98,11 @@ class GameSolution(OptimalMoves):
     @property
     def edge_opt(self) -> np.ndarray:
         """Boolean per CSR edge: does the move attain the mover's optimum
-        under the roles this game was solved with? False on capture rows."""
+        under the roles this game was solved with? False on capture rows. Read-only."""
         if self._edge_opt is None:
-            a = self.arena
-            eo = self._best_edges()
-            eo[per_edge(a.offsets, a.capture_mask)] = False
+            moves = self.arena.moves
+            eo = moves.best_edges(*self._opt_keys()) & ~moves.per_edge(self.arena.capture_mask)
+            eo.flags.writeable = False
             self._edge_opt = eo
         return self._edge_opt
 
@@ -133,8 +134,7 @@ def _engine_game(arena: Arena, gamma: Fraction, max_mask: np.ndarray, seeds: lis
     """The engine's arguments for a discounted game from the capture states'
     seed batches `(coefficient, states)`: keys -value, step gamma*k, never 0."""
     return (
-        arena.offsets,
-        arena.targets,
+        arena.moves,
         max_mask,
         arena.capture_mask,
         [(-c, states) for c, states in seeds],

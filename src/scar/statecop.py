@@ -97,7 +97,10 @@ class StateCopReport:
         return tuple(j + 1 for j in range(self.arena.n_players - 1) if bits >> j & 1)
 
     def max_over_noncapture(self) -> int | float:
-        m = int(self.values[self.arena.noncapture_indices()].max())
+        nc = self.arena.noncapture_indices()
+        if not nc.size:
+            raise ValidationError("the arena has no noncapture state")
+        m = int(self.values[nc].max())
         return math.inf if m >= INT_INF else m
 
 
@@ -138,9 +141,9 @@ def _hardest_state(g: Graph, n_players: int, max_states: int) -> tuple[int | flo
     arena is freed on return, before the classic arena is built."""
     arena = build_arena(g, n_players, max_states)
     report = state_cop_report(arena)
+    hardest = report.max_over_noncapture()
     nc = arena.noncapture_indices()
-    at = int(nc[np.argmax(report.values[nc])])
-    return report.max_over_noncapture(), arena.state_of(at).literal()
+    return hardest, arena.state_of(int(nc[np.argmax(report.values[nc])])).literal()
 
 
 def crosscheck_theorem(

@@ -17,26 +17,18 @@ from scar import (
     all_cops_one_side,
     build_arena,
     builtin,
+    check_positionality,
+    classify,
     format_state,
     parse_state,
+    positionality_table,
     reachable_noncapture,
     simulate,
     solve_capture_time,
+    solve_game,
     state_cop_report,
 )
-import scar.arena as arena_module
-from scar.arena import (
-    concat_ranges,
-    filter_csr,
-    is_capture,
-    per_edge,
-    reverse_csr,
-    row_best,
-    row_counts,
-    row_fold,
-    row_reader,
-    row_width,
-)
+from scar.arena import Csr, concat_ranges, is_capture
 
 from oracles import all_states, cell, successors as oracle_successors
 from strategies import connected_graphs
@@ -90,19 +82,19 @@ def test_slot_tables_match_the_oracle_and_the_sorted_reverse(g, n):
         want = [a.index(State(*t)) for t in oracle_successors(g, s)]
         assert a.succ_indices(a.index(State(*s))).tolist() == want
     preds = a.predecessors()
-    rev = reverse_csr(a.offsets, a.targets)
+    rev = a.moves.reverse()
     for mine, ref in zip(preds, rev):
         assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
     regular = len({len(nb) for nb in g.neighbors}) == 1
-    for offsets in (a.offsets, preds[0]):
-        assert (row_width(offsets) is not None) == regular
+    for table in (a.moves, preds):
+        assert (table.width is not None) == regular
 
 
 def _one_wide(a):
     """The arena's table filtered to the first edge of every row."""
     keep = np.zeros(len(a.targets), dtype=bool)
     keep[a.offsets[:-1]] = True
-    return filter_csr(a.offsets, a.targets, keep)
+    return a.moves.filter(keep)
 
 
 @pytest.mark.parametrize("name, k, width", [
@@ -111,22 +103,23 @@ def _one_wide(a):
 @pytest.mark.parametrize("one_wide", [False, True])
 def test_row_helpers_match_reduceat_and_concat_ranges(name, k, width, one_wide):
     a = build_arena(builtin(name, k) if k else builtin(name), 3)
-    offsets, targets = _one_wide(a) if one_wide else (a.offsets, a.targets)
-    assert row_width(offsets) == (1 if one_wide else width)
+    table = _one_wide(a) if one_wide else a.moves
+    offsets, targets = table
+    assert table.width == (1 if one_wide else width)
     rng = np.random.default_rng(7)
     n, seg, sizes = a.n_states, offsets[:-1], np.diff(offsets)
 
     keys = rng.integers(0, 50, n)[targets]
     max_mask = rng.random(n) < 0.5
     want = np.where(max_mask, np.maximum.reduceat(keys, seg), np.minimum.reduceat(keys, seg))
-    assert np.array_equal(row_best(offsets, keys, max_mask), want)
+    assert np.array_equal(table.row_best(keys, max_mask), want)
 
     values = rng.integers(0, 9, n)
-    assert np.array_equal(per_edge(offsets, values), np.repeat(values, sizes))
+    assert np.array_equal(table.per_edge(values), np.repeat(values, sizes))
     mask = rng.random(len(targets)) < 0.4
-    assert np.array_equal(row_counts(offsets, mask), np.add.reduceat(mask, seg, dtype=np.int64))
+    assert np.array_equal(table.row_counts(mask), np.add.reduceat(mask, seg, dtype=np.int64))
 
-    read = row_reader(offsets, targets)
+    read = table.row_reader()
     for rows in (rng.choice(n, 40), np.arange(n), np.empty(0, dtype=np.int64)):
         want = targets[concat_ranges(offsets[rows], offsets[rows + 1])]
         assert np.array_equal(read(rows), want)
@@ -134,29 +127,44 @@ def test_row_helpers_match_reduceat_and_concat_ranges(name, k, width, one_wide):
     rows = np.sort(rng.choice(n, 40))
     edges = concat_ranges(offsets[rows], offsets[rows + 1])
     want = np.minimum.reduceat(keys[edges], np.cumsum(sizes[rows]) - sizes[rows])
-    assert np.array_equal(row_fold(np.minimum, offsets, rows, keys[edges]), want)
+    assert np.array_equal(table.row_fold(np.minimum, rows, keys[edges]), want)
 
 
 def test_package_tables_keep_the_width_decided_at_build(monkeypatch):
-    """The arena's tables are not measured again by the row helpers, and a
-    table's recorded width goes when its offsets array goes."""
-    a = build_arena(builtin("petersen"), 3)
-    preds = a.predecessors()
+    """Every table the package builds carries the width decided from its
+    row sizes: no layer measures one, on a regular graph (Petersen) or a
+    ragged one (a path)."""
 
-    def measured_again(offsets):
-        raise AssertionError("a built table's width was measured again")
+    def measured(offsets, targets):
+        raise AssertionError("a table built by the package was measured")
 
-    monkeypatch.setattr(arena_module, "_measured", measured_again)
-    assert row_width(a.offsets) == 4 and row_width(preds[0]) == 4
-    solve_capture_time(a).capturer_table()
-    state_cop_report(a)
-    monkeypatch.undo()
+    monkeypatch.setattr(Csr, "measured", measured)
+    for g, n, width in ((builtin("petersen"), 4, 4), (builtin("path", 5), 3, None)):
+        a = build_arena(g, n)
+        assert a.moves.width == a.predecessors().width == width
+        solve_capture_time(a).capturer_table()
+        state_cop_report(a)
+        classify(g, n)
+        positionality_table(a, GameParams(n, Q(1, 2), Q(0)))
+        solve_game(a, 1, GameParams(n, Q(3, 4), Q(0)))
+        assert a.quotient().moves.width == width
 
-    offsets, _ = _one_wide(a)
-    key = id(offsets)
-    assert arena_module._widths[key][1] == 1
-    del offsets
-    assert key not in arena_module._widths
+
+def test_shared_tables_are_read_only():
+    """The arena's memoized arrays, a game's ranks and optimal edges and
+    every table's arrays are shared by later calls, so none takes a write."""
+    a = build_arena(builtin("path", 4), 3)
+    s = parse_state("0,0;3;1", 3, 4)
+    cr = solve_capture_time(a)
+    game = solve_game(a, 1, GameParams(3, Q(1, 2), Q(0)))
+    shared = [cr.values, cr.edge_opt, cr.capturer_table(), game.rank, game.edge_opt,
+              a.cop_at_robber(1), *a.moves, *a.predecessors(), *a.quotient().moves,
+              a.quotient().reps, a.quotient().mix_orbit]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = array[:1]
+    assert cr.capture_time(s) == 7
+    assert check_positionality(a, s, GameParams(3, Q(1, 2), Q(0))).positional_exists
 
 
 @pytest.mark.parametrize("n", [np.int64(3), np.int8(2)])
@@ -175,10 +183,13 @@ def test_player_count_refuses_bools_and_non_integers(n, named):
 
 
 def test_row_width_reads_the_offsets():
-    assert row_width(np.array([0, 2, 4, 6])) == 2
-    assert row_width(np.array([0, 1, 3, 4])) is None
-    assert row_width(np.array([0, 0, 0])) is None
-    assert row_width(np.array([0])) is None
+    def width(offsets):
+        return Csr.measured(np.array(offsets), np.zeros(offsets[-1], dtype=np.int64)).width
+
+    assert width([0, 2, 4, 6]) == 2
+    assert width([0, 1, 3, 4]) is None
+    assert width([0, 0, 0]) is None
+    assert width([0]) is None
 
 
 def test_successor_targets_sorted_by_moved_vertex():

@@ -17,7 +17,7 @@ from scar import (
     solve_capture_time,
     state_cop_report,
 )
-from scar.arena import concat_ranges, filter_csr, per_edge, reverse_csr
+from scar.arena import concat_ranges
 from scar.fixpoint import INT_INF
 
 # the package exports the function `classify` under the module's name
@@ -129,11 +129,12 @@ def test_restricted_tables_equal_the_filtered_table_and_its_sorted_reverse(suite
         q = a.quotient()
         orbit = q.lift(np.arange(len(q.reps)))
         for m in range(1, n):
-            (offsets, targets), preds = classify_module._restricted_tables(a, cr, m)
-            keep = per_edge(a.offsets, ~a.mover_mask(m)) | cr.edge_opt
-            want_offsets, want_targets = filter_csr(a.offsets, a.targets, keep)
+            table, preds = classify_module._restricted_tables(a, cr, m)
+            offsets, targets = table
+            keep = a.moves.per_edge(~a.mover_mask(m)) | cr.edge_opt
+            want_offsets, want_targets = a.moves.filter(keep)
             rows = concat_ranges(want_offsets[q.reps], want_offsets[q.reps + 1])
             assert np.array_equal(np.diff(offsets), np.diff(want_offsets)[q.reps]), (name, m)
             assert np.array_equal(targets, orbit[want_targets[rows]]), (name, m)
-            for mine, ref in zip(preds, reverse_csr(offsets, targets)):
+            for mine, ref in zip(preds, table.reverse()):
                 assert mine.dtype == ref.dtype and np.array_equal(mine, ref), (name, m)

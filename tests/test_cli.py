@@ -3,6 +3,7 @@ request cache."""
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_the_readme_library_example_runs_as_written():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Library\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_arena_stats_shape(capsys):

@@ -20,7 +20,7 @@ from scar import (
     simulate,
     solve_capture_time,
 )
-from scar.arena import concat_ranges, filter_csr
+from scar.arena import concat_ranges
 from scar.crsolver import classic_cop_number, classic_cop_win, classic_cop_win_placement
 from scar.fixpoint import INT_INF
 
@@ -143,7 +143,7 @@ def reference_cop_bits(sol):
     bits = np.zeros(a.n_states, dtype=np.uint32)
     for j in range(1, a.n_players):
         bits |= a.cop_at_robber(j).astype(np.uint32) << np.uint32(j - 1)
-    offsets, targets = filter_csr(a.offsets, a.targets, sol.edge_opt)
+    offsets, targets = a.moves.filter(sol.edge_opt)
     finite_nc = np.flatnonzero(~a.capture_mask & sol.finite_mask())
     for t in np.unique(sol.values[finite_nc]):
         level = finite_nc[sol.values[finite_nc] == t]

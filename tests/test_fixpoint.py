@@ -18,7 +18,8 @@ from scar import (
     coalition_winning_set,
     solve_capture_time,
 )
-from scar.arena import WIDE_FRONTIER, reverse_csr
+from scar.arena import WIDE_FRONTIER, Csr
+from scar.crsolver import capture_depths
 from scar.fixpoint import INT_INF, check_fixpoint, retrograde, solve_layers
 
 from oracles import INF, capture_credit, capture_times, coalition_wins, jacobi_layers
@@ -123,7 +124,7 @@ def test_frozen_values_other_than_zero_or_inf_are_refused():
 def layer_game(a, minimizing, frozen, init):
     """solve_layers' instantiation of the engine, as positional arguments."""
     seeds = [(0, np.flatnonzero(frozen & (init == 0)))]
-    return (a.offsets, a.targets, minimizing, frozen, seeds,
+    return (a.moves, minimizing, frozen, seeds,
             lambda k: min(k + 1, INT_INF), INT_INF)
 
 
@@ -149,8 +150,8 @@ def test_fixpoint_check_rejects_a_corrupted_table():
     with pytest.raises(ScarError, match="not strictly ascending"):
         check_fixpoint(*game, [levels[1], levels[0], *levels[2:]], rank)
     # state 1 moves to the target 0 only; a table missing depth 1 is refused
-    tiny = (np.array([0, 1, 2]), np.array([0, 0]), np.array([True, True]),
-            np.array([True, False]), [(0, np.array([0]))], game[5], INT_INF)
+    tiny = (Csr.measured(np.array([0, 1, 2]), np.array([0, 0])), np.array([True, True]),
+            np.array([True, False]), [(0, np.array([0]))], game[4], INT_INF)
     check_fixpoint(*tiny, [0, 1], np.array([0, 1]))
     with pytest.raises(ScarError, match="its equation gives a key outside the levels"):
         check_fixpoint(*tiny, [0], np.array([0, 0]))
@@ -177,7 +178,7 @@ def test_fixpoint_check_compares_keys_without_hashing():
     """State 2 moves to 1, 1 to 0, and 0 is seeded: depths 0, 1, 2."""
     key = [Unhashable(k) for k in range(4)]
     never = Unhashable(INT_INF)
-    chain = (np.array([0, 1, 2, 3]), np.array([0, 0, 1]), np.ones(3, dtype=bool),
+    chain = (Csr.measured(np.array([0, 1, 2, 3]), np.array([0, 0, 1])), np.ones(3, dtype=bool),
              np.array([True, False, False]), [(key[0], np.array([0]))],
              lambda k: Unhashable(min(k.k + 1, INT_INF)), never)
     check_fixpoint(*chain, key[:3], np.array([0, 1, 2]))
@@ -194,15 +195,15 @@ def test_every_level_reports_where_its_key_came_from():
     """A chain 2 -> 1 -> 0 from seed state 0 and a self-loop 3 that never
     settles; a second seed at key 1 meets the step from key 0 in a tie."""
     step = lambda k: min(k + 1, INT_INF)
-    offsets, targets = np.array([0, 1, 2, 3, 4, 5]), np.array([0, 0, 1, 3, 4])
+    moves = Csr.measured(np.array([0, 1, 2, 3, 4, 5]), np.array([0, 0, 1, 3, 4]))
     eager = np.ones(5, dtype=bool)
     frozen = np.array([True, False, False, False, True])
     chain = [(0, np.array([0])), (INT_INF, np.array([4]))]
-    levels, rank, origins = retrograde(offsets, targets, eager, frozen, chain, step, INT_INF)
+    levels, rank, origins = retrograde(moves, eager, frozen, chain, step, INT_INF)
     assert levels == [0, 1, 2, INT_INF] and rank.tolist() == [0, 1, 2, 3, 3]
     assert origins == [("seed", 0), ("step", 0), ("step", 1), ("never", None)]
     tied = [(0, np.array([0])), (1, np.array([4]))]
-    levels, rank, origins = retrograde(offsets, targets, eager, frozen, tied, step, INT_INF)
+    levels, rank, origins = retrograde(moves, eager, frozen, tied, step, INT_INF)
     assert levels == [0, 1, 2, INT_INF] and rank.tolist() == [0, 1, 2, 3, 1]
     assert origins == [("seed", 0), ("tied", None), ("step", 1), ("never", None)]
 
@@ -227,9 +228,23 @@ def test_fixpoint_check_rejects_a_frozen_row_off_its_seed():
             check_fixpoint(*game, levels, bad)
 
 
+@pytest.mark.parametrize("name, k", [("petersen", None), ("path", 5)])
+def test_bare_arrays_still_serve_the_engine(name, k):
+    """Arrays made outside the package stand for the tables: the
+    predecessor table unpacks as (offsets, targets), and `solve_layers`
+    on the arena's bare arrays answers the capture-time game."""
+    a = build_arena(builtin(name, k) if k else builtin(name), 3)
+    pred_offsets, pred_targets = a.predecessors()
+    assert len(pred_targets) == len(a.targets) == pred_offsets[-1] == a.offsets[-1]
+    init = np.where(a.capture_mask, 0, INT_INF).astype(np.int64)
+    want = capture_depths(a)
+    got = solve_layers(a.offsets, a.targets, ~a.robber_mover_mask(), a.capture_mask, init)
+    assert np.array_equal(got, want)
+
+
 def test_reverse_csr_lists_every_edge_once_by_target():
     a = build_arena(builtin("petersen"), 3)
-    offsets, sources = reverse_csr(a.offsets, a.targets)
+    offsets, sources = a.moves.reverse()
     assert sources.dtype == np.int32
     rows = np.repeat(np.arange(a.n_states), np.diff(a.offsets))
     want = sorted(zip(a.targets.tolist(), rows.tolist()))
@@ -259,16 +274,16 @@ class CountingNumpy:
 @pytest.fixture
 def frontier_spy(monkeypatch):
     """watch(module) counts the module's `np.bincount` and `np.unique`
-    calls and records the length of every row list that its `row_reader`
+    calls and records the length of every row list that `Csr.row_reader`
     readers return, one per level or frontier; returns (calls, lengths)."""
 
     def watch(module) -> tuple[Counter, list[int]]:
         calls: Counter = Counter()
         lengths: list[int] = []
-        make_reader = module.row_reader
+        make_reader = Csr.row_reader
 
-        def recording_reader(offsets, targets):
-            read = make_reader(offsets, targets)
+        def recording_reader(table):
+            read = make_reader(table)
 
             def recorded(rows):
                 out = read(rows)
@@ -278,7 +293,7 @@ def frontier_spy(monkeypatch):
             return recorded
 
         monkeypatch.setattr(module, "np", CountingNumpy(calls))
-        monkeypatch.setattr(module, "row_reader", recording_reader)
+        monkeypatch.setattr(Csr, "row_reader", recording_reader)
         return calls, lengths
 
     return watch
@@ -329,14 +344,14 @@ def test_equal_keys_merge_by_comparison_alone():
     never = Unhashable(INT_INF)
     step = lambda k: Unhashable(min(k.k + 1, INT_INF))
     # 2 -> 1 -> 0 and 3 -> 3; states 0 and 4 are frozen, 3 never settles
-    offsets, targets = np.array([0, 1, 2, 3, 4, 5]), np.array([0, 0, 1, 3, 4])
+    moves = Csr.measured(np.array([0, 1, 2, 3, 4, 5]), np.array([0, 0, 1, 3, 4]))
     eager = np.ones(5, dtype=bool)
     frozen = np.array([True, False, False, False, True])
     merged = [(key[0], np.array([0])), (Unhashable(0), np.array([4]))]
-    levels, rank, origins = retrograde(offsets, targets, eager, frozen, merged, step, never)
+    levels, rank, origins = retrograde(moves, eager, frozen, merged, step, never)
     assert [k.k for k in levels] == [0, 1, 2, INT_INF] and rank.tolist() == [0, 1, 2, 3, 0]
     assert origins == [("tied", None), ("step", 0), ("step", 1), ("never", None)]
     meets = [(key[0], np.array([0])), (key[2], np.array([4]))]
-    levels, rank, origins = retrograde(offsets, targets, eager, frozen, meets, step, never)
+    levels, rank, origins = retrograde(moves, eager, frozen, meets, step, never)
     assert [k.k for k in levels] == [0, 1, 2, INT_INF] and rank.tolist() == [0, 1, 2, 3, 2]
     assert origins == [("seed", 0), ("step", 0), ("tied", None), ("never", None)]

@@ -237,7 +237,7 @@ def capture_game(a, gamma, coefficient=Q(1)):
     """solve_discounted_capture's instantiation of the engine (keys are
     negated values), as positional arguments."""
     seeds = [(-coefficient, np.flatnonzero(a.capture_mask))]
-    return (a.offsets, a.targets, ~a.robber_mover_mask(), a.capture_mask, seeds,
+    return (a.moves, ~a.robber_mover_mask(), a.capture_mask, seeds,
             lambda k: gamma * k, Q(0))
 
 

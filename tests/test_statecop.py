@@ -8,11 +8,17 @@ import numpy as np
 import pytest
 
 from scar import (
+    GameParams,
+    Q,
     ValidationError,
     build_arena,
     builtin,
+    classic_cop_number,
+    classify,
     coalition_winning_set,
     crosscheck_theorem,
+    graph_from_edges,
+    positionality_table,
     guaranteed_capture,
     State,
     state_cop_number,
@@ -151,3 +157,17 @@ def test_the_all_cop_coalition_is_the_capture_time_game(suite_graphs, n):
         assert np.array_equal(a.mover_mask(*cops), ~a.robber_mover_mask())
         direct = forced_capture_depths(a, a.mover_mask(*cops)) < INT_INF
         assert np.array_equal(coalition_winning_set(a, cops), direct), name
+
+
+def test_an_arena_without_noncapture_states_is_refused_where_a_maximum_is_asked():
+    """On one vertex every state is a capture: the maxima over noncapture
+    states do not exist, while the per-state answers still do."""
+    g = graph_from_edges(1, [])
+    a = build_arena(g, 3)
+    for ask in (lambda: state_cop_report(a).max_over_noncapture(),
+                lambda: classify(g, 3), lambda: crosscheck_theorem(g, 3)):
+        with pytest.raises(ValidationError, match="no noncapture state"):
+            ask()
+    assert classic_cop_number(g) == 1
+    positional, nonpositional = positionality_table(a, GameParams(3, Q(1, 2), Q(0)))
+    assert positional.all() and nonpositional.all()
