@@ -31,7 +31,11 @@ answers are constant on orbits. Row i of the quotient is the row of orbit
 i's smallest state (`_slots` on those rows), each target replaced by its
 orbit, duplicates kept. Those multiplicities differ with orbit sizes, so
 no structure gives its predecessor table: `Csr.reverse` sorts it, cheaply
-at that size. The trivial group gives the arena.
+at that size. The trivial group gives the arena. Their answers stay per
+orbit: a single state reads its orbit (`Arena.orbit`), a summary weighs
+orbits by their sizes (`Quotient.count`), and a per-state table is lifted
+(`Arena.lifted`) only when a caller reads one. The capture test is read
+off the digits of a state, so no full `capture_mask` is built for them.
 
 Every table is a `Csr`, which carries its width: d when every row holds
 d >= 1 entries, as both tables do with d = deg+1 on a regular graph, else
@@ -169,9 +173,6 @@ class Arena:
         self.n_states = n_states
         self._strides = [v ** (n_players - j) for j in range(1, n_players + 1)]
         self._memo: dict = {}
-        self.capture_mask = np.logical_or.reduce(
-            [self.cop_at_robber(j) for j in range(1, n_players)]
-        )
 
     # -- construction -------------------------------------------------------
 
@@ -245,19 +246,35 @@ class Arena:
         n, v = self.n_players, self.graph.vertex_count
         if not 0 <= idx < self.n_states:
             raise ValidationError(f"state index {idx} out of range")
-        mover = idx % n + 1
-        mix = idx // n
-        digits = []
-        for _ in range(n):
-            digits.append(mix % v)
-            mix //= v
-        digits.reverse()
-        return State(tuple(digits[:-1]), digits[-1], mover)
+        digits = [idx // n // stride % v for stride in self._strides]
+        return State(tuple(digits[:-1]), digits[-1], idx % n + 1)
 
     # -- queries ------------------------------------------------------------
 
+    # per state: does some cop share the robber's vertex? Built on first use
+    capture_mask = property(lambda self: self.memo("capture_mask", lambda: np.repeat(
+        self.cops_at_robber(np.arange(self.n_states // self.n_players)).any(axis=0),
+        self.n_players)))
+
+    def cops_at_robber(self, mixes: np.ndarray) -> np.ndarray:
+        """Per cop m (row m-1) and position tuple (a state index // N): does
+        cop m sit on the robber's vertex?"""
+        v = self.graph.vertex_count
+        return np.array([mixes // stride % v == mixes % v for stride in self._strides[:-1]])
+
     def is_capture(self, s: State | int) -> bool:
-        return bool(self.capture_mask[self.index_of(s)])
+        return is_capture(self.state_of(self.index_of(s)))
+
+    def orbit(self, s: State | int, refusal: str | None = None) -> int:
+        """The quotient orbit of s; a capture state is refused with `refusal`, if given."""
+        idx = self.index_of(s)
+        if refusal and self.is_capture(idx):
+            raise ValidationError(refusal)
+        return int(self.quotient().orbit_of(idx))
+
+    def lifted(self, key, per_orbit: np.ndarray) -> np.ndarray:
+        """A per-orbit array of the quotient, per state. Memoized."""
+        return self.memo(key, lambda: self.quotient().lift(per_orbit))
 
     def mover_of(self, idx: int) -> int:
         return idx % self.n_players + 1
@@ -288,19 +305,6 @@ class Arena:
             self._memo[key] = _read_only(build())
         return self._memo[key]
 
-    def cop_at_robber(self, m: int) -> np.ndarray:
-        """Per state: does cop m sit on the robber's vertex? Memoized."""
-        if not 1 <= m <= self.n_players - 1:
-            raise ValidationError(f"cop {m} out of range 1..{self.n_players - 1}")
-
-        def build() -> np.ndarray:
-            v = self.graph.vertex_count
-            mixes = np.arange(v**self.n_players, dtype=np.int64)
-            at = (mixes // self._strides[m - 1]) % v == mixes % v
-            return np.repeat(at, self.n_players)
-
-        return self.memo(("cop_at_robber", m), build)
-
     def predecessors(self) -> Csr:
         """The table of predecessor lists, equal to `moves.reverse()`: int64
         offsets and, while state ids fit, int32 sources in ascending order.
@@ -315,16 +319,35 @@ class Arena:
 @dataclass(frozen=True)
 class Quotient:
     """An arena's orbits under graph automorphisms acting on every token:
-    orbit i stands for its smallest state `reps[i]` (ascending), its row of
+    orbit i holds `sizes[i]` states (made on each read), the smallest
+    `reps[i]`, ascending, so the first state with a property constant on
+    orbits is the rep of the first orbit with it. `at_robber[m-1, i]` says
+    if cop m sits on the robber there, `capture[i]` if any does. Row i of
     `moves` lists the orbit of each of reps[i]'s successors, in order,
-    duplicates kept, and `preds` is the reverse of `moves`. State s lies in
-    orbit `mix_orbit[s // N] * N + s % N`."""
+    duplicates kept, and `preds` is the reverse of `moves`."""
 
     n_players: int
     mix_orbit: np.ndarray  # per position tuple, the index of its orbit of tuples
     reps: np.ndarray
+    at_robber: np.ndarray
+    capture: np.ndarray
     moves: Csr
     preds: Csr
+
+    sizes = property(lambda self: np.repeat(np.bincount(self.mix_orbit), self.n_players))
+
+    def orbit_of(self, idx):
+        """The orbit of state idx (an int or an int array)."""
+        return self.mix_orbit[idx // self.n_players] * self.n_players + idx % self.n_players
+
+    def count(self, mask: np.ndarray) -> int:
+        """How many states lie in the orbits that mask marks."""
+        return int(self.sizes[mask].sum())
+
+    def turns(self, *tokens: int) -> np.ndarray:
+        """Per orbit: is the token to move one of `tokens`?"""
+        turn = np.isin(np.arange(1, self.n_players + 1), tokens)
+        return np.tile(turn, len(self.reps) // self.n_players)
 
     def lift(self, per_orbit: np.ndarray) -> np.ndarray:
         """Per state, the entry of its orbit."""
@@ -351,16 +374,21 @@ def _orbit_labels(gens: list[tuple[int, ...]], v: int, n: int) -> np.ndarray:
 def _quotient(arena: Arena) -> Quotient:
     n, v = arena.n_players, arena.graph.vertex_count
     label = _orbit_labels(automorphism_generators(arena.graph), v, n)
-    roots = label == np.arange(v**n)
-    mix_orbit = (np.cumsum(roots) - 1)[label]
-    reps = (np.flatnonzero(roots)[:, None] * n + np.arange(n)).ravel()
-    _read_only((mix_orbit, reps))
+    is_root = label == np.arange(v**n)
+    roots, mix_orbit = np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[label]
+    del label, is_root  # V^N entries each, not needed while the tables are built
+    reps = (roots[:, None] * n + np.arange(n)).ravel()
     if len(reps) == arena.n_states:  # the trivial group: the arena itself
-        return Quotient(n, mix_orbit, reps, arena.moves, arena.predecessors())
-    moves = arena._slots(back=False, rows=reps)
-    orbits = mix_orbit[moves.targets // n] * n + moves.targets % n
-    moves = Csr.of_sizes(np.diff(moves.offsets), orbits)  # its own, writable row starts
-    return Quotient(n, mix_orbit, reps, moves, moves.reverse())
+        moves, preds = arena.moves, arena.predecessors()
+    else:
+        moves = arena._slots(back=False, rows=reps)
+        orbits = mix_orbit[moves.targets // n] * n + moves.targets % n
+        moves = Csr.of_sizes(np.diff(moves.offsets), orbits)  # its own, writable row starts
+        preds = moves.reverse()
+    at_robber = np.repeat(arena.cops_at_robber(roots), n, axis=1)
+    capture = at_robber.any(axis=0)
+    _read_only((mix_orbit, reps, at_robber, capture))
+    return Quotient(n, mix_orbit, reps, at_robber, capture, moves, preds)
 
 
 def closed_hops(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -405,9 +433,11 @@ class Csr:
     width: int | None
 
     def __post_init__(self):
-        # numpy copies a read-only index array, so reduceat reads the row
-        # starts through a view taken before the arrays turn read-only
+        # numpy copies a read-only array passed as reduceat indices or as
+        # bincount input, so those read the row starts and the targets
+        # through views taken before the arrays turn read-only
         object.__setattr__(self, "_starts", self.offsets[:-1])
+        object.__setattr__(self, "_targets", self.targets.view())
         self.offsets.flags.writeable = self.targets.flags.writeable = False
 
     def __iter__(self):
@@ -482,7 +512,7 @@ class Csr:
         int32 sources, each list in ascending order. A sort of every edge,
         for tables with no structure to build it from."""
         n = len(self.offsets) - 1
-        counts = np.bincount(self.targets, minlength=n)
+        counts = np.bincount(self._targets, minlength=n)
         # ordered by target, then source; equal keys are equal entries
         keys = self.per_edge(np.arange(n, dtype=np.int64))
         keys += np.asarray(self.targets, dtype=np.int64) * n
@@ -493,9 +523,10 @@ class Csr:
 
 class OptimalMoves:
     """Optimal-move lookups shared by the solution types. A subclass sets
-    `arena` and defines `_opt_keys()`, the per-state keys and the mask of
-    rows that take the largest successor key (the smallest elsewhere): the
-    moves to a row's best key are its mover's optimal moves."""
+    `arena` and defines `_row_keys(idx, row)`: the keys of the states in
+    `row`, the successors of state idx, and whether idx's mover takes the
+    largest key (the smallest otherwise). The moves to a row's best key
+    are its mover's optimal moves."""
 
     arena: Arena
 
@@ -503,12 +534,11 @@ class OptimalMoves:
         """The optimal successors of noncapture state s, ascending: the
         targets of row s whose key equals the row's best."""
         idx = self.arena.index_of(s)
-        if self.arena.capture_mask[idx]:
+        if self.arena.is_capture(idx):
             raise ValidationError("no moves are defined from a capture state")
-        keys, max_mask = self._opt_keys()
         row = self.arena.succ_indices(idx)
-        succ = keys[row]
-        return row[succ == (succ.max() if max_mask[idx] else succ.min())]
+        succ, largest = self._row_keys(idx, row)
+        return row[succ == (succ.max() if largest else succ.min())]
 
     def opt_moves(self, s: State | int) -> tuple[State, ...]:
         return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(s))

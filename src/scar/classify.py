@@ -57,8 +57,7 @@ class Classification:
 def in_script_g(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) -> bool:
     """Can the robber escape forever from somewhere, even against all cops?"""
     arena = build_arena(g, n_players, max_states)
-    cr = solve_capture_time(arena)
-    return bool((cr.values[arena.noncapture_indices()] >= INT_INF).any())
+    return bool((solve_capture_time(arena).depths[~arena.quotient().capture] >= INT_INF).any())
 
 
 def _restricted_tables(arena: Arena, cr: CrSolution, m: int):
@@ -66,8 +65,8 @@ def _restricted_tables(arena: Arena, cr: CrSolution, m: int):
     table with cop m's rows cut to their capture-time-optimal moves, and its
     predecessor table."""
     q = arena.quotient()
-    keep = q.moves.per_edge(~arena.mover_mask(m)[q.reps])
-    keep |= q.moves.best_edges(cr.values[q.reps], arena.robber_mover_mask()[q.reps])
+    keep = q.moves.per_edge(~q.turns(m))
+    keep |= q.moves.best_edges(cr.depths, q.turns(arena.n_players))
     table = q.moves.filter(keep)
     return table, table.reverse()
 
@@ -75,21 +74,19 @@ def _restricted_tables(arena: Arena, cr: CrSolution, m: int):
 def _guarantee_winning_sets(
     arena: Arena, cr: CrSolution, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """States from which cop m, moving only along its capture-time-optimal
+    """Orbits from which cop m, moving only along its capture-time-optimal
     edges, reaches a capture state it takes part in, no matter what every
     other token does: (canonical, adversarial-ties). Captures without m are
-    absorbing losses. Both variants are solved in one build over one
-    restricted table of the orbit quotient and memoized on the arena."""
+    absorbing losses. Both are solved over one restricted table of the
+    orbit quotient and memoized on the arena."""
 
     def build() -> tuple[np.ndarray, np.ndarray]:
         q = arena.quotient()
-        m_rows = arena.mover_mask(m)[q.reps]
+        m_rows = q.turns(m)
         moves, preds = _restricted_tables(arena, cr, m)
-        capture = arena.capture_mask[q.reps]
-        wanted = capture & arena.cop_at_robber(m)[q.reps]
-        init = np.where(wanted, 0, INT_INF).astype(np.int64)
+        init = np.where(q.at_robber[m - 1], 0, INT_INF).astype(np.int64)
         return tuple(
-            q.lift(solve_layers(moves, minimizing, capture, init, predecessors=preds) < INT_INF)
+            solve_layers(moves, minimizing, q.capture, init, predecessors=preds) < INT_INF
             for minimizing in (m_rows, np.zeros_like(m_rows))
         )
 
@@ -99,15 +96,13 @@ def _guarantee_winning_sets(
 def g3_guarantee_test(
     arena: Arena, crsol: CrSolution, s: State | int, adversarial_ties: bool = False
 ) -> bool:
-    idx = arena.index_of(s)
-    if arena.capture_mask[idx]:
-        raise ValidationError("the guarantee test is asked from noncapture states")
-    if crsol.values[idx] >= INT_INF:
+    at = arena.orbit(s, "the guarantee test is asked from noncapture states")
+    if crsol.depths[at] >= INT_INF:
         raise ValidationError("the guarantee test needs a finite capture time")
-    if state_cop_number(arena, idx) != 1:
+    if state_cop_number(arena, s) != 1:
         raise ValidationError("the guarantee test needs a state with cop number 1")
-    m = int(crsol.capturer_table()[idx])
-    return bool(_guarantee_winning_sets(arena, crsol, m)[adversarial_ties][idx])
+    m = int(crsol.orbit_capturer()[at])
+    return bool(_guarantee_winning_sets(arena, crsol, m)[adversarial_ties][at])
 
 
 def _int_or_inf(value: int | float) -> int | str:
@@ -115,40 +110,43 @@ def _int_or_inf(value: int | float) -> int | str:
 
 
 def classify(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) -> Classification:
+    """The class of (g, N), read off the orbits of the arena's quotient:
+    counts are weighted by orbit size, and the first state with a property
+    is the representative of the first orbit with it."""
     arena = build_arena(g, n_players, max_states)
+    q = arena.quotient()
     cr = solve_capture_time(arena)
     report = state_cop_report(arena)
-    vals = report.values
-    nc = ~arena.capture_mask
-    rm = arena.robber_mover_mask()
+    vals = report.orbit_values
+    nc = ~q.capture
+    rm = q.turns(n_players)
+
+    def witness(mask: np.ndarray) -> str:
+        return arena.state_of(int(q.reps[mask][0])).literal()
 
     evidence: dict = {"max_state_cop_number": _int_or_inf(report.max_over_noncapture())}
 
     inf_nc = nc & (vals >= INT_INF)
     if inf_nc.any():
-        evidence["escape_witness"] = arena.state_of(int(np.nonzero(inf_nc)[0][0])).literal()
+        evidence["escape_witness"] = witness(inf_nc)
 
     mid = nc & (vals >= 2) & (vals < INT_INF)
     robber_all_inf = not (rm & nc & (vals < INT_INF)).any()
 
-    # guarantee variants over every robber-to-move state with c(G|s) = 1
+    # guarantee variants over every robber-to-move orbit with c(G|s) = 1
     c1_rm = rm & nc & (vals == 1)
     exists_ok, adversarial_ok = True, True
-    first_fail: int | None = None
-    idxs = np.nonzero(c1_rm)[0]
-    if idxs.size:
-        evidence["c1_robber_state_count"] = int(idxs.size)
-        evidence["c1_robber_witness"] = arena.state_of(int(idxs[0])).literal()
-        capturer = cr.capturer_table()
-        for m in np.unique(capturer[idxs]):
-            sub = idxs[capturer[idxs] == int(m)]
+    fails = np.zeros(len(vals), dtype=bool)
+    if c1_rm.any():
+        evidence["c1_robber_state_count"] = q.count(c1_rm)
+        evidence["c1_robber_witness"] = witness(c1_rm)
+        capturer = cr.orbit_capturer()
+        for m in np.unique(capturer[c1_rm]):
+            sub = c1_rm & (capturer == m)
             w_exists, w_adv = _guarantee_winning_sets(arena, cr, int(m))
-            fails = sub[~w_exists[sub]]
-            if fails.size:
-                exists_ok = False
-                first_fail = int(fails[0]) if first_fail is None else min(first_fail, int(fails[0]))
-            if (~w_adv[sub]).any():
-                adversarial_ok = False
+            fails |= sub & ~w_exists
+            adversarial_ok &= not (sub & ~w_adv).any()
+        exists_ok = not fails.any()
     if exists_ok != adversarial_ok:
         evidence["guarantee_variants_disagree"] = True
         log.warning(
@@ -162,15 +160,14 @@ def classify(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) -> 
         klass = "NotInG"
     elif mid.any():
         klass = "G1"
-        at = int(np.nonzero(mid)[0][0])
-        evidence["g1_witness"] = arena.state_of(at).literal()
-        evidence["g1_witness_value"] = int(vals[at])
+        evidence["g1_witness"] = witness(mid)
+        evidence["g1_witness_value"] = int(vals[mid][0])
     elif robber_all_inf:
         klass = "G2"
     elif exists_ok:
         klass = "G3"
     else:
         klass = "G3Prime"
-        evidence["guarantee_failure_state"] = arena.state_of(first_fail).literal()
+        evidence["guarantee_failure_state"] = witness(fails)
 
     return Classification(klass, evidence, exists_ok, adversarial_ok)

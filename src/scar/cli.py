@@ -92,14 +92,12 @@ def cmd_cr_solve(args) -> tuple[str, int]:
     arena = build_arena(g, args.n, args.max_states)
     sol = solve_capture_time(arena)
     if args.state is None:
-        finite = sol.finite_mask() & ~arena.capture_mask
+        q, finite = arena.quotient(), sol.depths < INT_INF
         report = {
             "n_states": arena.n_states,
-            "forced_capture_states": int(finite.sum()),
-            "escape_states": int((~sol.finite_mask()).sum()),
-            "max_finite_capture_time": _int_or_inf(
-                int(sol.values[sol.finite_mask()].max())
-            ),
+            "forced_capture_states": q.count(finite & ~q.capture),
+            "escape_states": q.count(~finite),
+            "max_finite_capture_time": _int_or_inf(int(sol.depths[finite].max())),
         }
         return _dump(report), 0
     s = parse_state(args.state, args.n, g.vertex_count)
@@ -124,15 +122,13 @@ def cmd_scn(args) -> tuple[str, int]:
         if value != math.inf:
             out["witness_coalition"] = list(report.witness_coalition(s))
         return _dump(out), 0
-    nc = arena.noncapture_indices()
-    vals = report.values[nc]
-    counts: dict[str, int] = {}
-    for size in range(1, args.n):
-        counts[str(size)] = int((vals == size).sum())
-    counts["inf"] = int((vals >= INT_INF).sum())
+    q = arena.quotient()
+    nc, vals = ~q.capture, report.orbit_values
+    counts = {str(size): q.count(nc & (vals == size)) for size in range(1, args.n)}
+    counts["inf"] = q.count(nc & (vals >= INT_INF))
     return _dump(
         {
-            "noncapture_states": int(len(nc)),
+            "noncapture_states": q.count(nc),
             "c_state_counts": counts,
             "max_c_state": _int_or_inf(report.max_over_noncapture()),
         }

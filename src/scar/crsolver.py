@@ -7,6 +7,9 @@ robber escapes forever). This single table drives everything downstream:
 optimal-move sets, attribution of the capture to one cop, the invariant-check
 targets, and the punishment play for the robber.
 
+The table is constant on orbits of the graph's automorphisms, so it is
+solved and kept per orbit of `Arena.quotient()`, and so is the capture credit.
+
 `classic_cop_win` answers the textbook pursuit variant, where all k cops
 relocate at once and then the robber moves, with the capture-time game for
 N = k+1 players read at the states where cop 1 moves. The cops are one team
@@ -35,18 +38,21 @@ from .graphs import Graph
 
 
 class CrSolution(OptimalMoves):
-    """A view of the capture-time game's values, optimal moves and capture
-    attribution, which the arena memoizes as arrays that do not refer back."""
+    """The capture-time game's value `depths` per orbit of the arena's
+    quotient, and the optimal moves and capture attribution read from it.
+    The per-state tables (`values`, `capturer_table()`) are lifted on first
+    read. The arena memoizes every table, as arrays that do not refer back."""
 
-    def __init__(self, arena: Arena, values: np.ndarray):
+    def __init__(self, arena: Arena, depths: np.ndarray):
         self.arena = arena
-        self.values = values
-        self._robber_rows = arena.robber_mover_mask()
+        self.depths = depths
 
     # -- values ---------------------------------------------------------------
 
+    values = property(lambda self: self.arena.lifted("capture_values", self.depths))
+
     def capture_time(self, s: State | int) -> int | float:
-        v = self.values[self.arena.index_of(s)]
+        v = self.depths[self.arena.orbit(s)]
         return INFINITY if v >= INT_INF else int(v)
 
     def finite_mask(self) -> np.ndarray:
@@ -64,10 +70,13 @@ class CrSolution(OptimalMoves):
         stay at INT_INF.
         """
         a = self.arena
-        return a.memo("capture_edge_opt", lambda: a.moves.best_edges(*self._opt_keys()))
+        return a.memo(
+            "capture_edge_opt", lambda: a.moves.best_edges(self.values, a.robber_mover_mask())
+        )
 
-    def _opt_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.values, self._robber_rows
+    def _row_keys(self, idx: int, row: np.ndarray) -> tuple[np.ndarray, bool]:
+        n = self.arena.n_players
+        return self.depths[self.arena.quotient().orbit_of(row)], idx % n == n - 1
 
     # -- attribution ------------------------------------------------------------
 
@@ -88,11 +97,10 @@ class CrSolution(OptimalMoves):
         a, q = self.arena, self.arena.quotient()
 
         def build() -> np.ndarray:
-            bits = np.zeros(len(q.reps), dtype=np.uint32)
-            for j in range(1, a.n_players):
-                bits |= a.cop_at_robber(j)[q.reps].astype(np.uint32) << np.uint32(j - 1)
-            values = self.values[q.reps]
-            finite_nc = np.flatnonzero(~a.capture_mask[q.reps] & (values < INT_INF))
+            bits, values = np.zeros(len(q.reps), dtype=np.uint32), self.depths
+            for j, at in enumerate(q.at_robber):
+                bits |= at.astype(np.uint32) << np.uint32(j)
+            finite_nc = np.flatnonzero(~q.capture & (values < INT_INF))
             depth = values[finite_nc]
             if depth.size:
                 # a small unsigned dtype lets the stable sort run as a radix sort
@@ -108,16 +116,12 @@ class CrSolution(OptimalMoves):
 
         return a.memo("cop_bits", build)
 
-    def _cop_bits(self) -> np.ndarray:
-        """Per state, the bitmask of cops that can be credited with capture."""
-        return self.arena.quotient().lift(self._orbit_bits())
-
     def _walk_to_capture(self, start: int, bit: int) -> tuple[State, ...]:
-        bits = self._cop_bits()
+        bits, q = self._orbit_bits(), self.arena.quotient()
         trail = [start]
-        while not self.arena.capture_mask[trail[-1]]:
+        while not self.arena.is_capture(trail[-1]):
             for j in self.opt_indices(trail[-1]):
-                if bits[j] & bit:
+                if bits[q.orbit_of(j)] & bit:
                     trail.append(int(j))
                     break
             else:  # pragma: no cover - bits are unions over these successors
@@ -125,16 +129,20 @@ class CrSolution(OptimalMoves):
                                 f"play from {self.arena.state_of(start).literal()}")
         return tuple(self.arena.state_of(i) for i in trail)
 
-    def capturer_table(self) -> np.ndarray:
-        """int8 per state: the unique capturing cop on finite noncapture
-        states, 0 elsewhere. Raises UniquenessViolationError (with two
+    def orbit_capturer(self) -> np.ndarray:
+        """int8 per orbit: the unique capturing cop on finite noncapture
+        orbits, 0 elsewhere. Raises UniquenessViolationError (with two
         witness plays) if any state admits optimal captures by two cops."""
-        return self.arena.memo("capturer", self._capturer)
+        return self.arena.memo("orbit_capturer", self._capturer)
+
+    def capturer_table(self) -> np.ndarray:
+        """`orbit_capturer()` per state."""
+        return self.arena.lifted("capturer", self.orbit_capturer())
 
     def _capturer(self) -> np.ndarray:
         a, q = self.arena, self.arena.quotient()
         bits = self._orbit_bits()
-        finite_nc = ~a.capture_mask[q.reps] & (self.values[q.reps] < INT_INF)
+        finite_nc = ~q.capture & (self.depths < INT_INF)
         multi = finite_nc & ((bits & (bits - 1)) != 0)
         if multi.any():
             at = np.flatnonzero(multi)[0]  # its representative is the first such state
@@ -151,23 +159,23 @@ class CrSolution(OptimalMoves):
         capturer = np.zeros(len(bits), dtype=np.int8)
         for b in range(a.n_players - 1):
             capturer[finite_nc & (bits == np.uint32(1 << b))] = b + 1
-        return q.lift(capturer)
+        return capturer
 
 
 def forced_capture_depths(arena: Arena, chasing: np.ndarray) -> np.ndarray:
-    """Per state, the moves to a capture that the movers marked in `chasing`
-    can force while every other mover flees; INT_INF where they cannot.
-    Solved on the arena's orbit quotient, where the value is constant."""
+    """Per orbit of the arena's quotient, the moves to a capture that the
+    movers of the orbits marked in `chasing` can force while every other
+    mover flees; INT_INF where they cannot."""
     q = arena.quotient()
-    frozen = arena.capture_mask[q.reps]
-    init = np.where(frozen, 0, INT_INF).astype(np.int64)
-    return q.lift(solve_layers(q.moves, chasing[q.reps], frozen, init, predecessors=q.preds))
+    init = np.where(q.capture, 0, INT_INF).astype(np.int64)
+    return solve_layers(q.moves, chasing, q.capture, init, predecessors=q.preds)
 
 
 def capture_depths(arena: Arena) -> np.ndarray:
-    """The capture-time game's value array, memoized on the arena."""
+    """The capture-time game's value per orbit, memoized on the arena."""
+    cops = range(1, arena.n_players)
     return arena.memo(
-        "capture_depths", lambda: forced_capture_depths(arena, ~arena.robber_mover_mask())
+        "capture_depths", lambda: forced_capture_depths(arena, arena.quotient().turns(*cops))
     )
 
 
@@ -179,13 +187,11 @@ def solve_capture_time(arena: Arena) -> CrSolution:
 
 def capture_attribution(sol: CrSolution, s: State | int) -> tuple[int, int]:
     """(capturing cop, capture time) for a noncapture state of finite value."""
-    idx = sol.arena.index_of(s)
-    if sol.arena.capture_mask[idx]:
-        raise ValidationError("attribution is defined for noncapture states")
-    t = sol.values[idx]
+    orbit = sol.arena.orbit(s, "attribution is defined for noncapture states")
+    t = sol.depths[orbit]
     if t >= INT_INF:
         raise ValidationError("attribution is defined only where capture is forced")
-    return int(sol.capturer_table()[idx]), int(t)
+    return int(sol.orbit_capturer()[orbit]), int(t)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +208,8 @@ def _classic_wins(graph: Graph, cop_count: int, max_states: int) -> np.ndarray:
             f"classic arena would hold {2 * v ** (k + 1)} states (> cap {max_states})"
         )
     arena = Arena(graph, k + 1, max_states=(k + 1) * v ** (k + 1))
-    return (capture_depths(arena)[:: k + 1] < INT_INF).reshape(v**k, v)
+    cop_1_moves = capture_depths(arena).reshape(-1, k + 1)[arena.quotient().mix_orbit, 0]
+    return (cop_1_moves < INT_INF).reshape(v**k, v)
 
 
 def classic_cop_win(graph: Graph, cop_count: int, max_states: int = DEFAULT_MAX_STATES) -> bool:

@@ -101,13 +101,14 @@ class GameSolution(OptimalMoves):
         under the roles this game was solved with? False on capture rows. Read-only."""
         if self._edge_opt is None:
             moves = self.arena.moves
-            eo = moves.best_edges(*self._opt_keys()) & ~moves.per_edge(self.arena.capture_mask)
+            eo = moves.best_edges(self.rank, self._max_mask)
+            eo &= ~moves.per_edge(self.arena.capture_mask)
             eo.flags.writeable = False
             self._edge_opt = eo
         return self._edge_opt
 
-    def _opt_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.rank, self._max_mask
+    def _row_keys(self, idx: int, row: np.ndarray) -> tuple[np.ndarray, bool]:
+        return self.rank[row], self._max_mask[idx]
 
     def _with_levels(self, levels: tuple[Fraction, ...]) -> GameSolution:
         """The same ranks, rounds and optimal moves under other level values."""
@@ -199,10 +200,8 @@ def _terminal_classes(arena: Arena, player: int) -> list[tuple[State, np.ndarray
 
     def build() -> list[tuple[State, np.ndarray]]:
         cap_idx = np.flatnonzero(arena.capture_mask)
-        captors = sum(
-            arena.cop_at_robber(j)[cap_idx].astype(np.int64) for j in range(1, arena.n_players)
-        )
-        terminal_class = 2 * captors + arena.cop_at_robber(player)[cap_idx]
+        at = arena.cops_at_robber(cap_idx // arena.n_players)
+        terminal_class = 2 * at.sum(axis=0) + at[player - 1]
         _, reps, inverse = np.unique(terminal_class, return_index=True, return_inverse=True)
         return [
             (arena.state_of(int(cap_idx[rep])), cap_idx[inverse == k])

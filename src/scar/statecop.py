@@ -11,7 +11,9 @@ strategy profiles.
 
 The subset search enumerates coalitions by increasing size (there are at
 most 2^(N-1) - 1 of them and N stays small), caching each winning set on the
-arena so sweeps, single queries and the classifier share work.
+arena so sweeps, single queries and the classifier share work. Winning sets
+and c(G|s) are constant on orbits of the graph's automorphisms, so they are
+solved and kept per orbit of `Arena.quotient()`, like the capture times.
 """
 
 from __future__ import annotations
@@ -39,88 +41,98 @@ def _coalition_key(arena: Arena, coalition) -> frozenset[int]:
     return cs
 
 
-def coalition_winning_set(arena: Arena, coalition) -> np.ndarray:
-    """Boolean per state: can this cop coalition force reaching a capture
-    state against adversarial play of all other tokens? Cached on the arena.
-    The coalition of all N-1 cops chases on every move but the robber's,
-    which is the capture-time game, so it reads that game's values."""
+def coalition_wins(arena: Arena, coalition) -> np.ndarray:
+    """Boolean per orbit of the arena's quotient: can this cop coalition
+    force reaching a capture state against adversarial play of all other
+    tokens? Cached on the arena. The coalition of all N-1 cops chases on
+    every move but the robber's, which is the capture-time game, so it
+    reads that game's values."""
     cs = _coalition_key(arena, coalition)
 
     def build() -> np.ndarray:
         if len(cs) == arena.n_players - 1:
             return capture_depths(arena) < INT_INF
-        return forced_capture_depths(arena, arena.mover_mask(*cs)) < INT_INF
+        return forced_capture_depths(arena, arena.quotient().turns(*cs)) < INT_INF
 
     return arena.memo(("coalition", cs), build)
 
 
+def coalition_winning_set(arena: Arena, coalition) -> np.ndarray:
+    """`coalition_wins` per state."""
+    cs = _coalition_key(arena, coalition)
+    return arena.lifted(("coalition_states", cs), coalition_wins(arena, cs))
+
+
 def guaranteed_capture(arena: Arena, s: State | int, coalition) -> bool:
-    idx = arena.index_of(s)
-    if arena.capture_mask[idx]:
-        raise ValidationError("guaranteed capture is asked from noncapture states")
-    return bool(coalition_winning_set(arena, coalition)[idx])
+    at = arena.orbit(s, "guaranteed capture is asked from noncapture states")
+    return bool(coalition_wins(arena, coalition)[at])
 
 
 def state_cop_number(arena: Arena, s: State | int) -> int | float:
     """Least coalition size that wins from s; math.inf when even all
     N-1 cops together cannot force a capture."""
-    idx = arena.index_of(s)
-    if arena.capture_mask[idx]:
-        raise ValidationError("the state cop number is defined on noncapture states")
+    at = arena.orbit(s, "the state cop number is defined on noncapture states")
     n = arena.n_players
     for size in range(1, n):
         for coalition in combinations(range(1, n), size):
-            if coalition_winning_set(arena, coalition)[idx]:
+            if coalition_wins(arena, coalition)[at]:
                 return size
     return math.inf
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateCopReport:
-    """c(G|s) over the whole arena. values uses INT_INF for infinity and 0 on
-    capture rows (where the number is undefined); witness_bits packs the
-    first minimal winning coalition as a bitmask (bit j-1 = cop j)."""
+    """c(G|s) over the whole arena, per orbit of its quotient.
+    orbit_values uses INT_INF for infinity and 0 on capture orbits (where
+    the number is undefined); orbit_witness packs the first minimal winning
+    coalition as a bitmask (bit j-1 = cop j). `values` and `witness_bits`
+    are the per-state tables, lifted on first read."""
 
     arena: Arena
-    values: np.ndarray
-    witness_bits: np.ndarray
+    orbit_values: np.ndarray
+    orbit_witness: np.ndarray
+
+    values = property(lambda self: self.arena.lifted("scn_values", self.orbit_values))
+    witness_bits = property(lambda self: self.arena.lifted("scn_witness", self.orbit_witness))
 
     def value(self, s: State | int) -> int | float:
-        idx = self.arena.index_of(s)
-        if self.arena.capture_mask[idx]:
-            raise ValidationError("the state cop number is defined on noncapture states")
-        v = self.values[idx]
+        at = self.arena.orbit(s, "the state cop number is defined on noncapture states")
+        v = self.orbit_values[at]
         return math.inf if v >= INT_INF else int(v)
 
     def witness_coalition(self, s: State | int) -> tuple[int, ...]:
-        bits = int(self.witness_bits[self.arena.index_of(s)])
+        bits = int(self.orbit_witness[self.arena.orbit(s)])
         return tuple(j + 1 for j in range(self.arena.n_players - 1) if bits >> j & 1)
 
     def max_over_noncapture(self) -> int | float:
-        nc = self.arena.noncapture_indices()
-        if not nc.size:
+        nc = ~self.arena.quotient().capture
+        if not nc.any():
             raise ValidationError("the arena has no noncapture state")
-        m = int(self.values[nc].max())
+        m = int(self.orbit_values[nc].max())
         return math.inf if m >= INT_INF else m
 
 
 def state_cop_report(arena: Arena) -> StateCopReport:
-    """Sweep c(G|s) for every noncapture state, with minimal witnesses."""
-    n = arena.n_players
-    values = np.full(arena.n_states, INT_INF, dtype=np.int64)
-    values[arena.capture_mask] = 0
-    witness = np.zeros(arena.n_states, dtype=np.uint32)
-    open_mask = ~arena.capture_mask
-    for size in range(1, n):
-        for coalition in combinations(range(1, n), size):
-            won = coalition_winning_set(arena, coalition)
-            newly = open_mask & won
-            values[newly] = size
-            witness[newly] = sum(1 << (c - 1) for c in coalition)
-            open_mask &= ~won
-        if not open_mask.any():
-            break
-    return StateCopReport(arena, values, witness)
+    """Sweep c(G|s) for every noncapture orbit, with minimal witnesses.
+    Memoized on the arena."""
+
+    def sweep() -> tuple[np.ndarray, np.ndarray]:
+        q, n = arena.quotient(), arena.n_players
+        values = np.where(q.capture, 0, INT_INF)
+        witness = np.zeros(len(q.reps), dtype=np.uint32)
+        open_mask = ~q.capture
+        for size in range(1, n):
+            for coalition in combinations(range(1, n), size):
+                won = coalition_wins(arena, coalition)
+                newly = open_mask & won
+                values[newly] = size
+                witness[newly] = sum(1 << (c - 1) for c in coalition)
+                open_mask &= ~won
+            if not open_mask.any():
+                break
+        return values, witness
+
+    return StateCopReport(arena, *arena.memo("state_cop", sweep))
 
 
 @dataclass(frozen=True)
@@ -139,11 +151,10 @@ class TheoremCrosscheck:
 def _hardest_state(g: Graph, n_players: int, max_states: int) -> tuple[int | float, str]:
     """max c(G|s) over noncapture states, and a state attaining it. Its
     arena is freed on return, before the classic arena is built."""
-    arena = build_arena(g, n_players, max_states)
-    report = state_cop_report(arena)
-    hardest = report.max_over_noncapture()
-    nc = arena.noncapture_indices()
-    return hardest, arena.state_of(int(nc[np.argmax(report.values[nc])])).literal()
+    report = state_cop_report(build_arena(g, n_players, max_states))
+    hardest, q = report.max_over_noncapture(), report.arena.quotient()
+    at = np.argmax(np.where(q.capture, -1, report.orbit_values))  # reps ascend
+    return hardest, report.arena.state_of(int(q.reps[at])).literal()
 
 
 def crosscheck_theorem(

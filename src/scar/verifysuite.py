@@ -157,8 +157,8 @@ def _run_classify(case: dict) -> CaseResult:
     if "require_sweep_value" in case:
         report = state_cop_report(build_arena(g, n))
         wanted = case["require_sweep_value"]
-        nc = report.arena.noncapture_indices()
-        if not (report.values[nc] == wanted).any():
+        nc = ~report.arena.quotient().capture
+        if not (report.orbit_values[nc] == wanted).any():
             return CaseResult(
                 case["id"],
                 False,

@@ -90,6 +90,57 @@ def test_slot_tables_match_the_oracle_and_the_sorted_reverse(g, n):
         assert (table.width is not None) == regular
 
 
+def bincount_reverse(table: Csr) -> tuple[np.ndarray, np.ndarray]:
+    """The reverse of `table` with its row sizes counted by np.bincount over
+    the targets, the way `Csr.reverse` counted them before."""
+    n = len(table.offsets) - 1
+    counts = np.bincount(table.targets, minlength=n)
+    keys = table.per_edge(np.arange(n, dtype=np.int64)) + table.targets.astype(np.int64) * n
+    keys.sort()
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, (keys % n).astype(np.int32)
+
+
+def same_reverse(table: Csr) -> bool:
+    got, (offsets, targets) = table.reverse(), bincount_reverse(table)
+    return (got.targets.dtype == targets.dtype and np.array_equal(got.offsets, offsets)
+            and np.array_equal(got.targets, targets)
+            and got.width == Csr.measured(offsets, targets).width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=5), min_size=n, max_size=n)))
+def test_reverse_takes_its_row_starts_from_the_sorted_keys(rows):
+    """Random tables, empty rows and repeated targets included, reverse as
+    they did when the row sizes came from np.bincount."""
+    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+    targets = np.array([t for r in rows for t in r], dtype=np.int64)
+    assert same_reverse(Csr.of_sizes(sizes, targets))
+
+
+def test_the_path12_quotient_reverses_as_before():
+    q = build_arena(builtin("path", 12), 4).quotient()
+    assert same_reverse(q.moves)
+    assert all(np.array_equal(x, y) for x, y in zip(q.preds, bincount_reverse(q.moves)))
+
+
+def test_capture_mask_is_read_only_and_built_on_first_use():
+    """No solve on the quotient builds the full capture mask, and once
+    built it takes no write that would change later answers."""
+    a = build_arena(builtin("path", 4), 3)
+    s = parse_state("0,0;3;1", 3, 4)
+    assert solve_capture_time(a).capture_time(s) == 7
+    state_cop_report(a).max_over_noncapture()
+    assert "capture_mask" not in a._memo
+    assert np.array_equal(a.capture_mask, [is_capture(a.state_of(i)) for i in range(a.n_states)])
+    with pytest.raises(ValueError, match="read-only"):
+        a.capture_mask[a.index(s)] = True
+    assert solve_capture_time(a).capture_time(s) == 7
+    assert not a.is_capture(s)
+
+
 def _one_wide(a):
     """The arena's table filtered to the first edge of every row."""
     keep = np.zeros(len(a.targets), dtype=bool)
@@ -158,7 +209,7 @@ def test_shared_tables_are_read_only():
     cr = solve_capture_time(a)
     game = solve_game(a, 1, GameParams(3, Q(1, 2), Q(0)))
     shared = [cr.values, cr.edge_opt, cr.capturer_table(), game.rank, game.edge_opt,
-              a.cop_at_robber(1), *a.moves, *a.predecessors(), *a.quotient().moves,
+              a.capture_mask, *a.moves, *a.predecessors(), *a.quotient().moves,
               a.quotient().reps, a.quotient().mix_orbit]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):

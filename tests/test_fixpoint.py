@@ -67,7 +67,7 @@ def test_matches_jacobi_on_random_roles(g, n, seed, p_min, p_frozen):
 def test_capture_times_and_credit_match_oracle(g, n):
     a = build_arena(g, n)
     sol = solve_capture_time(a)
-    bits = sol._cop_bits()
+    bits = a.quotient().lift(sol._orbit_bits())
     times = capture_times(g, n)
     credit = capture_credit(g, n, times)
     for s, t in times.items():
@@ -237,7 +237,7 @@ def test_bare_arrays_still_serve_the_engine(name, k):
     pred_offsets, pred_targets = a.predecessors()
     assert len(pred_targets) == len(a.targets) == pred_offsets[-1] == a.offsets[-1]
     init = np.where(a.capture_mask, 0, INT_INF).astype(np.int64)
-    want = capture_depths(a)
+    want = a.quotient().lift(capture_depths(a))
     got = solve_layers(a.offsets, a.targets, ~a.robber_mover_mask(), a.capture_mask, init)
     assert np.array_equal(got, want)
 

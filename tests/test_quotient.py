@@ -3,7 +3,12 @@ its orbit counts, every integer layer on it against the same layers with
 the trivial group and against the oracles, and the commands that never
 build the full move table."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 from itertools import combinations
 from unittest import mock
 
@@ -23,11 +28,12 @@ from scar import (
     solve_capture_time,
     state_cop_report,
 )
-from scar.arena import Arena, _orbit_labels
+from scar.arena import Arena, Quotient, _orbit_labels
 from scar.classify import _guarantee_winning_sets
 from scar.cli import main
 from scar.fixpoint import INT_INF
-from scar.graphs import automorphism_generators
+from scar.graphs import automorphism_generators, serialize_edge_list
+from scar.statecop import _hardest_state
 
 from oracles import INF, capture_credit, capture_times, coalition_wins, guarantee_wins
 from strategies import connected_graphs
@@ -83,14 +89,14 @@ def integer_layers(a) -> dict:
     """Every integer layer solved on the arena's quotient, per state."""
     cr = solve_capture_time(a)
     report = state_cop_report(a)
-    out = {"values": cr.values, "bits": cr._cop_bits(),
+    out = {"values": cr.values, "bits": a.quotient().lift(cr._orbit_bits()),
            "scn": report.values, "witness": report.witness_bits}
     try:
         out["capturer"] = cr.capturer_table()
     except UniquenessViolationError:
         out["capturer"] = None
     for m in range(1, a.n_players):
-        out[m] = np.stack(_guarantee_winning_sets(a, cr, m))
+        out[m] = np.stack([a.quotient().lift(w) for w in _guarantee_winning_sets(a, cr, m)])
     return out
 
 
@@ -150,6 +156,120 @@ def test_layers_on_the_quotient_equal_the_trivial_group_and_the_oracles(g, n):
     assert same_layers(full, oracle_layers(g, n))
 
 
+def command_outputs(g, n) -> dict:
+    """What cr-solve, scn and classify print for (g, n), read per orbit,
+    and the hardest state of the theorem crosscheck."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.edges")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_edge_list(g))
+        out = {}
+        for command in ("cr-solve", "scn", "classify"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, "--graph", path, "--n", str(n)])
+            out[command] = json.loads(buf.getvalue()) if code == 0 else code
+    out["hardest"] = _hardest_state(g, n, 10**7)
+    return out
+
+
+def per_state_outputs(g, n) -> dict:
+    """The same answers from the lifted per-state tables: counts are sums
+    over states, and a witness is the first state with its property."""
+    a = build_arena(g, n)
+    cr, report = solve_capture_time(a), state_cop_report(a)
+    nc, finite, vals = ~a.capture_mask, cr.finite_mask(), report.values
+    rm = a.robber_mover_mask()
+
+    def literal(mask) -> str:
+        return a.state_of(int(np.flatnonzero(mask)[0])).literal()
+
+    def number(v):
+        return "inf" if v >= INT_INF else int(v)
+
+    hardest = int(vals[nc].max())
+    out = {
+        "cr-solve": {"n_states": a.n_states, "forced_capture_states": int((finite & nc).sum()),
+                     "escape_states": int((~finite).sum()),
+                     "max_finite_capture_time": number(cr.values[finite].max())},
+        "scn": {"noncapture_states": int(nc.sum()), "max_c_state": number(hardest),
+                "c_state_counts": {**{str(k): int((nc & (vals == k)).sum()) for k in range(1, n)},
+                                   "inf": int((nc & (vals >= INT_INF)).sum())}},
+        "hardest": (math.inf if hardest >= INT_INF else hardest, literal(nc & (vals == hardest))),
+    }
+    evidence = {"max_state_cop_number": number(hardest)}
+    inf_nc, mid = nc & (vals >= INT_INF), nc & (vals >= 2) & (vals < INT_INF)
+    if inf_nc.any():
+        evidence["escape_witness"] = literal(inf_nc)
+    c1_rm = rm & nc & (vals == 1)
+    exists = adversarial = np.ones(a.n_states, dtype=bool)
+    if c1_rm.any():
+        evidence["c1_robber_state_count"] = int(c1_rm.sum())
+        evidence["c1_robber_witness"] = literal(c1_rm)
+        try:
+            capturer = cr.capturer_table()
+        except UniquenessViolationError:
+            out["classify"] = 3
+            return out
+        q = a.quotient()
+        for m in np.unique(capturer[c1_rm]):
+            w_exists, w_adv = (q.lift(w) for w in _guarantee_winning_sets(a, cr, int(m)))
+            exists = exists & ~(c1_rm & (capturer == m) & ~w_exists)
+            adversarial = adversarial & ~(c1_rm & (capturer == m) & ~w_adv)
+    exists_ok, adversarial_ok = bool(exists.all()), bool(adversarial.all())
+    if exists_ok != adversarial_ok:
+        evidence["guarantee_variants_disagree"] = True
+    if not inf_nc.any():
+        klass = "NotInG"
+    elif mid.any():
+        klass = "G1"
+        evidence["g1_witness"] = literal(mid)
+        evidence["g1_witness_value"] = int(vals[mid][0])
+    elif not (rm & nc & (vals < INT_INF)).any():
+        klass = "G2"
+    elif exists_ok:
+        klass = "G3"
+    else:
+        klass = "G3Prime"
+        evidence["guarantee_failure_state"] = literal(~exists)
+    out["classify"] = {"class": klass, "evidence": evidence,
+                       "g3_exists_variant": exists_ok, "g3_adversarial_variant": adversarial_ok}
+    return out
+
+
+# the full Aut(g), the subgroup a starved generator search finds, the trivial group
+GROUPS = (
+    contextlib.nullcontext,
+    lambda: mock.patch.object(graphs_module, "SEARCH_EFFORT", 6),
+    lambda: mock.patch.object(arena_module, "automorphism_generators", lambda graph: []),
+)
+
+
+def same_summaries_under_every_group(g, n) -> None:
+    want = per_state_outputs(g, n)
+    for group in GROUPS:
+        with group():
+            assert command_outputs(g, n) == want
+            assert per_state_outputs(g, n) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs(max_vertices=5), st.sampled_from([3, 4]))
+def test_orbit_summaries_equal_the_per_state_tables(g, n):
+    """Counts weighted by orbit size, maxima over orbits and first witnesses
+    read as the representative of the first orbit equal the same quantities
+    read off the lifted per-state tables, under every group."""
+    same_summaries_under_every_group(g, n)
+
+
+@pytest.mark.parametrize("name", ["tail_cycle", "petersen", "petersen_leaf", "petersen_p3",
+                                  "petersen_c4", "s3", "k4"])
+def test_orbit_summaries_equal_the_per_state_tables_in_every_class(suite_graphs, name):
+    """Graphs on at most five vertices are all NotInG; these reach NotInG,
+    G1, G2, G3 and G3Prime with N=3, so every witness of classify is read."""
+    same_summaries_under_every_group(suite_graphs[name], 3)
+
+
 # stdout of each command on Petersen N=4 before the quotient existed
 PETERSEN_N4 = [
     (("cr-solve",), {"escape_states": 0, "forced_capture_states": 29160,
@@ -169,7 +289,26 @@ PETERSEN_N4 = [
 ]
 
 
+# the same commands on path:5 N=3 (whose group is the reflection alone)
+PATH5_N3 = [
+    (("cr-solve",), {"escape_states": 0, "forced_capture_states": 240,
+                     "max_finite_capture_time": 11, "n_states": 375}),
+    (("cr-solve", "--state", "0,4;2;1"),
+     {"capture_time": 4, "capturing_cop": 1, "optimal_moves": ["1,4;2;2"],
+      "state": "0,4;2;1"}),
+    (("scn",), {"c_state_counts": {"1": 240, "2": 0, "inf": 0}, "max_c_state": 1,
+                "noncapture_states": 240}),
+    (("scn", "--state", "0,4;2;3"), {"c_state": 1, "state": "0,4;2;3", "witness_coalition": [1]}),
+    (("classify",), {"class": "NotInG",
+                     "evidence": {"c1_robber_state_count": 80, "c1_robber_witness": "0,0;1;3",
+                                  "max_state_cop_number": 1},
+                     "g3_adversarial_variant": False, "g3_exists_variant": False}),
+]
+
+
 def test_commands_answer_without_the_full_move_table(capsys, monkeypatch):
+    """Nor do they expand a per-orbit table to every state, or build the
+    full capture mask: they read orbits and weigh them by their sizes."""
     real = Arena._slots
 
     def rows_only(self, back, rows=None):
@@ -177,12 +316,18 @@ def test_commands_answer_without_the_full_move_table(capsys, monkeypatch):
             raise AssertionError("a full move table was built")
         return real(self, back, rows)
 
+    def refused(*args):
+        raise AssertionError("a per-state table was built")
+
     monkeypatch.setattr(Arena, "_slots", rows_only)
+    monkeypatch.setattr(Quotient, "lift", refused)
+    monkeypatch.setattr(Arena, "capture_mask", property(refused))
     monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
-    for argv, want in PETERSEN_N4:
-        code = main([argv[0], "--builtin", "petersen", "--n", "4", *argv[1:]])
-        out = capsys.readouterr().out
-        assert (code, out) == (0, json.dumps(want, indent=2, sort_keys=True) + "\n"), argv
+    for graph, n, pinned in (("petersen", "4", PETERSEN_N4), ("path:5", "3", PATH5_N3)):
+        for argv, want in pinned:
+            code = main([argv[0], "--builtin", graph, "--n", n, *argv[1:]])
+            out = capsys.readouterr().out
+            assert (code, out) == (0, json.dumps(want, indent=2, sort_keys=True) + "\n"), argv
 
 
 def test_simulate_plays_without_the_full_move_table(monkeypatch):

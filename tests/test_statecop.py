@@ -155,7 +155,7 @@ def test_the_all_cop_coalition_is_the_capture_time_game(suite_graphs, n):
         a = build_arena(g, n)
         cops = range(1, n)
         assert np.array_equal(a.mover_mask(*cops), ~a.robber_mover_mask())
-        direct = forced_capture_depths(a, a.mover_mask(*cops)) < INT_INF
+        direct = a.quotient().lift(forced_capture_depths(a, a.quotient().turns(*cops))) < INT_INF
         assert np.array_equal(coalition_winning_set(a, cops), direct), name
 
 
