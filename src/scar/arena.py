@@ -20,14 +20,16 @@ r-th such vertex, so the table is written in max(deg)+1 vectorised
 passes, one per slot. The predecessors of s are s with the *previous*
 mover's token moved the same way and the turn stepped back (moves are
 symmetric), so the predecessor table comes from the same builder, already
-ascending, with no sort. Only positionality, the discounted games and
-reachability build full tables; `succ_indices` makes one row alone, and
-`simulate` checks each move against it.
+ascending, with no sort. Only reachability (`reachable_noncapture`, for
+the per-state witness lists), the public per-edge views and the quotient
+under the trivial group build full tables; `succ_indices` makes one row
+alone, and `simulate` checks each move against it.
 
-The integer layers (capture time, attribution, coalitions, classify's
-guarantee games) run on the orbit quotient: a graph automorphism applied
-to every token preserves moves, captures, captors and turns, so their
-answers are constant on orbits. Row i of the quotient is the row of orbit
+Every solver (capture time, attribution, coalitions, classify's guarantee
+games, the discounted games and the positionality tests) runs on the orbit
+quotient: a graph automorphism applied to every token preserves moves,
+captures, captors and turns, so their answers are constant on orbits.
+Row i of the quotient is the row of orbit
 i's smallest state (`_slots` on those rows), each target replaced by its
 orbit, duplicates kept. Those multiplicities differ with orbit sizes, so
 no structure gives its predecessor table: `Csr.reverse` sorts it, cheaply
@@ -523,22 +525,27 @@ class Csr:
 
 class OptimalMoves:
     """Optimal-move lookups shared by the solution types. A subclass sets
-    `arena` and defines `_row_keys(idx, row)`: the keys of the states in
-    `row`, the successors of state idx, and whether idx's mover takes the
-    largest key (the smallest otherwise). The moves to a row's best key
-    are its mover's optimal moves."""
+    `arena` and, per orbit of its quotient, `keys` and `maximizer`: whether
+    the orbit's mover takes the largest key (the smallest otherwise). The
+    moves to a row's best key are its mover's optimal moves."""
 
     arena: Arena
+    keys: np.ndarray
+    maximizer: np.ndarray
 
     def opt_indices(self, s: State | int) -> np.ndarray:
         """The optimal successors of noncapture state s, ascending: the
         targets of row s whose key equals the row's best."""
-        idx = self.arena.index_of(s)
-        if self.arena.is_capture(idx):
-            raise ValidationError("no moves are defined from a capture state")
-        row = self.arena.succ_indices(idx)
-        succ, largest = self._row_keys(idx, row)
+        a, idx = self.arena, self.arena.index_of(s)
+        largest = self.maximizer[a.orbit(idx, "no moves are defined from a capture state")]
+        row = a.succ_indices(idx)
+        succ = self.keys[a.quotient().orbit_of(row)]
         return row[succ == (succ.max() if largest else succ.min())]
+
+    def orbit_edge_opt(self) -> np.ndarray:
+        """Per edge of the quotient's move table: does the move attain its
+        mover's optimum? Capture rows are marked too; no caller reads them."""
+        return self.arena.quotient().moves.best_edges(self.keys, self.maximizer)
 
     def opt_moves(self, s: State | int) -> tuple[State, ...]:
         return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(s))

@@ -66,7 +66,7 @@ def _restricted_tables(arena: Arena, cr: CrSolution, m: int):
     predecessor table."""
     q = arena.quotient()
     keep = q.moves.per_edge(~q.turns(m))
-    keep |= q.moves.best_edges(cr.depths, q.turns(arena.n_players))
+    keep |= cr.orbit_edge_opt()
     table = q.moves.filter(keep)
     return table, table.reverse()
 

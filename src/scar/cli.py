@@ -321,6 +321,7 @@ def _add_common(p):
                    help="cache reports here (also honours SCAR_CACHE_DIR)")
 
 
+@functools.cache  # the parser does not depend on the arguments; one per process
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="scar",

@@ -45,7 +45,8 @@ class CrSolution(OptimalMoves):
 
     def __init__(self, arena: Arena, depths: np.ndarray):
         self.arena = arena
-        self.depths = depths
+        self.depths = self.keys = depths
+        self.maximizer = arena.quotient().turns(arena.n_players)
 
     # -- values ---------------------------------------------------------------
 
@@ -73,10 +74,6 @@ class CrSolution(OptimalMoves):
         return a.memo(
             "capture_edge_opt", lambda: a.moves.best_edges(self.values, a.robber_mover_mask())
         )
-
-    def _row_keys(self, idx: int, row: np.ndarray) -> tuple[np.ndarray, bool]:
-        n = self.arena.n_players
-        return self.depths[self.arena.quotient().orbit_of(row)], idx % n == n - 1
 
     # -- attribution ------------------------------------------------------------
 

@@ -76,10 +76,10 @@ def retrograde(
     Every row of the table must hold a move, and every seeded state must
     be frozen. A seed keyed `never` is left unsettled and a key above it is
     refused. `predecessors` is the table's reverse. Every solve in the
-    package passes one: `Arena.predecessors()`, built from the table's
-    structure, or the orbit quotient's and classify's restricted table's,
-    sorted once by `Csr.reverse`; for a table passed without one
-    `moves.reverse()` sorts the edges here.
+    package passes one: the orbit quotient's (`Arena.predecessors()`, built
+    from the table's structure, under the trivial group) or classify's
+    restricted table's, sorted once by `Csr.reverse`; for a table passed
+    without one `moves.reverse()` sorts the edges here.
     """
     if predecessors is None:
         predecessors = moves.reverse()

@@ -25,12 +25,17 @@ from their one start instead: their witness lists name the failing states
 that this start reaches. Both refuse a capture-state start before solving
 anything.
 
-The tests read nothing of a game but its optimal edges. `solve_game` hands
-back the same solution at the same (gamma, epsilon), and a solution re-used
-at another gamma keeps its optimal edges, so along a gamma grid the edge
-arrays are often the very objects of the previous point; the arena keeps
-the last table with the edge arrays it came from, and returns it while they
-are the same.
+The tests and the table's floods run on the arena's orbit quotient: every
+optimal-move set is constant on orbits, and a state reaches a failing
+orbit exactly when its own orbit does in the quotient. Only the table's
+two arrays are lifted to states.
+
+The tests read nothing of a game but its ranks. `solve_game` hands back
+the same solution at the same (gamma, epsilon), and a solution re-used at
+another gamma keeps its rank array, so along a gamma grid the ranks are
+often the very objects of the previous point; the arena keeps the last
+table with the rank arrays it came from, and returns it while they are
+the same.
 
 Verdicts only ever use full arg-opt sets. Concrete tables (for simulation)
 use the canonical tie-break: the move with the lowest target vertex.
@@ -50,6 +55,7 @@ from .arena import (
     Play,
     State,
     _flood,
+    _read_only,
     build_arena,
     checked_move,
     finished_play,
@@ -77,20 +83,20 @@ class PositionalityVerdict:
 def _state_tests(
     arena: Arena, cr: CrSolution, games: dict[int, GameSolution]
 ) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Per-state outcomes of the two set tests: meets[m][i] — cop m's
-    optimal edge set at state i intersects the capture-time-optimal set;
-    inside[i] — every cop's is contained in it. Capture rows are vacuously
-    True. Start-independent."""
-    cr_keep = cr.edge_opt
-    nc = ~arena.capture_mask
+    """Per-orbit outcomes of the two set tests, counted on the rows of the
+    arena's quotient: meets[m][i] — cop m's optimal edge set at orbit i
+    intersects the capture-time-optimal set; inside[i] — every cop's is
+    contained in it. Capture rows are vacuously True. Start-independent."""
+    q = arena.quotient()
+    cr_keep = cr.orbit_edge_opt()
     meets: dict[int, np.ndarray] = {}
-    inside = np.ones(arena.n_states, dtype=bool)
+    inside = np.ones(len(q.reps), dtype=bool)
     for m, sol in games.items():
-        keep = sol.edge_opt
-        met = arena.moves.row_counts(keep & cr_keep)
-        opt = arena.moves.row_counts(keep)
-        meets[m] = ~nc | (met > 0)
-        inside &= ~nc | (met == opt)
+        keep = sol.orbit_edge_opt()
+        met = q.moves.row_counts(keep & cr_keep)
+        opt = q.moves.row_counts(keep)
+        meets[m] = q.capture | (met > 0)
+        inside &= q.capture | (met == opt)
     return meets, inside
 
 
@@ -112,10 +118,11 @@ def _verdict(
     reachable: np.ndarray,
 ) -> PositionalityVerdict:
     meets, inside = tests
+    orbits = arena.quotient().orbit_of(reachable)
     fail_pairs: list[tuple[int, int]] = []
     for m in sorted(meets):
-        fail_pairs.extend((int(i), m) for i in reachable[~meets[m][reachable]])
-    nonpositional = not inside[reachable].all()
+        fail_pairs.extend((int(i), m) for i in reachable[~meets[m][orbits]])
+    nonpositional = not inside[orbits].all()
     if fail_pairs and not nonpositional:
         raise _no_profile(arena, params, s0)
     fail_pairs.sort()
@@ -134,7 +141,7 @@ def solve_all_games(arena: Arena, params: GameParams) -> dict[int, GameSolution]
 def _start(arena: Arena, s0: State | int) -> int:
     """The index of a start state, which must not be a capture state."""
     idx = arena.index_of(s0)
-    if arena.capture_mask[idx]:
+    if arena.is_capture(idx):
         raise ValidationError(f"s0 {arena.state_of(idx).literal()} is a capture state")
     return idx
 
@@ -152,28 +159,29 @@ def check_positionality(
 def positionality_table(arena: Arena, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
     """The verdict booleans at every start at once: (positional,
     nonpositional), two bool arrays indexed by state. The games are solved
-    once and each array comes from one backward reachability sweep: can the
-    start reach a state failing the intersection / subset test? Capture rows
-    hold True in both, as the set tests are vacuous there. The arrays are
-    shared with later calls that find the same optimal edges: read only."""
+    once and each array comes from one backward reachability sweep over
+    the quotient's orbits, lifted to states: can the start reach a state
+    failing the intersection / subset test? Capture rows hold True in both,
+    as the set tests are vacuous there. The arrays are shared with later
+    calls that find the same games' ranks: read only."""
     games = solve_all_games(arena, params)
-    edges = [sol.edge_opt for sol in games.values()]
+    ranks = [sol.rank for sol in games.values()]
     kept = arena.memo("last_positionality_table", lambda: [None])
     if kept[0] is not None:
-        kept_edges, table = kept[0]
-        if all(x is y for x, y in zip(kept_edges, edges)):
+        kept_ranks, table = kept[0]
+        if all(x is y for x, y in zip(kept_ranks, ranks)):
             return table
     meets, inside = _state_tests(arena, solve_capture_time(arena), games)
-    preds = arena.predecessors()
-    sees_fail = _flood(preds, ~np.logical_and.reduce(list(meets.values())), arena.capture_mask)
-    sees_loose = _flood(preds, ~inside, arena.capture_mask)
-    positional, nonpositional = ~sees_fail, sees_loose | arena.capture_mask
+    q = arena.quotient()
+    sees_fail = _flood(q.preds, ~np.logical_and.reduce(list(meets.values())), q.capture)
+    sees_loose = _flood(q.preds, ~inside, q.capture)
+    positional, nonpositional = ~sees_fail, sees_loose | q.capture
     neither = np.flatnonzero(~(positional | nonpositional))
     if neither.size:
-        raise _no_profile(arena, params, arena.state_of(int(neither[0])))
-    positional.flags.writeable = nonpositional.flags.writeable = False
-    kept[0] = (edges, (positional, nonpositional))
-    return positional, nonpositional
+        raise _no_profile(arena, params, arena.state_of(int(q.reps[neither[0]])))
+    table = _read_only((q.lift(positional), q.lift(nonpositional)))
+    kept[0] = (ranks, table)
+    return table
 
 
 def scan_region(

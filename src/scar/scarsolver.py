@@ -21,8 +21,11 @@ are worth 0, and values that are exactly equal share one level. No float
 enters.
 
 A solution stores the ascending tuple of values `levels` and one int rank
-per state. Every solve ends with the engine's exact check of every Bellman
-equation; the fixpoint is unique for gamma < 1, so passing it proves the
+per orbit of the arena's quotient (`Arena.quotient()`), where the game is
+solved: a graph automorphism applied to every token preserves moves, turns
+and captors, so values and optimal moves are constant on orbits. Every
+solve ends with the engine's exact check of every Bellman equation on the
+quotient; the fixpoint is unique for gamma < 1, so passing it proves the
 answer.
 
 The engine also reports where each level came from, so every level is a
@@ -41,7 +44,6 @@ solved afresh.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,49 +74,26 @@ def terminal_payoff(s: State, m: int, params: GameParams) -> Fraction:
     return params.epsilon / (n - 1 - captors)
 
 
+@dataclass(eq=False)
 class GameSolution(OptimalMoves):
     """Exact value table for one player's discounted game on an arena: the
-    ascending distinct values `levels` and each state's `rank` into them."""
+    ascending distinct values `levels` and each quotient orbit's `rank` into
+    them, which is its key for the optimal moves, under the roles of the
+    per-orbit `maximizer` mask."""
 
-    def __init__(
-        self,
-        arena: Arena,
-        levels: tuple[Fraction, ...],
-        rank: np.ndarray,
-        rounds: int,
-        max_mask: np.ndarray,
-    ):
-        self.arena = arena
-        self.levels = levels
-        self.rank = rank
-        rank.flags.writeable = False
-        self.rounds = rounds  # settled levels
-        self._max_mask = max_mask
-        self._edge_opt: np.ndarray | None = None
+    arena: Arena
+    levels: tuple[Fraction, ...]
+    rank: np.ndarray
+    rounds: int  # settled levels
+    maximizer: np.ndarray
+
+    keys = property(lambda self: self.rank)
+
+    def __post_init__(self):
+        self.rank.flags.writeable = False
 
     def value(self, s: State | int) -> Fraction:
-        return self.levels[self.rank[self.arena.index_of(s)]]
-
-    @property
-    def edge_opt(self) -> np.ndarray:
-        """Boolean per CSR edge: does the move attain the mover's optimum
-        under the roles this game was solved with? False on capture rows. Read-only."""
-        if self._edge_opt is None:
-            moves = self.arena.moves
-            eo = moves.best_edges(self.rank, self._max_mask)
-            eo &= ~moves.per_edge(self.arena.capture_mask)
-            eo.flags.writeable = False
-            self._edge_opt = eo
-        return self._edge_opt
-
-    def _row_keys(self, idx: int, row: np.ndarray) -> tuple[np.ndarray, bool]:
-        return self.rank[row], self._max_mask[idx]
-
-    def _with_levels(self, levels: tuple[Fraction, ...]) -> GameSolution:
-        """The same ranks, rounds and optimal moves under other level values."""
-        moved = copy.copy(self)
-        moved.levels = levels
-        return moved
+        return self.levels[self.rank[self.arena.orbit(s)]]
 
 
 @dataclass(frozen=True)
@@ -131,26 +110,28 @@ class _Solved:
     symbols: tuple[tuple[Fraction, int], ...] | None
 
 
-def _engine_game(arena: Arena, gamma: Fraction, max_mask: np.ndarray, seeds: list) -> tuple:
-    """The engine's arguments for a discounted game from the capture states'
-    seed batches `(coefficient, states)`: keys -value, step gamma*k, never 0."""
+def _engine_game(arena: Arena, gamma: Fraction, maximizer: np.ndarray, seeds: list) -> tuple:
+    """The engine's arguments for a discounted game on the arena's quotient
+    from the capture orbits' seed batches `(coefficient, orbits)`: keys
+    -value, step gamma*k, never 0."""
+    q = arena.quotient()
     return (
-        arena.moves,
-        max_mask,
-        arena.capture_mask,
-        [(-c, states) for c, states in seeds],
+        q.moves,
+        maximizer,
+        q.capture,
+        [(-c, orbits) for c, orbits in seeds],
         lambda key: gamma * key,
         Q0,
     )
 
 
 def _discounted(
-    arena: Arena, gamma: Fraction, max_mask: np.ndarray, seeds: list
+    arena: Arena, gamma: Fraction, maximizer: np.ndarray, seeds: list
 ) -> tuple[GameSolution, tuple[tuple[Fraction, int], ...] | None]:
     """Run the engine and rank the values in ascending order; returns the
     solution and its level symbols (None when a level is tied)."""
     keys, rank, origins = retrograde(
-        *_engine_game(arena, gamma, max_mask, seeds), arena.predecessors()
+        *_engine_game(arena, gamma, maximizer, seeds), arena.quotient().preds
     )
     symbols: list[tuple[Fraction, int]] | None = []
     for kind, at in origins:
@@ -166,7 +147,7 @@ def _discounted(
             break
     levels = tuple(-key for key in reversed(keys))
     rounds = len(keys) - (keys[-1] == Q0)
-    sol = GameSolution(arena, levels, len(keys) - 1 - rank, rounds, max_mask)
+    sol = GameSolution(arena, levels, len(keys) - 1 - rank, rounds, maximizer)
     return sol, None if symbols is None else tuple(reversed(symbols))
 
 
@@ -186,26 +167,27 @@ def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> GameSolution | N
         values.append(value)
     old = last.solution
     check_fixpoint(
-        *_engine_game(arena, gamma, old._max_mask, last.seeds),
+        *_engine_game(arena, gamma, old.maximizer, last.seeds),
         [-v for v in values],
         len(values) - 1 - old.rank,
     )
-    return old._with_levels(tuple(reversed(values)))
+    return dataclasses.replace(old, levels=tuple(reversed(values)))
 
 
 def _terminal_classes(arena: Arena, player: int) -> list[tuple[State, np.ndarray]]:
-    """Cop `player`'s terminal classes: one (representative, capture state
-    indices) per captor count K and whether the player is a captor.
+    """Cop `player`'s terminal classes: one (representative, capture
+    orbits) per captor count K and whether the player is a captor.
     Memoized on the arena."""
 
     def build() -> list[tuple[State, np.ndarray]]:
-        cap_idx = np.flatnonzero(arena.capture_mask)
-        at = arena.cops_at_robber(cap_idx // arena.n_players)
+        q = arena.quotient()
+        cap = np.flatnonzero(q.capture)
+        at = q.at_robber[:, cap]
         terminal_class = 2 * at.sum(axis=0) + at[player - 1]
-        _, reps, inverse = np.unique(terminal_class, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(terminal_class, return_index=True, return_inverse=True)
         return [
-            (arena.state_of(int(cap_idx[rep])), cap_idx[inverse == k])
-            for k, rep in enumerate(reps.tolist())
+            (arena.state_of(int(q.reps[cap[i]])), cap[inverse == k])
+            for k, i in enumerate(first.tolist())
         ]
 
     return arena.memo(("terminal_classes", player), build)
@@ -233,10 +215,10 @@ def solve_game(arena: Arena, player: int, params: GameParams) -> GameSolution:
     # one seed batch per distinct terminal coefficient, so that equal
     # coefficients do not count as a tie
     merged: dict[Fraction, list[np.ndarray]] = {}
-    for rep, states in _terminal_classes(arena, player):
-        merged.setdefault(terminal_payoff(rep, player, params), []).append(states)
+    for rep, orbits in _terminal_classes(arena, player):
+        merged.setdefault(terminal_payoff(rep, player, params), []).append(orbits)
     seeds = [(c, np.concatenate(parts)) for c, parts in merged.items()]
-    sol, symbols = _discounted(arena, params.gamma, arena.mover_mask(player), seeds)
+    sol, symbols = _discounted(arena, params.gamma, arena.quotient().turns(player), seeds)
     slot[0] = _Solved(params.gamma, params.epsilon, seeds, sol, symbols)
     return sol
 
@@ -249,8 +231,9 @@ def solve_discounted_capture(arena: Arena, gamma: Fraction) -> GameSolution:
     exactly, which the test suite uses as a cross-check."""
     if not isinstance(gamma, Fraction) or not 0 < gamma < 1:
         raise ValidationError(f"gamma must be a rational in (0,1), got {gamma}")
-    seeds = [(Fraction(1), np.flatnonzero(arena.capture_mask))]
-    return _discounted(arena, gamma, ~arena.robber_mover_mask(), seeds)[0]
+    q = arena.quotient()
+    seeds = [(Fraction(1), np.flatnonzero(q.capture))]
+    return _discounted(arena, gamma, ~q.turns(arena.n_players), seeds)[0]
 
 
 def opt_move_table(sol: GameSolution, token: int) -> dict[State, tuple[State, ...]]:

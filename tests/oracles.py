@@ -221,3 +221,39 @@ def classic_arena(g, k):
                 capture.append(robber in cops)
                 cop_turn.append(turn == 0)
     return offsets, targets, capture, cop_turn
+
+
+def positional_verdicts(g, n_players, gamma, epsilon):
+    """(positional, nonpositional) per noncapture start, from the rules:
+    each cop m's optimal successors (by `discounted_values`) must meet the
+    capture-time-optimal ones (by `capture_times`) at every noncapture
+    state the start reaches without passing a capture, for a positional
+    profile; a nonpositional one needs some such state where they are not
+    contained in them. Reachability is a forward search from each start."""
+    times = capture_times(g, n_players)
+    games = [discounted_values(g, n_players, m, gamma, epsilon) for m in range(1, n_players)]
+
+    def optimal(s, table, maximizer):
+        opts = successors(g, s)
+        best = max(table[t] for t in opts) if maximizer else min(table[t] for t in opts)
+        return {t for t in opts if table[t] == best}
+
+    meets, inside = {}, {}
+    for s in all_states(g, n_players):
+        if is_capture(s):
+            continue
+        chase = optimal(s, times, s[2] == n_players)
+        own = [optimal(s, table, s[2] == m) for m, table in enumerate(games, 1)]
+        meets[s] = all(opt & chase for opt in own)
+        inside[s] = all(opt <= chase for opt in own)
+
+    verdicts = {}
+    for start in meets:
+        seen, todo = {start}, [start]
+        while todo:
+            for t in successors(g, todo.pop()):
+                if t not in seen and not is_capture(t):
+                    seen.add(t)
+                    todo.append(t)
+        verdicts[start] = (all(meets[s] for s in seen), not all(inside[s] for s in seen))
+    return verdicts

@@ -202,13 +202,14 @@ def test_package_tables_keep_the_width_decided_at_build(monkeypatch):
 
 
 def test_shared_tables_are_read_only():
-    """The arena's memoized arrays, a game's ranks and optimal edges and
+    """The arena's memoized arrays, a game's ranks, the verdict table and
     every table's arrays are shared by later calls, so none takes a write."""
     a = build_arena(builtin("path", 4), 3)
     s = parse_state("0,0;3;1", 3, 4)
     cr = solve_capture_time(a)
     game = solve_game(a, 1, GameParams(3, Q(1, 2), Q(0)))
-    shared = [cr.values, cr.edge_opt, cr.capturer_table(), game.rank, game.edge_opt,
+    verdicts = positionality_table(a, GameParams(3, Q(1, 2), Q(0)))
+    shared = [cr.values, cr.edge_opt, cr.capturer_table(), game.rank, *verdicts,
               a.capture_mask, *a.moves, *a.predecessors(), *a.quotient().moves,
               a.quotient().reps, a.quotient().mix_orbit]
     for array in shared:
@@ -335,16 +336,26 @@ def test_reachable_noncapture_matches_a_breadth_first_search(g, n, data):
     ("path", 3, 3), ("cycle", 4, 3), ("star", 3, 3), ("complete", 3, 3), ("path", 2, 4),
 ])
 def test_opt_indices_are_the_rows_optimal_edges(name, k, n):
-    """One row's optimal moves, read from the row alone, are the row's
-    targets that `edge_opt` marks, for both solution types."""
+    """One row's optimal moves, read from the row alone, lie in the orbits
+    that `orbit_edge_opt` marks in the row of the state's orbit, as often
+    as it marks them, for both solution types; for the capture-time game
+    they are also the row's targets that `edge_opt` marks."""
     from scar import solve_capture_time, solve_game
 
     a = build_arena(builtin(name, k), n)
-    for sol in (solve_capture_time(a), solve_game(a, 1, GameParams(n, Q(1, 2), Q(0)))):
+    q = a.quotient()
+    cr = solve_capture_time(a)
+    for sol in (cr, solve_game(a, 1, GameParams(n, Q(1, 2), Q(0)))):
+        orbit_opt = sol.orbit_edge_opt()
         for i in a.noncapture_indices().tolist():
-            lo, hi = a.offsets[i], a.offsets[i + 1]
-            want = a.targets[lo:hi][sol.edge_opt[lo:hi]]
-            assert np.array_equal(sol.opt_indices(i), want)
+            got = sol.opt_indices(i)
+            if sol is cr:
+                lo, hi = a.offsets[i], a.offsets[i + 1]
+                assert np.array_equal(got, a.targets[lo:hi][cr.edge_opt[lo:hi]])
+            o = q.orbit_of(i)
+            lo, hi = q.moves.offsets[o], q.moves.offsets[o + 1]
+            want = q.moves.targets[lo:hi][orbit_opt[lo:hi]]
+            assert sorted(q.orbit_of(got).tolist()) == sorted(want.tolist())
 
 
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 6)), max_size=8))

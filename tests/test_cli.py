@@ -27,6 +27,14 @@ def test_the_readme_library_example_runs_as_written():
     exec(compile(block, "README.md", "exec"), {})
 
 
+def test_the_parser_is_built_once_per_process(capsys):
+    """Every call of main parses with the same parser object."""
+    assert cli.build_parser() is cli.build_parser()
+    first = cli.build_parser()
+    run(capsys, "arena-stats", "--builtin", "path:2", "--n", "3")
+    assert cli.build_parser() is first
+
+
 def test_arena_stats_shape(capsys):
     code, out, _ = run(capsys, "arena-stats", "--builtin", "path:2", "--n", "3")
     assert code == 0

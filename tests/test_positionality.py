@@ -4,7 +4,7 @@ controller."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scar import (
     GameParams,
@@ -27,6 +27,7 @@ from scar import positionality
 from scar.cli import main
 from scar.positionality import solve_all_games
 
+from oracles import positional_verdicts
 from strategies import connected_graphs
 
 
@@ -115,6 +116,39 @@ def test_table_agrees_with_single_starts(suite_graphs):
 def test_table_agrees_with_single_starts_on_random_graphs(graph_and_n, gamma, eps):
     g, n = graph_and_n
     _assert_table_agrees_with_single_starts(build_arena(g, n), GameParams(n, gamma, eps))
+
+
+@st.composite
+def verdict_points(draw):
+    """A graph on at most 4 vertices, N in {3, 4}, epsilon 0, 1/10 or the
+    cap 1/(N-1), and gamma from a grid with the tie 1/(2-2 eps) where it
+    lies below 1."""
+    n = draw(st.sampled_from([3, 4]))
+    g = draw(connected_graphs(max_vertices=4))
+    eps = draw(st.sampled_from([Q(0), Q(1, 10), Q(1, n - 1)]))
+    tie = 1 / (2 - 2 * eps)
+    gamma = draw(st.sampled_from([Q(1, 4), Q(1, 2), Q(3, 4), *([tie] if tie < 1 else [])]))
+    return g, n, gamma, eps
+
+
+@settings(max_examples=8, deadline=None)
+@given(verdict_points())
+@example((builtin("path", 3), 3, Q(1, 2), Q(0)))  # the tie at eps = 0, mixed verdicts
+@example((builtin("path", 2), 3, Q(5, 9), Q(1, 10)))  # the tie at eps = 1/10
+@example((builtin("path", 4), 4, Q(1, 4), Q(0)))  # mixed verdicts
+@example((builtin("path", 4), 4, Q(3, 4), Q(1, 3)))  # the tie at the cap
+def test_table_matches_the_oracle_verdicts(point):
+    """The verdict table equals the oracle's verdicts, from its own game
+    values, capture times and a forward search per start, at every
+    noncapture start."""
+    g, n, gamma, eps = point
+    a = build_arena(g, n)
+    positional, nonpositional = positionality_table(a, GameParams(n, gamma, eps))
+    want = positional_verdicts(g, n, gamma, eps)
+    assert len(want) == int((~a.capture_mask).sum())
+    for s, verdict in want.items():
+        i = a.index(State(*s))
+        assert (positional[i], nonpositional[i]) == verdict, (s, gamma, eps)
 
 
 def test_scan_region_matches_pointwise():
@@ -233,7 +267,7 @@ def test_a_verdict_without_a_trigger_profile_is_a_solver_error(monkeypatch, caps
     too."""
 
     def contradictory(arena, cr, games):
-        everywhere = np.ones(arena.n_states, dtype=bool)
+        everywhere = np.ones(len(arena.quotient().reps), dtype=bool)
         return {m: ~everywhere for m in games}, everywhere
 
     monkeypatch.setattr(positionality, "_state_tests", contradictory)

@@ -1,7 +1,8 @@
 """The orbit quotient of an arena: the automorphisms it is built from,
 its orbit counts, every integer layer on it against the same layers with
-the trivial group and against the oracles, and the commands that never
-build the full move table."""
+the trivial group and against the oracles, the discounted games and the
+verdicts under every group, and the commands and solvers that never build
+the full move table."""
 
 import contextlib
 import io
@@ -19,13 +20,18 @@ from hypothesis import given, settings, strategies as st
 import scar.arena as arena_module
 import scar.graphs as graphs_module
 from scar import (
+    GameParams,
+    Q,
     State,
     UniquenessViolationError,
     build_arena,
     builtin,
+    check_positionality,
     graph_from_edges,
+    positionality_table,
     simulate,
     solve_capture_time,
+    solve_game,
     state_cop_report,
 )
 from scar.arena import Arena, Quotient, _orbit_labels
@@ -33,6 +39,7 @@ from scar.classify import _guarantee_winning_sets
 from scar.cli import main
 from scar.fixpoint import INT_INF
 from scar.graphs import automorphism_generators, serialize_edge_list
+from scar.scarsolver import solve_discounted_capture
 from scar.statecop import _hardest_state
 
 from oracles import INF, capture_credit, capture_times, coalition_wins, guarantee_wins
@@ -262,6 +269,32 @@ def test_orbit_summaries_equal_the_per_state_tables(g, n):
     same_summaries_under_every_group(g, n)
 
 
+def discounted_layers(a, params) -> dict:
+    """Every cop's discounted values, the discounted capture game's, cop
+    1's optimal moves and the verdict table, per state."""
+    states = range(a.n_states)
+    out = {m: list(map(solve_game(a, m, params).value, states)) for m in range(1, a.n_players)}
+    out["capture"] = list(map(solve_discounted_capture(a, params.gamma).value, states))
+    cop_1 = solve_game(a, 1, params)
+    out["opt"] = [cop_1.opt_indices(i).tolist() for i in a.noncapture_indices().tolist()]
+    out["verdicts"] = [table.tolist() for table in positionality_table(a, params)]
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(connected_graphs(max_vertices=5), st.sampled_from([3, 4]),
+       st.sampled_from([Q(1, 4), Q(1, 2), Q(3, 4)]), st.sampled_from([Q(0), Q(1, 10), Q(1, 3)]))
+def test_discounted_layers_are_the_same_under_every_group(g, n, gamma, eps):
+    """The discounted games and the verdicts, solved on the quotient under
+    Aut(g), under a starved search's subgroup and under the trivial group,
+    give the same per-state answers."""
+    answers = []
+    for group in GROUPS:
+        with group():
+            answers.append(discounted_layers(build_arena(g, n), GameParams(n, gamma, eps)))
+    assert answers[0] == answers[1] == answers[2]
+
+
 @pytest.mark.parametrize("name", ["tail_cycle", "petersen", "petersen_leaf", "petersen_p3",
                                   "petersen_c4", "s3", "k4"])
 def test_orbit_summaries_equal_the_per_state_tables_in_every_class(suite_graphs, name):
@@ -306,20 +339,28 @@ PATH5_N3 = [
 ]
 
 
-def test_commands_answer_without_the_full_move_table(capsys, monkeypatch):
-    """Nor do they expand a per-orbit table to every state, or build the
-    full capture mask: they read orbits and weigh them by their sizes."""
+def refuse_full_tables(monkeypatch, *directions: bool) -> None:
+    """Make `Arena._slots` refuse to build a full table in each of
+    `directions` (False: successors, True: predecessors); tables of chosen
+    rows, as the quotient builds them, are still made."""
     real = Arena._slots
 
     def rows_only(self, back, rows=None):
-        if rows is None:
-            raise AssertionError("a full move table was built")
+        if rows is None and back in directions:
+            raise AssertionError(f"a full {'predecessor' if back else 'move'} table was built")
         return real(self, back, rows)
+
+    monkeypatch.setattr(Arena, "_slots", rows_only)
+
+
+def test_commands_answer_without_the_full_move_table(capsys, monkeypatch):
+    """Nor do they expand a per-orbit table to every state, or build the
+    full capture mask: they read orbits and weigh them by their sizes."""
 
     def refused(*args):
         raise AssertionError("a per-state table was built")
 
-    monkeypatch.setattr(Arena, "_slots", rows_only)
+    refuse_full_tables(monkeypatch, False, True)
     monkeypatch.setattr(Quotient, "lift", refused)
     monkeypatch.setattr(Arena, "capture_mask", property(refused))
     monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
@@ -328,6 +369,45 @@ def test_commands_answer_without_the_full_move_table(capsys, monkeypatch):
             code = main([argv[0], "--builtin", graph, "--n", n, *argv[1:]])
             out = capsys.readouterr().out
             assert (code, out) == (0, json.dumps(want, indent=2, sort_keys=True) + "\n"), argv
+
+
+# gamma = 1/2, eps = 1/10 with N = 4: per cop, the sum of its values over
+# every state; the discounted capture game's sum and rounds; the starts
+# with a positional and with a nonpositional profile, capture states included
+DISCOUNTED_N4 = (
+    (("star", 6), (Q(143051, 96), Q(89003, 60), Q(711349, 480)), (Q(144809, 32), 7),
+     (3556, 9604)),
+    (("petersen",), (Q(14125, 3), Q(15277, 3), Q(125699, 24)), (Q(2024315, 128), 9),
+     (10840, 40000)),
+)
+
+
+@pytest.mark.parametrize("spec, games, capture, verdicts", DISCOUNTED_N4)
+def test_games_and_verdicts_answer_without_the_full_move_table(monkeypatch, spec, games,
+                                                                capture, verdicts):
+    """The discounted games and the verdict table are solved on the
+    quotient, and only the verdicts are lifted to states."""
+    refuse_full_tables(monkeypatch, False, True)
+    a = build_arena(builtin(*spec), 4)
+    params = GameParams(4, Q(1, 2), Q(1, 10))
+    for m, want in enumerate(games, 1):
+        assert sum(map(solve_game(a, m, params).value, range(a.n_states))) == want
+    disc = solve_discounted_capture(a, Q(1, 2))
+    assert (sum(map(disc.value, range(a.n_states))), disc.rounds) == capture
+    positional, nonpositional = positionality_table(a, params)
+    assert (int(positional.sum()), int(nonpositional.sum())) == verdicts
+
+
+@pytest.mark.parametrize("spec, witnesses", [(("star", 6), 1968), (("petersen",), 14160)])
+def test_a_single_start_check_builds_no_predecessor_table(monkeypatch, spec, witnesses):
+    """check_positionality floods forward from its start over the arena's
+    successor table, which names its witnesses; the games and the tests
+    need no predecessor table of the arena."""
+    refuse_full_tables(monkeypatch, True)
+    a = build_arena(builtin(*spec), 4)
+    v = check_positionality(a, State((0, 0, 0), 2, 2), GameParams(4, Q(1, 2), Q(1, 10)))
+    assert (v.positional_exists, v.nonpositional_exists, len(v.witnesses)) == (
+        False, True, witnesses)
 
 
 def test_simulate_plays_without_the_full_move_table(monkeypatch):
