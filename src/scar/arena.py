@@ -10,50 +10,47 @@ Capture states are absorbing: they keep successor lists (the move structure
 is defined uniformly) but every solver treats them as terminal.
 
 States are packed densely: index = ((x1*V + x2)*V + ... + xN)*N + (mover-1),
-so |states| = V^N * N. Successor lists are stored in CSR form and are
-ordered by ascending target vertex of the moving token.
+so |states| = V^N * N. Row s of the successor table lists s with the
+mover's token moved to each vertex of its closed neighbourhood, in
+ascending order, the turn advanced. Every move table is a `Csr`, a
+read-only `(rows, width)` array: a row with fewer entries than the widest
+repeats its last one. A repeat changes no min, max, OR, "some entry" or
+"every entry" test over the row, and a count of marked entries counts it
+as often as its original, so every layer runs the same column sweeps and
+row gathers on every graph. The successor table's width is the largest
+closed neighbourhood, max(deg)+1.
 
-Both move tables are built slot by slot, on first use. Row s of the
-successor table lists s with the mover's token moved to each vertex of
-its closed neighbourhood, the turn advanced; slot r of the row is the
-r-th such vertex, so the table is written in max(deg)+1 vectorised
-passes, one per slot. The predecessors of s are s with the *previous*
-mover's token moved the same way and the turn stepped back (moves are
-symmetric), so the predecessor table comes from the same builder, already
-ascending, with no sort. Only reachability (`reachable_noncapture`, for
-the per-state witness lists), the public per-edge views and the quotient
-under the trivial group build full tables; `succ_indices` makes one row
-alone, and `simulate` checks each move against it.
+A move changes a state's index by an amount that depends only on the
+mover t and its vertex u, so one memoized shift table (`Arena._shift`, row
+t*V + u, padded with its last entry) gives any rows of the successor
+table: `Arena.columns(rows)` one column at a time, `_slots` the full table
+in one gather. No solver builds the full table; `succ_indices` makes one
+row alone, and `simulate` checks each move against it.
 
 Every solver (capture time, attribution, coalitions, classify's guarantee
 games, the discounted games and the positionality tests) runs on the orbit
 quotient: a graph automorphism applied to every token preserves moves,
 captures, captors and turns, so their answers are constant on orbits.
-Row i of the quotient is the row of orbit
-i's smallest state (`_slots` on those rows), each target replaced by its
-orbit, duplicates kept. Those multiplicities differ with orbit sizes, so
-no structure gives its predecessor table: `Csr.reverse` sorts it, cheaply
-at that size. The trivial group gives the arena. Their answers stay per
-orbit: a single state reads its orbit (`Arena.orbit`), a summary weighs
-orbits by their sizes (`Quotient.count`), and a per-state table is lifted
-(`Arena.lifted`) only when a caller reads one. The capture test is read
-off the digits of a state, so no full `capture_mask` is built for them.
+Row i of the quotient is the row of orbit i's smallest state, each target
+replaced by its orbit, duplicates and padding kept, under every group, the
+trivial one included. Those multiplicities differ with orbit sizes, so no
+structure gives its predecessor table: `Csr.reverse` sorts it, cheaply at
+that size, and fills each row to the largest in-degree with the row's own
+index, which no solve or flood reads before that row is settled. Their
+answers stay per orbit: a single state reads its orbit (`Arena.orbit`), a
+summary weighs orbits by their sizes (`Quotient.count`), and a per-state
+table is lifted (`Arena.lifted`) only when a caller reads one. The capture
+test is read off the digits of a state, so no full `capture_mask` is built
+for them.
 
-Every table is a `Csr`, which carries its width: d when every row holds
-d >= 1 entries, as both tables do with d = deg+1 on a regular graph, else
-None. Its row methods (`row_best`, `row_counts`, `row_fold`, `per_edge`,
-`row_reader`) work a table of width d as a `(rows, d)` view, a column
-sweep and a plain row gather, and a ragged one with `reduceat` and
-`concat_ranges`. Each builder decides the width from the row sizes it
-has, and the arrays are read-only; `Csr.measured` reads the width off
-arrays made outside the package.
-
-`reachable_noncapture` floods the successor table one frontier at a time,
-with the width rule of `fixpoint.retrograde`: a frontier whose successor
-list has at least n/16 entries (n states, `WIDE_FRONTIER` = 16) is marked
-in a fresh bool array and read back with `flatnonzero`, a narrower one is
-sorted with `np.unique`. Either way the next frontier is ascending, and the flood
-stays linear in the edges it reads.
+`_flood` spreads from a seed one frontier at a time over the rows of a
+`Csr` or, for `reachable_noncapture`, over an arena's successor rows made
+per frontier, with the width rule of `fixpoint.retrograde`: a frontier
+whose rows hold at least n/16 entries (n states, `WIDE_FRONTIER` = 16) is
+marked in a fresh bool array one column at a time and read back with
+`flatnonzero`, a narrower one is sorted with `np.unique`. Either way the
+next frontier is ascending, and the flood stays linear in the entries it
+reads.
 """
 
 from __future__ import annotations
@@ -179,46 +176,48 @@ class Arena:
     # -- construction -------------------------------------------------------
 
     # the successor table, built on first use, and its int64 arrays
-    moves = property(lambda self: self.memo("successors", lambda: self._slots(False)))
+    moves = property(lambda self: self.memo("successors", lambda: Csr(self._slots())))
     offsets = property(lambda self: self.moves.offsets)
     targets = property(lambda self: self.moves.targets)
+    # the successor table's row width: the largest closed neighbourhood
+    width = property(lambda self: self._shift().shape[1])
 
-    def _slots(self, back: bool, rows: np.ndarray | None = None) -> Csr:
-        """The CSR table whose row s lists s with one token moved to each
-        vertex of that token's closed neighbourhood, in ascending order: the
-        mover's token with the turn advanced (successors), or with `back`
-        the previous mover's token with the turn stepped back
-        (predecessors). One vectorised pass per neighbour rank. With `rows`,
-        an ascending int64 array of states, the table holds only their rows."""
+    def _shift(self) -> np.ndarray:
+        """Row t*V + u: the index change of each move of token t from vertex
+        u, the turn advanced, one per member of u's closed neighbourhood in
+        ascending order, padded to the largest size with the last. Memoized."""
+
+        def build() -> np.ndarray:
+            n = self.n_players
+            nbhd = [self.graph.closed_neighborhood(u) for u in range(self.graph.vertex_count)]
+            width = max(map(len, nbhd))
+            hop = np.array([np.subtract(c + c[-1:] * (width - len(c)), u)
+                            for u, c in enumerate(nbhd)], dtype=np.int64)
+            stride = np.array(self._strides, dtype=np.int64)[:, None, None] * n
+            advance = np.where(np.arange(n) < n - 1, 1, 1 - n)[:, None, None]
+            return (hop * stride + advance).reshape(-1, width)
+
+        return self.memo("shift", build)
+
+    def _key(self, rows: np.ndarray) -> np.ndarray:
+        """Per state of `rows`, its row of `_shift()`: mover t and vertex u."""
         n, v = self.n_players, self.graph.vertex_count
-        sizes, hop = closed_hops(self.graph)
-        width, narrowest = hop.shape[1], int(sizes.min())
-        stride = np.array(self._strides, dtype=np.int64) * n
-        advance = np.where(np.arange(n) < n - 1, 1, 1 - n)
-        turn = -advance if back else advance
-        # shift[r, t*v + u]: the index change when token t moves from u to
-        # the r-th vertex of its closed neighbourhood
-        shift = (hop.T[:, None, :] * stride[:, None] + turn[:, None]).reshape(width, n * v)
+        token = rows % n
+        return token * v + rows // (np.array(self._strides, dtype=np.int64) * n)[token] % v
 
-        idx = np.arange(self.n_states, dtype=np.int64) if rows is None else rows
-        token = (idx - int(back)) % n
-        vertex = idx // stride[token] % v
-        key = token * v + vertex
-        widths = sizes[vertex]
-        del token, vertex
-        targets = np.empty(widths.sum(), np.int32 if back and self.n_states < 2**31 else np.int64)
-        table = Csr.of_sizes(widths, targets.view())  # read-only; written through `targets`
-        first = table.offsets[:-1]
-        for r in range(width):
-            if r < narrowest:
-                # every row has slot r; on a rectangular table it is every
-                # width-th cell, a strided write rather than a scatter
-                cells = slice(r, None, width) if narrowest == width else first + r
-                targets[cells] = idx + shift[r][key]
-            else:
-                at = np.flatnonzero(widths > r)
-                targets[first[at] + r] = idx[at] + shift[r][key[at]]
+    def _slots(self) -> np.ndarray:
+        """The full successor table as an (n_states, width) int64 array:
+        one gather off `_shift()`."""
+        rows = np.arange(self.n_states)
+        table = self._shift()[self._key(rows)]
+        table += rows[:, None]
         return table
+
+    def columns(self, rows: np.ndarray):
+        """The successor table's entries at `rows`, one array per column,
+        each made only when the one before it has been read."""
+        shift, key = self._shift(), self._key(rows)
+        return (rows + shift[key, r] for r in range(shift.shape[1]))
 
     # -- state codec --------------------------------------------------------
 
@@ -282,11 +281,10 @@ class Arena:
         return idx % self.n_players + 1
 
     def succ_indices(self, idx: int) -> np.ndarray:
-        """Row idx of the successor table, computed on its own."""
-        n, token = self.n_players, idx % self.n_players
-        stride = self._strides[token] * n
-        u, step = idx // stride % self.graph.vertex_count, 1 if token < n - 1 else 1 - n
-        return idx + step + (np.array(self.graph.closed_neighborhood(u)) - u) * stride
+        """Row idx of the successor table, computed on its own, unpadded."""
+        key = int(self._key(np.int64(idx)))
+        u = key % self.graph.vertex_count
+        return idx + self._shift()[key, :len(self.graph.closed_neighborhood(u))]
 
     def noncapture_indices(self) -> np.ndarray:
         return np.nonzero(~self.capture_mask)[0]
@@ -308,10 +306,8 @@ class Arena:
         return self._memo[key]
 
     def predecessors(self) -> Csr:
-        """The table of predecessor lists, equal to `moves.reverse()`: int64
-        offsets and, while state ids fit, int32 sources in ascending order.
-        Memoized."""
-        return self.memo("predecessors", lambda: self._slots(back=True))
+        """The reverse of `moves` (`Csr.reverse`). Memoized."""
+        return self.memo("predecessors", lambda: self.moves.reverse())
 
     def quotient(self) -> Quotient:
         """The orbit quotient under `automorphism_generators`. Memoized."""
@@ -326,7 +322,8 @@ class Quotient:
     orbits is the rep of the first orbit with it. `at_robber[m-1, i]` says
     if cop m sits on the robber there, `capture[i]` if any does. Row i of
     `moves` lists the orbit of each of reps[i]'s successors, in order,
-    duplicates kept, and `preds` is the reverse of `moves`."""
+    duplicates kept, padded like the arena's rows, and `preds` is the
+    exact reverse of `moves` (`Csr.reverse`)."""
 
     n_players: int
     mix_orbit: np.ndarray  # per position tuple, the index of its orbit of tuples
@@ -380,29 +377,16 @@ def _quotient(arena: Arena) -> Quotient:
     roots, mix_orbit = np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[label]
     del label, is_root  # V^N entries each, not needed while the tables are built
     reps = (roots[:, None] * n + np.arange(n)).ravel()
-    if len(reps) == arena.n_states:  # the trivial group: the arena itself
-        moves, preds = arena.moves, arena.predecessors()
-    else:
-        moves = arena._slots(back=False, rows=reps)
-        orbits = mix_orbit[moves.targets // n] * n + moves.targets % n
-        moves = Csr.of_sizes(np.diff(moves.offsets), orbits)  # its own, writable row starts
-        preds = moves.reverse()
+    # one column at a time, so the states' rows are never held whole
+    table = np.empty((len(reps), arena.width), dtype=np.int32 if len(reps) < 2**31 else np.int64)
+    for r, states in enumerate(arena.columns(reps)):
+        table[:, r] = mix_orbit[states // n] * n + states % n
+    moves = Csr(table)
+    preds = moves.reverse()
     at_robber = np.repeat(arena.cops_at_robber(roots), n, axis=1)
     capture = at_robber.any(axis=0)
     _read_only((mix_orbit, reps, at_robber, capture))
     return Quotient(n, mix_orbit, reps, at_robber, capture, moves, preds)
-
-
-def closed_hops(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Per vertex u, the size of its closed neighbourhood, and the table
-    whose row u lists c - u for each member c, ascending, padded with zeros
-    to the largest size."""
-    nbhd = [graph.closed_neighborhood(u) for u in range(graph.vertex_count)]
-    sizes = np.array([len(c) for c in nbhd], dtype=np.int64)
-    hop = np.zeros((len(nbhd), int(sizes.max())), dtype=np.int64)
-    for u, c in enumerate(nbhd):
-        hop[u, : len(c)] = np.subtract(c, u)
-    return sizes, hop
 
 
 def _read_only(value):
@@ -415,112 +399,109 @@ def _read_only(value):
     return value
 
 
-def _columns(ufunc, table: np.ndarray, dtype=None) -> np.ndarray:
-    """ufunc folded across the columns of a 2-D array: one pass per column."""
-    out = table[:, 0].astype(dtype or table.dtype)
-    for c in range(1, table.shape[1]):
-        ufunc(out, table[:, c], out=out)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Csr:
-    """A table in CSR form: row i lists targets[offsets[i]:offsets[i+1]].
-    `width` is d when every row holds d >= 1 entries, else None; the
-    methods read a table of width d as a `(rows, d)` array. Both arrays
-    are read-only, so the width stays true. Unpacks as (offsets, targets)."""
+    """A read-only table of rows that all hold `width` >= 1 entries: row i
+    is `table[i]`. A row with fewer moves repeats its last one, which
+    changes no min, max, OR, "some entry" or "every entry" test over it.
+    Unpacks as CSR (offsets, targets) arrays."""
 
-    offsets: np.ndarray
-    targets: np.ndarray
-    width: int | None
+    table: np.ndarray
 
     def __post_init__(self):
-        # numpy copies a read-only array passed as reduceat indices or as
-        # bincount input, so those read the row starts and the targets
-        # through views taken before the arrays turn read-only
-        object.__setattr__(self, "_starts", self.offsets[:-1])
-        object.__setattr__(self, "_targets", self.targets.view())
-        self.offsets.flags.writeable = self.targets.flags.writeable = False
+        self.table.flags.writeable = False
+
+    width = property(lambda self: self.table.shape[1])
+    targets = property(lambda self: self.table.reshape(-1))
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        return _read_only(np.arange(0, self.table.size + 1, self.width))
 
     def __iter__(self):
         return iter((self.offsets, self.targets))
 
     @classmethod
-    def of_sizes(cls, sizes: np.ndarray, targets: np.ndarray) -> Csr:
-        """Row i holds the next sizes[i] entries of `targets`; the width comes from the sizes."""
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        width = int(sizes[0]) if sizes.size and sizes.min() == sizes.max() > 0 else None
-        return cls(offsets, targets, width)
-
-    @classmethod
     def measured(cls, offsets, targets) -> Csr:
-        """The table of arrays made elsewhere, its width read off the offsets."""
-        offsets, targets = np.asarray(offsets).view(), np.asarray(targets).view()
-        n = len(offsets) - 1
-        d = int(offsets[-1]) // n if n > 0 else 0
-        same = d > 0 and np.array_equal(offsets, np.arange(0, d * n + 1, d))
-        return cls(offsets, targets, d if same else None)
+        """The table of CSR arrays made elsewhere, each row padded with its
+        own last entry; no row may be empty."""
+        offsets, targets = np.asarray(offsets), np.asarray(targets)
+        sizes = np.diff(offsets)
+        if not sizes.size or sizes.min() < 1:
+            raise ValidationError("every row of a move table must hold a move")
+        return cls(targets[offsets[:-1, None] + _pad_slots(sizes)])
 
     def per_edge(self, row_values: np.ndarray) -> np.ndarray:
-        """Each row's value repeated once per edge of the row."""
-        return np.repeat(row_values, np.diff(self.offsets) if self.width is None else self.width)
+        """Each row's value repeated once per entry of the row."""
+        return np.repeat(row_values, self.width)
+
+    def row_fold(self, ufunc, edge_values: np.ndarray, dtype=None) -> np.ndarray:
+        """ufunc folded over each row, given one value per entry of some
+        rows in the order `row_reader` lists them: one pass per column."""
+        table = edge_values.reshape(-1, self.width)
+        out = table[:, 0].astype(dtype or table.dtype)
+        for c in range(1, self.width):
+            ufunc(out, table[:, c], out=out)
+        return out
 
     def row_counts(self, edge_mask: np.ndarray) -> np.ndarray:
-        """Per row (none empty), how many of its edges edge_mask marks (int64)."""
-        if self.width is not None:
-            return _columns(np.add, edge_mask.reshape(-1, self.width), np.int64)
-        return np.add.reduceat(edge_mask, self._starts, dtype=np.int64)
-
-    def row_fold(self, ufunc, rows: np.ndarray, edge_values: np.ndarray) -> np.ndarray:
-        """ufunc folded over each of `rows` (none of them empty), given one
-        value per edge of those rows in the order `row_reader` lists them."""
-        if self.width is not None:
-            return _columns(ufunc, edge_values.reshape(-1, self.width))
-        sizes = self.offsets[rows + 1] - self.offsets[rows]
-        return ufunc.reduceat(edge_values, np.cumsum(sizes) - sizes)
+        """Per row, how many of its entries edge_mask marks (int64)."""
+        return self.row_fold(np.add, edge_mask, np.int64)
 
     def row_best(self, succ_keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
-        """Per row (none empty), the best of its edges' `succ_keys`: the
-        largest on max_mask rows, the smallest elsewhere."""
-        if self.width is not None:
-            table = succ_keys.reshape(-1, self.width)
-            return np.where(max_mask, _columns(np.maximum, table), _columns(np.minimum, table))
-        seg = self._starts
-        return np.where(
-            max_mask, np.maximum.reduceat(succ_keys, seg), np.minimum.reduceat(succ_keys, seg)
-        )
+        """Per row, the best of its entries' `succ_keys`: the largest on
+        max_mask rows, the smallest elsewhere."""
+        return np.where(max_mask, self.row_fold(np.maximum, succ_keys),
+                        self.row_fold(np.minimum, succ_keys))
 
     def row_reader(self):
         """A function from row indices to the concatenation of those rows."""
-        offsets, targets = self
-        if self.width is None:
-            return lambda rows: targets[concat_ranges(offsets[rows], offsets[rows + 1])]
-        table = targets.reshape(-1, self.width)
+        table = self.table
         return lambda rows: table[rows].ravel()
 
+    def columns(self, rows: np.ndarray):
+        """The entries of `rows`, one array per column."""
+        return (self.table[rows, c] for c in range(self.width))
+
     def best_edges(self, keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
-        """Per edge (no row empty): is the target's key its row's best, the
-        largest on max_mask rows and the smallest elsewhere?"""
+        """Per entry: is the target's key its row's best, the largest on
+        max_mask rows and the smallest elsewhere?"""
         sv = keys[self.targets]
         return sv == self.per_edge(self.row_best(sv, max_mask))
 
     def filter(self, keep: np.ndarray) -> Csr:
-        """The table holding only the edges marked in `keep`."""
-        return Csr.of_sizes(self.row_counts(keep), self.targets[keep])
+        """The table of the entries marked in `keep`, at least one per row,
+        each row padded with its own last kept entry."""
+        keep = keep.reshape(self.table.shape)
+        count = keep.sum(axis=1)
+        kept_first = np.argsort(~keep, axis=1, kind="stable")
+        slots = np.take_along_axis(kept_first, _pad_slots(count), 1)
+        return Csr(np.take_along_axis(self.table, slots, 1))
 
     def reverse(self) -> Csr:
-        """The predecessor table: int64 offsets and, while state ids fit,
-        int32 sources, each list in ascending order. A sort of every edge,
-        for tables with no structure to build it from."""
-        n = len(self.offsets) - 1
-        counts = np.bincount(self._targets, minlength=n)
+        """The exact reverse, duplicates kept: row t lists every (row s,
+        column) entry naming t by its s, ascending, then repeats t itself up
+        to the largest in-degree. `retrograde` reads row t only once t is
+        settled and `_flood` only once t is seen, so neither steps into a
+        pad. Sources are int32 while they fit."""
+        n, width = self.table.shape
         # ordered by target, then source; equal keys are equal entries
-        keys = self.per_edge(np.arange(n, dtype=np.int64))
-        keys += np.asarray(self.targets, dtype=np.int64) * n
+        keys = np.multiply(self.table, n, dtype=np.int64)
+        keys += np.arange(n)[:, None]
+        keys = keys.reshape(-1)
         keys.sort()
+        degree = np.diff(np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n))
         np.remainder(keys, n, out=keys)
-        return Csr.of_sizes(counts, keys.astype(np.int32 if n < 2**31 else np.int64))
+        own = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)[:, None]
+        preds = np.repeat(own, int(degree.max()), axis=1)
+        preds[np.arange(preds.shape[1]) < degree[:, None]] = keys  # row-major: by target
+        return Csr(preds)
+
+
+def _pad_slots(count: np.ndarray) -> np.ndarray:
+    """Per row holding count >= 1 entries, the slot each of max(count)
+    columns reads: its own while the row has it, else the row's last."""
+    return np.minimum(np.arange(count.max()), count[:, None] - 1)
 
 
 class OptimalMoves:
@@ -562,37 +543,22 @@ def is_capture(s: State) -> bool:
     return s.robber in s.cops
 
 
-def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(starts[i], ends[i]) without a Python loop."""
-    counts = ends - starts
-    keep = counts > 0
-    starts, counts = starts[keep], counts[keep]
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    step = np.ones(int(counts.sum()), dtype=np.int64)
-    step[0] = starts[0]
-    cuts = np.cumsum(counts[:-1])
-    step[cuts] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(step)
-
-
-def _flood(moves: Csr, seed: np.ndarray, blocked: np.ndarray) -> np.ndarray:
-    """Mask of states reachable from the seed mask along `moves` without
-    ever stepping into (or out of) a blocked state; seeds are included
-    as-is."""
-    read = moves.row_reader()
+def _flood(table, seed: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """Mask of states reachable from the seed mask along the rows of
+    `table` (a `Csr`, or an `Arena` for its successors) without ever
+    stepping into (or out of) a blocked state; seeds are included as-is."""
     n = len(blocked)
     seen = seed & ~blocked
     fresh = ~(seen | blocked)  # states a step may still enter
     frontier = np.flatnonzero(seen)
     while frontier.size:
-        nbrs = read(frontier)
-        if WIDE_FRONTIER * nbrs.size >= n:
+        if WIDE_FRONTIER * frontier.size * table.width >= n:
             hit = np.zeros(n, dtype=bool)
-            hit[nbrs] = True
+            for column in table.columns(frontier):
+                hit[column] = True
             frontier = np.flatnonzero(hit & fresh)
         else:
-            nbrs = np.unique(nbrs)
+            nbrs = np.unique(np.concatenate(list(table.columns(frontier))))
             frontier = nbrs[fresh[nbrs]]
         fresh[frontier] = False
         seen[frontier] = True
@@ -603,11 +569,11 @@ def reachable_noncapture(arena: Arena, s0: State | int) -> np.ndarray:
     """Sorted indices of every noncapture state reachable from s0 along
     successor steps that never enter a capture state (s0 included)."""
     start = arena.index_of(s0)
-    if arena.capture_mask[start]:
+    if arena.is_capture(start):
         raise ValidationError("reachability is defined from a noncapture state")
     seed = np.zeros(arena.n_states, dtype=bool)
     seed[start] = True
-    return np.nonzero(_flood(arena.moves, seed, arena.capture_mask))[0]
+    return np.flatnonzero(_flood(arena, seed, arena.capture_mask))
 
 
 @dataclass(frozen=True)

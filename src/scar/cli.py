@@ -72,7 +72,9 @@ def _grid(args, field: str) -> list:
 def cmd_arena_stats(args) -> tuple[str, int]:
     g = _load_graph(args)
     arena = build_arena(g, args.n, args.max_states)
-    captures = int(arena.capture_mask.sum())
+    v, n = g.vertex_count, args.n
+    # a position is a capture unless every cop avoids the robber's vertex
+    captures = n * (v**n - v * (v - 1) ** (n - 1))
     # the mover sits on vertex u in N V^(N-1) states, each with deg(u) + 1 moves
     return _dump(
         {

@@ -87,8 +87,8 @@ class CrSolution(OptimalMoves):
         steps the value down by exactly one, and every move to a successor
         of value one less is optimal (it attains the row's minimum for a
         cop and its maximum for the robber), so a level of value t ORs the
-        bits of its successors of value t-1, which are already resolved:
-        a column sweep on a rectangular table, `reduceat` on a ragged one.
+        bits of its successors of value t-1, which are already resolved,
+        in one column sweep over the level's rows.
         Automorphisms map optimal plays onto ones with the same captors.
         """
         a, q = self.arena, self.arena.quotient()
@@ -108,7 +108,7 @@ class CrSolution(OptimalMoves):
                 for level, t in zip(np.split(by_value, cuts), depth[np.r_[0, cuts]]):
                     succ = read(level)
                     succ_bits = np.where(values[succ] == t - 1, bits[succ], np.uint32(0))
-                    bits[level] = q.moves.row_fold(np.bitwise_or, level, succ_bits)
+                    bits[level] = q.moves.row_fold(np.bitwise_or, succ_bits)
             return bits
 
         return a.memo("cop_bits", build)

@@ -75,11 +75,13 @@ def retrograde(
 
     Every row of the table must hold a move, and every seeded state must
     be frozen. A seed keyed `never` is left unsettled and a key above it is
-    refused. `predecessors` is the table's reverse. Every solve in the
-    package passes one: the orbit quotient's (`Arena.predecessors()`, built
-    from the table's structure, under the trivial group) or classify's
-    restricted table's, sorted once by `Csr.reverse`; for a table passed
-    without one `moves.reverse()` sorts the edges here.
+    refused. `predecessors` is the table's exact reverse (`Csr.reverse`),
+    each row t padded with t itself: row t is read only once t is settled,
+    and a settled state is queued, so its pads decrement no count that is
+    still read. Every solve in the package passes one, the orbit
+    quotient's or classify's restricted table's; for a table passed
+    without one `moves.reverse` sorts the entries here. A row's duplicate
+    entries count once each, as its width does.
     """
     if predecessors is None:
         predecessors = moves.reverse()
@@ -105,7 +107,7 @@ def retrograde(
             push(key, states, ("seed", i))
 
     queued = np.array(frozen, dtype=bool)  # frozen states never settle from successors
-    remaining = np.where(eager, 1, np.diff(moves.offsets))
+    remaining = np.where(eager, 1, moves.width)
     n = len(queued)
     rank = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
     levels: list = []
@@ -200,7 +202,8 @@ def solve_layers(moves: Csr, *game: np.ndarray, predecessors: Csr | None = None)
     A state ends up finite exactly when the min side can force the play into
     a frozen 0 state, and the finite value is the number of token moves it
     needs against worst-case max-side play. `init` is ignored off `frozen`.
-    Bare offsets and targets may stand for `moves`, measured once.
+    Bare offsets and targets of a table with no empty row may stand for
+    `moves` (`Csr.measured`).
     """
     if not isinstance(moves, Csr):
         moves, game = Csr.measured(moves, game[0]), game[1:]

@@ -177,6 +177,18 @@ def capture_credit(g, n_players, times):
     return credit
 
 
+def padded_reverse(rows):
+    """The reverse of a table given as its rows, pair by pair: row t lists
+    every row that names t, once per entry, ascending, then t itself up to
+    the largest such count."""
+    back = [[] for _ in rows]
+    for s, row in enumerate(rows):
+        for t in row:
+            back[t].append(s)
+    width = max(map(len, back))
+    return [r + [t] * (width - len(r)) for t, r in enumerate(back)]
+
+
 def jacobi_layers(offsets, targets, minimizing, frozen, init, int_inf):
     """val = init on frozen rows, 1 + min/max over successors elsewhere,
     iterated in synchronous rounds from int_inf until nothing changes."""

@@ -2,6 +2,7 @@
 parameter validation, play simulation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from scar import (
     StateCountExceededError,
     ValidationError,
     all_cops_one_side,
+    bridge,
     build_arena,
     builtin,
     check_positionality,
     classify,
     format_state,
+    graph_from_edges,
     parse_state,
     positionality_table,
     reachable_noncapture,
@@ -28,9 +31,11 @@ from scar import (
     solve_game,
     state_cop_report,
 )
-from scar.arena import Csr, concat_ranges, is_capture
+from scar.arena import Csr, is_capture
+from scar.classify import _restricted_tables
+from scar.graphs import automorphism_generators
 
-from oracles import all_states, cell, successors as oracle_successors
+from oracles import all_states, cell, padded_reverse, successors as oracle_successors
 from strategies import connected_graphs
 
 
@@ -71,59 +76,51 @@ def test_successors_match_reference(name, k, n):
         assert [cell(t.cops, t.robber, t.mover) for t in mine] == oracle_successors(g, s)
 
 
+def widest(g) -> int:
+    """The largest closed neighbourhood of g: every move table's width."""
+    return max(len(g.closed_neighborhood(u)) for u in range(g.vertex_count))
+
+
 @settings(max_examples=30, deadline=None)
 @given(connected_graphs(max_vertices=5), st.sampled_from([2, 3, 4]))
 def test_slot_tables_match_the_oracle_and_the_sorted_reverse(g, n):
-    """Successors equal the oracle's lists, predecessors equal the sorted
-    reverse of the successor table, and both are rectangular exactly when
-    the graph is regular."""
+    """Successors equal the oracle's lists, each row padded to the largest
+    closed neighbourhood with its last entry, and predecessors equal the
+    reverse of the padded table, duplicates kept, each row padded with
+    its own index."""
     a = build_arena(g, n)
+    assert a.moves.width == widest(g)
     for s in all_states(g, n):
         want = [a.index(State(*t)) for t in oracle_successors(g, s)]
-        assert a.succ_indices(a.index(State(*s))).tolist() == want
+        i = a.index(State(*s))
+        assert a.succ_indices(i).tolist() == want
+        assert a.moves.table[i].tolist() == want + want[-1:] * (widest(g) - len(want))
     preds = a.predecessors()
-    rev = a.moves.reverse()
-    for mine, ref in zip(preds, rev):
-        assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
-    regular = len({len(nb) for nb in g.neighbors}) == 1
-    for table in (a.moves, preds):
-        assert (table.width is not None) == regular
-
-
-def bincount_reverse(table: Csr) -> tuple[np.ndarray, np.ndarray]:
-    """The reverse of `table` with its row sizes counted by np.bincount over
-    the targets, the way `Csr.reverse` counted them before."""
-    n = len(table.offsets) - 1
-    counts = np.bincount(table.targets, minlength=n)
-    keys = table.per_edge(np.arange(n, dtype=np.int64)) + table.targets.astype(np.int64) * n
-    keys.sort()
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, (keys % n).astype(np.int32)
-
-
-def same_reverse(table: Csr) -> bool:
-    got, (offsets, targets) = table.reverse(), bincount_reverse(table)
-    return (got.targets.dtype == targets.dtype and np.array_equal(got.offsets, offsets)
-            and np.array_equal(got.targets, targets)
-            and got.width == Csr.measured(offsets, targets).width)
+    assert preds.targets.dtype == np.int32
+    assert preds.table.tolist() == padded_reverse(a.moves.table.tolist())
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: st.lists(
-    st.lists(st.integers(0, n - 1), max_size=5), min_size=n, max_size=n)))
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=5), min_size=n, max_size=n)))
 def test_reverse_takes_its_row_starts_from_the_sorted_keys(rows):
-    """Random tables, empty rows and repeated targets included, reverse as
-    they did when the row sizes came from np.bincount."""
-    sizes = np.array([len(r) for r in rows], dtype=np.int64)
-    targets = np.array([t for r in rows for t in r], dtype=np.int64)
-    assert same_reverse(Csr.of_sizes(sizes, targets))
+    """Random tables, rows of different lengths and repeated targets
+    included, pad each row with its last entry and reverse as the
+    pair-by-pair oracle does, each reverse row padded with its own index."""
+    sizes = [len(r) for r in rows]
+    table = Csr.measured(np.cumsum([0, *sizes]), np.concatenate(rows))
+    width = max(sizes)
+    assert table.table.tolist() == [r + r[-1:] * (width - len(r)) for r in rows]
+    assert table.reverse().table.tolist() == padded_reverse(table.table.tolist())
 
 
 def test_the_path12_quotient_reverses_as_before():
+    """The quotient's rows are padded with their last orbit (124,416
+    entries where the unpadded rows held 117,504), and its predecessor
+    table is their exact reverse, each row padded with its own orbit."""
     q = build_arena(builtin("path", 12), 4).quotient()
-    assert same_reverse(q.moves)
-    assert all(np.array_equal(x, y) for x, y in zip(q.preds, bincount_reverse(q.moves)))
+    assert q.moves.table.shape == (41_472, 3) and q.capture[0]
+    assert q.preds.table.tolist() == padded_reverse(q.moves.table.tolist())
 
 
 def test_capture_mask_is_read_only_and_built_on_first_use():
@@ -141,11 +138,9 @@ def test_capture_mask_is_read_only_and_built_on_first_use():
     assert not a.is_capture(s)
 
 
-def _one_wide(a):
-    """The arena's table filtered to the first edge of every row."""
-    keep = np.zeros(len(a.targets), dtype=bool)
-    keep[a.offsets[:-1]] = True
-    return a.moves.filter(keep)
+def unpadded(a) -> list[list[int]]:
+    """The arena's successor lists as the rules give them, row by row."""
+    return [a.succ_indices(i).tolist() for i in range(a.n_states)]
 
 
 @pytest.mark.parametrize("name, k, width", [
@@ -153,46 +148,66 @@ def _one_wide(a):
 ])
 @pytest.mark.parametrize("one_wide", [False, True])
 def test_row_helpers_match_reduceat_and_concat_ranges(name, k, width, one_wide):
-    a = build_arena(builtin(name, k) if k else builtin(name), 3)
-    table = _one_wide(a) if one_wide else a.moves
-    offsets, targets = table
-    assert table.width == (1 if one_wide else width)
+    """On the padded table (width None: the unpadded rows differ in length),
+    or on it filtered to each row's first entry, every row helper answers as
+    `reduceat` and a concatenation of ranges do over the unpadded lists."""
+    g = builtin(name, k) if k else builtin(name)
+    a = build_arena(g, 3)
+    rows = unpadded(a)
+    assert (width is None) == (len({len(r) for r in rows}) > 1)
+    table = a.moves
+    if one_wide:
+        table = table.filter(np.arange(len(table.targets)) % table.width == 0)
+        rows = [r[:1] for r in rows]
+    assert table.width == (1 if one_wide else widest(g))
+    sizes = np.array([len(r) for r in rows])
+    offsets, targets = np.r_[0, np.cumsum(sizes)], np.concatenate(rows)
     rng = np.random.default_rng(7)
-    n, seg, sizes = a.n_states, offsets[:-1], np.diff(offsets)
+    n, seg = a.n_states, offsets[:-1]
 
-    keys = rng.integers(0, 50, n)[targets]
+    state_keys = rng.integers(0, 50, n)
     max_mask = rng.random(n) < 0.5
+    keys = state_keys[targets]
     want = np.where(max_mask, np.maximum.reduceat(keys, seg), np.minimum.reduceat(keys, seg))
-    assert np.array_equal(table.row_best(keys, max_mask), want)
+    assert np.array_equal(table.row_best(state_keys[table.targets], max_mask), want)
+    assert np.array_equal(table.per_edge(state_keys), np.repeat(state_keys, table.width))
 
-    values = rng.integers(0, 9, n)
-    assert np.array_equal(table.per_edge(values), np.repeat(values, sizes))
-    mask = rng.random(len(targets)) < 0.4
-    assert np.array_equal(table.row_counts(mask), np.add.reduceat(mask, seg, dtype=np.int64))
+    # marks made per target, as every mask the package counts is: a padded
+    # duplicate is marked with its original, which keeps "some" and "all"
+    marked, also = rng.random(n) < 0.3, rng.random(n) < 0.6
+    marks = np.add.reduceat(marked[targets], seg)
+    some, every = marks > 0, np.add.reduceat((marked & also)[targets], seg) == marks
+    counts = table.row_counts(marked[table.targets])
+    both = table.row_counts((marked & also)[table.targets])
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts > 0, some) and np.array_equal(both == counts, every)
 
     read = table.row_reader()
-    for rows in (rng.choice(n, 40), np.arange(n), np.empty(0, dtype=np.int64)):
-        want = targets[concat_ranges(offsets[rows], offsets[rows + 1])]
-        assert np.array_equal(read(rows), want)
+    for chosen in (rng.choice(n, 40), np.arange(n), np.empty(0, dtype=np.int64)):
+        want = [t for i in chosen for t in rows[i] + rows[i][-1:] * (table.width - len(rows[i]))]
+        assert read(chosen).tolist() == want
+        assert np.array_equal(np.stack(list(table.columns(chosen)), 1).ravel(), read(chosen))
+        assert np.array_equal(np.stack(list(a.columns(chosen)), 1), a.moves.table[chosen])
 
-    rows = np.sort(rng.choice(n, 40))
-    edges = concat_ranges(offsets[rows], offsets[rows + 1])
-    want = np.minimum.reduceat(keys[edges], np.cumsum(sizes[rows]) - sizes[rows])
-    assert np.array_equal(table.row_fold(np.minimum, rows, keys[edges]), want)
+    chosen = np.sort(rng.choice(n, 40))
+    want = [state_keys[rows[i]].min() for i in chosen]
+    assert table.row_fold(np.minimum, state_keys[read(chosen)]).tolist() == want
 
 
 def test_package_tables_keep_the_width_decided_at_build(monkeypatch):
-    """Every table the package builds carries the width decided from its
-    row sizes: no layer measures one, on a regular graph (Petersen) or a
-    ragged one (a path)."""
+    """Every table the package builds is rectangular from the start: no
+    layer measures one, on a regular graph (Petersen) or a ragged one (a
+    path), and the successor tables are as wide as the largest closed
+    neighbourhood."""
 
     def measured(offsets, targets):
         raise AssertionError("a table built by the package was measured")
 
     monkeypatch.setattr(Csr, "measured", measured)
-    for g, n, width in ((builtin("petersen"), 4, 4), (builtin("path", 5), 3, None)):
+    for g, n, width in ((builtin("petersen"), 4, 4), (builtin("path", 5), 3, 3)):
         a = build_arena(g, n)
-        assert a.moves.width == a.predecessors().width == width
+        assert a.moves.width == a.width == width
+        assert a.predecessors().width == np.bincount(a.targets).max()
         solve_capture_time(a).capturer_table()
         state_cop_report(a)
         classify(g, n)
@@ -235,13 +250,17 @@ def test_player_count_refuses_bools_and_non_integers(n, named):
 
 
 def test_row_width_reads_the_offsets():
-    def width(offsets):
-        return Csr.measured(np.array(offsets), np.zeros(offsets[-1], dtype=np.int64)).width
+    """Arrays made outside the package are padded row by row with each
+    row's own last entry; a table with an empty row, or none, is refused."""
 
-    assert width([0, 2, 4, 6]) == 2
-    assert width([0, 1, 3, 4]) is None
-    assert width([0, 0, 0]) is None
-    assert width([0]) is None
+    def rows(offsets, targets):
+        return Csr.measured(np.array(offsets), np.array(targets)).table.tolist()
+
+    assert rows([0, 2, 4, 6], [1, 2, 3, 4, 5, 6]) == [[1, 2], [3, 4], [5, 6]]
+    assert rows([0, 1, 3, 4], [7, 8, 9, 5]) == [[7, 7], [8, 9], [5, 5]]
+    for offsets in ([0, 0, 0], [0, 2, 2], [0]):
+        with pytest.raises(ValidationError, match="must hold a move"):
+            rows(offsets, [1, 2][: offsets[-1]])
 
 
 def test_successor_targets_sorted_by_moved_vertex():
@@ -332,6 +351,76 @@ def test_reachable_noncapture_matches_a_breadth_first_search(g, n, data):
     assert reachable_noncapture(a, start).tolist() == want
 
 
+# a graph whose only automorphism is the identity
+ASYMMETRIC = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)])
+
+
+@pytest.mark.parametrize("g", [
+    builtin("star", 5), builtin("path", 6), bridge(builtin("cycle", 4), 0, builtin("path", 3), 0),
+    ASYMMETRIC,
+], ids=["star5", "path6", "bridge", "asymmetric"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_reachable_noncapture_equals_a_search_over_single_rows(g, n):
+    """The flood over successor rows made per frontier reaches what a
+    breadth-first search over `succ_indices` reaches, from every fifth
+    noncapture start."""
+    assert automorphism_generators(ASYMMETRIC) == []
+    a = build_arena(g, n)
+    for start in a.noncapture_indices()[::5][:6].tolist():
+        seen, todo = {start}, [start]
+        while todo:
+            for j in a.succ_indices(todo.pop()).tolist():
+                if j not in seen and not a.is_capture(j):
+                    seen.add(j)
+                    todo.append(j)
+        assert reachable_noncapture(a, start).tolist() == sorted(seen)
+
+
+def test_reachable_noncapture_on_the_dodecahedron_stays_small():
+    """Four players on the dodecahedron: every one of the 548,720
+    noncapture states is reached, and the flood holds no move table, only
+    bool masks and one frontier's rows a column at a time (6.4 MB measured
+    under tracemalloc, capture mask included, against 45 MB when the full
+    successor table was built)."""
+    a = build_arena(builtin("dodecahedron"), 4)
+    tracemalloc.start()
+    try:
+        reach = reachable_noncapture(a, parse_state("0,1,2;3;1", 4, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reach) == 20 * 19**3 * 4
+    assert peak < 20 * 2**20
+
+
+def check_package_tables(g, n: int) -> None:
+    """Every successor table the package builds for (g, n) is as wide as
+    the largest closed neighbourhood, and every pad entry of a predecessor
+    table names its own row."""
+    a = build_arena(g, n)
+    q, cr = a.quotient(), solve_capture_time(a)
+    tables = [(a.moves, a.predecessors()), (q.moves, q.preds)]
+    tables += [_restricted_tables(a, cr, m) for m in range(1, n)]
+    for moves, preds in tables:
+        assert moves.width == widest(g)
+        degree = np.bincount(moves.targets, minlength=len(preds.table))
+        is_pad = np.arange(preds.width) >= degree[:, None]
+        own = np.broadcast_to(np.arange(len(preds.table))[:, None], preds.table.shape)
+        assert np.array_equal(preds.table[is_pad], own[is_pad])
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs(max_vertices=5), st.sampled_from([3, 4]))
+def test_package_tables_are_padded_to_the_widest_row(g, n):
+    check_package_tables(g, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_suite_tables_are_padded_to_the_widest_row(suite_graphs, n):
+    for g in suite_graphs.values():
+        check_package_tables(g, n)
+
+
 @pytest.mark.parametrize("name, k, n", [
     ("path", 3, 3), ("cycle", 4, 3), ("star", 3, 3), ("complete", 3, 3), ("path", 2, 4),
 ])
@@ -349,21 +438,14 @@ def test_opt_indices_are_the_rows_optimal_edges(name, k, n):
         orbit_opt = sol.orbit_edge_opt()
         for i in a.noncapture_indices().tolist():
             got = sol.opt_indices(i)
-            if sol is cr:
+            if sol is cr:  # a padded row repeats its last, largest target
                 lo, hi = a.offsets[i], a.offsets[i + 1]
-                assert np.array_equal(got, a.targets[lo:hi][cr.edge_opt[lo:hi]])
+                assert np.array_equal(got, np.unique(a.targets[lo:hi][cr.edge_opt[lo:hi]]))
             o = q.orbit_of(i)
-            lo, hi = q.moves.offsets[o], q.moves.offsets[o + 1]
+            lo = q.moves.offsets[o]
+            hi = lo + len(a.succ_indices(int(q.reps[o])))  # the unpadded entries
             want = q.moves.targets[lo:hi][orbit_opt[lo:hi]]
             assert sorted(q.orbit_of(got).tolist()) == sorted(want.tolist())
-
-
-@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 6)), max_size=8))
-def test_concat_ranges_matches_numpy(pairs):
-    starts = np.array([p[0] for p in pairs], dtype=np.int64)
-    ends = starts + np.array([p[1] for p in pairs], dtype=np.int64)
-    want = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)]) if pairs else []
-    assert concat_ranges(starts, ends).tolist() == list(want)
 
 
 def test_all_cops_one_side():

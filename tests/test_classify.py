@@ -17,8 +17,9 @@ from scar import (
     solve_capture_time,
     state_cop_report,
 )
-from scar.arena import concat_ranges
 from scar.fixpoint import INT_INF
+
+from oracles import padded_reverse
 
 # the package exports the function `classify` under the module's name
 classify_module = importlib.import_module("scar.classify")
@@ -121,8 +122,9 @@ def test_small_graphs_stay_out_at_four_players():
 def test_restricted_tables_equal_the_filtered_table_and_its_sorted_reverse(suite_graphs, n):
     """Cop m's restricted game lives on the orbit quotient: orbit i's row
     lists the orbits of the moves that the arena's filtered table keeps at
-    the orbit's representative, in order, and the predecessor table is its
-    sorted reverse."""
+    the orbit's representative, in order and padded alike, and the
+    predecessor table is its exact reverse, each row padded with its own
+    orbit."""
     for name, g in suite_graphs.items():
         a = build_arena(g, n)
         cr = solve_capture_time(a)
@@ -130,11 +132,8 @@ def test_restricted_tables_equal_the_filtered_table_and_its_sorted_reverse(suite
         orbit = q.lift(np.arange(len(q.reps)))
         for m in range(1, n):
             table, preds = classify_module._restricted_tables(a, cr, m)
-            offsets, targets = table
             keep = a.moves.per_edge(~a.mover_mask(m)) | cr.edge_opt
-            want_offsets, want_targets = a.moves.filter(keep)
-            rows = concat_ranges(want_offsets[q.reps], want_offsets[q.reps + 1])
-            assert np.array_equal(np.diff(offsets), np.diff(want_offsets)[q.reps]), (name, m)
-            assert np.array_equal(targets, orbit[want_targets[rows]]), (name, m)
-            for mine, ref in zip(preds, table.reverse()):
-                assert mine.dtype == ref.dtype and np.array_equal(mine, ref), (name, m)
+            want = a.moves.filter(keep)
+            assert np.array_equal(table.table, orbit[want.table[q.reps]]), (name, m)
+            assert preds.targets.dtype == np.int32, (name, m)
+            assert preds.table.tolist() == padded_reverse(table.table.tolist()), (name, m)

@@ -49,21 +49,26 @@ def test_arena_stats_shape(capsys):
 
 
 def test_arena_stats_counts_the_moves_without_building_them(capsys, monkeypatch):
-    """move_edges is N V^(N-1) (2E + V), the length of the successor table,
-    so complete:39 N=4 answers without allocating its 360,896,796 targets."""
+    """move_edges is N V^(N-1) (2E + V), the number of moves, and
+    capture_states is N (V^N - V (V-1)^(N-1)), so complete:39 N=4 answers
+    without allocating its 360,896,796 moves or its capture mask."""
     monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
     for spec, n in [("petersen", 3), ("path:5", 4), ("star:4", 3), ("cycle:4", 2)]:
         name, _, k = spec.partition(":")
-        g = builtin(name, int(k)) if k else builtin(name)
+        a = build_arena(builtin(name, int(k)) if k else builtin(name), n)
         _, out, _ = run(capsys, "arena-stats", "--builtin", spec, "--n", str(n))
-        assert json.loads(out)["move_edges"] == len(build_arena(g, n).targets), spec
+        got = json.loads(out)
+        assert got["move_edges"] == sum(len(a.succ_indices(i)) for i in range(a.n_states)), spec
+        assert got["capture_states"] == a.capture_mask.sum(), spec
 
     def unbuilt(*args):
-        raise AssertionError("a move table was built")
+        raise AssertionError("a per-state table was built")
 
     monkeypatch.setattr(Arena, "_slots", unbuilt)
+    monkeypatch.setattr(Arena, "capture_mask", property(unbuilt))
     code, out, _ = run(capsys, "arena-stats", "--builtin", "complete:39", "--n", "4")
-    assert (code, json.loads(out)["move_edges"]) == (0, 360_896_796)
+    got = json.loads(out)
+    assert (code, got["move_edges"], got["capture_states"]) == (0, 360_896_796, 693_732)
 
 
 def test_cr_solve_summary_and_state(capsys):

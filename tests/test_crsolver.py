@@ -20,7 +20,6 @@ from scar import (
     simulate,
     solve_capture_time,
 )
-from scar.arena import concat_ranges
 from scar.crsolver import classic_cop_number, classic_cop_win, classic_cop_win_placement
 from scar.fixpoint import INT_INF
 
@@ -137,19 +136,17 @@ def test_attribution_never_ambiguous_on_suite(suite_graphs):
 
 def reference_cop_bits(sol):
     """Capture credit built from the table of optimal moves: filter the
-    moves by `edge_opt`, then OR each level's successors in one `reduceat`,
-    in increasing value."""
+    moves by `edge_opt`, then OR each level's rows of successors, in
+    increasing value."""
     a = sol.arena
     bits = np.zeros(a.n_states, dtype=np.uint32)
     for j, at in enumerate(a.cops_at_robber(np.arange(a.n_states // a.n_players))):
         bits |= np.repeat(at, a.n_players).astype(np.uint32) << np.uint32(j)
-    offsets, targets = a.moves.filter(sol.edge_opt)
+    optimal = a.moves.filter(sol.edge_opt).table
     finite_nc = np.flatnonzero(~a.capture_mask & sol.finite_mask())
     for t in np.unique(sol.values[finite_nc]):
         level = finite_nc[sol.values[finite_nc] == t]
-        starts, ends = offsets[level], offsets[level + 1]
-        seg = np.concatenate(([0], np.cumsum(ends - starts)[:-1]))
-        bits[level] = np.bitwise_or.reduceat(bits[targets[concat_ranges(starts, ends)]], seg)
+        bits[level] = np.bitwise_or.reduce(bits[optimal[level]], axis=1)
     return bits
 
 

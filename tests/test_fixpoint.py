@@ -232,24 +232,36 @@ def test_fixpoint_check_rejects_a_frozen_row_off_its_seed():
 def test_bare_arrays_still_serve_the_engine(name, k):
     """Arrays made outside the package stand for the tables: the
     predecessor table unpacks as (offsets, targets), and `solve_layers`
-    on the arena's bare arrays answers the capture-time game."""
+    on the arena's bare arrays, padded or not, answers the capture-time
+    game."""
     a = build_arena(builtin(name, k) if k else builtin(name), 3)
     pred_offsets, pred_targets = a.predecessors()
-    assert len(pred_targets) == len(a.targets) == pred_offsets[-1] == a.offsets[-1]
+    assert pred_offsets[-1] == len(pred_targets) == a.n_states * a.predecessors().width
+    assert a.offsets[-1] == len(a.targets) == a.n_states * a.width
     init = np.where(a.capture_mask, 0, INT_INF).astype(np.int64)
     want = a.quotient().lift(capture_depths(a))
-    got = solve_layers(a.offsets, a.targets, ~a.robber_mover_mask(), a.capture_mask, init)
-    assert np.array_equal(got, want)
+    rows = [a.succ_indices(i) for i in range(a.n_states)]
+    unpadded = np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows)
+    for offsets, targets in ((a.offsets, a.targets), unpadded):
+        got = solve_layers(offsets, targets, ~a.robber_mover_mask(), a.capture_mask, init)
+        assert np.array_equal(got, want)
 
 
 def test_reverse_csr_lists_every_edge_once_by_target():
-    a = build_arena(builtin("petersen"), 3)
-    offsets, sources = a.moves.reverse()
-    assert sources.dtype == np.int32
-    rows = np.repeat(np.arange(a.n_states), np.diff(a.offsets))
-    want = sorted(zip(a.targets.tolist(), rows.tolist()))
-    targets = np.repeat(np.arange(a.n_states), np.diff(offsets))
-    assert list(zip(targets.tolist(), sources.tolist())) == want
+    """Every entry of the padded table, duplicates included, is listed once
+    in its target's row, ascending by source; the rest of each row names
+    the row itself. Petersen's rows need no padding, a star's do."""
+    for g in (builtin("petersen"), builtin("star", 3)):
+        a = build_arena(g, 3)
+        preds = a.moves.reverse()
+        assert preds.targets.dtype == np.int32
+        real = (np.arange(preds.width) < np.bincount(a.targets)[:, None]).ravel()
+        rows = np.repeat(np.arange(a.n_states), a.width)
+        want = sorted(zip(a.targets.tolist(), rows.tolist()))
+        targets = np.repeat(np.arange(a.n_states), preds.width)[real]
+        assert list(zip(targets.tolist(), preds.targets[real].tolist())) == want
+        own = np.repeat(np.arange(a.n_states), preds.width)
+        assert np.array_equal(preds.targets[~real], own[~real])
 
 
 class CountingNumpy:
@@ -275,12 +287,17 @@ class CountingNumpy:
 def frontier_spy(monkeypatch):
     """watch(module) counts the module's `np.bincount` and `np.unique`
     calls and records the length of every row list that `Csr.row_reader`
-    readers return, one per level or frontier; returns (calls, lengths)."""
+    readers return, one per level, and of every frontier's successor rows
+    that `Arena.columns` makes; returns (calls, lengths)."""
 
     def watch(module) -> tuple[Counter, list[int]]:
         calls: Counter = Counter()
         lengths: list[int] = []
-        make_reader = Csr.row_reader
+        make_reader, make_columns = Csr.row_reader, arena_module.Arena.columns
+
+        def recording_columns(arena, rows):
+            lengths.append(rows.size * arena.width)
+            return make_columns(arena, rows)
 
         def recording_reader(table):
             read = make_reader(table)
@@ -294,6 +311,7 @@ def frontier_spy(monkeypatch):
 
         monkeypatch.setattr(module, "np", CountingNumpy(calls))
         monkeypatch.setattr(Csr, "row_reader", recording_reader)
+        monkeypatch.setattr(arena_module.Arena, "columns", recording_columns)
         return calls, lengths
 
     return watch

@@ -29,6 +29,7 @@ from scar import (
     check_positionality,
     graph_from_edges,
     positionality_table,
+    scan_region,
     simulate,
     solve_capture_time,
     solve_game,
@@ -339,18 +340,15 @@ PATH5_N3 = [
 ]
 
 
-def refuse_full_tables(monkeypatch, *directions: bool) -> None:
-    """Make `Arena._slots` refuse to build a full table in each of
-    `directions` (False: successors, True: predecessors); tables of chosen
-    rows, as the quotient builds them, are still made."""
-    real = Arena._slots
+def refuse_full_tables(monkeypatch) -> None:
+    """Make `Arena._slots` refuse to build the full successor table, from
+    which the full predecessor table is made too; the quotient's rows are
+    still made, from the arena's columns."""
 
-    def rows_only(self, back, rows=None):
-        if rows is None and back in directions:
-            raise AssertionError(f"a full {'predecessor' if back else 'move'} table was built")
-        return real(self, back, rows)
+    def refused(self):
+        raise AssertionError("a full move table was built")
 
-    monkeypatch.setattr(Arena, "_slots", rows_only)
+    monkeypatch.setattr(Arena, "_slots", refused)
 
 
 def test_commands_answer_without_the_full_move_table(capsys, monkeypatch):
@@ -360,7 +358,7 @@ def test_commands_answer_without_the_full_move_table(capsys, monkeypatch):
     def refused(*args):
         raise AssertionError("a per-state table was built")
 
-    refuse_full_tables(monkeypatch, False, True)
+    refuse_full_tables(monkeypatch)
     monkeypatch.setattr(Quotient, "lift", refused)
     monkeypatch.setattr(Arena, "capture_mask", property(refused))
     monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
@@ -387,7 +385,7 @@ def test_games_and_verdicts_answer_without_the_full_move_table(monkeypatch, spec
                                                                 capture, verdicts):
     """The discounted games and the verdict table are solved on the
     quotient, and only the verdicts are lifted to states."""
-    refuse_full_tables(monkeypatch, False, True)
+    refuse_full_tables(monkeypatch)
     a = build_arena(builtin(*spec), 4)
     params = GameParams(4, Q(1, 2), Q(1, 10))
     for m, want in enumerate(games, 1):
@@ -400,14 +398,17 @@ def test_games_and_verdicts_answer_without_the_full_move_table(monkeypatch, spec
 
 @pytest.mark.parametrize("spec, witnesses", [(("star", 6), 1968), (("petersen",), 14160)])
 def test_a_single_start_check_builds_no_predecessor_table(monkeypatch, spec, witnesses):
-    """check_positionality floods forward from its start over the arena's
-    successor table, which names its witnesses; the games and the tests
-    need no predecessor table of the arena."""
-    refuse_full_tables(monkeypatch, True)
-    a = build_arena(builtin(*spec), 4)
-    v = check_positionality(a, State((0, 0, 0), 2, 2), GameParams(4, Q(1, 2), Q(1, 10)))
-    assert (v.positional_exists, v.nonpositional_exists, len(v.witnesses)) == (
-        False, True, witnesses)
+    """check_positionality and scan_region flood forward from their start
+    over successor rows made per frontier, which name their witnesses; the
+    games and the tests run on the quotient, so neither full table is
+    built."""
+    refuse_full_tables(monkeypatch)
+    s0, params = State((0, 0, 0), 2, 2), GameParams(4, Q(1, 2), Q(1, 10))
+    v = check_positionality(build_arena(builtin(*spec), 4), s0, params)
+    (w,) = scan_region(builtin(*spec), 4, s0, [params.gamma], [params.epsilon])
+    for verdict in (v, w):
+        assert (verdict.positional_exists, verdict.nonpositional_exists,
+                len(verdict.witnesses)) == (False, True, witnesses)
 
 
 def test_simulate_plays_without_the_full_move_table(monkeypatch):
@@ -417,10 +418,7 @@ def test_simulate_plays_without_the_full_move_table(monkeypatch):
     sol = solve_capture_time(a)
     finite = np.flatnonzero(sol.finite_mask() & ~a.capture_mask)
 
-    def no_table(self, back, rows=None):
-        raise AssertionError("a move table was built")
-
-    monkeypatch.setattr(Arena, "_slots", no_table)
+    refuse_full_tables(monkeypatch)
     for i in finite[:: max(1, len(finite) // 50)]:
         play = simulate(a, int(i), lambda j: sol.opt_indices(j)[0])
         assert play.capture_time == sol.capture_time(int(i))
