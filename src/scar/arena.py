@@ -43,6 +43,15 @@ table is lifted (`Arena.lifted`) only when a caller reads one. The capture
 test is read off the digits of a state, so no full `capture_mask` is built
 for them.
 
+`_orbit_labels` finds the orbits one token at a time: a position tuple's
+first token goes to the least vertex m of its orbit under Aut(G), by a
+product of generators that a breadth-first search over the vertices finds,
+and the other N-1 tokens are carried along in one gather. Where the
+stabiliser of m is not trivial, the carried tails are then lowered to
+their least images under it: its Schreier generators, sifted by Sims'
+filter, propagate minima over the V^(N-1) tails. The group work is plain
+Python on permutation tuples of V points.
+
 `_flood` spreads from a seed one frontier at a time over the rows of a
 `Csr` or, for `reachable_noncapture`, over an arena's successor rows made
 per frontier, with the width rule of `fixpoint.retrograde`: a frontier
@@ -60,6 +69,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter, ne
 
 import numpy as np
 
@@ -317,23 +328,23 @@ class Arena:
 @dataclass(frozen=True)
 class Quotient:
     """An arena's orbits under graph automorphisms acting on every token:
-    orbit i holds `sizes[i]` states (made on each read), the smallest
-    `reps[i]`, ascending, so the first state with a property constant on
-    orbits is the rep of the first orbit with it. `at_robber[m-1, i]` says
-    if cop m sits on the robber there, `capture[i]` if any does. Row i of
-    `moves` lists the orbit of each of reps[i]'s successors, in order,
-    duplicates kept, padded like the arena's rows, and `preds` is the
-    exact reverse of `moves` (`Csr.reverse`)."""
+    orbit i holds `sizes[i]` states (unsigned, of the least width that holds
+    the largest), the smallest `reps[i]`, ascending, so the first state
+    with a property constant on orbits is the rep of the first orbit with
+    it. `at_robber[m-1, i]` says if cop m sits on the robber there,
+    `capture[i]` if any does. Row i of `moves` lists the orbit of each of
+    reps[i]'s successors, in order, duplicates kept, padded like the
+    arena's rows, and `preds` is the exact reverse of `moves`
+    (`Csr.reverse`)."""
 
     n_players: int
     mix_orbit: np.ndarray  # per position tuple, the index of its orbit of tuples
     reps: np.ndarray
+    sizes: np.ndarray
     at_robber: np.ndarray
     capture: np.ndarray
     moves: Csr
     preds: Csr
-
-    sizes = property(lambda self: np.repeat(np.bincount(self.mix_orbit), self.n_players))
 
     def orbit_of(self, idx):
         """The orbit of state idx (an int or an int array)."""
@@ -353,21 +364,115 @@ class Quotient:
         return per_orbit.reshape(-1, self.n_players)[self.mix_orbit].reshape(-1)
 
 
-def _orbit_labels(gens: list[tuple[int, ...]], v: int, n: int) -> np.ndarray:
-    """Per position tuple (mixed radix V), the smallest tuple of its orbit
-    under the group `gens` generate: each round lowers every label to its
-    image's under each generator, then jumps pointers (label[label]), until
-    a fixpoint. Images are made afresh each round, in O(V^N) memory."""
-    label = np.arange(v**n, dtype=np.int64)
+Perm = tuple[int, ...]
+
+
+def _orbit_labels(gens: list[Perm], v: int, n: int) -> np.ndarray:
+    """Per position tuple (mixed radix V, first token most significant),
+    the smallest tuple of its orbit under the group G that `gens` generate,
+    found one token at a time. The least image of (x1, tail) starts with
+    the least vertex m of x1's orbit; the maps in G sending x1 to m are
+    Stab(m)·u for any one of them, u, so its tail is the least image of
+    u(tail) under Stab(m). One gather moves every vertex's tails by its u;
+    where Stab(m) is not trivial, `_tail_labels` then labels the tails
+    under its Schreier generators, sifted by Sims' filter."""
+    cosets = _cosets(gens, v)
+    home = {x: (m, back) for m, coset in cosets.items() for x, (_, back) in coset.items()}
+    least = np.array([[home[x][0]] for x in range(v)], dtype=np.int64)
+    label = _images(np.array([home[x][1] for x in range(v)], dtype=np.int64), n - 1)
+    for coset in cosets.values():
+        stab = _stabiliser(gens, coset) if n > 1 else []
+        if stab:
+            tail = _tail_labels(stab, v, n - 1)
+            for x in coset:  # a row at a time: a view, not a fancy-indexed copy
+                label[x] = tail[label[x]]
+    label += least * v ** (n - 1)
+    return label.reshape(-1)
+
+
+def _images(perms: np.ndarray, k: int) -> np.ndarray:
+    """Row r: the index (mixed radix V) of perms[r] applied to each k-tuple,
+    in the order of the k-tuples' own indices."""
+    rows, v = perms.shape
+    image = np.zeros((rows, 1), dtype=np.int64)
+    for _ in range(k):  # one more token, least significant, at a time
+        image = ((image * v)[:, :, None] + perms[:, None, :]).reshape(rows, -1)
+    return image
+
+
+def _tail_labels(gens: list[Perm], v: int, k: int) -> np.ndarray:
+    """Per k-tuple (mixed radix V), the smallest tuple of its orbit under
+    ⟨gens⟩: each round lowers every label to its image's under each
+    generator, then jumps pointers (label[label]), until a fixpoint. Each
+    generator's image of the k-tuples is made once."""
+    images = _images(np.array(gens, dtype=np.int64), k)
+    label = np.arange(v**k, dtype=np.int64)
     while True:
-        moved = label
-        for p in gens:
-            image = functools.reduce(np.add.outer, [np.multiply(p, v**k) for k in range(n)][::-1])
-            moved = np.minimum(moved, moved[image.ravel()])
+        moved = label.copy()
+        for image in images:
+            np.minimum(moved, moved[image], out=moved)
         moved = moved[moved]
         if np.array_equal(moved, label):
             return label
         label = moved
+
+
+def _cosets(gens: list[Perm], v: int) -> dict[int, dict[int, tuple[Perm, Perm]]]:
+    """Per orbit of ⟨gens⟩ on the vertices, keyed by its least vertex m,
+    ascending: per vertex x of the orbit, a product t of generators with
+    t(m) = x, found by a breadth-first search, and its inverse."""
+    cosets: dict[int, dict[int, tuple[Perm, Perm]]] = {}
+    seen: set[int] = set()
+    ident = tuple(range(v))
+    for m in range(v):
+        if m in seen:
+            continue
+        coset, queue = {m: (ident, ident)}, [m]
+        for x in queue:
+            for p in gens:
+                if p[x] not in coset:
+                    pt = _compose(p, coset[x][0])
+                    coset[p[x]] = pt, _inverse(pt)
+                    queue.append(p[x])
+        cosets[m] = coset
+        seen.update(coset)
+    return cosets
+
+
+def _stabiliser(gens: list[Perm], coset: dict[int, tuple[Perm, Perm]]) -> list[Perm]:
+    """Generators of the stabiliser of an orbit's least vertex m, given
+    the orbit's `_cosets` entry: the distinct Schreier generators
+    t_{s(x)}^-1 · s · t_x, over the orbit's vertices x and generators s,
+    sifted by `_sims_filter`. Empty when the stabiliser is trivial."""
+    schreier = (_compose(coset[s[x]][1], _compose(s, t)) for x, (t, _) in coset.items()
+                for s in gens)
+    return _sims_filter(dict.fromkeys(schreier))
+
+
+def _sims_filter(perms) -> list[Perm]:
+    """Generators of the group `perms` generate, at most one per pair (i,
+    j) of a first moved point i and its image j: each permutation is kept
+    if its pair is new, else replaced by the kept one's inverse times it,
+    which fixes i as well, and sifted on; an identity is dropped."""
+    kept: dict[tuple[int, int], tuple[Perm, Perm]] = {}
+    for p in perms:
+        points = range(len(p))
+        while (i := next(compress(points, map(ne, p, points)), None)) is not None:
+            if (i, p[i]) not in kept:
+                kept[i, p[i]] = p, _inverse(p)
+                break
+            p = _compose(kept[i, p[i]][1], p)
+    return [p for p, _ in kept.values()]
+
+
+def _compose(p: Perm, q: Perm) -> Perm:
+    """p·q: i goes to p[q[i]], for permutations of V >= 2 points (a
+    one-vertex graph has no generator to compose)."""
+    return itemgetter(*q)(p)
+
+
+def _inverse(p: Perm) -> Perm:
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 def _quotient(arena: Arena) -> Quotient:
@@ -385,8 +490,10 @@ def _quotient(arena: Arena) -> Quotient:
     preds = moves.reverse()
     at_robber = np.repeat(arena.cops_at_robber(roots), n, axis=1)
     capture = at_robber.any(axis=0)
-    _read_only((mix_orbit, reps, at_robber, capture))
-    return Quotient(n, mix_orbit, reps, at_robber, capture, moves, preds)
+    counts = np.bincount(mix_orbit)  # held for the quotient's life: the least dtype
+    sizes = np.repeat(counts.astype(np.min_scalar_type(counts.max())), n)
+    _read_only((mix_orbit, reps, sizes, at_robber, capture))
+    return Quotient(n, mix_orbit, reps, sizes, at_robber, capture, moves, preds)
 
 
 def _read_only(value):

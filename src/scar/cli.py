@@ -152,7 +152,7 @@ def cmd_classify(args) -> tuple[str, int]:
 
 def _verdict_json(v) -> dict:
     witnesses = [
-        {"n": n, "m": m, "state": s.literal()} for n, m, s in v.witnesses[:WITNESS_CAP]
+        {"n": n, "m": m, "state": s.literal()} for n, m, s in v.first_witnesses(WITNESS_CAP)
     ]
     return {
         "n_players": v.n_players,
@@ -161,7 +161,7 @@ def _verdict_json(v) -> dict:
         "s0": v.s0.literal(),
         "positional_exists": v.positional_exists,
         "nonpositional_exists": v.nonpositional_exists,
-        "witness_count": len(v.witnesses),
+        "witness_count": v.witness_count,
         "witnesses": witnesses,
     }
 
@@ -198,7 +198,7 @@ def cmd_scan(args) -> tuple[str, int]:
             "gamma": format_rational(v.gamma),
             "positional_exists": v.positional_exists,
             "nonpositional_exists": v.nonpositional_exists,
-            "witness_count": len(v.witnesses),
+            "witness_count": v.witness_count,
         }
         for v in rows
     ]

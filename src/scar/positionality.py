@@ -43,7 +43,8 @@ use the canonical tie-break: the move with the lowest target vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -69,15 +70,36 @@ from .scarsolver import GameSolution, solve_game
 
 @dataclass(frozen=True)
 class PositionalityVerdict:
+    """The two existence booleans at s0 and the failing pairs: every
+    reachable state where cop m's optimal set misses the capture-time-optimal
+    set entirely, as the read-only arrays `fail_states` (its index in an
+    arena on `vertex_count` vertices) and `fail_cops` (m), sorted by state,
+    then m. Equality does not compare the arrays. `witnesses` lists them as
+    (mover n, game m, state), made on first read."""
+
     n_players: int
     gamma: Fraction
     epsilon: Fraction
     s0: State
     positional_exists: bool
     nonpositional_exists: bool
-    # (mover n, game m, state) for every reachable state where cop m's
-    # optimal set misses the capture-time-optimal set entirely
-    witnesses: tuple[tuple[int, int, State], ...]
+    vertex_count: int = field(repr=False)
+    fail_states: np.ndarray = field(repr=False, compare=False)
+    fail_cops: np.ndarray = field(repr=False, compare=False)
+
+    witness_count = property(lambda self: len(self.fail_states))
+
+    @functools.cached_property
+    def witnesses(self) -> tuple[tuple[int, int, State], ...]:
+        return self.first_witnesses(self.witness_count)
+
+    def first_witnesses(self, k: int) -> tuple[tuple[int, int, State], ...]:
+        """The first k of `witnesses`, made without the rest."""
+        n, v = self.n_players, self.vertex_count
+        idx = self.fail_states[:k]
+        digits = idx[:, None] // n // v ** np.arange(n - 1, -1, -1) % v
+        return tuple((mover, m, State(tuple(d[:-1]), d[-1], mover)) for mover, m, d in zip(
+            (idx % n + 1).tolist(), self.fail_cops[:k].tolist(), digits.tolist()))
 
 
 def _state_tests(
@@ -119,18 +141,17 @@ def _verdict(
 ) -> PositionalityVerdict:
     meets, inside = tests
     orbits = arena.quotient().orbit_of(reachable)
-    fail_pairs: list[tuple[int, int]] = []
-    for m in sorted(meets):
-        fail_pairs.extend((int(i), m) for i in reachable[~meets[m][orbits]])
+    fails = {m: reachable[~meets[m][orbits]] for m in sorted(meets)}
+    states = np.concatenate(list(fails.values()))
     nonpositional = not inside[orbits].all()
-    if fail_pairs and not nonpositional:
+    if states.size and not nonpositional:
         raise _no_profile(arena, params, s0)
-    fail_pairs.sort()
-    witnesses = tuple(
-        (arena.mover_of(i), m, arena.state_of(i)) for i, m in fail_pairs
-    )
+    # reachable is ascending, so a stable sort by state keeps each state's m ascending
+    order = np.argsort(states, kind="stable")
+    cops = np.repeat(list(fails), [len(f) for f in fails.values()])[order]
     return PositionalityVerdict(params.n_players, params.gamma, params.epsilon, s0,
-                                not fail_pairs, nonpositional, witnesses)
+                                not states.size, nonpositional, arena.graph.vertex_count,
+                                *_read_only((states[order], cops)))
 
 
 def solve_all_games(arena: Arena, params: GameParams) -> dict[int, GameSolution]:

@@ -81,6 +81,26 @@ def test_witnesses_name_real_disagreements():
         assert not opt_m & opt_cr
 
 
+def test_witnesses_list_every_failing_pair_by_state_then_cop():
+    """The witnesses, made on first read, equal a pair-by-pair scan of the
+    reachable states, ascending, then of the cops; a prefix is made alone."""
+    a = build_arena(builtin("star", 4), 4)
+    s0, params = State((0, 0, 0), 2, 2), GameParams(4, Q(1, 2), Q(1, 10))
+    v = check_positionality(a, s0, params)
+    cr = solve_capture_time(a)
+    games = solve_all_games(a, params)
+    want = []
+    for idx in map(int, reachable_noncapture(a, s0)):
+        opt_cr = set(cr.opt_indices(idx).tolist())
+        want += [(a.mover_of(idx), m, a.state_of(idx)) for m in sorted(games)
+                 if not opt_cr & set(games[m].opt_indices(idx).tolist())]
+    assert len({s for _, _, s in want}) < len(want)  # some state fails for two cops
+    assert v.witness_count == len(v.witnesses) == len(want)
+    assert v.witnesses == tuple(want)
+    for k in (0, 1, len(want) // 2, len(want) + 1):
+        assert v.first_witnesses(k) == tuple(want[:k])
+
+
 def test_positional_verdicts_carry_no_witnesses():
     a = _p2_arena()
     v = check_positionality(a, State((0, 0), 1, 1), GameParams(3, Q(1, 2), Q(0)))

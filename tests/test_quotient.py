@@ -10,7 +10,7 @@ import json
 import math
 import os
 import tempfile
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -35,7 +35,7 @@ from scar import (
     solve_game,
     state_cop_report,
 )
-from scar.arena import Arena, Quotient, _orbit_labels
+from scar.arena import Arena, Quotient, _cosets, _orbit_labels, _stabiliser
 from scar.classify import _guarantee_winning_sets
 from scar.cli import main
 from scar.fixpoint import INT_INF
@@ -65,7 +65,10 @@ def maps_edges_onto_edges(g, perm) -> bool:
     (builtin("dodecahedron"), 4, 5472),
     (builtin("cycle", 8), 4, 1040),
     (builtin("star", 6), 4, 208),
-], ids=["heawood", "petersen", "dodecahedron", "cycle8", "star6"])
+    # 4 turns times the 15 partitions of 4 tokens by shared vertex
+    (builtin("complete", 39), 4, 60),
+    (builtin("star", 30), 4, 208),
+], ids=["heawood", "petersen", "dodecahedron", "cycle8", "star6", "complete39", "star30"])
 def test_orbit_counts_match_burnside(graph, n, orbits):
     gens = automorphism_generators(graph)
     assert gens and all(maps_edges_onto_edges(graph, p) for p in gens)
@@ -91,6 +94,46 @@ def test_generator_search_on_symmetric_groups_ends_within_its_effort(
     v = graph.vertex_count
     label = _orbit_labels(gens, v, 2)
     assert np.count_nonzero(label == np.arange(v * v)) == pair_orbits
+
+
+def closure(gens, v) -> set:
+    """Every element of the group `gens` generate, by a brute-force search."""
+    ident = tuple(range(v))
+    group, queue = {ident}, [ident]
+    for g in queue:
+        for p in gens:
+            h = tuple(p[x] for x in g)
+            if h not in group:
+                group.add(h)
+                queue.append(h)
+    return group
+
+
+def least_images(group, v, n) -> np.ndarray:
+    """Per n-tuple (mixed radix v), the smallest index among its images
+    under every element of `group`."""
+    tuples = np.array(list(product(range(v), repeat=n)))
+    images = np.array(sorted(group))[:, tuples]  # element, tuple, token
+    return (images @ v ** np.arange(n - 1, -1, -1)).min(axis=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs(max_vertices=6), st.sampled_from([2, 3, 4]))
+def test_labels_are_brute_force_orbit_minima(g, n):
+    """Under the full generator list, a starved search's and none, every
+    label is its tuple's least image, and each least vertex m satisfies the
+    orbit-stabiliser theorem with the stabiliser generators the labelling
+    uses, so a dropped Schreier generator cannot go unseen."""
+    v = g.vertex_count
+    with mock.patch.object(graphs_module, "SEARCH_EFFORT", 6):
+        starved = automorphism_generators(g)
+    for gens in (automorphism_generators(g), starved, []):
+        group = closure(gens, v)
+        assert np.array_equal(_orbit_labels(gens, v, n), least_images(group, v, n))
+        for m, coset in _cosets(gens, v).items():
+            stab = _stabiliser(gens, coset)
+            assert all(p[m] == m for p in stab)
+            assert len(coset) * len(closure(stab, v)) == len(group)
 
 
 def integer_layers(a) -> dict:
