@@ -57,9 +57,9 @@ Python on permutation tuples of V points.
 per frontier, with the width rule of `fixpoint.retrograde`: a frontier
 whose rows hold at least n/16 entries (n states, `WIDE_FRONTIER` = 16) is
 marked in a fresh bool array one column at a time and read back with
-`flatnonzero`, a narrower one is sorted with `np.unique`. Either way the
-next frontier is ascending, and the flood stays linear in the entries it
-reads.
+`flatnonzero`; a narrower one keeps its unseen entries, one copy of each
+by `distinct`, with no sort. The next frontier's order is then not set,
+and nothing reads it; the flood stays linear in the entries it reads.
 """
 
 from __future__ import annotations
@@ -302,7 +302,7 @@ class Arena:
 
     def mover_mask(self, *tokens: int) -> np.ndarray:
         """Per state: is the token to move one of `tokens`?"""
-        turn = np.isin(np.arange(1, self.n_players + 1), tokens)
+        turn = [t in tokens for t in range(1, self.n_players + 1)]
         return np.tile(turn, self.n_states // self.n_players)
 
     def robber_mover_mask(self) -> np.ndarray:
@@ -338,7 +338,7 @@ class Quotient:
     (`Csr.reverse`)."""
 
     n_players: int
-    mix_orbit: np.ndarray  # per position tuple, the index of its orbit of tuples
+    mix_orbit: np.ndarray  # per position tuple, the index of its orbit of tuples (unsigned)
     reps: np.ndarray
     sizes: np.ndarray
     at_robber: np.ndarray
@@ -347,8 +347,10 @@ class Quotient:
     preds: Csr
 
     def orbit_of(self, idx):
-        """The orbit of state idx (an int or an int array)."""
-        return self.mix_orbit[idx // self.n_players] * self.n_players + idx % self.n_players
+        """The orbit of state idx (an int or an int array); int64, since
+        the narrow `mix_orbit` would wrap when multiplied by N."""
+        mix = self.mix_orbit[idx // self.n_players].astype(np.int64)
+        return mix * self.n_players + idx % self.n_players
 
     def count(self, mask: np.ndarray) -> int:
         """How many states lie in the orbits that mask marks."""
@@ -356,7 +358,7 @@ class Quotient:
 
     def turns(self, *tokens: int) -> np.ndarray:
         """Per orbit: is the token to move one of `tokens`?"""
-        turn = np.isin(np.arange(1, self.n_players + 1), tokens)
+        turn = [t in tokens for t in range(1, self.n_players + 1)]
         return np.tile(turn, len(self.reps) // self.n_players)
 
     def lift(self, per_orbit: np.ndarray) -> np.ndarray:
@@ -478,14 +480,18 @@ def _inverse(p: Perm) -> Perm:
 def _quotient(arena: Arena) -> Quotient:
     n, v = arena.n_players, arena.graph.vertex_count
     label = _orbit_labels(automorphism_generators(arena.graph), v, n)
-    is_root = label == np.arange(v**n)
-    roots, mix_orbit = np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[label]
+    is_root = np.zeros(v**n, dtype=bool)
+    is_root[label] = True  # each label is a root, and each root its own label
+    roots = np.flatnonzero(is_root)
+    # no int64 V^N temporary: the least width that holds the orbit count;
+    # tuple 0 is a root, so no running count is 0 and the - 1 cannot wrap
+    mix_orbit = (np.cumsum(is_root, dtype=np.min_scalar_type(len(roots))) - 1)[label]
     del label, is_root  # V^N entries each, not needed while the tables are built
     reps = (roots[:, None] * n + np.arange(n)).ravel()
     # one column at a time, so the states' rows are never held whole
     table = np.empty((len(reps), arena.width), dtype=np.int32 if len(reps) < 2**31 else np.int64)
     for r, states in enumerate(arena.columns(reps)):
-        table[:, r] = mix_orbit[states // n] * n + states % n
+        table[:, r] = mix_orbit[states // n].astype(np.int64) * n + states % n
     moves = Csr(table)
     preds = moves.reverse()
     at_robber = np.repeat(arena.cops_at_robber(roots), n, axis=1)
@@ -650,6 +656,15 @@ def is_capture(s: State) -> bool:
     return s.robber in s.cops
 
 
+def distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """values without repeats, in no set order, found without a sort: each
+    value writes its positions into `slot`, a scratch array indexed by
+    value, and only the position that stays is kept."""
+    at = np.arange(values.size)
+    slot[values] = at
+    return values[slot[values] == at]
+
+
 def _flood(table, seed: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     """Mask of states reachable from the seed mask along the rows of
     `table` (a `Csr`, or an `Arena` for its successors) without ever
@@ -658,6 +673,7 @@ def _flood(table, seed: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     seen = seed & ~blocked
     fresh = ~(seen | blocked)  # states a step may still enter
     frontier = np.flatnonzero(seen)
+    slot = np.empty(n, dtype=np.int64)
     while frontier.size:
         if WIDE_FRONTIER * frontier.size * table.width >= n:
             hit = np.zeros(n, dtype=bool)
@@ -665,8 +681,8 @@ def _flood(table, seed: np.ndarray, blocked: np.ndarray) -> np.ndarray:
                 hit[column] = True
             frontier = np.flatnonzero(hit & fresh)
         else:
-            nbrs = np.unique(np.concatenate(list(table.columns(frontier))))
-            frontier = nbrs[fresh[nbrs]]
+            nbrs = np.concatenate(list(table.columns(frontier)))
+            frontier = distinct(nbrs[fresh[nbrs]], slot)
         fresh[frontier] = False
         seen[frontier] = True
     return seen

@@ -212,11 +212,11 @@ def cmd_scan(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    ids = [case["id"] for case in load_manifest()]
+    cases = load_manifest()
     for pattern in args.ids:
-        if not any(pattern in case_id for case_id in ids):
+        if not any(pattern in case["id"] for case in cases):
             raise ValidationError(f"no manifest case id contains {pattern!r}")
-    results = run_suite(args.ids or None)
+    results = run_suite(args.ids or None, cases)
     lines = []
     for r in results:
         lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.case_id}: {r.detail}")

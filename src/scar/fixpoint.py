@@ -23,10 +23,13 @@ out-degree elsewhere, which settle on their last. The rest take `never`.
 How a level is counted depends on the length p of its predecessor list, out
 of n states. A wide level (16p >= n; 16 is `arena.WIDE_FRONTIER`) is counted
 over every state at once with one `np.bincount`, and its ready states are
-read back with `flatnonzero`; a narrow one is sorted and counted with
-`np.unique`. Both give the ready states in ascending order, so the levels do
-not depend on the rule. The engine stays linear: a wide level's O(n) work is
-at most 16 times the predecessor entries it gathered. This is the
+read back with `flatnonzero`. A narrow one drops its queued predecessors,
+counts the rest entry by entry with the unbuffered `np.subtract.at`, and
+keeps one copy of each ready state with `arena.distinct`; nothing is
+sorted. A batch's states come in no set order, and that order reaches no
+rank, level or origin: a level's states all take one rank, and the counts
+fall the same in any order. The engine stays linear: a wide level's O(n)
+work is at most 16 times the predecessor entries it gathered. This is the
 top-down/bottom-up switch of Beamer, Asanović & Patterson,
 Direction-optimizing breadth-first search (SC 2012).
 
@@ -55,7 +58,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .arena import WIDE_FRONTIER, Csr
+from .arena import WIDE_FRONTIER, Csr, distinct
 from .errors import ScarError, ValidationError
 
 INT_INF = 2**62
@@ -110,6 +113,7 @@ def retrograde(
     remaining = np.where(eager, 1, moves.width)
     n = len(queued)
     rank = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
+    slot = np.empty(n, dtype=np.int64)  # `distinct`'s scratch
     levels: list = []
     origins: list[tuple[str, int | None]] = []
     while pending:
@@ -124,9 +128,9 @@ def retrograde(
             remaining -= np.bincount(preds, minlength=n)
             ready = np.flatnonzero((remaining <= 0) & ~queued)
         else:
-            preds, hits = np.unique(preds[~queued[preds]], return_counts=True)
-            remaining[preds] -= hits
-            ready = preds[remaining[preds] <= 0]
+            preds = preds[~queued[preds]]
+            np.subtract.at(remaining, preds, 1)
+            ready = distinct(preds[remaining[preds] <= 0], slot)
         if ready.size:
             queued[ready] = True
             push(step(key), ready, ("step", len(levels) - 1))

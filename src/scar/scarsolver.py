@@ -32,19 +32,24 @@ The engine also reports where each level came from, so every level is a
 symbol c * gamma^t: a terminal coefficient c reached t moves from capture,
 or 0 for the states never settled. `solve_game` keeps the last solution of
 each cop's game on the arena with its symbols. Asked again at the same
-(gamma, epsilon), it returns that solution. At a new gamma with the same
-epsilon, it re-evaluates the symbols from the top value down and stops at
-the first pair that is not strictly descending. If none is, the run at the
-new gamma would settle the same levels in the same order, so the old ranks,
-rounds and optimal moves stand with the new values, and the same exact
-check proves them. A level where a seed met a step (an exact tie, such as
-gamma = 1/(2-2*eps) on a path) has no single symbol, and the next gamma is
-solved afresh.
+(gamma, epsilon), it returns that solution. At a new gamma = p/q with the
+same epsilon, it re-evaluates the symbols in Python ints over one
+denominator B * q^(T+1), B the coefficients' least common denominator and
+T the largest t, from the top value down, and stops at the first pair that
+is not strictly descending. If none is, the run at the new gamma would
+settle the same levels in the same order, so the old ranks, rounds and
+optimal moves stand with the new values, and the same exact check proves
+them on the integer keys, where the step k*p // q is exact; each value
+becomes a Fraction once. A level where a seed met a step (an exact tie,
+such as gamma = 1/(2-2*eps) on a path) has no single symbol, and the next
+gamma is solved afresh. Fresh solves keep Fraction keys, as T is not known
+before the run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,49 +104,43 @@ class GameSolution(OptimalMoves):
 @dataclass(frozen=True)
 class _Solved:
     """The last solve of one cop's game on an arena, with the seed batches
-    it was solved from. `symbols` holds one (c, t) per level, value
-    c * gamma^t, aligned with `solution.levels`; None when a level was
-    tied."""
+    it was solved from. `symbols` holds one (a, t) per level, value
+    a * gamma^t / B for the int a and B = `_scale(seeds)`, aligned with
+    `solution.levels`; None when a level was tied."""
 
     gamma: Fraction
     epsilon: Fraction
     seeds: list[tuple[Fraction, np.ndarray]]
     solution: GameSolution
-    symbols: tuple[tuple[Fraction, int], ...] | None
+    symbols: tuple[tuple[int, int], ...] | None
 
 
-def _engine_game(arena: Arena, gamma: Fraction, maximizer: np.ndarray, seeds: list) -> tuple:
-    """The engine's arguments for a discounted game on the arena's quotient
-    from the capture orbits' seed batches `(coefficient, orbits)`: keys
-    -value, step gamma*k, never 0."""
-    q = arena.quotient()
-    return (
-        q.moves,
-        maximizer,
-        q.capture,
-        [(-c, orbits) for c, orbits in seeds],
-        lambda key: gamma * key,
-        Q0,
-    )
+def _scale(seeds: list) -> int:
+    """B: the least common denominator of the seed coefficients."""
+    return math.lcm(*(c.denominator for c, _ in seeds))
 
 
 def _discounted(
     arena: Arena, gamma: Fraction, maximizer: np.ndarray, seeds: list
-) -> tuple[GameSolution, tuple[tuple[Fraction, int], ...] | None]:
-    """Run the engine and rank the values in ascending order; returns the
-    solution and its level symbols (None when a level is tied)."""
-    keys, rank, origins = retrograde(
-        *_engine_game(arena, gamma, maximizer, seeds), arena.quotient().preds
-    )
-    symbols: list[tuple[Fraction, int]] | None = []
+) -> tuple[GameSolution, tuple[tuple[int, int], ...] | None]:
+    """Run the engine on the arena's quotient from the capture orbits' seed
+    batches `(coefficient, orbits)`, keys -value (step gamma*k, never 0),
+    and rank the values in ascending order; returns the solution and its
+    level symbols (None when a level is tied)."""
+    q = arena.quotient()
+    keys, rank, origins = retrograde(q.moves, maximizer, q.capture,
+                                     [(-c, orbits) for c, orbits in seeds],
+                                     lambda key: gamma * key, Q0, q.preds)
+    scale = _scale(seeds)
+    symbols: list[tuple[int, int]] | None = []
     for kind, at in origins:
         if kind == "seed":
-            symbols.append((seeds[at][0], 0))
+            symbols.append((int(seeds[at][0] * scale), 0))
         elif kind == "step":
-            c, t = symbols[at]
-            symbols.append((c, t + 1))
+            a, t = symbols[at]
+            symbols.append((a, t + 1))
         elif kind == "never":
-            symbols.append((Q0, 0))
+            symbols.append((0, 0))
         else:
             symbols = None
             break
@@ -152,26 +151,29 @@ def _discounted(
 
 
 def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> GameSolution | None:
-    """last's solution at discount gamma, or None when a level was tied or
-    the symbols' values there are not strictly descending from the top
-    down (checked pair by pair, stopping at the first pair out of order).
-    The moved solution passes the engine's exact check before it is
-    returned; a failure there is a ScarError, not a fallback."""
+    """last's solution at discount gamma = p/q, or None when a level was
+    tied or the symbols' values there are not strictly descending from the
+    top down (checked pair by pair, stopping at the first pair out of
+    order). The values are Python ints over D = B * q^(T+1), T the largest
+    t: a * gamma^t / B is a * p^t * q^(T+1-t) / D, on which the step
+    k*p // q is exact. The moved solution passes the engine's exact check
+    on these keys before it is returned; a failure there is a ScarError,
+    not a fallback."""
     if last.symbols is None:
         return None
-    values: list[Fraction] = []
-    for c, t in reversed(last.symbols):
-        value = c * gamma**t
-        if values and not value < values[-1]:
+    p, q = gamma.numerator, gamma.denominator
+    top = 1 + max(t for _, t in last.symbols)
+    keys: list[int] = []  # -value * D, ascending
+    for a, t in reversed(last.symbols):
+        key = -a * p**t * q ** (top - t)
+        if keys and not keys[-1] < key:
             return None
-        values.append(value)
-    old = last.solution
-    check_fixpoint(
-        *_engine_game(arena, gamma, old.maximizer, last.seeds),
-        [-v for v in values],
-        len(values) - 1 - old.rank,
-    )
-    return dataclasses.replace(old, levels=tuple(reversed(values)))
+        keys.append(key)
+    old, scale, quotient = last.solution, _scale(last.seeds) * q**top, arena.quotient()
+    seed_keys = [(-int(c * scale), orbits) for c, orbits in last.seeds]
+    check_fixpoint(quotient.moves, old.maximizer, quotient.capture, seed_keys,
+                   lambda key: key * p // q, 0, keys, len(keys) - 1 - old.rank)
+    return dataclasses.replace(old, levels=tuple(Fraction(-key, scale) for key in reversed(keys)))
 
 
 def _terminal_classes(arena: Arena, player: int) -> list[tuple[State, np.ndarray]]:

@@ -226,8 +226,10 @@ def run_case(case: dict) -> CaseResult:
     return _RUNNERS[kind](case)
 
 
-def run_suite(patterns: list[str] | None = None) -> list[CaseResult]:
-    cases = load_manifest()
+def run_suite(
+    patterns: list[str] | None = None, cases: list[dict] | None = None
+) -> list[CaseResult]:
+    cases = load_manifest() if cases is None else cases
     if patterns:
         cases = [c for c in cases if any(p in c["id"] for p in patterns)]
     return [run_case(c) for c in cases]

@@ -31,7 +31,7 @@ from scar import (
     solve_game,
     state_cop_report,
 )
-from scar.arena import Csr, is_capture
+from scar.arena import Csr, distinct, is_capture
 from scar.classify import _restricted_tables
 from scar.graphs import automorphism_generators
 
@@ -112,6 +112,14 @@ def test_reverse_takes_its_row_starts_from_the_sorted_keys(rows):
     width = max(sizes)
     assert table.table.tolist() == [r + r[-1:] * (width - len(r)) for r in rows]
     assert table.reverse().table.tolist() == padded_reverse(table.table.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=30))
+def test_distinct_keeps_one_copy_of_each_value(values):
+    slot = np.full(10, -7, dtype=np.int64)
+    got = distinct(np.array(values, dtype=np.int64), slot)
+    assert sorted(got.tolist()) == sorted(set(values))
 
 
 def test_the_path12_quotient_reverses_as_before():

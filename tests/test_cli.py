@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from scar import Arena, build_arena, builtin, cli, positionality
+from scar import Arena, build_arena, builtin, cli, positionality, verifysuite
 from scar.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -235,9 +235,19 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert len(list(tmp_path.iterdir())) == 1
 
 
-def test_verify_filtered(capsys):
+def test_verify_filtered(capsys, monkeypatch):
+    """The manifest is read once per call, for the id check and the run."""
+    reads = []
+    load = verifysuite.load_manifest
+
+    def counted():
+        reads.append(1)
+        return load()
+
+    monkeypatch.setattr(verifysuite, "load_manifest", counted)
+    monkeypatch.setattr(cli, "load_manifest", counted)
     code, out, _ = run(capsys, "verify", "p2-n3")
-    assert code == 0
+    assert code == 0 and len(reads) == 1
     assert "PASS p2-n3-region" in out
     assert out.rstrip().endswith("passed 1/1")
 

@@ -285,15 +285,16 @@ class CountingNumpy:
 
 @pytest.fixture
 def frontier_spy(monkeypatch):
-    """watch(module) counts the module's `np.bincount` and `np.unique`
-    calls and records the length of every row list that `Csr.row_reader`
-    readers return, one per level, and of every frontier's successor rows
-    that `Arena.columns` makes; returns (calls, lengths)."""
+    """watch(module) counts the module's `np.bincount`, `np.unique` and
+    `distinct` calls and records the length of every row list that
+    `Csr.row_reader` readers return, one per level, and of every frontier's
+    successor rows that `Arena.columns` makes; returns (calls, lengths)."""
 
     def watch(module) -> tuple[Counter, list[int]]:
         calls: Counter = Counter()
         lengths: list[int] = []
         make_reader, make_columns = Csr.row_reader, arena_module.Arena.columns
+        distinct = arena_module.distinct
 
         def recording_columns(arena, rows):
             lengths.append(rows.size * arena.width)
@@ -309,7 +310,12 @@ def frontier_spy(monkeypatch):
 
             return recorded
 
+        def counted_distinct(values, slot):
+            calls["distinct"] += 1
+            return distinct(values, slot)
+
         monkeypatch.setattr(module, "np", CountingNumpy(calls))
+        monkeypatch.setattr(module, "distinct", counted_distinct)
         monkeypatch.setattr(Csr, "row_reader", recording_reader)
         monkeypatch.setattr(arena_module.Arena, "columns", recording_columns)
         return calls, lengths
@@ -321,7 +327,8 @@ def frontier_spy(monkeypatch):
 def test_wide_and_narrow_frontiers_both_run(frontier_spy, name, k, n):
     """A level or flood frontier whose row list has at least
     n / WIDE_FRONTIER entries is counted over every state, a narrower one
-    is sorted; on these arenas both rules run, and the answers equal the
+    is counted entry by entry and freed of repeats by `distinct`, with no
+    sort; on these arenas both rules run, and the answers equal the
     references."""
     a, every_cop, frozen, init = cr_inputs(name, k, n)
     preds = a.predecessors()
@@ -333,14 +340,16 @@ def test_wide_and_narrow_frontiers_both_run(frontier_spy, name, k, n):
         assert np.array_equal(got, want)
     wide = sum(WIDE_FRONTIER * p >= a.n_states for p in lengths)
     assert calls["bincount"] == wide > 0
-    assert calls["unique"] == len(lengths) - wide > 0
+    assert calls["distinct"] == len(lengths) - wide > 0
+    assert calls["unique"] == 0
 
     calls, lengths = frontier_spy(arena_module)
     start = int(np.flatnonzero(~a.capture_mask)[0])
     reach = arena_module.reachable_noncapture(a, start)
     wide = sum(WIDE_FRONTIER * p >= a.n_states for p in lengths)
     assert calls["bincount"] == 0 and 0 < wide < len(lengths)
-    assert calls["unique"] == len(lengths) - wide
+    assert calls["distinct"] == len(lengths) - wide
+    assert calls["unique"] == 0
     # the reference: synchronous rounds from the start over all moves at once
     seen = np.zeros(a.n_states, dtype=bool)
     seen[start] = True

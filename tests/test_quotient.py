@@ -136,6 +136,28 @@ def test_labels_are_brute_force_orbit_minima(g, n):
             assert len(coset) * len(closure(stab, v)) == len(group)
 
 
+@pytest.mark.parametrize("graph, n, dtype", [
+    (builtin("path", 7), 3, np.uint8),  # 175 tuple orbits: times N wraps in uint8
+    (builtin("cycle", 8), 4, np.uint16),  # 260 tuple orbits
+], ids=["path7", "cycle8"])
+def test_orbit_of_and_lift_past_255_orbits(graph, n, dtype):
+    """`mix_orbit` has the least width that holds the tuple orbits, and
+    `orbit_of` (of arrays and of numpy scalars of any width) and `lift` name
+    each state's orbit: the one whose rep is its least image."""
+    a = build_arena(graph, n)
+    q = a.quotient()
+    v = graph.vertex_count
+    assert len(q.reps) > 255 and q.mix_orbit.dtype == dtype
+    least = least_images(closure(automorphism_generators(graph), v), v, n)
+    want = np.searchsorted(q.reps, np.repeat(least * n, n) + np.tile(np.arange(n), v**n))
+    assert np.array_equal(q.reps[want] // n, np.repeat(least, n))
+    assert np.array_equal(q.orbit_of(np.arange(a.n_states)), want)
+    assert np.array_equal(q.lift(np.arange(len(q.reps))), want)
+    for i in range(a.n_states - 1, 0, -97):
+        for scalar in (np.int64, np.int32, np.uint16, np.uint32):
+            assert q.orbit_of(scalar(i)) == want[i] == a.orbit(scalar(i))
+
+
 def integer_layers(a) -> dict:
     """Every integer layer solved on the arena's quotient, per state."""
     cr = solve_capture_time(a)

@@ -335,3 +335,37 @@ def test_a_reused_solution_must_pass_the_exact_check(monkeypatch, discounted_run
     with pytest.raises(ScarError, match="check refused"):
         solve_game(a, 1, GameParams(3, Q(3, 10), Q(1, 10)))
     assert len(discounted_runs) == 1
+
+
+def test_a_reused_solution_is_checked_on_integer_keys(monkeypatch, discounted_runs):
+    """At gamma = p/q the re-use hands the exact check int keys, seeds and
+    never, with k*p divisible by q on every level, so the step k*p // q is
+    gamma*k; moving any one level by one unit makes the check fail."""
+    a = build_arena(builtin("path", 3), 3)
+    eps, gamma = Q(1, 10), Q(3, 10)
+    solve_game(a, 1, GameParams(3, Q(1, 4), eps))
+    calls = []
+    check = scarsolver.check_fixpoint
+
+    def spy(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(scarsolver, "check_fixpoint", spy)
+    moved = solve_game(a, 1, GameParams(3, gamma, eps))
+    assert len(discounted_runs) == 1 and len(calls) == 1
+    *game, levels, rank = calls[0]
+    _, _, _, seeds, step, never = game
+    assert all(type(k) is int for k in [*levels, *(key for key, _ in seeds), never])
+    assert all(k * 3 % 10 == 0 for k in levels)
+    assert [step(k) for k in levels] == [gamma * k for k in levels]
+    # the keys are -value times one scale
+    assert [Q(k, levels[0]) * moved.levels[-1] for k in reversed(levels)] == list(moved.levels)
+    _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
+                                     GameParams(3, gamma, eps)))
+    for i in range(len(levels)):
+        for unit in (-1, 1):
+            off = list(levels)
+            off[i] += unit
+            with pytest.raises(ScarError):
+                check(*game, off, rank)
