@@ -35,8 +35,10 @@ Row i of the quotient is the row of orbit i's smallest state, each target
 replaced by its orbit, duplicates and padding kept, under every group, the
 trivial one included. Those multiplicities differ with orbit sizes, so no
 structure gives its predecessor table: `Csr.reverse` sorts it, cheaply at
-that size, and fills each row to the largest in-degree with the row's own
-index, which no solve or flood reads before that row is settled. Their
+that size, and fills each row to the largest in-degree (one `bincount`)
+with the row's own index, which no solve or flood reads before that row
+is settled. Classify's restricted games are cut from these two tables
+with no sort (see `fixpoint`); no other table is reversed. Their
 answers stay per orbit: a single state reads its orbit (`Arena.orbit`), a
 summary weighs orbits by their sizes (`Quotient.count`), and a per-state
 table is lifted (`Arena.lifted`) only when a caller reads one. The capture
@@ -517,7 +519,10 @@ class Csr:
     """A read-only table of rows that all hold `width` >= 1 entries: row i
     is `table[i]`. A row with fewer moves repeats its last one, which
     changes no min, max, OR, "some entry" or "every entry" test over it.
-    Unpacks as CSR (offsets, targets) arrays."""
+    In a predecessor table a pad is an entry naming its own row instead;
+    `listed` counts each state's listings outside pads, which is what
+    `retrograde` pays a state's moves with. Unpacks as CSR (offsets,
+    targets) arrays."""
 
     table: np.ndarray
 
@@ -582,14 +587,30 @@ class Csr:
         sv = keys[self.targets]
         return sv == self.per_edge(self.row_best(sv, max_mask))
 
-    def filter(self, keep: np.ndarray) -> Csr:
-        """The table of the entries marked in `keep`, at least one per row,
-        each row padded with its own last kept entry."""
-        keep = keep.reshape(self.table.shape)
-        count = keep.sum(axis=1)
-        kept_first = np.argsort(~keep, axis=1, kind="stable")
-        slots = np.take_along_axis(kept_first, _pad_slots(count), 1)
-        return Csr(np.take_along_axis(self.table, slots, 1))
+    @functools.cached_property
+    def listed(self) -> np.ndarray:
+        """Per row index i, how many entries name i outside pads, a pad
+        being an entry that names its own row; in the least unsigned
+        dtype. On a predecessor table these are the moves of each state
+        that `retrograde` pays: on an exact reverse, which `reverse` sets
+        without counting, the reversed table's width less the entries that
+        name their own row; on one whose cut listings were made pads, the
+        kept moves."""
+        n = len(self.table)
+        own = np.arange(n, dtype=self.table.dtype)
+        count = np.zeros(n, dtype=np.int64)
+        for column in self.table.T:  # a column at a time: no temporary of every entry
+            count += np.bincount(column[column != own], minlength=n)
+        return _read_only(count.astype(np.min_scalar_type(count.max(initial=0))))
+
+    @functools.cached_property
+    def loops(self) -> np.ndarray:
+        """The rows that hold an entry naming the row itself, ascending,
+        once per such entry (none in the package: every move passes the
+        turn)."""
+        n = len(self.table)
+        own = np.flatnonzero(self.table == np.arange(n, dtype=self.table.dtype)[:, None])
+        return _read_only(own // self.width)
 
     def reverse(self) -> Csr:
         """The exact reverse, duplicates kept: row t lists every (row s,
@@ -598,17 +619,23 @@ class Csr:
         settled and `_flood` only once t is seen, so neither steps into a
         pad. Sources are int32 while they fit."""
         n, width = self.table.shape
+        degree = np.bincount(self.table.reshape(-1), minlength=n)
         # ordered by target, then source; equal keys are equal entries
         keys = np.multiply(self.table, n, dtype=np.int64)
         keys += np.arange(n)[:, None]
         keys = keys.reshape(-1)
         keys.sort()
-        degree = np.diff(np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n))
         np.remainder(keys, n, out=keys)
         own = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)[:, None]
         preds = np.repeat(own, int(degree.max()), axis=1)
         preds[np.arange(preds.shape[1]) < degree[:, None]] = keys  # row-major: by target
-        return Csr(preds)
+        out = Csr(preds)
+        # each state is listed once per entry of its row, less the entries
+        # naming the row itself, which read as pads
+        listed = np.full(n, width, dtype=np.min_scalar_type(width))
+        np.subtract.at(listed, self.loops, 1)
+        out.__dict__["listed"] = _read_only(listed)
+        return out
 
 
 def _pad_slots(count: np.ndarray) -> np.ndarray:

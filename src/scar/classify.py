@@ -21,6 +21,17 @@ existential at that cop's turns). The conservative variant hands those tie
 choices to the adversary as well, asking the capture to be inevitable. Both
 are reported; when they disagree the classifier logs it and follows the
 canonical one.
+
+The classifier solves the canonical game for every designated cop, since
+the first failing orbit is its witness, and the adversarial one only when
+the canonical test passed for all of them. Skipping it is exact: giving
+the adversary more choices only shrinks an attractor (Grädel, Thomas &
+Wilke, eds., Automata, Logics, and Infinite Games, LNCS 2500, 2002), so the
+adversarial winning set lies inside the canonical one and fails wherever
+that fails. `g3_guarantee_test` solves either variant on demand; each is
+memoized on the arena on its own. Both run on the orbit quotient's tables
+cut to the cop's optimal moves with no sort (`_restricted_tables`), made
+for each solve and not kept.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ import numpy as np
 from .arena import (
     DEFAULT_MAX_STATES,
     Arena,
+    Csr,
     State,
     build_arena,
 )
@@ -60,37 +72,49 @@ def in_script_g(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) 
     return bool((solve_capture_time(arena).depths[~arena.quotient().capture] >= INT_INF).any())
 
 
-def _restricted_tables(arena: Arena, cr: CrSolution, m: int):
-    """Cop m's restricted game on the arena's orbit quotient: the quotient's
-    table with cop m's rows cut to their capture-time-optimal moves, and its
-    predecessor table."""
+def _restricted_tables(arena: Arena, cr: CrSolution, m: int) -> tuple[Csr, Csr]:
+    """Cop m's restricted game, cut from the orbit quotient's own tables
+    without a sort: the successor table with each move of cop m that is
+    not capture-time-optimal replaced by an optimal one of its row, and
+    the predecessor table with each listing of such a move turned into a
+    pad, which names its own row. `retrograde` then pays each row only its
+    kept moves. A move passes the turn, so cop m's moves leave the orbits
+    where m moves and are listed only in the rows of the orbits where the
+    next token moves; no other row changes."""
     q = arena.quotient()
-    keep = q.moves.per_edge(~q.turns(m))
-    keep |= cr.orbit_edge_opt()
-    table = q.moves.filter(keep)
-    return table, table.reverse()
+    src, dst = np.flatnonzero(q.turns(m)), np.flatnonzero(q.turns(m % arena.n_players + 1))
+    rows = q.moves.table[src]
+    cut = ~cr.orbit_edge_opt().reshape(q.moves.table.shape)[src]
+    fill = rows[np.arange(len(src)), cut.argmin(axis=1)]  # an optimal move of each row
+    moves = q.moves.table.copy()
+    moves[src] = np.where(cut, fill[:, None], rows)
+    # the optimal moves of a row all reach the depth of its fill
+    best = cr.depths.copy()
+    best[src] = cr.depths[fill]
+    rows = q.preds.table[dst]
+    preds = q.preds.table.copy()
+    preds[dst] = np.where(cr.depths[dst, None] != best[rows], dst[:, None], rows)
+    return Csr(moves), Csr(preds)
 
 
 def _guarantee_winning_sets(
-    arena: Arena, cr: CrSolution, m: int
-) -> tuple[np.ndarray, np.ndarray]:
+    arena: Arena, cr: CrSolution, m: int, adversarial_ties: bool = False
+) -> np.ndarray:
     """Orbits from which cop m, moving only along its capture-time-optimal
     edges, reaches a capture state it takes part in, no matter what every
-    other token does: (canonical, adversarial-ties). Captures without m are
-    absorbing losses. Both are solved over one restricted table of the
-    orbit quotient and memoized on the arena."""
+    other token does; with `adversarial_ties`, m's choice among those
+    edges goes to the adversary too. Captures without m are absorbing
+    losses. Each variant is solved over the restricted tables, made for
+    that solve alone, and memoized on the arena."""
 
-    def build() -> tuple[np.ndarray, np.ndarray]:
+    def build() -> np.ndarray:
         q = arena.quotient()
-        m_rows = q.turns(m)
         moves, preds = _restricted_tables(arena, cr, m)
+        chasing = np.zeros(len(q.reps), dtype=bool) if adversarial_ties else q.turns(m)
         init = np.where(q.at_robber[m - 1], 0, INT_INF).astype(np.int64)
-        return tuple(
-            solve_layers(moves, minimizing, q.capture, init, predecessors=preds) < INT_INF
-            for minimizing in (m_rows, np.zeros_like(m_rows))
-        )
+        return solve_layers(moves, chasing, q.capture, init, predecessors=preds) < INT_INF
 
-    return arena.memo(("guarantee", m), build)
+    return arena.memo(("guarantee", m, adversarial_ties), build)
 
 
 def g3_guarantee_test(
@@ -102,7 +126,7 @@ def g3_guarantee_test(
     if state_cop_number(arena, s) != 1:
         raise ValidationError("the guarantee test needs a state with cop number 1")
     m = int(crsol.orbit_capturer()[at])
-    return bool(_guarantee_winning_sets(arena, crsol, m)[adversarial_ties][at])
+    return bool(_guarantee_winning_sets(arena, crsol, m, adversarial_ties)[at])
 
 
 def _int_or_inf(value: int | float) -> int | str:
@@ -141,12 +165,15 @@ def classify(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) -> 
         evidence["c1_robber_state_count"] = q.count(c1_rm)
         evidence["c1_robber_witness"] = witness(c1_rm)
         capturer = cr.orbit_capturer()
-        for m in np.unique(capturer[c1_rm]):
-            sub = c1_rm & (capturer == m)
-            w_exists, w_adv = _guarantee_winning_sets(arena, cr, int(m))
-            fails |= sub & ~w_exists
-            adversarial_ok &= not (sub & ~w_adv).any()
+        credited = {int(m): c1_rm & (capturer == m) for m in np.unique(capturer[c1_rm])}
+        for m, sub in credited.items():
+            fails |= sub & ~_guarantee_winning_sets(arena, cr, m)
         exists_ok = not fails.any()
+        # the adversarial winning set lies inside the canonical one, so it
+        # is solved only when the canonical test passed for every cop
+        adversarial_ok = exists_ok and not any(
+            (sub & ~_guarantee_winning_sets(arena, cr, m, adversarial_ties=True)).any()
+            for m, sub in credited.items())
     if exists_ok != adversarial_ok:
         evidence["guarantee_variants_disagree"] = True
         log.warning(

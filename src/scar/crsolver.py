@@ -75,6 +75,12 @@ class CrSolution(OptimalMoves):
             "capture_edge_opt", lambda: a.moves.best_edges(self.values, a.robber_mover_mask())
         )
 
+    def orbit_edge_opt(self) -> np.ndarray:
+        """`OptimalMoves.orbit_edge_opt`, memoized on the arena: classify's
+        restricted tables and the positionality tests read it again and
+        again."""
+        return self.arena.memo("capture_orbit_edge_opt", super().orbit_edge_opt)
+
     # -- attribution ------------------------------------------------------------
 
     def _orbit_bits(self) -> np.ndarray:

@@ -17,8 +17,14 @@ ascending by key, found by bisection, so keys are compared and never
 hashed; the smallest is settled as a level. Over the predecessor table every
 unsettled predecessor of the level loses one remaining successor, and a
 state whose count reaches 0 is pushed at step(key). The count starts at 1
-for eager states, which settle on their first settled successor, and at the
-out-degree elsewhere, which settle on their last. The rest take `never`.
+for eager states, which settle on their first settled successor. Elsewhere
+it is read from the predecessor table: how often it lists the state
+outside pads (`Csr.listed`), which for an exact reverse is the width of
+the state's row; such a state settles on its last listed successor. So a
+game on a subset of a table's moves needs no table of its own: the caller
+replaces each cut entry by a kept entry of the same row and turns its
+listing in the predecessor table into a pad, with no sort, and the count
+pays only the kept moves. The rest take `never`.
 
 How a level is counted depends on the length p of its predecessor list, out
 of n states. A wide level (16p >= n; 16 is `arena.WIDE_FRONTIER`) is counted
@@ -46,8 +52,8 @@ is what lets `scarsolver` re-evaluate a solved game at another discount
 
 - `solve_layers`: key = depth, step k+1, never = INT_INF. Capture-time
   solve (cops eager), which also answers the classic simultaneous-move
-  game, coalition attractors, and guarantee tests on restricted move
-  tables.
+  game, coalition attractors, and classify's guarantee tests on the
+  quotient's tables cut to a cop's optimal moves.
 - `scarsolver`: key = -value, step gamma*k, never = 0. The per-cop
   discounted games and the discounted capture-time game.
 """
@@ -78,13 +84,19 @@ def retrograde(
 
     Every row of the table must hold a move, and every seeded state must
     be frozen. A seed keyed `never` is left unsettled and a key above it is
-    refused. `predecessors` is the table's exact reverse (`Csr.reverse`),
-    each row t padded with t itself: row t is read only once t is settled,
-    and a settled state is queued, so its pads decrement no count that is
-    still read. Every solve in the package passes one, the orbit
-    quotient's or classify's restricted table's; for a table passed
-    without one `moves.reverse` sorts the entries here. A row's duplicate
-    entries count once each, as its width does.
+    refused. `predecessors` lists, in row t, each entry of `moves` naming
+    t by its row, and fills the rest of row t with t itself (a pad): the
+    exact reverse (`Csr.reverse`), or a reverse with some entries turned
+    into pads, when `moves` repeats a kept entry of the same row in their
+    place. A max row's moves are counted as the predecessor table lists
+    them outside pads (`Csr.listed`), so each is paid once per listing;
+    for an exact reverse that is the row's width. Row t is read only once
+    t is settled, and a settled state is queued, so its pads decrement no
+    count that is still read. A max row that names itself never settles,
+    so it is queued at the start: its own listing reads as a pad. Every
+    solve in the package passes a predecessor table, the orbit quotient's
+    or one cut from it; for a table passed without one `moves.reverse`
+    sorts the entries here.
     """
     if predecessors is None:
         predecessors = moves.reverse()
@@ -110,7 +122,11 @@ def retrograde(
             push(key, states, ("seed", i))
 
     queued = np.array(frozen, dtype=bool)  # frozen states never settle from successors
-    remaining = np.where(eager, 1, moves.width)
+    loops = moves.loops
+    if loops.size:
+        queued[loops[~eager[loops]]] = True
+    remaining = predecessors.listed.astype(np.int64)
+    remaining[eager] = 1
     n = len(queued)
     rank = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
     slot = np.empty(n, dtype=np.int64)  # `distinct`'s scratch

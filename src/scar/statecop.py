@@ -11,9 +11,14 @@ strategy profiles.
 
 The subset search enumerates coalitions by increasing size (there are at
 most 2^(N-1) - 1 of them and N stays small), caching each winning set on the
-arena so sweeps, single queries and the classifier share work. Winning sets
-and c(G|s) are constant on orbits of the graph's automorphisms, so they are
-solved and kept per orbit of `Arena.quotient()`, like the capture times.
+arena so sweeps, single queries and the classifier share work. The sweep
+stops as soon as no noncapture orbit is left open, even inside a size: a
+later coalition would only mark open orbits, so values and witnesses are
+those of the full sweep. On path:12 with N=4, where cop 1 alone wins
+from every noncapture orbit, that is one coalition game instead of three.
+Winning sets and c(G|s) are constant on orbits of the graph's
+automorphisms, so they are solved and kept per orbit of
+`Arena.quotient()`, like the capture times.
 """
 
 from __future__ import annotations
@@ -113,23 +118,23 @@ class StateCopReport:
 
 
 def state_cop_report(arena: Arena) -> StateCopReport:
-    """Sweep c(G|s) for every noncapture orbit, with minimal witnesses.
-    Memoized on the arena."""
+    """Sweep c(G|s) for every noncapture orbit, with minimal witnesses,
+    until no noncapture orbit is open. Memoized on the arena."""
 
     def sweep() -> tuple[np.ndarray, np.ndarray]:
         q, n = arena.quotient(), arena.n_players
         values = np.where(q.capture, 0, INT_INF)
         witness = np.zeros(len(q.reps), dtype=np.uint32)
         open_mask = ~q.capture
-        for size in range(1, n):
-            for coalition in combinations(range(1, n), size):
-                won = coalition_wins(arena, coalition)
-                newly = open_mask & won
-                values[newly] = size
-                witness[newly] = sum(1 << (c - 1) for c in coalition)
-                open_mask &= ~won
+        by_size = (c for size in range(1, n) for c in combinations(range(1, n), size))
+        for coalition in by_size:
             if not open_mask.any():
                 break
+            won = coalition_wins(arena, coalition)
+            newly = open_mask & won
+            values[newly] = len(coalition)
+            witness[newly] = sum(1 << (c - 1) for c in coalition)
+            open_mask &= ~won
         return values, witness
 
     return StateCopReport(arena, *arena.memo("state_cop", sweep))

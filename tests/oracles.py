@@ -177,6 +177,43 @@ def capture_credit(g, n_players, times):
     return credit
 
 
+def filtered(table, keep):
+    """The `Csr` of the entries of `table` that `keep` marks, at least one
+    per row, in order, each row padded with its own last kept entry: the
+    kept entries of each row moved to its front by a stable sort."""
+    from scar.arena import Csr
+
+    keep = keep.reshape(table.table.shape)
+    count = keep.sum(axis=1)
+    kept_first = np.argsort(~keep, axis=1, kind="stable")
+    pad = np.minimum(np.arange(count.max()), count[:, None] - 1)
+    slots = np.take_along_axis(kept_first, pad, 1)
+    return Csr(np.take_along_axis(table.table, slots, 1))
+
+
+def check_cut_tables(full, keep, moves, preds):
+    """Assert that the `Csr` pair (moves, preds) is the table `full`, which
+    names no row's own index, cut to the entries `keep` marks: each row of
+    moves holds exactly its row's kept targets, in full's shape; preds
+    lists each kept entry (s, t) once, as s in row t, and every other
+    entry of row t is t itself; and `preds.listed` counts each row's kept
+    entries."""
+    table, keep = full.table, keep.reshape(full.table.shape)
+    rows = np.broadcast_to(np.arange(len(table))[:, None], table.shape)
+    assert not (table == rows).any()
+    assert moves.table.shape == table.shape
+    same = moves.table[:, :, None] == table[:, None, :]
+    assert (same & keep[:, None, :]).any(axis=2).all()  # every entry is kept
+    assert (same.any(axis=1) | ~keep).all()  # every kept target is there
+    own = np.broadcast_to(np.arange(len(preds.table))[:, None], preds.table.shape)
+    listing = preds.table != own
+    n = len(table)
+    got = np.sort(own[listing].astype(np.int64) * n + preds.table[listing])
+    want = np.sort(table[keep].astype(np.int64) * n + rows[keep])
+    assert np.array_equal(got, want)
+    assert np.array_equal(preds.listed, keep.sum(axis=1))
+
+
 def padded_reverse(rows):
     """The reverse of a table given as its rows, pair by pair: row t lists
     every row that names t, once per entry, ascending, then t itself up to

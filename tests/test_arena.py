@@ -35,7 +35,9 @@ from scar.arena import Csr, distinct, is_capture
 from scar.classify import _restricted_tables
 from scar.graphs import automorphism_generators
 
-from oracles import all_states, cell, padded_reverse, successors as oracle_successors
+from oracles import (
+    all_states, cell, check_cut_tables, filtered, padded_reverse, successors as oracle_successors,
+)
 from strategies import connected_graphs
 
 
@@ -111,7 +113,12 @@ def test_reverse_takes_its_row_starts_from_the_sorted_keys(rows):
     table = Csr.measured(np.cumsum([0, *sizes]), np.concatenate(rows))
     width = max(sizes)
     assert table.table.tolist() == [r + r[-1:] * (width - len(r)) for r in rows]
-    assert table.reverse().table.tolist() == padded_reverse(table.table.tolist())
+    back = table.reverse()
+    assert back.table.tolist() == padded_reverse(table.table.tolist())
+    # the count `reverse` sets is the count of its listings outside pads
+    # (an entry naming its own row reads as one)
+    assert back.listed.tolist() == [width - r.count(s) for s, r in enumerate(table.table.tolist())]
+    assert np.array_equal(back.listed, Csr(back.table).listed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,7 +172,7 @@ def test_row_helpers_match_reduceat_and_concat_ranges(name, k, width, one_wide):
     assert (width is None) == (len({len(r) for r in rows}) > 1)
     table = a.moves
     if one_wide:
-        table = table.filter(np.arange(len(table.targets)) % table.width == 0)
+        table = filtered(table, np.arange(len(table.targets)) % table.width == 0)
         rows = [r[:1] for r in rows]
     assert table.width == (1 if one_wide else widest(g))
     sizes = np.array([len(r) for r in rows])
@@ -403,18 +410,23 @@ def test_reachable_noncapture_on_the_dodecahedron_stays_small():
 
 def check_package_tables(g, n: int) -> None:
     """Every successor table the package builds for (g, n) is as wide as
-    the largest closed neighbourhood, and every pad entry of a predecessor
-    table names its own row."""
+    the largest closed neighbourhood. An exact predecessor table fills
+    each row past its in-degree with the row's own index and lists every
+    state as often as its row is wide; cop m's restricted pair is the
+    quotient's pair cut to the moves it keeps (`check_cut_tables`)."""
     a = build_arena(g, n)
     q, cr = a.quotient(), solve_capture_time(a)
-    tables = [(a.moves, a.predecessors()), (q.moves, q.preds)]
-    tables += [_restricted_tables(a, cr, m) for m in range(1, n)]
-    for moves, preds in tables:
+    for moves, preds in ((a.moves, a.predecessors()), (q.moves, q.preds)):
         assert moves.width == widest(g)
         degree = np.bincount(moves.targets, minlength=len(preds.table))
         is_pad = np.arange(preds.width) >= degree[:, None]
         own = np.broadcast_to(np.arange(len(preds.table))[:, None], preds.table.shape)
         assert np.array_equal(preds.table[is_pad], own[is_pad])
+        assert (preds.listed == moves.width).all()
+        assert np.array_equal(preds.listed, Csr(preds.table).listed)  # set by reverse, or counted
+    for m in range(1, n):
+        keep = q.moves.per_edge(~q.turns(m)) | cr.orbit_edge_opt()
+        check_cut_tables(q.moves, keep, *_restricted_tables(a, cr, m))
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,6 +5,7 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scar import (
     State,
@@ -17,9 +18,10 @@ from scar import (
     solve_capture_time,
     state_cop_report,
 )
-from scar.fixpoint import INT_INF
+from scar.fixpoint import INT_INF, solve_layers
 
-from oracles import padded_reverse
+from oracles import check_cut_tables, filtered
+from strategies import connected_graphs
 
 # the package exports the function `classify` under the module's name
 classify_module = importlib.import_module("scar.classify")
@@ -118,22 +120,87 @@ def test_small_graphs_stay_out_at_four_players():
     assert got.klass == "NotInG"
     assert got.evidence["max_state_cop_number"] != "inf"
 
+
 @pytest.mark.parametrize("n", [3, 4])
-def test_restricted_tables_equal_the_filtered_table_and_its_sorted_reverse(suite_graphs, n):
-    """Cop m's restricted game lives on the orbit quotient: orbit i's row
-    lists the orbits of the moves that the arena's filtered table keeps at
-    the orbit's representative, in order and padded alike, and the
-    predecessor table is its exact reverse, each row padded with its own
-    orbit."""
+def test_restricted_tables_cut_the_quotient_and_solve_as_the_filtered_table(suite_graphs, n):
+    """Cop m's restricted pair is the quotient's pair cut to the moves it
+    keeps, with no sort: every other move and m's capture-time-optimal
+    ones. Both guarantee games solved on it equal the same games on the
+    filtered table and its exact reverse."""
     for name, g in suite_graphs.items():
         a = build_arena(g, n)
         cr = solve_capture_time(a)
         q = a.quotient()
-        orbit = q.lift(np.arange(len(q.reps)))
+        init = np.where(q.at_robber, 0, INT_INF).astype(np.int64)
         for m in range(1, n):
-            table, preds = classify_module._restricted_tables(a, cr, m)
-            keep = a.moves.per_edge(~a.mover_mask(m)) | cr.edge_opt
-            want = a.moves.filter(keep)
-            assert np.array_equal(table.table, orbit[want.table[q.reps]]), (name, m)
-            assert preds.targets.dtype == np.int32, (name, m)
-            assert preds.table.tolist() == padded_reverse(table.table.tolist()), (name, m)
+            keep = q.moves.per_edge(~q.turns(m)) | cr.orbit_edge_opt()
+            check_cut_tables(q.moves, keep, *classify_module._restricted_tables(a, cr, m))
+            table = filtered(q.moves, keep)
+            for adversarial, chasing in ((False, q.turns(m)), (True, np.zeros_like(q.capture))):
+                want = solve_layers(table, chasing, q.capture, init[m - 1],
+                                    predecessors=table.reverse()) < INT_INF
+                got = classify_module._guarantee_winning_sets(a, cr, m, adversarial)
+                assert np.array_equal(got, want), (name, m, adversarial)
+
+
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs(max_vertices=5), st.sampled_from([3, 4]))
+def test_the_adversarial_winning_set_lies_inside_the_canonical_one(g, n):
+    """Handing cop m's tie choices to the adversary only shrinks its
+    attractor, which is what lets `classify` skip the adversarial game
+    once the canonical test fails."""
+    a = build_arena(g, n)
+    cr = solve_capture_time(a)
+    for m in range(1, n):
+        w_exists = classify_module._guarantee_winning_sets(a, cr, m)
+        w_adv = classify_module._guarantee_winning_sets(a, cr, m, adversarial_ties=True)
+        assert not (w_adv & ~w_exists).any(), m
+
+
+def eager_variants(g, n) -> tuple[bool, bool]:
+    """Both guarantee variants over every robber-to-move orbit of c(G|s)
+    = 1, with both games solved for every credited cop."""
+    a = build_arena(g, n)
+    q, cr = a.quotient(), solve_capture_time(a)
+    vals = state_cop_report(a).orbit_values
+    c1_rm = q.turns(n) & ~q.capture & (vals == 1)
+    if not c1_rm.any():
+        return True, True
+    capturer = cr.orbit_capturer()
+    wins = classify_module._guarantee_winning_sets
+    return tuple(
+        all(not (c1_rm & (capturer == m) & ~wins(a, cr, int(m), adversarial)).any()
+            for m in np.unique(capturer[c1_rm]))
+        for adversarial in (False, True))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_variant_flags_equal_an_eager_solve_of_both_variants(suite_graphs, n):
+    for name, g in suite_graphs.items():
+        got = classify(g, n)
+        assert (got.g3_exists_variant, got.g3_adversarial_variant) == eager_variants(g, n), name
+
+
+def test_classify_solves_the_adversarial_game_only_after_every_canonical_pass(monkeypatch):
+    """path:12, N=4: every cop is credited somewhere and the canonical test
+    fails, so 3 guarantee games are solved, not 6. `g3_guarantee_test`
+    still solves either variant on demand, each once."""
+    solves = []
+    solve = classify_module.solve_layers
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "solve_layers", counted)
+    got = classify(builtin("path", 12), 4)
+    assert not got.g3_exists_variant and not got.g3_adversarial_variant
+    assert len(solves) == 3
+    a = build_arena(builtin("path", 6), 4)
+    cr = solve_capture_time(a)
+    q = a.quotient()
+    c1_rm = q.turns(4) & ~q.capture & (state_cop_report(a).orbit_values == 1)
+    s = int(q.reps[c1_rm][0])
+    for adversarial in (True, False, True, False):
+        g3_guarantee_test(a, cr, s, adversarial_ties=adversarial)
+    assert len(solves) == 3 + 2

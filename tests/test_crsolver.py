@@ -20,10 +20,13 @@ from scar import (
     simulate,
     solve_capture_time,
 )
+from scar.arena import OptimalMoves
 from scar.crsolver import classic_cop_number, classic_cop_win, classic_cop_win_placement
 from scar.fixpoint import INT_INF
 
-from oracles import capture_times, cell, classic_arena as oracle_classic_arena, jacobi_layers
+from oracles import (
+    capture_times, cell, classic_arena as oracle_classic_arena, filtered, jacobi_layers,
+)
 from strategies import connected_graphs
 
 
@@ -142,7 +145,7 @@ def reference_cop_bits(sol):
     bits = np.zeros(a.n_states, dtype=np.uint32)
     for j, at in enumerate(a.cops_at_robber(np.arange(a.n_states // a.n_players))):
         bits |= np.repeat(at, a.n_players).astype(np.uint32) << np.uint32(j)
-    optimal = a.moves.filter(sol.edge_opt).table
+    optimal = filtered(a.moves, sol.edge_opt).table
     finite_nc = np.flatnonzero(~a.capture_mask & sol.finite_mask())
     for t in np.unique(sol.values[finite_nc]):
         level = finite_nc[sol.values[finite_nc] == t]
@@ -300,3 +303,15 @@ def test_classic_cop_count_may_be_a_numpy_integer():
 def test_classic_cop_count_refuses_bools_and_floats(k, named):
     with pytest.raises(ValidationError, match=named):
         classic_cop_win(builtin("cycle", 4), k)
+
+
+def test_the_orbit_edge_mask_is_made_once_per_arena():
+    """classify reads the capture game's optimal-edge mask once per cop and
+    the positionality tests once per grid point; the arena keeps one
+    read-only copy, equal to the mask made afresh."""
+    a = build_arena(builtin("petersen"), 3)
+    mask = solve_capture_time(a).orbit_edge_opt()
+    assert solve_capture_time(a).orbit_edge_opt() is mask
+    assert np.array_equal(mask, OptimalMoves.orbit_edge_opt(solve_capture_time(a)))
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0] = not mask[0]

@@ -22,7 +22,7 @@ from scar.arena import WIDE_FRONTIER, Csr
 from scar.crsolver import capture_depths
 from scar.fixpoint import INT_INF, check_fixpoint, retrograde, solve_layers
 
-from oracles import INF, capture_credit, capture_times, coalition_wins, jacobi_layers
+from oracles import INF, capture_credit, capture_times, coalition_wins, filtered, jacobi_layers
 from strategies import connected_graphs
 
 
@@ -382,3 +382,56 @@ def test_equal_keys_merge_by_comparison_alone():
     levels, rank, origins = retrograde(moves, eager, frozen, meets, step, never)
     assert [k.k for k in levels] == [0, 1, 2, INT_INF] and rank.tolist() == [0, 1, 2, 3, 2]
     assert origins == [("seed", 0), ("step", 0), ("tied", None), ("never", None)]
+
+
+def cut_reverse(rows, keep):
+    """The reverse of a table given as its rows, pair by pair, with the
+    listing of each entry that `keep` leaves unmarked turned into a pad:
+    row t lists s once per kept entry of row s naming t, and t itself in
+    place of each cut one, then up to the longest row."""
+    back = [[] for _ in rows]
+    for s, (row, marks) in enumerate(zip(rows, keep)):
+        for t, kept in zip(row, marks):
+            back[t].append(s if kept else t)
+    width = max(map(len, back))
+    return [r + [t] * (width - len(r)) for t, r in enumerate(back)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(), st.sampled_from([3, 4]), st.integers(0, 2**32 - 1),
+       st.floats(0.1, 0.9), st.floats(0.05, 0.95))
+def test_a_cut_table_with_padded_predecessors_solves_as_the_filtered_table(
+        g, n, seed, p_keep, p_min):
+    """Random keep masks with at least one kept entry per row, on eager and
+    max rows alike: the table with each cut entry replaced by a kept one
+    of its row, and its reverse with each cut listing made a pad, solves
+    the game of the filtered table and its exact reverse; the engine pays
+    each row its kept entries."""
+    a = build_arena(g, n)
+    rng = np.random.default_rng(seed)
+    table = a.moves.table
+    keep = rng.random(table.shape) < p_keep
+    keep[np.arange(len(table)), rng.integers(0, a.width, len(table))] = True
+    fill = table[np.arange(len(table)), keep.argmax(axis=1)]
+    moves = Csr(np.where(keep, table, fill[:, None]))
+    preds = Csr(np.array(cut_reverse(table.tolist(), keep.tolist())))
+    assert np.array_equal(preds.listed, keep.sum(axis=1))
+    minimizing = rng.random(a.n_states) < p_min
+    frozen = rng.random(a.n_states) < 0.2
+    init = np.where(rng.random(a.n_states) < 0.5, 0, INT_INF).astype(np.int64)
+    want = solve_layers(filtered(a.moves, keep), minimizing, frozen, init)
+    assert np.array_equal(solve_layers(moves, minimizing, frozen, init, predecessors=preds), want)
+    offsets, targets = filtered(a.moves, keep)
+    assert np.array_equal(want, jacobi_layers(offsets, targets, minimizing, frozen, init, INT_INF))
+
+
+def test_a_max_row_naming_itself_never_settles():
+    """A pad names its own row, so a row's entry naming itself is not in
+    the count: state 1 (max) moves to 0 or stays and never settles,
+    state 2 (min) does the same and settles at once."""
+    offsets, targets = np.array([0, 1, 3, 5]), np.array([0, 0, 1, 2, 0])
+    minimizing, frozen = np.array([True, False, True]), np.array([True, False, False])
+    init = np.array([0, INT_INF, INT_INF])
+    got = solve_layers(offsets, targets, minimizing, frozen, init)
+    assert got.tolist() == [0, INT_INF, 1]
+    assert np.array_equal(got, jacobi_layers(offsets, targets, minimizing, frozen, init, INT_INF))

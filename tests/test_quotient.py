@@ -169,7 +169,8 @@ def integer_layers(a) -> dict:
     except UniquenessViolationError:
         out["capturer"] = None
     for m in range(1, a.n_players):
-        out[m] = np.stack([a.quotient().lift(w) for w in _guarantee_winning_sets(a, cr, m)])
+        out[m] = np.stack([a.quotient().lift(_guarantee_winning_sets(a, cr, m, adversarial))
+                           for adversarial in (False, True)])
     return out
 
 
@@ -286,7 +287,8 @@ def per_state_outputs(g, n) -> dict:
             return out
         q = a.quotient()
         for m in np.unique(capturer[c1_rm]):
-            w_exists, w_adv = (q.lift(w) for w in _guarantee_winning_sets(a, cr, int(m)))
+            w_exists, w_adv = (q.lift(_guarantee_winning_sets(a, cr, int(m), adversarial))
+                               for adversarial in (False, True))
             exists = exists & ~(c1_rm & (capturer == m) & ~w_exists)
             adversarial = adversarial & ~(c1_rm & (capturer == m) & ~w_adv)
     exists_ok, adversarial_ok = bool(exists.all()), bool(adversarial.all())

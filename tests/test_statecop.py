@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scar import (
     GameParams,
@@ -25,10 +26,12 @@ from scar import (
     state_cop_report,
 )
 
+from scar import statecop
 from scar.crsolver import forced_capture_depths
 from scar.fixpoint import INT_INF
 
 from oracles import cell, coalition_wins
+from strategies import connected_graphs
 
 
 @pytest.mark.parametrize("name, k, n", [("path", 3, 3), ("cycle", 3, 3), ("path", 2, 4)])
@@ -171,3 +174,55 @@ def test_an_arena_without_noncapture_states_is_refused_where_a_maximum_is_asked(
     assert classic_cop_number(g) == 1
     positional, nonpositional = positionality_table(a, GameParams(3, Q(1, 2), Q(0)))
     assert positional.all() and nonpositional.all()
+
+
+def brute_force_sweep(a) -> tuple[np.ndarray, np.ndarray]:
+    """c(G|s) per orbit and its first minimal winning coalition, from the
+    winning set of every coalition: coalitions are laid down from the
+    largest and last, so the smallest and first that wins is left."""
+    q, n = a.quotient(), a.n_players
+    values = np.where(q.capture, 0, INT_INF)
+    witness = np.zeros(len(q.reps), dtype=np.uint32)
+    for size in range(n - 1, 0, -1):
+        for coalition in reversed(list(combinations(range(1, n), size))):
+            won = ~q.capture & statecop.coalition_wins(a, coalition)
+            values[won] = size
+            witness[won] = sum(1 << (c - 1) for c in coalition)
+    return values, witness
+
+
+def check_sweep_equals_brute_force(g, n) -> None:
+    a = build_arena(g, n)
+    report = state_cop_report(a)
+    values, witness = brute_force_sweep(a)
+    assert np.array_equal(report.orbit_values, values)
+    assert np.array_equal(report.orbit_witness, witness)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_stopping_sweep_equals_a_sweep_over_every_coalition(suite_graphs, n):
+    for g in suite_graphs.values():
+        check_sweep_equals_brute_force(g, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs(max_vertices=5), st.sampled_from([3, 4]))
+def test_the_stopping_sweep_equals_a_sweep_over_every_coalition_on_random_graphs(g, n):
+    check_sweep_equals_brute_force(g, n)
+
+
+def test_the_sweep_stops_once_no_orbit_is_open(monkeypatch):
+    """On path:6 with N=4 cop 1 alone wins from every noncapture state, so
+    the sweep solves one coalition game where it solved all three of
+    size 1."""
+    solved = []
+    forced = statecop.forced_capture_depths
+
+    def counted(arena, chasing):
+        solved.append(chasing)
+        return forced(arena, chasing)
+
+    monkeypatch.setattr(statecop, "forced_capture_depths", counted)
+    report = state_cop_report(build_arena(builtin("path", 6), 4))
+    assert report.max_over_noncapture() == 1
+    assert len(solved) == 1
