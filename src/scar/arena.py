@@ -22,9 +22,9 @@ closed neighbourhood, max(deg)+1.
 
 A move changes a state's index by an amount that depends only on the
 mover t and its vertex u, so one memoized shift table (`Arena._shift`, row
-t*V + u, padded with its last entry) gives any rows of the successor
-table: `Arena.columns(rows)` one column at a time, `_slots` the full table
-in one gather. No solver builds the full table; `succ_indices` makes one
+t*V + u, made from the padded closed neighbourhoods of `Arena._hops`)
+gives any rows of the successor table: `Arena.columns(rows)` one column
+at a time, `_slots` the full table in one gather. No solver builds the full table; `succ_indices` makes one
 row alone, and `simulate` checks each move against it.
 
 Every solver (capture time, attribution, coalitions, classify's guarantee
@@ -33,13 +33,20 @@ quotient: a graph automorphism applied to every token preserves moves,
 captures, captors and turns, so their answers are constant on orbits.
 Row i of the quotient is the row of orbit i's smallest state, each target
 replaced by its orbit, duplicates and padding kept, under every group, the
-trivial one included. Those multiplicities differ with orbit sizes, so no
-structure gives its predecessor table: `Csr.reverse` sorts it, cheaply at
-that size, and fills each row to the largest in-degree (one `bincount`)
-with the row's own index, which no solve or flood reads before that row
-is settled. Classify's restricted games are cut from these two tables
-with no sort (see `fixpoint`); no other table is reversed. Their
-answers stay per orbit: a single state reads its orbit (`Arena.orbit`), a
+trivial one included. Its predecessor table lists the same pairs rather
+than reversing the entries: row i holds the orbit of each predecessor of
+orbit i's smallest state, padded alike. Orbit P is in row t exactly when
+row P of the moves names t, since an automorphism carries a move of P's
+rep into t's orbit onto a move of a state of P's orbit into t's rep, and
+back; only the multiplicities differ from the exact reverse, and no
+engine or flood reads them (see `fixpoint`). A move changes one token, so
+moving token j of each orbit's tuple gives both tables' rows at once (the
+previous mover j of a turn-(j+1) state came from its closed
+neighbourhood), with no sort (`_quotient`). Classify's restricted games
+are cut from these two tables with no sort; the exact reverse
+(`Csr.reverse`) is made only for a full arena's `predecessors()` and a
+table handed to `fixpoint.retrograde` alone. Their answers stay per
+orbit: a single state reads its orbit (`Arena.orbit`), a
 summary weighs orbits by their sizes (`Quotient.count`), and a per-state
 table is lifted (`Arena.lifted`) only when a caller reads one. The capture
 test is read off the digits of a state, so no full `capture_mask` is built
@@ -193,22 +200,30 @@ class Arena:
     offsets = property(lambda self: self.moves.offsets)
     targets = property(lambda self: self.moves.targets)
     # the successor table's row width: the largest closed neighbourhood
-    width = property(lambda self: self._shift().shape[1])
+    width = property(lambda self: self._hops().shape[1])
+
+    def _hops(self) -> np.ndarray:
+        """Row u: the change from vertex u to each member of its closed
+        neighbourhood, in ascending order, padded to the largest size with
+        the last (int64). Memoized."""
+
+        def build() -> np.ndarray:
+            nbhd = [self.graph.closed_neighborhood(u) for u in range(self.graph.vertex_count)]
+            width = max(map(len, nbhd))
+            return np.array([np.subtract(c + c[-1:] * (width - len(c)), u)
+                             for u, c in enumerate(nbhd)], dtype=np.int64)
+
+        return self.memo("hops", build)
 
     def _shift(self) -> np.ndarray:
         """Row t*V + u: the index change of each move of token t from vertex
-        u, the turn advanced, one per member of u's closed neighbourhood in
-        ascending order, padded to the largest size with the last. Memoized."""
+        u, the turn advanced, in the order of `_hops()` row u. Memoized."""
 
         def build() -> np.ndarray:
-            n = self.n_players
-            nbhd = [self.graph.closed_neighborhood(u) for u in range(self.graph.vertex_count)]
-            width = max(map(len, nbhd))
-            hop = np.array([np.subtract(c + c[-1:] * (width - len(c)), u)
-                            for u, c in enumerate(nbhd)], dtype=np.int64)
+            n, hop = self.n_players, self._hops()
             stride = np.array(self._strides, dtype=np.int64)[:, None, None] * n
             advance = np.where(np.arange(n) < n - 1, 1, 1 - n)[:, None, None]
-            return (hop * stride + advance).reshape(-1, width)
+            return (hop * stride + advance).reshape(-1, hop.shape[1])
 
         return self.memo("shift", build)
 
@@ -336,8 +351,10 @@ class Quotient:
     it. `at_robber[m-1, i]` says if cop m sits on the robber there,
     `capture[i]` if any does. Row i of `moves` lists the orbit of each of
     reps[i]'s successors, in order, duplicates kept, padded like the
-    arena's rows, and `preds` is the exact reverse of `moves`
-    (`Csr.reverse`)."""
+    arena's rows, and row i of `preds` the orbit of each of reps[i]'s
+    predecessors, in the same way: orbit P is listed in row t exactly when
+    row P of `moves` names t, though not as often, and `preds.listed`
+    counts the listings."""
 
     n_players: int
     mix_orbit: np.ndarray  # per position tuple, the index of its orbit of tuples (unsigned)
@@ -490,18 +507,28 @@ def _quotient(arena: Arena) -> Quotient:
     mix_orbit = (np.cumsum(is_root, dtype=np.min_scalar_type(len(roots))) - 1)[label]
     del label, is_root  # V^N entries each, not needed while the tables are built
     reps = (roots[:, None] * n + np.arange(n)).ravel()
-    # one column at a time, so the states' rows are never held whole
-    table = np.empty((len(reps), arena.width), dtype=np.int32 if len(reps) < 2**31 else np.int64)
-    for r, states in enumerate(arena.columns(reps)):
-        table[:, r] = mix_orbit[states // n].astype(np.int64) * n + states % n
-    moves = Csr(table)
-    preds = moves.reverse()
+    # Moving token j of a root gives the successors of its turn-j state
+    # and, the closed neighbourhood being symmetric, the predecessors of
+    # its turn-(j+1) state, a token and a column at a time: no temporary
+    # holds every entry, and nothing is sorted.
+    dtype = np.int32 if len(reps) < 2**31 else np.int64
+    moves, preds = (np.empty((len(reps), arena.width), dtype=dtype) for _ in range(2))
+    listed = np.zeros((len(roots), n), dtype=np.int64)  # [o, j]: token j's gathers naming o
+    for j, stride in enumerate(arena._strides):
+        digit = roots // stride % v
+        for c, hop in enumerate(arena._hops().T):
+            mix = mix_orbit[roots + hop[digit] * stride]
+            listed[:, j] += np.bincount(mix, minlength=len(roots))
+            orbit = mix.astype(dtype) * n
+            moves[j::n, c] = orbit + (j + 1) % n
+            preds[(j + 1) % n::n, c] = orbit + j
     at_robber = np.repeat(arena.cops_at_robber(roots), n, axis=1)
     capture = at_robber.any(axis=0)
     counts = np.bincount(mix_orbit)  # held for the quotient's life: the least dtype
     sizes = np.repeat(counts.astype(np.min_scalar_type(counts.max())), n)
     _read_only((mix_orbit, reps, sizes, at_robber, capture))
-    return Quotient(n, mix_orbit, reps, sizes, at_robber, capture, moves, preds)
+    return Quotient(n, mix_orbit, reps, sizes, at_robber, capture, Csr(moves),
+                    Csr.listing(preds, listed.reshape(-1)))
 
 
 def _read_only(value):
@@ -519,10 +546,10 @@ class Csr:
     """A read-only table of rows that all hold `width` >= 1 entries: row i
     is `table[i]`. A row with fewer moves repeats its last one, which
     changes no min, max, OR, "some entry" or "every entry" test over it.
-    In a predecessor table a pad is an entry naming its own row instead;
-    `listed` counts each state's listings outside pads, which is what
-    `retrograde` pays a state's moves with. Unpacks as CSR (offsets,
-    targets) arrays."""
+    A predecessor table lists in row t each row naming t at least once; a
+    pad there is an entry naming its own row. `listed` counts each state's
+    listings outside pads, which is what `retrograde` pays a state's moves
+    with. Unpacks as CSR (offsets, targets) arrays."""
 
     table: np.ndarray
 
@@ -548,6 +575,14 @@ class Csr:
         if not sizes.size or sizes.min() < 1:
             raise ValidationError("every row of a move table must hold a move")
         return cls(targets[offsets[:-1, None] + _pad_slots(sizes)])
+
+    @classmethod
+    def listing(cls, table: np.ndarray, listed: np.ndarray) -> Csr:
+        """The predecessor table `table` with its `listed` counts given, in
+        the least unsigned dtype, instead of counted from its entries."""
+        out = cls(table)
+        out.__dict__["listed"] = _read_only(listed.astype(np.min_scalar_type(listed.max())))
+        return out
 
     def per_edge(self, row_values: np.ndarray) -> np.ndarray:
         """Each row's value repeated once per entry of the row."""
@@ -591,11 +626,12 @@ class Csr:
     def listed(self) -> np.ndarray:
         """Per row index i, how many entries name i outside pads, a pad
         being an entry that names its own row; in the least unsigned
-        dtype. On a predecessor table these are the moves of each state
-        that `retrograde` pays: on an exact reverse, which `reverse` sets
-        without counting, the reversed table's width less the entries that
-        name their own row; on one whose cut listings were made pads, the
-        kept moves."""
+        dtype. On a predecessor table these are the listings of each
+        state that `retrograde` pays. Counted here only for a table made
+        without them: `reverse` sets the reversed table's width less the
+        entries that name their own row, the quotient build counts its
+        gathers, and classify's cut takes the quotient's count less the
+        listings it makes pads (`Csr.listing`)."""
         n = len(self.table)
         own = np.arange(n, dtype=self.table.dtype)
         count = np.zeros(n, dtype=np.int64)
@@ -629,13 +665,11 @@ class Csr:
         own = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)[:, None]
         preds = np.repeat(own, int(degree.max()), axis=1)
         preds[np.arange(preds.shape[1]) < degree[:, None]] = keys  # row-major: by target
-        out = Csr(preds)
         # each state is listed once per entry of its row, less the entries
         # naming the row itself, which read as pads
         listed = np.full(n, width, dtype=np.min_scalar_type(width))
         np.subtract.at(listed, self.loops, 1)
-        out.__dict__["listed"] = _read_only(listed)
-        return out
+        return Csr.listing(preds, listed)
 
 
 def _pad_slots(count: np.ndarray) -> np.ndarray:

@@ -77,10 +77,12 @@ def _restricted_tables(arena: Arena, cr: CrSolution, m: int) -> tuple[Csr, Csr]:
     without a sort: the successor table with each move of cop m that is
     not capture-time-optimal replaced by an optimal one of its row, and
     the predecessor table with each listing of such a move turned into a
-    pad, which names its own row. `retrograde` then pays each row only its
-    kept moves. A move passes the turn, so cop m's moves leave the orbits
-    where m moves and are listed only in the rows of the orbits where the
-    next token moves; no other row changes."""
+    pad, which names its own row, and its `listed` counts lowered by the
+    listings cut. `retrograde` then pays each row only its kept moves. A
+    move's optimality depends only on its target's orbit, so every copy
+    of a listing is cut alike. A move passes the turn, so cop m's moves
+    leave the orbits where m moves and are listed only in the rows of the
+    orbits where the next token moves; no other row changes."""
     q = arena.quotient()
     src, dst = np.flatnonzero(q.turns(m)), np.flatnonzero(q.turns(m % arena.n_players + 1))
     rows = q.moves.table[src]
@@ -92,9 +94,11 @@ def _restricted_tables(arena: Arena, cr: CrSolution, m: int) -> tuple[Csr, Csr]:
     best = cr.depths.copy()
     best[src] = cr.depths[fill]
     rows = q.preds.table[dst]
+    cut = cr.depths[dst, None] != best[rows]
     preds = q.preds.table.copy()
-    preds[dst] = np.where(cr.depths[dst, None] != best[rows], dst[:, None], rows)
-    return Csr(moves), Csr(preds)
+    preds[dst] = np.where(cut, dst[:, None], rows)
+    listed = q.preds.listed - np.bincount(rows[cut], minlength=len(preds))
+    return Csr(moves), Csr.listing(preds, listed)
 
 
 def _guarantee_winning_sets(

@@ -14,17 +14,20 @@ reachability games (Grädel, Thomas & Wilke, eds., Automata, Logics, and
 Infinite Games, LNCS 2500, 2002), smallest key first, as Dijkstra's
 algorithm settles distances. The pending batches are kept in a list
 ascending by key, found by bisection, so keys are compared and never
-hashed; the smallest is settled as a level. Over the predecessor table every
-unsettled predecessor of the level loses one remaining successor, and a
+hashed; the smallest is settled as a level. Each listing of an unsettled
+state in the level's predecessor rows takes one from its count, and a
 state whose count reaches 0 is pushed at step(key). The count starts at 1
 for eager states, which settle on their first settled successor. Elsewhere
-it is read from the predecessor table: how often it lists the state
-outside pads (`Csr.listed`), which for an exact reverse is the width of
-the state's row; such a state settles on its last listed successor. So a
+it is how often the predecessor table lists the state outside pads
+(`Csr.listed`). That table need not be the exact reverse: it lists s in
+row t, as often as it likes, exactly when row s names t, so s is paid in
+full exactly when its last successor settles. The orbit quotient's table
+lists each orbit's predecessors once per column of its own row, and an
+exact reverse once per entry naming it (the width of s's row). So a
 game on a subset of a table's moves needs no table of its own: the caller
-replaces each cut entry by a kept entry of the same row and turns its
-listing in the predecessor table into a pad, with no sort, and the count
-pays only the kept moves. The rest take `never`.
+replaces each cut entry by a kept entry of the same row and turns every
+listing of it in the predecessor table into a pad, with no sort, and the
+count pays only the kept moves. The rest take `never`.
 
 How a level is counted depends on the length p of its predecessor list, out
 of n states. A wide level (16p >= n; 16 is `arena.WIDE_FRONTIER`) is counted
@@ -84,15 +87,17 @@ def retrograde(
 
     Every row of the table must hold a move, and every seeded state must
     be frozen. A seed keyed `never` is left unsettled and a key above it is
-    refused. `predecessors` lists, in row t, each entry of `moves` naming
-    t by its row, and fills the rest of row t with t itself (a pad): the
-    exact reverse (`Csr.reverse`), or a reverse with some entries turned
-    into pads, when `moves` repeats a kept entry of the same row in their
-    place. A max row's moves are counted as the predecessor table lists
-    them outside pads (`Csr.listed`), so each is paid once per listing;
-    for an exact reverse that is the row's width. Row t is read only once
-    t is settled, and a settled state is queued, so its pads decrement no
-    count that is still read. A max row that names itself never settles,
+    refused. `predecessors` lists in row t each row of `moves` that
+    names t, at least once and as often as it likes, and holds nothing
+    else but pads, entries naming t itself: the exact reverse
+    (`Csr.reverse`), the orbit quotient's listing table, or either with
+    the listings of cut moves turned into pads, when `moves` repeats a
+    kept entry of the same row in their place. A max row's count is how
+    often the table lists it outside pads (`Csr.listed`), and each
+    listing is paid once, so it settles with its last successor, however
+    many times each is listed. Row t is read only once t is settled, and
+    a settled state is queued, so its pads decrement no count that is
+    still read. A max row that names itself never settles,
     so it is queued at the start: its own listing reads as a pad. Every
     solve in the package passes a predecessor table, the orbit quotient's
     or one cut from it; for a table passed without one `moves.reverse`

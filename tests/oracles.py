@@ -195,9 +195,9 @@ def check_cut_tables(full, keep, moves, preds):
     """Assert that the `Csr` pair (moves, preds) is the table `full`, which
     names no row's own index, cut to the entries `keep` marks: each row of
     moves holds exactly its row's kept targets, in full's shape; preds
-    lists each kept entry (s, t) once, as s in row t, and every other
-    entry of row t is t itself; and `preds.listed` counts each row's kept
-    entries."""
+    lists each kept entry (s, t), at least once, as s in row t, lists no
+    other pair, and fills the rest of row t with t itself; and
+    `preds.listed` counts each row's listings."""
     table, keep = full.table, keep.reshape(full.table.shape)
     rows = np.broadcast_to(np.arange(len(table))[:, None], table.shape)
     assert not (table == rows).any()
@@ -207,11 +207,36 @@ def check_cut_tables(full, keep, moves, preds):
     assert (same.any(axis=1) | ~keep).all()  # every kept target is there
     own = np.broadcast_to(np.arange(len(preds.table))[:, None], preds.table.shape)
     listing = preds.table != own
-    n = len(table)
-    got = np.sort(own[listing].astype(np.int64) * n + preds.table[listing])
-    want = np.sort(table[keep].astype(np.int64) * n + rows[keep])
-    assert np.array_equal(got, want)
-    assert np.array_equal(preds.listed, keep.sum(axis=1))
+    got = set(zip(own[listing].tolist(), preds.table[listing].tolist()))
+    assert got == set(zip(table[keep].tolist(), rows[keep].tolist()))
+    assert np.array_equal(preds.listed, np.bincount(preds.table[listing], minlength=len(table)))
+
+
+def check_listing_table(a):
+    """Assert that the predecessor table of arena a's quotient lists its
+    moves: the pairs (t, P) of P in row t of `preds` are the pairs of t
+    in row P of `moves`; row t holds the orbit of each predecessor of
+    reps[t] in the full arena (`Arena.predecessors()`), in order, padded
+    with the last; and `listed` counts each orbit's entries, none of
+    which names its own row."""
+    from scar.arena import Csr
+
+    q = a.quotient()
+    moves, preds = q.moves.table, q.preds.table
+    assert preds.shape == moves.shape
+    rows = np.broadcast_to(np.arange(len(moves))[:, None], moves.shape)
+    assert not (preds == rows).any()
+    assert (set(zip(moves.ravel().tolist(), rows.ravel().tolist()))
+            == set(zip(rows.ravel().tolist(), preds.ravel().tolist())))
+    # the exact reverse lists each predecessor, ascending, once per entry
+    # naming the row (a padded row names its last target again), then
+    # pads with the row itself
+    full = a.predecessors().table[q.reps]
+    first = np.ones(full.shape, dtype=bool)
+    first[:, 1:] = full[:, 1:] != full[:, :-1]
+    once = filtered(Csr(full), first & (full != q.reps[:, None]))
+    assert np.array_equal(preds, q.orbit_of(once.table))
+    assert np.array_equal(q.preds.listed, np.bincount(preds.ravel(), minlength=len(preds)))
 
 
 def padded_reverse(rows):

@@ -22,7 +22,6 @@ from scar import (
     check_positionality,
     classify,
     format_state,
-    graph_from_edges,
     parse_state,
     positionality_table,
     reachable_noncapture,
@@ -36,9 +35,10 @@ from scar.classify import _restricted_tables
 from scar.graphs import automorphism_generators
 
 from oracles import (
-    all_states, cell, check_cut_tables, filtered, padded_reverse, successors as oracle_successors,
+    all_states, cell, check_cut_tables, check_listing_table, filtered, padded_reverse,
+    successors as oracle_successors,
 )
-from strategies import connected_graphs
+from strategies import ASYMMETRIC, connected_graphs
 
 
 def test_state_count():
@@ -129,13 +129,16 @@ def test_distinct_keeps_one_copy_of_each_value(values):
     assert sorted(got.tolist()) == sorted(set(values))
 
 
-def test_the_path12_quotient_reverses_as_before():
+def test_the_path12_quotient_lists_each_reps_predecessors():
     """The quotient's rows are padded with their last orbit (124,416
-    entries where the unpadded rows held 117,504), and its predecessor
-    table is their exact reverse, each row padded with its own orbit."""
-    q = build_arena(builtin("path", 12), 4).quotient()
-    assert q.moves.table.shape == (41_472, 3) and q.capture[0]
-    assert q.preds.table.tolist() == padded_reverse(q.moves.table.tolist())
+    entries where the unpadded rows held 117,504), and so are the rows of
+    its predecessor table, which lists the orbit of each predecessor of
+    each orbit's rep (`check_listing_table`): as wide as the moves, not
+    the largest in-degree."""
+    a = build_arena(builtin("path", 12), 4)
+    q = a.quotient()
+    assert q.moves.table.shape == q.preds.table.shape == (41_472, 3) and q.capture[0]
+    check_listing_table(a)
 
 
 def test_capture_mask_is_read_only_and_built_on_first_use():
@@ -366,10 +369,6 @@ def test_reachable_noncapture_matches_a_breadth_first_search(g, n, data):
     assert reachable_noncapture(a, start).tolist() == want
 
 
-# a graph whose only automorphism is the identity
-ASYMMETRIC = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)])
-
-
 @pytest.mark.parametrize("g", [
     builtin("star", 5), builtin("path", 6), bridge(builtin("cycle", 4), 0, builtin("path", 3), 0),
     ASYMMETRIC,
@@ -409,21 +408,23 @@ def test_reachable_noncapture_on_the_dodecahedron_stays_small():
 
 
 def check_package_tables(g, n: int) -> None:
-    """Every successor table the package builds for (g, n) is as wide as
-    the largest closed neighbourhood. An exact predecessor table fills
-    each row past its in-degree with the row's own index and lists every
-    state as often as its row is wide; cop m's restricted pair is the
+    """Every move table the package builds for (g, n) is as wide as the
+    largest closed neighbourhood. The full arena's exact predecessor table
+    fills each row past its in-degree with the row's own index and lists
+    every state as often as its row is wide; the quotient's lists its
+    moves (`check_listing_table`); cop m's restricted pair is the
     quotient's pair cut to the moves it keeps (`check_cut_tables`)."""
     a = build_arena(g, n)
     q, cr = a.quotient(), solve_capture_time(a)
-    for moves, preds in ((a.moves, a.predecessors()), (q.moves, q.preds)):
-        assert moves.width == widest(g)
-        degree = np.bincount(moves.targets, minlength=len(preds.table))
-        is_pad = np.arange(preds.width) >= degree[:, None]
-        own = np.broadcast_to(np.arange(len(preds.table))[:, None], preds.table.shape)
-        assert np.array_equal(preds.table[is_pad], own[is_pad])
-        assert (preds.listed == moves.width).all()
-        assert np.array_equal(preds.listed, Csr(preds.table).listed)  # set by reverse, or counted
+    moves, preds = a.moves, a.predecessors()
+    assert moves.width == q.moves.width == q.preds.width == widest(g)
+    degree = np.bincount(moves.targets, minlength=len(preds.table))
+    is_pad = np.arange(preds.width) >= degree[:, None]
+    own = np.broadcast_to(np.arange(len(preds.table))[:, None], preds.table.shape)
+    assert np.array_equal(preds.table[is_pad], own[is_pad])
+    assert (preds.listed == moves.width).all()
+    assert np.array_equal(preds.listed, Csr(preds.table).listed)  # set by reverse, or counted
+    check_listing_table(a)
     for m in range(1, n):
         keep = q.moves.per_edge(~q.turns(m)) | cr.orbit_edge_opt()
         check_cut_tables(q.moves, keep, *_restricted_tables(a, cr, m))

@@ -18,6 +18,7 @@ from scar import (
     solve_capture_time,
     state_cop_report,
 )
+from scar.arena import Csr
 from scar.fixpoint import INT_INF, solve_layers
 
 from oracles import check_cut_tables, filtered
@@ -141,6 +142,19 @@ def test_restricted_tables_cut_the_quotient_and_solve_as_the_filtered_table(suit
                                     predecessors=table.reverse()) < INT_INF
                 got = classify_module._guarantee_winning_sets(a, cr, m, adversarial)
                 assert np.array_equal(got, want), (name, m, adversarial)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_restricted_listed_counts_equal_a_fresh_count(suite_graphs, n):
+    """The cut predecessor table's `listed`, set as the quotient's less a
+    count of the listings cut, is what counting its entries gives."""
+    for name, g in suite_graphs.items():
+        a = build_arena(g, n)
+        cr = solve_capture_time(a)
+        for m in range(1, n):
+            _, preds = classify_module._restricted_tables(a, cr, m)
+            assert "listed" in preds.__dict__  # set, not counted
+            assert np.array_equal(preds.listed, Csr(preds.table).listed), (name, m)
 
 
 @settings(max_examples=30, deadline=None)

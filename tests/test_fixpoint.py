@@ -425,6 +425,45 @@ def test_a_cut_table_with_padded_predecessors_solves_as_the_filtered_table(
     assert np.array_equal(want, jacobi_layers(offsets, targets, minimizing, frozen, init, INT_INF))
 
 
+def random_listing(rows, rng) -> list[list[int]]:
+    """A predecessor table of a table given as its rows, with no row
+    naming itself: row t lists each s whose row names t one to three
+    times, whatever the number of entries naming it, in a random order
+    with up to two pads (t itself) mixed in, then filled with t up to the
+    longest row."""
+    back = [[] for _ in rows]
+    for s, row in enumerate(rows):
+        for t in set(row):
+            back[t] += [s] * int(rng.integers(1, 4))
+    for t, listed in enumerate(back):
+        listed += [t] * int(rng.integers(0, 3))
+        rng.shuffle(listed)
+    width = max(map(len, back))
+    return [r + [t] * (width - len(r)) for t, r in enumerate(back)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(), st.sampled_from([3, 4]), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 0.95), st.floats(0.0, 0.3))
+def test_any_listing_table_solves_as_the_exact_reverse(g, n, seed, p_min, p_frozen):
+    """A predecessor table need only list each move at least once, with
+    `listed` counted from it: the engine then gives the levels, ranks and
+    origins it gives on the exact reverse, for random roles and seed
+    batches at several keys, never's included."""
+    a = build_arena(g, n)
+    rng = np.random.default_rng(seed)
+    eager = rng.random(a.n_states) < p_min
+    frozen = rng.random(a.n_states) < p_frozen
+    batch = rng.integers(0, 4, a.n_states)
+    seeds = [(key, np.flatnonzero(frozen & (batch == b)))
+             for b, key in enumerate((0, 1, 3, INT_INF))]
+    game = (a.moves, eager, frozen, seeds, lambda k: min(k + 1, INT_INF), INT_INF)
+    levels, rank, origins = retrograde(*game, a.moves.reverse())
+    listing = Csr(np.array(random_listing(a.moves.table.tolist(), rng)))
+    got = retrograde(*game, listing)
+    assert got[0] == levels and np.array_equal(got[1], rank) and got[2] == origins
+
+
 def test_a_max_row_naming_itself_never_settles():
     """A pad names its own row, so a row's entry naming itself is not in
     the count: state 1 (max) moves to 0 or stays and never settles,
