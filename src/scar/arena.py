@@ -584,10 +584,6 @@ class Csr:
         out.__dict__["listed"] = _read_only(listed.astype(np.min_scalar_type(listed.max())))
         return out
 
-    def per_edge(self, row_values: np.ndarray) -> np.ndarray:
-        """Each row's value repeated once per entry of the row."""
-        return np.repeat(row_values, self.width)
-
     def row_fold(self, ufunc, edge_values: np.ndarray, dtype=None) -> np.ndarray:
         """ufunc folded over each row, given one value per entry of some
         rows in the order `row_reader` lists them: one pass per column."""
@@ -601,11 +597,17 @@ class Csr:
         """Per row, how many of its entries edge_mask marks (int64)."""
         return self.row_fold(np.add, edge_mask, np.int64)
 
-    def row_best(self, succ_keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
-        """Per row, the best of its entries' `succ_keys`: the largest on
-        max_mask rows, the smallest elsewhere."""
-        return np.where(max_mask, self.row_fold(np.maximum, succ_keys),
-                        self.row_fold(np.minimum, succ_keys))
+    def row_best(self, columns, max_mask: np.ndarray) -> np.ndarray:
+        """Per row, the largest of its entries' keys on max_mask rows, the
+        smallest elsewhere, given one array of keys per column (a generator
+        need not hold a key per entry at once)."""
+        columns = iter(columns)
+        largest = next(columns).copy()
+        smallest = largest.copy()
+        for column in columns:
+            np.maximum(largest, column, out=largest)
+            np.minimum(smallest, column, out=smallest)
+        return np.where(max_mask, largest, smallest)
 
     def row_reader(self):
         """A function from row indices to the concatenation of those rows."""
@@ -619,8 +621,8 @@ class Csr:
     def best_edges(self, keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
         """Per entry: is the target's key its row's best, the largest on
         max_mask rows and the smallest elsewhere?"""
-        sv = keys[self.targets]
-        return sv == self.per_edge(self.row_best(sv, max_mask))
+        found = keys[self.table]
+        return (found == self.row_best(found.T, max_mask)[:, None]).reshape(-1)
 
     @functools.cached_property
     def listed(self) -> np.ndarray:
@@ -641,12 +643,11 @@ class Csr:
 
     @functools.cached_property
     def loops(self) -> np.ndarray:
-        """The rows that hold an entry naming the row itself, ascending,
-        once per such entry (none in the package: every move passes the
-        turn)."""
-        n = len(self.table)
-        own = np.flatnonzero(self.table == np.arange(n, dtype=self.table.dtype)[:, None])
-        return _read_only(own // self.width)
+        """The rows that hold an entry naming the row itself, once per such
+        entry (none in the package: every move passes the turn), found a
+        column at a time, as `listed`."""
+        own = np.arange(len(self.table), dtype=self.table.dtype)
+        return _read_only(np.concatenate([np.flatnonzero(c == own) for c in self.table.T]))
 
     def reverse(self) -> Csr:
         """The exact reverse, duplicates kept: row t lists every (row s,

@@ -13,34 +13,35 @@ builds in time linear in the edges: the attractor construction of
 reachability games (Grädel, Thomas & Wilke, eds., Automata, Logics, and
 Infinite Games, LNCS 2500, 2002), smallest key first, as Dijkstra's
 algorithm settles distances. The pending batches are kept in a list
-ascending by key, found by bisection, so keys are compared and never
-hashed; the smallest is settled as a level. Each listing of an unsettled
-state in the level's predecessor rows takes one from its count, and a
-state whose count reaches 0 is pushed at step(key). The count starts at 1
-for eager states, which settle on their first settled successor. Elsewhere
-it is how often the predecessor table lists the state outside pads
-(`Csr.listed`). That table need not be the exact reverse: it lists s in
-row t, as often as it likes, exactly when row s names t, so s is paid in
-full exactly when its last successor settles. The orbit quotient's table
-lists each orbit's predecessors once per column of its own row, and an
-exact reverse once per entry naming it (the width of s's row). So a
-game on a subset of a table's moves needs no table of its own: the caller
-replaces each cut entry by a kept entry of the same row and turns every
-listing of it in the predecessor table into a pad, with no sort, and the
-count pays only the kept moves. The rest take `never`.
+ascending by key, found by bisection, so keys are compared and never hashed;
+the smallest is settled as a level. Each listing of a state in the level's
+predecessor rows takes one from its count, and a state whose count reaches 0
+is pushed at step(key). The count starts at 1 for eager states, which settle
+on their first settled successor. Elsewhere it is how often the predecessor
+table lists the state outside pads (`Csr.listed`). A state that must not be
+pushed (frozen, pushed already, or a max row naming itself) holds the count
+INT_INF, which no listing brings to 0. The predecessor table need not be the
+exact reverse: it lists s in row t, as often as it likes, exactly when row s
+names t, so s is paid in full exactly when its last successor settles. The
+orbit quotient's table lists each orbit's predecessors once per column of
+its own row, and an exact reverse once per entry naming it (the width of s's
+row). So a game on a subset of a table's moves needs no table of its own:
+the caller replaces each cut entry by a kept entry of the same row and turns
+every listing of it in the predecessor table into a pad, with no sort, and
+the count pays only the kept moves. The rest take `never`.
 
 How a level is counted depends on the length p of its predecessor list, out
 of n states. A wide level (16p >= n; 16 is `arena.WIDE_FRONTIER`) is counted
 over every state at once with one `np.bincount`, and its ready states are
-read back with `flatnonzero`. A narrow one drops its queued predecessors,
-counts the rest entry by entry with the unbuffered `np.subtract.at`, and
-keeps one copy of each ready state with `arena.distinct`; nothing is
-sorted. A batch's states come in no set order, and that order reaches no
-rank, level or origin: a level's states all take one rank, and the counts
-fall the same in any order. The engine stays linear: a wide level's O(n)
-work is at most 16 times the predecessor entries it gathered. This is the
-top-down/bottom-up switch of Beamer, Asanović & Patterson,
-Direction-optimizing breadth-first search (SC 2012).
+read back with `flatnonzero`. A narrow one counts its predecessors entry
+by entry with the unbuffered `np.subtract.at` and keeps one copy of each
+ready state with `arena.distinct`; nothing is sorted. A batch's states
+come in no set order, and that order reaches no rank, level or origin: a
+level's states all take one rank, and the counts fall the same in any
+order. The engine stays linear: a wide level's O(n) work is at most 16
+times the predecessor entries it gathered. This is the top-down/bottom-up
+switch of Beamer, Asanović & Patterson, Direction-optimizing breadth-first
+search (SC 2012).
 
 The engine returns the ascending keys, one int rank per state and one
 origin per level, and ends with `check_fixpoint`, a vectorised exact check
@@ -57,8 +58,9 @@ is what lets `scarsolver` re-evaluate a solved game at another discount
   solve (cops eager), which also answers the classic simultaneous-move
   game, coalition attractors, and classify's guarantee tests on the
   quotient's tables cut to a cop's optimal moves.
-- `scarsolver`: key = -value, step gamma*k, never = 0. The per-cop
-  discounted games and the discounted capture-time game.
+- `scarsolver`: key = -value * B * q^T in Python ints for gamma = p/q,
+  step k*p // q, never = 0. The per-cop discounted games and the
+  discounted capture-time game.
 """
 
 from __future__ import annotations
@@ -95,10 +97,9 @@ def retrograde(
     kept entry of the same row in their place. A max row's count is how
     often the table lists it outside pads (`Csr.listed`), and each
     listing is paid once, so it settles with its last successor, however
-    many times each is listed. Row t is read only once t is settled, and
-    a settled state is queued, so its pads decrement no count that is
-    still read. A max row that names itself never settles,
-    so it is queued at the start: its own listing reads as a pad. Every
+    many times each is listed. Row t is read only once t is settled, when
+    its count is INT_INF, so its pads bring no count to 0; a max row that
+    names itself never settles, and holds INT_INF from the start. Every
     solve in the package passes a predecessor table, the orbit quotient's
     or one cut from it; for a table passed without one `moves.reverse`
     sorts the entries here.
@@ -126,13 +127,12 @@ def retrograde(
         if key < never and states.size:
             push(key, states, ("seed", i))
 
-    queued = np.array(frozen, dtype=bool)  # frozen states never settle from successors
-    loops = moves.loops
-    if loops.size:
-        queued[loops[~eager[loops]]] = True
     remaining = predecessors.listed.astype(np.int64)
     remaining[eager] = 1
-    n = len(queued)
+    remaining[frozen] = INT_INF
+    loops = moves.loops
+    remaining[loops[~eager[loops]]] = INT_INF
+    n = len(remaining)
     rank = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
     slot = np.empty(n, dtype=np.int64)  # `distinct`'s scratch
     levels: list = []
@@ -140,20 +140,19 @@ def retrograde(
     while pending:
         key = pending.pop(0)
         origin, parts = batches.pop(0)
-        batch = np.concatenate(parts)
+        batch = parts[0] if len(parts) == 1 else np.concatenate(parts)
         rank[batch] = len(levels)
         levels.append(key)
         origins.append(origin)
         preds = read_preds(batch)
         if WIDE_FRONTIER * preds.size >= n:
             remaining -= np.bincount(preds, minlength=n)
-            ready = np.flatnonzero((remaining <= 0) & ~queued)
+            ready = np.flatnonzero(remaining <= 0)
         else:
-            preds = preds[~queued[preds]]
             np.subtract.at(remaining, preds, 1)
             ready = distinct(preds[remaining[preds] <= 0], slot)
         if ready.size:
-            queued[ready] = True
+            remaining[ready] = INT_INF
             push(step(key), ready, ("step", len(levels) - 1))
     unsettled = rank < 0
     if unsettled.any():
@@ -204,7 +203,7 @@ def check_fixpoint(
     held = np.full(n, rank_of(never), dtype=rank.dtype)
     for key, states in seeds:
         held[states] = rank_of(key)
-    best = moves.row_best(rank[moves.targets], ~eager)
+    best = moves.row_best((rank.take(column) for column in moves.table.T), ~eager)
     want = np.where(frozen, held, nxt[best])
     bad = np.flatnonzero(want != rank)
     if bad.size:

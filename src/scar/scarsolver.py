@@ -14,16 +14,20 @@ sits on the robber:
 Every coefficient is >= 0 and 0 < gamma < 1, so each value is c * gamma^t for
 a terminal class c and the game is a reachability game. It is solved by the
 package's one retrograde engine, `fixpoint.retrograde`, on keys -value with
-step gamma*k and never = 0: one seed batch per terminal class (captor count
-K and whether m is a captor), cop m eager. Levels settle in decreasing order
-of value, as Dijkstra's algorithm settles distances; states never settled
-are worth 0, and values that are exactly equal share one level. No float
-enters.
+never = 0: one seed batch per terminal class (captor count K and whether m
+is a captor), cop m eager. Levels settle in decreasing order of value, as
+Dijkstra's algorithm settles distances; states never settled are worth 0,
+and values that are exactly equal share one level. No float or Fraction
+enters the engine: for gamma = p/q the keys are the Python ints -value * D,
+D = B * q^T for the coefficients' least common denominator B, on which the
+step k*p // q is exact to depth T. T starts N above the capture-time
+game's deepest finite depth, and a run that steps deeper runs again at 2T.
 
-A solution stores the ascending tuple of values `levels` and one int rank
-per orbit of the arena's quotient (`Arena.quotient()`), where the game is
-solved: a graph automorphism applied to every token preserves moves, turns
-and captors, so values and optimal moves are constant on orbits. Every
+A solution stores the ascending values as int numerators over D, whose
+Fractions `levels` are made on first read, and one int rank per orbit of
+the arena's quotient (`Arena.quotient()`), where the game is solved: a
+graph automorphism applied to every token preserves moves, turns and
+captors, so values and optimal moves are constant on orbits. Every
 solve ends with the engine's exact check of every Bellman equation on the
 quotient; the fixpoint is unique for gamma < 1, so passing it proves the
 answer.
@@ -33,22 +37,19 @@ symbol c * gamma^t: a terminal coefficient c reached t moves from capture,
 or 0 for the states never settled. `solve_game` keeps the last solution of
 each cop's game on the arena with its symbols. Asked again at the same
 (gamma, epsilon), it returns that solution. At a new gamma = p/q with the
-same epsilon, it re-evaluates the symbols in Python ints over one
-denominator B * q^(T+1), B the coefficients' least common denominator and
-T the largest t, from the top value down, and stops at the first pair that
-is not strictly descending. If none is, the run at the new gamma would
-settle the same levels in the same order, so the old ranks, rounds and
-optimal moves stand with the new values, and the same exact check proves
-them on the integer keys, where the step k*p // q is exact; each value
-becomes a Fraction once. A level where a seed met a step (an exact tie,
-such as gamma = 1/(2-2*eps) on a path) has no single symbol, and the next
-gamma is solved afresh. Fresh solves keep Fraction keys, as T is not known
-before the run.
+same epsilon, it re-evaluates the symbols as integer keys, with T one
+above the largest t, from the top value down, and stops at the first pair
+that is not strictly descending. If none is, the run at the new gamma
+would settle the same levels in the same order, so the old ranks, rounds
+and optimal moves stand with the new values, and the same exact check
+proves them. A level where a seed met a step (an exact tie, such as
+gamma = 1/(2-2*eps) on a path) has no single symbol, and the next gamma is
+solved afresh.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,10 +57,9 @@ from fractions import Fraction
 import numpy as np
 
 from .arena import Arena, GameParams, OptimalMoves, State
-from .errors import ValidationError
-from .fixpoint import check_fixpoint, retrograde
-
-Q0 = Fraction(0)
+from .crsolver import capture_depths
+from .errors import ScarError, ValidationError
+from .fixpoint import INT_INF, check_fixpoint, retrograde
 
 
 def terminal_payoff(s: State, m: int, params: GameParams) -> Fraction:
@@ -82,17 +82,20 @@ def terminal_payoff(s: State, m: int, params: GameParams) -> Fraction:
 @dataclass(eq=False)
 class GameSolution(OptimalMoves):
     """Exact value table for one player's discounted game on an arena: the
-    ascending distinct values `levels` and each quotient orbit's `rank` into
-    them, which is its key for the optimal moves, under the roles of the
-    per-orbit `maximizer` mask."""
+    ascending distinct values, int `numerators` over one `denominator`
+    (Fractions in `levels`, made on first read), and each quotient orbit's
+    `rank` into them, its optimal-move key under the `maximizer` mask."""
 
     arena: Arena
-    levels: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
     rank: np.ndarray
-    rounds: int  # settled levels
     maximizer: np.ndarray
 
     keys = property(lambda self: self.rank)
+    levels = functools.cached_property(
+        lambda self: tuple(Fraction(a, self.denominator) for a in self.numerators))
+    rounds = property(lambda self: len(self.numerators) - (self.numerators[0] == 0))  # settled
 
     def __post_init__(self):
         self.rank.flags.writeable = False
@@ -105,8 +108,8 @@ class GameSolution(OptimalMoves):
 class _Solved:
     """The last solve of one cop's game on an arena, with the seed batches
     it was solved from. `symbols` holds one (a, t) per level, value
-    a * gamma^t / B for the int a and B = `_scale(seeds)`, aligned with
-    `solution.levels`; None when a level was tied."""
+    a * gamma^t / B for the int a and the seeds' least common denominator
+    B, aligned with `solution.levels`; None when a level was tied."""
 
     gamma: Fraction
     epsilon: Fraction
@@ -115,27 +118,46 @@ class _Solved:
     symbols: tuple[tuple[int, int], ...] | None
 
 
-def _scale(seeds: list) -> int:
-    """B: the least common denominator of the seed coefficients."""
-    return math.lcm(*(c.denominator for c, _ in seeds))
+class _TooDeep(ScarError):
+    """A key that q does not divide was stepped: the scale is too shallow."""
+
+
+def _integer_game(seeds: list, gamma: Fraction, top: int):
+    """(D, the seed batches keyed -c * D, the step k*p // q) at T = top (see
+    above); the step raises _TooDeep on a key q does not divide."""
+    p, q = gamma.numerator, gamma.denominator
+    scale = math.lcm(*(c.denominator for c, _ in seeds)) * q**top
+
+    def step(key: int) -> int:
+        whole, rest = divmod(key, q)
+        if rest:
+            raise _TooDeep
+        return whole * p
+
+    return scale, [(-c.numerator * (scale // c.denominator), orbits) for c, orbits in seeds], step
 
 
 def _discounted(
     arena: Arena, gamma: Fraction, maximizer: np.ndarray, seeds: list
 ) -> tuple[GameSolution, tuple[tuple[int, int], ...] | None]:
     """Run the engine on the arena's quotient from the capture orbits' seed
-    batches `(coefficient, orbits)`, keys -value (step gamma*k, never 0),
-    and rank the values in ascending order; returns the solution and its
-    level symbols (None when a level is tied)."""
-    q = arena.quotient()
-    keys, rank, origins = retrograde(q.moves, maximizer, q.capture,
-                                     [(-c, orbits) for c, orbits in seeds],
-                                     lambda key: gamma * key, Q0, q.preds)
-    scale = _scale(seeds)
+    batches `(coefficient, orbits)`, on `_integer_game`'s keys, and rank
+    the values in ascending order; returns the solution and its level
+    symbols (None when a level is tied)."""
+    q, depths = arena.quotient(), capture_depths(arena)
+    top = arena.n_players + int(depths.max(where=depths < INT_INF, initial=0))
+    while True:
+        scale, seed_keys, step = _integer_game(seeds, gamma, top)
+        try:
+            keys, rank, origins = retrograde(q.moves, maximizer, q.capture, seed_keys,
+                                             step, 0, q.preds)
+            break
+        except _TooDeep:
+            top *= 2
     symbols: list[tuple[int, int]] | None = []
     for kind, at in origins:
         if kind == "seed":
-            symbols.append((int(seeds[at][0] * scale), 0))
+            symbols.append((-seed_keys[at][0] // gamma.denominator**top, 0))
         elif kind == "step":
             a, t = symbols[at]
             symbols.append((a, t + 1))
@@ -144,21 +166,18 @@ def _discounted(
         else:
             symbols = None
             break
-    levels = tuple(-key for key in reversed(keys))
-    rounds = len(keys) - (keys[-1] == Q0)
-    sol = GameSolution(arena, levels, len(keys) - 1 - rank, rounds, maximizer)
+    sol = GameSolution(arena, tuple(-key for key in reversed(keys)), scale,
+                       len(keys) - 1 - rank, maximizer)
     return sol, None if symbols is None else tuple(reversed(symbols))
 
 
 def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> GameSolution | None:
-    """last's solution at discount gamma = p/q, or None when a level was
-    tied or the symbols' values there are not strictly descending from the
-    top down (checked pair by pair, stopping at the first pair out of
-    order). The values are Python ints over D = B * q^(T+1), T the largest
-    t: a * gamma^t / B is a * p^t * q^(T+1-t) / D, on which the step
-    k*p // q is exact. The moved solution passes the engine's exact check
-    on these keys before it is returned; a failure there is a ScarError,
-    not a fallback."""
+    """last's solution at discount gamma, or None when a level was tied or
+    the symbols' values there are not strictly descending from the top
+    down (checked pair by pair, stopping at the first pair out of order).
+    It keeps the old ranks once they pass the engine's exact check on
+    `_integer_game`'s keys, top 1 above the largest t; a failure there is
+    a ScarError, not a fallback."""
     if last.symbols is None:
         return None
     p, q = gamma.numerator, gamma.denominator
@@ -169,11 +188,12 @@ def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> GameSolution | N
         if keys and not keys[-1] < key:
             return None
         keys.append(key)
-    old, scale, quotient = last.solution, _scale(last.seeds) * q**top, arena.quotient()
-    seed_keys = [(-int(c * scale), orbits) for c, orbits in last.seeds]
+    old, quotient = last.solution, arena.quotient()
+    scale, seed_keys, step = _integer_game(last.seeds, gamma, top)
     check_fixpoint(quotient.moves, old.maximizer, quotient.capture, seed_keys,
-                   lambda key: key * p // q, 0, keys, len(keys) - 1 - old.rank)
-    return dataclasses.replace(old, levels=tuple(Fraction(-key, scale) for key in reversed(keys)))
+                   step, 0, keys, len(keys) - 1 - old.rank)
+    return GameSolution(arena, tuple(-key for key in reversed(keys)), scale,
+                        old.rank, old.maximizer)
 
 
 def _terminal_classes(arena: Arena, player: int) -> list[tuple[State, np.ndarray]]:
@@ -212,7 +232,7 @@ def solve_game(arena: Arena, player: int, params: GameParams) -> GameSolution:
             return last.solution
         sol = _reordered(arena, last, params.gamma)
         if sol is not None:
-            slot[0] = dataclasses.replace(last, gamma=params.gamma, solution=sol)
+            slot[0] = _Solved(params.gamma, last.epsilon, last.seeds, sol, last.symbols)
             return sol
     # one seed batch per distinct terminal coefficient, so that equal
     # coefficients do not count as a tie

@@ -187,8 +187,9 @@ def test_row_helpers_match_reduceat_and_concat_ranges(name, k, width, one_wide):
     max_mask = rng.random(n) < 0.5
     keys = state_keys[targets]
     want = np.where(max_mask, np.maximum.reduceat(keys, seg), np.minimum.reduceat(keys, seg))
-    assert np.array_equal(table.row_best(state_keys[table.targets], max_mask), want)
-    assert np.array_equal(table.per_edge(state_keys), np.repeat(state_keys, table.width))
+    assert np.array_equal(table.row_best(state_keys[table.table].T, max_mask), want)
+    best = state_keys[table.table] == want[:, None]
+    assert np.array_equal(table.best_edges(state_keys, max_mask), best.reshape(-1))
 
     # marks made per target, as every mask the package counts is: a padded
     # duplicate is marked with its original, which keeps "some" and "all"
@@ -426,7 +427,7 @@ def check_package_tables(g, n: int) -> None:
     assert np.array_equal(preds.listed, Csr(preds.table).listed)  # set by reverse, or counted
     check_listing_table(a)
     for m in range(1, n):
-        keep = q.moves.per_edge(~q.turns(m)) | cr.orbit_edge_opt()
+        keep = np.repeat(~q.turns(m), q.moves.width) | cr.orbit_edge_opt()
         check_cut_tables(q.moves, keep, *_restricted_tables(a, cr, m))
 
 

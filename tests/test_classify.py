@@ -134,7 +134,7 @@ def test_restricted_tables_cut_the_quotient_and_solve_as_the_filtered_table(suit
         q = a.quotient()
         init = np.where(q.at_robber, 0, INT_INF).astype(np.int64)
         for m in range(1, n):
-            keep = q.moves.per_edge(~q.turns(m)) | cr.orbit_edge_opt()
+            keep = np.repeat(~q.turns(m), q.moves.width) | cr.orbit_edge_opt()
             check_cut_tables(q.moves, keep, *classify_module._restricted_tables(a, cr, m))
             table = filtered(q.moves, keep)
             for adversarial, chasing in ((False, q.turns(m)), (True, np.zeros_like(q.capture))):

@@ -2,9 +2,11 @@
 finite-horizon reference, Bellman residuals, optimal move sets, and the
 capture-time cross-solve."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scar import (
     GameParams,
@@ -20,7 +22,7 @@ from scar import (
     solve_game,
     terminal_payoff,
 )
-from scar import scarsolver
+from scar import fixpoint, scarsolver
 from scar.fixpoint import INT_INF, check_fixpoint, retrograde
 from scar.scarsolver import solve_discounted_capture
 
@@ -337,35 +339,110 @@ def test_a_reused_solution_must_pass_the_exact_check(monkeypatch, discounted_run
     assert len(discounted_runs) == 1
 
 
-def test_a_reused_solution_is_checked_on_integer_keys(monkeypatch, discounted_runs):
-    """At gamma = p/q the re-use hands the exact check int keys, seeds and
-    never, with k*p divisible by q on every level, so the step k*p // q is
-    gamma*k; moving any one level by one unit makes the check fail."""
-    a = build_arena(builtin("path", 3), 3)
-    eps, gamma = Q(1, 10), Q(3, 10)
-    solve_game(a, 1, GameParams(3, Q(1, 4), eps))
-    calls = []
-    check = scarsolver.check_fixpoint
-
-    def spy(*args):
-        calls.append(args)
-        check(*args)
-
-    monkeypatch.setattr(scarsolver, "check_fixpoint", spy)
-    moved = solve_game(a, 1, GameParams(3, gamma, eps))
-    assert len(discounted_runs) == 1 and len(calls) == 1
-    *game, levels, rank = calls[0]
+def _checked_on_integer_keys(call, sol, gamma):
+    """The exact check's arguments `call` hold int keys, seeds and never,
+    with q dividing every level, so the step k*p // q is gamma*k; the keys
+    are -value times sol's one denominator; moving any one level by one
+    unit makes the check fail."""
+    *game, levels, rank = call
     _, _, _, seeds, step, never = game
     assert all(type(k) is int for k in [*levels, *(key for key, _ in seeds), never])
-    assert all(k * 3 % 10 == 0 for k in levels)
+    assert all(k % gamma.denominator == 0 for k in levels)
     assert [step(k) for k in levels] == [gamma * k for k in levels]
-    # the keys are -value times one scale
-    assert [Q(k, levels[0]) * moved.levels[-1] for k in reversed(levels)] == list(moved.levels)
-    _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
-                                     GameParams(3, gamma, eps)))
+    assert [Q(-k, sol.denominator) for k in reversed(levels)] == list(sol.levels)
     for i in range(len(levels)):
         for unit in (-1, 1):
             off = list(levels)
             off[i] += unit
             with pytest.raises(ScarError):
-                check(*game, off, rank)
+                check_fixpoint(*game, off, rank)
+
+
+def test_a_reused_solution_is_checked_on_integer_keys(monkeypatch, discounted_runs):
+    """At gamma = p/q the re-use hands the exact check integer keys."""
+    a = build_arena(builtin("path", 3), 3)
+    eps, gamma = Q(1, 10), Q(3, 10)
+    solve_game(a, 1, GameParams(3, Q(1, 4), eps))
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        check_fixpoint(*args)
+
+    monkeypatch.setattr(scarsolver, "check_fixpoint", spy)
+    moved = solve_game(a, 1, GameParams(3, gamma, eps))
+    assert len(discounted_runs) == 1 and len(calls) == 1
+    _checked_on_integer_keys(calls[0], moved, gamma)
+    _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
+                                     GameParams(3, gamma, eps)))
+
+
+def test_a_fresh_solve_is_checked_on_integer_keys(monkeypatch, discounted_runs):
+    """A fresh solve at gamma = p/q runs the engine, and so its exact
+    check, on integer keys: no Fraction is compared or stepped there."""
+    g, eps, gamma = builtin("path", 3), Q(1, 10), Q(3, 10)
+    a = build_arena(g, 3)
+    solve_capture_time(a)  # the integer game that sets the first scale
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        check_fixpoint(*args)
+
+    monkeypatch.setattr(fixpoint, "check_fixpoint", spy)
+    fresh = solve_game(a, 1, GameParams(3, gamma, eps))
+    assert len(discounted_runs) == 1 and len(calls) == 1
+    _checked_on_integer_keys(calls[0], fresh, gamma)
+    want = discounted_values(g, 3, 1, gamma, eps)
+    assert all(fresh.value(State(*s)) == v for s, v in want.items())
+
+
+def test_values_are_read_before_the_levels_are_made():
+    """`value` is exact on a solution whose Fraction `levels` were never
+    read, fresh or re-used; reading a value makes them."""
+    g, eps = builtin("path", 3), Q(1, 10)
+    a = build_arena(g, 3)
+    for gamma in (Q(1, 4), Q(3, 10)):  # the second re-uses the first
+        sol = solve_game(a, 1, GameParams(3, gamma, eps))
+        assert "levels" not in vars(sol)
+        want = discounted_values(g, 3, 1, gamma, eps)
+        assert all(sol.value(State(*s)) == v for s, v in want.items())
+        assert "levels" in vars(sol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_games())
+@example((builtin("path", 3), 3, 1, Q(1, 2), Q(1, 10)))
+def test_a_scale_too_shallow_for_the_game_grows_until_every_step_is_exact(game):
+    """With the exponent started at N, as if capture took no move, a game
+    deeper than that is run again at twice the exponent until q divides
+    every level, and then equals a Fraction-keyed run of the same game:
+    levels, ranks and origins."""
+    g, n, m, gamma, epsilon = game
+    a, q = build_arena(g, n), gamma.denominator
+    runs = []
+    engine = scarsolver.retrograde
+
+    def recorded(*args):
+        runs.append(args)
+        return engine(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scarsolver, "retrograde", recorded)
+        patch.setattr(scarsolver, "capture_depths", lambda arena: np.zeros(1, dtype=np.int64))
+        sol = solve_game(a, m, GameParams(n, gamma, epsilon))
+    moves, eager, frozen, seeds, step, never, preds = runs[-1]
+    keys, rank, origins = engine(*runs[-1])
+    coefficients = [Q(-key, sol.denominator) for key, _ in seeds]
+    levels, want_rank, want_origins = retrograde(
+        moves, eager, frozen, [(-c, states) for c, (_, states) in zip(coefficients, seeds)],
+        lambda k: gamma * k, Q(0), preds)
+    assert levels == [Q(k, sol.denominator) for k in keys]
+    assert np.array_equal(rank, want_rank) and origins == want_origins
+    # the exponent doubled from N exactly until q divides every level
+    scale, top = math.lcm(*(c.denominator for c in coefficients)), n
+    while not all((k * scale * q ** (top - 1)).denominator == 1 for k in levels):
+        top *= 2
+    assert sol.denominator == scale * q**top and len(runs) == (top // n).bit_length()
+    assert all(sol.value(State(*s)) == v
+               for s, v in discounted_values(g, n, m, gamma, epsilon).items())
