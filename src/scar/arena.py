@@ -52,13 +52,14 @@ table is lifted (`Arena.lifted`) only when a caller reads one. The capture
 test is read off the digits of a state, so no full `capture_mask` is built
 for them.
 
-`_orbit_labels` finds the orbits one token at a time: a position tuple's
-first token goes to the least vertex m of its orbit under Aut(G), by a
-product of generators that a breadth-first search over the vertices finds,
-and the other N-1 tokens are carried along in one gather. Where the
-stabiliser of m is not trivial, the carried tails are then lowered to
-their least images under it: its Schreier generators, sifted by Sims'
-filter, propagate minima over the V^(N-1) tails. The group work is plain
+`_tuple_orbits` names the orbits from their tails: a position tuple's
+first token goes to the least vertex m of its orbit under Aut(G), and its
+other N-1 tokens, its tail, to their least image under the stabiliser of
+m. So only V^(N-1) tails are labelled per vertex orbit, and no array but
+`mix_orbit`, in its narrow dtype, spans the V^N tuples. The generators
+the search (`graphs.automorphism_generators`) finds that fix its first
+base point, 0, generate Stab(0); any other m's stabiliser comes from its
+Schreier generators, sifted by Sims' filter. The group work is plain
 Python on permutation tuples of V points.
 
 `_flood` spreads from a seed one frontier at a time over the rows of a
@@ -93,6 +94,10 @@ DEFAULT_MAX_STATES = 10**7
 # A frontier whose row list holds at least n / WIDE_FRONTIER entries, out of
 # n states, is counted over every state at once instead of being sorted.
 WIDE_FRONTIER = 16
+
+# The quotient build makes its per-tuple and per-entry arrays in blocks of
+# about this many entries, so its temporaries stay small on large arenas.
+CHUNK = 2**15
 
 
 def count_of(n, least: int, need: str) -> int:
@@ -388,51 +393,97 @@ class Quotient:
 Perm = tuple[int, ...]
 
 
-def _orbit_labels(gens: list[Perm], v: int, n: int) -> np.ndarray:
-    """Per position tuple (mixed radix V, first token most significant),
-    the smallest tuple of its orbit under the group G that `gens` generate,
-    found one token at a time. The least image of (x1, tail) starts with
-    the least vertex m of x1's orbit; the maps in G sending x1 to m are
-    Stab(m)·u for any one of them, u, so its tail is the least image of
-    u(tail) under Stab(m). One gather moves every vertex's tails by its u;
-    where Stab(m) is not trivial, `_tail_labels` then labels the tails
-    under its Schreier generators, sifted by Sims' filter."""
+def _tuple_orbits(gens: list[Perm], v: int, n: int):
+    """The orbits of the position tuples (mixed radix V, first token most
+    significant) under the group G that `gens`, a list from
+    `automorphism_generators`, generate: (mix_orbit, each tuple's orbit
+    index in a (V, V^(N-1)) table of the least unsigned dtype; roots, each
+    orbit's least tuple, ascending; counts, each orbit's size).
+
+    The maps in G sending x1 to the least vertex m of its orbit are
+    Stab(m)·u for any one of them, u, so the least image of (x1, tail) is
+    m followed by the least image of u(tail) under Stab(m), and its orbit
+    holds |orbit(m)| times that tail's count under Stab(m). Row x of
+    `mix_orbit` is offset(m), the orbits of the smaller m, plus the rank of
+    u(tail)'s least image (`_tail_ranks`). Vertex orbits are labelled and
+    their rows written in batches of about `CHUNK` tails (one orbit at
+    least), so no temporary spans the tuples and a graph of many small
+    orbits makes few numpy calls."""
+    k = n - 1
+    tails = v**k
     cosets = _cosets(gens, v)
-    home = {x: (m, back) for m, coset in cosets.items() for x, (_, back) in coset.items()}
-    least = np.array([[home[x][0]] for x in range(v)], dtype=np.int64)
-    label = _images(np.array([home[x][1] for x in range(v)], dtype=np.int64), n - 1)
-    for coset in cosets.values():
-        stab = _stabiliser(gens, coset) if n > 1 else []
-        if stab:
-            tail = _tail_labels(stab, v, n - 1)
-            for x in coset:  # a row at a time: a view, not a fancy-indexed copy
-                label[x] = tail[label[x]]
-    label += least * v ** (n - 1)
-    return label.reshape(-1)
+    least = list(cosets)
+    per = max(1, CHUNK // tails)
+    batches, roots, counts = [], [], []
+    offset = 0
+    for lo in range(0, len(least), per):
+        ms = least[lo:lo + per]
+        block_roots, rank = _tail_ranks([_stabiliser(gens, m, cosets[m]) for m in ms], v, k)
+        block, tail = np.divmod(block_roots, tails)
+        roots.append(np.array(ms)[block] * tails + tail)
+        size = np.array([len(cosets[m]) for m in ms])[block]
+        counts.append(size if rank is None else size * np.bincount(rank))
+        batches.append((ms, offset, rank))
+        offset += len(block_roots)
+    mix_orbit = np.empty((v, tails), dtype=np.min_scalar_type(offset))
+    for ms, offset, rank in batches:
+        rows = [(x, i, back) for i, m in enumerate(ms) for x, (_, back) in cosets[m].items()]
+        for lo in range(0, len(rows), per):
+            x, i, back = zip(*rows[lo:lo + per])
+            image = _images(np.array(back, dtype=_index_dtype(tails)), k)
+            image += np.multiply(i, tails, dtype=image.dtype)[:, None]
+            if rank is not None:
+                image = np.take(rank, image)
+            mix_orbit[list(x)] = np.add(image, offset, dtype=np.int64)
+    return mix_orbit, np.concatenate(roots), np.concatenate(counts)
+
+
+def _tail_ranks(stabs: list[list[Perm]], v: int, k: int):
+    """The k-tuples (mixed radix V) of len(stabs) blocks laid end to end,
+    block i under the group stabs[i] generates: (the least tuple of each
+    orbit, ascending, by its index in the blocks; per tuple the rank of its
+    orbit among them, in the least unsigned dtype, or None when every
+    group is trivial). The blocks share one `_tail_labels` run, each
+    generator list padded with identities to the longest."""
+    tails = v**k
+    every = np.arange(len(stabs) * tails)
+    if not any(stabs):
+        return every, None
+    dtype, width = _index_dtype(len(every)), max(map(len, stabs))
+    blocks = []
+    for i, stab in enumerate(stabs):
+        blocks.append(_images(np.array(stab + [tuple(range(v))] * (width - len(stab)),
+                                        dtype=dtype), k))
+        blocks[-1] += i * tails
+    label = _tail_labels(blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1))
+    is_root = label == every
+    roots = np.flatnonzero(is_root)
+    rank = np.cumsum(is_root, dtype=np.min_scalar_type(len(roots)))
+    rank -= 1  # tuple 0 is a root, so no rank wraps
+    return roots, np.take(rank, label)
 
 
 def _images(perms: np.ndarray, k: int) -> np.ndarray:
     """Row r: the index (mixed radix V) of perms[r] applied to each k-tuple,
-    in the order of the k-tuples' own indices."""
+    in the order of the k-tuples' own indices, in perms' dtype."""
     rows, v = perms.shape
-    image = np.zeros((rows, 1), dtype=np.int64)
+    image = np.zeros((rows, 1), dtype=perms.dtype)
     for _ in range(k):  # one more token, least significant, at a time
         image = ((image * v)[:, :, None] + perms[:, None, :]).reshape(rows, -1)
     return image
 
 
-def _tail_labels(gens: list[Perm], v: int, k: int) -> np.ndarray:
-    """Per k-tuple (mixed radix V), the smallest tuple of its orbit under
-    ⟨gens⟩: each round lowers every label to its image's under each
-    generator, then jumps pointers (label[label]), until a fixpoint. Each
-    generator's image of the k-tuples is made once."""
-    images = _images(np.array(gens, dtype=np.int64), k)
-    label = np.arange(v**k, dtype=np.int64)
+def _tail_labels(images: np.ndarray) -> np.ndarray:
+    """Per point, the least point of its orbit under the permutations
+    whose images are the rows of `images`: each round lowers every label
+    to its image's under each of them, then jumps pointers (label[label]),
+    until a fixpoint."""
+    label = np.arange(images.shape[1])
     while True:
         moved = label.copy()
         for image in images:
-            np.minimum(moved, moved[image], out=moved)
-        moved = moved[moved]
+            np.minimum(moved, np.take(moved, image), out=moved)
+        moved = np.take(moved, moved)
         if np.array_equal(moved, label):
             return label
         label = moved
@@ -460,11 +511,15 @@ def _cosets(gens: list[Perm], v: int) -> dict[int, dict[int, tuple[Perm, Perm]]]
     return cosets
 
 
-def _stabiliser(gens: list[Perm], coset: dict[int, tuple[Perm, Perm]]) -> list[Perm]:
+def _stabiliser(gens: list[Perm], m: int, coset: dict[int, tuple[Perm, Perm]]) -> list[Perm]:
     """Generators of the stabiliser of an orbit's least vertex m, given
-    the orbit's `_cosets` entry: the distinct Schreier generators
-    t_{s(x)}^-1 · s · t_x, over the orbit's vertices x and generators s,
-    sifted by `_sims_filter`. Empty when the stabiliser is trivial."""
+    the orbit's `_cosets` entry; empty when it is trivial. For m = 0, the
+    generators that fix 0, which generate Stab(0) by the search's order
+    (`automorphism_generators`); otherwise the distinct Schreier generators
+    t_{s(x)}^-1 · s · t_x over the orbit's vertices x and generators s,
+    sifted by `_sims_filter`."""
+    if m == 0:
+        return [p for p in gens if p[0] == 0]
     schreier = (_compose(coset[s[x]][1], _compose(s, t)) for x, (t, _) in coset.items()
                 for s in gens)
     return _sims_filter(dict.fromkeys(schreier))
@@ -498,37 +553,42 @@ def _inverse(p: Perm) -> Perm:
 
 def _quotient(arena: Arena) -> Quotient:
     n, v = arena.n_players, arena.graph.vertex_count
-    label = _orbit_labels(automorphism_generators(arena.graph), v, n)
-    is_root = np.zeros(v**n, dtype=bool)
-    is_root[label] = True  # each label is a root, and each root its own label
-    roots = np.flatnonzero(is_root)
-    # no int64 V^N temporary: the least width that holds the orbit count;
-    # tuple 0 is a root, so no running count is 0 and the - 1 cannot wrap
-    mix_orbit = (np.cumsum(is_root, dtype=np.min_scalar_type(len(roots))) - 1)[label]
-    del label, is_root  # V^N entries each, not needed while the tables are built
+    mix_orbit, roots, counts = _tuple_orbits(automorphism_generators(arena.graph), v, n)
+    mix_orbit = mix_orbit.reshape(-1)
     reps = (roots[:, None] * n + np.arange(n)).ravel()
     # Moving token j of a root gives the successors of its turn-j state
     # and, the closed neighbourhood being symmetric, the predecessors of
-    # its turn-(j+1) state, a token and a column at a time: no temporary
-    # holds every entry, and nothing is sorted.
-    dtype = np.int32 if len(reps) < 2**31 else np.int64
+    # its turn-(j+1) state: one gather per token of every column at once,
+    # by blocks of roots whose entries number at most max(roots, CHUNK), so
+    # no temporary outgrows one int64 per root on a large quotient. Nothing
+    # is sorted.
+    dtype = _index_dtype(len(reps))
     moves, preds = (np.empty((len(reps), arena.width), dtype=dtype) for _ in range(2))
     listed = np.zeros((len(roots), n), dtype=np.int64)  # [o, j]: token j's gathers naming o
+    step = max(1, max(len(roots), CHUNK) // arena.width)
     for j, stride in enumerate(arena._strides):
-        digit = roots // stride % v
-        for c, hop in enumerate(arena._hops().T):
-            mix = mix_orbit[roots + hop[digit] * stride]
-            listed[:, j] += np.bincount(mix, minlength=len(roots))
-            orbit = mix.astype(dtype) * n
-            moves[j::n, c] = orbit + (j + 1) % n
-            preds[(j + 1) % n::n, c] = orbit + j
+        hop = arena._hops().T * stride  # (width, V): column c's change from each vertex
+        for lo in range(0, len(roots), step):
+            block = roots[lo:lo + step]
+            at = np.take(hop, block // stride % v, axis=1)
+            at += block
+            mix = mix_orbit[at]  # (width, block): one gather per token and block
+            listed[:, j] += np.bincount(mix.reshape(-1), minlength=len(roots))
+            orbit = np.multiply(mix, n, dtype=dtype)
+            end = (lo + len(block)) * n
+            np.add(orbit, (j + 1) % n, out=moves[lo * n + j:end:n].T)
+            np.add(orbit, j, out=preds[lo * n + (j + 1) % n:end:n].T)
     at_robber = np.repeat(arena.cops_at_robber(roots), n, axis=1)
     capture = at_robber.any(axis=0)
-    counts = np.bincount(mix_orbit)  # held for the quotient's life: the least dtype
     sizes = np.repeat(counts.astype(np.min_scalar_type(counts.max())), n)
     _read_only((mix_orbit, reps, sizes, at_robber, capture))
     return Quotient(n, mix_orbit, reps, sizes, at_robber, capture, Csr(moves),
                     Csr.listing(preds, listed.reshape(-1)))
+
+
+def _index_dtype(size: int):
+    """int32 for indices below `size` while they fit, else int64."""
+    return np.int32 if size < 2**31 else np.int64
 
 
 def _read_only(value):
@@ -607,7 +667,8 @@ class Csr:
         for column in columns:
             np.maximum(largest, column, out=largest)
             np.minimum(smallest, column, out=smallest)
-        return np.where(max_mask, largest, smallest)
+        np.copyto(smallest, largest, where=max_mask)
+        return smallest
 
     def row_reader(self):
         """A function from row indices to the concatenation of those rows."""
@@ -663,7 +724,7 @@ class Csr:
         keys = keys.reshape(-1)
         keys.sort()
         np.remainder(keys, n, out=keys)
-        own = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)[:, None]
+        own = np.arange(n, dtype=_index_dtype(n))[:, None]
         preds = np.repeat(own, int(degree.max()), axis=1)
         preds[np.arange(preds.shape[1]) < degree[:, None]] = keys  # row-major: by target
         # each state is listed once per entry of its row, less the entries

@@ -154,11 +154,13 @@ def retrograde(
         if ready.size:
             remaining[ready] = INT_INF
             push(step(key), ready, ("step", len(levels) - 1))
+    del remaining, slot  # the check then runs on no more than the loop held
     unsettled = rank < 0
     if unsettled.any():
         rank[unsettled] = len(levels)
         levels.append(never)
         origins.append(("never", None))
+    del unsettled
     check_fixpoint(moves, eager, frozen, seeds, step, never, levels, rank)
     return levels, rank, origins
 
@@ -200,11 +202,13 @@ def check_fixpoint(
         while lo < top and levels[lo] < stepped:
             lo += 1
         nxt[r] = lo if lo < top and levels[lo] == stepped else -1
-    held = np.full(n, rank_of(never), dtype=rank.dtype)
+    # want[s]: the rank s's equation gives, made over its best successor's
+    # rank with no other array of n entries
+    want = moves.row_best((rank.take(column) for column in moves.table.T), ~eager)
+    want = nxt[want]
+    want[frozen] = rank_of(never)
     for key, states in seeds:
-        held[states] = rank_of(key)
-    best = moves.row_best((rank.take(column) for column in moves.table.T), ~eager)
-    want = np.where(frozen, held, nxt[best])
+        want[states[frozen[states]]] = rank_of(key)
     bad = np.flatnonzero(want != rank)
     if bad.size:
         i = int(bad[0])

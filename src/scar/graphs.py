@@ -291,7 +291,10 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     the generators found so far, extending the map in base order with
     images among the neighbours of the BFS parent's image. Once
     SEARCH_EFFORT is spent (1 + deg b per candidate image of b) it returns
-    the generators found so far, of a subgroup."""
+    the generators found so far, of a subgroup. Either way, the ones that
+    fix 0 (all found before the first that moves it) generate the
+    stabiliser of 0 in the group the list generates, as the orbit
+    quotient's labelling assumes."""
     v, nbrs = g.vertex_count, g.neighbors
     order, parent = [0], [-1] * v
     for u in order:

@@ -1,6 +1,7 @@
 """The retrograde engine against the Jacobi-round reference and the
 brute-force oracles, plus its input checks and its exact fixpoint check."""
 
+import tracemalloc
 from collections import Counter
 from functools import total_ordering
 
@@ -15,6 +16,7 @@ from scar import (
     ValidationError,
     build_arena,
     builtin,
+    classic_cop_win,
     coalition_winning_set,
     solve_capture_time,
 )
@@ -23,7 +25,7 @@ from scar.crsolver import capture_depths
 from scar.fixpoint import INT_INF, check_fixpoint, retrograde, solve_layers
 
 from oracles import INF, capture_credit, capture_times, coalition_wins, filtered, jacobi_layers
-from strategies import connected_graphs
+from strategies import ASYMMETRIC_20, connected_graphs
 
 
 def cr_inputs(name, k, n):
@@ -474,3 +476,33 @@ def test_a_max_row_naming_itself_never_settles():
     got = solve_layers(offsets, targets, minimizing, frozen, init)
     assert got.tolist() == [0, INT_INF, 1]
     assert np.array_equal(got, jacobi_layers(offsets, targets, minimizing, frozen, init, INT_INF))
+
+
+def test_the_check_peaks_no_higher_than_the_engine_loop(monkeypatch):
+    """`retrograde` drops its per-state counts and scratch before it calls
+    `check_fixpoint`, and the check builds its wanted ranks in the array
+    `Csr.row_best` returns, so on the capture solve inside
+    classic_cop_win(ASYMMETRIC_20, 3), 640,000 orbits, the check's
+    tracemalloc peak is no higher than the engine loop's (it read 75.9
+    MiB against 68.7 MiB when it held them all)."""
+    engine, check = fixpoint.retrograde, fixpoint.check_fixpoint
+    peaks = []
+
+    def traced_engine(*args):
+        tracemalloc.reset_peak()
+        return engine(*args)
+
+    def traced_check(*args):
+        loop = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        check(*args)
+        peaks.append((loop, tracemalloc.get_traced_memory()[1]))
+
+    monkeypatch.setattr(fixpoint, "retrograde", traced_engine)
+    monkeypatch.setattr(fixpoint, "check_fixpoint", traced_check)
+    tracemalloc.start()
+    try:
+        classic_cop_win(ASYMMETRIC_20, 3)
+    finally:
+        tracemalloc.stop()
+    assert peaks and all(check <= loop for loop, check in peaks), peaks

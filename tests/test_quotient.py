@@ -39,7 +39,7 @@ from scar import (
     solve_game,
     state_cop_report,
 )
-from scar.arena import Arena, Csr, Quotient, _cosets, _orbit_labels, _stabiliser
+from scar.arena import Arena, Csr, Quotient, _cosets, _stabiliser, _tuple_orbits
 from scar.classify import _guarantee_winning_sets
 from scar.cli import main
 from scar.fixpoint import INT_INF
@@ -97,9 +97,7 @@ def test_generator_search_on_symmetric_groups_ends_within_its_effort(
     gens = automorphism_generators(graph)
     assert len(gens) == count
     assert all(maps_edges_onto_edges(graph, p) for p in gens)
-    v = graph.vertex_count
-    label = _orbit_labels(gens, v, 2)
-    assert np.count_nonzero(label == np.arange(v * v)) == pair_orbits
+    assert len(_tuple_orbits(gens, graph.vertex_count, 2)[1]) == pair_orbits
 
 
 def closure(gens, v) -> set:
@@ -123,23 +121,69 @@ def least_images(group, v, n) -> np.ndarray:
     return (images @ v ** np.arange(n - 1, -1, -1)).min(axis=0)
 
 
+def fixing_0(gens) -> list:
+    return [p for p in gens if p[0] == 0]
+
+
 @settings(max_examples=30, deadline=None)
-@given(connected_graphs(max_vertices=6), st.sampled_from([2, 3, 4]))
-def test_labels_are_brute_force_orbit_minima(g, n):
-    """Under the full generator list, a starved search's and none, every
-    label is its tuple's least image, and each least vertex m satisfies the
-    orbit-stabiliser theorem with the stabiliser generators the labelling
-    uses, so a dropped Schreier generator cannot go unseen."""
+@given(connected_graphs(max_vertices=6), st.sampled_from([2, 3, 4]),
+       st.sampled_from([1, 40, arena_module.CHUNK]))
+def test_labels_are_brute_force_orbit_minima(g, n, chunk):
+    """Under the full generator list, a starved search's and none, tuple
+    by tuple: `mix_orbit` names the rank of its least image among all
+    least images, in the least unsigned dtype, the roots are those least
+    images, ascending, and the counts are how many tuples share each. Each
+    least vertex m satisfies the orbit-stabiliser theorem with the
+    stabiliser generators the labelling uses, so a dropped generator cannot
+    go unseen. Batches of one vertex orbit and one row (chunk 1), of a few,
+    and of all of them give the same tables."""
     v = g.vertex_count
     with mock.patch.object(graphs_module, "SEARCH_EFFORT", 6):
         starved = automorphism_generators(g)
     for gens in (automorphism_generators(g), starved, []):
         group = closure(gens, v)
-        assert np.array_equal(_orbit_labels(gens, v, n), least_images(group, v, n))
+        least = least_images(group, v, n)
+        roots, counts = np.unique(least, return_counts=True)
+        with mock.patch.object(arena_module, "CHUNK", chunk):
+            mix_orbit, got_roots, got_counts = _tuple_orbits(gens, v, n)
+        assert mix_orbit.dtype == np.min_scalar_type(len(roots))
+        assert np.array_equal(mix_orbit.reshape(-1), np.searchsorted(roots, least))
+        assert np.array_equal(got_roots, roots) and np.array_equal(got_counts, counts)
         for m, coset in _cosets(gens, v).items():
-            stab = _stabiliser(gens, coset)
+            stab = _stabiliser(gens, m, coset)
             assert all(p[m] == m for p in stab)
             assert len(coset) * len(closure(stab, v)) == len(group)
+        orbit_0 = len(_cosets(gens, v)[0])
+        assert orbit_0 * len(closure(fixing_0(gens), v)) == len(group)
+
+
+# Graphs whose search, stopped at some effort, has found some but not all
+# of the automorphisms that move vertex 0: a 4-cycle numbered 0, 2, 1, 3
+# around, and a 6-cycle 0, 2, 1, 5, 4, 3 with the chord (2, 4).
+PARTIAL_LEVEL_0 = (
+    graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+    graph_from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 5), (2, 4), (3, 4), (4, 5)]),
+)
+
+
+@pytest.mark.parametrize("graph", [*PARTIAL_LEVEL_0, heawood()], ids=["c4", "c6_chord", "heawood"])
+def test_the_generators_fixing_0_generate_its_stabiliser_at_every_effort(graph):
+    """The generator search fixes base point 0 last, so however early its
+    effort ends it, the generators it has found that fix 0 generate the
+    stabiliser of 0 in the group it has found: |orbit(0)| times their
+    group's order is that group's order. On the first two graphs some
+    effort ends the search while orbit(0) is still partly grown."""
+    v = graph.vertex_count
+    full_orbit_0 = len(_cosets(automorphism_generators(graph), v)[0])
+    orbits_0 = set()
+    for effort in range(0, 400):
+        with mock.patch.object(graphs_module, "SEARCH_EFFORT", effort):
+            gens = automorphism_generators(graph)
+        group = closure(gens, v)
+        orbit_0 = len({p[0] for p in group})
+        assert orbit_0 * len(closure(fixing_0(gens), v)) == len(group)
+        orbits_0.add(orbit_0)
+    assert any(1 < size < full_orbit_0 for size in orbits_0) == (graph in PARTIAL_LEVEL_0)
 
 
 @pytest.mark.parametrize("graph, n, dtype", [
@@ -574,3 +618,20 @@ def test_an_asymmetric_quotient_lists_no_wider_than_its_moves():
     assert len(q.reps) == a.n_states == 640_000
     assert q.preds.width == q.moves.width == 6
     assert peak < 64 * 2**20
+
+
+def test_a_symmetric_quotient_build_holds_no_int64_per_tuple():
+    """complete:39 N=4 has 39^4 = 2,313,441 position tuples in 15 orbits.
+    The build labels only the 39^3 tails under the stabiliser of vertex 0,
+    so its tracemalloc peak stays under 24 MiB (35.8 MiB when every tuple
+    had an int64 label) and under 8 bytes per tuple: no int64 array of
+    39^4 entries exists at any point of it."""
+    a = build_arena(builtin("complete", 39), 4)
+    tracemalloc.start()
+    try:
+        q = a.quotient()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(q.reps) == 60 and q.mix_orbit.dtype == np.uint8
+    assert peak < 24 * 2**20 and peak < 8 * 39**4
