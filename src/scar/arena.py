@@ -33,24 +33,20 @@ quotient: a graph automorphism applied to every token preserves moves,
 captures, captors and turns, so their answers are constant on orbits.
 Row i of the quotient is the row of orbit i's smallest state, each target
 replaced by its orbit, duplicates and padding kept, under every group, the
-trivial one included. Its predecessor table lists the same pairs rather
-than reversing the entries: row i holds the orbit of each predecessor of
-orbit i's smallest state, padded alike. Orbit P is in row t exactly when
-row P of the moves names t, since an automorphism carries a move of P's
-rep into t's orbit onto a move of a state of P's orbit into t's rep, and
-back; only the multiplicities differ from the exact reverse, and no
-engine or flood reads them (see `fixpoint`). A move changes one token, so
-moving token j of each orbit's tuple gives both tables' rows at once (the
-previous mover j of a turn-(j+1) state came from its closed
-neighbourhood), with no sort (`_quotient`). Classify's restricted games
-are cut from these two tables with no sort; the exact reverse
-(`Csr.reverse`) is made only for a full arena's `predecessors()` and a
-table handed to `fixpoint.retrograde` alone. Their answers stay per
-orbit: a single state reads its orbit (`Arena.orbit`), a
-summary weighs orbits by their sizes (`Quotient.count`), and a per-state
-table is lifted (`Arena.lifted`) only when a caller reads one. The capture
-test is read off the digits of a state, so no full `capture_mask` is built
-for them.
+trivial one included. Its predecessor table is a listing table (`Csr`):
+row i holds the orbit of each predecessor of orbit i's smallest state,
+padded alike, since an automorphism carries a move of P's rep into t's
+orbit onto a move of a state of P's orbit into t's rep, and back. A move
+changes one token, so moving token j of each orbit's tuple gives both
+tables' rows at once (the previous mover j of a turn-(j+1) state came
+from its closed neighbourhood), with no sort (`_quotient`). The exact
+reverse (`Csr.reverse`) is made only for a full arena's `predecessors()`
+and a table handed to `fixpoint.retrograde` alone. Answers stay per
+orbit: a single state reads its orbit (`Arena.orbit`), a summary weighs
+orbits by their sizes (`Quotient.count`), and a per-state table is lifted
+(`Arena.lifted`) only when a caller reads one. The capture test is read
+off the digits of a state, so no full `capture_mask` is built for them.
+A solved game is a `Solution`: the engine's rank per orbit.
 
 `_tuple_orbits` names the orbits from their tails: a position tuple's
 first token goes to the least vertex m of its orbit under Aut(G), and its
@@ -269,10 +265,10 @@ class Arena:
 
     def index_of(self, s: State | int) -> int:
         """The index of s, given as a State or as an index already (any
-        integer type, numpy's included)."""
-        if isinstance(s, State) or not isinstance(s, numbers.Integral):
+        integer type, numpy's included, but bool)."""
+        if isinstance(s, State):
             return self.index(s)
-        if not 0 <= s < self.n_states:
+        if count_of(s, 0, "a State or a state index") >= self.n_states:
             raise ValidationError(f"state index {s} out of range")
         return int(s)
 
@@ -324,8 +320,7 @@ class Arena:
 
     def mover_mask(self, *tokens: int) -> np.ndarray:
         """Per state: is the token to move one of `tokens`?"""
-        turn = [t in tokens for t in range(1, self.n_players + 1)]
-        return np.tile(turn, self.n_states // self.n_players)
+        return _turns(self.n_players, self.n_states, tokens)
 
     def robber_mover_mask(self) -> np.ndarray:
         return self.mover_mask(self.n_players)
@@ -357,9 +352,8 @@ class Quotient:
     `capture[i]` if any does. Row i of `moves` lists the orbit of each of
     reps[i]'s successors, in order, duplicates kept, padded like the
     arena's rows, and row i of `preds` the orbit of each of reps[i]'s
-    predecessors, in the same way: orbit P is listed in row t exactly when
-    row P of `moves` names t, though not as often, and `preds.listed`
-    counts the listings."""
+    predecessors, in the same way: a listing table of `moves` (`Csr`),
+    whose `listed` counts come from the build."""
 
     n_players: int
     mix_orbit: np.ndarray  # per position tuple, the index of its orbit of tuples (unsigned)
@@ -382,12 +376,17 @@ class Quotient:
 
     def turns(self, *tokens: int) -> np.ndarray:
         """Per orbit: is the token to move one of `tokens`?"""
-        turn = [t in tokens for t in range(1, self.n_players + 1)]
-        return np.tile(turn, len(self.reps) // self.n_players)
+        return _turns(self.n_players, len(self.reps), tokens)
 
     def lift(self, per_orbit: np.ndarray) -> np.ndarray:
         """Per state, the entry of its orbit."""
         return per_orbit.reshape(-1, self.n_players)[self.mix_orbit].reshape(-1)
+
+
+def _turns(n_players: int, rows: int, tokens: tuple[int, ...]) -> np.ndarray:
+    """Per row of a table whose turns cycle 1..n_players: is the token to
+    move one of `tokens`?"""
+    return np.tile([t in tokens for t in range(1, n_players + 1)], rows // n_players)
 
 
 Perm = tuple[int, ...]
@@ -606,10 +605,13 @@ class Csr:
     """A read-only table of rows that all hold `width` >= 1 entries: row i
     is `table[i]`. A row with fewer moves repeats its last one, which
     changes no min, max, OR, "some entry" or "every entry" test over it.
-    A predecessor table lists in row t each row naming t at least once; a
-    pad there is an entry naming its own row. `listed` counts each state's
-    listings outside pads, which is what `retrograde` pays a state's moves
-    with. Unpacks as CSR (offsets, targets) arrays."""
+    Unpacks as CSR (offsets, targets) arrays.
+
+    A predecessor table of a move table is a *listing* table: row t lists
+    each row that names t, at least once and as often as it likes, and
+    holds nothing else but pads, entries naming t itself. Its `listed`
+    counts each state's listings, which `retrograde` pays one at a time
+    as it reads them, settling a max row once all are paid."""
 
     table: np.ndarray
 
@@ -687,14 +689,11 @@ class Csr:
 
     @functools.cached_property
     def listed(self) -> np.ndarray:
-        """Per row index i, how many entries name i outside pads, a pad
-        being an entry that names its own row; in the least unsigned
-        dtype. On a predecessor table these are the listings of each
-        state that `retrograde` pays. Counted here only for a table made
-        without them: `reverse` sets the reversed table's width less the
-        entries that name their own row, the quotient build counts its
-        gathers, and classify's cut takes the quotient's count less the
-        listings it makes pads (`Csr.listing`)."""
+        """Per row index i, how many entries outside row i name i, in the
+        least unsigned dtype: the listings of a predecessor table made
+        without its count, every entry naming its own row taken for a pad.
+        `reverse`, the quotient build and classify's cut set theirs
+        (`Csr.listing`)."""
         n = len(self.table)
         own = np.arange(n, dtype=self.table.dtype)
         count = np.zeros(n, dtype=np.int64)
@@ -702,20 +701,14 @@ class Csr:
             count += np.bincount(column[column != own], minlength=n)
         return _read_only(count.astype(np.min_scalar_type(count.max(initial=0))))
 
-    @functools.cached_property
-    def loops(self) -> np.ndarray:
-        """The rows that hold an entry naming the row itself, once per such
-        entry (none in the package: every move passes the turn), found a
-        column at a time, as `listed`."""
-        own = np.arange(len(self.table), dtype=self.table.dtype)
-        return _read_only(np.concatenate([np.flatnonzero(c == own) for c in self.table.T]))
-
     def reverse(self) -> Csr:
         """The exact reverse, duplicates kept: row t lists every (row s,
         column) entry naming t by its s, ascending, then repeats t itself up
         to the largest in-degree. `retrograde` reads row t only once t is
         settled and `_flood` only once t is seen, so neither steps into a
-        pad. Sources are int32 while they fit."""
+        pad. Each state is listed once per entry of its row, so `listed` is
+        the width (a row naming itself is listed in itself; see
+        `fixpoint.retrograde`). Sources are int32 while they fit."""
         n, width = self.table.shape
         degree = np.bincount(self.table.reshape(-1), minlength=n)
         # ordered by target, then source; equal keys are equal entries
@@ -727,11 +720,7 @@ class Csr:
         own = np.arange(n, dtype=_index_dtype(n))[:, None]
         preds = np.repeat(own, int(degree.max()), axis=1)
         preds[np.arange(preds.shape[1]) < degree[:, None]] = keys  # row-major: by target
-        # each state is listed once per entry of its row, less the entries
-        # naming the row itself, which read as pads
-        listed = np.full(n, width, dtype=np.min_scalar_type(width))
-        np.subtract.at(listed, self.loops, 1)
-        return Csr.listing(preds, listed)
+        return Csr.listing(preds, np.full(n, width))
 
 
 def _pad_slots(count: np.ndarray) -> np.ndarray:
@@ -740,29 +729,35 @@ def _pad_slots(count: np.ndarray) -> np.ndarray:
     return np.minimum(np.arange(count.max()), count[:, None] - 1)
 
 
-class OptimalMoves:
-    """Optimal-move lookups shared by the solution types. A subclass sets
-    `arena` and, per orbit of its quotient, `keys` and `maximizer`: whether
-    the orbit's mover takes the largest key (the smallest otherwise). The
-    moves to a row's best key are its mover's optimal moves."""
+@dataclass(eq=False)
+class Solution:
+    """A game solved on an arena's orbit quotient, held as the engine
+    returns it (`fixpoint.retrograde`): per orbit its `rank`, which orders
+    the orbits as the engine's keys do, and whether its mover is `eager`.
+    An eager mover takes its row's smallest rank, every other mover the
+    largest; the moves to that rank are its optimal moves. `rank` is made
+    read-only."""
 
     arena: Arena
-    keys: np.ndarray
-    maximizer: np.ndarray
+    rank: np.ndarray
+    eager: np.ndarray
+
+    def __post_init__(self):
+        self.rank.flags.writeable = False
 
     def opt_indices(self, s: State | int) -> np.ndarray:
         """The optimal successors of noncapture state s, ascending: the
-        targets of row s whose key equals the row's best."""
+        targets of row s whose rank equals the row's best."""
         a, idx = self.arena, self.arena.index_of(s)
-        largest = self.maximizer[a.orbit(idx, "no moves are defined from a capture state")]
+        eager = self.eager[a.orbit(idx, "no moves are defined from a capture state")]
         row = a.succ_indices(idx)
-        succ = self.keys[a.quotient().orbit_of(row)]
-        return row[succ == (succ.max() if largest else succ.min())]
+        succ = self.rank[a.quotient().orbit_of(row)]
+        return row[succ == (succ.min() if eager else succ.max())]
 
     def orbit_edge_opt(self) -> np.ndarray:
         """Per edge of the quotient's move table: does the move attain its
         mover's optimum? Capture rows are marked too; no caller reads them."""
-        return self.arena.quotient().moves.best_edges(self.keys, self.maximizer)
+        return self.arena.quotient().moves.best_edges(self.rank, ~self.eager)
 
     def opt_moves(self, s: State | int) -> tuple[State, ...]:
         return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(s))
@@ -805,7 +800,7 @@ def _flood(table, seed: np.ndarray, blocked: np.ndarray) -> np.ndarray:
             frontier = np.flatnonzero(hit & fresh)
         else:
             nbrs = np.concatenate(list(table.columns(frontier)))
-            frontier = distinct(nbrs[fresh[nbrs]], slot)
+            frontier = distinct(nbrs[fresh.take(nbrs)], slot)
         fresh[frontier] = False
         seen[frontier] = True
     return seen

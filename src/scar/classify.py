@@ -74,11 +74,9 @@ def in_script_g(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) 
 
 def _restricted_tables(arena: Arena, cr: CrSolution, m: int) -> tuple[Csr, Csr]:
     """Cop m's restricted game, cut from the orbit quotient's own tables
-    without a sort: the successor table with each move of cop m that is
-    not capture-time-optimal replaced by an optimal one of its row, and
-    the predecessor table with each listing of such a move turned into a
-    pad, which names its own row, and its `listed` counts lowered by the
-    listings cut. `retrograde` then pays each row only its kept moves. A
+    without a sort as `fixpoint.retrograde` allows: each move of cop m
+    that is not capture-time-optimal is replaced by an optimal one of its
+    row, each listing of it made a pad and `listed` lowered to match. A
     move's optimality depends only on its target's orbit, so every copy
     of a listing is cut alike. A move passes the turn, so cop m's moves
     leave the orbits where m moves and are listed only in the rows of the

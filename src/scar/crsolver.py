@@ -28,7 +28,7 @@ from .arena import (
     DEFAULT_MAX_STATES,
     INFINITY,
     Arena,
-    OptimalMoves,
+    Solution,
     State,
     count_of,
 )
@@ -37,16 +37,14 @@ from .fixpoint import INT_INF, solve_layers
 from .graphs import Graph
 
 
-class CrSolution(OptimalMoves):
-    """The capture-time game's value `depths` per orbit of the arena's
-    quotient, and the optimal moves and capture attribution read from it.
-    The per-state tables (`values`, `capturer_table()`) are lifted on first
-    read. The arena memoizes every table, as arrays that do not refer back."""
+class CrSolution(Solution):
+    """The capture-time game as a `Solution` whose rank is its value,
+    `depths`, per orbit of the arena's quotient, the cops eager; and the
+    capture attribution read from it. The per-state tables (`values`,
+    `capturer_table()`) are lifted on first read. The arena memoizes every
+    table, as arrays that do not refer back."""
 
-    def __init__(self, arena: Arena, depths: np.ndarray):
-        self.arena = arena
-        self.depths = self.keys = depths
-        self.maximizer = arena.quotient().turns(arena.n_players)
+    depths = property(lambda self: self.rank)
 
     # -- values ---------------------------------------------------------------
 
@@ -76,7 +74,7 @@ class CrSolution(OptimalMoves):
         )
 
     def orbit_edge_opt(self) -> np.ndarray:
-        """`OptimalMoves.orbit_edge_opt`, memoized on the arena: classify's
+        """`Solution.orbit_edge_opt`, memoized on the arena: classify's
         restricted tables and the positionality tests read it again and
         again."""
         return self.arena.memo("capture_orbit_edge_opt", super().orbit_edge_opt)
@@ -113,7 +111,7 @@ class CrSolution(OptimalMoves):
                 read = q.moves.row_reader()
                 for level, t in zip(np.split(by_value, cuts), depth[np.r_[0, cuts]]):
                     succ = read(level)
-                    succ_bits = np.where(values[succ] == t - 1, bits[succ], np.uint32(0))
+                    succ_bits = np.where(values.take(succ) == t - 1, bits.take(succ), np.uint32(0))
                     bits[level] = q.moves.row_fold(np.bitwise_or, succ_bits)
             return bits
 
@@ -185,7 +183,7 @@ def capture_depths(arena: Arena) -> np.ndarray:
 def solve_capture_time(arena: Arena) -> CrSolution:
     """Solve the joint capture-time game on the arena (its tables are
     memoized on the arena)."""
-    return CrSolution(arena, capture_depths(arena))
+    return CrSolution(arena, capture_depths(arena), ~arena.quotient().turns(arena.n_players))
 
 
 def capture_attribution(sol: CrSolution, s: State | int) -> tuple[int, int]:

@@ -17,18 +17,10 @@ ascending by key, found by bisection, so keys are compared and never hashed;
 the smallest is settled as a level. Each listing of a state in the level's
 predecessor rows takes one from its count, and a state whose count reaches 0
 is pushed at step(key). The count starts at 1 for eager states, which settle
-on their first settled successor. Elsewhere it is how often the predecessor
-table lists the state outside pads (`Csr.listed`). A state that must not be
-pushed (frozen, pushed already, or a max row naming itself) holds the count
-INT_INF, which no listing brings to 0. The predecessor table need not be the
-exact reverse: it lists s in row t, as often as it likes, exactly when row s
-names t, so s is paid in full exactly when its last successor settles. The
-orbit quotient's table lists each orbit's predecessors once per column of
-its own row, and an exact reverse once per entry naming it (the width of s's
-row). So a game on a subset of a table's moves needs no table of its own:
-the caller replaces each cut entry by a kept entry of the same row and turns
-every listing of it in the predecessor table into a pad, with no sort, and
-the count pays only the kept moves. The rest take `never`.
+on their first settled successor, and at the state's listings (`Csr.listed`)
+elsewhere; a frozen or pushed state holds INT_INF, which no listing brings
+to 0. The predecessor table need only be a listing table (`Csr`), so a game
+on a subset of a table's moves needs no table of its own (see `retrograde`).
 
 How a level is counted depends on the length p of its predecessor list, out
 of n states. A wide level (16p >= n; 16 is `arena.WIDE_FRONTIER`) is counted
@@ -89,20 +81,18 @@ def retrograde(
 
     Every row of the table must hold a move, and every seeded state must
     be frozen. A seed keyed `never` is left unsettled and a key above it is
-    refused. `predecessors` lists in row t each row of `moves` that
-    names t, at least once and as often as it likes, and holds nothing
-    else but pads, entries naming t itself: the exact reverse
-    (`Csr.reverse`), the orbit quotient's listing table, or either with
-    the listings of cut moves turned into pads, when `moves` repeats a
-    kept entry of the same row in their place. A max row's count is how
-    often the table lists it outside pads (`Csr.listed`), and each
-    listing is paid once, so it settles with its last successor, however
-    many times each is listed. Row t is read only once t is settled, when
-    its count is INT_INF, so its pads bring no count to 0; a max row that
-    names itself never settles, and holds INT_INF from the start. Every
-    solve in the package passes a predecessor table, the orbit quotient's
-    or one cut from it; for a table passed without one `moves.reverse`
-    sorts the entries here.
+    refused. `predecessors` is a listing table of `moves` (`Csr`): it
+    lists in row t each row that names t, at least once and as often as
+    it likes, and holds nothing else but pads, entries naming t itself.
+    It is the exact reverse (`Csr.reverse`), the orbit quotient's, or
+    either with the listings of cut moves turned into pads, where `moves`
+    repeats a kept entry of the same row in their place, so the count
+    pays only the kept moves. A max row's count is its listings
+    (`Csr.listed`), each paid once, so it settles with its last successor
+    however often each is listed. Row t is read only once t is settled,
+    when its count is INT_INF, so its pads bring no count to 0, and a max
+    row naming itself, listed in its own row, is never paid in full.
+    Without `predecessors`, `moves.reverse` sorts the entries here.
     """
     if predecessors is None:
         predecessors = moves.reverse()
@@ -130,8 +120,6 @@ def retrograde(
     remaining = predecessors.listed.astype(np.int64)
     remaining[eager] = 1
     remaining[frozen] = INT_INF
-    loops = moves.loops
-    remaining[loops[~eager[loops]]] = INT_INF
     n = len(remaining)
     rank = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
     slot = np.empty(n, dtype=np.int64)  # `distinct`'s scratch
@@ -150,7 +138,7 @@ def retrograde(
             ready = np.flatnonzero(remaining <= 0)
         else:
             np.subtract.at(remaining, preds, 1)
-            ready = distinct(preds[remaining[preds] <= 0], slot)
+            ready = distinct(preds[remaining.take(preds) <= 0], slot)
         if ready.size:
             remaining[ready] = INT_INF
             push(step(key), ready, ("step", len(levels) - 1))

@@ -133,13 +133,12 @@ def _no_profile(arena: Arena, params: GameParams, s0: State) -> ScarError:
 
 
 def _verdict(
-    arena: Arena,
-    tests: tuple[dict[int, np.ndarray], np.ndarray],
-    params: GameParams,
-    s0: State,
-    reachable: np.ndarray,
+    arena: Arena, params: GameParams, s0: State, reachable: np.ndarray
 ) -> PositionalityVerdict:
-    meets, inside = tests
+    """The verdict at s0, whose reachable noncapture states are given: the
+    games at `params` are solved and tested, and the failing pairs listed."""
+    games = solve_all_games(arena, params)
+    meets, inside = _state_tests(arena, solve_capture_time(arena), games)
     orbits = arena.quotient().orbit_of(reachable)
     fails = {m: reachable[~meets[m][orbits]] for m in sorted(meets)}
     states = np.concatenate(list(fails.values()))
@@ -171,10 +170,7 @@ def check_positionality(
     arena: Arena, s0: State | int, params: GameParams
 ) -> PositionalityVerdict:
     idx = _start(arena, s0)
-    cr = solve_capture_time(arena)
-    games = solve_all_games(arena, params)
-    tests = _state_tests(arena, cr, games)
-    return _verdict(arena, tests, params, arena.state_of(idx), reachable_noncapture(arena, idx))
+    return _verdict(arena, params, arena.state_of(idx), reachable_noncapture(arena, idx))
 
 
 def positionality_table(arena: Arena, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
@@ -218,17 +214,9 @@ def scan_region(
     the arena, the capture-time solution and the reachable set shared."""
     arena = build_arena(g, n_players, max_states)
     idx = _start(arena, s0)
-    s0 = arena.state_of(idx)
-    cr = solve_capture_time(arena)
-    reach = reachable_noncapture(arena, idx)
-    out = []
-    for eps in epsilon_grid:
-        for gamma in gamma_grid:
-            params = GameParams(n_players, gamma, eps, allow_wide_epsilon)
-            games = solve_all_games(arena, params)
-            tests = _state_tests(arena, cr, games)
-            out.append(_verdict(arena, tests, params, s0, reach))
-    return out
+    s0, reach = arena.state_of(idx), reachable_noncapture(arena, idx)
+    return [_verdict(arena, GameParams(n_players, gamma, eps, allow_wide_epsilon), s0, reach)
+            for eps in epsilon_grid for gamma in gamma_grid]
 
 
 # ---------------------------------------------------------------------------

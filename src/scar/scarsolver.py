@@ -23,14 +23,12 @@ D = B * q^T for the coefficients' least common denominator B, on which the
 step k*p // q is exact to depth T. T starts N above the capture-time
 game's deepest finite depth, and a run that steps deeper runs again at 2T.
 
-A solution stores the ascending values as int numerators over D, whose
-Fractions `levels` are made on first read, and one int rank per orbit of
-the arena's quotient (`Arena.quotient()`), where the game is solved: a
-graph automorphism applied to every token preserves moves, turns and
-captors, so values and optimal moves are constant on orbits. Every
-solve ends with the engine's exact check of every Bellman equation on the
-quotient; the fixpoint is unique for gamma < 1, so passing it proves the
-answer.
+A `GameSolution` holds the engine's keys and its rank per orbit of the
+arena's quotient (`Arena.quotient()`), where the game is solved: a graph
+automorphism applied to every token preserves moves, turns and captors,
+so values and optimal moves are constant on orbits. Every solve ends with
+the engine's exact check of every Bellman equation on the quotient; the
+fixpoint is unique for gamma < 1, so passing it proves the answer.
 
 The engine also reports where each level came from, so every level is a
 symbol c * gamma^t: a terminal coefficient c reached t moves from capture,
@@ -56,7 +54,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arena import Arena, GameParams, OptimalMoves, State
+from .arena import Arena, GameParams, Solution, State
 from .crsolver import capture_depths
 from .errors import ScarError, ValidationError
 from .fixpoint import INT_INF, check_fixpoint, retrograde
@@ -80,25 +78,19 @@ def terminal_payoff(s: State, m: int, params: GameParams) -> Fraction:
 
 
 @dataclass(eq=False)
-class GameSolution(OptimalMoves):
-    """Exact value table for one player's discounted game on an arena: the
-    ascending distinct values, int `numerators` over one `denominator`
-    (Fractions in `levels`, made on first read), and each quotient orbit's
-    `rank` into them, its optimal-move key under the `maximizer` mask."""
+class GameSolution(Solution):
+    """Exact value table for one player's discounted game on an arena, a
+    `Solution` whose rank indexes the engine's ascending int `keys`, each
+    -value * `denominator`: the distinct values, descending, are the
+    Fractions `levels` in the same order, made on first read. Cop m's
+    game has cop m eager, as the engine solved it."""
 
-    arena: Arena
-    numerators: tuple[int, ...]
+    keys: tuple[int, ...]
     denominator: int
-    rank: np.ndarray
-    maximizer: np.ndarray
 
-    keys = property(lambda self: self.rank)
     levels = functools.cached_property(
-        lambda self: tuple(Fraction(a, self.denominator) for a in self.numerators))
-    rounds = property(lambda self: len(self.numerators) - (self.numerators[0] == 0))  # settled
-
-    def __post_init__(self):
-        self.rank.flags.writeable = False
+        lambda self: tuple(Fraction(-k, self.denominator) for k in self.keys))
+    rounds = property(lambda self: len(self.keys) - (self.keys[-1] == 0))  # settled
 
     def value(self, s: State | int) -> Fraction:
         return self.levels[self.rank[self.arena.orbit(s)]]
@@ -109,7 +101,7 @@ class _Solved:
     """The last solve of one cop's game on an arena, with the seed batches
     it was solved from. `symbols` holds one (a, t) per level, value
     a * gamma^t / B for the int a and the seeds' least common denominator
-    B, aligned with `solution.levels`; None when a level was tied."""
+    B, aligned with `solution.keys`; None when a level was tied."""
 
     gamma: Fraction
     epsilon: Fraction
@@ -138,18 +130,18 @@ def _integer_game(seeds: list, gamma: Fraction, top: int):
 
 
 def _discounted(
-    arena: Arena, gamma: Fraction, maximizer: np.ndarray, seeds: list
+    arena: Arena, gamma: Fraction, eager: np.ndarray, seeds: list
 ) -> tuple[GameSolution, tuple[tuple[int, int], ...] | None]:
     """Run the engine on the arena's quotient from the capture orbits' seed
-    batches `(coefficient, orbits)`, on `_integer_game`'s keys, and rank
-    the values in ascending order; returns the solution and its level
-    symbols (None when a level is tied)."""
+    batches `(coefficient, orbits)`, on `_integer_game`'s keys, with the
+    value's maximizers `eager`; returns the solution and its level symbols
+    (None when a level is tied)."""
     q, depths = arena.quotient(), capture_depths(arena)
     top = arena.n_players + int(depths.max(where=depths < INT_INF, initial=0))
     while True:
         scale, seed_keys, step = _integer_game(seeds, gamma, top)
         try:
-            keys, rank, origins = retrograde(q.moves, maximizer, q.capture, seed_keys,
+            keys, rank, origins = retrograde(q.moves, eager, q.capture, seed_keys,
                                              step, 0, q.preds)
             break
         except _TooDeep:
@@ -166,9 +158,8 @@ def _discounted(
         else:
             symbols = None
             break
-    sol = GameSolution(arena, tuple(-key for key in reversed(keys)), scale,
-                       len(keys) - 1 - rank, maximizer)
-    return sol, None if symbols is None else tuple(reversed(symbols))
+    sol = GameSolution(arena, rank, eager, tuple(keys), scale)
+    return sol, None if symbols is None else tuple(symbols)
 
 
 def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> GameSolution | None:
@@ -183,17 +174,16 @@ def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> GameSolution | N
     p, q = gamma.numerator, gamma.denominator
     top = 1 + max(t for _, t in last.symbols)
     keys: list[int] = []  # -value * D, ascending
-    for a, t in reversed(last.symbols):
+    for a, t in last.symbols:
         key = -a * p**t * q ** (top - t)
         if keys and not keys[-1] < key:
             return None
         keys.append(key)
     old, quotient = last.solution, arena.quotient()
     scale, seed_keys, step = _integer_game(last.seeds, gamma, top)
-    check_fixpoint(quotient.moves, old.maximizer, quotient.capture, seed_keys,
-                   step, 0, keys, len(keys) - 1 - old.rank)
-    return GameSolution(arena, tuple(-key for key in reversed(keys)), scale,
-                        old.rank, old.maximizer)
+    check_fixpoint(quotient.moves, old.eager, quotient.capture, seed_keys,
+                   step, 0, keys, old.rank)
+    return GameSolution(arena, old.rank, old.eager, tuple(keys), scale)
 
 
 def _terminal_classes(arena: Arena, player: int) -> list[tuple[State, np.ndarray]]:

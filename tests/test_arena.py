@@ -115,10 +115,12 @@ def test_reverse_takes_its_row_starts_from_the_sorted_keys(rows):
     assert table.table.tolist() == [r + r[-1:] * (width - len(r)) for r in rows]
     back = table.reverse()
     assert back.table.tolist() == padded_reverse(table.table.tolist())
-    # the count `reverse` sets is the count of its listings outside pads
-    # (an entry naming its own row reads as one)
-    assert back.listed.tolist() == [width - r.count(s) for s, r in enumerate(table.table.tolist())]
-    assert np.array_equal(back.listed, Csr(back.table).listed)
+    # `reverse` lists each row once per entry, an entry naming its own row
+    # included, so its count is the width; a fresh count, which takes such
+    # an entry for a pad, leaves those out
+    assert back.listed.tolist() == [width] * len(rows)
+    own = [r.count(s) for s, r in enumerate(table.table.tolist())]
+    assert Csr(back.table).listed.tolist() == [width - k for k in own]
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,6 +268,19 @@ def test_player_count_refuses_bools_and_non_integers(n, named):
         build_arena(builtin("cycle", 4), n)
     with pytest.raises(ValidationError, match=named):
         GameParams(n, Q(1, 2), Q(0))
+
+
+@pytest.mark.parametrize("s, named", [(True, "bool"), (np.bool_(True), "bool"),
+                                      (1.0, "float"), (-1, "-1"), (324, "out of range")])
+def test_a_state_index_must_be_an_integer_in_range(s, named):
+    """A state given by index is refused unless it is an integer (numpy's
+    included, bool not) naming a state: True is not state 1."""
+    a = build_arena(builtin("path", 3), 4)
+    sol = solve_capture_time(a)
+    for query in (a.index_of, a.is_capture, sol.capture_time, sol.opt_indices):
+        with pytest.raises(ValidationError, match=named):
+            query(s)
+    assert a.index_of(np.int32(1)) == 1 and sol.capture_time(np.int64(1)) == sol.capture_time(1)
 
 
 def test_row_width_reads_the_offsets():

@@ -20,7 +20,7 @@ from scar import (
     simulate,
     solve_capture_time,
 )
-from scar.arena import OptimalMoves
+from scar.arena import Solution
 from scar.crsolver import classic_cop_number, classic_cop_win, classic_cop_win_placement
 from scar.fixpoint import INT_INF
 
@@ -312,6 +312,6 @@ def test_the_orbit_edge_mask_is_made_once_per_arena():
     a = build_arena(builtin("petersen"), 3)
     mask = solve_capture_time(a).orbit_edge_opt()
     assert solve_capture_time(a).orbit_edge_opt() is mask
-    assert np.array_equal(mask, OptimalMoves.orbit_edge_opt(solve_capture_time(a)))
+    assert np.array_equal(mask, Solution.orbit_edge_opt(solve_capture_time(a)))
     with pytest.raises(ValueError, match="read-only"):
         mask[0] = not mask[0]

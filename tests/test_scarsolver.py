@@ -225,12 +225,35 @@ def test_solve_game_matches_oracle_on_random_graphs(game):
 
 
 def test_levels_are_distinct_and_ranks_index_them():
+    """The keys ascend, so the levels, their values, descend; the ranks
+    index both, and the unsettled level, worth 0, comes last."""
     a = build_arena(builtin("path", 3), 3)
     sol = solve_game(a, 1, GameParams(3, Q(1, 2), Q(1, 10)))
-    assert list(sol.levels) == sorted(set(sol.levels))
-    assert sol.rounds == len(sol.levels) - (sol.levels[0] == 0)
+    assert list(sol.keys) == sorted(set(sol.keys))
+    assert list(sol.levels) == [Q(-k, sol.denominator) for k in sol.keys]
+    assert list(sol.levels) == sorted(set(sol.levels), reverse=True)
+    assert sol.rounds == len(sol.levels) - (sol.levels[-1] == 0)
     for i in range(a.n_states):
         assert sol.value(i) == sol.levels[sol.rank[a.orbit(i)]]
+
+
+def test_a_fresh_solve_stores_the_engines_keys_and_ranks(monkeypatch):
+    """A fresh `solve_game` holds the engine's ascending keys and the very
+    rank array it returned on the quotient, with cop m eager."""
+    a = build_arena(builtin("path", 3), 3)
+    runs = []
+    engine = scarsolver.retrograde
+
+    def recorded(*args):
+        runs.append((args, engine(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(scarsolver, "retrograde", recorded)
+    sol = solve_game(a, 2, GameParams(3, Q(1, 2), Q(1, 10)))
+    (args, (keys, rank, _)), = runs
+    assert args[0] is a.quotient().moves and args[6] is a.quotient().preds
+    assert sol.keys == tuple(keys) and sol.rank is rank
+    assert sol.eager is args[1] and np.array_equal(sol.eager, a.quotient().turns(2))
 
 
 def capture_game(a, gamma, coefficient=Q(1)):
@@ -255,11 +278,10 @@ def test_bellman_check_rejects_a_wrong_table():
     game = capture_game(a, Q(1, 2))
     keys, rank, _ = retrograde(*game)
     sol = solve_discounted_capture(a, Q(1, 2))
-    per_state = a.quotient().lift(sol.rank)
-    assert keys == [-v for v in reversed(sol.levels)]
-    assert np.array_equal(rank, len(keys) - 1 - per_state)
+    assert keys == [-v for v in sol.levels]
+    assert np.array_equal(rank, a.quotient().lift(sol.rank))
     check_fixpoint(*game, keys, rank)
-    moved = int(np.nonzero((~a.capture_mask) & (per_state > 0))[0][0])
+    moved = int(np.nonzero((~a.capture_mask) & (rank < len(keys) - 1))[0][0])
     rank[moved] += 1
     with pytest.raises(ScarError, match=f"state {moved} holds"):
         check_fixpoint(*game, keys, rank)
@@ -349,7 +371,8 @@ def _checked_on_integer_keys(call, sol, gamma):
     assert all(type(k) is int for k in [*levels, *(key for key, _ in seeds), never])
     assert all(k % gamma.denominator == 0 for k in levels)
     assert [step(k) for k in levels] == [gamma * k for k in levels]
-    assert [Q(-k, sol.denominator) for k in reversed(levels)] == list(sol.levels)
+    assert tuple(levels) == sol.keys and rank is sol.rank
+    assert [Q(-k, sol.denominator) for k in levels] == list(sol.levels)
     for i in range(len(levels)):
         for unit in (-1, 1):
             off = list(levels)
@@ -359,10 +382,12 @@ def _checked_on_integer_keys(call, sol, gamma):
 
 
 def test_a_reused_solution_is_checked_on_integer_keys(monkeypatch, discounted_runs):
-    """At gamma = p/q the re-use hands the exact check integer keys."""
+    """At gamma = p/q the re-use hands the exact check integer keys, and
+    the very rank array and eager mask of the solve it re-uses, with no
+    remap."""
     a = build_arena(builtin("path", 3), 3)
     eps, gamma = Q(1, 10), Q(3, 10)
-    solve_game(a, 1, GameParams(3, Q(1, 4), eps))
+    first = solve_game(a, 1, GameParams(3, Q(1, 4), eps))
     calls = []
 
     def spy(*args):
@@ -372,6 +397,7 @@ def test_a_reused_solution_is_checked_on_integer_keys(monkeypatch, discounted_ru
     monkeypatch.setattr(scarsolver, "check_fixpoint", spy)
     moved = solve_game(a, 1, GameParams(3, gamma, eps))
     assert len(discounted_runs) == 1 and len(calls) == 1
+    assert moved.rank is first.rank and calls[0][1] is moved.eager is first.eager
     _checked_on_integer_keys(calls[0], moved, gamma)
     _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
                                      GameParams(3, gamma, eps)))
