@@ -13,19 +13,18 @@ States are packed densely: index = ((x1*V + x2)*V + ... + xN)*N + (mover-1),
 so |states| = V^N * N. Row s of the successor table lists s with the
 mover's token moved to each vertex of its closed neighbourhood, in
 ascending order, the turn advanced. Every move table is a `Csr`, a
-read-only `(rows, width)` array: a row with fewer entries than the widest
-repeats its last one. A repeat changes no min, max, OR, "some entry" or
-"every entry" test over the row, and a count of marked entries counts it
-as often as its original, so every layer runs the same column sweeps and
-row gathers on every graph. The successor table's width is the largest
-closed neighbourhood, max(deg)+1.
+read-only `(rows, width)` array whose shorter rows repeat their last
+entry, so every layer runs the same column sweeps and row gathers on every
+graph. The successor table's width is the largest closed neighbourhood,
+max(deg)+1.
 
 A move changes a state's index by an amount that depends only on the
 mover t and its vertex u, so one memoized shift table (`Arena._shift`, row
 t*V + u, made from the padded closed neighbourhoods of `Arena._hops`)
 gives any rows of the successor table: `Arena.columns(rows)` one column
-at a time, `_slots` the full table in one gather. No solver builds the full table; `succ_indices` makes one
-row alone, and `simulate` checks each move against it.
+at a time, `_slots` the full table in one gather. No solver builds the
+full table; `succ_indices` makes one row alone, and `simulate` checks
+each move against it.
 
 Every solver (capture time, attribution, coalitions, classify's guarantee
 games, the discounted games and the positionality tests) runs on the orbit
@@ -33,10 +32,10 @@ quotient: a graph automorphism applied to every token preserves moves,
 captures, captors and turns, so their answers are constant on orbits.
 Row i of the quotient is the row of orbit i's smallest state, each target
 replaced by its orbit, duplicates and padding kept, under every group, the
-trivial one included. Its predecessor table is a listing table (`Csr`):
-row i holds the orbit of each predecessor of orbit i's smallest state,
-padded alike, since an automorphism carries a move of P's rep into t's
-orbit onto a move of a state of P's orbit into t's rep, and back. A move
+trivial one included. Its predecessor table is a listing table (see
+`Csr`): row i holds the orbit of each predecessor of orbit i's smallest
+state, since an automorphism carries a move of P's rep into t's orbit
+onto a move of a state of P's orbit into t's rep, and back. A move
 changes one token, so moving token j of each orbit's tuple gives both
 tables' rows at once (the previous mover j of a turn-(j+1) state came
 from its closed neighbourhood), with no sort (`_quotient`). The exact
@@ -46,26 +45,13 @@ orbit: a single state reads its orbit (`Arena.orbit`), a summary weighs
 orbits by their sizes (`Quotient.count`), and a per-state table is lifted
 (`Arena.lifted`) only when a caller reads one. The capture test is read
 off the digits of a state, so no full `capture_mask` is built for them.
-A solved game is a `Solution`: the engine's rank per orbit.
-
-`_tuple_orbits` names the orbits from their tails: a position tuple's
-first token goes to the least vertex m of its orbit under Aut(G), and its
-other N-1 tokens, its tail, to their least image under the stabiliser of
-m. So only V^(N-1) tails are labelled per vertex orbit, and no array but
-`mix_orbit`, in its narrow dtype, spans the V^N tuples. The generators
-the search (`graphs.automorphism_generators`) finds that fix its first
-base point, 0, generate Stab(0); any other m's stabiliser comes from its
-Schreier generators, sifted by Sims' filter. The group work is plain
-Python on permutation tuples of V points.
+A solved game is a `Solution`. The orbits are labelled one vertex orbit
+at a time (`_tuple_orbits`).
 
 `_flood` spreads from a seed one frontier at a time over the rows of a
 `Csr` or, for `reachable_noncapture`, over an arena's successor rows made
-per frontier, with the width rule of `fixpoint.retrograde`: a frontier
-whose rows hold at least n/16 entries (n states, `WIDE_FRONTIER` = 16) is
-marked in a fresh bool array one column at a time and read back with
-`flatnonzero`; a narrower one keeps its unseen entries, one copy of each
-by `distinct`, with no sort. The next frontier's order is then not set,
-and nothing reads it; the flood stays linear in the entries it reads.
+per frontier, a wide frontier marked and a narrow one kept by `distinct`
+as `fixpoint.retrograde` counts its levels, with no sort.
 """
 
 from __future__ import annotations
@@ -252,6 +238,8 @@ class Arena:
 
     def index(self, s: State) -> int:
         n, v = self.n_players, self.graph.vertex_count
+        if not isinstance(s, State):
+            raise ValidationError(f"need a State, got {type(s).__name__} {s!r}")
         if len(s.cops) != n - 1:
             raise ValidationError(f"state has {len(s.cops)} cops; arena expects {n - 1}")
         if not 1 <= s.mover <= n:
@@ -272,10 +260,10 @@ class Arena:
             raise ValidationError(f"state index {s} out of range")
         return int(s)
 
-    def state_of(self, idx: int) -> State:
+    def state_of(self, idx: State | int) -> State:
+        """The state at idx, given as `index_of` takes it."""
         n, v = self.n_players, self.graph.vertex_count
-        if not 0 <= idx < self.n_states:
-            raise ValidationError(f"state index {idx} out of range")
+        idx = self.index_of(idx)
         digits = [idx // n // stride % v for stride in self._strides]
         return State(tuple(digits[:-1]), digits[-1], idx % n + 1)
 
@@ -293,7 +281,7 @@ class Arena:
         return np.array([mixes // stride % v == mixes % v for stride in self._strides[:-1]])
 
     def is_capture(self, s: State | int) -> bool:
-        return is_capture(self.state_of(self.index_of(s)))
+        return is_capture(self.state_of(s))
 
     def orbit(self, s: State | int, refusal: str | None = None) -> int:
         """The quotient orbit of s; a capture state is refused with `refusal`, if given."""
@@ -351,9 +339,8 @@ class Quotient:
     it. `at_robber[m-1, i]` says if cop m sits on the robber there,
     `capture[i]` if any does. Row i of `moves` lists the orbit of each of
     reps[i]'s successors, in order, duplicates kept, padded like the
-    arena's rows, and row i of `preds` the orbit of each of reps[i]'s
-    predecessors, in the same way: a listing table of `moves` (`Csr`),
-    whose `listed` counts come from the build."""
+    arena's rows; `preds` is a listing table of `moves` (see `Csr`), row
+    i the orbit of each of reps[i]'s predecessors, `listed` from the build."""
 
     n_players: int
     mix_orbit: np.ndarray  # per position tuple, the index of its orbit of tuples (unsigned)
@@ -402,59 +389,45 @@ def _tuple_orbits(gens: list[Perm], v: int, n: int):
     The maps in G sending x1 to the least vertex m of its orbit are
     Stab(m)·u for any one of them, u, so the least image of (x1, tail) is
     m followed by the least image of u(tail) under Stab(m), and its orbit
-    holds |orbit(m)| times that tail's count under Stab(m). Row x of
-    `mix_orbit` is offset(m), the orbits of the smaller m, plus the rank of
-    u(tail)'s least image (`_tail_ranks`). Vertex orbits are labelled and
-    their rows written in batches of about `CHUNK` tails (one orbit at
-    least), so no temporary spans the tuples and a graph of many small
-    orbits makes few numpy calls."""
+    holds |orbit(m)| times that tail's count under Stab(m). So per vertex
+    orbit only the V^(N-1) tails are labelled (`_tail_ranks`), and row x
+    of `mix_orbit` is offset(m), the orbits of the smaller m, plus the
+    rank of u(tail)'s least image, written at most `CHUNK` tails (one row
+    at least) at a time: no array but `mix_orbit` spans the tuples. The
+    group work is plain Python on permutation tuples (`_cosets`,
+    `_stabiliser`)."""
     k = n - 1
     tails = v**k
-    cosets = _cosets(gens, v)
-    least = list(cosets)
-    per = max(1, CHUNK // tails)
-    batches, roots, counts = [], [], []
+    labelled, roots, counts = [], [], []
     offset = 0
-    for lo in range(0, len(least), per):
-        ms = least[lo:lo + per]
-        block_roots, rank = _tail_ranks([_stabiliser(gens, m, cosets[m]) for m in ms], v, k)
-        block, tail = np.divmod(block_roots, tails)
-        roots.append(np.array(ms)[block] * tails + tail)
-        size = np.array([len(cosets[m]) for m in ms])[block]
-        counts.append(size if rank is None else size * np.bincount(rank))
-        batches.append((ms, offset, rank))
-        offset += len(block_roots)
+    for m, coset in _cosets(gens, v).items():
+        tail_roots, rank = _tail_ranks(_stabiliser(gens, m, coset), v, k)
+        roots.append(tail_roots + m * tails)
+        size = len(coset)
+        counts.append(np.full(len(tail_roots), size) if rank is None else size * np.bincount(rank))
+        labelled.append((coset, offset, rank))
+        offset += len(tail_roots)
     mix_orbit = np.empty((v, tails), dtype=np.min_scalar_type(offset))
-    for ms, offset, rank in batches:
-        rows = [(x, i, back) for i, m in enumerate(ms) for x, (_, back) in cosets[m].items()]
-        for lo in range(0, len(rows), per):
-            x, i, back = zip(*rows[lo:lo + per])
-            image = _images(np.array(back, dtype=_index_dtype(tails)), k)
-            image += np.multiply(i, tails, dtype=image.dtype)[:, None]
+    per = max(1, CHUNK // tails)
+    for coset, offset, rank in labelled:
+        xs, backs = list(coset), [back for _, back in coset.values()]
+        for lo in range(0, len(xs), per):
+            image = _images(np.array(backs[lo:lo + per], dtype=_index_dtype(tails)), k)
             if rank is not None:
                 image = np.take(rank, image)
-            mix_orbit[list(x)] = np.add(image, offset, dtype=np.int64)
+            mix_orbit[xs[lo:lo + per]] = np.add(image, offset, dtype=np.int64)
     return mix_orbit, np.concatenate(roots), np.concatenate(counts)
 
 
-def _tail_ranks(stabs: list[list[Perm]], v: int, k: int):
-    """The k-tuples (mixed radix V) of len(stabs) blocks laid end to end,
-    block i under the group stabs[i] generates: (the least tuple of each
-    orbit, ascending, by its index in the blocks; per tuple the rank of its
-    orbit among them, in the least unsigned dtype, or None when every
-    group is trivial). The blocks share one `_tail_labels` run, each
-    generator list padded with identities to the longest."""
-    tails = v**k
-    every = np.arange(len(stabs) * tails)
-    if not any(stabs):
+def _tail_ranks(stab: list[Perm], v: int, k: int):
+    """The k-tuples (mixed radix V) under the group `stab` generates: (the
+    least tuple of each orbit, ascending; per tuple the rank of its orbit
+    among them, in the least unsigned dtype, or None when `stab` is empty
+    and every tuple is its own orbit)."""
+    every = np.arange(v**k)
+    if not stab:
         return every, None
-    dtype, width = _index_dtype(len(every)), max(map(len, stabs))
-    blocks = []
-    for i, stab in enumerate(stabs):
-        blocks.append(_images(np.array(stab + [tuple(range(v))] * (width - len(stab)),
-                                        dtype=dtype), k))
-        blocks[-1] += i * tails
-    label = _tail_labels(blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1))
+    label = _tail_labels(_images(np.array(stab, dtype=_index_dtype(len(every))), k))
     is_root = label == every
     roots = np.flatnonzero(is_root)
     rank = np.cumsum(is_root, dtype=np.min_scalar_type(len(roots)))
@@ -555,12 +528,9 @@ def _quotient(arena: Arena) -> Quotient:
     mix_orbit, roots, counts = _tuple_orbits(automorphism_generators(arena.graph), v, n)
     mix_orbit = mix_orbit.reshape(-1)
     reps = (roots[:, None] * n + np.arange(n)).ravel()
-    # Moving token j of a root gives the successors of its turn-j state
-    # and, the closed neighbourhood being symmetric, the predecessors of
-    # its turn-(j+1) state: one gather per token of every column at once,
-    # by blocks of roots whose entries number at most max(roots, CHUNK), so
-    # no temporary outgrows one int64 per root on a large quotient. Nothing
-    # is sorted.
+    # one gather per token of every column at once, by blocks of roots whose
+    # entries number at most max(roots, CHUNK): no temporary outgrows one
+    # int64 per root
     dtype = _index_dtype(len(reps))
     moves, preds = (np.empty((len(reps), arena.width), dtype=dtype) for _ in range(2))
     listed = np.zeros((len(roots), n), dtype=np.int64)  # [o, j]: token j's gathers naming o
@@ -604,14 +574,20 @@ def _read_only(value):
 class Csr:
     """A read-only table of rows that all hold `width` >= 1 entries: row i
     is `table[i]`. A row with fewer moves repeats its last one, which
-    changes no min, max, OR, "some entry" or "every entry" test over it.
+    changes no min, max, OR, "some entry" or "every entry" test over it,
+    and a count of marked entries counts it as often as its original.
     Unpacks as CSR (offsets, targets) arrays.
 
     A predecessor table of a move table is a *listing* table: row t lists
     each row that names t, at least once and as often as it likes, and
     holds nothing else but pads, entries naming t itself. Its `listed`
-    counts each state's listings, which `retrograde` pays one at a time
-    as it reads them, settling a max row once all are paid."""
+    counts each state's listings. `fixpoint.retrograde` pays a max row's
+    count one listing at a time, so it settles with its last successor
+    however often each is listed, and reads row t only once t is settled,
+    so a pad pays nothing and a max row listed in its own row is never
+    paid in full. A game on a subset of the moves keeps the table: `moves`
+    repeats a kept entry of a row in place of a cut move, the cut move's
+    listings become pads, and `listed` is lowered to match."""
 
     table: np.ndarray
 
@@ -636,7 +612,9 @@ class Csr:
         sizes = np.diff(offsets)
         if not sizes.size or sizes.min() < 1:
             raise ValidationError("every row of a move table must hold a move")
-        return cls(targets[offsets[:-1, None] + _pad_slots(sizes)])
+        # per row, the slot each column reads: its own while it has one, else its last
+        slots = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+        return cls(targets[offsets[:-1, None] + slots])
 
     @classmethod
     def listing(cls, table: np.ndarray, listed: np.ndarray) -> Csr:
@@ -692,8 +670,7 @@ class Csr:
         """Per row index i, how many entries outside row i name i, in the
         least unsigned dtype: the listings of a predecessor table made
         without its count, every entry naming its own row taken for a pad.
-        `reverse`, the quotient build and classify's cut set theirs
-        (`Csr.listing`)."""
+        The tables made here set theirs (`Csr.listing`)."""
         n = len(self.table)
         own = np.arange(n, dtype=self.table.dtype)
         count = np.zeros(n, dtype=np.int64)
@@ -702,13 +679,11 @@ class Csr:
         return _read_only(count.astype(np.min_scalar_type(count.max(initial=0))))
 
     def reverse(self) -> Csr:
-        """The exact reverse, duplicates kept: row t lists every (row s,
-        column) entry naming t by its s, ascending, then repeats t itself up
-        to the largest in-degree. `retrograde` reads row t only once t is
-        settled and `_flood` only once t is seen, so neither steps into a
-        pad. Each state is listed once per entry of its row, so `listed` is
-        the width (a row naming itself is listed in itself; see
-        `fixpoint.retrograde`). Sources are int32 while they fit."""
+        """The exact reverse, duplicates kept, a listing table: row t lists
+        every (row s, column) entry naming t by its s, ascending, then pads
+        with t up to the largest in-degree, and `listed` is the width, an
+        entry naming its own row included. `_flood` reads row t only once t
+        is seen, so it steps into no pad. Sources are int32 while they fit."""
         n, width = self.table.shape
         degree = np.bincount(self.table.reshape(-1), minlength=n)
         # ordered by target, then source; equal keys are equal entries
@@ -721,12 +696,6 @@ class Csr:
         preds = np.repeat(own, int(degree.max()), axis=1)
         preds[np.arange(preds.shape[1]) < degree[:, None]] = keys  # row-major: by target
         return Csr.listing(preds, np.full(n, width))
-
-
-def _pad_slots(count: np.ndarray) -> np.ndarray:
-    """Per row holding count >= 1 entries, the slot each of max(count)
-    columns reads: its own while the row has it, else the row's last."""
-    return np.minimum(np.arange(count.max()), count[:, None] - 1)
 
 
 @dataclass(eq=False)

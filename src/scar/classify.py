@@ -74,13 +74,12 @@ def in_script_g(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) 
 
 def _restricted_tables(arena: Arena, cr: CrSolution, m: int) -> tuple[Csr, Csr]:
     """Cop m's restricted game, cut from the orbit quotient's own tables
-    without a sort as `fixpoint.retrograde` allows: each move of cop m
-    that is not capture-time-optimal is replaced by an optimal one of its
-    row, each listing of it made a pad and `listed` lowered to match. A
-    move's optimality depends only on its target's orbit, so every copy
-    of a listing is cut alike. A move passes the turn, so cop m's moves
-    leave the orbits where m moves and are listed only in the rows of the
-    orbits where the next token moves; no other row changes."""
+    without a sort, as a listing table allows (`arena.Csr`): each move of
+    cop m that is not capture-time-optimal is cut. A move's optimality
+    depends only on its target's orbit, so every copy of a listing is cut
+    alike. A move passes the turn, so cop m's moves leave the orbits where
+    m moves and are listed only in the rows of the orbits where the next
+    token moves; no other row changes."""
     q = arena.quotient()
     src, dst = np.flatnonzero(q.turns(m)), np.flatnonzero(q.turns(m % arena.n_players + 1))
     rows = q.moves.table[src]

@@ -19,8 +19,8 @@ predecessor rows takes one from its count, and a state whose count reaches 0
 is pushed at step(key). The count starts at 1 for eager states, which settle
 on their first settled successor, and at the state's listings (`Csr.listed`)
 elsewhere; a frozen or pushed state holds INT_INF, which no listing brings
-to 0. The predecessor table need only be a listing table (`Csr`), so a game
-on a subset of a table's moves needs no table of its own (see `retrograde`).
+to 0. The predecessor table need only be a listing table (see `arena.Csr`),
+so a game on a subset of a table's moves needs no table of its own.
 
 How a level is counted depends on the length p of its predecessor list, out
 of n states. A wide level (16p >= n; 16 is `arena.WIDE_FRONTIER`) is counted
@@ -81,18 +81,8 @@ def retrograde(
 
     Every row of the table must hold a move, and every seeded state must
     be frozen. A seed keyed `never` is left unsettled and a key above it is
-    refused. `predecessors` is a listing table of `moves` (`Csr`): it
-    lists in row t each row that names t, at least once and as often as
-    it likes, and holds nothing else but pads, entries naming t itself.
-    It is the exact reverse (`Csr.reverse`), the orbit quotient's, or
-    either with the listings of cut moves turned into pads, where `moves`
-    repeats a kept entry of the same row in their place, so the count
-    pays only the kept moves. A max row's count is its listings
-    (`Csr.listed`), each paid once, so it settles with its last successor
-    however often each is listed. Row t is read only once t is settled,
-    when its count is INT_INF, so its pads bring no count to 0, and a max
-    row naming itself, listed in its own row, is never paid in full.
-    Without `predecessors`, `moves.reverse` sorts the entries here.
+    refused. `predecessors` is a listing table of `moves` (see `Csr`);
+    without it, `moves.reverse` sorts the entries here.
     """
     if predecessors is None:
         predecessors = moves.reverse()

@@ -24,11 +24,10 @@ step k*p // q is exact to depth T. T starts N above the capture-time
 game's deepest finite depth, and a run that steps deeper runs again at 2T.
 
 A `GameSolution` holds the engine's keys and its rank per orbit of the
-arena's quotient (`Arena.quotient()`), where the game is solved: a graph
-automorphism applied to every token preserves moves, turns and captors,
-so values and optimal moves are constant on orbits. Every solve ends with
-the engine's exact check of every Bellman equation on the quotient; the
-fixpoint is unique for gamma < 1, so passing it proves the answer.
+arena's quotient (`Arena.quotient()`, see `arena`), where the game is
+solved. Every solve ends with the engine's exact check of every Bellman
+equation on the quotient; the fixpoint is unique for gamma < 1, so
+passing it proves the answer.
 
 The engine also reports where each level came from, so every level is a
 symbol c * gamma^t: a terminal coefficient c reached t moves from capture,

@@ -271,16 +271,21 @@ def test_player_count_refuses_bools_and_non_integers(n, named):
 
 
 @pytest.mark.parametrize("s, named", [(True, "bool"), (np.bool_(True), "bool"),
-                                      (1.0, "float"), (-1, "-1"), (324, "out of range")])
+                                      (1.0, "float"), (-1, "-1"), (324, "out of range"),
+                                      ((0, 1, 2, 0), "tuple"), ("0,1,2;0;1", "str")])
 def test_a_state_index_must_be_an_integer_in_range(s, named):
     """A state given by index is refused unless it is an integer (numpy's
-    included, bool not) naming a state: True is not state 1."""
+    included, bool not) naming a state: True is not state 1, and a float has
+    no digits. `index` takes a State only."""
     a = build_arena(builtin("path", 3), 4)
     sol = solve_capture_time(a)
-    for query in (a.index_of, a.is_capture, sol.capture_time, sol.opt_indices):
+    for query in (a.index_of, a.state_of, a.is_capture, sol.capture_time, sol.opt_indices):
         with pytest.raises(ValidationError, match=named):
             query(s)
+    with pytest.raises(ValidationError, match=f"need a State, got {type(s).__name__}"):
+        a.index(s)
     assert a.index_of(np.int32(1)) == 1 and sol.capture_time(np.int64(1)) == sol.capture_time(1)
+    assert a.state_of(np.uint16(1)) == a.state_of(1) == State((0, 0, 0), 0, 2)
 
 
 def test_row_width_reads_the_offsets():

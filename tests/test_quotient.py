@@ -28,6 +28,7 @@ from scar import (
     Q,
     State,
     UniquenessViolationError,
+    bridge,
     build_arena,
     builtin,
     check_positionality,
@@ -125,36 +126,62 @@ def fixing_0(gens) -> list:
     return [p for p in gens if p[0] == 0]
 
 
+def labels_are_orbit_minima(gens, v, n, chunk) -> None:
+    """Tuple by tuple, with `CHUNK` set to chunk: `mix_orbit` names the
+    rank of its least image under the group `gens` generate among all
+    least images, in the least unsigned dtype, the roots are those least
+    images, ascending, and the counts are how many tuples share each."""
+    least = least_images(closure(gens, v), v, n)
+    roots, counts = np.unique(least, return_counts=True)
+    with mock.patch.object(arena_module, "CHUNK", chunk):
+        mix_orbit, got_roots, got_counts = _tuple_orbits(gens, v, n)
+    assert mix_orbit.dtype == np.min_scalar_type(len(roots))
+    assert np.array_equal(mix_orbit.reshape(-1), np.searchsorted(roots, least))
+    assert np.array_equal(got_roots, roots) and np.array_equal(got_counts, counts)
+
+
 @settings(max_examples=30, deadline=None)
 @given(connected_graphs(max_vertices=6), st.sampled_from([2, 3, 4]),
        st.sampled_from([1, 40, arena_module.CHUNK]))
 def test_labels_are_brute_force_orbit_minima(g, n, chunk):
-    """Under the full generator list, a starved search's and none, tuple
-    by tuple: `mix_orbit` names the rank of its least image among all
-    least images, in the least unsigned dtype, the roots are those least
-    images, ascending, and the counts are how many tuples share each. Each
+    """Under the full generator list, a starved search's and none, the
+    labels are the brute-force orbit minima, with rows written one at a
+    time (chunk 1), a few at a time and a vertex orbit at a time. Each
     least vertex m satisfies the orbit-stabiliser theorem with the
     stabiliser generators the labelling uses, so a dropped generator cannot
-    go unseen. Batches of one vertex orbit and one row (chunk 1), of a few,
-    and of all of them give the same tables."""
+    go unseen."""
     v = g.vertex_count
     with mock.patch.object(graphs_module, "SEARCH_EFFORT", 6):
         starved = automorphism_generators(g)
     for gens in (automorphism_generators(g), starved, []):
+        labels_are_orbit_minima(gens, v, n, chunk)
         group = closure(gens, v)
-        least = least_images(group, v, n)
-        roots, counts = np.unique(least, return_counts=True)
-        with mock.patch.object(arena_module, "CHUNK", chunk):
-            mix_orbit, got_roots, got_counts = _tuple_orbits(gens, v, n)
-        assert mix_orbit.dtype == np.min_scalar_type(len(roots))
-        assert np.array_equal(mix_orbit.reshape(-1), np.searchsorted(roots, least))
-        assert np.array_equal(got_roots, roots) and np.array_equal(got_counts, counts)
         for m, coset in _cosets(gens, v).items():
             stab = _stabiliser(gens, m, coset)
             assert all(p[m] == m for p in stab)
             assert len(coset) * len(closure(stab, v)) == len(group)
         orbit_0 = len(_cosets(gens, v)[0])
         assert orbit_0 * len(closure(fixing_0(gens), v)) == len(group)
+
+
+@pytest.mark.parametrize("graph, orders", [
+    (bridge(builtin("star", 3), 0, builtin("star", 3), 0), [36, 12]),
+    (builtin("path", 7), [1, 1, 1, 2]),
+], ids=["two_stars", "path7"])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("chunk", [1, arena_module.CHUNK])
+def test_labels_past_six_vertices_are_brute_force_orbit_minima(graph, orders, n, chunk):
+    """Two 3-stars bridged at their centres have two vertex orbits, each
+    with a nontrivial stabiliser, the second's made from Schreier
+    generators; path:7 has three trivial stabilisers, then Z2 at its
+    middle. Each vertex orbit's tails are numbered from its own offset by
+    its own ranks, so the labels are the brute-force orbit minima, with
+    rows written one at a time and all at once."""
+    v = graph.vertex_count
+    gens = automorphism_generators(graph)
+    assert [len(closure(_stabiliser(gens, m, coset), v))
+            for m, coset in _cosets(gens, v).items()] == orders
+    labels_are_orbit_minima(gens, v, n, chunk)
 
 
 # Graphs whose search, stopped at some effort, has found some but not all
