@@ -22,16 +22,20 @@ choices to the adversary as well, asking the capture to be inevitable. Both
 are reported; when they disagree the classifier logs it and follows the
 canonical one.
 
-The classifier solves the canonical game for every designated cop, since
-the first failing orbit is its witness, and the adversarial one only when
-the canonical test passed for all of them. Skipping it is exact: giving
-the adversary more choices only shrinks an attractor (Grädel, Thomas &
-Wilke, eds., Automata, Logics, and Infinite Games, LNCS 2500, 2002), so the
-adversarial winning set lies inside the canonical one and fails wherever
-that fails. `g3_guarantee_test` solves either variant on demand; each is
-memoized on the arena on its own. Both run on the orbit quotient's tables
-cut to the cop's optimal moves with no sort (`_restricted_tables`), made
-for each solve and not kept.
+The classifier solves only the guarantee games its answer reads. Both
+flags are conjunctions over the designated cops, and giving the adversary
+more choices only shrinks an attractor (Grädel, Thomas & Wilke, eds.,
+Automata, Logics, and Infinite Games, LNCS 2500, 2002), so the adversarial
+winning set lies inside the canonical one and fails wherever that fails:
+one cop whose canonical set misses one of its orbits sets both flags
+False. So the canonical games are solved cop by cop, ascending, up to the
+first such cop, and the adversarial ones only when every canonical test
+passed; a G3 candidate alone solves every cop's canonical game, since its
+G3Prime witness is the least failing orbit over all of them.
+`g3_guarantee_test` solves either variant on demand; each is memoized on
+the arena on its own. Both run on the orbit quotient's tables cut to the
+cop's optimal moves with no sort (`_restricted_tables`), made for each
+solve and not kept.
 """
 
 from __future__ import annotations
@@ -75,22 +79,26 @@ def in_script_g(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) 
 def _restricted_tables(arena: Arena, cr: CrSolution, m: int) -> tuple[Csr, Csr]:
     """Cop m's restricted game, cut from the orbit quotient's own tables
     without a sort, as a listing table allows (`arena.Csr`): each move of
-    cop m that is not capture-time-optimal is cut. A move's optimality
+    cop m that is not capture-time-optimal is cut. Cop m minimizes, so its
+    optimal moves in a row are those reaching the row's least capture
+    time, read from the depths of m's own rows alone. A move's optimality
     depends only on its target's orbit, so every copy of a listing is cut
     alike. A move passes the turn, so cop m's moves leave the orbits where
     m moves and are listed only in the rows of the orbits where the next
     token moves; no other row changes."""
     q = arena.quotient()
     src, dst = np.flatnonzero(q.turns(m)), np.flatnonzero(q.turns(m % arena.n_players + 1))
-    rows = q.moves.table[src]
-    cut = ~cr.orbit_edge_opt().reshape(q.moves.table.shape)[src]
-    fill = rows[np.arange(len(src)), cut.argmin(axis=1)]  # an optimal move of each row
+    rows = q.moves.table.take(src, axis=0)
+    reach = cr.depths.take(rows)
+    first = reach.argmin(axis=1)[:, None]
+    fill = np.take_along_axis(rows, first, axis=1)  # an optimal move of each row
+    low = np.take_along_axis(reach, first, axis=1)
     moves = q.moves.table.copy()
-    moves[src] = np.where(cut, fill[:, None], rows)
-    # the optimal moves of a row all reach the depth of its fill
+    moves[src] = np.where(reach != low, fill, rows)
+    # the optimal moves of a row all reach its least depth
     best = cr.depths.copy()
-    best[src] = cr.depths[fill]
-    rows = q.preds.table[dst]
+    best[src] = low[:, 0]
+    rows = q.preds.table.take(dst, axis=0)
     cut = cr.depths[dst, None] != best[rows]
     preds = q.preds.table.copy()
     preds[dst] = np.where(cut, dst[:, None], rows)
@@ -167,8 +175,12 @@ def classify(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) -> 
         evidence["c1_robber_witness"] = witness(c1_rm)
         capturer = cr.orbit_capturer()
         credited = {int(m): c1_rm & (capturer == m) for m in np.unique(capturer[c1_rm])}
+        # past the first failing cop, only a G3 candidate's witness reads on
+        g3_candidate = inf_nc.any() and not mid.any() and not robber_all_inf
         for m, sub in credited.items():
             fails |= sub & ~_guarantee_winning_sets(arena, cr, m)
+            if not g3_candidate and fails.any():
+                break
         exists_ok = not fails.any()
         # the adversarial winning set lies inside the canonical one, so it
         # is solved only when the canonical test passed for every cop

@@ -74,9 +74,8 @@ class CrSolution(Solution):
         )
 
     def orbit_edge_opt(self) -> np.ndarray:
-        """`Solution.orbit_edge_opt`, memoized on the arena: classify's
-        restricted tables and the positionality tests read it again and
-        again."""
+        """`Solution.orbit_edge_opt`, memoized on the arena: the
+        positionality tests read it again and again."""
         return self.arena.memo("capture_orbit_edge_opt", super().orbit_edge_opt)
 
     # -- attribution ------------------------------------------------------------

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scar import (
+    Classification,
     State,
     ValidationError,
+    bridge,
     build_arena,
     builtin,
     classify,
@@ -171,34 +173,66 @@ def test_the_adversarial_winning_set_lies_inside_the_canonical_one(g, n):
         assert not (w_adv & ~w_exists).any(), m
 
 
-def eager_variants(g, n) -> tuple[bool, bool]:
-    """Both guarantee variants over every robber-to-move orbit of c(G|s)
-    = 1, with both games solved for every credited cop."""
+def eager_classification(g, n) -> Classification:
+    """classify's answer read off per-state tables, with both guarantee
+    games solved for every credited cop: the G3Prime witness is the least
+    state failing any cop's canonical test."""
     a = build_arena(g, n)
-    q, cr = a.quotient(), solve_capture_time(a)
-    vals = state_cop_report(a).orbit_values
-    c1_rm = q.turns(n) & ~q.capture & (vals == 1)
-    if not c1_rm.any():
-        return True, True
-    capturer = cr.orbit_capturer()
-    wins = classify_module._guarantee_winning_sets
-    return tuple(
-        all(not (c1_rm & (capturer == m) & ~wins(a, cr, int(m), adversarial)).any()
-            for m in np.unique(capturer[c1_rm]))
-        for adversarial in (False, True))
+    q, cr, report = a.quotient(), solve_capture_time(a), state_cop_report(a)
+    vals, nc, rm = report.values, ~a.capture_mask, a.robber_mover_mask()
+
+    def witness(mask):
+        return a.state_of(int(np.flatnonzero(mask)[0])).literal()
+
+    evidence = {"max_state_cop_number": classify_module._int_or_inf(report.max_over_noncapture())}
+    inf_nc, mid = nc & (vals >= INT_INF), nc & (vals >= 2) & (vals < INT_INF)
+    if inf_nc.any():
+        evidence["escape_witness"] = witness(inf_nc)
+    c1_rm = rm & nc & (vals == 1)
+    if c1_rm.any():
+        evidence["c1_robber_state_count"] = int(c1_rm.sum())
+        evidence["c1_robber_witness"] = witness(c1_rm)
+    capturer = cr.capturer_table()
+    fails = {adversarial: np.zeros(a.n_states, dtype=bool) for adversarial in (False, True)}
+    for m in np.unique(capturer[c1_rm]):
+        for adversarial, failed in fails.items():
+            wins = q.lift(classify_module._guarantee_winning_sets(a, cr, int(m), adversarial))
+            failed |= c1_rm & (capturer == m) & ~wins
+    exists_ok, adversarial_ok = (not fails[adversarial].any() for adversarial in (False, True))
+    if exists_ok != adversarial_ok:
+        evidence["guarantee_variants_disagree"] = True
+    if not inf_nc.any():
+        klass = "NotInG"
+    elif mid.any():
+        klass = "G1"
+        evidence["g1_witness"] = witness(mid)
+        evidence["g1_witness_value"] = int(vals[mid][0])
+    elif not (rm & nc & (vals < INT_INF)).any():
+        klass = "G2"
+    elif exists_ok:
+        klass = "G3"
+    else:
+        klass = "G3Prime"
+        evidence["guarantee_failure_state"] = witness(fails[False])
+    return Classification(klass, evidence, exists_ok, adversarial_ok)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_variant_flags_equal_an_eager_solve_of_both_variants(suite_graphs, n):
+    """On every suite graph: class, evidence and both flags."""
     for name, g in suite_graphs.items():
-        got = classify(g, n)
-        assert (got.g3_exists_variant, got.g3_adversarial_variant) == eager_variants(g, n), name
+        assert classify(g, n) == eager_classification(g, n), name
 
 
-def test_classify_solves_the_adversarial_game_only_after_every_canonical_pass(monkeypatch):
-    """path:12, N=4: every cop is credited somewhere and the canonical test
-    fails, so 3 guarantee games are solved, not 6. `g3_guarantee_test`
-    still solves either variant on demand, each once."""
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs(max_vertices=5), st.sampled_from([3, 4]))
+def test_classify_equals_an_eager_solve_of_every_cop(g, n):
+    """Stopping at the first failing cop changes no class, evidence or flag."""
+    assert classify(g, n) == eager_classification(g, n)
+
+
+def counted_solves(monkeypatch) -> list:
+    """A list that grows by one at each game the classify module solves."""
     solves = []
     solve = classify_module.solve_layers
 
@@ -207,9 +241,19 @@ def test_classify_solves_the_adversarial_game_only_after_every_canonical_pass(mo
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(classify_module, "solve_layers", counted)
+    return solves
+
+
+def test_classify_stops_at_the_first_cop_whose_canonical_test_fails(monkeypatch):
+    """path:12, N=4: every cop is credited somewhere and the class is
+    NotInG, so once cop 1's canonical test fails both flags are False and
+    1 guarantee game is solved, not 3 (or 6). `g3_guarantee_test` still
+    solves either variant on demand, each once."""
+    solves = counted_solves(monkeypatch)
     got = classify(builtin("path", 12), 4)
+    assert got.klass == "NotInG"
     assert not got.g3_exists_variant and not got.g3_adversarial_variant
-    assert len(solves) == 3
+    assert len(solves) == 1
     a = build_arena(builtin("path", 6), 4)
     cr = solve_capture_time(a)
     q = a.quotient()
@@ -217,4 +261,30 @@ def test_classify_solves_the_adversarial_game_only_after_every_canonical_pass(mo
     s = int(q.reps[c1_rm][0])
     for adversarial in (True, False, True, False):
         g3_guarantee_test(a, cr, s, adversarial_ties=adversarial)
-    assert len(solves) == 3 + 2
+    assert len(solves) == 1 + 2
+
+
+@pytest.mark.parametrize("end, capturer_of_witness", [(0, 1), (2, 2)])
+def test_a_g3_candidate_solves_every_cops_canonical_game(monkeypatch, end, capturer_of_witness):
+    """petersen_p3 (the path bridged at its end `end`; both labellings of
+    one graph), N=3, is G3Prime: cop 1 fails 8 of its 50 credited orbits
+    and cop 2 8 of its 30, and the witness is the least failing orbit over
+    both, which is cop 2's under the second labelling. So both canonical
+    games are solved (and no adversarial one)."""
+    g = bridge(builtin("petersen"), 0, builtin("path", 3), end)
+    a = build_arena(g, 3)
+    q, cr = a.quotient(), solve_capture_time(a)
+    c1_rm = q.turns(3) & ~q.capture & (state_cop_report(a).orbit_values == 1)
+    capturer = cr.orbit_capturer()
+    firsts = {}
+    for m, credited, failing in ((1, 50, 8), (2, 30, 8)):
+        sub = c1_rm & (capturer == m)
+        failed = sub & ~classify_module._guarantee_winning_sets(a, cr, m)
+        assert (sub.sum(), failed.sum()) == (credited, failing)
+        firsts[m] = a.state_of(int(q.reps[failed][0])).literal()
+    solves = counted_solves(monkeypatch)
+    got = classify(g, 3)
+    assert got.klass == "G3Prime"
+    assert len(solves) == 2
+    want = eager_classification(g, 3).evidence["guarantee_failure_state"]
+    assert got.evidence["guarantee_failure_state"] == want == firsts[capturer_of_witness]
