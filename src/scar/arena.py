@@ -23,8 +23,9 @@ mover t and its vertex u, so one memoized shift table (`Arena._shift`, row
 t*V + u, made from the padded closed neighbourhoods of `Arena._hops`)
 gives any rows of the successor table: `Arena.columns(rows)` one column
 at a time, `_slots` the full table in one gather. No solver builds the
-full table; `succ_indices` makes one row alone, and `simulate` checks
-each move against it.
+full table. A solved game's optimal moves at any states are one read of
+their rows (`Solution.optimal`); `succ_indices` makes one row alone, and
+a simulated play (`walk`) checks each move against it.
 
 Every solver (capture time, attribution, coalitions, classify's guarantee
 games, the discounted games and the positionality tests) runs on the orbit
@@ -44,9 +45,9 @@ and a table handed to `fixpoint.retrograde` alone. Answers stay per
 orbit: a single state reads its orbit (`Arena.orbit`), a summary weighs
 orbits by their sizes (`Quotient.count`), and a per-state table is lifted
 (`Arena.lifted`) only when a caller reads one. The capture test is read
-off the digits of a state, so no full `capture_mask` is built for them.
-A solved game is a `Solution`. The orbits are labelled one vertex orbit
-at a time (`_tuple_orbits`).
+off the digits of a state, so no full `capture_mask` is built for them
+or for a play. A solved game is a `Solution`. The orbits are labelled
+one vertex orbit at a time (`_tuple_orbits`).
 
 `_flood` spreads from a seed one frontier at a time over the rows of a
 `Csr` or, for `reachable_noncapture`, over an arena's successor rows made
@@ -147,20 +148,31 @@ def parse_state(text: str, n_players: int, vertex_count: int) -> State:
         raise ValidationError(f"state literal must have three ';' fields: {text!r}")
     try:
         cops = tuple(int(c) for c in parts[0].split(","))
-        robber = int(parts[1])
-        mover = int(parts[2])
+        state = State(cops, int(parts[1]), int(parts[2]))
     except ValueError:
         raise ValidationError(f"non-integer field in state literal {text!r}") from None
-    if len(cops) != n_players - 1:
-        raise ValidationError(
-            f"state literal {text!r} lists {len(cops)} cops; expected {n_players - 1}"
-        )
-    for v in (*cops, robber):
-        if not 0 <= v < vertex_count:
-            raise ValidationError(f"vertex {v} out of range in state literal {text!r}")
-    if not 1 <= mover <= n_players:
-        raise ValidationError(f"mover {mover} out of range 1..{n_players} in {text!r}")
-    return State(cops, robber, mover)
+    return checked_state(state, n_players, vertex_count, f"state literal {text!r}")
+
+
+def checked_state(s: State, n_players: int, vertex_count: int, named: str | None = None) -> State:
+    """s, unless it lacks n_players - 1 cops, a vertex in range or a mover
+    in 1..n_players; a refusal names s by `named`, else by its literal."""
+    bad = [x for x in (*s.cops, s.robber) if not 0 <= x < vertex_count]
+    if len(s.cops) != n_players - 1:
+        fault = f"lists {len(s.cops)} cops; expected {n_players - 1}"
+    elif bad:
+        fault = f"has vertex {bad[0]} out of range 0..{vertex_count - 1}"
+    elif not 1 <= s.mover <= n_players:
+        fault = f"has mover {s.mover} out of range 1..{n_players}"
+    else:
+        return s
+    raise ValidationError(f"{named or f'state {format_state(s)}'} {fault}")
+
+
+def arena_size(v: int, n: int) -> str:
+    """V and N, and V^N * N while it is small."""
+    small = n * v.bit_length() <= 64
+    return f"{v} vertices with N={n}" + (f" ({v**n * n} states)" if small else "")
 
 
 class Arena:
@@ -169,11 +181,14 @@ class Arena:
     def __init__(self, graph: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES):
         n_players = count_of(n_players, 2, "at least 2 players")
         v = graph.vertex_count
-        n_states = v**n_players * n_players
+        # V^N * N by at most log2(cap) + 1 products, never the exact power
+        n_states = n_players if v else 0
+        for _ in range(n_players if v > 1 else 0):
+            if (n_states := n_states * v) > max_states:
+                break
         if n_states > max_states:
             raise StateCountExceededError(
-                f"arena would hold {n_states} states (> cap {max_states})"
-            )
+                f"arena on {arena_size(v, n_players)} exceeds the cap of {max_states} states")
         self.graph = graph
         self.n_players = n_players
         self.n_states = n_states
@@ -240,14 +255,9 @@ class Arena:
         n, v = self.n_players, self.graph.vertex_count
         if not isinstance(s, State):
             raise ValidationError(f"need a State, got {type(s).__name__} {s!r}")
-        if len(s.cops) != n - 1:
-            raise ValidationError(f"state has {len(s.cops)} cops; arena expects {n - 1}")
-        if not 1 <= s.mover <= n:
-            raise ValidationError(f"mover {s.mover} out of range")
+        checked_state(s, n, v)
         mix = 0
         for x in (*s.cops, s.robber):
-            if not 0 <= x < v:
-                raise ValidationError(f"vertex {x} out of range")
             mix = mix * v + x
         return mix * n + (s.mover - 1)
 
@@ -304,7 +314,12 @@ class Arena:
         return idx + self._shift()[key, :len(self.graph.closed_neighborhood(u))]
 
     def noncapture_indices(self) -> np.ndarray:
-        return np.nonzero(~self.capture_mask)[0]
+        """The noncapture states, ascending, the capture test read off
+        their digits: each position tuple's N states in a row, so the
+        states where token t moves are the slice [t-1::N]."""
+        mixes = np.arange(self.n_states // self.n_players)
+        mixes = mixes[~self.cops_at_robber(mixes).any(axis=0)]
+        return (mixes[:, None] * self.n_players + np.arange(self.n_players)).reshape(-1)
 
     def mover_mask(self, *tokens: int) -> np.ndarray:
         """Per state: is the token to move one of `tokens`?"""
@@ -715,14 +730,24 @@ class Solution:
     def __post_init__(self):
         self.rank.flags.writeable = False
 
+    def optimal(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The successor rows of the states `rows` as one (rows, width)
+        array, padded as the arena's rows (`Arena.columns`), and per entry
+        whether its target's rank is its mover's best: the row's smallest
+        if the mover is eager, else its largest."""
+        q = self.arena.quotient()
+        targets = np.stack(list(self.arena.columns(rows)), axis=-1)
+        rank = self.rank.take(q.orbit_of(targets))
+        eager = self.eager.take(q.orbit_of(rows))
+        return targets, rank == np.where(eager, rank.min(axis=-1), rank.max(axis=-1))[..., None]
+
     def opt_indices(self, s: State | int) -> np.ndarray:
-        """The optimal successors of noncapture state s, ascending: the
-        targets of row s whose rank equals the row's best."""
-        a, idx = self.arena, self.arena.index_of(s)
-        eager = self.eager[a.orbit(idx, "no moves are defined from a capture state")]
-        row = a.succ_indices(idx)
-        succ = self.rank[a.quotient().orbit_of(row)]
-        return row[succ == (succ.min() if eager else succ.max())]
+        """The optimal successors of noncapture state s, ascending, each
+        once."""
+        idx = self.arena.index_of(s)
+        self.arena.orbit(idx, "no moves are defined from a capture state")
+        targets, opt = self.optimal(np.array([idx]))
+        return np.unique(targets[opt])
 
     def orbit_edge_opt(self) -> np.ndarray:
         """Per edge of the quotient's move table: does the move attain its
@@ -804,24 +829,14 @@ def simulate(arena: Arena, s0: State | int, profile, max_steps: int | None = Non
     """Run a positional profile from s0.
 
     `profile` maps a noncapture state index to the chosen successor index
-    (a dict or a callable). Deterministic profiles must repeat a state before
-    2*|states| moves, so the default budget makes the inf verdict certain.
+    (an array, a dict or a callable). Deterministic profiles must repeat a
+    state before 2*|states| moves, so the default budget makes the inf
+    verdict certain.
     """
-    idx = arena.index_of(s0)
-    if max_steps is None:
-        max_steps = 2 * arena.n_states
     choose = profile if callable(profile) else profile.__getitem__
-    trail = [idx]
-    visited = {idx}
-    cycled = False
-    while not arena.capture_mask[trail[-1]] and len(trail) <= max_steps:
-        nxt = checked_move(arena, trail[-1], int(choose(trail[-1])))
-        trail.append(nxt)
-        if nxt in visited:
-            cycled = True
-            break
-        visited.add(nxt)
-    return finished_play(arena, trail, cycled)
+    return walk(arena, arena.index_of(s0),
+                lambda cur, _: (checked_move(arena, cur, int(choose(cur))), False),
+                2 * arena.n_states if max_steps is None else max_steps)
 
 
 def checked_move(arena: Arena, cur: int, nxt: int) -> int:
@@ -834,11 +849,20 @@ def checked_move(arena: Arena, cur: int, nxt: int) -> int:
     return nxt
 
 
-def finished_play(arena: Arena, trail: list[int], cycled: bool) -> Play:
-    """The Play of a finished trail of state indices: a capture, with its
-    time and captors, if the trail ends in one, else an escape."""
-    states = tuple(arena.state_of(i) for i in trail)
-    if arena.capture_mask[trail[-1]]:
+def walk(arena: Arena, start: int, step, max_steps: int) -> Play:
+    """The Play from state index `start`, where step(cur, t) gives the
+    t-th move's target and the walker's mode after it (False at the
+    start). It ends at a capture, found from the state's digits, after
+    `max_steps` moves, or at a (mode, state) pair seen before, which a
+    deterministic walker repeats forever."""
+    trail, seen, cycled = [start], {(False, start)}, False
+    while not cycled and not arena.is_capture(trail[-1]) and len(trail) <= max_steps:
+        nxt, mode = step(trail[-1], len(trail))
+        trail.append(nxt)
+        cycled = (mode, nxt) in seen
+        seen.add((mode, nxt))
+    states = tuple(map(arena.state_of, trail))
+    if is_capture(states[-1]):
         fin = states[-1]
         cops = frozenset(i + 1 for i, c in enumerate(fin.cops) if c == fin.robber)
         return Play(states, len(trail) - 1, cops)

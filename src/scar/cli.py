@@ -22,10 +22,10 @@ import pathlib
 import sys
 import tempfile
 
-from .arena import DEFAULT_MAX_STATES, GameParams, State, build_arena, parse_state
+from .arena import DEFAULT_MAX_STATES, GameParams, arena_size, build_arena, parse_state
 from .classify import _int_or_inf, classify
 from .crsolver import capture_attribution, solve_capture_time
-from .errors import ScarError, ValidationError
+from .errors import ScarError, StateCountExceededError, ValidationError
 from .fixpoint import INT_INF
 from .graphs import Graph, builtin, load_edge_list, serialize_edge_list
 from .positionality import check_positionality, scan_region
@@ -52,6 +52,11 @@ def _load_graph(args) -> Graph:
                 size = int(k)
             except ValueError:
                 raise ValidationError(f"bad builtin size in {args.builtin!r}") from None
+            # every family has V >= K, and every arena at least 2 V^2 states
+            if size > 0 and 2 * size**2 > args.max_states:
+                raise StateCountExceededError(
+                    f"{args.builtin} has at least {size} vertices, so its arenas exceed "
+                    f"the cap of {args.max_states} states")
             return builtin(name, size)
         return builtin(name)
     raise ValidationError("a graph is required: --graph FILE or --builtin NAME[:K]")
@@ -70,7 +75,7 @@ def _grid(args, field: str) -> list:
 
 
 def cmd_arena_stats(args) -> tuple[str, int]:
-    g = _load_graph(args)
+    g = args.g
     arena = build_arena(g, args.n, args.max_states)
     v, n = g.vertex_count, args.n
     # a position is a capture unless every cop avoids the robber's vertex
@@ -90,8 +95,7 @@ def cmd_arena_stats(args) -> tuple[str, int]:
 
 
 def cmd_cr_solve(args) -> tuple[str, int]:
-    g = _load_graph(args)
-    arena = build_arena(g, args.n, args.max_states)
+    arena = build_arena(args.g, args.n, args.max_states)
     sol = solve_capture_time(arena)
     if args.state is None:
         q, finite = arena.quotient(), sol.depths < INT_INF
@@ -102,7 +106,7 @@ def cmd_cr_solve(args) -> tuple[str, int]:
             "max_finite_capture_time": _int_or_inf(int(sol.depths[finite].max())),
         }
         return _dump(report), 0
-    s = parse_state(args.state, args.n, g.vertex_count)
+    s = parse_state(args.state, args.n, args.g.vertex_count)
     t = sol.capture_time(s)
     report = {"state": s.literal(), "capture_time": _int_or_inf(t)}
     if not arena.is_capture(s):
@@ -114,11 +118,10 @@ def cmd_cr_solve(args) -> tuple[str, int]:
 
 
 def cmd_scn(args) -> tuple[str, int]:
-    g = _load_graph(args)
-    arena = build_arena(g, args.n, args.max_states)
+    arena = build_arena(args.g, args.n, args.max_states)
     report = state_cop_report(arena)
     if args.state is not None:
-        s = parse_state(args.state, args.n, g.vertex_count)
+        s = parse_state(args.state, args.n, args.g.vertex_count)
         value = report.value(s)
         out = {"state": s.literal(), "c_state": _int_or_inf(value)}
         if value != math.inf:
@@ -138,8 +141,7 @@ def cmd_scn(args) -> tuple[str, int]:
 
 
 def cmd_classify(args) -> tuple[str, int]:
-    g = _load_graph(args)
-    got = classify(g, args.n, args.max_states)
+    got = classify(args.g, args.n, args.max_states)
     return _dump(
         {
             "class": got.klass,
@@ -167,31 +169,18 @@ def _verdict_json(v) -> dict:
 
 
 def cmd_poscheck(args) -> tuple[str, int]:
-    g = _load_graph(args)
-    params = GameParams(
-        args.n,
-        parse_rational(args.gamma),
-        parse_rational(args.epsilon),
-        args.allow_wide_epsilon,
-    )
-    arena = build_arena(g, args.n, args.max_states)
-    s0 = parse_state(args.s0, args.n, g.vertex_count)
+    params = GameParams(args.n, parse_rational(args.gamma), parse_rational(args.epsilon),
+                        args.allow_wide_epsilon)
+    arena = build_arena(args.g, args.n, args.max_states)
+    s0 = parse_state(args.s0, args.n, args.g.vertex_count)
     verdict = check_positionality(arena, s0, params)
     return _dump(_verdict_json(verdict)), 0
 
 
 def cmd_scan(args) -> tuple[str, int]:
-    g = _load_graph(args)
-    s0 = parse_state(args.s0, args.n, g.vertex_count)
-    rows = scan_region(
-        g,
-        args.n,
-        s0,
-        _grid(args, "gamma_grid"),
-        _grid(args, "epsilon_grid"),
-        args.allow_wide_epsilon,
-        args.max_states,
-    )
+    s0 = parse_state(args.s0, args.n, args.g.vertex_count)
+    rows = scan_region(args.g, args.n, s0, _grid(args, "gamma_grid"), _grid(args, "epsilon_grid"),
+                       args.allow_wide_epsilon, args.max_states)
     table = [
         {
             "epsilon": format_rational(v.epsilon),
@@ -257,8 +246,7 @@ def _cache_key(args, command: str) -> str | None:
     if not cache_dir:
         return None
     request = {"command": command, "package": _package_digest()}
-    if getattr(args, "graph", None) or getattr(args, "builtin", None):
-        request["graph"] = serialize_edge_list(_load_graph(args))
+    request["graph"] = serialize_edge_list(args.g)
     for field in ("n", "max_states", "allow_wide_epsilon", "csv", "state", "s0"):
         if hasattr(args, field):
             request[field] = getattr(args, field)
@@ -300,12 +288,11 @@ def _write_cache(path: str, text: str) -> None:
 
 
 def _out_of_memory(args) -> str:
-    """What ran out of memory, named by the size of the request's arena."""
-    if not hasattr(args, "n"):
+    """What ran out of memory, named by the size of the request's arena
+    once its graph is loaded; nothing is built again to name it."""
+    if getattr(args, "g", None) is None:
         return "out of memory"
-    v = _load_graph(args).vertex_count
-    return (f"out of memory on {v} vertices with N={args.n} "
-            f"({v**args.n * args.n} states); try a smaller graph or N")
+    return f"out of memory on {arena_size(args.g.vertex_count, args.n)}; try a smaller graph or N"
 
 
 def _add_graph_flags(p):
@@ -389,6 +376,7 @@ def main(argv=None) -> int:
     try:
         cache_path = None
         if args.command != "verify":
+            args.g = _load_graph(args)  # the one graph every step of the run reads
             cache_path = _cache_key(args, args.command)
             cached = _read_cache(cache_path) if cache_path else None
             if cached is not None:

@@ -120,13 +120,12 @@ class CrSolution(Solution):
         bits, q = self._orbit_bits(), self.arena.quotient()
         trail = [start]
         while not self.arena.is_capture(trail[-1]):
-            for j in self.opt_indices(trail[-1]):
-                if bits[q.orbit_of(j)] & bit:
-                    trail.append(int(j))
-                    break
-            else:  # pragma: no cover - bits are unions over these successors
+            targets, opt = self.optimal(np.array(trail[-1:]))
+            kept = targets[opt & (bits.take(q.orbit_of(targets)) & bit != 0)]
+            if not kept.size:  # pragma: no cover - bits are unions over these successors
                 raise ScarError(f"capture attribution: cop bit {bit} lost along optimal "
                                 f"play from {self.arena.state_of(start).literal()}")
+            trail.append(int(kept[0]))
         return tuple(self.arena.state_of(i) for i in trail)
 
     def orbit_capturer(self) -> np.ndarray:

@@ -114,10 +114,10 @@ def parse_edge_list(text: str) -> Graph:
         max_v = max(max_v, u, v)
     if max_v < 0:
         raise MalformedLineError("edge list holds no edges")
-    used = {u for e in edges for u in e}
-    if used != set(range(max_v + 1)):
-        missing = sorted(set(range(max_v + 1)) - used)
-        raise ValidationError(f"vertex ids are not dense: {missing} unused below max id {max_v}")
+    # the first gap in the sorted ids: work bounded by the edges, not the ids
+    gap = next((i for i, u in enumerate(sorted({u for e in edges for u in e})) if u != i), None)
+    if gap is not None:
+        raise ValidationError(f"vertex ids are not dense: {gap} unused below max id {max_v}")
     return graph_from_edges(max_v + 1, edges)
 
 

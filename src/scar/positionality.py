@@ -37,8 +37,9 @@ often the very objects of the previous point; the arena keeps the last
 table with the rank arrays it came from, and returns it while they are
 the same.
 
-Verdicts only ever use full arg-opt sets. Concrete tables (for simulation)
-use the canonical tie-break: the move with the lowest target vertex.
+Verdicts only ever use full arg-opt sets. A concrete profile's tables (for
+simulation) are int arrays over the states, each plan's canonical move, to
+the lowest target vertex, read one mover token's rows at a time.
 """
 
 from __future__ import annotations
@@ -56,11 +57,12 @@ from .arena import (
     Play,
     State,
     _flood,
+    _index_dtype,
     _read_only,
     build_arena,
     checked_move,
-    finished_play,
     reachable_noncapture,
+    walk,
 )
 from .crsolver import CrSolution, solve_capture_time
 from .errors import ScarError, ValidationError
@@ -224,33 +226,36 @@ def scan_region(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriggerProfile:
-    """Canonical move tables (state index -> successor index, noncapture
-    states only). cooperative[s] is the mover's own-plan move; punishment[m]
-    is the table everyone switches to once player m deviates (m = N for the
-    robber, whose punishment plan is the capture-time game's)."""
+    """Canonical move tables: read-only int arrays of successor indices,
+    indexed by state, -1 at capture states. Row m-1 of `punishment`
+    (N, states) is the plan everyone switches to once player m deviates:
+    cop m's own game, and the capture-time game for the robber (m = N).
+    `cooperative` is each mover's own plan, punishment[mover-1, s]."""
 
-    cooperative: dict[int, int]
-    punishment: dict[int, dict[int, int]]
+    cooperative: np.ndarray
+    punishment: np.ndarray
 
 
 def build_trigger_profile(cr: CrSolution, games: dict[int, GameSolution]) -> TriggerProfile:
+    """The profile's tables, read one mover token at a time: at each
+    noncapture state where the token moves, each plan's canonical move,
+    its row's first optimal column (the lowest target vertex)."""
     arena = cr.arena
     n = arena.n_players
     if sorted(games) != list(range(1, n)):
         raise ValidationError(f"need one solved game per cop 1..{n - 1}")
-    cooperative: dict[int, int] = {}
-    punishment: dict[int, dict[int, int]] = {m: {} for m in range(1, n + 1)}
-    for i in arena.noncapture_indices():
-        i = int(i)
-        mover = arena.mover_of(i)
-        own = cr if mover == n else games[mover]
-        cooperative[i] = int(own.opt_indices(i).min())
-        for m in range(1, n):
-            punishment[m][i] = int(games[m].opt_indices(i).min())
-        punishment[n][i] = int(cr.opt_indices(i).min())
-    return TriggerProfile(cooperative, punishment)
+    plans = [*(games[m] for m in range(1, n)), cr]
+    punishment = np.full((n, arena.n_states), -1, dtype=_index_dtype(arena.n_states))
+    noncapture = arena.noncapture_indices()
+    for token in range(1, n + 1):
+        rows = noncapture[token - 1::n]
+        for table, plan in zip(punishment, plans):
+            targets, opt = plan.optimal(rows)
+            table[rows] = targets[np.arange(len(rows)), opt.argmax(axis=1)]
+    every = np.arange(arena.n_states)
+    return TriggerProfile(*_read_only((punishment[every % n, every], punishment)))
 
 
 @dataclass(frozen=True)
@@ -265,47 +270,29 @@ class TriggerRun:
 
 
 def simulate_trigger(
-    arena: Arena,
-    profile: TriggerProfile,
-    s0: State | int,
-    deviant: tuple[int, dict[int, int]] | None = None,
-    max_steps: int | None = None,
+    arena: Arena, profile: TriggerProfile, s0: State | int,
+    deviant: tuple[int, object] | None = None, max_steps: int | None = None,
 ) -> TriggerRun:
     """Run the trigger controller from s0, optionally replacing one player's
-    moves with an alternative table. Everyone follows profile.cooperative
-    until the deviant's chosen move first differs from it; from the next
-    move on the others follow profile.punishment[deviant]. The deviant keeps
-    playing its own table throughout."""
-    idx = arena.index_of(s0)
-    if max_steps is None:
-        max_steps = 4 * arena.n_states
+    moves with an alternative table (anything indexed by state, such as an
+    array or a dict). Everyone follows profile.cooperative until the
+    deviant's chosen move first differs from it; from the next move on the
+    others follow the deviant's row of profile.punishment. The deviant
+    keeps playing its own table throughout."""
     dev_player, dev_table = deviant if deviant is not None else (None, None)
     if dev_player is not None and not 1 <= dev_player <= arena.n_players:
         raise ValidationError(f"deviant player {dev_player} out of range")
+    switch: list[int] = []  # the first deviation's 1-based move number, once made
 
-    trail = [idx]
-    punishing = False
-    switch_time: int | None = None
-    visited = {(False, idx)}
-    cycled = False
-    while not arena.capture_mask[trail[-1]] and len(trail) <= max_steps:
-        cur = trail[-1]
-        mover = arena.mover_of(cur)
-        if dev_player is not None and mover == dev_player:
-            nxt = checked_move(arena, cur, int(dev_table[cur]))
-            if not punishing and nxt != profile.cooperative[cur]:
-                punishing = True
-                switch_time = len(trail)  # this move's 1-based number
-        elif punishing:
-            nxt = profile.punishment[dev_player][cur]
-        else:
-            nxt = profile.cooperative[cur]
-        trail.append(nxt)
-        key = (punishing, nxt)
-        if key in visited:
-            cycled = True
-            break
-        visited.add(key)
+    def step(cur: int, t: int) -> tuple[int, bool]:
+        nxt = int((profile.punishment[dev_player - 1] if switch else profile.cooperative)[cur])
+        if arena.mover_of(cur) == dev_player:
+            own = checked_move(arena, cur, int(dev_table[cur]))
+            if not switch and own != nxt:
+                switch.append(t)
+            nxt = own
+        return nxt, bool(switch)
 
-    play = finished_play(arena, trail, cycled)
-    return TriggerRun(play, switch_time, dev_player if switch_time is not None else None)
+    play = walk(arena, arena.index_of(s0), step,
+                4 * arena.n_states if max_steps is None else max_steps)
+    return TriggerRun(play, switch[0] if switch else None, dev_player if switch else None)

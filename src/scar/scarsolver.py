@@ -249,12 +249,11 @@ def solve_discounted_capture(arena: Arena, gamma: Fraction) -> GameSolution:
 
 def opt_move_table(sol: GameSolution, token: int) -> dict[State, tuple[State, ...]]:
     """Optimal moves of `token` in sol's game, at every noncapture state where
-    it is token's turn to move."""
+    it is token's turn to move, read from all of those rows at once."""
     a = sol.arena
     if not 1 <= token <= a.n_players:
         raise ValidationError(f"token {token} out of range 1..{a.n_players}")
-    table: dict[State, tuple[State, ...]] = {}
-    for idx in a.noncapture_indices():
-        if a.mover_of(int(idx)) == token:
-            table[a.state_of(int(idx))] = sol.opt_moves(a.state_of(int(idx)))
-    return table
+    rows = a.noncapture_indices()[token - 1::a.n_players]
+    targets, opt = sol.optimal(rows)
+    return {a.state_of(i): tuple(map(a.state_of, dict.fromkeys(row[keep].tolist())))
+            for i, row, keep in zip(rows.tolist(), targets, opt)}

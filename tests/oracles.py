@@ -331,3 +331,28 @@ def positional_verdicts(g, n_players, gamma, epsilon):
                     todo.append(t)
         verdicts[start] = (all(meets[s] for s in seen), not all(inside[s] for s in seen))
     return verdicts
+
+
+def trigger_profile_dicts(arena, cr, games):
+    """The trigger profile built one noncapture state at a time, as dicts
+    of successor indices: (cooperative, punishment), punishment[m] being
+    player m's plan (cop m's game `games[m]`, the capture-time game `cr`
+    for the robber, m = N) and cooperative[s] the mover's own plan. Each
+    plan moves to the lowest successor index that is optimal by value,
+    read off the full successor table: in player m's plan, player m
+    maximizes (its payoff, or the capture time) and everyone else
+    minimizes it."""
+    n = arena.n_players
+    lift = arena.quotient().lift
+    values = {m: [-games[m].keys[r] for r in lift(games[m].rank).tolist()] for m in games}
+    values[n] = lift(cr.depths).tolist()
+    table = arena.moves.table.tolist()
+    cooperative, punishment = {}, {m: {} for m in values}
+    for s in arena.noncapture_indices().tolist():
+        mover, row = s % n + 1, table[s]
+        for m, value in values.items():
+            got = [value[t] for t in row]
+            best = max(got) if mover == m else min(got)
+            punishment[m][s] = min(t for t, v in zip(row, got) if v == best)
+        cooperative[s] = punishment[mover][s]
+    return cooperative, punishment

@@ -22,6 +22,7 @@ from scar import (
     check_positionality,
     classify,
     format_state,
+    graph_from_edges,
     parse_state,
     positionality_table,
     reachable_noncapture,
@@ -347,6 +348,36 @@ def test_game_params_validation():
 def test_state_count_guard():
     with pytest.raises(StateCountExceededError):
         build_arena(builtin("petersen"), 4, max_states=1000)
+
+
+def test_the_state_cap_is_exact_and_needs_no_power():
+    """V^N * N is compared with the cap exactly, V = 1 included, and a
+    count past the cap is never computed: only V and N are named."""
+    one = graph_from_edges(1, [])
+    for g, n in ((one, 5), (builtin("path", 2), 3), (builtin("path", 3), 4)):
+        count = g.vertex_count**n * n
+        assert build_arena(g, n, max_states=count).n_states == count
+        with pytest.raises(StateCountExceededError, match=rf"\({count} states\) exceeds "
+                                                          rf"the cap of {count - 1} states$"):
+            build_arena(g, n, max_states=count - 1)
+    for g in (one, builtin("path", 3)):
+        with pytest.raises(StateCountExceededError, match=rf"^arena on {g.vertex_count} "
+                                                          r"vertices with N=10{20} exceeds"):
+            build_arena(g, 10**20)
+
+
+@pytest.mark.parametrize("text, fault", [("0,9;1;2", "has vertex 9 out of range 0..3"),
+                                         ("0;1;2", "lists 1 cops; expected 2"),
+                                         ("0,1;1;4", "has mover 4 out of range 1..3")])
+def test_a_state_is_checked_by_one_rule_whether_parsed_or_indexed(text, fault):
+    """A literal is refused by name; a State given to `index` by its own
+    literal, with the same fault."""
+    with pytest.raises(ValidationError, match=f"^state literal '{text}' {fault}$"):
+        parse_state(text, 3, 4)
+    cops, robber, mover = text.split(";")
+    s = State(tuple(map(int, cops.split(","))), int(robber), int(mover))
+    with pytest.raises(ValidationError, match=f"^state {text} {fault}$"):
+        build_arena(builtin("path", 4), 3).index(s)
 
 
 def test_reachable_noncapture_on_p2():

@@ -4,6 +4,8 @@ request cache."""
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -352,3 +354,75 @@ def test_running_out_of_memory_is_one_error_line_with_exit_2(capsys, monkeypatch
     assert (code, out) == (2, "")
     assert err == ("error: out of memory on 39 vertices with N=4 (9253764 states); "
                    "try a smaller graph or N\n")
+
+
+def test_the_graph_is_loaded_once_per_run(capsys, monkeypatch, tmp_path):
+    """The cache key, the command and an out-of-memory message all read
+    the one graph the run loaded."""
+    loads = []
+
+    def counted(*args):
+        loads.append(args)
+        return builtin(*args)
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cli, "builtin", counted)
+    assert run(capsys, "arena-stats", "--builtin", "path:3", "--n", "3",
+               "--cache-dir", str(tmp_path))[0] == 0
+    assert len(loads) == 1
+    monkeypatch.setattr(cli, "build_arena", exhausted)
+    code, out, err = run(capsys, "cr-solve", "--builtin", "path:3", "--n", "3")
+    assert (code, out, len(loads)) == (2, "", 2)
+    assert err == "error: out of memory on 3 vertices with N=3 (81 states); try a smaller graph or N\n"
+
+
+# a child's address space: numpy imports well within it, and a request
+# that tried to build what it should refuse runs out of it at once
+CHILD_LIMIT = 1_500_000 * 1024
+
+
+def run_child(*argv, timeout=60):
+    """`scar` with argv in a child under RLIMIT_AS and a timeout, so a
+    hang or a runaway allocation shows as a failure, not as a stuck or
+    killed test run."""
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_LIMIT}, {CHILD_LIMIT})); "
+            "from scar.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {k: v for k, v in os.environ.items() if k != "SCAR_CACHE_DIR"}
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=timeout, env=env)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # V^N * N is compared with the cap by a bounded loop, not computed
+    (["--builtin", "path:3", "--n", "99999999999999999999"],
+     "error: arena on 3 vertices with N=99999999999999999999 exceeds the cap of 10000000 "
+     "states\n"),
+    # and the refusal prints the count only when it is small
+    (["--builtin", "path:3", "--n", "100000"],
+     "error: arena on 3 vertices with N=100000 exceeds the cap of 10000000 states\n"),
+    # K bounds V before the graph is built
+    (["--builtin", "path:100000000", "--n", "3"],
+     "error: path:100000000 has at least 100000000 vertices, so its arenas exceed the cap "
+     "of 10000000 states\n"),
+], ids=["huge-n", "large-n", "huge-k"])
+def test_oversized_requests_are_refused_before_anything_is_built(argv, message):
+    got = run_child("cr-solve", *argv)
+    assert (got.returncode, got.stdout, got.stderr) == (2, "", message)
+
+
+def test_a_sparse_edge_list_names_its_first_missing_id(tmp_path):
+    """The gap is found in the sorted used ids, not in every id below the
+    largest."""
+    sparse = tmp_path / "sparse.edges"
+    sparse.write_text("0 99999999999999999999\n", encoding="utf-8")
+    got = run_child("cr-solve", "--graph", str(sparse), "--n", "3")
+    assert (got.returncode, got.stdout) == (2, "")
+    assert got.stderr == ("error: vertex ids are not dense: 1 unused below max id "
+                          "99999999999999999999\n")

@@ -27,7 +27,7 @@ from scar import positionality
 from scar.cli import main
 from scar.positionality import solve_all_games
 
-from oracles import positional_verdicts
+from oracles import positional_verdicts, trigger_profile_dicts as oracle_trigger_profile
 from strategies import connected_graphs
 
 
@@ -189,15 +189,41 @@ def test_scan_region_matches_pointwise():
 
 
 def test_trigger_profile_moves_are_legal():
+    """Every table of the profile names a successor at each noncapture
+    state and -1 at each capture state, read only; `cooperative` is the
+    mover's row of `punishment`."""
     a = build_arena(builtin("path", 3), 3)
     params = GameParams(3, Q(1, 2), Q(0))
     profile = build_trigger_profile(solve_capture_time(a), solve_all_games(a, params))
-    nc = set(map(int, a.noncapture_indices()))
-    assert set(profile.cooperative) == nc
-    for i, j in profile.cooperative.items():
-        assert j in set(map(int, a.succ_indices(i)))
-    for m in (1, 2, 3):
-        assert set(profile.punishment[m]) == nc
+    nc = a.noncapture_indices()
+    capture = np.ones(a.n_states, dtype=bool)
+    capture[nc] = False
+    assert profile.punishment.shape == (3, a.n_states)
+    for table in (profile.cooperative, *profile.punishment):
+        assert not table.flags.writeable
+        assert (table[capture] == -1).all()
+        for i in nc.tolist():
+            assert table[i] in a.succ_indices(i)
+    every = np.arange(a.n_states)
+    assert np.array_equal(profile.cooperative, profile.punishment[every % 3, every])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_trigger_profile_arrays_equal_the_dict_builder(suite_graphs, n):
+    """Entry for entry, on every suite graph at two (gamma, epsilon)
+    points: the per-token array build against the per-state dict builder."""
+    for name, g in suite_graphs.items():
+        a = build_arena(g, n)
+        cr = solve_capture_time(a)
+        for gamma, eps in ((Q(1, 2), Q(1, 10)), (Q(9, 10), Q(0))):
+            games = solve_all_games(a, GameParams(n, gamma, eps))
+            profile = build_trigger_profile(cr, games)
+            cooperative, punishment = oracle_trigger_profile(a, cr, games)
+            want = np.full((n + 1, a.n_states), -1)
+            for row, table in zip(want, (cooperative, *punishment.values())):
+                row[list(table)] = list(table.values())
+            assert np.array_equal(profile.cooperative, want[0]), (name, gamma)
+            assert np.array_equal(profile.punishment, want[1:]), (name, gamma)
 
 
 def test_cooperative_play_captures_without_switching():
@@ -217,12 +243,10 @@ def test_robber_deviation_triggers_punishment_and_still_loses():
     cr = solve_capture_time(a)
     profile = build_trigger_profile(cr, solve_all_games(a, params))
     # the robber runs from the cooperative plan at every turn
-    dev = {}
-    for i in a.noncapture_indices():
-        i = int(i)
-        if a.mover_of(i) == 3:
-            succ = [int(j) for j in a.succ_indices(i) if j != profile.cooperative[i]]
-            dev[i] = succ[0] if succ else profile.cooperative[i]
+    dev = profile.cooperative.copy()
+    for i in a.noncapture_indices()[2::3].tolist():
+        succ = [j for j in a.succ_indices(i).tolist() if j != dev[i]]
+        dev[i] = succ[0] if succ else dev[i]
     run = simulate_trigger(a, profile, State((0, 2), 1, 3), deviant=(3, dev))
     assert run.punished_player == 3
     assert run.switch_time is not None
@@ -234,7 +258,7 @@ def test_deviant_must_play_legal_moves():
     params = GameParams(3, Q(1, 2), Q(0))
     profile = build_trigger_profile(solve_capture_time(a), solve_all_games(a, params))
     start = a.index(State((0, 0), 1, 1))
-    bad = {int(i): int(a.n_states - 1) for i in a.noncapture_indices()}
+    bad = np.full(a.n_states, a.n_states - 1)
     with pytest.raises(IllegalMoveError):
         simulate_trigger(a, profile, start, deviant=(1, bad))
 

@@ -30,12 +30,14 @@ from scar import (
     UniquenessViolationError,
     bridge,
     build_arena,
+    build_trigger_profile,
     builtin,
     check_positionality,
     graph_from_edges,
     positionality_table,
     scan_region,
     simulate,
+    simulate_trigger,
     solve_capture_time,
     solve_game,
     state_cop_report,
@@ -45,6 +47,7 @@ from scar.classify import _guarantee_winning_sets
 from scar.cli import main
 from scar.fixpoint import INT_INF
 from scar.graphs import automorphism_generators, serialize_edge_list
+from scar.positionality import solve_all_games
 from scar.scarsolver import solve_discounted_capture
 from scar.statecop import _hardest_state
 
@@ -566,6 +569,26 @@ def test_simulate_plays_without_the_full_move_table(monkeypatch):
     for i in finite[:: max(1, len(finite) // 50)]:
         play = simulate(a, int(i), lambda j: sol.opt_indices(j)[0])
         assert play.capture_time == sol.capture_time(int(i))
+
+
+def test_trigger_plays_read_no_capture_mask_and_no_full_table(monkeypatch):
+    """The profile is built one mover token at a time, and a cooperative
+    play and a trigger run test capture from each state's digits: neither
+    the full capture mask nor a full move table is built."""
+
+    def refused(*args):
+        raise AssertionError("the full capture mask was built")
+
+    refuse_full_tables(monkeypatch)
+    monkeypatch.setattr(Arena, "capture_mask", property(refused))
+    a = build_arena(builtin("path", 6), 4)
+    params = GameParams(4, Q(1, 2), Q(1, 10))
+    profile = build_trigger_profile(solve_capture_time(a), solve_all_games(a, params))
+    start = State((0, 1, 2), 5, 1)
+    play = simulate(a, start, profile.cooperative)
+    run = simulate_trigger(a, profile, start)
+    assert run.play == play and run.switch_time is None
+    assert (play.capture_time, play.capturing_cops) == (11, frozenset({3}))
 
 
 def listing_answers(a, params) -> dict:
