@@ -28,9 +28,9 @@ their rows (`Solution.optimal`); `succ_indices` makes one row alone, and
 a simulated play (`walk`) checks each move against it.
 
 Every solver (capture time, attribution, coalitions, classify's guarantee
-games, the discounted games and the positionality tests) runs on the orbit
-quotient: a graph automorphism applied to every token preserves moves,
-captures, captors and turns, so their answers are constant on orbits.
+games, the discounted games, the positionality tests) runs on the quotient
+by Aut(G) (`graphs.automorphisms`): an automorphism applied to every token
+keeps moves, captures, captors and turns, so answers are constant on orbits.
 Row i of the quotient is the row of orbit i's smallest state, each target
 replaced by its orbit, duplicates and padding kept, under every group, the
 trivial one included. Its predecessor table is a listing table (see
@@ -46,8 +46,8 @@ orbit: a single state reads its orbit (`Arena.orbit`), a summary weighs
 orbits by their sizes (`Quotient.count`), and a per-state table is lifted
 (`Arena.lifted`) only when a caller reads one. The capture test is read
 off the digits of a state, so no full `capture_mask` is built for them
-or for a play. A solved game is a `Solution`. The orbits are labelled
-one vertex orbit at a time (`_tuple_orbits`).
+or for a play. A solved game is a `Solution`. The orbits are labelled one
+vertex orbit at a time (`_tuple_orbits`), only the tails per query.
 
 `_flood` spreads from a seed one frontier at a time over the rows of a
 `Csr` or, for `reachable_noncapture`, over an arena's successor rows made
@@ -62,13 +62,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter, ne
 
 import numpy as np
 
 from .errors import IllegalMoveError, StateCountExceededError, ValidationError
-from .graphs import Graph, automorphism_generators, is_path_graph, path_order
+from .graphs import Automorphisms, Graph, automorphisms, is_path_graph, path_order
 
 INFINITY = math.inf
 
@@ -175,23 +173,28 @@ def arena_size(v: int, n: int) -> str:
     return f"{v} vertices with N={n}" + (f" ({v**n * n} states)" if small else "")
 
 
+def capped_count(per_tuple: int, v: int, tokens: int, max_states: int, named: str) -> int:
+    """per_tuple * V^tokens states, refused as "<named> exceeds the cap"
+    above max_states after at most log2(cap) + 1 products, never a power."""
+    count = per_tuple if v else 0
+    for _ in range(tokens if v > 1 else 0):
+        if (count := count * v) > max_states:
+            break
+    if count > max_states:
+        raise StateCountExceededError(f"{named} exceeds the cap of {max_states} states")
+    return count
+
+
 class Arena:
     """Dense state space + CSR successor table for one (graph, N) pair."""
 
     def __init__(self, graph: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES):
         n_players = count_of(n_players, 2, "at least 2 players")
         v = graph.vertex_count
-        # V^N * N by at most log2(cap) + 1 products, never the exact power
-        n_states = n_players if v else 0
-        for _ in range(n_players if v > 1 else 0):
-            if (n_states := n_states * v) > max_states:
-                break
-        if n_states > max_states:
-            raise StateCountExceededError(
-                f"arena on {arena_size(v, n_players)} exceeds the cap of {max_states} states")
+        self.n_states = capped_count(n_players, v, n_players, max_states,
+                                     f"arena on {arena_size(v, n_players)}")
         self.graph = graph
         self.n_players = n_players
-        self.n_states = n_states
         self._strides = [v ** (n_players - j) for j in range(1, n_players + 1)]
         self._memo: dict = {}
 
@@ -248,6 +251,13 @@ class Arena:
         each made only when the one before it has been read."""
         shift, key = self._shift(), self._key(rows)
         return (rows + shift[key, r] for r in range(shift.shape[1]))
+
+    def successor_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The successor rows of `rows` as one (rows, width) array padded as
+        `columns` pads, each entry's orbit and each row's orbit."""
+        q = self.quotient()
+        targets = np.stack(list(self.columns(rows)), axis=-1)
+        return targets, q.orbit_of(targets), q.orbit_of(rows)
 
     # -- state codec --------------------------------------------------------
 
@@ -341,7 +351,7 @@ class Arena:
         return self.memo("predecessors", lambda: self.moves.reverse())
 
     def quotient(self) -> Quotient:
-        """The orbit quotient under `automorphism_generators`. Memoized."""
+        """The orbit quotient under `automorphisms`. Memoized."""
         return self.memo("quotient", lambda: _quotient(self))
 
 
@@ -391,41 +401,35 @@ def _turns(n_players: int, rows: int, tokens: tuple[int, ...]) -> np.ndarray:
     return np.tile([t in tokens for t in range(1, n_players + 1)], rows // n_players)
 
 
-Perm = tuple[int, ...]
-
-
-def _tuple_orbits(gens: list[Perm], v: int, n: int):
+def _tuple_orbits(group: Automorphisms, v: int, n: int):
     """The orbits of the position tuples (mixed radix V, first token most
-    significant) under the group G that `gens`, a list from
-    `automorphism_generators`, generate: (mix_orbit, each tuple's orbit
-    index in a (V, V^(N-1)) table of the least unsigned dtype; roots, each
-    orbit's least tuple, ascending; counts, each orbit's size).
+    significant) under `group`, as `automorphisms` gives one: (mix_orbit,
+    each tuple's orbit index in a (V, V^(N-1)) table of the least unsigned
+    dtype; roots, each orbit's least tuple, ascending; counts, each
+    orbit's size).
 
-    The maps in G sending x1 to the least vertex m of its orbit are
-    Stab(m)·u for any one of them, u, so the least image of (x1, tail) is
-    m followed by the least image of u(tail) under Stab(m), and its orbit
-    holds |orbit(m)| times that tail's count under Stab(m). So per vertex
-    orbit only the V^(N-1) tails are labelled (`_tail_ranks`), and row x
-    of `mix_orbit` is offset(m), the orbits of the smaller m, plus the
-    rank of u(tail)'s least image, written at most `CHUNK` tails (one row
-    at least) at a time: no array but `mix_orbit` spans the tuples. The
-    group work is plain Python on permutation tuples (`_cosets`,
-    `_stabiliser`)."""
+    The maps in the group sending x1 to the least vertex m of its orbit
+    are Stab(m)·u for any one of them, u, so the least image of (x1, tail)
+    is m followed by the least image of u(tail) under Stab(m), and its
+    orbit holds |orbit(m)| times that tail's count under Stab(m). So per
+    vertex orbit only the V^(N-1) tails are labelled (`_tail_ranks`), and
+    row x of `mix_orbit` is offset(m), the orbits of the smaller m, plus
+    the rank of u(tail)'s least image, written at most `CHUNK` tails (one
+    row at least) at a time: no array but `mix_orbit` spans the tuples."""
     k = n - 1
     tails = v**k
     labelled, roots, counts = [], [], []
     offset = 0
-    for m, coset in _cosets(gens, v).items():
-        tail_roots, rank = _tail_ranks(_stabiliser(gens, m, coset), v, k)
-        roots.append(tail_roots + m * tails)
-        size = len(coset)
+    for xs, backs, stab in group.orbits:
+        tail_roots, rank = _tail_ranks(stab, v, k)
+        roots.append(tail_roots + xs[0] * tails)
+        size = len(xs)
         counts.append(np.full(len(tail_roots), size) if rank is None else size * np.bincount(rank))
-        labelled.append((coset, offset, rank))
+        labelled.append((list(xs), backs, offset, rank))
         offset += len(tail_roots)
     mix_orbit = np.empty((v, tails), dtype=np.min_scalar_type(offset))
     per = max(1, CHUNK // tails)
-    for coset, offset, rank in labelled:
-        xs, backs = list(coset), [back for _, back in coset.values()]
+    for xs, backs, offset, rank in labelled:
         for lo in range(0, len(xs), per):
             image = _images(np.array(backs[lo:lo + per], dtype=_index_dtype(tails)), k)
             if rank is not None:
@@ -434,7 +438,7 @@ def _tuple_orbits(gens: list[Perm], v: int, n: int):
     return mix_orbit, np.concatenate(roots), np.concatenate(counts)
 
 
-def _tail_ranks(stab: list[Perm], v: int, k: int):
+def _tail_ranks(stab, v: int, k: int):
     """The k-tuples (mixed radix V) under the group `stab` generates: (the
     least tuple of each orbit, ascending; per tuple the rank of its orbit
     among them, in the least unsigned dtype, or None when `stab` is empty
@@ -476,71 +480,9 @@ def _tail_labels(images: np.ndarray) -> np.ndarray:
         label = moved
 
 
-def _cosets(gens: list[Perm], v: int) -> dict[int, dict[int, tuple[Perm, Perm]]]:
-    """Per orbit of ⟨gens⟩ on the vertices, keyed by its least vertex m,
-    ascending: per vertex x of the orbit, a product t of generators with
-    t(m) = x, found by a breadth-first search, and its inverse."""
-    cosets: dict[int, dict[int, tuple[Perm, Perm]]] = {}
-    seen: set[int] = set()
-    ident = tuple(range(v))
-    for m in range(v):
-        if m in seen:
-            continue
-        coset, queue = {m: (ident, ident)}, [m]
-        for x in queue:
-            for p in gens:
-                if p[x] not in coset:
-                    pt = _compose(p, coset[x][0])
-                    coset[p[x]] = pt, _inverse(pt)
-                    queue.append(p[x])
-        cosets[m] = coset
-        seen.update(coset)
-    return cosets
-
-
-def _stabiliser(gens: list[Perm], m: int, coset: dict[int, tuple[Perm, Perm]]) -> list[Perm]:
-    """Generators of the stabiliser of an orbit's least vertex m, given
-    the orbit's `_cosets` entry; empty when it is trivial. For m = 0, the
-    generators that fix 0, which generate Stab(0) by the search's order
-    (`automorphism_generators`); otherwise the distinct Schreier generators
-    t_{s(x)}^-1 · s · t_x over the orbit's vertices x and generators s,
-    sifted by `_sims_filter`."""
-    if m == 0:
-        return [p for p in gens if p[0] == 0]
-    schreier = (_compose(coset[s[x]][1], _compose(s, t)) for x, (t, _) in coset.items()
-                for s in gens)
-    return _sims_filter(dict.fromkeys(schreier))
-
-
-def _sims_filter(perms) -> list[Perm]:
-    """Generators of the group `perms` generate, at most one per pair (i,
-    j) of a first moved point i and its image j: each permutation is kept
-    if its pair is new, else replaced by the kept one's inverse times it,
-    which fixes i as well, and sifted on; an identity is dropped."""
-    kept: dict[tuple[int, int], tuple[Perm, Perm]] = {}
-    for p in perms:
-        points = range(len(p))
-        while (i := next(compress(points, map(ne, p, points)), None)) is not None:
-            if (i, p[i]) not in kept:
-                kept[i, p[i]] = p, _inverse(p)
-                break
-            p = _compose(kept[i, p[i]][1], p)
-    return [p for p, _ in kept.values()]
-
-
-def _compose(p: Perm, q: Perm) -> Perm:
-    """p·q: i goes to p[q[i]], for permutations of V >= 2 points (a
-    one-vertex graph has no generator to compose)."""
-    return itemgetter(*q)(p)
-
-
-def _inverse(p: Perm) -> Perm:
-    return tuple(sorted(range(len(p)), key=p.__getitem__))
-
-
 def _quotient(arena: Arena) -> Quotient:
     n, v = arena.n_players, arena.graph.vertex_count
-    mix_orbit, roots, counts = _tuple_orbits(automorphism_generators(arena.graph), v, n)
+    mix_orbit, roots, counts = _tuple_orbits(automorphisms(arena.graph), v, n)
     mix_orbit = mix_orbit.reshape(-1)
     reps = (roots[:, None] * n + np.arange(n)).ravel()
     # one gather per token of every column at once, by blocks of roots whose
@@ -731,15 +673,16 @@ class Solution:
         self.rank.flags.writeable = False
 
     def optimal(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The successor rows of the states `rows` as one (rows, width)
-        array, padded as the arena's rows (`Arena.columns`), and per entry
-        whether its target's rank is its mover's best: the row's smallest
-        if the mover is eager, else its largest."""
-        q = self.arena.quotient()
-        targets = np.stack(list(self.arena.columns(rows)), axis=-1)
-        rank = self.rank.take(q.orbit_of(targets))
-        eager = self.eager.take(q.orbit_of(rows))
-        return targets, rank == np.where(eager, rank.min(axis=-1), rank.max(axis=-1))[..., None]
+        """`Arena.successor_rows(rows)`'s rows, and which entries are `best`."""
+        targets, orbits, at = self.arena.successor_rows(rows)
+        return targets, self.best(orbits, at)
+
+    def best(self, orbits: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Per entry of rows in orbits `at` with targets in `orbits`: is its
+        rank the mover's best, the row's least if eager, else its largest?"""
+        rank = self.rank.take(orbits)
+        eager = self.eager.take(at)
+        return rank == np.where(eager, rank.min(axis=-1), rank.max(axis=-1))[..., None]
 
     def opt_indices(self, s: State | int) -> np.ndarray:
         """The optimal successors of noncapture state s, ascending, each

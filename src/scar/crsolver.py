@@ -30,9 +30,10 @@ from .arena import (
     Arena,
     Solution,
     State,
+    capped_count,
     count_of,
 )
-from .errors import ScarError, StateCountExceededError, UniquenessViolationError, ValidationError
+from .errors import ScarError, UniquenessViolationError, ValidationError
 from .fixpoint import INT_INF, solve_layers
 from .graphs import Graph
 
@@ -202,10 +203,7 @@ def _classic_wins(graph: Graph, cop_count: int, max_states: int) -> np.ndarray:
     """Per (cops, robber) cell, a (V^k, V) bool array: can k cops moving
     first force a capture in the classic game?"""
     v, k = graph.vertex_count, count_of(cop_count, 1, "at least one cop")
-    if 2 * v ** (k + 1) > max_states:
-        raise StateCountExceededError(
-            f"classic arena would hold {2 * v ** (k + 1)} states (> cap {max_states})"
-        )
+    capped_count(2, v, k + 1, max_states, f"classic arena on {v} vertices with k={k} cops")
     arena = Arena(graph, k + 1, max_states=(k + 1) * v ** (k + 1))
     cop_1_moves = capture_depths(arena).reshape(-1, k + 1)[arena.quotient().mix_orbit, 0]
     return (cop_1_moves < INT_INF).reshape(v**k, v)

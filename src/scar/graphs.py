@@ -1,13 +1,16 @@
 """Finite simple connected undirected graphs with dense 0-based vertex ids.
 
-This is deliberately minimal: adjacency sets, the named constructions the
-solvers and the verification suite need, and an automorphism search. Vertex ids are
-always 0..n-1; every constructor validates simplicity and connectivity.
+Deliberately minimal: adjacency sets, the named constructions the solvers and
+the verification suite need, and Aut(G), found once per graph (`automorphisms`).
+Vertex ids are 0..n-1; every constructor validates simplicity and connectivity.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import functools
+import math
+from collections import Counter, deque
+from itertools import groupby
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -271,10 +274,7 @@ def path_order(g: Graph) -> list[int]:
     return order
 
 
-# Work the automorphism search may do before it settles for the generators
-# found so far. Any subgroup of Aut(G) gives a correct orbit quotient, so
-# running out costs speed, never an answer.
-SEARCH_EFFORT = 100_000
+Perm = tuple[int, ...]
 
 
 def is_automorphism(g: Graph, perm) -> bool:
@@ -283,73 +283,162 @@ def is_automorphism(g: Graph, perm) -> bool:
         tuple(sorted(perm[w] for w in nb)) == g.neighbors[p] for p, nb in zip(perm, g.neighbors))
 
 
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Generators of Aut(g), each checked with `is_automorphism`: a
-    stabiliser-chain search over the base b_0 = 0, b_1, ... in BFS order.
-    From the last base point to the first, it fixes b_0..b_{i-1} and seeks
-    an automorphism sending b_i to each vertex not yet in b_i's orbit under
-    the generators found so far, extending the map in base order with
-    images among the neighbours of the BFS parent's image. Once
-    SEARCH_EFFORT is spent (1 + deg b per candidate image of b) it returns
-    the generators found so far, of a subgroup. Either way, the ones that
-    fix 0 (all found before the first that moves it) generate the
-    stabiliser of 0 in the group the list generates, as the orbit
-    quotient's labelling assumes."""
-    v, nbrs = g.vertex_count, g.neighbors
-    order, parent = [0], [-1] * v
-    for u in order:
-        for w in nbrs[u]:
-            if w and parent[w] < 0:
-                parent[w] = u
-                order.append(w)
-    effort = SEARCH_EFFORT
-    image: list[int] = []
-    used: set[int] = set()
+@dataclass(frozen=True)
+class Automorphisms:
+    """A group of graph automorphisms: generators, order, and per vertex
+    orbit, by ascending least vertex m, (its vertices, ascending; per
+    vertex a map sending it to m; generators of Stab(m), none if trivial)."""
 
-    def extend(k0: int, first: list[int]) -> tuple[int, ...] | None:
-        """Complete the map, fixed on order[:k0], to an automorphism that
-        sends order[k0] into `first`."""
-        nonlocal effort
-        k, tried = k0, [iter(first)]
-        while k < v and effort >= 0:
-            if len(tried) == k - k0:  # entering level k
-                tried.append(iter([c for c in nbrs[image[parent[order[k]]]] if c not in used]))
-            b = order[k]
-            mapped = {image[w] for w in nbrs[b] if image[w] >= 0}
-            for c in tried[-1]:
-                effort -= 1 + len(nbrs[b])
-                if len(nbrs[c]) == len(nbrs[b]) and mapped == used.intersection(nbrs[c]):
-                    image[b] = c
-                    used.add(c)
-                    k += 1
-                    break
-            else:
-                tried.pop()
-                if k == k0:
-                    return None
-                k -= 1
-                used.discard(image[order[k]])
-                image[order[k]] = -1
-        return tuple(image) if k == v else None
+    generators: tuple[Perm, ...]
+    order: int
+    orbits: tuple[tuple[tuple[int, ...], tuple[Perm, ...], tuple[Perm, ...]], ...]
 
-    gens: list[tuple[int, ...]] = []
-    for i in reversed(range(v)):
-        orbit, grow = {order[i]}, set()
-        for c in range(v) if i == 0 else nbrs[parent[order[i]]]:
-            while grow:  # close the orbit under the generators found so far
-                grow = {p[x] for p in gens for x in grow} - orbit
-                orbit |= grow
-            if c in orbit or c in order[:i]:
+
+@functools.lru_cache(maxsize=32)
+def automorphisms(g: Graph) -> Automorphisms:
+    """Aut(g), kept per graph value for the process in a small LRU. A
+    search rooted at 0 gives it and Stab(0); another orbit's Stab(m) is the
+    group if the orbit is {m}, trivial if the orbit is as large as the group,
+    else from a search rooted at m given m's orbit. The maps to m are
+    products of generators, found breadth first."""
+    v, ident = g.vertex_count, tuple(range(g.vertex_count))
+    gens, order = _search(g, 0, {0})
+    inverses = [tuple(sorted(range(v), key=p.__getitem__)) for p in gens]
+    orbits, seen = [], set()
+    for m in (m for m in range(v) if m not in seen):
+        back, queue = {m: ident}, [m]
+        for x in queue:
+            for p, p_inv in zip(gens, inverses):
+                if p[x] not in back:
+                    back[p[x]] = tuple(map(back[x].__getitem__, p_inv))
+                    queue.append(p[x])
+        xs = tuple(sorted(back))
+        stab = ([p for p in gens if p[0] == 0] if m == 0 else gens if len(xs) == 1
+                else () if len(xs) == order else _search(g, m, set(xs))[0])
+        orbits.append((xs, tuple(map(back.get, xs)), tuple(stab)))
+        seen.update(xs)
+    return Automorphisms(tuple(gens), order, tuple(orbits))
+
+
+def _search(g: Graph, first: int, orbit: set[int]) -> tuple[list[Perm], int]:
+    """Generators of Aut(g) and its order by individualisation-refinement
+    (McKay and Piperno, Practical graph isomorphism II, 2014), given the
+    orbit of `first` when known, else {first}. A node is a partition (lab, the
+    vertices in order; pos, their positions; cell and end, each vertex's
+    cell's first and each cell's end position), refined to equitable. The
+    first path makes `first`, then the least vertex of the first cell of
+    two or more, a cell of its own, down to a leaf whose cells of two or
+    more are joined pairwise wholly or not at all (`_plain`): any map
+    keeping its cells is an automorphism. From the deepest level i up,
+    each vertex of the cell b_i came from, outside b_i's orbit under the
+    maps found so far, is tried (`_leaf_like`). So the maps found at level
+    i and below generate the stabiliser of b_0..b_(i-1), a strong
+    generating set for the base b_0, b_1, ... (Seress, Permutation Group
+    Algorithms, 2003, ch. 4): the order is the product of orbit sizes."""
+    nbrs, v = g.neighbors, g.vertex_count
+    node = (list(range(v)), list(range(v)), [0] * v, [v] * v)
+    _refine(nbrs, *node, {u: len(nb) for u, nb in enumerate(nbrs)})
+    path: list = []
+    while not (path and _plain(nbrs, node)):
+        x = min(_big_cells(node)[0]) if path else first
+        child = tuple(list(a) for a in node)
+        path.append((node, x, _refine(nbrs, *child, {x: 1})))
+        node = child
+    gens, order = [], 1
+    for cell in _big_cells(node):  # a transposition and a cycle generate Sym(cell)
+        for moved in (cell[:2], cell)[:len(cell) - 1]:
+            gens.append(tuple(map(dict(zip(moved, moved[1:] + moved[:1])).get, range(v), range(v))))
+        order *= math.factorial(len(cell))
+    for i in reversed(range(len(path))):
+        at, b, _ = path[i]
+        lab, _, cell, end = at
+        seen = _closure(orbit if i == 0 else {b}, gens)
+        for w in sorted(lab[cell[b]:end[cell[b]]]) if i or len(orbit) == 1 else ():
+            if w not in seen and (p := _leaf_like(g, at, w, path[i:], node[0])):
+                gens.append(p)
+                seen = _closure(seen, gens)
+        order *= len(seen)
+    return gens, order
+
+
+def _leaf_like(g: Graph, node, w: int, path: list, leaf: list[int]) -> Perm | None:
+    """An automorphism mapping the first path's leaf (vertex order `leaf`)
+    position by position onto a leaf below node's child at w, found depth
+    first, a node j levels down pruned unless its refinement's trace is
+    that of path[j]. If any automorphism maps leaf onto leaf, the position
+    map does, the two differing by a map that keeps the cells."""
+    stack = [(node, iter([w]))]
+    while stack:
+        if (x := next(stack[-1][1], None)) is None:
+            stack.pop()
+            continue
+        child = tuple(list(a) for a in stack[-1][0])
+        if _refine(g.neighbors, *child, {x: 1}) != path[len(stack) - 1][2]:
+            continue
+        if len(stack) < len(path):
+            stack.append((child, iter(sorted(_big_cells(child)[0]))))
+            continue
+        if is_automorphism(g, perm := tuple(b for _, b in sorted(zip(leaf, child[0])))):
+            return perm
+    return None
+
+
+def _refine(nbrs, lab, pos, cell, end, count: dict[int, int]) -> tuple:
+    """Split a node's cells in place by `count` ({x: 1} makes x a cell of
+    its own), then by each vertex's neighbours in each splitter cell
+    queued, until equitable, moving only counted vertices, to the end of
+    their cell by count. A split cell not queued queues all its parts but
+    its first largest. The trace, (cell, uncounted part's size, counts)
+    per split, is alike at nodes that an automorphism maps one onto the
+    other."""
+    trace, queue, queued = [], [], set()
+    while True:
+        for c, hit in groupby(sorted(count, key=cell.__getitem__), cell.__getitem__):
+            e, hit = end[c], sorted(hit, key=count.__getitem__)
+            keys, k = [count[u] for u in hit], e - len(hit)
+            if k == c and keys[0] == keys[-1]:
                 continue
-            used = set(order[:i])
-            image = [w if w in used else -1 for w in range(v)]
-            perm = extend(i, [c])
-            if effort < 0:
-                return gens
-            if perm is not None and is_automorphism(g, perm):
-                gens.append(perm)
-                grow = set(orbit)
-    return gens
+            trace.append((c, k - c, *keys))
+            for i, u in enumerate(hit, k):
+                lab[pos[u]], pos[lab[i]] = lab[i], pos[u]
+                lab[i], pos[u] = u, i
+            cuts = [c] * (k > c) + [k + i for i, n in enumerate(keys) if not i or n != keys[i - 1]]
+            for a, b in zip(cuts, cuts[1:] + [e]):
+                end[a] = b
+                for u in lab[a:b] if a >= k else ():
+                    cell[u] = a
+            if c not in queued:
+                sizes = [end[a] - a for a in cuts]
+                cuts.pop(sizes.index(max(sizes)))
+            queue += [a for a in cuts if a not in queued]
+            queued.update(cuts)
+        if not queue:
+            return tuple(trace)
+        queued.discard(s := queue.pop())
+        count = Counter(u for w in lab[s:end[s]] for u in nbrs[w])
+
+
+def _plain(nbrs, node) -> bool:
+    """Is each cell of two or more joined to each such cell wholly or not
+    at all? One vertex per cell tells, the partition being equitable."""
+    lab, _, cell, end = node
+    big = {c: end[c] - c for c in set(cell) if end[c] > c + 1}
+    counts = (Counter(cell[u] for u in nbrs[lab[c]]) for c in big)
+    return all(n[d] in (0, size - (c == d)) for c, n in zip(big, counts) for d, size in big.items())
+
+
+def _big_cells(node) -> list[list[int]]:
+    lab, _, cell, end = node
+    return [lab[c:end[c]] for c in sorted(set(cell)) if end[c] > c + 1]
+
+
+def _closure(points, gens: list[Perm]) -> set[int]:
+    seen, queue = set(points), list(points)
+    for y in queue:
+        new = {p[y] for p in gens} - seen
+        seen |= new
+        queue += new
+    return seen
 
 
 def is_path_graph(g: Graph) -> bool:

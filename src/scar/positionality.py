@@ -239,9 +239,9 @@ class TriggerProfile:
 
 
 def build_trigger_profile(cr: CrSolution, games: dict[int, GameSolution]) -> TriggerProfile:
-    """The profile's tables, read one mover token at a time: at each
-    noncapture state where the token moves, each plan's canonical move,
-    its row's first optimal column (the lowest target vertex)."""
+    """The profile's tables, one mover token at a time, its rows and their
+    orbits read once: at each noncapture state where the token moves, each
+    plan's canonical move, its row's first optimal column (lowest target)."""
     arena = cr.arena
     n = arena.n_players
     if sorted(games) != list(range(1, n)):
@@ -251,9 +251,9 @@ def build_trigger_profile(cr: CrSolution, games: dict[int, GameSolution]) -> Tri
     noncapture = arena.noncapture_indices()
     for token in range(1, n + 1):
         rows = noncapture[token - 1::n]
+        targets, orbits, at = arena.successor_rows(rows)
         for table, plan in zip(punishment, plans):
-            targets, opt = plan.optimal(rows)
-            table[rows] = targets[np.arange(len(rows)), opt.argmax(axis=1)]
+            table[rows] = targets[np.arange(len(rows)), plan.best(orbits, at).argmax(axis=1)]
     every = np.arange(arena.n_states)
     return TriggerProfile(*_read_only((punishment[every % n, every], punishment)))
 

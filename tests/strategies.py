@@ -27,3 +27,10 @@ ASYMMETRIC_20 = graph_from_edges(20, [
     (6, 14), (7, 13), (7, 16), (8, 15), (9, 14), (9, 17), (10, 11), (10, 19), (11, 13),
     (12, 14), (12, 19), (13, 16), (13, 17), (15, 19),
 ])
+
+
+def paley(q: int):
+    """The Paley graph of a prime q = 1 mod 4: a joined to b when b - a
+    is a nonzero square mod q."""
+    squares = {x * x % q for x in range(1, q)}
+    return graph_from_edges(q, [(a, b) for b in range(q) for a in range(b) if b - a in squares])

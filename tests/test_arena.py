@@ -33,7 +33,7 @@ from scar import (
 )
 from scar.arena import Csr, distinct, is_capture
 from scar.classify import _restricted_tables
-from scar.graphs import automorphism_generators
+from scar.graphs import automorphisms
 
 from oracles import (
     all_states, cell, check_cut_tables, check_listing_table, filtered, padded_reverse,
@@ -430,7 +430,7 @@ def test_reachable_noncapture_equals_a_search_over_single_rows(g, n):
     """The flood over successor rows made per frontier reaches what a
     breadth-first search over `succ_indices` reaches, from every fifth
     noncapture start."""
-    assert automorphism_generators(ASYMMETRIC) == []
+    assert automorphisms(ASYMMETRIC).order == 1
     a = build_arena(g, n)
     for start in a.noncapture_indices()[::5][:6].tolist():
         seen, todo = {start}, [start]

@@ -3,8 +3,12 @@ structure, capture attribution, and the classic simultaneous-move game."""
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from scar import (
     simulate,
     solve_capture_time,
 )
+import scar
 from scar.arena import Solution
 from scar.crsolver import classic_cop_number, classic_cop_win, classic_cop_win_placement
 from scar.fixpoint import INT_INF
@@ -281,9 +286,30 @@ def test_classic_state_cap_counts_the_classic_arena():
     checked against that count, not against the 4-player arena's."""
     g = builtin("petersen")
     assert classic_cop_win(g, 3, max_states=20_000) is True
-    with pytest.raises(StateCountExceededError,
-                       match=r"classic arena would hold 20000 states \(> cap 19999\)"):
+    with pytest.raises(StateCountExceededError, match=r"^classic arena on 10 vertices with k=3 "
+                                                      r"cops exceeds the cap of 19999 states$"):
         classic_cop_win_placement(g, 3, max_states=19_999)
+
+
+def test_a_huge_classic_cop_count_is_refused_at_once():
+    """10^20 cops on path:3: the classic arena's 2 * 3^(10^20 + 1) states
+    are compared with the cap by a bounded loop, so the refusal, naming V
+    and k, comes at once. Run in a child under RLIMIT_AS and a timeout,
+    where computing the power would hang or run out of memory."""
+    limit = 1_500_000 * 1024
+    code = ("import resource; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            "from scar import StateCountExceededError, builtin, classic_cop_win\n"
+            "try:\n    classic_cop_win(builtin('path', 3), 10**20)\n"
+            "except StateCountExceededError as exc:\n    print(exc)")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(scar.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=30, env=env)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == ("classic arena on 3 vertices with k=100000000000000000000 cops "
+                          "exceeds the cap of 10000000 states\n")
 
 
 @pytest.mark.parametrize("k_max, named", [(True, "bool"), (1.5, "float"), (0, "got 0")])

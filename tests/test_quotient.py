@@ -10,9 +10,10 @@ import io
 import json
 import math
 import os
+import pathlib
 import tempfile
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ import scar.graphs as graphs_module
 import scar.scarsolver as scarsolver_module
 import scar.statecop as statecop_module
 from scar import (
+    DisconnectedGraphError,
     GameParams,
     Q,
     State,
@@ -34,6 +36,7 @@ from scar import (
     builtin,
     check_positionality,
     graph_from_edges,
+    load_edge_list,
     positionality_table,
     scan_region,
     simulate,
@@ -42,11 +45,11 @@ from scar import (
     solve_game,
     state_cop_report,
 )
-from scar.arena import Arena, Csr, Quotient, _cosets, _stabiliser, _tuple_orbits
+from scar.arena import Arena, Csr, Quotient, _tuple_orbits
 from scar.classify import _guarantee_winning_sets
 from scar.cli import main
 from scar.fixpoint import INT_INF
-from scar.graphs import automorphism_generators, serialize_edge_list
+from scar.graphs import Automorphisms, automorphisms, is_automorphism, serialize_edge_list
 from scar.positionality import solve_all_games
 from scar.scarsolver import solve_discounted_capture
 from scar.statecop import _hardest_state
@@ -54,7 +57,7 @@ from scar.statecop import _hardest_state
 from oracles import (
     INF, capture_credit, capture_times, coalition_wins, guarantee_wins, padded_reverse,
 )
-from strategies import ASYMMETRIC, ASYMMETRIC_20, connected_graphs
+from strategies import ASYMMETRIC, ASYMMETRIC_20, connected_graphs, paley
 
 
 def heawood():
@@ -80,28 +83,11 @@ def maps_edges_onto_edges(g, perm) -> bool:
     (builtin("star", 30), 4, 208),
 ], ids=["heawood", "petersen", "dodecahedron", "cycle8", "star6", "complete39", "star30"])
 def test_orbit_counts_match_burnside(graph, n, orbits):
-    gens = automorphism_generators(graph)
+    gens = automorphisms(graph).generators
     assert gens and all(maps_edges_onto_edges(graph, p) for p in gens)
     q = build_arena(graph, n).quotient()
     assert len(q.reps) == orbits
     assert np.array_equal(q.reps, np.sort(q.reps))
-
-
-@pytest.mark.parametrize("graph, count, pair_orbits", [
-    (builtin("complete", 39), 38, 2),
-    (builtin("star", 40), 39, 5),
-], ids=["complete39", "star40"])
-def test_generator_search_on_symmetric_groups_ends_within_its_effort(
-    monkeypatch, graph, count, pair_orbits
-):
-    """complete:39 needs 30,381 effort units and star:40 1,638; a cap of
-    40,000 leaves both searches whole: every generator, and the orbits of
-    the full symmetric group on pairs of tokens."""
-    monkeypatch.setattr(graphs_module, "SEARCH_EFFORT", 40_000)
-    gens = automorphism_generators(graph)
-    assert len(gens) == count
-    assert all(maps_edges_onto_edges(graph, p) for p in gens)
-    assert len(_tuple_orbits(gens, graph.vertex_count, 2)[1]) == pair_orbits
 
 
 def closure(gens, v) -> set:
@@ -125,46 +111,150 @@ def least_images(group, v, n) -> np.ndarray:
     return (images @ v ** np.arange(n - 1, -1, -1)).min(axis=0)
 
 
-def fixing_0(gens) -> list:
-    return [p for p in gens if p[0] == 0]
+def group_of(gens, v) -> Automorphisms:
+    """The group `gens` generate, found by brute force and laid out as
+    `automorphisms` lays out Aut(G): per orbit its vertices, a map to its
+    least vertex m per vertex, and every element fixing m but the
+    identity as the stabiliser's generators."""
+    group = sorted(closure(gens, v))
+    orbits, seen = [], set()
+    for m in range(v):
+        if m not in seen:
+            to_m = {}
+            for p in group:
+                to_m.setdefault(p.index(m), p)
+            xs = tuple(sorted(to_m))
+            stab = tuple(p for p in group if p[m] == m and p != tuple(range(v)))
+            orbits.append((xs, tuple(map(to_m.get, xs)), stab))
+            seen.update(xs)
+    return Automorphisms(tuple(gens), len(group), tuple(orbits))
 
 
-def labels_are_orbit_minima(gens, v, n, chunk) -> None:
+def one_generator(g) -> Automorphisms:
+    """The subgroup of Aut(g) that its first generator generates, a
+    proper subgroup whenever Aut(g) needs more than one."""
+    return group_of(automorphisms(g).generators[:1], g.vertex_count)
+
+
+def trivial_group(g) -> Automorphisms:
+    return group_of([], g.vertex_count)
+
+
+def labels_are_orbit_minima(group, v, n, chunk) -> None:
     """Tuple by tuple, with `CHUNK` set to chunk: `mix_orbit` names the
-    rank of its least image under the group `gens` generate among all
-    least images, in the least unsigned dtype, the roots are those least
-    images, ascending, and the counts are how many tuples share each."""
-    least = least_images(closure(gens, v), v, n)
+    rank of its least image under `group` among all least images, in the
+    least unsigned dtype, the roots are those least images, ascending, and
+    the counts are how many tuples share each."""
+    least = least_images(closure(group.generators, v), v, n)
     roots, counts = np.unique(least, return_counts=True)
     with mock.patch.object(arena_module, "CHUNK", chunk):
-        mix_orbit, got_roots, got_counts = _tuple_orbits(gens, v, n)
+        mix_orbit, got_roots, got_counts = _tuple_orbits(group, v, n)
     assert mix_orbit.dtype == np.min_scalar_type(len(roots))
     assert np.array_equal(mix_orbit.reshape(-1), np.searchsorted(roots, least))
     assert np.array_equal(got_roots, roots) and np.array_equal(got_counts, counts)
+
+
+def is_aut_g_as_laid_out(g, group) -> None:
+    """The generators are automorphisms of g and generate `order` of
+    them, every one there is (brute force, up to 7 vertices); per orbit,
+    its vertices are the least vertex m's images, each map sends its
+    vertex to m, and the stabiliser's generators fix m and generate
+    order/|orbit| elements."""
+    v = g.vertex_count
+    assert all(is_automorphism(g, p) for p in group.generators)
+    elements = closure(group.generators, v)
+    assert len(elements) == group.order
+    if v <= 7:
+        assert elements == {p for p in permutations(range(v)) if is_automorphism(g, p)}
+    for xs, backs, stab in group.orbits:
+        m = xs[0]
+        assert set(xs) == {p[m] for p in elements}
+        assert all(back[x] == m and back in elements for x, back in zip(xs, backs))
+        assert all(p[m] == m and p in elements for p in stab)
+        assert len(xs) * len(closure(stab, v)) == group.order
+
+
+def test_aut_orders_equal_brute_force_on_every_labelled_graph_to_five_vertices():
+    """All 772 labelled connected graphs on 1 to 5 vertices: the order of
+    Aut(G) as found is the number of vertex permutations that map edges
+    onto edges."""
+    graphs = 0
+    for v in range(1, 6):
+        pairs = list(combinations(range(v), 2))
+        for chosen in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if chosen >> i & 1]
+            try:
+                g = graph_from_edges(v, edges)
+            except DisconnectedGraphError:
+                continue
+            graphs += 1
+            brute = sum(is_automorphism(g, p) for p in permutations(range(v)))
+            assert automorphisms(g).order == brute
+    assert graphs == 772
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_vertices=7))
+def test_aut_is_every_automorphism_with_its_orbits_and_stabilisers(g):
+    is_aut_g_as_laid_out(g, automorphisms(g))
+
+
+@pytest.mark.parametrize("graph, order", [
+    *[(paley(q), q * (q - 1) // 2) for q in (5, 13, 17, 29, 37, 41, 53, 61)],
+    (builtin("petersen"), 120), (builtin("dodecahedron"), 120), (heawood(), 336),
+    (builtin("star", 6), 720), (builtin("complete", 39), math.factorial(39)),
+], ids=[*(f"paley{q}" for q in (5, 13, 17, 29, 37, 41, 53, 61)),
+        "petersen", "dodecahedron", "heawood", "star6", "complete39"])
+def test_aut_orders_of_named_graphs(graph, order):
+    """Paley(q) has q(q-1)/2 automorphisms (x -> ax + b, a a nonzero
+    square mod q); a search that stopped early found 18 of Paley(37)'s 666
+    and none but the identity of Paley(41)'s, (53)'s or (61)'s."""
+    group = automorphisms(graph)
+    assert group.order == order
+    assert all(is_automorphism(graph, p) for p in group.generators)
+    for xs, _, stab in group.orbits:
+        assert all(p[xs[0]] == xs[0] for p in stab)
+
+
+def test_the_paley41_file_and_its_quotient():
+    """tests/data/paley41.edges is Paley(41), whose 820 automorphisms leave
+    255 orbits of N=3 states out of 206,763: a search that stopped early
+    found only the identity, and so one orbit per state."""
+    g = load_edge_list(pathlib.Path(__file__).parent / "data" / "paley41.edges")
+    assert g == paley(41) and g.edge_count == 410
+    q = build_arena(g, 3).quotient()
+    assert len(q.reps) == 255 and q.count(np.ones(len(q.reps), bool)) == 41**3 * 3
+
+
+@pytest.mark.parametrize("graph, count, pair_orbits, cycle, cyclic_pair_orbits", [
+    (builtin("complete", 39), 39, 2, (*range(1, 39), 0), 39),
+    (builtin("star", 40), 40, 5, (0, *range(2, 41), 1), 43),
+], ids=["complete39", "star40"])
+def test_the_search_finds_the_symmetric_groups_whole(graph, count, pair_orbits, cycle,
+                                                     cyclic_pair_orbits):
+    """The symmetric group on complete:39's vertices and on star:40's
+    leaves is found whole: count! automorphisms, with the symmetric
+    group's orbits on pairs of tokens. Under the cyclic subgroup that one
+    cycle of those count vertices generates, a pair of them has one orbit
+    per difference."""
+    group = automorphisms(graph)
+    v = graph.vertex_count
+    assert group.order == math.factorial(count)
+    assert all(is_automorphism(graph, p) for p in (*group.generators, cycle))
+    assert len(_tuple_orbits(group, v, 2)[1]) == pair_orbits
+    assert len(_tuple_orbits(group_of([cycle], v), v, 2)[1]) == cyclic_pair_orbits
 
 
 @settings(max_examples=30, deadline=None)
 @given(connected_graphs(max_vertices=6), st.sampled_from([2, 3, 4]),
        st.sampled_from([1, 40, arena_module.CHUNK]))
 def test_labels_are_brute_force_orbit_minima(g, n, chunk):
-    """Under the full generator list, a starved search's and none, the
-    labels are the brute-force orbit minima, with rows written one at a
-    time (chunk 1), a few at a time and a vertex orbit at a time. Each
-    least vertex m satisfies the orbit-stabiliser theorem with the
-    stabiliser generators the labelling uses, so a dropped generator cannot
-    go unseen."""
-    v = g.vertex_count
-    with mock.patch.object(graphs_module, "SEARCH_EFFORT", 6):
-        starved = automorphism_generators(g)
-    for gens in (automorphism_generators(g), starved, []):
-        labels_are_orbit_minima(gens, v, n, chunk)
-        group = closure(gens, v)
-        for m, coset in _cosets(gens, v).items():
-            stab = _stabiliser(gens, m, coset)
-            assert all(p[m] == m for p in stab)
-            assert len(coset) * len(closure(stab, v)) == len(group)
-        orbit_0 = len(_cosets(gens, v)[0])
-        assert orbit_0 * len(closure(fixing_0(gens), v)) == len(group)
+    """Under Aut(g), the subgroup one of its generators generates and the
+    trivial group, the labels are the brute-force orbit minima, with rows
+    written one at a time (chunk 1), a few at a time and a vertex orbit at
+    a time."""
+    for group in (automorphisms(g), one_generator(g), trivial_group(g)):
+        labels_are_orbit_minima(group, g.vertex_count, n, chunk)
 
 
 @pytest.mark.parametrize("graph, orders", [
@@ -175,45 +265,51 @@ def test_labels_are_brute_force_orbit_minima(g, n, chunk):
 @pytest.mark.parametrize("chunk", [1, arena_module.CHUNK])
 def test_labels_past_six_vertices_are_brute_force_orbit_minima(graph, orders, n, chunk):
     """Two 3-stars bridged at their centres have two vertex orbits, each
-    with a nontrivial stabiliser, the second's made from Schreier
-    generators; path:7 has three trivial stabilisers, then Z2 at its
+    with a nontrivial stabiliser, the second's found by a search rooted at
+    its least vertex; path:7 has three trivial stabilisers, then Z2 at its
     middle. Each vertex orbit's tails are numbered from its own offset by
     its own ranks, so the labels are the brute-force orbit minima, with
-    rows written one at a time and all at once."""
+    rows written one at a time and all at once; so are they under one
+    generator's subgroup, a proper one on the two stars, and the trivial
+    group."""
     v = graph.vertex_count
-    gens = automorphism_generators(graph)
-    assert [len(closure(_stabiliser(gens, m, coset), v))
-            for m, coset in _cosets(gens, v).items()] == orders
-    labels_are_orbit_minima(gens, v, n, chunk)
+    group, sub = automorphisms(graph), one_generator(graph)
+    assert [len(closure(stab, v)) for _, _, stab in group.orbits] == orders
+    assert sub.order < group.order or group.order == 2
+    for each in (group, sub, trivial_group(graph)):
+        labels_are_orbit_minima(each, v, n, chunk)
 
 
-# Graphs whose search, stopped at some effort, has found some but not all
-# of the automorphisms that move vertex 0: a 4-cycle numbered 0, 2, 1, 3
-# around, and a 6-cycle 0, 2, 1, 5, 4, 3 with the chord (2, 4).
-PARTIAL_LEVEL_0 = (
+# A 4-cycle numbered 0, 2, 1, 3 around, a 6-cycle 0, 2, 1, 5, 4, 3 with
+# the chord (2, 4), and the Heawood graph, whose stabilisers of 0 are Z2,
+# Z2 and of order 24.
+@pytest.mark.parametrize("graph", [
     graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
     graph_from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 5), (2, 4), (3, 4), (4, 5)]),
-)
+    heawood(),
+], ids=["c4", "c6_chord", "heawood"])
+def test_each_orbits_maps_and_stabiliser_are_aut_gs(graph):
+    """Each vertex orbit's maps send its vertices to its least vertex m,
+    and its stabiliser's generators fix m and generate Stab(m), |orbit|
+    times its order being |Aut(G)|."""
+    is_aut_g_as_laid_out(graph, automorphisms(graph))
 
 
-@pytest.mark.parametrize("graph", [*PARTIAL_LEVEL_0, heawood()], ids=["c4", "c6_chord", "heawood"])
-def test_the_generators_fixing_0_generate_its_stabiliser_at_every_effort(graph):
-    """The generator search fixes base point 0 last, so however early its
-    effort ends it, the generators it has found that fix 0 generate the
-    stabiliser of 0 in the group it has found: |orbit(0)| times their
-    group's order is that group's order. On the first two graphs some
-    effort ends the search while orbit(0) is still partly grown."""
-    v = graph.vertex_count
-    full_orbit_0 = len(_cosets(automorphism_generators(graph), v)[0])
-    orbits_0 = set()
-    for effort in range(0, 400):
-        with mock.patch.object(graphs_module, "SEARCH_EFFORT", effort):
-            gens = automorphism_generators(graph)
-        group = closure(gens, v)
-        orbit_0 = len({p[0] for p in group})
-        assert orbit_0 * len(closure(fixing_0(gens), v)) == len(group)
-        orbits_0.add(orbit_0)
-    assert any(1 < size < full_orbit_0 for size in orbits_0) == (graph in PARTIAL_LEVEL_0)
+def test_a_second_quotient_of_an_equal_graph_runs_no_search(monkeypatch):
+    """The group is kept per graph value for the process, in a bounded
+    LRU: a quotient of a graph built afresh, equal to one seen before,
+    runs no search, whatever group a test hands an arena in between."""
+    calls = []
+    search = graphs_module._search
+    monkeypatch.setattr(graphs_module, "_search", lambda *args: calls.append(1) or search(*args))
+    automorphisms.cache_clear()
+    first = build_arena(heawood(), 3).quotient()
+    with mock.patch.object(arena_module, "automorphisms", trivial_group):
+        assert len(build_arena(heawood(), 3).quotient().reps) == 14**3 * 3
+    again = build_arena(heawood(), 3).quotient()
+    assert np.array_equal(again.reps, first.reps) and len(first.reps) < 14**3 * 3
+    assert len(calls) == 1 and automorphisms(heawood()).order == 336
+    assert automorphisms.cache_info().maxsize == 32
 
 
 @pytest.mark.parametrize("graph, n, dtype", [
@@ -228,7 +324,7 @@ def test_orbit_of_and_lift_past_255_orbits(graph, n, dtype):
     q = a.quotient()
     v = graph.vertex_count
     assert len(q.reps) > 255 and q.mix_orbit.dtype == dtype
-    least = least_images(closure(automorphism_generators(graph), v), v, n)
+    least = least_images(closure(automorphisms(graph).generators, v), v, n)
     want = np.searchsorted(q.reps, np.repeat(least * n, n) + np.tile(np.arange(n), v**n))
     assert np.array_equal(q.reps[want] // n, np.repeat(least, n))
     assert np.array_equal(q.orbit_of(np.arange(a.n_states)), want)
@@ -297,13 +393,13 @@ def same_layers(got: dict, want: dict) -> bool:
 @settings(max_examples=20, deadline=None)
 @given(connected_graphs(max_vertices=5), st.sampled_from([3, 4]))
 def test_layers_on_the_quotient_equal_the_trivial_group_and_the_oracles(g, n):
-    """The quotient under Aut(g), under the subgroup a starved search
-    finds, and under the trivial group (the arena itself) give the same
-    tables, and they are the oracles' tables."""
+    """The quotient under Aut(g), under the subgroup one of its
+    generators generates, and under the trivial group (the arena itself)
+    give the same tables, and they are the oracles' tables."""
     full = integer_layers(build_arena(g, n))
-    with mock.patch.object(graphs_module, "SEARCH_EFFORT", 6):
+    with mock.patch.object(arena_module, "automorphisms", one_generator):
         assert same_layers(integer_layers(build_arena(g, n)), full)
-    with mock.patch.object(arena_module, "automorphism_generators", lambda graph: []):
+    with mock.patch.object(arena_module, "automorphisms", trivial_group):
         trivial = build_arena(g, n)
         assert len(trivial.quotient().reps) == trivial.n_states
         assert same_layers(integer_layers(trivial), full)
@@ -392,11 +488,11 @@ def per_state_outputs(g, n) -> dict:
     return out
 
 
-# the full Aut(g), the subgroup a starved generator search finds, the trivial group
+# the full Aut(g), the subgroup one of its generators generates, the trivial group
 GROUPS = (
     contextlib.nullcontext,
-    lambda: mock.patch.object(graphs_module, "SEARCH_EFFORT", 6),
-    lambda: mock.patch.object(arena_module, "automorphism_generators", lambda graph: []),
+    lambda: mock.patch.object(arena_module, "automorphisms", one_generator),
+    lambda: mock.patch.object(arena_module, "automorphisms", trivial_group),
 )
 
 
@@ -434,7 +530,8 @@ def discounted_layers(a, params) -> dict:
        st.sampled_from([Q(1, 4), Q(1, 2), Q(3, 4)]), st.sampled_from([Q(0), Q(1, 10), Q(1, 3)]))
 def test_discounted_layers_are_the_same_under_every_group(g, n, gamma, eps):
     """The discounted games and the verdicts, solved on the quotient under
-    Aut(g), under a starved search's subgroup and under the trivial group,
+    Aut(g), under the subgroup one of its generators generates and under
+    the trivial group,
     give the same per-state answers."""
     answers = []
     for group in GROUPS:
@@ -643,11 +740,11 @@ def test_the_listing_table_answers_as_the_exact_reverse_on_the_suite(suite_graph
 
 @settings(max_examples=20, deadline=None)
 @given(connected_graphs(max_vertices=5), st.sampled_from([3, 4]), st.booleans())
-def test_the_listing_table_answers_as_the_exact_reverse(g, n, trivial):
+def test_the_listing_table_answers_as_the_exact_reverse(g, n, under_trivial):
     """On random graphs, and under the trivial group, where the quotient
     is the arena itself, as on an asymmetric graph."""
-    with (mock.patch.object(arena_module, "automorphism_generators", lambda graph: [])
-          if trivial else contextlib.nullcontext()):
+    with (mock.patch.object(arena_module, "automorphisms", trivial_group)
+          if under_trivial else contextlib.nullcontext()):
         same_answers_as_the_exact_reverse(g, n)
 
 
@@ -657,7 +754,7 @@ def test_an_asymmetric_quotient_lists_no_wider_than_its_moves():
     in-degree of the padded table (10), and the build holds no sort keys
     (48 MiB peak under tracemalloc, against 94 MiB when the table was
     the sorted exact reverse)."""
-    assert automorphism_generators(ASYMMETRIC_20) == []
+    assert automorphisms(ASYMMETRIC_20).order == 1
     a = build_arena(ASYMMETRIC_20, 4)
     tracemalloc.start()
     try:
