@@ -47,7 +47,7 @@ orbits by their sizes (`Quotient.count`), and a per-state table is lifted
 (`Arena.lifted`) only when a caller reads one. The capture test is read
 off the digits of a state, so no full `capture_mask` is built for them
 or for a play. A solved game is a `Solution`. The orbits are labelled one
-vertex orbit at a time (`_tuple_orbits`), only the tails per query.
+vertex orbit at a time, down its Schreier tree (`_tuple_orbits`).
 
 `_flood` spreads from a seed one frontier at a time over the rows of a
 `Csr` or, for `reachable_noncapture`, over an arena's successor rows made
@@ -76,8 +76,8 @@ DEFAULT_MAX_STATES = 10**7
 # n states, is counted over every state at once instead of being sorted.
 WIDE_FRONTIER = 16
 
-# The quotient build makes its per-tuple and per-entry arrays in blocks of
-# about this many entries, so its temporaries stay small on large arenas.
+# The quotient build gathers its per-entry arrays in blocks of about this
+# many entries, so its temporaries stay small on large arenas.
 CHUNK = 2**15
 
 
@@ -412,29 +412,31 @@ def _tuple_orbits(group: Automorphisms, v: int, n: int):
     are Stab(m)·u for any one of them, u, so the least image of (x1, tail)
     is m followed by the least image of u(tail) under Stab(m), and its
     orbit holds |orbit(m)| times that tail's count under Stab(m). So per
-    vertex orbit only the V^(N-1) tails are labelled (`_tail_ranks`), and
-    row x of `mix_orbit` is offset(m), the orbits of the smaller m, plus
-    the rank of u(tail)'s least image, written at most `CHUNK` tails (one
-    row at least) at a time: no array but `mix_orbit` spans the tuples."""
+    vertex orbit only m's V^(N-1) tails are labelled (`_tail_ranks`), row m
+    of `mix_orbit` being offset(m), the orbits of the smaller m, plus their
+    ranks; down the orbit's Schreier tree, (p(x), tail) shares (x, p⁻¹(tail))'s
+    orbit, so row p(x) is row x, as a (V,)*(N-1) array, taken through p⁻¹
+    along each token's axis."""
     k = n - 1
     tails = v**k
     labelled, roots, counts = [], [], []
     offset = 0
-    for xs, backs, stab in group.orbits:
+    for tree, stab in group.orbits:
+        m, size = tree[0][0], len(tree)
         tail_roots, rank = _tail_ranks(stab, v, k)
-        roots.append(tail_roots + xs[0] * tails)
-        size = len(xs)
+        roots.append(tail_roots + m * tails)
         counts.append(np.full(len(tail_roots), size) if rank is None else size * np.bincount(rank))
-        labelled.append((list(xs), backs, offset, rank))
+        labelled.append((m, tree, offset, rank))
         offset += len(tail_roots)
     mix_orbit = np.empty((v, tails), dtype=np.min_scalar_type(offset))
-    per = max(1, CHUNK // tails)
-    for xs, backs, offset, rank in labelled:
-        for lo in range(0, len(xs), per):
-            image = _images(np.array(backs[lo:lo + per], dtype=_index_dtype(tails)), k)
-            if rank is not None:
-                image = np.take(rank, image)
-            mix_orbit[xs[lo:lo + per]] = np.add(image, offset, dtype=np.int64)
+    inverses = [np.array(sorted(range(v), key=p.__getitem__)) for p in group.generators]
+    for m, tree, offset, rank in labelled:
+        mix_orbit[m] = np.add(np.arange(tails) if rank is None else rank, offset, dtype=np.int64)
+        for y, x, i in tree[1:]:
+            row = mix_orbit[x].reshape((v,) * k)
+            for axis in range(k):
+                row = row.take(inverses[i], axis=axis)
+            mix_orbit[y] = row.reshape(-1)
     return mix_orbit, np.concatenate(roots), np.concatenate(counts)
 
 
@@ -446,7 +448,7 @@ def _tail_ranks(stab, v: int, k: int):
     every = np.arange(v**k)
     if not stab:
         return every, None
-    label = _tail_labels(_images(np.array(stab, dtype=_index_dtype(len(every))), k))
+    label = _tail_labels(np.array(stab, dtype=_index_dtype(len(every))), k)
     is_root = label == every
     roots = np.flatnonzero(is_root)
     rank = np.cumsum(is_root, dtype=np.min_scalar_type(len(roots)))
@@ -454,21 +456,15 @@ def _tail_ranks(stab, v: int, k: int):
     return roots, np.take(rank, label)
 
 
-def _images(perms: np.ndarray, k: int) -> np.ndarray:
-    """Row r: the index (mixed radix V) of perms[r] applied to each k-tuple,
-    in the order of the k-tuples' own indices, in perms' dtype."""
+def _tail_labels(perms: np.ndarray, k: int) -> np.ndarray:
+    """Per k-tuple (mixed radix V), the least tuple of its orbit under the
+    rows of `perms`: each one's image of the tuples is made once, in perms'
+    dtype, then each round lowers every label to its image's under each of
+    them and jumps pointers (label[label]), until a fixpoint."""
     rows, v = perms.shape
-    image = np.zeros((rows, 1), dtype=perms.dtype)
+    images = np.zeros((rows, 1), dtype=perms.dtype)
     for _ in range(k):  # one more token, least significant, at a time
-        image = ((image * v)[:, :, None] + perms[:, None, :]).reshape(rows, -1)
-    return image
-
-
-def _tail_labels(images: np.ndarray) -> np.ndarray:
-    """Per point, the least point of its orbit under the permutations
-    whose images are the rows of `images`: each round lowers every label
-    to its image's under each of them, then jumps pointers (label[label]),
-    until a fixpoint."""
+        images = ((images * v)[:, :, None] + perms[:, None, :]).reshape(rows, -1)
     label = np.arange(images.shape[1])
     while True:
         moved = label.copy()

@@ -32,6 +32,7 @@ from .arena import (
     State,
     capped_count,
     count_of,
+    walk,
 )
 from .errors import ScarError, UniquenessViolationError, ValidationError
 from .fixpoint import INT_INF, solve_layers
@@ -119,15 +120,16 @@ class CrSolution(Solution):
 
     def _walk_to_capture(self, start: int, bit: int) -> tuple[State, ...]:
         bits, q = self._orbit_bits(), self.arena.quotient()
-        trail = [start]
-        while not self.arena.is_capture(trail[-1]):
-            targets, opt = self.optimal(np.array(trail[-1:]))
+
+        def step(cur: int, _) -> tuple[int, bool]:
+            targets, opt = self.optimal(np.array([cur]))
             kept = targets[opt & (bits.take(q.orbit_of(targets)) & bit != 0)]
             if not kept.size:  # pragma: no cover - bits are unions over these successors
                 raise ScarError(f"capture attribution: cop bit {bit} lost along optimal "
                                 f"play from {self.arena.state_of(start).literal()}")
-            trail.append(int(kept[0]))
-        return tuple(self.arena.state_of(i) for i in trail)
+            return int(kept[0]), False
+
+        return walk(self.arena, start, step, int(self.depths[q.orbit_of(start)])).states
 
     def orbit_capturer(self) -> np.ndarray:
         """int8 per orbit: the unique capturing cop on finite noncapture
@@ -203,7 +205,9 @@ def _classic_wins(graph: Graph, cop_count: int, max_states: int) -> np.ndarray:
     """Per (cops, robber) cell, a (V^k, V) bool array: can k cops moving
     first force a capture in the classic game?"""
     v, k = graph.vertex_count, count_of(cop_count, 1, "at least one cop")
-    capped_count(2, v, k + 1, max_states, f"classic arena on {v} vertices with k={k} cops")
+    named = f"classic arena on {v} vertices with k={k} cops"
+    capped_count(2, v, k + 1, max_states, named)
+    capped_count(k + 1, v, 0, max_states, named)  # the arena's turns; implied above unless V = 1
     arena = Arena(graph, k + 1, max_states=(k + 1) * v ** (k + 1))
     cop_1_moves = capture_depths(arena).reshape(-1, k + 1)[arena.quotient().mix_orbit, 0]
     return (cop_1_moves < INT_INF).reshape(v**k, v)

@@ -286,12 +286,13 @@ def is_automorphism(g: Graph, perm) -> bool:
 @dataclass(frozen=True)
 class Automorphisms:
     """A group of graph automorphisms: generators, order, and per vertex
-    orbit, by ascending least vertex m, (its vertices, ascending; per
-    vertex a map sending it to m; generators of Stab(m), none if trivial)."""
+    orbit, by ascending least vertex m, (its Schreier tree, breadth first
+    from (m, None, None), (y, x, i) per vertex y = generators[i][x] with x
+    listed before it; generators of Stab(m), none if trivial)."""
 
     generators: tuple[Perm, ...]
     order: int
-    orbits: tuple[tuple[tuple[int, ...], tuple[Perm, ...], tuple[Perm, ...]], ...]
+    orbits: tuple[tuple[tuple[tuple[int, int | None, int | None], ...], tuple[Perm, ...]], ...]
 
 
 @functools.lru_cache(maxsize=32)
@@ -299,24 +300,20 @@ def automorphisms(g: Graph) -> Automorphisms:
     """Aut(g), kept per graph value for the process in a small LRU. A
     search rooted at 0 gives it and Stab(0); another orbit's Stab(m) is the
     group if the orbit is {m}, trivial if the orbit is as large as the group,
-    else from a search rooted at m given m's orbit. The maps to m are
-    products of generators, found breadth first."""
-    v, ident = g.vertex_count, tuple(range(g.vertex_count))
+    else from a search rooted at m given m's orbit."""
     gens, order = _search(g, 0, {0})
-    inverses = [tuple(sorted(range(v), key=p.__getitem__)) for p in gens]
     orbits, seen = [], set()
-    for m in (m for m in range(v) if m not in seen):
-        back, queue = {m: ident}, [m]
-        for x in queue:
-            for p, p_inv in zip(gens, inverses):
-                if p[x] not in back:
-                    back[p[x]] = tuple(map(back[x].__getitem__, p_inv))
-                    queue.append(p[x])
-        xs = tuple(sorted(back))
-        stab = ([p for p in gens if p[0] == 0] if m == 0 else gens if len(xs) == 1
-                else () if len(xs) == order else _search(g, m, set(xs))[0])
-        orbits.append((xs, tuple(map(back.get, xs)), tuple(stab)))
-        seen.update(xs)
+    for m in (m for m in range(g.vertex_count) if m not in seen):
+        tree, reached = [(m, None, None)], {m}
+        for x, _, _ in tree:
+            for i, p in enumerate(gens):
+                if p[x] not in reached:
+                    reached.add(p[x])
+                    tree.append((p[x], x, i))
+        stab = ([p for p in gens if p[0] == 0] if m == 0 else gens if len(tree) == 1
+                else () if len(tree) == order else _search(g, m, reached)[0])
+        orbits.append((tuple(tree), tuple(stab)))
+        seen |= reached
     return Automorphisms(tuple(gens), order, tuple(orbits))
 
 

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from scar import graph_from_edges
+from scar import attach_leaf, bridge, builtin, graph_from_edges
 
 
 @st.composite
@@ -14,6 +14,17 @@ def connected_graphs(draw, max_vertices=4):
     others = [(a, b) for b in range(v) for a in range(b) if (a, b) not in tree]
     extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
     return graph_from_edges(v, tree + extra)
+
+
+@st.composite
+def petersen_constructions(draw):
+    """The manifest's G3 and G3Prime constructions, at drawn vertices:
+    Petersen with a leaf (G3 at N = 3), or Petersen bridged to path:3
+    (G3Prime at N = 3)."""
+    petersen = builtin("petersen")
+    if draw(st.booleans()):
+        return attach_leaf(petersen, draw(st.integers(0, 9)))
+    return bridge(petersen, draw(st.integers(0, 9)), builtin("path", 3), draw(st.integers(0, 2)))
 
 
 # graphs whose only automorphism is the identity: 6 vertices, and 20

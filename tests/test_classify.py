@@ -5,12 +5,13 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scar import (
     Classification,
     State,
     ValidationError,
+    attach_leaf,
     bridge,
     build_arena,
     builtin,
@@ -24,7 +25,7 @@ from scar.arena import Csr
 from scar.fixpoint import INT_INF, solve_layers
 
 from oracles import check_cut_tables, filtered
-from strategies import connected_graphs
+from strategies import connected_graphs, petersen_constructions
 
 # the package exports the function `classify` under the module's name
 classify_module = importlib.import_module("scar.classify")
@@ -224,11 +225,24 @@ def test_variant_flags_equal_an_eager_solve_of_both_variants(suite_graphs, n):
         assert classify(g, n) == eager_classification(g, n), name
 
 
-@settings(max_examples=30, deadline=None)
-@given(connected_graphs(max_vertices=5), st.sampled_from([3, 4]))
-def test_classify_equals_an_eager_solve_of_every_cop(g, n):
-    """Stopping at the first failing cop changes no class, evidence or flag."""
-    assert classify(g, n) == eager_classification(g, n)
+def test_classify_equals_an_eager_solve_of_every_cop():
+    """Stopping at the first failing cop changes no class, evidence or flag,
+    on small random graphs and on the manifest's Petersen constructions at
+    N = 3, which put G3 and G3Prime among the classes drawn."""
+    drawn = set()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(st.tuples(connected_graphs(max_vertices=5), st.sampled_from([3, 4])),
+                     st.tuples(petersen_constructions(), st.just(3))))
+    @example((attach_leaf(builtin("petersen"), 4), 3))
+    @example((bridge(builtin("petersen"), 7, builtin("path", 3), 1), 3))
+    def check(case):
+        got = classify(*case)
+        assert got == eager_classification(*case)
+        drawn.add(got.klass)
+
+    check()
+    assert {"G3", "G3Prime"} <= drawn
 
 
 def counted_solves(monkeypatch) -> list:

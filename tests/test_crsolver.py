@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scar import (
+    ScarError,
     State,
     StateCountExceededError,
     ValidationError,
@@ -202,6 +203,21 @@ def test_witness_play_follows_optimal_moves_to_its_cop(suite_graphs):
             assert a.index(t) in sol.opt_indices(s)
 
 
+def test_a_witness_play_that_loses_its_cops_bit_is_refused(suite_graphs, monkeypatch):
+    """Were no optimal move from a state to keep the cop's bit, the
+    witness play would stop there with a ScarError naming its start."""
+    a = build_arena(suite_graphs["tail_cycle"], 3)
+    sol = solve_capture_time(a)
+    q = a.quotient()
+    start = int(q.reps[np.flatnonzero(~q.capture & (sol.depths < INT_INF))[0]])
+    bits = np.zeros(len(q.reps), dtype=np.uint32)
+    bits[q.orbit_of(start)] = 1
+    monkeypatch.setattr(type(sol), "_orbit_bits", lambda self: bits)
+    with pytest.raises(ScarError, match=r"^capture attribution: cop bit 1 lost along optimal "
+                                        rf"play from {a.state_of(start).literal()}$"):
+        sol._walk_to_capture(start, 1)
+
+
 def test_attribution_consistent_with_greedy_play(suite_graphs):
     a = build_arena(suite_graphs["tail_cycle"], 3)
     sol = solve_capture_time(a)
@@ -291,16 +307,16 @@ def test_classic_state_cap_counts_the_classic_arena():
         classic_cop_win_placement(g, 3, max_states=19_999)
 
 
-def test_a_huge_classic_cop_count_is_refused_at_once():
-    """10^20 cops on path:3: the classic arena's 2 * 3^(10^20 + 1) states
-    are compared with the cap by a bounded loop, so the refusal, naming V
-    and k, comes at once. Run in a child under RLIMIT_AS and a timeout,
-    where computing the power would hang or run out of memory."""
+def classic_refusal_in_a_child(graph: str) -> str:
+    """What `classic_cop_win(<graph>, 10**20)` prints as its refusal, run
+    in a child under RLIMIT_AS and a timeout, where computing a power or a
+    stride per token would hang or run out of memory."""
     limit = 1_500_000 * 1024
     code = ("import resource; "
             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-            "from scar import StateCountExceededError, builtin, classic_cop_win\n"
-            "try:\n    classic_cop_win(builtin('path', 3), 10**20)\n"
+            "from scar import StateCountExceededError, builtin, classic_cop_win, "
+            "graph_from_edges\n"
+            f"try:\n    classic_cop_win({graph}, 10**20)\n"
             "except StateCountExceededError as exc:\n    print(exc)")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(scar.__file__).parents[1])
@@ -308,8 +324,26 @@ def test_a_huge_classic_cop_count_is_refused_at_once():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=30, env=env)
     assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout == ("classic arena on 3 vertices with k=100000000000000000000 cops "
-                          "exceeds the cap of 10000000 states\n")
+    return run.stdout
+
+
+def test_a_huge_classic_cop_count_is_refused_at_once():
+    """10^20 cops on path:3: the classic arena's 2 * 3^(10^20 + 1) states
+    are compared with the cap by a bounded loop, so the refusal, naming V
+    and k, comes at once."""
+    assert classic_refusal_in_a_child("builtin('path', 3)") == (
+        "classic arena on 3 vertices with k=100000000000000000000 cops "
+        "exceeds the cap of 10000000 states\n")
+
+
+def test_a_huge_classic_cop_count_on_one_vertex_is_refused_at_once():
+    """10^20 cops on one vertex: the classic arena's 2 * 1^(10^20 + 1)
+    states are under the cap, but the arena it is solved on has a turn per
+    token, 10^20 + 1 states, and that count is held to the cap too, before
+    a stride per token is listed."""
+    assert classic_refusal_in_a_child("graph_from_edges(1, [])") == (
+        "classic arena on 1 vertices with k=100000000000000000000 cops "
+        "exceeds the cap of 10000000 states\n")
 
 
 @pytest.mark.parametrize("k_max, named", [(True, "bool"), (1.5, "float"), (0, "got 0")])

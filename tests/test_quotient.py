@@ -113,20 +113,25 @@ def least_images(group, v, n) -> np.ndarray:
 
 def group_of(gens, v) -> Automorphisms:
     """The group `gens` generate, found by brute force and laid out as
-    `automorphisms` lays out Aut(G): per orbit its vertices, a map to its
-    least vertex m per vertex, and every element fixing m but the
-    identity as the stabiliser's generators."""
+    `automorphisms` lays out Aut(G): per orbit a Schreier tree over `gens`
+    from its least vertex m, here found depth first (any order listing
+    each parent before its children serves), and every element fixing m
+    but the identity as the stabiliser's generators."""
     group = sorted(closure(gens, v))
     orbits, seen = [], set()
     for m in range(v):
         if m not in seen:
-            to_m = {}
-            for p in group:
-                to_m.setdefault(p.index(m), p)
-            xs = tuple(sorted(to_m))
+            tree, stack = [(m, None, None)], [m]
+            seen.add(m)
+            while stack:
+                x = stack.pop()
+                for i, p in enumerate(gens):
+                    if p[x] not in seen:
+                        seen.add(p[x])
+                        tree.append((p[x], x, i))
+                        stack.append(p[x])
             stab = tuple(p for p in group if p[m] == m and p != tuple(range(v)))
-            orbits.append((xs, tuple(map(to_m.get, xs)), stab))
-            seen.update(xs)
+            orbits.append((tuple(tree), stab))
     return Automorphisms(tuple(gens), len(group), tuple(orbits))
 
 
@@ -140,38 +145,57 @@ def trivial_group(g) -> Automorphisms:
     return group_of([], g.vertex_count)
 
 
-def labels_are_orbit_minima(group, v, n, chunk) -> None:
-    """Tuple by tuple, with `CHUNK` set to chunk: `mix_orbit` names the
-    rank of its least image under `group` among all least images, in the
-    least unsigned dtype, the roots are those least images, ascending, and
-    the counts are how many tuples share each."""
+def labels_are_orbit_minima(group, v, n) -> None:
+    """Tuple by tuple: `mix_orbit` names the rank of its least image under
+    `group` among all least images, in the least unsigned dtype, the roots
+    are those least images, ascending, and the counts are how many tuples
+    share each."""
     least = least_images(closure(group.generators, v), v, n)
     roots, counts = np.unique(least, return_counts=True)
-    with mock.patch.object(arena_module, "CHUNK", chunk):
-        mix_orbit, got_roots, got_counts = _tuple_orbits(group, v, n)
+    mix_orbit, got_roots, got_counts = _tuple_orbits(group, v, n)
     assert mix_orbit.dtype == np.min_scalar_type(len(roots))
     assert np.array_equal(mix_orbit.reshape(-1), np.searchsorted(roots, least))
     assert np.array_equal(got_roots, roots) and np.array_equal(got_counts, counts)
 
 
+def moves_are_the_orbits_of_the_successors(graph, group, n, chunk) -> None:
+    """With `CHUNK` set to chunk, so the quotient build gathers a few roots
+    at a time (chunk 1) or all at once, the quotient under `group` labels
+    the tuples as `_tuple_orbits` does, and row i of its moves is the
+    orbit of each of reps[i]'s successors in the full table."""
+    a = build_arena(graph, n)
+    with (mock.patch.object(arena_module, "CHUNK", chunk),
+          mock.patch.object(arena_module, "automorphisms", lambda _: group)):
+        q = a.quotient()
+    assert np.array_equal(q.mix_orbit, _tuple_orbits(group, graph.vertex_count, n)[0].reshape(-1))
+    assert np.array_equal(q.moves.table, q.orbit_of(a.moves.table[q.reps]))
+
+
 def is_aut_g_as_laid_out(g, group) -> None:
     """The generators are automorphisms of g and generate `order` of
-    them, every one there is (brute force, up to 7 vertices); per orbit,
-    its vertices are the least vertex m's images, each map sends its
-    vertex to m, and the stabiliser's generators fix m and generate
-    order/|orbit| elements."""
+    them, every one there is (brute force, up to 7 vertices); the orbits
+    come by ascending least vertex m and cover the vertices; each orbit's
+    tree lists m's images once each, from m, every other entry (y, x, i)
+    an edge y = generators[i][x] from a vertex listed before it; and the
+    stabiliser's generators fix m and generate order/|orbit| elements."""
     v = g.vertex_count
     assert all(is_automorphism(g, p) for p in group.generators)
     elements = closure(group.generators, v)
     assert len(elements) == group.order
     if v <= 7:
         assert elements == {p for p in permutations(range(v)) if is_automorphism(g, p)}
-    for xs, backs, stab in group.orbits:
-        m = xs[0]
-        assert set(xs) == {p[m] for p in elements}
-        assert all(back[x] == m and back in elements for x, back in zip(xs, backs))
+    least = [tree[0][0] for tree, _ in group.orbits]
+    assert least == sorted(least) and sum(len(tree) for tree, _ in group.orbits) == v
+    for tree, stab in group.orbits:
+        m = tree[0][0]
+        assert tree[0] == (m, None, None)
+        assert sorted(y for y, _, _ in tree) == sorted({p[m] for p in elements})
+        listed = {m}
+        for y, x, i in tree[1:]:
+            assert x in listed and group.generators[i][x] == y
+            listed.add(y)
         assert all(p[m] == m and p in elements for p in stab)
-        assert len(xs) * len(closure(stab, v)) == group.order
+        assert len(tree) * len(closure(stab, v)) == group.order
 
 
 def test_aut_orders_equal_brute_force_on_every_labelled_graph_to_five_vertices():
@@ -212,8 +236,8 @@ def test_aut_orders_of_named_graphs(graph, order):
     group = automorphisms(graph)
     assert group.order == order
     assert all(is_automorphism(graph, p) for p in group.generators)
-    for xs, _, stab in group.orbits:
-        assert all(p[xs[0]] == xs[0] for p in stab)
+    for tree, stab in group.orbits:
+        assert all(p[tree[0][0]] == tree[0][0] for p in stab)
 
 
 def test_the_paley41_file_and_its_quotient():
@@ -246,15 +270,13 @@ def test_the_search_finds_the_symmetric_groups_whole(graph, count, pair_orbits, 
 
 
 @settings(max_examples=30, deadline=None)
-@given(connected_graphs(max_vertices=6), st.sampled_from([2, 3, 4]),
-       st.sampled_from([1, 40, arena_module.CHUNK]))
-def test_labels_are_brute_force_orbit_minima(g, n, chunk):
-    """Under Aut(g), the subgroup one of its generators generates and the
-    trivial group, the labels are the brute-force orbit minima, with rows
-    written one at a time (chunk 1), a few at a time and a vertex orbit at
-    a time."""
+@given(connected_graphs(max_vertices=6), st.sampled_from([2, 3, 4]))
+def test_labels_are_brute_force_orbit_minima(g, n):
+    """Under Aut(g), with its breadth-first trees, and under the subgroup
+    one of its generators generates and the trivial group, with
+    depth-first trees, the labels are the brute-force orbit minima."""
     for group in (automorphisms(g), one_generator(g), trivial_group(g)):
-        labels_are_orbit_minima(group, g.vertex_count, n, chunk)
+        labels_are_orbit_minima(group, g.vertex_count, n)
 
 
 @pytest.mark.parametrize("graph, orders", [
@@ -268,16 +290,18 @@ def test_labels_past_six_vertices_are_brute_force_orbit_minima(graph, orders, n,
     with a nontrivial stabiliser, the second's found by a search rooted at
     its least vertex; path:7 has three trivial stabilisers, then Z2 at its
     middle. Each vertex orbit's tails are numbered from its own offset by
-    its own ranks, so the labels are the brute-force orbit minima, with
-    rows written one at a time and all at once; so are they under one
-    generator's subgroup, a proper one on the two stars, and the trivial
-    group."""
+    its own ranks, so the labels are the brute-force orbit minima; so
+    are they under one generator's subgroup, a proper one on the two
+    stars, and the trivial group. Under each, the quotient's moves are the
+    orbits of the successors, gathered a few roots at a time and all at
+    once."""
     v = graph.vertex_count
     group, sub = automorphisms(graph), one_generator(graph)
-    assert [len(closure(stab, v)) for _, _, stab in group.orbits] == orders
+    assert [len(closure(stab, v)) for _, stab in group.orbits] == orders
     assert sub.order < group.order or group.order == 2
     for each in (group, sub, trivial_group(graph)):
-        labels_are_orbit_minima(each, v, n, chunk)
+        labels_are_orbit_minima(each, v, n)
+        moves_are_the_orbits_of_the_successors(graph, each, n, chunk)
 
 
 # A 4-cycle numbered 0, 2, 1, 3 around, a 6-cycle 0, 2, 1, 5, 4, 3 with
@@ -289,9 +313,9 @@ def test_labels_past_six_vertices_are_brute_force_orbit_minima(graph, orders, n,
     heawood(),
 ], ids=["c4", "c6_chord", "heawood"])
 def test_each_orbits_maps_and_stabiliser_are_aut_gs(graph):
-    """Each vertex orbit's maps send its vertices to its least vertex m,
-    and its stabiliser's generators fix m and generate Stab(m), |orbit|
-    times its order being |Aut(G)|."""
+    """Each vertex orbit's tree reaches its vertices from its least vertex
+    m along generator edges, and its stabiliser's generators fix m and
+    generate Stab(m), |orbit| times its order being |Aut(G)|."""
     is_aut_g_as_laid_out(graph, automorphisms(graph))
 
 
@@ -310,6 +334,24 @@ def test_a_second_quotient_of_an_equal_graph_runs_no_search(monkeypatch):
     assert np.array_equal(again.reps, first.reps) and len(first.reps) < 14**3 * 3
     assert len(calls) == 1 and automorphisms(heawood()).order == 336
     assert automorphisms.cache_info().maxsize == 32
+
+
+@pytest.mark.parametrize("graph, orbits", [
+    (builtin("path", 2000), 1000),
+    (builtin("star", 1000), 2),
+], ids=["path2000", "star1000"])
+def test_the_group_holds_under_a_mebibyte(graph, orbits):
+    """Per vertex orbit a Schreier tree, a parent and a generator per
+    vertex, not a V-entry map per vertex: the group of path:2000 holds
+    under 1 MiB, and so does star:1000's (maps held 15.7 and 7.8 MiB)."""
+    tracemalloc.start()
+    try:
+        group = automorphisms.__wrapped__(graph)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(group.orbits) == orbits
+    assert held < 2**20
 
 
 @pytest.mark.parametrize("graph, n, dtype", [
