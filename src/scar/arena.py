@@ -361,9 +361,10 @@ class Quotient:
     orbit i holds `sizes[i]` states (unsigned, of the least width that holds
     the largest), the smallest `reps[i]`, ascending, so the first state
     with a property constant on orbits is the rep of the first orbit with
-    it. `at_robber[m-1, i]` says if cop m sits on the robber there,
-    `capture[i]` if any does. Row i of `moves` lists the orbit of each of
-    reps[i]'s successors, in order, duplicates kept, padded like the
+    it. `at_robber[m-1, i // N]` says if cop m sits on the robber in orbit
+    i (the N orbits of one orbit of position tuples share it), and
+    `capture[i]` if any cop does. Row i of `moves` lists the orbit of each
+    of reps[i]'s successors, in order, duplicates kept, padded like the
     arena's rows; `preds` is a listing table of `moves` (see `Csr`), row
     i the orbit of each of reps[i]'s predecessors, `listed` from the build."""
 
@@ -500,8 +501,8 @@ def _quotient(arena: Arena) -> Quotient:
             end = (lo + len(block)) * n
             np.add(orbit, (j + 1) % n, out=moves[lo * n + j:end:n].T)
             np.add(orbit, j, out=preds[lo * n + (j + 1) % n:end:n].T)
-    at_robber = np.repeat(arena.cops_at_robber(roots), n, axis=1)
-    capture = at_robber.any(axis=0)
+    at_robber = arena.cops_at_robber(roots)
+    capture = np.repeat(at_robber.any(axis=0), n)
     sizes = np.repeat(counts.astype(np.min_scalar_type(counts.max())), n)
     _read_only((mix_orbit, reps, sizes, at_robber, capture))
     return Quotient(n, mix_orbit, reps, sizes, at_robber, capture, Csr(moves),

@@ -120,7 +120,8 @@ def _guarantee_winning_sets(
         q = arena.quotient()
         moves, preds = _restricted_tables(arena, cr, m)
         chasing = np.zeros(len(q.reps), dtype=bool) if adversarial_ties else q.turns(m)
-        init = np.where(q.at_robber[m - 1], 0, INT_INF).astype(np.int64)
+        at = q.at_robber[m - 1].repeat(arena.n_players)
+        init = np.where(at, 0, INT_INF).astype(np.int64)
         return solve_layers(moves, chasing, q.capture, init, predecessors=preds) < INT_INF
 
     return arena.memo(("guarantee", m, adversarial_ties), build)

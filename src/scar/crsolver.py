@@ -99,9 +99,10 @@ class CrSolution(Solution):
         a, q = self.arena, self.arena.quotient()
 
         def build() -> np.ndarray:
-            bits, values = np.zeros(len(q.reps), dtype=np.uint32), self.depths
+            bits, values = np.zeros(q.at_robber.shape[1], dtype=np.uint32), self.depths
             for j, at in enumerate(q.at_robber):
                 bits |= at.astype(np.uint32) << np.uint32(j)
+            bits = bits.repeat(a.n_players)  # orbit i is tuple orbit i // N
             finite_nc = np.flatnonzero(~q.capture & (values < INT_INF))
             depth = values[finite_nc]
             if depth.size:

@@ -37,14 +37,18 @@ search (SC 2012).
 
 The engine returns the ascending keys, one int rank per state and one
 origin per level, and ends with `check_fixpoint`, a vectorised exact check
-of every equation over the ranks: O(edges) numpy work plus one `step` per
-level. Passing it proves the answer. The origins cost O(levels): a level is
-`("seed", i)` when all its states came from seed batch i, `("step", r)` when
-all were pushed at step(levels[r]), `("never", None)` for the unsettled
-rest, and `("tied", None)` when it merged batches of different origins.
-Without a tie, every key is a seed key or a chain of steps from one, which
-is what lets `scarsolver` re-evaluate a solved game at another discount
-(and re-prove it with `check_fixpoint`) without a new run. Instantiations:
+of every equation over the ranks: O(edges) numpy work plus the level-step
+map, `level_steps`, one `step` per level. Passing it proves the answer.
+The origins cost O(levels): a level is `("seed", i)` when all its states
+came from seed batch i, `("step", r)` when all were pushed at
+step(levels[r]), `("never", None)` for the unsettled rest, and
+`("tied", None)` when it merged batches of different origins. Without a
+tie, every key is a seed key or a chain of steps from one, which is what
+lets `scarsolver` re-evaluate a solved game at another discount without a
+new run. Where the levels keep their order, every row keeps its best
+successor's rank, so equal level-step maps and equal levels for never and
+the seed keys prove the re-use in O(levels); otherwise `check_fixpoint`
+proves it. Instantiations:
 
 - `solve_layers`: key = depth, step k+1, never = INT_INF. Capture-time
   solve (cops eager), which also answers the classic simultaneous-move
@@ -156,10 +160,9 @@ def check_fixpoint(
     """Raise ScarError unless (levels, rank) satisfies every equation of the
     game on the table `moves` exactly: levels strictly ascend, a frozen row
     holds its seed's rank (never's when unseeded), and any other row holds
-    nxt[best successor rank], where nxt[r] is the rank of step(levels[r]).
-    Keys are only compared, never hashed: nxt comes from one merge walk,
-    which finds every step of a monotone `step`, and a key not found ranks
-    -1, which no row holds."""
+    nxt[best successor rank], where nxt is `level_steps(levels, step)`.
+    Keys are only compared, never hashed, and a key not found ranks -1,
+    which no row holds."""
     n = len(rank)
     where = f"retrograde solve on {n} states"
     if any(lo >= hi for lo, hi in zip(levels, levels[1:])):
@@ -167,26 +170,14 @@ def check_fixpoint(
     if n and not 0 <= rank.min() <= rank.max() < len(levels):
         raise ScarError(f"{where}: a rank lies outside the {len(levels)} levels")
 
-    top = len(levels)
-
-    def rank_of(key) -> int:
-        r = bisect_left(levels, key)
-        return r if r < top and levels[r] == key else -1
-
-    nxt = np.empty(top, dtype=rank.dtype)
-    lo = 0
-    for r, key in enumerate(levels):
-        stepped = step(key)
-        while lo < top and levels[lo] < stepped:
-            lo += 1
-        nxt[r] = lo if lo < top and levels[lo] == stepped else -1
+    nxt = np.array(level_steps(levels, step), dtype=rank.dtype)
     # want[s]: the rank s's equation gives, made over its best successor's
     # rank with no other array of n entries
     want = moves.row_best((rank.take(column) for column in moves.table.T), ~eager)
     want = nxt[want]
-    want[frozen] = rank_of(never)
+    want[frozen] = rank_of(levels, never)
     for key, states in seeds:
-        want[states[frozen[states]]] = rank_of(key)
+        want[states[frozen[states]]] = rank_of(levels, key)
     bad = np.flatnonzero(want != rank)
     if bad.size:
         i = int(bad[0])
@@ -195,6 +186,26 @@ def check_fixpoint(
             f"{where}: state {i} holds {levels[rank[i]]}, "
             f"its equation gives {gives} ({bad.size} states wrong)"
         )
+
+
+def rank_of(levels: list, key) -> int:
+    """The index of `key` in the ascending `levels`, or -1 where it is not
+    one of them."""
+    r = bisect_left(levels, key)
+    return r if r < len(levels) and levels[r] == key else -1
+
+
+def level_steps(levels: list, step) -> list[int]:
+    """Per level of the ascending `levels`, the index of the level its step
+    lands on, or -1 where it lands on none: one merge walk, which finds
+    every step of a monotone `step`, with one `step` per level."""
+    top, lo, found = len(levels), 0, []
+    for key in levels:
+        stepped = step(key)
+        while lo < top and levels[lo] < stepped:
+            lo += 1
+        found.append(lo if lo < top and levels[lo] == stepped else -1)
+    return found
 
 
 def solve_layers(moves: Csr, *game: np.ndarray, predecessors: Csr | None = None) -> np.ndarray:

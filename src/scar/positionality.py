@@ -32,8 +32,8 @@ two arrays are lifted to states.
 
 The tests read nothing of a game but its ranks. `solve_game` hands back
 the same solution at the same (gamma, epsilon), and a solution re-used at
-another gamma keeps its rank array, so along a gamma grid the ranks are
-often the very objects of the previous point; the arena keeps the last
+another gamma whose levels keep their order keeps its rank array, so along
+a gamma grid the ranks are often the very objects of the previous point; the arena keeps the last
 table with the rank arrays it came from, and returns it while they are
 the same.
 

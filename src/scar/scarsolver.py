@@ -35,13 +35,23 @@ or 0 for the states never settled. `solve_game` keeps the last solution of
 each cop's game on the arena with its symbols. Asked again at the same
 (gamma, epsilon), it returns that solution. At a new gamma = p/q with the
 same epsilon, it re-evaluates the symbols as integer keys, with T one
-above the largest t, from the top value down, and stops at the first pair
-that is not strictly descending. If none is, the run at the new gamma
-would settle the same levels in the same order, so the old ranks, rounds
-and optimal moves stand with the new values, and the same exact check
-proves them. A level where a seed met a step (an exact tie, such as
-gamma = 1/(2-2*eps) on a path) has no single symbol, and the next gamma is
-solved afresh.
+above the largest t, and re-uses the solution with no run of the engine
+where one of two proofs holds. If the keys ascend as before, every row's
+best successor keeps its rank, so every equation holds as it did if each
+level's step, never and each seed key land on the same levels as at the
+old gamma (`_Solved.landings`, O(levels)); the old ranks, rounds and
+optimal moves stand with the new values. A step that lands elsewhere, as
+by a coincidence of values at one gamma, goes to the engine's exact check,
+where a failure is a ScarError. If the keys reorder, all distinct, the
+symbols are sorted and the ranks remapped with one take, and the result
+stands if it passes the exact check. It then holds its rows' steps by
+their symbols, not by a coincidence of values at this gamma: the rows of a
+level all step from the one level whose key steps onto its key, and the
+level of its symbol stepped back is that level, so a later re-use can
+check it as the first proof does. Anything else goes to the engine, as
+does a level where a seed met a step (an exact tie, such as
+gamma = 1/(2-2*eps) on a path), which has no single symbol. The fixpoint
+is unique for gamma < 1, so a re-used answer is the fresh one.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ import numpy as np
 from .arena import Arena, GameParams, Solution, State
 from .crsolver import capture_depths
 from .errors import ScarError, ValidationError
-from .fixpoint import INT_INF, check_fixpoint, retrograde
+from .fixpoint import INT_INF, check_fixpoint, level_steps, rank_of, retrograde
 
 
 def terminal_payoff(s: State, m: int, params: GameParams) -> Fraction:
@@ -108,16 +118,24 @@ class _Solved:
     solution: GameSolution
     symbols: tuple[tuple[int, int], ...] | None
 
+    @functools.cached_property
+    def landings(self) -> tuple[list[int], list[int]]:
+        """Where the equations land, as indices of levels: each level's
+        step, then never and each seed key. Made on first read, so a
+        fresh solve pays nothing for it."""
+        keys = list(self.solution.keys)
+        seed_keys, step = _integer_game(self.seeds, self.gamma, self.solution.denominator)
+        return level_steps(keys, step), [rank_of(keys, k) for k in (0, *(k for k, _ in seed_keys))]
+
 
 class _TooDeep(ScarError):
     """A key that q does not divide was stepped: the scale is too shallow."""
 
 
-def _integer_game(seeds: list, gamma: Fraction, top: int):
-    """(D, the seed batches keyed -c * D, the step k*p // q) at T = top (see
-    above); the step raises _TooDeep on a key q does not divide."""
+def _integer_game(seeds: list, gamma: Fraction, scale: int):
+    """(the seed batches keyed -c * scale, the step k*p // q); the step
+    raises _TooDeep on a key q does not divide."""
     p, q = gamma.numerator, gamma.denominator
-    scale = math.lcm(*(c.denominator for c, _ in seeds)) * q**top
 
     def step(key: int) -> int:
         whole, rest = divmod(key, q)
@@ -125,7 +143,12 @@ def _integer_game(seeds: list, gamma: Fraction, top: int):
             raise _TooDeep
         return whole * p
 
-    return scale, [(-c.numerator * (scale // c.denominator), orbits) for c, orbits in seeds], step
+    return [(-c.numerator * (scale // c.denominator), orbits) for c, orbits in seeds], step
+
+
+def _scale(seeds: list, gamma: Fraction, top: int) -> int:
+    """D = B * q^T at T = top (see above)."""
+    return math.lcm(*(c.denominator for c, _ in seeds)) * gamma.denominator**top
 
 
 def _discounted(
@@ -138,7 +161,8 @@ def _discounted(
     q, depths = arena.quotient(), capture_depths(arena)
     top = arena.n_players + int(depths.max(where=depths < INT_INF, initial=0))
     while True:
-        scale, seed_keys, step = _integer_game(seeds, gamma, top)
+        scale = _scale(seeds, gamma, top)
+        seed_keys, step = _integer_game(seeds, gamma, scale)
         try:
             keys, rank, origins = retrograde(q.moves, eager, q.capture, seed_keys,
                                              step, 0, q.preds)
@@ -161,28 +185,44 @@ def _discounted(
     return sol, None if symbols is None else tuple(symbols)
 
 
-def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> GameSolution | None:
-    """last's solution at discount gamma, or None when a level was tied or
-    the symbols' values there are not strictly descending from the top
-    down (checked pair by pair, stopping at the first pair out of order).
-    It keeps the old ranks once they pass the engine's exact check on
-    `_integer_game`'s keys, top 1 above the largest t; a failure there is
-    a ScarError, not a fallback."""
+def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> _Solved | None:
+    """last's solve re-used at discount gamma by one of the two proofs
+    above, on `_integer_game`'s keys with top 1 above the largest t; None
+    when a level was tied, two keys are equal or a re-sorted solution
+    fails the exact check. A solution whose order holds but whose steps
+    land elsewhere is checked exactly, and a failure there is a
+    ScarError, not a fallback."""
     if last.symbols is None:
         return None
     p, q = gamma.numerator, gamma.denominator
     top = 1 + max(t for _, t in last.symbols)
-    keys: list[int] = []  # -value * D, ascending
-    for a, t in last.symbols:
-        key = -a * p**t * q ** (top - t)
-        if keys and not keys[-1] < key:
-            return None
-        keys.append(key)
+    keys = [-a * p**t * q ** (top - t) for a, t in last.symbols]  # -value * D
     old, quotient = last.solution, arena.quotient()
-    scale, seed_keys, step = _integer_game(last.seeds, gamma, top)
-    check_fixpoint(quotient.moves, old.eager, quotient.capture, seed_keys,
-                   step, 0, keys, old.rank)
-    return GameSolution(arena, old.rank, old.eager, tuple(keys), scale)
+    scale = _scale(last.seeds, gamma, top)
+    seed_keys, step = _integer_game(last.seeds, gamma, scale)
+    game = (quotient.moves, old.eager, quotient.capture, seed_keys, step, 0)
+
+    def solved(keys: list[int], rank: np.ndarray, symbols: tuple) -> _Solved:
+        sol = GameSolution(arena, rank, old.eager, tuple(keys), scale)
+        return _Solved(gamma, last.epsilon, last.seeds, sol, symbols)
+
+    if all(lo < hi for lo, hi in zip(keys, keys[1:])):
+        moved = solved(keys, old.rank, last.symbols)
+        if moved.landings != last.landings:
+            check_fixpoint(*game, keys, old.rank)
+        return moved
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[i] for i in order]
+    if any(lo == hi for lo, hi in zip(keys, keys[1:])):
+        return None
+    where = np.empty(len(order), dtype=old.rank.dtype)
+    where[order] = np.arange(len(order))
+    rank = where.take(old.rank)
+    try:
+        check_fixpoint(*game, keys, rank)
+    except ScarError:
+        return None
+    return solved(keys, rank, tuple(last.symbols[i] for i in order))
 
 
 def _terminal_classes(arena: Arena, player: int) -> list[tuple[State, np.ndarray]]:
@@ -193,7 +233,7 @@ def _terminal_classes(arena: Arena, player: int) -> list[tuple[State, np.ndarray
     def build() -> list[tuple[State, np.ndarray]]:
         q = arena.quotient()
         cap = np.flatnonzero(q.capture)
-        at = q.at_robber[:, cap]
+        at = q.at_robber[:, cap // arena.n_players]
         terminal_class = 2 * at.sum(axis=0) + at[player - 1]
         _, first, inverse = np.unique(terminal_class, return_index=True, return_inverse=True)
         return [
@@ -219,10 +259,10 @@ def solve_game(arena: Arena, player: int, params: GameParams) -> GameSolution:
     if last is not None and last.epsilon == params.epsilon:
         if last.gamma == params.gamma:
             return last.solution
-        sol = _reordered(arena, last, params.gamma)
-        if sol is not None:
-            slot[0] = _Solved(params.gamma, last.epsilon, last.seeds, sol, last.symbols)
-            return sol
+        moved = _reordered(arena, last, params.gamma)
+        if moved is not None:
+            slot[0] = moved
+            return moved.solution
     # one seed batch per distinct terminal coefficient, so that equal
     # coefficients do not count as a tie
     merged: dict[Fraction, list[np.ndarray]] = {}

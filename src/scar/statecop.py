@@ -153,7 +153,9 @@ class TheoremCrosscheck:
     witness: str | None = None
 
 
-def _hardest_state(g: Graph, n_players: int, max_states: int) -> tuple[int | float, str]:
+def _hardest_state(
+    g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES
+) -> tuple[int | float, str]:
     """max c(G|s) over noncapture states, and a state attaining it. Its
     arena is freed on return, before the classic arena is built."""
     report = state_cop_report(build_arena(g, n_players, max_states))
@@ -172,7 +174,13 @@ def crosscheck_theorem(
     if k_max < n_players - 1:
         raise ValidationError(f"k_max must be at least N-1 = {n_players - 1}")
     state_side, hardest = _hardest_state(g, n_players, max_states)
-    classic_side = classic_cop_number(g, k_max, max_states)
+    return _verdict(n_players, classic_cop_number(g, k_max, max_states), state_side, hardest)
+
+
+def _verdict(
+    n_players: int, classic_side: int | float, state_side: int | float, hardest: str
+) -> TheoremCrosscheck:
+    """The crosscheck of both sides, `hardest` its witness if they disagree."""
     if state_side == math.inf:
         agree = classic_side > n_players - 1  # including inf from the k_max cutoff
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -23,12 +24,12 @@ import numpy as np
 
 from .arena import Arena, GameParams, State, all_cops_one_side, build_arena, parse_state
 from .classify import classify
-from .crsolver import classic_cop_number
+from .crsolver import classic_cop_number, classic_cop_win
 from .errors import ValidationError
 from .graphs import Graph, attach_leaf, bridge, builtin, graph_from_edges
 from .positionality import positionality_table
 from .rationals import parse_rational
-from .statecop import crosscheck_theorem, state_cop_report
+from .statecop import _hardest_state, _verdict, state_cop_report
 
 
 # the verdict booleans a poscheck case can pin, in the order mismatches are reported
@@ -195,11 +196,19 @@ def _run_classic(case: dict) -> CaseResult:
 
 
 def _run_crosscheck(case: dict) -> CaseResult:
+    """`crosscheck_theorem` on every pair, with each distinct graph built,
+    each distinct (graph, N) swept and each graph's classic k-cop game
+    solved once in the case: a graph can be listed under two labels, and
+    its N = 3 and N = 4 pairs share k = 1 and 2."""
+    graph = functools.cache(lambda recipe: build_recipe(json.loads(recipe)))
+    hardest = functools.cache(lambda recipe, n: _hardest_state(graph(recipe), n))
+    wins = functools.cache(lambda recipe, k: classic_cop_win(graph(recipe), k))
     bad = []
     for entry in case["pairs"]:
-        g = build_recipe(entry["graph"])
-        n = entry["n"]
-        rep = crosscheck_theorem(g, n)
+        recipe, n = json.dumps(entry["graph"], sort_keys=True), entry["n"]
+        state_side, witness = hardest(recipe, n)
+        classic_side = next((k for k in range(1, n) if wins(recipe, k)), math.inf)
+        rep = _verdict(n, classic_side, state_side, witness)
         if not rep.agree:
             bad.append(
                 f"{entry.get('label', '?')} n={n}: classic={rep.classic_cop_number} "

@@ -135,7 +135,7 @@ def test_restricted_tables_cut_the_quotient_and_solve_as_the_filtered_table(suit
         a = build_arena(g, n)
         cr = solve_capture_time(a)
         q = a.quotient()
-        init = np.where(q.at_robber, 0, INT_INF).astype(np.int64)
+        init = np.where(q.at_robber.repeat(n, axis=1), 0, INT_INF).astype(np.int64)
         for m in range(1, n):
             keep = np.repeat(~q.turns(m), q.moves.width) | cr.orbit_edge_opt()
             check_cut_tables(q.moves, keep, *classify_module._restricted_tables(a, cr, m))

@@ -17,6 +17,7 @@ from scar import (
     build_arena,
     builtin,
     opt_move_table,
+    positionality_table,
     simulate,
     solve_capture_time,
     solve_game,
@@ -328,9 +329,11 @@ def test_a_warm_arena_matches_fresh_solves_along_a_gamma_grid(graph_and_n, eps, 
             _same_solution(solve_game(warm, m, params), solve_game(fresh, m, params))
 
 
-def test_a_solved_game_is_reused_along_gamma_until_its_order_breaks(discounted_runs):
+def test_a_solved_game_is_reused_along_gamma_until_two_keys_tie(discounted_runs):
     """On p2 N=3 at eps = 1/10 the levels keep their order over [1/4, 3/10];
-    1/3 is an exact tie, and a tied level cannot be carried to 1/2."""
+    at 1/3 two keys are equal, an exact tie, and a tied level cannot be
+    carried to 1/2. On p3 N=3 the levels reorder from 2/5 to 1/2, and the
+    re-sorted solution stands with no run of the engine."""
     a = build_arena(builtin("path", 2), 3)
     eps = Q(1, 10)
     first = solve_game(a, 1, GameParams(3, Q(1, 4), eps))
@@ -346,19 +349,17 @@ def test_a_solved_game_is_reused_along_gamma_until_its_order_breaks(discounted_r
     assert len(discounted_runs) == 2
     solve_game(a, 1, GameParams(3, Q(1, 2), Q(0)))  # a new epsilon is solved afresh
     assert len(discounted_runs) == 3
-
-
-def test_a_reused_solution_must_pass_the_exact_check(monkeypatch, discounted_runs):
-    a = build_arena(builtin("path", 2), 3)
-    solve_game(a, 1, GameParams(3, Q(1, 4), Q(1, 10)))
-
-    def refuse(*args):
-        raise ScarError("check refused")
-
-    monkeypatch.setattr(scarsolver, "check_fixpoint", refuse)
-    with pytest.raises(ScarError, match="check refused"):
-        solve_game(a, 1, GameParams(3, Q(3, 10), Q(1, 10)))
+    del discounted_runs[:]
+    b = build_arena(builtin("path", 3), 3)
+    first = solve_game(b, 1, GameParams(3, Q(2, 5), eps))
+    (was,) = b.memo(("last_game", 1), list)
+    moved = solve_game(b, 1, GameParams(3, Q(1, 2), eps))
+    (now,) = b.memo(("last_game", 1), list)
     assert len(discounted_runs) == 1
+    assert moved.rank is not first.rank and moved.eager is first.eager
+    assert now.symbols != was.symbols and sorted(now.symbols) == sorted(was.symbols)
+    _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
+                                     GameParams(3, Q(1, 2), eps)))
 
 
 def _checked_on_integer_keys(call, sol, gamma):
@@ -381,26 +382,140 @@ def _checked_on_integer_keys(call, sol, gamma):
                 check_fixpoint(*game, off, rank)
 
 
-def test_a_reused_solution_is_checked_on_integer_keys(monkeypatch, discounted_runs):
-    """At gamma = p/q the re-use hands the exact check integer keys, and
-    the very rank array and eager mask of the solve it re-uses, with no
-    remap."""
-    a = build_arena(builtin("path", 3), 3)
-    eps, gamma = Q(1, 10), Q(3, 10)
-    first = solve_game(a, 1, GameParams(3, Q(1, 4), eps))
-    calls = []
+def _spied(monkeypatch, name: str) -> list:
+    """The argument tuples of every call scarsolver makes to its `name`
+    from here on."""
+    calls, real = [], getattr(scarsolver, name)
 
     def spy(*args):
         calls.append(args)
-        check_fixpoint(*args)
+        return real(*args)
 
-    monkeypatch.setattr(scarsolver, "check_fixpoint", spy)
+    monkeypatch.setattr(scarsolver, name, spy)
+    return calls
+
+
+def test_an_unchanged_step_map_runs_no_exact_check(monkeypatch, discounted_runs):
+    """Levels that keep their order and land their steps, never and seeds
+    as before are re-used with no O(edges) check: the very rank array and
+    eager mask, new integer keys, which pass the exact check."""
+    a = build_arena(builtin("path", 3), 3)
+    eps, gamma = Q(1, 10), Q(3, 10)
+    first = solve_game(a, 1, GameParams(3, Q(1, 4), eps))
+    checks = _spied(monkeypatch, "check_fixpoint")
     moved = solve_game(a, 1, GameParams(3, gamma, eps))
-    assert len(discounted_runs) == 1 and len(calls) == 1
-    assert moved.rank is first.rank and calls[0][1] is moved.eager is first.eager
-    _checked_on_integer_keys(calls[0], moved, gamma)
+    assert len(discounted_runs) == 1 and checks == []
+    assert moved.rank is first.rank and moved.eager is first.eager
+    q, (last,) = a.quotient(), a.memo(("last_game", 1), list)
+    seed_keys, step = scarsolver._integer_game(last.seeds, gamma, moved.denominator)
+    _checked_on_integer_keys((q.moves, moved.eager, q.capture, seed_keys, step, 0,
+                              list(moved.keys), moved.rank), moved, gamma)
     _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
                                      GameParams(3, gamma, eps)))
+
+
+def test_a_step_map_mismatch_runs_the_exact_check_and_a_refusal_raises(
+        monkeypatch, discounted_runs):
+    """Where the landings differ from the last solve's, as when a step
+    lands on another level by a coincidence of values, the re-use runs the
+    exact check on the old ranks; a refusal there is a ScarError, with no
+    engine run to fall back on."""
+    eps, gamma = Q(1, 10), Q(3, 10)
+    landings = scarsolver._Solved.landings.func
+    monkeypatch.setattr(scarsolver._Solved, "landings",
+                        property(lambda solved: (*landings(solved), id(solved))))
+    a, b = build_arena(builtin("path", 3), 3), build_arena(builtin("path", 3), 3)
+    first = solve_game(a, 1, GameParams(3, Q(1, 4), eps))
+    solve_game(b, 1, GameParams(3, Q(1, 4), eps))
+    checks = _spied(monkeypatch, "check_fixpoint")
+    moved = solve_game(a, 1, GameParams(3, gamma, eps))
+    assert len(discounted_runs) == 2 and len(checks) == 1
+    assert checks[0][-1] is moved.rank is first.rank
+    _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
+                                     GameParams(3, gamma, eps)))
+    del discounted_runs[:]
+
+    def refuse(*args):
+        raise ScarError("check refused")
+
+    monkeypatch.setattr(scarsolver, "check_fixpoint", refuse)
+    with pytest.raises(ScarError, match="check refused"):
+        solve_game(b, 1, GameParams(3, gamma, eps))
+    assert discounted_runs == []
+
+
+@pytest.mark.parametrize("refused", [True, False])
+def test_a_refused_reorder_costs_one_engine_run(monkeypatch, discounted_runs, refused):
+    """p3 N=3's levels reorder from 2/5 to 1/2: the re-sorted solution
+    is checked once and kept, and a refused check sends the gamma to the
+    engine once, whose answer is the fresh one. From 2/3 to 3/4 the check
+    refuses the re-sorted ranks by itself."""
+    eps = Q(1, 10)
+
+    def refuse(*args):
+        raise ScarError("check refused")
+
+    a = build_arena(builtin("path", 3), 3)
+    solve_game(a, 1, GameParams(3, Q(2, 5), eps))
+    with pytest.MonkeyPatch.context() as patch:
+        checks = _spied(patch, "check_fixpoint")
+        if refused:
+            patch.setattr(scarsolver, "check_fixpoint", refuse)
+        moved = solve_game(a, 1, GameParams(3, Q(1, 2), eps))
+    assert len(discounted_runs) == 1 + refused
+    assert len(checks) == (not refused)
+    _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
+                                     GameParams(3, Q(1, 2), eps)))
+    del discounted_runs[:]
+    b = build_arena(builtin("path", 3), 3)
+    solve_game(b, 1, GameParams(3, Q(2, 3), eps))
+    checks = _spied(monkeypatch, "check_fixpoint")
+    moved = solve_game(b, 1, GameParams(3, Q(3, 4), eps))
+    assert len(discounted_runs) == 2 and len(checks) == 1
+    _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
+                                     GameParams(3, Q(3, 4), eps)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([3, 4]).flatmap(
+        lambda n: st.tuples(connected_graphs(max_vertices=4), st.just(n))
+    ),
+    st.sampled_from([Q(0), Q(1, 10), Q(1, 4), Q(1, 3)]),
+    st.lists(st.fractions(Q(1, 12), Q(11, 12), max_denominator=12), max_size=8),
+    st.randoms(use_true_random=False),
+)
+@example((builtin("path", 3), 3), Q(1, 10), [Q(2, 5), Q(1, 2), Q(2, 3), Q(3, 4)], None)
+def test_warm_solves_along_a_random_gamma_walk_equal_fresh_solves(graph_and_n, eps, gammas, rng):
+    """Along a random walk of rational gammas with the exact ties mixed
+    in, each warm solve, whether re-used as it was, re-sorted after a
+    reorder or solved afresh, equals a fresh solve on a fresh arena."""
+    g, n = graph_and_n
+    walk = [*gammas, *TIES, 1 / (2 - 2 * eps)]
+    if rng is not None:
+        rng.shuffle(walk)
+    warm = build_arena(g, n)
+    for gamma in walk:
+        params = GameParams(n, gamma, eps)
+        fresh = build_arena(g, n)
+        for m in range(1, n):
+            _same_solution(solve_game(warm, m, params), solve_game(fresh, m, params))
+
+
+def test_a_199_point_gamma_grid_on_path8_runs_the_engine_46_times(discounted_runs):
+    """positionality_table on path:8 N=4 at eps = 1/10 along gamma = i/200
+    asks 597 games; 46 of them reach the engine, and the tables match a
+    cold arena's at every twentieth point."""
+    a = build_arena(builtin("path", 8), 4)
+    tables = {}
+    for i in range(1, 200):
+        params = GameParams(4, Q(i, 200), Q(1, 10))
+        tables[i] = positionality_table(a, params)
+    assert len(discounted_runs) == 46
+    for i in range(1, 200, 20):
+        cold = positionality_table(build_arena(builtin("path", 8), 4),
+                                   GameParams(4, Q(i, 200), Q(1, 10)))
+        assert all(np.array_equal(x, y) for x, y in zip(tables[i], cold))
 
 
 def test_a_fresh_solve_is_checked_on_integer_keys(monkeypatch, discounted_runs):

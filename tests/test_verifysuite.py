@@ -3,7 +3,7 @@ poscheck cases that must fail."""
 
 import pytest
 
-from scar import ValidationError
+from scar import ValidationError, verifysuite
 from scar.verifysuite import build_recipe, load_manifest, run_case, run_suite
 
 
@@ -42,11 +42,29 @@ def test_every_case_passes():
 
 
 def test_the_region_case_reuses_solved_games_along_gamma(discounted_runs):
-    """p2-n3-region asks 2 games at 39 x 7 points; between order breakpoints
-    of the level values a solved game is re-used, not solved again."""
+    """p2-n3-region asks 2 games at 39 x 7 points; a solved game is
+    re-used wherever its levels keep their order or re-sort into a proven
+    solution, and 39 of the 546 games reach the engine."""
     case = next(c for c in load_manifest() if c["id"] == "p2-n3-region")
     assert run_case(case).passed
-    assert len(discounted_runs) <= 52
+    assert len(discounted_runs) == 39
+
+
+def test_the_crosscheck_case_solves_each_game_once(monkeypatch):
+    """complete:3 is listed as both c3 and k3, and the N = 3 and N = 4
+    pairs of a graph share the classic games with k = 1 and 2: each
+    (graph, N) is swept, and each (graph, k) solved, once."""
+    sweeps, classic = [], []
+    hardest, wins = verifysuite._hardest_state, verifysuite.classic_cop_win
+    monkeypatch.setattr(verifysuite, "_hardest_state",
+                        lambda g, n: sweeps.append((g, n)) or hardest(g, n))
+    monkeypatch.setattr(verifysuite, "classic_cop_win",
+                        lambda g, k: classic.append((g, k)) or wins(g, k))
+    case = next(c for c in load_manifest() if c["id"] == "copnumber-crosscheck")
+    assert run_case(case) == run_case(case)  # each run keeps its own memo
+    assert run_case(case).passed
+    assert len(sweeps) == 3 * 24 and len(set(sweeps)) == 24
+    assert len(set(classic)) * 3 == len(classic)
 
 
 def test_filtering_by_id_substring():
