@@ -591,19 +591,6 @@ class Csr:
         """Per row, how many of its entries edge_mask marks (int64)."""
         return self.row_fold(np.add, edge_mask, np.int64)
 
-    def row_best(self, columns, max_mask: np.ndarray) -> np.ndarray:
-        """Per row, the largest of its entries' keys on max_mask rows, the
-        smallest elsewhere, given one array of keys per column (a generator
-        need not hold a key per entry at once)."""
-        columns = iter(columns)
-        largest = next(columns).copy()
-        smallest = largest.copy()
-        for column in columns:
-            np.maximum(largest, column, out=largest)
-            np.minimum(smallest, column, out=smallest)
-        np.copyto(smallest, largest, where=max_mask)
-        return smallest
-
     def row_reader(self):
         """A function from row indices to the concatenation of those rows
         (`take` along the rows: a 2-D fancy index gathers far slower)."""
@@ -613,12 +600,6 @@ class Csr:
     def columns(self, rows: np.ndarray):
         """The entries of `rows`, one array per column: views of one `take`."""
         return self.table.take(rows, axis=0).T
-
-    def best_edges(self, keys: np.ndarray, max_mask: np.ndarray) -> np.ndarray:
-        """Per entry: is the target's key its row's best, the largest on
-        max_mask rows and the smallest elsewhere?"""
-        found = keys[self.table]
-        return (found == self.row_best(found.T, max_mask)[:, None]).reshape(-1)
 
     @functools.cached_property
     def listed(self) -> np.ndarray:
@@ -653,6 +634,20 @@ class Csr:
         return Csr.listing(preds, np.full(n, width))
 
 
+def row_best(columns, max_mask: np.ndarray) -> np.ndarray:
+    """Per row, the largest of its entries' keys on max_mask rows, the
+    smallest elsewhere, given one array of keys per column (a generator
+    need not hold a key per entry at once)."""
+    columns = iter(columns)
+    largest = next(columns).copy()
+    smallest = largest.copy()
+    for column in columns:
+        np.maximum(largest, column, out=largest)
+        np.minimum(smallest, column, out=smallest)
+    np.copyto(smallest, largest, where=max_mask)
+    return smallest
+
+
 @dataclass(eq=False)
 class Solution:
     """A game solved on an arena's orbit quotient, held as the engine
@@ -674,12 +669,12 @@ class Solution:
         targets, orbits, at = self.arena.successor_rows(rows)
         return targets, self.best(orbits, at)
 
-    def best(self, orbits: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """Per entry of rows in orbits `at` with targets in `orbits`: is its
-        rank the mover's best, the row's least if eager, else its largest?"""
-        rank = self.rank.take(orbits)
-        eager = self.eager.take(at)
-        return rank == np.where(eager, rank.min(axis=-1), rank.max(axis=-1))[..., None]
+    def best(self, orbits: np.ndarray, at) -> np.ndarray:
+        """Per entry of rows in orbits `at` (an index or a slice) with
+        targets in `orbits`: is its rank the mover's best, the row's least
+        if eager, else its largest?"""
+        rank = self.rank[orbits]
+        return rank == row_best(rank.T, ~self.eager[at])[..., None]
 
     def opt_indices(self, s: State | int) -> np.ndarray:
         """The optimal successors of noncapture state s, ascending, each
@@ -692,7 +687,7 @@ class Solution:
     def orbit_edge_opt(self) -> np.ndarray:
         """Per edge of the quotient's move table: does the move attain its
         mover's optimum? Capture rows are marked too; no caller reads them."""
-        return self.arena.quotient().moves.best_edges(self.rank, ~self.eager)
+        return self.best(self.arena.quotient().moves.table, slice(None)).reshape(-1)
 
     def opt_moves(self, s: State | int) -> tuple[State, ...]:
         return tuple(self.arena.state_of(int(j)) for j in self.opt_indices(s))
@@ -780,12 +775,11 @@ def simulate(arena: Arena, s0: State | int, profile, max_steps: int | None = Non
 
 
 def checked_move(arena: Arena, cur: int, nxt: int) -> int:
-    """nxt, refused with IllegalMoveError unless it is a successor of cur."""
+    """nxt, refused with IllegalMoveError unless it is a successor of cur;
+    a nxt that is no state is named by its index."""
     if nxt not in arena.succ_indices(cur):
-        raise IllegalMoveError(
-            f"{arena.state_of(nxt).literal()} is not a successor of "
-            f"{arena.state_of(cur).literal()}"
-        )
+        named = arena.state_of(nxt).literal() if 0 <= nxt < arena.n_states else f"state index {nxt}"
+        raise IllegalMoveError(f"{named} is not a successor of {arena.state_of(cur).literal()}")
     return nxt
 
 

@@ -32,6 +32,7 @@ from .arena import (
     State,
     capped_count,
     count_of,
+    row_best,
     walk,
 )
 from .errors import ScarError, UniquenessViolationError, ValidationError
@@ -71,9 +72,12 @@ class CrSolution(Solution):
         stay at INT_INF.
         """
         a = self.arena
-        return a.memo(
-            "capture_edge_opt", lambda: a.moves.best_edges(self.values, a.robber_mover_mask())
-        )
+
+        def build() -> np.ndarray:
+            values = self.values[a.moves.table]
+            return (values == row_best(values.T, a.robber_mover_mask())[:, None]).reshape(-1)
+
+        return a.memo("capture_edge_opt", build)
 
     def orbit_edge_opt(self) -> np.ndarray:
         """`Solution.orbit_edge_opt`, memoized on the arena: the

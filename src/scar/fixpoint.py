@@ -37,18 +37,18 @@ search (SC 2012).
 
 The engine returns the ascending keys, one int rank per state and one
 origin per level, and ends with `check_fixpoint`, a vectorised exact check
-of every equation over the ranks: O(edges) numpy work plus the level-step
-map, `level_steps`, one `step` per level. Passing it proves the answer.
-The origins cost O(levels): a level is `("seed", i)` when all its states
-came from seed batch i, `("step", r)` when all were pushed at
-step(levels[r]), `("never", None)` for the unsettled rest, and
-`("tied", None)` when it merged batches of different origins. Without a
-tie, every key is a seed key or a chain of steps from one, which is what
-lets `scarsolver` re-evaluate a solved game at another discount without a
-new run. Where the levels keep their order, every row keeps its best
-successor's rank, so equal level-step maps and equal levels for never and
-the seed keys prove the re-use in O(levels); otherwise `check_fixpoint`
-proves it. Instantiations:
+of every equation over the ranks: O(edges) numpy work plus one `step` per
+level. Passing it proves the answer. The origins cost O(levels): a level
+is `("seed", i)` when all its states came from seed batch i, `("step", r)`
+when all were pushed at step(levels[r]), `("never", None)` for the
+unsettled rest, and `("tied", None)` when it merged batches of different
+origins. Without a tie, every key is a seed key or a chain of steps from
+one, and every settled state that is not frozen sits one step above its
+best successor: it was pushed at the step of the level where its count
+reached 0, its first settled successor's if eager, else its last's. That
+invariant lets `scarsolver` re-evaluate a solved game at another discount
+without a new run, and with no check while the levels keep their order.
+Instantiations:
 
 - `solve_layers`: key = depth, step k+1, never = INT_INF. Capture-time
   solve (cops eager), which also answers the classic simultaneous-move
@@ -65,7 +65,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .arena import WIDE_FRONTIER, Csr, distinct
+from .arena import WIDE_FRONTIER, Csr, distinct, row_best
 from .errors import ScarError, ValidationError
 
 INT_INF = 2**62
@@ -160,7 +160,7 @@ def check_fixpoint(
     """Raise ScarError unless (levels, rank) satisfies every equation of the
     game on the table `moves` exactly: levels strictly ascend, a frozen row
     holds its seed's rank (never's when unseeded), and any other row holds
-    nxt[best successor rank], where nxt is `level_steps(levels, step)`.
+    the level its best successor's level steps onto.
     Keys are only compared, never hashed, and a key not found ranks -1,
     which no row holds."""
     n = len(rank)
@@ -170,11 +170,18 @@ def check_fixpoint(
     if n and not 0 <= rank.min() <= rank.max() < len(levels):
         raise ScarError(f"{where}: a rank lies outside the {len(levels)} levels")
 
-    nxt = np.array(level_steps(levels, step), dtype=rank.dtype)
+    # nxt[r]: the level that level r steps onto, or -1, found by one merge
+    # walk, as `step` is monotone
+    nxt, lo = [], 0
+    for key in levels:
+        stepped = step(key)
+        while lo < len(levels) and levels[lo] < stepped:
+            lo += 1
+        nxt.append(lo if lo < len(levels) and levels[lo] == stepped else -1)
     # want[s]: the rank s's equation gives, made over its best successor's
     # rank with no other array of n entries
-    want = moves.row_best((rank.take(column) for column in moves.table.T), ~eager)
-    want = nxt[want]
+    want = row_best((rank.take(column) for column in moves.table.T), ~eager)
+    want = np.array(nxt, dtype=rank.dtype)[want]
     want[frozen] = rank_of(levels, never)
     for key, states in seeds:
         want[states[frozen[states]]] = rank_of(levels, key)
@@ -193,19 +200,6 @@ def rank_of(levels: list, key) -> int:
     one of them."""
     r = bisect_left(levels, key)
     return r if r < len(levels) and levels[r] == key else -1
-
-
-def level_steps(levels: list, step) -> list[int]:
-    """Per level of the ascending `levels`, the index of the level its step
-    lands on, or -1 where it lands on none: one merge walk, which finds
-    every step of a monotone `step`, with one `step` per level."""
-    top, lo, found = len(levels), 0, []
-    for key in levels:
-        stepped = step(key)
-        while lo < top and levels[lo] < stepped:
-            lo += 1
-        found.append(lo if lo < top and levels[lo] == stepped else -1)
-    return found
 
 
 def solve_layers(moves: Csr, *game: np.ndarray, predecessors: Csr | None = None) -> np.ndarray:

@@ -35,23 +35,26 @@ or 0 for the states never settled. `solve_game` keeps the last solution of
 each cop's game on the arena with its symbols. Asked again at the same
 (gamma, epsilon), it returns that solution. At a new gamma = p/q with the
 same epsilon, it re-evaluates the symbols as integer keys, with T one
-above the largest t, and re-uses the solution with no run of the engine
-where one of two proofs holds. If the keys ascend as before, every row's
-best successor keeps its rank, so every equation holds as it did if each
-level's step, never and each seed key land on the same levels as at the
-old gamma (`_Solved.landings`, O(levels)); the old ranks, rounds and
-optimal moves stand with the new values. A step that lands elsewhere, as
-by a coincidence of values at one gamma, goes to the engine's exact check,
-where a failure is a ScarError. If the keys reorder, all distinct, the
-symbols are sorted and the ranks remapped with one take, and the result
-stands if it passes the exact check. It then holds its rows' steps by
-their symbols, not by a coincidence of values at this gamma: the rows of a
-level all step from the one level whose key steps onto its key, and the
-level of its symbol stepped back is that level, so a later re-use can
-check it as the first proof does. Anything else goes to the engine, as
-does a level where a seed met a step (an exact tie, such as
-gamma = 1/(2-2*eps) on a path), which has no single symbol. The fixpoint
-is unique for gamma < 1, so a re-used answer is the fresh one.
+above the largest t, and sorts them. Equal keys, or a level where a seed
+met a step (an exact tie, such as gamma = 1/(2-2*eps) on a path), which
+has no single symbol, go to the engine. Otherwise the solution is re-used
+with no run of the engine, by one invariant of its rows:
+
+- In an untied solve, each non-frozen state is pushed at the step of the
+  level where its count reached 0, which is its best successor's level:
+  the first settled successor for an eager mover, the last for the others.
+- So every settled non-frozen row at the level of symbol (a, t+1) has its
+  best successor at the level of (a, t). Frozen rows sit at their seed's
+  (a, 0), and the rest at never, (0, 0).
+- Where the keys keep their order, every row keeps its best successor's
+  rank, and (a, t) steps exactly onto (a, t+1) at every gamma, so every
+  equation holds: the old ranks stand, unchecked, with the new keys.
+- Where they reorder, the ranks are remapped with one take, and the result
+  stands if it passes the engine's exact check; a failure goes to the
+  engine. A passed check keeps the invariant: `step` is injective on keys,
+  so the one level that steps onto (a, t+1) is (a, t).
+
+The fixpoint is unique for gamma < 1, so a re-used answer is the fresh one.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ import numpy as np
 from .arena import Arena, GameParams, Solution, State
 from .crsolver import capture_depths
 from .errors import ScarError, ValidationError
-from .fixpoint import INT_INF, check_fixpoint, level_steps, rank_of, retrograde
+from .fixpoint import INT_INF, check_fixpoint, retrograde
 
 
 def terminal_payoff(s: State, m: int, params: GameParams) -> Fraction:
@@ -118,24 +121,16 @@ class _Solved:
     solution: GameSolution
     symbols: tuple[tuple[int, int], ...] | None
 
-    @functools.cached_property
-    def landings(self) -> tuple[list[int], list[int]]:
-        """Where the equations land, as indices of levels: each level's
-        step, then never and each seed key. Made on first read, so a
-        fresh solve pays nothing for it."""
-        keys = list(self.solution.keys)
-        seed_keys, step = _integer_game(self.seeds, self.gamma, self.solution.denominator)
-        return level_steps(keys, step), [rank_of(keys, k) for k in (0, *(k for k, _ in seed_keys))]
-
 
 class _TooDeep(ScarError):
     """A key that q does not divide was stepped: the scale is too shallow."""
 
 
-def _integer_game(seeds: list, gamma: Fraction, scale: int):
-    """(the seed batches keyed -c * scale, the step k*p // q); the step
-    raises _TooDeep on a key q does not divide."""
+def _integer_game(seeds: list, gamma: Fraction, top: int):
+    """(D = B * q^T at T = top, the seed batches keyed -c * D, the step
+    k*p // q); the step raises _TooDeep on a key q does not divide."""
     p, q = gamma.numerator, gamma.denominator
+    scale = math.lcm(*(c.denominator for c, _ in seeds)) * q**top
 
     def step(key: int) -> int:
         whole, rest = divmod(key, q)
@@ -143,12 +138,7 @@ def _integer_game(seeds: list, gamma: Fraction, scale: int):
             raise _TooDeep
         return whole * p
 
-    return [(-c.numerator * (scale // c.denominator), orbits) for c, orbits in seeds], step
-
-
-def _scale(seeds: list, gamma: Fraction, top: int) -> int:
-    """D = B * q^T at T = top (see above)."""
-    return math.lcm(*(c.denominator for c, _ in seeds)) * gamma.denominator**top
+    return scale, [(-c.numerator * (scale // c.denominator), orbits) for c, orbits in seeds], step
 
 
 def _discounted(
@@ -161,8 +151,7 @@ def _discounted(
     q, depths = arena.quotient(), capture_depths(arena)
     top = arena.n_players + int(depths.max(where=depths < INT_INF, initial=0))
     while True:
-        scale = _scale(seeds, gamma, top)
-        seed_keys, step = _integer_game(seeds, gamma, scale)
+        scale, seed_keys, step = _integer_game(seeds, gamma, top)
         try:
             keys, rank, origins = retrograde(q.moves, eager, q.capture, seed_keys,
                                              step, 0, q.preds)
@@ -186,43 +175,33 @@ def _discounted(
 
 
 def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> _Solved | None:
-    """last's solve re-used at discount gamma by one of the two proofs
-    above, on `_integer_game`'s keys with top 1 above the largest t; None
-    when a level was tied, two keys are equal or a re-sorted solution
-    fails the exact check. A solution whose order holds but whose steps
-    land elsewhere is checked exactly, and a failure there is a
-    ScarError, not a fallback."""
+    """last's solve re-used at discount gamma by the invariant above, on
+    `_integer_game`'s keys with top 1 above the largest t; None when a
+    level was tied, two keys are equal or re-sorted ranks fail the exact
+    check. Keys that keep their order keep `last`'s very rank array."""
     if last.symbols is None:
         return None
     p, q = gamma.numerator, gamma.denominator
     top = 1 + max(t for _, t in last.symbols)
     keys = [-a * p**t * q ** (top - t) for a, t in last.symbols]  # -value * D
-    old, quotient = last.solution, arena.quotient()
-    scale = _scale(last.seeds, gamma, top)
-    seed_keys, step = _integer_game(last.seeds, gamma, scale)
-    game = (quotient.moves, old.eager, quotient.capture, seed_keys, step, 0)
-
-    def solved(keys: list[int], rank: np.ndarray, symbols: tuple) -> _Solved:
-        sol = GameSolution(arena, rank, old.eager, tuple(keys), scale)
-        return _Solved(gamma, last.epsilon, last.seeds, sol, symbols)
-
-    if all(lo < hi for lo, hi in zip(keys, keys[1:])):
-        moved = solved(keys, old.rank, last.symbols)
-        if moved.landings != last.landings:
-            check_fixpoint(*game, keys, old.rank)
-        return moved
     order = sorted(range(len(keys)), key=keys.__getitem__)
     keys = [keys[i] for i in order]
     if any(lo == hi for lo, hi in zip(keys, keys[1:])):
         return None
-    where = np.empty(len(order), dtype=old.rank.dtype)
-    where[order] = np.arange(len(order))
-    rank = where.take(old.rank)
-    try:
-        check_fixpoint(*game, keys, rank)
-    except ScarError:
-        return None
-    return solved(keys, rank, tuple(last.symbols[i] for i in order))
+    old, quotient = last.solution, arena.quotient()
+    scale, seed_keys, step = _integer_game(last.seeds, gamma, top)
+    rank, symbols = old.rank, last.symbols
+    if order != list(range(len(order))):
+        where = np.empty(len(order), dtype=rank.dtype)
+        where[order] = np.arange(len(order))
+        rank, symbols = where.take(rank), tuple(symbols[i] for i in order)
+        try:
+            check_fixpoint(quotient.moves, old.eager, quotient.capture, seed_keys, step, 0,
+                           keys, rank)
+        except ScarError:
+            return None
+    sol = GameSolution(arena, rank, old.eager, tuple(keys), scale)
+    return _Solved(gamma, last.epsilon, last.seeds, sol, symbols)
 
 
 def _terminal_classes(arena: Arena, player: int) -> list[tuple[State, np.ndarray]]:

@@ -31,7 +31,7 @@ from scar import (
     solve_game,
     state_cop_report,
 )
-from scar.arena import Csr, distinct, is_capture
+from scar.arena import Csr, Solution, distinct, is_capture, row_best
 from scar.classify import _restricted_tables
 from scar.graphs import automorphisms
 
@@ -190,9 +190,10 @@ def test_row_helpers_match_reduceat_and_concat_ranges(name, k, width, one_wide):
     max_mask = rng.random(n) < 0.5
     keys = state_keys[targets]
     want = np.where(max_mask, np.maximum.reduceat(keys, seg), np.minimum.reduceat(keys, seg))
-    assert np.array_equal(table.row_best(state_keys[table.table].T, max_mask), want)
+    assert np.array_equal(row_best(state_keys[table.table].T, max_mask), want)
     best = state_keys[table.table] == want[:, None]
-    assert np.array_equal(table.best_edges(state_keys, max_mask), best.reshape(-1))
+    as_solved = Solution(a, state_keys, ~max_mask)  # the one rule for optimal entries
+    assert np.array_equal(as_solved.best(table.table, np.arange(n)), best)
 
     # marks made per target, as every mask the package counts is: a padded
     # duplicate is marked with its original, which keeps "some" and "all"
@@ -572,6 +573,10 @@ def test_simulate_rejects_illegal_moves():
 
     with pytest.raises(IllegalMoveError):
         simulate(a, State((0, 0), 2, 1), teleport)
+    # a target that is no state is named by its index
+    for nowhere in (-1, a.n_states):
+        with pytest.raises(IllegalMoveError, match=f"^state index {nowhere} is not a successor"):
+            simulate(a, State((0, 0), 2, 1), lambda i: nowhere)
 
 
 def test_queries_accept_numpy_indices():

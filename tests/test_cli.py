@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scar import Arena, build_arena, builtin, cli, positionality, verifysuite
 from scar.cli import main
@@ -384,13 +385,14 @@ def test_the_graph_is_loaded_once_per_run(capsys, monkeypatch, tmp_path):
 CHILD_LIMIT = 1_500_000 * 1024
 
 
-def run_child(*argv, timeout=60):
+def run_child(*argv, timeout=60, script="sys.exit(main(sys.argv[1:]))"):
     """`scar` with argv in a child under RLIMIT_AS and a timeout, so a
     hang or a runaway allocation shows as a failure, not as a stuck or
-    killed test run."""
-    code = ("import resource, sys; "
-            f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_LIMIT}, {CHILD_LIMIT})); "
-            "from scar.cli import main; sys.exit(main(sys.argv[1:]))")
+    killed test run. `script` runs in the child with `sys` and the CLI's
+    `main` imported."""
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_LIMIT}, {CHILD_LIMIT}))\n"
+            f"from scar.cli import main\n{script}")
     env = {k: v for k, v in os.environ.items() if k != "SCAR_CACHE_DIR"}
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
@@ -426,3 +428,116 @@ def test_a_sparse_edge_list_names_its_first_missing_id(tmp_path):
     assert (got.returncode, got.stdout) == (2, "")
     assert got.stderr == ("error: vertex ids are not dense: 1 unused below max id "
                           "99999999999999999999\n")
+
+
+# the CLI contract, drawn: every command with extreme sizes, ids, caps,
+# rationals, state literals and graph files, and corrupt cache entries.
+# A tame vector draws each field from the first list of its pair, a wild
+# one from both; a tame vector names an arena of at most 40,000 states, so
+# that it ends in well under a second.
+SIZES = (["3", "4"], ["-1", "0", "1", "2", "99999999999999999999", "x", ""])
+PLAYERS = (["3", "4"], ["-1", "0", "1", "2", "99999999999999999999", "x"])
+CAPS = ([None, "10000000"], ["-1", "0", "1", "100", "9" * 60])
+WILD_RATIONALS = ["1", "-1/2", "3/2", "1/0", "0/0", "x", "", "1e-3", "1/99999999999999999999",
+                  "99999999999999999998/99999999999999999999"]
+GAMMAS = (["1/2", "3/4", "99/100", "1/10"], ["0", *WILD_RATIONALS])
+EPSILONS = (["0", "1/10"], ["1/2", "99/100", *WILD_RATIONALS])
+STATES = ["9,9;9;9", "-1,0;1;1", "0;1;1", "", ";;", "a,b;c;d", "0,0;1;0",
+          "0,0;1;99999999999999999999", "0,0,0,0,0;0;1"]
+EDGE_FILES = {
+    "not-utf8": b"\xff\xfe0 1\n", "sparse": b"0 99999999999999999999\n", "loop": b"0 0\n",
+    "empty": b"", "twice": b"0 1\n1 0\n", "apart": b"0 1\n2 3\n", "words": b"0 x\n",
+    "negative": b"-1 0\n", "one-field": b"0\n",
+}
+CORRUPT = st.sampled_from(['{"output": "trunc', '{"foo": 1}', '["output"]', '{"output": 7}',
+                           "\xff\xfe", "", "null"])
+
+
+@st.composite
+def cli_vectors(draw, files: dict[str, str]) -> list[str]:
+    wild = draw(st.booleans())
+
+    def pick(values: tuple[list, list]):
+        tame, other = values
+        return draw(st.sampled_from(tame + other if wild else tame))
+
+    def state() -> str:
+        """A noncapture state of a tame arena on vertices 0..2, or a wild
+        literal."""
+        if wild and draw(st.booleans()):
+            return draw(st.sampled_from(STATES))
+        cops = int(n) - 1 if n in PLAYERS[0] else 2
+        robber = draw(st.sampled_from("012"))
+        at = draw(st.lists(st.sampled_from("012".replace(robber, "")), min_size=cops,
+                           max_size=cops))
+        return f"{','.join(at)};{robber};{draw(st.integers(1, cops + 1))}"
+
+    command = draw(st.sampled_from(["arena-stats", "cr-solve", "scn", "classify", "poscheck",
+                                    "scan", "verify"]))
+    if command == "verify":
+        ids = (["p2-n3-region", "taxonomy-k3", "tail-cycle-classic"], ["nosuchcase"])
+        return [command, *(pick(ids) for _ in range(draw(st.integers(1, 2))))]
+    graph = pick((["path", "cycle", "complete", "star", "petersen", "tail"],
+                  ["dodecahedron", "nosuch", *sorted(files.keys() - {"tail"})]))
+    if graph in files:
+        argv = [command, "--graph", files[graph]]
+    elif graph in ("petersen", "dodecahedron"):
+        argv = [command, "--builtin", graph]
+    else:
+        argv = [command, "--builtin", f"{graph}:{pick(SIZES)}"]
+    n = pick(PLAYERS)
+    argv += ["--n", n]
+    cap = pick(CAPS)
+    if cap is not None:
+        argv += ["--max-states", cap]
+    if command in ("cr-solve", "scn") and draw(st.booleans()):
+        argv += ["--state", state()]
+    if command in ("poscheck", "scan"):
+        argv += ["--s0", state()]
+        if command == "poscheck":
+            argv += ["--gamma", pick(GAMMAS), "--epsilon", pick(EPSILONS)]
+        else:
+            for flag, grid in (("--gamma-grid", GAMMAS), ("--epsilon-grid", EPSILONS)):
+                argv += [flag, ",".join(pick(grid) for _ in range(draw(st.integers(1, 3))))]
+        if draw(st.booleans()):
+            argv.append("--allow-wide-epsilon")
+    return argv
+
+
+# runs each vector of argv[1]'s JSON list, writes "exit CODE" to stderr
+# after each, and overwrites every cache entry with argv[2]'s text if given
+BATCH = """
+import json, pathlib
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a vector with exit 2
+        code = exc.code
+    print(f"exit {code}", file=sys.stderr, flush=True)
+    if len(sys.argv) > 2:
+        for entry in pathlib.Path(sys.argv[2]).glob("*.json"):
+            entry.write_bytes(sys.argv[3].encode("latin-1"))
+"""
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.none() | CORRUPT)
+def test_drawn_argv_vectors_end_with_a_documented_exit_code(tmp_path_factory, data, corrupt):
+    """A few drawn vectors per child, one child at a time: each ends in
+    time with exit 0, 2 or 3, and nothing prints a traceback. With a cache,
+    the vectors run twice, each entry corrupted after every run."""
+    tmp = tmp_path_factory.mktemp("cli")
+    files = {"tail": TAIL, "missing": str(tmp / "missing.edges")}
+    for name, text in EDGE_FILES.items():
+        (tmp / f"{name}.edges").write_bytes(text)
+        files[name] = str(tmp / f"{name}.edges")
+    vectors = data.draw(st.lists(cli_vectors(files), min_size=1, max_size=3))
+    extra = []
+    if corrupt is not None:
+        vectors = [[*argv, "--cache-dir", str(tmp / "cache")] for argv in vectors] * 2
+        extra = [str(tmp / "cache"), corrupt]
+    got = run_child(json.dumps(vectors), *extra, timeout=30, script=BATCH)
+    codes = re.findall(r"^exit (\S+)$", got.stderr, re.M)
+    assert "Traceback" not in got.stderr, got.stderr
+    assert got.returncode == 0 and len(codes) == len(vectors), got.stderr
+    assert set(codes) <= {"0", "2", "3"}, (vectors, got.stderr)

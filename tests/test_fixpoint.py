@@ -481,7 +481,7 @@ def test_a_max_row_naming_itself_never_settles():
 def test_the_check_peaks_no_higher_than_the_engine_loop(monkeypatch):
     """`retrograde` drops its per-state counts and scratch before it calls
     `check_fixpoint`, and the check builds its wanted ranks in the array
-    `Csr.row_best` returns, so on the capture solve inside
+    `arena.row_best` returns, so on the capture solve inside
     classic_cop_win(ASYMMETRIC_20, 3), 640,000 orbits, the check's
     tracemalloc peak is no higher than the engine loop's (it read 75.9
     MiB against 68.7 MiB when it held them all)."""

@@ -258,9 +258,10 @@ def test_deviant_must_play_legal_moves():
     params = GameParams(3, Q(1, 2), Q(0))
     profile = build_trigger_profile(solve_capture_time(a), solve_all_games(a, params))
     start = a.index(State((0, 0), 1, 1))
-    bad = np.full(a.n_states, a.n_states - 1)
-    with pytest.raises(IllegalMoveError):
-        simulate_trigger(a, profile, start, deviant=(1, bad))
+    for nowhere in (a.n_states - 1, -1, a.n_states):
+        bad = np.full(a.n_states, nowhere)
+        with pytest.raises(IllegalMoveError, match="is not a successor"):
+            simulate_trigger(a, profile, start, deviant=(1, bad))
 
 
 def test_check_rejects_capture_start():

@@ -395,10 +395,23 @@ def _spied(monkeypatch, name: str) -> list:
     return calls
 
 
-def test_an_unchanged_step_map_runs_no_exact_check(monkeypatch, discounted_runs):
-    """Levels that keep their order and land their steps, never and seeds
-    as before are re-used with no O(edges) check: the very rank array and
-    eager mask, new integer keys, which pass the exact check."""
+def _reused_game(arena, m, gamma):
+    """The exact check's game for cop m's last solve on the arena at gamma,
+    on the integer keys a re-use made: the quotient's tables, the seeds
+    keyed at top 1 above the deepest symbol, the step and never."""
+    (last,) = arena.memo(("last_game", m), list)
+    top = 1 + max(t for _, t in last.symbols)
+    scale, seed_keys, step = scarsolver._integer_game(last.seeds, gamma, top)
+    assert scale == last.solution.denominator
+    q = arena.quotient()
+    return q.moves, last.solution.eager, q.capture, seed_keys, step, 0
+
+
+def test_levels_that_keep_their_order_are_reused_with_no_exact_check(
+        monkeypatch, discounted_runs):
+    """Levels whose re-evaluated keys keep their order are re-used with no
+    O(edges) check: the very rank array and eager mask, new integer keys,
+    which pass the exact check."""
     a = build_arena(builtin("path", 3), 3)
     eps, gamma = Q(1, 10), Q(3, 10)
     first = solve_game(a, 1, GameParams(3, Q(1, 4), eps))
@@ -406,42 +419,10 @@ def test_an_unchanged_step_map_runs_no_exact_check(monkeypatch, discounted_runs)
     moved = solve_game(a, 1, GameParams(3, gamma, eps))
     assert len(discounted_runs) == 1 and checks == []
     assert moved.rank is first.rank and moved.eager is first.eager
-    q, (last,) = a.quotient(), a.memo(("last_game", 1), list)
-    seed_keys, step = scarsolver._integer_game(last.seeds, gamma, moved.denominator)
-    _checked_on_integer_keys((q.moves, moved.eager, q.capture, seed_keys, step, 0,
-                              list(moved.keys), moved.rank), moved, gamma)
+    _checked_on_integer_keys((*_reused_game(a, 1, gamma), list(moved.keys), moved.rank),
+                             moved, gamma)
     _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
                                      GameParams(3, gamma, eps)))
-
-
-def test_a_step_map_mismatch_runs_the_exact_check_and_a_refusal_raises(
-        monkeypatch, discounted_runs):
-    """Where the landings differ from the last solve's, as when a step
-    lands on another level by a coincidence of values, the re-use runs the
-    exact check on the old ranks; a refusal there is a ScarError, with no
-    engine run to fall back on."""
-    eps, gamma = Q(1, 10), Q(3, 10)
-    landings = scarsolver._Solved.landings.func
-    monkeypatch.setattr(scarsolver._Solved, "landings",
-                        property(lambda solved: (*landings(solved), id(solved))))
-    a, b = build_arena(builtin("path", 3), 3), build_arena(builtin("path", 3), 3)
-    first = solve_game(a, 1, GameParams(3, Q(1, 4), eps))
-    solve_game(b, 1, GameParams(3, Q(1, 4), eps))
-    checks = _spied(monkeypatch, "check_fixpoint")
-    moved = solve_game(a, 1, GameParams(3, gamma, eps))
-    assert len(discounted_runs) == 2 and len(checks) == 1
-    assert checks[0][-1] is moved.rank is first.rank
-    _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
-                                     GameParams(3, gamma, eps)))
-    del discounted_runs[:]
-
-    def refuse(*args):
-        raise ScarError("check refused")
-
-    monkeypatch.setattr(scarsolver, "check_fixpoint", refuse)
-    with pytest.raises(ScarError, match="check refused"):
-        solve_game(b, 1, GameParams(3, gamma, eps))
-    assert discounted_runs == []
 
 
 @pytest.mark.parametrize("refused", [True, False])
@@ -489,29 +470,38 @@ def test_a_refused_reorder_costs_one_engine_run(monkeypatch, discounted_runs, re
 def test_warm_solves_along_a_random_gamma_walk_equal_fresh_solves(graph_and_n, eps, gammas, rng):
     """Along a random walk of rational gammas with the exact ties mixed
     in, each warm solve, whether re-used as it was, re-sorted after a
-    reorder or solved afresh, equals a fresh solve on a fresh arena."""
+    reorder or solved afresh, equals a fresh solve on a fresh arena. A
+    re-use at a new gamma that kept its rank array ran no exact check, so
+    the check runs here on it and must pass."""
     g, n = graph_and_n
     walk = [*gammas, *TIES, 1 / (2 - 2 * eps)]
     if rng is not None:
         rng.shuffle(walk)
-    warm = build_arena(g, n)
+    warm, last = build_arena(g, n), {}
     for gamma in walk:
         params = GameParams(n, gamma, eps)
         fresh = build_arena(g, n)
         for m in range(1, n):
-            _same_solution(solve_game(warm, m, params), solve_game(fresh, m, params))
+            sol = solve_game(warm, m, params)
+            if m in last and sol is not last[m] and sol.rank is last[m].rank:
+                check_fixpoint(*_reused_game(warm, m, gamma), list(sol.keys), sol.rank)
+            last[m] = sol
+            _same_solution(sol, solve_game(fresh, m, params))
 
 
-def test_a_199_point_gamma_grid_on_path8_runs_the_engine_46_times(discounted_runs):
+def test_a_199_point_gamma_grid_on_path8_runs_the_engine_46_times(
+        monkeypatch, discounted_runs):
     """positionality_table on path:8 N=4 at eps = 1/10 along gamma = i/200
-    asks 597 games; 46 of them reach the engine, and the tables match a
+    asks 597 games; 46 of them reach the engine, 196 of the 551 re-uses
+    reorder their levels and run the exact check, and the tables match a
     cold arena's at every twentieth point."""
     a = build_arena(builtin("path", 8), 4)
+    checks = _spied(monkeypatch, "check_fixpoint")
     tables = {}
     for i in range(1, 200):
         params = GameParams(4, Q(i, 200), Q(1, 10))
         tables[i] = positionality_table(a, params)
-    assert len(discounted_runs) == 46
+    assert len(discounted_runs) == 46 and len(checks) == 196
     for i in range(1, 200, 20):
         cold = positionality_table(build_arena(builtin("path", 8), 4),
                                    GameParams(4, Q(i, 200), Q(1, 10)))
