@@ -59,18 +59,16 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import IllegalMoveError, StateCountExceededError, ValidationError
+from .errors import IllegalMoveError, ValidationError
 from .graphs import Automorphisms, Graph, automorphisms, is_path_graph, path_order
+from .limits import DEFAULT_MAX_STATES, arena_size, capped_count, count_of
 
 INFINITY = math.inf
-
-DEFAULT_MAX_STATES = 10**7
 
 # A frontier whose row list holds at least n / WIDE_FRONTIER entries, out of
 # n states, is counted over every state at once instead of being sorted.
@@ -79,16 +77,6 @@ WIDE_FRONTIER = 16
 # The quotient build gathers its per-entry arrays in blocks of about this
 # many entries, so its temporaries stay small on large arenas.
 CHUNK = 2**15
-
-
-def count_of(n, least: int, need: str) -> int:
-    """n as an int, refused with "need <need>" unless it is an integer of
-    at least `least`. Any integer type counts, numpy's included, but bool."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValidationError(f"need {need}, got {type(n).__name__} {n!r}")
-    if n < least:
-        raise ValidationError(f"need {need}, got {n}")
-    return int(n)
 
 
 @dataclass(frozen=True)
@@ -165,24 +153,6 @@ def checked_state(s: State, n_players: int, vertex_count: int, named: str | None
     else:
         return s
     raise ValidationError(f"{named or f'state {format_state(s)}'} {fault}")
-
-
-def arena_size(v: int, n: int) -> str:
-    """V and N, and V^N * N while it is small."""
-    small = n * v.bit_length() <= 64
-    return f"{v} vertices with N={n}" + (f" ({v**n * n} states)" if small else "")
-
-
-def capped_count(per_tuple: int, v: int, tokens: int, max_states: int, named: str) -> int:
-    """per_tuple * V^tokens states, refused as "<named> exceeds the cap"
-    above max_states after at most log2(cap) + 1 products, never a power."""
-    count = per_tuple if v else 0
-    for _ in range(tokens if v > 1 else 0):
-        if (count := count * v) > max_states:
-            break
-    if count > max_states:
-        raise StateCountExceededError(f"{named} exceeds the cap of {max_states} states")
-    return count
 
 
 class Arena:

@@ -41,7 +41,6 @@ solve and not kept.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,7 @@ from .arena import (
     State,
     build_arena,
 )
-from .crsolver import CrSolution, solve_capture_time
+from .crsolver import CrSolution, _int_or_inf, solve_capture_time
 from .errors import ValidationError
 from .fixpoint import INT_INF, solve_layers
 from .graphs import Graph
@@ -137,10 +136,6 @@ def g3_guarantee_test(
         raise ValidationError("the guarantee test needs a state with cop number 1")
     m = int(crsol.orbit_capturer()[at])
     return bool(_guarantee_winning_sets(arena, crsol, m, adversarial_ties)[at])
-
-
-def _int_or_inf(value: int | float) -> int | str:
-    return "inf" if value == math.inf or value >= INT_INF else int(value)
 
 
 def classify(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) -> Classification:

@@ -6,34 +6,30 @@ request too large for memory, 3 solver failure (a failed self-check or an
 attribution violation).
 A cache entry that cannot be written is reported as a warning on stderr and
 leaves the exit code alone.
+
+Each command imports the solvers it runs when it runs, so `--help`, a
+refused request and a cache hit load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
 import io
 import json
 import math
 import os
-import pathlib
 import sys
-import tempfile
 
-from .arena import DEFAULT_MAX_STATES, GameParams, arena_size, build_arena, parse_state
-from .classify import _int_or_inf, classify
-from .crsolver import capture_attribution, solve_capture_time
 from .errors import ScarError, StateCountExceededError, ValidationError
-from .fixpoint import INT_INF
-from .graphs import Graph, builtin, load_edge_list, serialize_edge_list
-from .positionality import check_positionality, scan_region
+from .graphs import Graph, builtin, family, load_edge_list, serialize_edge_list
+from .limits import DEFAULT_MAX_STATES, arena_size, count_of
 from .rationals import format_rational, parse_rational
-from .statecop import state_cop_report
-from .verifysuite import load_manifest, run_suite
 
 WITNESS_CAP = 50
+
+# the fewest players each command's games are defined for, when not 2
+FEWEST_PLAYERS = {cmd: (3, "at least 3 players (2 cops)") for cmd in ("poscheck", "scan")}
 
 
 def _dump(obj) -> str:
@@ -48,12 +44,13 @@ def _load_graph(args) -> Graph:
     if getattr(args, "builtin", None):
         name, _, k = args.builtin.partition(":")
         if k:
+            _, sized = family(name)  # an unknown name is refused before its size is read
             try:
                 size = int(k)
             except ValueError:
                 raise ValidationError(f"bad builtin size in {args.builtin!r}") from None
-            # every family has V >= K, and every arena at least 2 V^2 states
-            if size > 0 and 2 * size**2 > args.max_states:
+            # every sized family has V >= K, and every arena at least 2 V^2 states
+            if sized and size > 0 and 2 * size**2 > args.max_states:
                 raise StateCountExceededError(
                     f"{args.builtin} has at least {size} vertices, so its arenas exceed "
                     f"the cap of {args.max_states} states")
@@ -75,6 +72,8 @@ def _grid(args, field: str) -> list:
 
 
 def cmd_arena_stats(args) -> tuple[str, int]:
+    from .arena import build_arena
+
     g = args.g
     arena = build_arena(g, args.n, args.max_states)
     v, n = g.vertex_count, args.n
@@ -95,6 +94,10 @@ def cmd_arena_stats(args) -> tuple[str, int]:
 
 
 def cmd_cr_solve(args) -> tuple[str, int]:
+    from .arena import build_arena, parse_state
+    from .crsolver import _int_or_inf, capture_attribution, solve_capture_time
+    from .fixpoint import INT_INF
+
     arena = build_arena(args.g, args.n, args.max_states)
     sol = solve_capture_time(arena)
     if args.state is None:
@@ -118,6 +121,11 @@ def cmd_cr_solve(args) -> tuple[str, int]:
 
 
 def cmd_scn(args) -> tuple[str, int]:
+    from .arena import build_arena, parse_state
+    from .crsolver import _int_or_inf
+    from .fixpoint import INT_INF
+    from .statecop import state_cop_report
+
     arena = build_arena(args.g, args.n, args.max_states)
     report = state_cop_report(arena)
     if args.state is not None:
@@ -141,6 +149,8 @@ def cmd_scn(args) -> tuple[str, int]:
 
 
 def cmd_classify(args) -> tuple[str, int]:
+    from .classify import classify
+
     got = classify(args.g, args.n, args.max_states)
     return _dump(
         {
@@ -169,6 +179,9 @@ def _verdict_json(v) -> dict:
 
 
 def cmd_poscheck(args) -> tuple[str, int]:
+    from .arena import GameParams, build_arena, parse_state
+    from .positionality import check_positionality
+
     params = GameParams(args.n, parse_rational(args.gamma), parse_rational(args.epsilon),
                         args.allow_wide_epsilon)
     arena = build_arena(args.g, args.n, args.max_states)
@@ -178,6 +191,9 @@ def cmd_poscheck(args) -> tuple[str, int]:
 
 
 def cmd_scan(args) -> tuple[str, int]:
+    from .arena import parse_state
+    from .positionality import scan_region
+
     s0 = parse_state(args.s0, args.n, args.g.vertex_count)
     rows = scan_region(args.g, args.n, s0, _grid(args, "gamma_grid"), _grid(args, "epsilon_grid"),
                        args.allow_wide_epsilon, args.max_states)
@@ -192,6 +208,8 @@ def cmd_scan(args) -> tuple[str, int]:
         for v in rows
     ]
     if args.csv:
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(table[0]), lineterminator="\n")
         writer.writeheader()
@@ -201,6 +219,8 @@ def cmd_scan(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
+    from .verifysuite import load_manifest, run_suite
+
     cases = load_manifest()
     for pattern in args.ids:
         if not any(pattern in case["id"] for case in cases):
@@ -234,6 +254,9 @@ def cmd_verify(args) -> tuple[str, int]:
 def _package_digest() -> str:
     """sha256 over the package's own sources and manifest, so that an entry
     written by any other version of the package is a miss."""
+    import hashlib
+    import pathlib
+
     root = pathlib.Path(__file__).parent
     h = hashlib.sha256()
     for path in [*sorted(root.glob("*.py")), root / "data" / "verification_suite.json"]:
@@ -241,10 +264,13 @@ def _package_digest() -> str:
     return h.hexdigest()
 
 
-def _cache_key(args, command: str) -> str | None:
+def _cache_key(args, command: str) -> tuple[str, dict] | None:
+    """(entry path, request) of a cached run, or None without a cache."""
     cache_dir = args.cache_dir or os.environ.get("SCAR_CACHE_DIR")
     if not cache_dir:
         return None
+    import hashlib
+
     request = {"command": command, "package": _package_digest()}
     request["graph"] = serialize_edge_list(args.g)
     for field in ("n", "max_states", "allow_wide_epsilon", "csv", "state", "s0"):
@@ -257,30 +283,35 @@ def _cache_key(args, command: str) -> str | None:
         if getattr(args, field, None) is not None:
             request[field] = [format_rational(x) for x in _grid(args, field)]
     blob = json.dumps(request, sort_keys=True).encode()
-    return os.path.join(cache_dir, hashlib.sha256(blob).hexdigest() + ".json")
+    return os.path.join(cache_dir, hashlib.sha256(blob).hexdigest() + ".json"), request
 
 
-def _read_cache(path: str) -> str | None:
+def _read_cache(path: str, request: dict) -> str | None:
     """The cached output at path, or None when the entry is missing,
-    unreadable or not one this program wrote (it is then overwritten)."""
+    unreadable, not one this program wrote or written for another request
+    (it is then overwritten)."""
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
     except (OSError, ValueError):
         return None
-    output = entry.get("output") if isinstance(entry, dict) else None
+    if not isinstance(entry, dict) or entry.get("request") != request:
+        return None
+    output = entry.get("output")
     return output if isinstance(output, str) else None
 
 
-def _write_cache(path: str, text: str) -> None:
+def _write_cache(path: str, request: dict, text: str) -> None:
     """Write the entry through a unique temporary file, so concurrent
     writers never share one and readers never see a partial entry."""
+    import tempfile
+
     cache_dir = os.path.dirname(path)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump({"output": text}, fh)
+            json.dump({"request": request, "output": text}, fh)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -374,11 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cache_path = None
+        cache = None
         if args.command != "verify":
+            count_of(args.n, *FEWEST_PLAYERS.get(args.command, (2, "at least 2 players")))
             args.g = _load_graph(args)  # the one graph every step of the run reads
-            cache_path = _cache_key(args, args.command)
-            cached = _read_cache(cache_path) if cache_path else None
+            cache = _cache_key(args, args.command)
+            cached = _read_cache(*cache) if cache else None
             if cached is not None:
                 print(cached)
                 return 0
@@ -393,9 +425,9 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     print(text)
-    if cache_path and code == 0:
+    if cache and code == 0:
         try:
-            _write_cache(cache_path, text)
+            _write_cache(*cache, text)
         except OSError as exc:
             print(f"warning: result not cached: {exc}", file=sys.stderr)
     return code

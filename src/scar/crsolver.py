@@ -201,6 +201,11 @@ def capture_attribution(sol: CrSolution, s: State | int) -> tuple[int, int]:
     return int(sol.orbit_capturer()[orbit]), int(t)
 
 
+def _int_or_inf(value: int | float) -> int | str:
+    """A capture time or cop number as a JSON report writes it."""
+    return "inf" if value == math.inf or value >= INT_INF else int(value)
+
+
 # ---------------------------------------------------------------------------
 # classic simultaneous-move pursuit
 # ---------------------------------------------------------------------------

@@ -200,12 +200,18 @@ _BUILTINS = {
 }
 
 
-def builtin(name: str, k: int | None = None) -> Graph:
-    """Look up a named family, e.g. builtin("path", 4) or builtin("petersen")."""
+def family(name: str) -> tuple:
+    """(builder, whether it takes a size K) of a named family; an unknown
+    name is refused, naming the known ones."""
     try:
-        fn, wants_k = _BUILTINS[name]
+        return _BUILTINS[name]
     except KeyError:
         raise ValidationError(f"unknown builtin graph {name!r}; know {sorted(_BUILTINS)}") from None
+
+
+def builtin(name: str, k: int | None = None) -> Graph:
+    """Look up a named family, e.g. builtin("path", 4) or builtin("petersen")."""
+    fn, wants_k = family(name)
     if wants_k:
         if k is None:
             raise ValidationError(f"builtin {name!r} needs a size parameter")

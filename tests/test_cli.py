@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scar import Arena, build_arena, builtin, cli, positionality, verifysuite
+from scar import arena as arena_module
 from scar.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -204,8 +206,9 @@ def test_cache_misses_an_entry_from_another_package_version(capsys, tmp_path, mo
     argv = ["arena-stats", "--builtin", "path:2", "--n", "3", "--cache-dir", str(tmp_path)]
     _, want, _ = run(capsys, *argv)
     (entry,) = tmp_path.iterdir()
-    entry.write_text(json.dumps({"output": "stale"}), encoding="utf-8")
-    assert run(capsys, *argv)[1] == "stale\n"  # same package: replayed
+    stale = json.loads(entry.read_text(encoding="utf-8")) | {"output": "stale"}
+    entry.write_text(json.dumps(stale), encoding="utf-8")
+    assert run(capsys, *argv)[1] == "stale\n"  # same package and request: replayed
     monkeypatch.setattr(cli, "_package_digest", lambda: "another version", raising=False)
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (0, want)  # computed again, not replayed
@@ -248,7 +251,6 @@ def test_verify_filtered(capsys, monkeypatch):
         return load()
 
     monkeypatch.setattr(verifysuite, "load_manifest", counted)
-    monkeypatch.setattr(cli, "load_manifest", counted)
     code, out, _ = run(capsys, "verify", "p2-n3")
     assert code == 0 and len(reads) == 1
     assert "PASS p2-n3-region" in out
@@ -331,7 +333,7 @@ def test_bad_cache_entry_is_a_miss_and_is_overwritten(capsys, tmp_path, bad_entr
     assert (code, second, err) == (0, first, "")
     (rewritten,) = tmp_path.iterdir()  # no temporary file left behind
     assert rewritten == entry
-    assert json.loads(entry.read_text(encoding="utf-8")) == {"output": first.rstrip("\n")}
+    assert json.loads(entry.read_text(encoding="utf-8"))["output"] == first.rstrip("\n")
 
 
 def test_poscheck_refuses_a_capture_start_with_exit_2(capsys, monkeypatch):
@@ -350,7 +352,7 @@ def test_running_out_of_memory_is_one_error_line_with_exit_2(capsys, monkeypatch
         raise MemoryError
 
     monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
-    monkeypatch.setattr(cli, "build_arena", exhausted)
+    monkeypatch.setattr(arena_module, "build_arena", exhausted)
     code, out, err = run(capsys, "arena-stats", "--builtin", "complete:39", "--n", "4")
     assert (code, out) == (2, "")
     assert err == ("error: out of memory on 39 vertices with N=4 (9253764 states); "
@@ -374,7 +376,7 @@ def test_the_graph_is_loaded_once_per_run(capsys, monkeypatch, tmp_path):
     assert run(capsys, "arena-stats", "--builtin", "path:3", "--n", "3",
                "--cache-dir", str(tmp_path))[0] == 0
     assert len(loads) == 1
-    monkeypatch.setattr(cli, "build_arena", exhausted)
+    monkeypatch.setattr(arena_module, "build_arena", exhausted)
     code, out, err = run(capsys, "cr-solve", "--builtin", "path:3", "--n", "3")
     assert (code, out, len(loads)) == (2, "", 2)
     assert err == "error: out of memory on 3 vertices with N=3 (81 states); try a smaller graph or N\n"
@@ -428,6 +430,90 @@ def test_a_sparse_edge_list_names_its_first_missing_id(tmp_path):
     assert (got.returncode, got.stdout) == (2, "")
     assert got.stderr == ("error: vertex ids are not dense: 1 unused below max id "
                           "99999999999999999999\n")
+
+
+def test_an_unknown_family_is_named_before_its_size_is_bounded(capsys, tmp_path):
+    code, out, err = run(capsys, "arena-stats", "--builtin", "nosuch:4", "--n", "3",
+                         "--max-states", "1", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown builtin graph 'nosuch'")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--builtin", "complete:3000", "--n", "0"], "need at least 2 players, got 0"),
+    (["poscheck", "--builtin", "complete:3000", "--n", "2", "--s0", "0;1;1", "--gamma", "1/2",
+      "--epsilon", "0"], "need at least 3 players (2 cops), got 2"),
+], ids=["classify", "poscheck"])
+def test_a_bad_player_count_is_refused_before_the_graph_is_built(argv, message):
+    """complete:3000 takes seconds to build; the refusal reads N alone."""
+    start = time.perf_counter()
+    got = run_child(*argv, "--max-states", "100000000000", timeout=30)
+    assert (got.returncode, got.stdout, got.stderr) == (2, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 3.0
+
+
+@pytest.mark.parametrize("forged", [None, {"command": "scn"}], ids=["no-request", "another"])
+def test_a_cache_entry_serves_only_its_own_request(capsys, tmp_path, forged):
+    """An entry at the right path but without this request, or with another
+    one, is recomputed and overwritten."""
+    argv = ["cr-solve", "--builtin", "petersen", "--n", "3", "--cache-dir", str(tmp_path)]
+    _, want, _ = run(capsys, *argv)
+    (entry,) = tmp_path.iterdir()
+    real = json.loads(entry.read_text(encoding="utf-8"))
+    bogus = {"output": "bogus"}
+    if forged is not None:
+        bogus["request"] = real["request"] | forged
+    entry.write_text(json.dumps(bogus), encoding="utf-8")
+    assert run(capsys, *argv) == (0, want, "")
+    assert json.loads(entry.read_text(encoding="utf-8")) == real
+
+
+# after main returns (or argparse exits), the child prints its exit code,
+# whether numpy was imported, and the package's modules it loaded
+IMPORTS = """
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m.startswith("scar."))
+print(code, "numpy" in sys.modules, *loaded, file=sys.stderr)
+"""
+
+
+def imports_of(*argv):
+    """(exit code, numpy imported?, scar modules loaded) of one child run."""
+    got = run_child(*argv, script=IMPORTS)
+    code, numpy, *loaded = got.stderr.splitlines()[-1].split()
+    return int(code), numpy == "True", set(loaded)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["cr-solve", "--builtin", "path:3"], 2),  # no --n: argparse's usage error
+    (["cr-solve", "--builtin", "path:3", "--n", "x"], 2),
+    (["cr-solve", "--builtin", "path:100000000", "--n", "3"], 2),  # 2K^2 over the cap
+    (["arena-stats", "--builtin", "nosuch:4", "--n", "3", "--max-states", "1"], 2),
+    (["classify", "--builtin", "petersen", "--n", "0"], 2),
+], ids=["help", "usage", "bad-int", "2k2", "nosuch", "bad-n"])
+def test_refusals_import_no_numpy(argv, code):
+    assert imports_of(*argv)[:2] == (code, False)
+
+
+def test_a_warm_cache_hit_imports_no_numpy(tmp_path):
+    argv = ["cr-solve", "--builtin", "petersen", "--n", "3", "--cache-dir", str(tmp_path)]
+    cold = run_child(*argv)
+    assert cold.returncode == 0
+    assert imports_of(*argv)[:2] == (0, False)
+    assert run_child(*argv).stdout == cold.stdout
+
+
+def test_cr_solve_imports_only_its_own_solvers():
+    code, numpy, loaded = imports_of("cr-solve", "--builtin", "petersen", "--n", "3")
+    assert (code, numpy) == (0, True)
+    assert {"scar.crsolver", "scar.fixpoint"} <= loaded
+    assert not loaded & {"scar.positionality", "scar.scarsolver", "scar.statecop",
+                         "scar.classify", "scar.verifysuite"}
 
 
 # the CLI contract, drawn: every command with extreme sizes, ids, caps,
