@@ -301,12 +301,9 @@ class Arena:
         mixes = mixes[~self.cops_at_robber(mixes).any(axis=0)]
         return (mixes[:, None] * self.n_players + np.arange(self.n_players)).reshape(-1)
 
-    def mover_mask(self, *tokens: int) -> np.ndarray:
-        """Per state: is the token to move one of `tokens`?"""
-        return _turns(self.n_players, self.n_states, tokens)
-
     def robber_mover_mask(self) -> np.ndarray:
-        return self.mover_mask(self.n_players)
+        """Per state: is the robber to move?"""
+        return _turns(self.n_players, self.n_states, (self.n_players,))
 
     def memo(self, key, build):
         """The table derived from this arena under `key`, made by `build()`
@@ -475,8 +472,8 @@ def _quotient(arena: Arena) -> Quotient:
     capture = np.repeat(at_robber.any(axis=0), n)
     sizes = np.repeat(counts.astype(np.min_scalar_type(counts.max())), n)
     _read_only((mix_orbit, reps, sizes, at_robber, capture))
-    return Quotient(n, mix_orbit, reps, sizes, at_robber, capture, Csr(moves),
-                    Csr.listing(preds, listed.reshape(-1)))
+    listed = listed.reshape(-1).astype(np.min_scalar_type(listed.max()))
+    return Quotient(n, mix_orbit, reps, sizes, at_robber, capture, Csr(moves), Csr(preds, listed))
 
 
 def _index_dtype(size: int):
@@ -504,8 +501,9 @@ class Csr:
 
     A predecessor table of a move table is a *listing* table: row t lists
     each row that names t, at least once and as often as it likes, and
-    holds nothing else but pads, entries naming t itself. Its `listed`
-    counts each state's listings. `fixpoint.retrograde` pays a max row's
+    holds nothing else but pads, entries naming t itself. Its `listed`,
+    set by the table's maker, counts each state's listings (unsigned);
+    a move table leaves it None. `fixpoint.retrograde` pays a max row's
     count one listing at a time, so it settles with its last successor
     however often each is listed, and reads row t only once t is settled,
     so a pad pays nothing and a max row listed in its own row is never
@@ -514,9 +512,10 @@ class Csr:
     listings become pads, and `listed` is lowered to match."""
 
     table: np.ndarray
+    listed: np.ndarray | None = None
 
     def __post_init__(self):
-        self.table.flags.writeable = False
+        _read_only((self.table, self.listed))
 
     width = property(lambda self: self.table.shape[1])
     targets = property(lambda self: self.table.reshape(-1))
@@ -539,14 +538,6 @@ class Csr:
         # per row, the slot each column reads: its own while it has one, else its last
         slots = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
         return cls(targets[offsets[:-1, None] + slots])
-
-    @classmethod
-    def listing(cls, table: np.ndarray, listed: np.ndarray) -> Csr:
-        """The predecessor table `table` with its `listed` counts given, in
-        the least unsigned dtype, instead of counted from its entries."""
-        out = cls(table)
-        out.__dict__["listed"] = _read_only(listed.astype(np.min_scalar_type(listed.max())))
-        return out
 
     def row_fold(self, ufunc, edge_values: np.ndarray, dtype=None) -> np.ndarray:
         """ufunc folded over each row, given one value per entry of some
@@ -571,19 +562,6 @@ class Csr:
         """The entries of `rows`, one array per column: views of one `take`."""
         return self.table.take(rows, axis=0).T
 
-    @functools.cached_property
-    def listed(self) -> np.ndarray:
-        """Per row index i, how many entries outside row i name i, in the
-        least unsigned dtype: the listings of a predecessor table made
-        without its count, every entry naming its own row taken for a pad.
-        The tables made here set theirs (`Csr.listing`)."""
-        n = len(self.table)
-        own = np.arange(n, dtype=self.table.dtype)
-        count = np.zeros(n, dtype=np.int64)
-        for column in self.table.T:  # a column at a time: no temporary of every entry
-            count += np.bincount(column[column != own], minlength=n)
-        return _read_only(count.astype(np.min_scalar_type(count.max(initial=0))))
-
     def reverse(self) -> Csr:
         """The exact reverse, duplicates kept, a listing table: row t lists
         every (row s, column) entry naming t by its s, ascending, then pads
@@ -601,7 +579,7 @@ class Csr:
         own = np.arange(n, dtype=_index_dtype(n))[:, None]
         preds = np.repeat(own, int(degree.max()), axis=1)
         preds[np.arange(preds.shape[1]) < degree[:, None]] = keys  # row-major: by target
-        return Csr.listing(preds, np.full(n, width))
+        return Csr(preds, np.full(n, width, dtype=np.min_scalar_type(width)))
 
 
 def row_best(columns, max_mask: np.ndarray) -> np.ndarray:

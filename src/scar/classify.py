@@ -101,8 +101,10 @@ def _restricted_tables(arena: Arena, cr: CrSolution, m: int) -> tuple[Csr, Csr]:
     cut = cr.depths[dst, None] != best[rows]
     preds = q.preds.table.copy()
     preds[dst] = np.where(cut, dst[:, None], rows)
-    listed = q.preds.listed - np.bincount(rows[cut], minlength=len(preds))
-    return Csr(moves), Csr.listing(preds, listed)
+    # stays unsigned: a row loses at most the listings it had
+    cut_listings = np.bincount(rows[cut], minlength=len(preds))
+    listed = q.preds.listed - cut_listings.astype(q.preds.listed.dtype)
+    return Csr(moves), Csr(preds, listed)
 
 
 def _guarantee_winning_sets(

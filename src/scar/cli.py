@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verification-suite failures, 2 invalid input or a
 request too large for memory, 3 solver failure (a failed self-check or an
 attribution violation).
 A cache entry that cannot be written is reported as a warning on stderr and
-leaves the exit code alone.
+leaves the exit code alone, and so does a reader that closes stdout early
+(`scar ... | head -c 1`): no traceback, and the entry is still written.
 
 Each command imports the solvers it runs when it runs, so `--help`, a
 refused request and a cache hit load no numpy.
@@ -405,16 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cache = None
+        cache = cached = None
         if args.command != "verify":
             count_of(args.n, *FEWEST_PLAYERS.get(args.command, (2, "at least 2 players")))
             args.g = _load_graph(args)  # the one graph every step of the run reads
             cache = _cache_key(args, args.command)
             cached = _read_cache(*cache) if cache else None
-            if cached is not None:
-                print(cached)
-                return 0
-        text, code = args.func(args)
+        text, code = (cached, 0) if cached is not None else args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -424,8 +422,13 @@ def main(argv=None) -> int:
     except ScarError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    print(text)
-    if cache and code == 0:
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left: the interpreter's last flush goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if cache and cached is None and code == 0:
         try:
             _write_cache(*cache, text)
         except OSError as exc:

@@ -229,14 +229,6 @@ def classic_cop_win(graph: Graph, cop_count: int, max_states: int = DEFAULT_MAX_
     return bool(_classic_wins(graph, cop_count, max_states).all())
 
 
-def classic_cop_win_placement(
-    graph: Graph, cop_count: int, max_states: int = DEFAULT_MAX_STATES
-) -> bool:
-    """Variant where the cops choose their starting tuple first and the robber
-    answers with the worst vertex for them."""
-    return bool(_classic_wins(graph, cop_count, max_states).all(axis=1).any())
-
-
 def classic_cop_number(
     graph: Graph, k_max: int | None = None, max_states: int = DEFAULT_MAX_STATES
 ) -> int | float:

@@ -55,8 +55,7 @@ Instantiations:
   game, coalition attractors, and classify's guarantee tests on the
   quotient's tables cut to a cop's optimal moves.
 - `scarsolver`: key = -value * B * q^T in Python ints for gamma = p/q,
-  step k*p // q, never = 0. The per-cop discounted games and the
-  discounted capture-time game.
+  step k*p // q, never = 0. The per-cop discounted games.
 """
 
 from __future__ import annotations
@@ -85,11 +84,13 @@ def retrograde(
 
     Every row of the table must hold a move, and every seeded state must
     be frozen. A seed keyed `never` is left unsettled and a key above it is
-    refused. `predecessors` is a listing table of `moves` (see `Csr`);
-    without it, `moves.reverse` sorts the entries here.
+    refused. `predecessors` is a listing table of `moves` with its
+    `listed` (see `Csr`); without it, `moves.reverse` sorts the entries.
     """
     if predecessors is None:
         predecessors = moves.reverse()
+    elif predecessors.listed is None:
+        raise ValidationError("a predecessor table needs its listed counts")
     read_preds = predecessors.row_reader()
     pending: list = []  # keys of the unsettled batches, ascending
     batches: list = []  # per pending key: [origin, state arrays]

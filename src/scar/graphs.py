@@ -1,6 +1,6 @@
 """Finite simple connected undirected graphs with dense 0-based vertex ids.
 
-Deliberately minimal: adjacency sets, the named constructions the solvers and
+Deliberately minimal: neighbour tuples, the named constructions the solvers and
 the verification suite need, and Aut(G), found once per graph (`automorphisms`).
 Vertex ids are 0..n-1; every constructor validates simplicity and connectivity.
 """
@@ -50,10 +50,6 @@ class Graph:
     def closed_neighborhood(self, v: int) -> tuple[int, ...]:
         """Moves available to a token at v: stay, or cross an edge."""
         return tuple(sorted((v, *self.neighbors[v])))
-
-    def adjacency(self) -> dict[int, set[int]]:
-        """Mutable dict-of-sets view (a copy)."""
-        return {v: set(nb) for v, nb in enumerate(self.neighbors)}
 
 
 def graph_from_edges(vertex_count: int, edges) -> Graph:
@@ -240,23 +236,6 @@ def bridge(g: Graph, u: int, h: Graph, w: int) -> Graph:
     edges += [(a + shift, b + shift) for a, b in h.edges]
     edges.append((u, w + shift))
     return graph_from_edges(g.vertex_count + h.vertex_count, edges)
-
-
-def distance(g: Graph, u: int, v: int) -> int:
-    """BFS distance in edges."""
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    raise ValidationError(f"no path from {u} to {v}")  # unreachable on connected graphs
 
 
 def path_order(g: Graph) -> list[int]:

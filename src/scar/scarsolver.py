@@ -95,10 +95,17 @@ class GameSolution(Solution):
     `Solution` whose rank indexes the engine's ascending int `keys`, each
     -value * `denominator`: the distinct values, descending, are the
     Fractions `levels` in the same order, made on first read. Cop m's
-    game has cop m eager, as the engine solved it."""
+    game has cop m eager, as the engine solved it. A re-use at another
+    gamma reads its `gamma`, `epsilon`, seed batches `(coefficient,
+    orbits)` and `symbols`: per level (a, t), value a * gamma^t / B for
+    the seeds' least common denominator B; None when a level was tied."""
 
     keys: tuple[int, ...]
     denominator: int
+    gamma: Fraction
+    epsilon: Fraction
+    seeds: list[tuple[Fraction, np.ndarray]]
+    symbols: tuple[tuple[int, int], ...] | None
 
     levels = functools.cached_property(
         lambda self: tuple(Fraction(-k, self.denominator) for k in self.keys))
@@ -106,20 +113,6 @@ class GameSolution(Solution):
 
     def value(self, s: State | int) -> Fraction:
         return self.levels[self.rank[self.arena.orbit(s)]]
-
-
-@dataclass(frozen=True)
-class _Solved:
-    """The last solve of one cop's game on an arena, with the seed batches
-    it was solved from. `symbols` holds one (a, t) per level, value
-    a * gamma^t / B for the int a and the seeds' least common denominator
-    B, aligned with `solution.keys`; None when a level was tied."""
-
-    gamma: Fraction
-    epsilon: Fraction
-    seeds: list[tuple[Fraction, np.ndarray]]
-    solution: GameSolution
-    symbols: tuple[tuple[int, int], ...] | None
 
 
 class _TooDeep(ScarError):
@@ -142,12 +135,11 @@ def _integer_game(seeds: list, gamma: Fraction, top: int):
 
 
 def _discounted(
-    arena: Arena, gamma: Fraction, eager: np.ndarray, seeds: list
-) -> tuple[GameSolution, tuple[tuple[int, int], ...] | None]:
+    arena: Arena, gamma: Fraction, epsilon: Fraction, eager: np.ndarray, seeds: list
+) -> GameSolution:
     """Run the engine on the arena's quotient from the capture orbits' seed
     batches `(coefficient, orbits)`, on `_integer_game`'s keys, with the
-    value's maximizers `eager`; returns the solution and its level symbols
-    (None when a level is tied)."""
+    value's maximizers `eager`; the solution holds epsilon as given."""
     q, depths = arena.quotient(), capture_depths(arena)
     top = arena.n_players + int(depths.max(where=depths < INT_INF, initial=0))
     while True:
@@ -170,11 +162,11 @@ def _discounted(
         else:
             symbols = None
             break
-    sol = GameSolution(arena, rank, eager, tuple(keys), scale)
-    return sol, None if symbols is None else tuple(symbols)
+    return GameSolution(arena, rank, eager, tuple(keys), scale, gamma, epsilon, seeds,
+                        None if symbols is None else tuple(symbols))
 
 
-def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> _Solved | None:
+def _reordered(arena: Arena, last: GameSolution, gamma: Fraction) -> GameSolution | None:
     """last's solve re-used at discount gamma by the invariant above, on
     `_integer_game`'s keys with top 1 above the largest t; None when a
     level was tied, two keys are equal or re-sorted ranks fail the exact
@@ -188,20 +180,20 @@ def _reordered(arena: Arena, last: _Solved, gamma: Fraction) -> _Solved | None:
     keys = [keys[i] for i in order]
     if any(lo == hi for lo, hi in zip(keys, keys[1:])):
         return None
-    old, quotient = last.solution, arena.quotient()
+    quotient = arena.quotient()
     scale, seed_keys, step = _integer_game(last.seeds, gamma, top)
-    rank, symbols = old.rank, last.symbols
+    rank, symbols = last.rank, last.symbols
     if order != list(range(len(order))):
         where = np.empty(len(order), dtype=rank.dtype)
         where[order] = np.arange(len(order))
         rank, symbols = where.take(rank), tuple(symbols[i] for i in order)
         try:
-            check_fixpoint(quotient.moves, old.eager, quotient.capture, seed_keys, step, 0,
+            check_fixpoint(quotient.moves, last.eager, quotient.capture, seed_keys, step, 0,
                            keys, rank)
         except ScarError:
             return None
-    sol = GameSolution(arena, rank, old.eager, tuple(keys), scale)
-    return _Solved(gamma, last.epsilon, last.seeds, sol, symbols)
+    return GameSolution(arena, rank, last.eager, tuple(keys), scale, gamma, last.epsilon,
+                        last.seeds, symbols)
 
 
 def _terminal_classes(arena: Arena, player: int) -> list[tuple[State, np.ndarray]]:
@@ -234,36 +226,23 @@ def solve_game(arena: Arena, player: int, params: GameParams) -> GameSolution:
     if not 1 <= player <= n - 1:
         raise ValidationError(f"player must be a cop in 1..{n - 1}, got {player}")
     slot = arena.memo(("last_game", player), lambda: [None])
-    last: _Solved | None = slot[0]
+    last: GameSolution | None = slot[0]
     if last is not None and last.epsilon == params.epsilon:
         if last.gamma == params.gamma:
-            return last.solution
+            return last
         moved = _reordered(arena, last, params.gamma)
         if moved is not None:
             slot[0] = moved
-            return moved.solution
+            return moved
     # one seed batch per distinct terminal coefficient, so that equal
     # coefficients do not count as a tie
     merged: dict[Fraction, list[np.ndarray]] = {}
     for rep, orbits in _terminal_classes(arena, player):
         merged.setdefault(terminal_payoff(rep, player, params), []).append(orbits)
     seeds = [(c, np.concatenate(parts)) for c, parts in merged.items()]
-    sol, symbols = _discounted(arena, params.gamma, arena.quotient().turns(player), seeds)
-    slot[0] = _Solved(params.gamma, params.epsilon, seeds, sol, symbols)
-    return sol
-
-
-def solve_discounted_capture(arena: Arena, gamma: Fraction) -> GameSolution:
-    """The survival-time game in discounted form: every cop maximizes
-    gamma^(capture time) with terminal coefficient 1, the robber minimizes
-    it (gamma < 1, so small capture times are worth more). Its value is
-    gamma**T and its optimal-move sets match the capture-time game's
-    exactly, which the test suite uses as a cross-check."""
-    if not isinstance(gamma, Fraction) or not 0 < gamma < 1:
-        raise ValidationError(f"gamma must be a rational in (0,1), got {gamma}")
-    q = arena.quotient()
-    seeds = [(Fraction(1), np.flatnonzero(q.capture))]
-    return _discounted(arena, gamma, ~q.turns(arena.n_players), seeds)[0]
+    slot[0] = _discounted(arena, params.gamma, params.epsilon, arena.quotient().turns(player),
+                          seeds)
+    return slot[0]
 
 
 def opt_move_table(sol: GameSolution, token: int) -> dict[State, tuple[State, ...]]:

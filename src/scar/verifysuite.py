@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .arena import Arena, GameParams, State, all_cops_one_side, build_arena, parse_state
+from .arena import Arena, GameParams, all_cops_one_side, build_arena, parse_state
 from .classify import classify
 from .crsolver import classic_cop_number, classic_cop_win
 from .errors import ValidationError
@@ -79,14 +79,13 @@ def build_recipe(recipe: dict) -> Graph:
 
 
 def _starts(case: dict, g: Graph, arena: Arena) -> np.ndarray:
-    """The indices of the case's start states, all noncapture."""
-    sel = case.get("s0", "canonical")
-    if sel == "all-noncapture":
+    """The indices of the case's start states, all noncapture: its `s0`,
+    a state literal or "all-noncapture"."""
+    if "s0" not in case:
+        raise ValidationError(f"case {case['id']}: no start state s0")
+    if case["s0"] == "all-noncapture":
         return arena.noncapture_indices()
-    if sel == "canonical":
-        s0 = State(tuple([0] * (case["n"] - 1)), g.vertex_count - 1, 1)
-    else:
-        s0 = parse_state(sel, case["n"], g.vertex_count)
+    s0 = parse_state(case["s0"], case["n"], g.vertex_count)
     if arena.is_capture(s0):
         raise ValidationError(f"case {case['id']}: start state {s0.literal()} is a capture state")
     return np.array([arena.index(s0)])

@@ -8,6 +8,12 @@ of the (deterministic) one-step operator and hence the game value.
 `jacobi_layers` is the reference for the CSR-level layer solve: synchronous
 rounds of the min-max operator over every state, from all-INT_INF down to
 the greatest fixpoint.
+
+The last helpers are not independent: `listing_counts` recounts a hand-built
+predecessor table's listings, and `solve_discounted_capture` and
+`classic_cop_win_placement` pose other games to the package's own solvers,
+whose answers the tests compare with the capture-time game's and the
+classic arena's.
 """
 
 from fractions import Fraction
@@ -191,6 +197,28 @@ def filtered(table, keep):
     return Csr(np.take_along_axis(table.table, slots, 1))
 
 
+def listing_counts(table):
+    """Per row index i of a predecessor table given as an array, how many
+    entries outside row i name i, in the least unsigned dtype: the
+    `Csr.listed` its maker sets, every entry naming its own row taken for
+    a pad."""
+    n = len(table)
+    own = np.arange(n, dtype=table.dtype)
+    count = np.zeros(n, dtype=np.int64)
+    for column in table.T:  # a column at a time: no temporary of every entry
+        count += np.bincount(column[column != own], minlength=n)
+    return count.astype(np.min_scalar_type(count.max(initial=0)))
+
+
+def listing(rows):
+    """The `Csr` of a predecessor table built by hand, given as its rows,
+    with its `listed` counted by `listing_counts`."""
+    from scar.arena import Csr
+
+    table = np.array(rows)
+    return Csr(table, listing_counts(table))
+
+
 def check_cut_tables(full, keep, moves, preds):
     """Assert that the `Csr` pair (moves, preds) is the table `full`, which
     names no row's own index, cut to the entries `keep` marks: each row of
@@ -356,3 +384,30 @@ def trigger_profile_dicts(arena, cr, games):
             punishment[m][s] = min(t for t, v in zip(row, got) if v == best)
         cooperative[s] = punishment[mover][s]
     return cooperative, punishment
+
+
+def solve_discounted_capture(arena, gamma):
+    """The survival-time game in discounted form, solved by the package's
+    discounted engine (`scarsolver._discounted`): every cop maximizes
+    gamma^(capture time) with terminal coefficient 1, the robber minimizes
+    it (gamma < 1, so small capture times are worth more). Its value is
+    gamma**T and its optimal-move sets match the capture-time game's
+    exactly, a cross-check of the engine's discounted instantiation."""
+    from scar import ValidationError
+    from scar.scarsolver import _discounted
+
+    if not isinstance(gamma, Fraction) or not 0 < gamma < 1:
+        raise ValidationError(f"gamma must be a rational in (0,1), got {gamma}")
+    q = arena.quotient()
+    seeds = [(Fraction(1), np.flatnonzero(q.capture))]
+    return _discounted(arena, gamma, None, ~q.turns(arena.n_players), seeds)
+
+
+def classic_cop_win_placement(graph, cop_count, max_states=None):
+    """The classic game's variant where the cops choose their starting
+    tuple first and the robber answers with the worst vertex for them,
+    read off the package's per-cell verdicts (`crsolver._classic_wins`)."""
+    from scar.crsolver import DEFAULT_MAX_STATES, _classic_wins
+
+    wins = _classic_wins(graph, cop_count, DEFAULT_MAX_STATES if max_states is None else max_states)
+    return bool(wins.all(axis=1).any())

@@ -28,10 +28,9 @@ from scar import (
     terminal_payoff,
 )
 from scar.fixpoint import INT_INF
-from scar.scarsolver import solve_discounted_capture
 from scar.verifysuite import load_manifest, run_case
 
-from oracles import cell, discounted_values, play_payoff
+from oracles import cell, discounted_values, play_payoff, solve_discounted_capture
 
 GAMMA3 = (Q(1, 4), Q(1, 2), Q(3, 4))
 

@@ -21,10 +21,9 @@ from scar import (
     solve_capture_time,
     state_cop_report,
 )
-from scar.arena import Csr
 from scar.fixpoint import INT_INF, solve_layers
 
-from oracles import check_cut_tables, filtered
+from oracles import check_cut_tables, filtered, listing_counts
 from strategies import connected_graphs, petersen_constructions
 
 # the package exports the function `classify` under the module's name
@@ -156,8 +155,7 @@ def test_restricted_listed_counts_equal_a_fresh_count(suite_graphs, n):
         cr = solve_capture_time(a)
         for m in range(1, n):
             _, preds = classify_module._restricted_tables(a, cr, m)
-            assert "listed" in preds.__dict__  # set, not counted
-            assert np.array_equal(preds.listed, Csr(preds.table).listed), (name, m)
+            assert np.array_equal(preds.listed, listing_counts(preds.table)), (name, m)
 
 
 @settings(max_examples=30, deadline=None)

@@ -387,11 +387,11 @@ def test_the_graph_is_loaded_once_per_run(capsys, monkeypatch, tmp_path):
 CHILD_LIMIT = 1_500_000 * 1024
 
 
-def run_child(*argv, timeout=60, script="sys.exit(main(sys.argv[1:]))"):
+def run_child(*argv, timeout=60, script="sys.exit(main(sys.argv[1:]))", stdout=subprocess.PIPE):
     """`scar` with argv in a child under RLIMIT_AS and a timeout, so a
     hang or a runaway allocation shows as a failure, not as a stuck or
     killed test run. `script` runs in the child with `sys` and the CLI's
-    `main` imported."""
+    `main` imported; its stdout goes to `stdout`, captured by default."""
     code = ("import resource, sys\n"
             f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_LIMIT}, {CHILD_LIMIT}))\n"
             f"from scar.cli import main\n{script}")
@@ -399,8 +399,8 @@ def run_child(*argv, timeout=60, script="sys.exit(main(sys.argv[1:]))"):
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
     env["OPENBLAS_NUM_THREADS"] = "1"
-    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, timeout=timeout, env=env)
+    return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=timeout, env=env)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -506,6 +506,27 @@ def test_a_warm_cache_hit_imports_no_numpy(tmp_path):
     assert cold.returncode == 0
     assert imports_of(*argv)[:2] == (0, False)
     assert run_child(*argv).stdout == cold.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closed_stdout_leaves_exit_0_and_a_quiet_stderr(
+        tmp_path, monkeypatch, unbuffered):
+    """`scar cr-solve ... | head -c 1`, made certain: the pipe's read end
+    is closed before the child starts, so its first write fails. Solved
+    and then read from the cache, the answer was made: exit 0, nothing
+    on stderr, and the solved answer is still cached."""
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    argv = ["cr-solve", "--builtin", "petersen", "--n", "3", "--cache-dir", str(tmp_path)]
+    for _ in ("solved", "cached"):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            got = run_child(*argv, stdout=write)
+        finally:
+            os.close(write)
+        assert (got.returncode, got.stderr) == (0, "")
+        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+    assert run_child(*argv).stdout == run_child(*argv[:-2]).stdout
 
 
 def test_cr_solve_imports_only_its_own_solvers():

@@ -28,11 +28,12 @@ from scar import (
 )
 import scar
 from scar.arena import Solution
-from scar.crsolver import classic_cop_number, classic_cop_win, classic_cop_win_placement
+from scar.crsolver import DEFAULT_MAX_STATES, _classic_wins, classic_cop_number, classic_cop_win
 from scar.fixpoint import INT_INF
 
 from oracles import (
-    capture_times, cell, classic_arena as oracle_classic_arena, filtered, jacobi_layers,
+    capture_times, cell, classic_arena as oracle_classic_arena, classic_cop_win_placement,
+    filtered, jacobi_layers,
 )
 from strategies import connected_graphs
 
@@ -272,16 +273,15 @@ def test_classic_cop_number_inf_when_k_max_too_small():
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_vertices=5), st.sampled_from([1, 2, 3]))
 def test_classic_wins_match_the_rules(g, k):
-    """Both classic verdicts, cell by cell, equal the oracle's classic
-    arena solved by plain Jacobi rounds: the universal win holds where
-    every (cops, robber) cell with the cops to move is won, the placement
-    win where some cop tuple wins against every robber vertex."""
+    """The classic game's verdict per (cops, robber) cell with the cops to
+    move equals the oracle's classic arena solved by plain Jacobi rounds,
+    and the universal win holds where every cell is won."""
     offsets, targets, capture, cop_turn = map(np.array, oracle_classic_arena(g, k))
     init = np.where(capture, 0, INT_INF)
     vals = jacobi_layers(offsets, targets, cop_turn, capture, init, INT_INF)
     won = (vals[cop_turn] < INT_INF).reshape(g.vertex_count**k, g.vertex_count)
+    assert np.array_equal(_classic_wins(g, k, DEFAULT_MAX_STATES), won)
     assert classic_cop_win(g, k) == won.all()
-    assert classic_cop_win_placement(g, k) == won.all(axis=1).any()
 
 
 def test_classic_cop_win_on_the_dodecahedron_stays_small():

@@ -24,7 +24,9 @@ from scar.arena import WIDE_FRONTIER, Csr
 from scar.crsolver import capture_depths
 from scar.fixpoint import INT_INF, check_fixpoint, retrograde, solve_layers
 
-from oracles import INF, capture_credit, capture_times, coalition_wins, filtered, jacobi_layers
+from oracles import (
+    INF, capture_credit, capture_times, coalition_wins, filtered, jacobi_layers, listing,
+)
 from strategies import ASYMMETRIC_20, connected_graphs
 
 
@@ -336,7 +338,7 @@ def test_wide_and_narrow_frontiers_both_run(frontier_spy, name, k, n):
     preds = a.predecessors()
     calls, lengths = frontier_spy(fixpoint)
     # the capture-time game, and cop 1 chasing alone
-    for minimizing in (every_cop, a.mover_mask(1)):
+    for minimizing in (every_cop, np.arange(a.n_states) % n == 0):  # cop 1 moves
         got = solve_layers(a.offsets, a.targets, minimizing, frozen, init, predecessors=preds)
         want = jacobi_layers(a.offsets, a.targets, minimizing, frozen, init, INT_INF)
         assert np.array_equal(got, want)
@@ -416,7 +418,7 @@ def test_a_cut_table_with_padded_predecessors_solves_as_the_filtered_table(
     keep[np.arange(len(table)), rng.integers(0, a.width, len(table))] = True
     fill = table[np.arange(len(table)), keep.argmax(axis=1)]
     moves = Csr(np.where(keep, table, fill[:, None]))
-    preds = Csr(np.array(cut_reverse(table.tolist(), keep.tolist())))
+    preds = listing(cut_reverse(table.tolist(), keep.tolist()))
     assert np.array_equal(preds.listed, keep.sum(axis=1))
     minimizing = rng.random(a.n_states) < p_min
     frozen = rng.random(a.n_states) < 0.2
@@ -425,6 +427,18 @@ def test_a_cut_table_with_padded_predecessors_solves_as_the_filtered_table(
     assert np.array_equal(solve_layers(moves, minimizing, frozen, init, predecessors=preds), want)
     offsets, targets = filtered(a.moves, keep)
     assert np.array_equal(want, jacobi_layers(offsets, targets, minimizing, frozen, init, INT_INF))
+
+
+def test_a_predecessor_table_without_its_counts_is_refused():
+    """Only a table's maker knows its listings: a predecessor table made
+    without `listed` is refused, not recounted."""
+    a = build_arena(builtin("path", 2), 3)
+    game = (a.moves, ~a.robber_mover_mask(), a.capture_mask,
+            [(0, np.flatnonzero(a.capture_mask))], lambda k: k + 1, INT_INF)
+    levels = retrograde(*game, a.predecessors())[0]
+    assert retrograde(*game, listing(a.predecessors().table))[0] == levels
+    with pytest.raises(ValidationError, match="needs its listed counts"):
+        retrograde(*game, Csr(a.predecessors().table))
 
 
 def random_listing(rows, rng) -> list[list[int]]:
@@ -461,8 +475,7 @@ def test_any_listing_table_solves_as_the_exact_reverse(g, n, seed, p_min, p_froz
              for b, key in enumerate((0, 1, 3, INT_INF))]
     game = (a.moves, eager, frozen, seeds, lambda k: min(k + 1, INT_INF), INT_INF)
     levels, rank, origins = retrograde(*game, a.moves.reverse())
-    listing = Csr(np.array(random_listing(a.moves.table.tolist(), rng)))
-    got = retrograde(*game, listing)
+    got = retrograde(*game, listing(random_listing(a.moves.table.tolist(), rng)))
     assert got[0] == levels and np.array_equal(got[1], rank) and got[2] == origins
 
 

@@ -45,25 +45,40 @@ from scar import (
     solve_game,
     state_cop_report,
 )
-from scar.arena import Arena, Csr, Quotient, _tuple_orbits
+from scar.arena import Arena, Quotient, _tuple_orbits
 from scar.classify import _guarantee_winning_sets
 from scar.cli import main
 from scar.fixpoint import INT_INF
 from scar.graphs import Automorphisms, automorphisms, is_automorphism, serialize_edge_list
 from scar.positionality import solve_all_games
-from scar.scarsolver import solve_discounted_capture
 from scar.statecop import _hardest_state
 
 from oracles import (
-    INF, capture_credit, capture_times, coalition_wins, guarantee_wins, padded_reverse,
+    INF, capture_credit, capture_times, coalition_wins, guarantee_wins, listing, padded_reverse,
+    solve_discounted_capture,
 )
 from strategies import ASYMMETRIC, ASYMMETRIC_20, connected_graphs, paley
 
 
+def lcf(n, jumps):
+    """The cubic graph on an n-cycle whose vertex i also joins i +
+    jumps[i mod len(jumps)] (LCF notation)."""
+    edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (1, jumps[i % len(jumps)])}
+    return graph_from_edges(n, sorted(edges))
+
+
 def heawood():
     """The Heawood graph, LCF notation [5, -5]^7."""
-    ring = [(i, (i + 1) % 14) for i in range(14)]
-    return graph_from_edges(14, ring + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
+    return lcf(14, [5, -5])
+
+
+def shrikhande():
+    """The Shrikhande graph: the Cayley graph of Z4 x Z4 on +-(0,1),
+    +-(1,0) and +-(1,1), vertex (a, b) numbered 4a + b."""
+    steps = [(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)]
+    edges = {tuple(sorted((4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)))
+             for a in range(4) for b in range(4) for x, y in steps}
+    return graph_from_edges(16, sorted(edges))
 
 
 def maps_edges_onto_edges(g, perm) -> bool:
@@ -227,12 +242,16 @@ def test_aut_is_every_automorphism_with_its_orbits_and_stabilisers(g):
     *[(paley(q), q * (q - 1) // 2) for q in (5, 13, 17, 29, 37, 41, 53, 61)],
     (builtin("petersen"), 120), (builtin("dodecahedron"), 120), (heawood(), 336),
     (builtin("star", 6), 720), (builtin("complete", 39), math.factorial(39)),
+    (lcf(12, [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]), 1), (shrikhande(), 192),
 ], ids=[*(f"paley{q}" for q in (5, 13, 17, 29, 37, 41, 53, 61)),
-        "petersen", "dodecahedron", "heawood", "star6", "complete39"])
+        "petersen", "dodecahedron", "heawood", "star6", "complete39", "frucht", "shrikhande"])
 def test_aut_orders_of_named_graphs(graph, order):
     """Paley(q) has q(q-1)/2 automorphisms (x -> ax + b, a a nonzero
     square mod q); a search that stopped early found 18 of Paley(37)'s 666
-    and none but the identity of Paley(41)'s, (53)'s or (61)'s."""
+    and none but the identity of Paley(41)'s, (53)'s or (61)'s. The Frucht
+    graph (cubic, asymmetric) and the Shrikhande graph lead the search
+    into spent branches, pruned traces and cells with no automorphism
+    below a vertex, which none of the others reach."""
     group = automorphisms(graph)
     assert group.order == order
     assert all(is_automorphism(graph, p) for p in group.generators)
@@ -769,7 +788,7 @@ def same_answers_as_the_exact_reverse(g, n) -> None:
     exact = build_arena(g, n)
     q = exact.quotient()
     exact._memo["quotient"] = dataclasses.replace(
-        q, preds=Csr(np.array(padded_reverse(q.moves.table.tolist()))))
+        q, preds=listing(padded_reverse(q.moves.table.tolist())))
     assert exact.quotient().preds.width >= q.preds.width
     assert listing_answers(build_arena(g, n), params) == listing_answers(exact, params)
 

@@ -25,9 +25,10 @@ from scar import (
 )
 from scar import fixpoint, scarsolver
 from scar.fixpoint import INT_INF, check_fixpoint, retrograde
-from scar.scarsolver import solve_discounted_capture
 
-from oracles import cell, discounted_values, is_capture, play_payoff, successors
+from oracles import (
+    cell, discounted_values, is_capture, play_payoff, solve_discounted_capture, successors,
+)
 from strategies import connected_graphs
 
 
@@ -352,14 +353,27 @@ def test_a_solved_game_is_reused_along_gamma_until_two_keys_tie(discounted_runs)
     del discounted_runs[:]
     b = build_arena(builtin("path", 3), 3)
     first = solve_game(b, 1, GameParams(3, Q(2, 5), eps))
-    (was,) = b.memo(("last_game", 1), list)
     moved = solve_game(b, 1, GameParams(3, Q(1, 2), eps))
-    (now,) = b.memo(("last_game", 1), list)
     assert len(discounted_runs) == 1
     assert moved.rank is not first.rank and moved.eager is first.eager
-    assert now.symbols != was.symbols and sorted(now.symbols) == sorted(was.symbols)
+    assert moved.symbols != first.symbols and sorted(moved.symbols) == sorted(first.symbols)
     _same_solution(moved, solve_game(build_arena(builtin("path", 3), 3), 1,
                                      GameParams(3, Q(1, 2), eps)))
+
+
+def test_the_last_solve_kept_is_the_solution_itself(discounted_runs):
+    """The arena keeps cop m's last solve as the very `GameSolution` that
+    `solve_game` returned, with its own gamma and epsilon; a re-use whose
+    levels keep their order shares its seed batches and symbols tuple."""
+    a = build_arena(builtin("path", 2), 3)
+    eps = Q(1, 10)
+    first = solve_game(a, 1, GameParams(3, Q(1, 4), eps))
+    assert a.memo(("last_game", 1), list)[0] is first
+    assert (first.gamma, first.epsilon) == (Q(1, 4), eps) and first.symbols is not None
+    moved = solve_game(a, 1, GameParams(3, Q(3, 10), eps))
+    assert len(discounted_runs) == 1 and a.memo(("last_game", 1), list)[0] is moved
+    assert (moved.gamma, moved.epsilon) == (Q(3, 10), eps)
+    assert moved.seeds is first.seeds and moved.symbols is first.symbols
 
 
 def _checked_on_integer_keys(call, sol, gamma):
@@ -402,9 +416,9 @@ def _reused_game(arena, m, gamma):
     (last,) = arena.memo(("last_game", m), list)
     top = 1 + max(t for _, t in last.symbols)
     scale, seed_keys, step = scarsolver._integer_game(last.seeds, gamma, top)
-    assert scale == last.solution.denominator
+    assert scale == last.denominator
     q = arena.quotient()
-    return q.moves, last.solution.eager, q.capture, seed_keys, step, 0
+    return q.moves, last.eager, q.capture, seed_keys, step, 0
 
 
 def test_levels_that_keep_their_order_are_reused_with_no_exact_check(

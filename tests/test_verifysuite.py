@@ -1,5 +1,9 @@
-"""Packaged verification manifest: schema, filtering, a green run, and
-poscheck cases that must fail."""
+"""Packaged verification manifest: schema, filtering, a green run, cases
+of every kind that must fail, and malformed manifests and cases that must
+be refused."""
+
+import json
+import types
 
 import pytest
 
@@ -126,5 +130,80 @@ def test_a_wrong_poscheck_expectation_fails(case, detail):
     ids=["capture-start", "misspelt-verdict"],
 )
 def test_a_malformed_poscheck_case_is_refused(case, message):
+    with pytest.raises(ValidationError, match=message):
+        run_case(case)
+
+
+def _case(kind, **fields):
+    return {"id": "synthetic", "kind": kind, "basis": "derived",
+            "graph": {"builtin": "path", "k": 2}, **fields}
+
+
+@pytest.mark.parametrize(
+    "case, detail",
+    [
+        (_case("classify", n=3, expect="G3"),
+         "class=NotInG (expected G3); evidence={'max_state_cop_number': 1, "
+         "'c1_robber_state_count': 2, 'c1_robber_witness': '0,0;1;3'}"),
+        (_case("classify", n=3, expect="NotInG", require_sweep_value=2),
+         "specimen lacks a state with cop number 2; pick another graph"),
+        (_case("scn", n=3, state="0,0;1;1", expect=2), "c(G|0,0;1;1)=1 (expected 2)"),
+        (_case("scn", n=3, state="0,0;1;1", expect="inf"), "c(G|0,0;1;1)=1 (expected inf)"),
+        (_case("classic-copnumber", k_max=2, expect=2), "classic cop number 1 (expected 2)"),
+        (_case("classic-copnumber", k_max=2, expect="inf"),
+         "classic cop number 1 (expected inf)"),
+    ],
+    ids=["classify", "classify-specimen", "scn", "scn-inf", "classic", "classic-inf"],
+)
+def test_a_wrong_expectation_fails_in_every_kind(case, detail):
+    res = run_case(case)
+    assert (res.case_id, res.passed, res.detail) == ("synthetic", False, detail)
+
+
+def test_a_crosscheck_whose_sides_disagree_fails(monkeypatch):
+    """The theorem holds on every graph, so the classic side is made
+    wrong: with no k below N winning, every pair disagrees, and each is
+    named by its label ("?" without one) with the hardest state."""
+    monkeypatch.setattr(verifysuite, "classic_cop_win", lambda g, k: False)
+    case = _case("crosscheck", pairs=[
+        {"graph": {"builtin": "path", "k": 2}, "label": "p2", "n": 3},
+        {"graph": {"builtin": "cycle", "k": 4}, "n": 3},
+    ])
+    res = run_case(case)
+    assert (res.passed, res.detail) == (
+        False, "p2 n=3: classic=inf max_state=1 witness=0,0;1;1; "
+               "? n=3: classic=inf max_state=2 witness=0,0;1;3")
+
+
+@pytest.mark.parametrize(
+    "cases, message",
+    [
+        ([{"id": "a", "kind": "scn"}], "manifest case missing 'basis'"),
+        ([{"id": "a", "kind": "scn", "basis": "folklore"}], "unknown basis tag in case a"),
+        ([{"id": "a", "kind": "scn", "basis": "trivial"}] * 2, "duplicate case id a"),
+    ],
+    ids=["missing-field", "unknown-basis", "duplicate-id"],
+)
+def test_a_malformed_manifest_is_refused(monkeypatch, tmp_path, cases, message):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "verification_suite.json").write_text(json.dumps(cases))
+    monkeypatch.setattr(verifysuite, "resources",
+                        types.SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(ValidationError, match=message):
+        load_manifest()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (_case("classify", n=3, expect="G1", graph={"petersen": True}),
+         "unrecognized graph recipe"),
+        (_case("pursuit"), "unknown case kind 'pursuit' in case synthetic"),
+        ({key: value for key, value in _poscheck({"positional": {"const": True}}, ["1/2"]).items()
+          if key != "s0"}, "case synthetic: no start state s0"),
+    ],
+    ids=["unknown-recipe", "unknown-kind", "poscheck-without-s0"],
+)
+def test_a_malformed_case_is_refused(case, message):
     with pytest.raises(ValidationError, match=message):
         run_case(case)
