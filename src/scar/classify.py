@@ -45,17 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arena import (
-    DEFAULT_MAX_STATES,
-    Arena,
-    Csr,
-    State,
-    build_arena,
-)
+from .arena import Arena, Csr, State
 from .crsolver import CrSolution, _int_or_inf, solve_capture_time
 from .errors import ValidationError
 from .fixpoint import INT_INF, solve_layers
-from .graphs import Graph
 from .statecop import state_cop_number, state_cop_report
 
 log = logging.getLogger(__name__)
@@ -69,9 +62,8 @@ class Classification:
     g3_adversarial_variant: bool
 
 
-def in_script_g(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) -> bool:
+def in_script_g(arena: Arena) -> bool:
     """Can the robber escape forever from somewhere, even against all cops?"""
-    arena = build_arena(g, n_players, max_states)
     return bool((solve_capture_time(arena).depths[~arena.quotient().capture] >= INT_INF).any())
 
 
@@ -140,17 +132,14 @@ def g3_guarantee_test(
     return bool(_guarantee_winning_sets(arena, crsol, m, adversarial_ties)[at])
 
 
-def classify(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) -> Classification:
-    """The class of (g, N), read off the orbits of the arena's quotient:
-    counts are weighted by orbit size, and the first state with a property
-    is the representative of the first orbit with it."""
-    arena = build_arena(g, n_players, max_states)
-    q = arena.quotient()
-    cr = solve_capture_time(arena)
-    report = state_cop_report(arena)
-    vals = report.orbit_values
-    nc = ~q.capture
-    rm = q.turns(n_players)
+def classify(arena: Arena) -> Classification:
+    """The class of the arena's (G, N), read off the orbits of its
+    quotient: counts are weighted by orbit size, and the first state with
+    a property is the representative of the first orbit with it. The
+    caller builds the arena, and the sweeps and solves it memoizes are
+    shared with every other question asked of it."""
+    q, cr, report = arena.quotient(), solve_capture_time(arena), state_cop_report(arena)
+    vals, nc, rm = report.orbit_values, ~q.capture, q.turns(arena.n_players)
 
     def witness(mask: np.ndarray) -> str:
         return arena.state_of(int(q.reps[mask][0])).literal()
@@ -187,12 +176,8 @@ def classify(g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES) -> 
             for m, sub in credited.items())
     if exists_ok != adversarial_ok:
         evidence["guarantee_variants_disagree"] = True
-        log.warning(
-            "guarantee-test variants disagree (existential=%s, adversarial-ties=%s); "
-            "classification follows the existential variant",
-            exists_ok,
-            adversarial_ok,
-        )
+        log.warning("guarantee-test variants disagree (existential=%s, adversarial-ties=%s); "
+                    "classification follows the existential variant", exists_ok, adversarial_ok)
 
     if not inf_nc.any():
         klass = "NotInG"

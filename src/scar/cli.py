@@ -8,8 +8,10 @@ A cache entry that cannot be written is reported as a warning on stderr and
 leaves the exit code alone, and so does a reader that closes stdout early
 (`scar ... | head -c 1`): no traceback, and the entry is still written.
 
-Each command imports the solvers it runs when it runs, so `--help`, a
-refused request and a cache hit load no numpy.
+`main` loads the request's graph and, on a cache miss, builds its one
+arena (G, N), which the graph commands read as `args.arena`; each command
+imports the solvers it runs when it runs, so `--help`, a refused request
+and a cache hit load no numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 
 from .errors import ScarError, StateCountExceededError, ValidationError
 from .graphs import Graph, builtin, family, load_edge_list, serialize_edge_list
-from .limits import DEFAULT_MAX_STATES, arena_size, count_of
+from .limits import DEFAULT_MAX_STATES, INDEX_LIMIT, arena_size, count_of
 from .rationals import format_rational, parse_rational
 
 WITNESS_CAP = 50
@@ -51,10 +53,11 @@ def _load_graph(args) -> Graph:
             except ValueError:
                 raise ValidationError(f"bad builtin size in {args.builtin!r}") from None
             # every sized family has V >= K, and every arena at least 2 V^2 states
-            if sized and size > 0 and 2 * size**2 > args.max_states:
+            cap = min(args.max_states, INDEX_LIMIT - 1)
+            if sized and size > 0 and 2 * size**2 > cap:
                 raise StateCountExceededError(
                     f"{args.builtin} has at least {size} vertices, so its arenas exceed "
-                    f"the cap of {args.max_states} states")
+                    f"the cap of {cap} states")
             return builtin(name, size)
         return builtin(name)
     raise ValidationError("a graph is required: --graph FILE or --builtin NAME[:K]")
@@ -73,10 +76,7 @@ def _grid(args, field: str) -> list:
 
 
 def cmd_arena_stats(args) -> tuple[str, int]:
-    from .arena import build_arena
-
-    g = args.g
-    arena = build_arena(g, args.n, args.max_states)
+    g, arena = args.g, args.arena
     v, n = g.vertex_count, args.n
     # a position is a capture unless every cop avoids the robber's vertex
     captures = n * (v**n - v * (v - 1) ** (n - 1))
@@ -95,11 +95,11 @@ def cmd_arena_stats(args) -> tuple[str, int]:
 
 
 def cmd_cr_solve(args) -> tuple[str, int]:
-    from .arena import build_arena, parse_state
+    from .arena import parse_state
     from .crsolver import _int_or_inf, capture_attribution, solve_capture_time
     from .fixpoint import INT_INF
 
-    arena = build_arena(args.g, args.n, args.max_states)
+    arena = args.arena
     sol = solve_capture_time(arena)
     if args.state is None:
         q, finite = arena.quotient(), sol.depths < INT_INF
@@ -122,13 +122,12 @@ def cmd_cr_solve(args) -> tuple[str, int]:
 
 
 def cmd_scn(args) -> tuple[str, int]:
-    from .arena import build_arena, parse_state
+    from .arena import parse_state
     from .crsolver import _int_or_inf
     from .fixpoint import INT_INF
     from .statecop import state_cop_report
 
-    arena = build_arena(args.g, args.n, args.max_states)
-    report = state_cop_report(arena)
+    report = state_cop_report(args.arena)
     if args.state is not None:
         s = parse_state(args.state, args.n, args.g.vertex_count)
         value = report.value(s)
@@ -136,7 +135,7 @@ def cmd_scn(args) -> tuple[str, int]:
         if value != math.inf:
             out["witness_coalition"] = list(report.witness_coalition(s))
         return _dump(out), 0
-    q = arena.quotient()
+    q = args.arena.quotient()
     nc, vals = ~q.capture, report.orbit_values
     counts = {str(size): q.count(nc & (vals == size)) for size in range(1, args.n)}
     counts["inf"] = q.count(nc & (vals >= INT_INF))
@@ -152,15 +151,10 @@ def cmd_scn(args) -> tuple[str, int]:
 def cmd_classify(args) -> tuple[str, int]:
     from .classify import classify
 
-    got = classify(args.g, args.n, args.max_states)
-    return _dump(
-        {
-            "class": got.klass,
-            "evidence": got.evidence,
-            "g3_exists_variant": got.g3_exists_variant,
-            "g3_adversarial_variant": got.g3_adversarial_variant,
-        }
-    ), 0
+    got = classify(args.arena)
+    return _dump({"class": got.klass, "evidence": got.evidence,
+                  "g3_exists_variant": got.g3_exists_variant,
+                  "g3_adversarial_variant": got.g3_adversarial_variant}), 0
 
 
 def _verdict_json(v) -> dict:
@@ -180,15 +174,13 @@ def _verdict_json(v) -> dict:
 
 
 def cmd_poscheck(args) -> tuple[str, int]:
-    from .arena import GameParams, build_arena, parse_state
+    from .arena import GameParams, parse_state
     from .positionality import check_positionality
 
     params = GameParams(args.n, parse_rational(args.gamma), parse_rational(args.epsilon),
                         args.allow_wide_epsilon)
-    arena = build_arena(args.g, args.n, args.max_states)
     s0 = parse_state(args.s0, args.n, args.g.vertex_count)
-    verdict = check_positionality(arena, s0, params)
-    return _dump(_verdict_json(verdict)), 0
+    return _dump(_verdict_json(check_positionality(args.arena, s0, params))), 0
 
 
 def cmd_scan(args) -> tuple[str, int]:
@@ -196,8 +188,8 @@ def cmd_scan(args) -> tuple[str, int]:
     from .positionality import scan_region
 
     s0 = parse_state(args.s0, args.n, args.g.vertex_count)
-    rows = scan_region(args.g, args.n, s0, _grid(args, "gamma_grid"), _grid(args, "epsilon_grid"),
-                       args.allow_wide_epsilon, args.max_states)
+    rows = scan_region(args.arena, s0, _grid(args, "gamma_grid"), _grid(args, "epsilon_grid"),
+                       args.allow_wide_epsilon)
     table = [
         {
             "epsilon": format_rational(v.epsilon),
@@ -412,6 +404,11 @@ def main(argv=None) -> int:
             args.g = _load_graph(args)  # the one graph every step of the run reads
             cache = _cache_key(args, args.command)
             cached = _read_cache(*cache) if cache else None
+            if cached is None:
+                from .arena import build_arena
+
+                # the one arena every question of the run is asked of
+                args.arena = build_arena(args.g, args.n, args.max_states)
         text, code = (cached, 0) if cached is not None else args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -211,22 +211,28 @@ def _int_or_inf(value: int | float) -> int | str:
 # ---------------------------------------------------------------------------
 
 
-def _classic_wins(graph: Graph, cop_count: int, max_states: int) -> np.ndarray:
-    """Per (cops, robber) cell, a (V^k, V) bool array: can k cops moving
-    first force a capture in the classic game?"""
+def _classic_wins(arena: Arena) -> np.ndarray:
+    """Per (cops, robber) cell, a (V^k, V) bool array: can the k = N-1
+    cops of the arena, moving first, force a capture in the classic game?"""
+    v, n = arena.graph.vertex_count, arena.n_players
+    cop_1_moves = capture_depths(arena).reshape(-1, n)[arena.quotient().mix_orbit, 0]
+    return (cop_1_moves < INT_INF).reshape(v ** (n - 1), v)
+
+
+def _classic_arena(graph: Graph, cop_count: int, max_states: int) -> Arena:
+    """The (k+1)-player arena of the classic game with k cops, whose cap
+    counts the classic game's 2 V^(k+1) states."""
     v, k = graph.vertex_count, count_of(cop_count, 1, "at least one cop")
     named = f"classic arena on {v} vertices with k={k} cops"
     capped_count(2, v, k + 1, max_states, named)
     capped_count(k + 1, v, 0, max_states, named)  # the arena's turns; implied above unless V = 1
-    arena = Arena(graph, k + 1, max_states=(k + 1) * v ** (k + 1))
-    cop_1_moves = capture_depths(arena).reshape(-1, k + 1)[arena.quotient().mix_orbit, 0]
-    return (cop_1_moves < INT_INF).reshape(v**k, v)
+    return Arena(graph, k + 1, max_states=(k + 1) * v ** (k + 1))
 
 
 def classic_cop_win(graph: Graph, cop_count: int, max_states: int = DEFAULT_MAX_STATES) -> bool:
     """Do k cops win the simultaneous-move game from *every* start (cops to
     move first)?"""
-    return bool(_classic_wins(graph, cop_count, max_states).all())
+    return bool(_classic_wins(_classic_arena(graph, cop_count, max_states)).all())
 
 
 def classic_cop_number(
@@ -235,7 +241,4 @@ def classic_cop_number(
     """Least k <= k_max with classic_cop_win, else math.inf. k_max defaults
     to the vertex count (every graph is caught by that many cops)."""
     k_max = graph.vertex_count if k_max is None else count_of(k_max, 1, "k_max of at least 1")
-    for k in range(1, k_max + 1):
-        if classic_cop_win(graph, k, max_states):
-            return k
-    return math.inf
+    return next((k for k in range(1, k_max + 1) if classic_cop_win(graph, k, max_states)), math.inf)

@@ -10,6 +10,9 @@ from .errors import StateCountExceededError, ValidationError
 
 DEFAULT_MAX_STATES = 10**7
 
+# no state count reaches this, so that an int64 indexes every state
+INDEX_LIMIT = 2**63
+
 
 def count_of(n, least: int, need: str) -> int:
     """n as an int, refused with "need <need>" unless it is an integer of
@@ -29,11 +32,13 @@ def arena_size(v: int, n: int) -> str:
 
 def capped_count(per_tuple: int, v: int, tokens: int, max_states: int, named: str) -> int:
     """per_tuple * V^tokens states, refused as "<named> exceeds the cap"
-    above max_states after at most log2(cap) + 1 products, never a power."""
+    above max_states, or above INDEX_LIMIT - 1 whatever max_states says,
+    after at most 64 products, never a power."""
+    cap = min(max_states, INDEX_LIMIT - 1)
     count = per_tuple if v else 0
     for _ in range(tokens if v > 1 else 0):
-        if (count := count * v) > max_states:
+        if (count := count * v) > cap:
             break
-    if count > max_states:
-        raise StateCountExceededError(f"{named} exceeds the cap of {max_states} states")
+    if count > cap:
+        raise StateCountExceededError(f"{named} exceeds the cap of {cap} states")
     return count

@@ -1,4 +1,5 @@
-"""Do positional trigger profiles exist? Decided by per-state set tests.
+"""Do positional trigger profiles exist? Decided by per-state set tests
+on an arena (G, N) that the caller builds.
 
 A trigger profile plays "everyone follows their own favourite plan" until
 someone deviates, then switches every token to the deviant's punishment
@@ -51,7 +52,6 @@ from fractions import Fraction
 import numpy as np
 
 from .arena import (
-    DEFAULT_MAX_STATES,
     Arena,
     GameParams,
     Play,
@@ -59,14 +59,12 @@ from .arena import (
     _flood,
     _index_dtype,
     _read_only,
-    build_arena,
     checked_move,
     reachable_noncapture,
     walk,
 )
 from .crsolver import CrSolution, solve_capture_time
 from .errors import ScarError, ValidationError
-from .graphs import Graph
 from .scarsolver import GameSolution, solve_game
 
 
@@ -160,19 +158,19 @@ def solve_all_games(arena: Arena, params: GameParams) -> dict[int, GameSolution]
     return {m: solve_game(arena, m, params) for m in range(1, arena.n_players)}
 
 
-def _start(arena: Arena, s0: State | int) -> int:
-    """The index of a start state, which must not be a capture state."""
+def _start(arena: Arena, s0: State | int) -> tuple[State, np.ndarray]:
+    """A start state, which must not be a capture state, and the
+    noncapture states it reaches."""
     idx = arena.index_of(s0)
     if arena.is_capture(idx):
         raise ValidationError(f"s0 {arena.state_of(idx).literal()} is a capture state")
-    return idx
+    return arena.state_of(idx), reachable_noncapture(arena, idx)
 
 
 def check_positionality(
     arena: Arena, s0: State | int, params: GameParams
 ) -> PositionalityVerdict:
-    idx = _start(arena, s0)
-    return _verdict(arena, params, arena.state_of(idx), reachable_noncapture(arena, idx))
+    return _verdict(arena, params, *_start(arena, s0))
 
 
 def positionality_table(arena: Arena, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
@@ -204,21 +202,19 @@ def positionality_table(arena: Arena, params: GameParams) -> tuple[np.ndarray, n
 
 
 def scan_region(
-    g: Graph,
-    n_players: int,
+    arena: Arena,
     s0: State | int,
     gamma_grid: list[Fraction],
     epsilon_grid: list[Fraction],
     allow_wide_epsilon: bool = False,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> list[PositionalityVerdict]:
     """One verdict per (epsilon, gamma) grid point, epsilon outermost, with
-    the arena, the capture-time solution and the reachable set shared."""
-    arena = build_arena(g, n_players, max_states)
-    idx = _start(arena, s0)
-    s0, reach = arena.state_of(idx), reachable_noncapture(arena, idx)
-    return [_verdict(arena, GameParams(n_players, gamma, eps, allow_wide_epsilon), s0, reach)
-            for eps in epsilon_grid for gamma in gamma_grid]
+    the capture-time solution and the reachable set shared. Every point is
+    checked before anything is flooded or solved."""
+    points = [GameParams(arena.n_players, gamma, eps, allow_wide_epsilon)
+              for eps in epsilon_grid for gamma in gamma_grid]
+    s0, reach = _start(arena, s0)
+    return [_verdict(arena, params, s0, reach) for params in points]
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,16 @@ into. Reachability games are positionally determined, so the attractor
 decision is exact despite the definition quantifying over arbitrary
 strategy profiles.
 
-The subset search enumerates coalitions by increasing size (there are at
-most 2^(N-1) - 1 of them and N stays small), caching each winning set on the
-arena so sweeps, single queries and the classifier share work. The sweep
-stops as soon as no noncapture orbit is left open, even inside a size: a
-later coalition would only mark open orbits, so values and witnesses are
-those of the full sweep. On path:12 with N=4, where cop 1 alone wins
-from every noncapture orbit, that is one coalition game instead of three.
-Winning sets and c(G|s) are constant on orbits of the graph's
-automorphisms, so they are solved and kept per orbit of
+The caller builds the arena; `crosscheck_theorem` alone spans several N and
+builds its own. The subset search enumerates coalitions by increasing size
+(there are at most 2^(N-1) - 1 of them and N stays small), caching each
+winning set on the arena, which single queries and the classifier read
+through the sweep. The sweep stops as soon as no noncapture orbit is left
+open, even inside a size: a later coalition would only mark open orbits, so
+values and witnesses are those of the full sweep. On path:12 with N=4,
+where cop 1 alone wins from every noncapture orbit, that is one coalition
+game instead of three. Winning sets and c(G|s) are constant on orbits of
+the graph's automorphisms, so they are solved and kept per orbit of
 `Arena.quotient()`, like the capture times.
 """
 
@@ -29,11 +30,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .arena import DEFAULT_MAX_STATES, Arena, State, build_arena
+from .arena import DEFAULT_MAX_STATES, Arena, State, build_arena, count_of
+from .crsolver import _classic_arena, _classic_wins, capture_depths, forced_capture_depths
 from .errors import ValidationError
 from .fixpoint import INT_INF
 from .graphs import Graph
-from .crsolver import capture_depths, classic_cop_number, forced_capture_depths
 
 
 def _coalition_key(arena: Arena, coalition) -> frozenset[int]:
@@ -75,14 +76,8 @@ def guaranteed_capture(arena: Arena, s: State | int, coalition) -> bool:
 
 def state_cop_number(arena: Arena, s: State | int) -> int | float:
     """Least coalition size that wins from s; math.inf when even all
-    N-1 cops together cannot force a capture."""
-    at = arena.orbit(s, "the state cop number is defined on noncapture states")
-    n = arena.n_players
-    for size in range(1, n):
-        for coalition in combinations(range(1, n), size):
-            if coalition_wins(arena, coalition)[at]:
-                return size
-    return math.inf
+    N-1 cops together cannot force a capture. Read off the arena's sweep."""
+    return _swept(arena).value(s)
 
 
 @dataclass(frozen=True)
@@ -120,6 +115,12 @@ class StateCopReport:
 def state_cop_report(arena: Arena) -> StateCopReport:
     """Sweep c(G|s) for every noncapture orbit, with minimal witnesses,
     until no noncapture orbit is open. Memoized on the arena."""
+    return _swept(arena)
+
+
+def _swept(arena: Arena) -> StateCopReport:
+    """`state_cop_report`, named apart for single-state reads, so that a
+    trace of `state_cop_report` shows no single-state read as a sweep."""
 
     def sweep() -> tuple[np.ndarray, np.ndarray]:
         q, n = arena.quotient(), arena.n_players
@@ -153,37 +154,57 @@ class TheoremCrosscheck:
     witness: str | None = None
 
 
-def _hardest_state(
-    g: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES
-) -> tuple[int | float, str]:
-    """max c(G|s) over noncapture states, and a state attaining it. Its
-    arena is freed on return, before the classic arena is built."""
-    report = state_cop_report(build_arena(g, n_players, max_states))
-    hardest, q = report.max_over_noncapture(), report.arena.quotient()
+def _state_side(arena: Arena) -> tuple[int | float, str]:
+    """max c(G|s) over the arena's noncapture states, and a state
+    attaining it."""
+    report, q = state_cop_report(arena), arena.quotient()
     at = np.argmax(np.where(q.capture, -1, report.orbit_values))  # reps ascend
-    return hardest, report.arena.state_of(int(q.reps[at])).literal()
+    return report.max_over_noncapture(), arena.state_of(int(q.reps[at])).literal()
+
+
+def _sides(
+    g: Graph, ns: set[int], k_max: int, max_states: int = DEFAULT_MAX_STATES
+) -> tuple[dict[int, tuple[int | float, str]], int | float]:
+    """The state side of (g, N) for each N in ns, with a state attaining
+    it, and the least k <= k_max whose cops win the classic game, else
+    math.inf. One arena per player count, ascending, each freed before the
+    next is made: that of an N in ns answers both its state side and the
+    classic game of N-1 cops, its capture-time game."""
+    states, classic = {}, math.inf
+    for players in range(2, max(*ns, k_max + 1) + 1):
+        asked = classic == math.inf and players <= k_max + 1
+        if players not in ns and not asked:
+            continue
+        arena = (build_arena(g, players, max_states) if players in ns
+                 else _classic_arena(g, players - 1, max_states))
+        if players in ns:
+            states[players] = _state_side(arena)
+        if asked and _classic_wins(arena).all():
+            classic = players - 1
+        del arena
+    return states, classic
 
 
 def crosscheck_theorem(
     g: Graph, n_players: int, k_max: int | None = None, max_states: int = DEFAULT_MAX_STATES
 ) -> TheoremCrosscheck:
     """classic c(G) = K <= N-1 should match max_s c(G|s) = K, and c(G) > N-1
-    should match max_s c(G|s) = inf."""
-    if k_max is None:
-        k_max = n_players - 1
+    should match max_s c(G|s) = inf. It spans several player counts, so it
+    builds its own arenas (`_sides`), never two alive at once."""
+    n_players = count_of(n_players, 2, "at least 2 players")
+    k_max = n_players - 1 if k_max is None else count_of(k_max, 1, "k_max of at least 1")
     if k_max < n_players - 1:
         raise ValidationError(f"k_max must be at least N-1 = {n_players - 1}")
-    state_side, hardest = _hardest_state(g, n_players, max_states)
-    return _verdict(n_players, classic_cop_number(g, k_max, max_states), state_side, hardest)
+    states, classic_side = _sides(g, {n_players}, k_max, max_states)
+    return _verdict(n_players, classic_side, *states[n_players])
 
 
 def _verdict(
     n_players: int, classic_side: int | float, state_side: int | float, hardest: str
 ) -> TheoremCrosscheck:
-    """The crosscheck of both sides, `hardest` its witness if they disagree."""
-    if state_side == math.inf:
-        agree = classic_side > n_players - 1  # including inf from the k_max cutoff
-    else:
-        agree = classic_side == state_side
+    """The crosscheck of both sides, `hardest` its witness if they disagree.
+    An infinite state side agrees with any classic side past N-1,
+    including inf from the k_max cutoff."""
+    agree = classic_side > n_players - 1 if state_side == math.inf else classic_side == state_side
     return TheoremCrosscheck(n_players, classic_side, state_side, agree,
                              None if agree else hardest)

@@ -24,12 +24,12 @@ import numpy as np
 
 from .arena import Arena, GameParams, all_cops_one_side, build_arena, parse_state
 from .classify import classify
-from .crsolver import classic_cop_number, classic_cop_win
+from .crsolver import classic_cop_number
 from .errors import ValidationError
 from .graphs import Graph, attach_leaf, bridge, builtin, graph_from_edges
 from .positionality import positionality_table
 from .rationals import parse_rational
-from .statecop import _hardest_state, _verdict, state_cop_report
+from .statecop import _sides, _verdict, state_cop_report
 
 
 # the verdict booleans a poscheck case can pin, in the order mismatches are reported
@@ -152,33 +152,24 @@ def _run_poscheck(case: dict) -> CaseResult:
 
 
 def _run_classify(case: dict) -> CaseResult:
-    g = build_recipe(case["graph"])
-    n = case["n"]
+    arena = build_arena(build_recipe(case["graph"]), case["n"])
     if "require_sweep_value" in case:
-        report = state_cop_report(build_arena(g, n))
         wanted = case["require_sweep_value"]
-        nc = ~report.arena.quotient().capture
-        if not (report.orbit_values[nc] == wanted).any():
-            return CaseResult(
-                case["id"],
-                False,
-                f"specimen lacks a state with cop number {wanted}; pick another graph",
-            )
-    got = classify(g, n)
+        nc = ~arena.quotient().capture
+        if not (state_cop_report(arena).orbit_values[nc] == wanted).any():
+            return CaseResult(case["id"], False, f"specimen lacks a state with cop number "
+                              f"{wanted}; pick another graph")
+    got = classify(arena)
     if got.klass != case["expect"]:
-        return CaseResult(
-            case["id"], False, f"class={got.klass} (expected {case['expect']}); "
-            f"evidence={got.evidence}"
-        )
+        return CaseResult(case["id"], False, f"class={got.klass} (expected {case['expect']}); "
+                          f"evidence={got.evidence}")
     return CaseResult(case["id"], True, f"class={got.klass}")
 
 
 def _run_scn(case: dict) -> CaseResult:
-    g = build_recipe(case["graph"])
-    arena = build_arena(g, case["n"])
-    s = parse_state(case["state"], case["n"], g.vertex_count)
-    report = state_cop_report(arena)
-    got = report.value(s)
+    arena = build_arena(build_recipe(case["graph"]), case["n"])
+    s = parse_state(case["state"], case["n"], arena.graph.vertex_count)
+    got = state_cop_report(arena).value(s)
     want = float("inf") if case["expect"] == "inf" else case["expect"]
     if got != want:
         return CaseResult(case["id"], False, f"c(G|{s.literal()})={got} (expected {want})")
@@ -186,8 +177,7 @@ def _run_scn(case: dict) -> CaseResult:
 
 
 def _run_classic(case: dict) -> CaseResult:
-    g = build_recipe(case["graph"])
-    got = classic_cop_number(g, case["k_max"])
+    got = classic_cop_number(build_recipe(case["graph"]), case["k_max"])
     want = float("inf") if case["expect"] == "inf" else case["expect"]
     if got != want:
         return CaseResult(case["id"], False, f"classic cop number {got} (expected {want})")
@@ -195,19 +185,19 @@ def _run_classic(case: dict) -> CaseResult:
 
 
 def _run_crosscheck(case: dict) -> CaseResult:
-    """`crosscheck_theorem` on every pair, with each distinct graph built,
-    each distinct (graph, N) swept and each graph's classic k-cop game
-    solved once in the case: a graph can be listed under two labels, and
-    its N = 3 and N = 4 pairs share k = 1 and 2."""
-    graph = functools.cache(lambda recipe: build_recipe(json.loads(recipe)))
-    hardest = functools.cache(lambda recipe, n: _hardest_state(graph(recipe), n))
-    wins = functools.cache(lambda recipe, k: classic_cop_win(graph(recipe), k))
+    """`crosscheck_theorem` on every pair, with one arena per distinct
+    (graph, players) in the case (`statecop._sides`): a graph can be
+    listed under two labels, and its N = 3 and N = 4 pairs share the
+    classic games."""
+    pairs = [(json.dumps(entry["graph"], sort_keys=True), entry["n"]) for entry in case["pairs"]]
+    sides = {}
+    for recipe in dict.fromkeys(recipe for recipe, _ in pairs):
+        ns = {n for r, n in pairs if r == recipe}
+        sides[recipe] = _sides(build_recipe(json.loads(recipe)), ns, max(ns) - 1)
     bad = []
-    for entry in case["pairs"]:
-        recipe, n = json.dumps(entry["graph"], sort_keys=True), entry["n"]
-        state_side, witness = hardest(recipe, n)
-        classic_side = next((k for k in range(1, n) if wins(recipe, k)), math.inf)
-        rep = _verdict(n, classic_side, state_side, witness)
+    for entry, (recipe, n) in zip(case["pairs"], pairs):
+        states, classic = sides[recipe]
+        rep = _verdict(n, classic if classic < n else math.inf, *states[n])
         if not rep.agree:
             bad.append(
                 f"{entry.get('label', '?')} n={n}: classic={rep.classic_cop_number} "

@@ -1,8 +1,9 @@
 import pathlib
+import weakref
 
 import pytest
 
-from scar import Graph, attach_leaf, bridge, builtin, load_edge_list, scarsolver
+from scar import Arena, Graph, attach_leaf, bridge, builtin, load_edge_list, scarsolver
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -50,3 +51,20 @@ def discounted_runs(monkeypatch) -> list:
 
     monkeypatch.setattr(scarsolver, "retrograde", counted)
     return runs
+
+
+@pytest.fixture
+def built_arenas(monkeypatch) -> list:
+    """A list that gains (graph, N, arenas alive just before) at each
+    arena made from here on."""
+    made, refs = [], []
+    init = Arena.__init__
+
+    def counted(self, graph, n_players, *args, **kwargs):
+        alive = sum(ref() is not None for ref in refs)
+        init(self, graph, n_players, *args, **kwargs)
+        refs.append(weakref.ref(self))
+        made.append((graph, self.n_players, alive))
+
+    monkeypatch.setattr(Arena, "__init__", counted)
+    return made

@@ -407,7 +407,8 @@ def classic_cop_win_placement(graph, cop_count, max_states=None):
     """The classic game's variant where the cops choose their starting
     tuple first and the robber answers with the worst vertex for them,
     read off the package's per-cell verdicts (`crsolver._classic_wins`)."""
-    from scar.crsolver import DEFAULT_MAX_STATES, _classic_wins
+    from scar.crsolver import DEFAULT_MAX_STATES, _classic_arena, _classic_wins
 
-    wins = _classic_wins(graph, cop_count, DEFAULT_MAX_STATES if max_states is None else max_states)
+    cap = DEFAULT_MAX_STATES if max_states is None else max_states
+    wins = _classic_wins(_classic_arena(graph, cop_count, cap))
     return bool(wins.all(axis=1).any())

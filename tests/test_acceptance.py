@@ -139,12 +139,12 @@ def test_criterion_06():
 @_report(7, "taxonomy verdicts for the seven specimen graphs")
 def test_criterion_07(suite_graphs):
     t0 = time.perf_counter()
-    assert classify(suite_graphs["petersen"], 3).klass == "G2"
-    assert classify(builtin("dodecahedron"), 3).klass == "G2"
-    assert classify(suite_graphs["petersen_leaf"], 3).klass == "G3"
-    assert classify(suite_graphs["petersen_p3"], 3).klass == "G3Prime"
-    assert classify(suite_graphs["p5"], 3).klass == "NotInG"
-    assert classify(suite_graphs["k3"], 3).klass == "NotInG"
+    assert classify(build_arena(suite_graphs["petersen"], 3)).klass == "G2"
+    assert classify(build_arena(builtin("dodecahedron"), 3)).klass == "G2"
+    assert classify(build_arena(suite_graphs["petersen_leaf"], 3)).klass == "G3"
+    assert classify(build_arena(suite_graphs["petersen_p3"], 3)).klass == "G3Prime"
+    assert classify(build_arena(suite_graphs["p5"], 3)).klass == "NotInG"
+    assert classify(build_arena(suite_graphs["k3"], 3)).klass == "NotInG"
     # the intermediate-coalition verdict is asserted against this package's
     # own sweep: states needing exactly two cops must exist
     a = build_arena(suite_graphs["petersen_c4"], 3)
@@ -152,7 +152,7 @@ def test_criterion_07(suite_graphs):
     nc = ~a.capture_mask
     assert (nc & (vals == 2)).any()
     assert (nc & (vals >= INT_INF)).any()
-    assert classify(suite_graphs["petersen_c4"], 3).klass == "G1"
+    assert classify(a).klass == "G1"
     assert time.perf_counter() - t0 <= 600
 
 

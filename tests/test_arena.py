@@ -34,6 +34,7 @@ from scar import (
 from scar.arena import Csr, Solution, distinct, is_capture, row_best
 from scar.classify import _restricted_tables
 from scar.graphs import automorphisms
+from scar.limits import INDEX_LIMIT, capped_count
 
 from oracles import (
     all_states, cell, check_cut_tables, check_listing_table, filtered, listing_counts,
@@ -233,7 +234,7 @@ def test_package_tables_keep_the_width_decided_at_build(monkeypatch):
         assert a.predecessors().width == np.bincount(a.targets).max()
         solve_capture_time(a).capturer_table()
         state_cop_report(a)
-        classify(g, n)
+        classify(a)
         positionality_table(a, GameParams(n, Q(1, 2), Q(0)))
         solve_game(a, 1, GameParams(n, Q(3, 4), Q(0)))
         assert a.quotient().moves.width == width
@@ -365,6 +366,17 @@ def test_the_state_cap_is_exact_and_needs_no_power():
         with pytest.raises(StateCountExceededError, match=rf"^arena on {g.vertex_count} "
                                                           r"vertices with N=10{20} exceeds"):
             build_arena(g, 10**20)
+
+
+def test_a_state_count_must_fit_an_int64_index_whatever_the_cap():
+    """Under a cap of 10^60, 2^63 - 1 states are counted and 2^63 or
+    more refused, by the same bounded loop as the cap."""
+    assert capped_count(INDEX_LIMIT - 1, 1, 5, 10**60, "x") == INDEX_LIMIT - 1
+    assert capped_count(1, 2, 62, 10**60, "x") == 2**62
+    for per_tuple, v, tokens in ((INDEX_LIMIT, 1, 5), (1, 2, 63), (4, 10**20, 10**20)):
+        with pytest.raises(StateCountExceededError,
+                           match=r"^x exceeds the cap of 9223372036854775807 states$"):
+            capped_count(per_tuple, v, tokens, 10**60, "x")
 
 
 @pytest.mark.parametrize("text, fault", [("0,9;1;2", "has vertex 9 out of range 0..3"),
@@ -621,7 +633,7 @@ def test_queries_accept_numpy_indices():
         lambda s: simulate_trigger(a, profile, s),
         lambda s: check_positionality(a, s, params),
         lambda s: [bool(column[a.index_of(s)]) for column in table],
-        lambda s: scan_region(a.graph, 3, s, [Q(1, 2)], [Q(0)]),
+        lambda s: scan_region(a, s, [Q(1, 2)], [Q(0)]),
     ]
     s = State((0, 0), 1, 1)
     i = a.index(s)

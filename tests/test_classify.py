@@ -32,9 +32,9 @@ classify_module = importlib.import_module("scar.classify")
 
 def test_membership_in_script_g(suite_graphs):
     for name in ("p2", "p5", "k3", "c5", "k4", "s3"):
-        assert not in_script_g(suite_graphs[name], 3), name
+        assert not in_script_g(build_arena(suite_graphs[name], 3)), name
     for name in ("petersen", "petersen_leaf", "petersen_p3", "petersen_c4"):
-        assert in_script_g(suite_graphs[name], 3), name
+        assert in_script_g(build_arena(suite_graphs[name], 3)), name
 
 
 def test_specimen_classes(suite_graphs):
@@ -47,21 +47,21 @@ def test_specimen_classes(suite_graphs):
         "petersen_c4": "G1",
     }
     for name, klass in want.items():
-        got = classify(suite_graphs[name], 3)
+        got = classify(build_arena(suite_graphs[name], 3))
         assert got.klass == klass, name
 
 
 def test_g3_variant_flags(suite_graphs):
-    leaf = classify(suite_graphs["petersen_leaf"], 3)
+    leaf = classify(build_arena(suite_graphs["petersen_leaf"], 3))
     assert leaf.g3_exists_variant
-    spur = classify(suite_graphs["petersen_p3"], 3)
+    spur = classify(build_arena(suite_graphs["petersen_p3"], 3))
     assert not spur.g3_exists_variant
     assert "guarantee_failure_state" in spur.evidence
 
 
 def test_evidence_matches_sweeps(suite_graphs):
-    got = classify(suite_graphs["petersen_c4"], 3)
     a = build_arena(suite_graphs["petersen_c4"], 3)
+    got = classify(a)
     report = state_cop_report(a)
     lit = got.evidence["g1_witness"]
     cops, robber, mover = lit.split(";")
@@ -119,7 +119,7 @@ def test_guarantee_test_preconditions(suite_graphs):
 
 
 def test_small_graphs_stay_out_at_four_players():
-    got = classify(builtin("path", 3), 4)
+    got = classify(build_arena(builtin("path", 3), 4))
     assert got.klass == "NotInG"
     assert got.evidence["max_state_cop_number"] != "inf"
 
@@ -220,7 +220,7 @@ def eager_classification(g, n) -> Classification:
 def test_variant_flags_equal_an_eager_solve_of_both_variants(suite_graphs, n):
     """On every suite graph: class, evidence and both flags."""
     for name, g in suite_graphs.items():
-        assert classify(g, n) == eager_classification(g, n), name
+        assert classify(build_arena(g, n)) == eager_classification(g, n), name
 
 
 def test_classify_equals_an_eager_solve_of_every_cop():
@@ -235,7 +235,7 @@ def test_classify_equals_an_eager_solve_of_every_cop():
     @example((attach_leaf(builtin("petersen"), 4), 3))
     @example((bridge(builtin("petersen"), 7, builtin("path", 3), 1), 3))
     def check(case):
-        got = classify(*case)
+        got = classify(build_arena(*case))
         assert got == eager_classification(*case)
         drawn.add(got.klass)
 
@@ -262,7 +262,7 @@ def test_classify_stops_at_the_first_cop_whose_canonical_test_fails(monkeypatch)
     1 guarantee game is solved, not 3 (or 6). `g3_guarantee_test` still
     solves either variant on demand, each once."""
     solves = counted_solves(monkeypatch)
-    got = classify(builtin("path", 12), 4)
+    got = classify(build_arena(builtin("path", 12), 4))
     assert got.klass == "NotInG"
     assert not got.g3_exists_variant and not got.g3_adversarial_variant
     assert len(solves) == 1
@@ -295,7 +295,7 @@ def test_a_g3_candidate_solves_every_cops_canonical_game(monkeypatch, end, captu
         assert (sub.sum(), failed.sum()) == (credited, failing)
         firsts[m] = a.state_of(int(q.reps[failed][0])).literal()
     solves = counted_solves(monkeypatch)
-    got = classify(g, 3)
+    got = classify(build_arena(g, 3))
     assert got.klass == "G3Prime"
     assert len(solves) == 2
     want = eager_classification(g, 3).evidence["guarantee_failure_state"]

@@ -347,6 +347,38 @@ def test_poscheck_refuses_a_capture_start_with_exit_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: s0 0,1,2;0;1 is a capture state\n")
 
 
+def test_scan_refuses_a_bad_grid_point_before_it_floods_or_solves(capsys, monkeypatch):
+    """epsilon 9/10 is past 1/(N-1), and epsilon 0 before it in the grid
+    is not answered first: every point is checked before the reachability
+    flood and before any game is solved."""
+    def unexpected(*args):
+        raise AssertionError("scan flooded or solved before it checked its grid")
+
+    monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
+    monkeypatch.setattr(positionality, "solve_game", unexpected)
+    monkeypatch.setattr(positionality, "reachable_noncapture", unexpected)
+    code, out, err = run(capsys, "scan", "--builtin", "path:20", "--n", "4", "--s0", "0,1,2;10;1",
+                         "--gamma-grid", "1/2,2/3,3/4,4/5", "--epsilon-grid", "0,9/10")
+    assert (code, out, err) == (2, "", "error: epsilon must be a rational in [0, 1/3], got 9/10\n")
+
+
+GRAPH_COMMANDS = [
+    ["arena-stats"], ["cr-solve"], ["scn"], ["classify"],
+    ["poscheck", "--s0", "0,1;2;1", "--gamma", "1/2", "--epsilon", "0"],
+    ["scan", "--s0", "0,1;2;1", "--gamma-grid", "1/2,3/4", "--epsilon-grid", "0,1/4"],
+]
+
+
+@pytest.mark.parametrize("command", GRAPH_COMMANDS, ids=[argv[0] for argv in GRAPH_COMMANDS])
+def test_each_graph_command_builds_one_arena_and_a_cache_hit_none(
+        capsys, tmp_path, built_arenas, command):
+    argv = [*command, "--builtin", "petersen", "--n", "3", "--cache-dir", str(tmp_path)]
+    cold = run(capsys, *argv)
+    assert cold[0] == 0 and [n for _, n, _ in built_arenas] == [3]
+    del built_arenas[:]
+    assert run(capsys, *argv) == cold and built_arenas == []
+
+
 def test_running_out_of_memory_is_one_error_line_with_exit_2(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
@@ -419,6 +451,22 @@ def run_child(*argv, timeout=60, script="sys.exit(main(sys.argv[1:]))", stdout=s
 def test_oversized_requests_are_refused_before_anything_is_built(argv, message):
     got = run_child("cr-solve", *argv)
     assert (got.returncode, got.stdout, got.stderr) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["arena-stats", "--builtin", "cycle:99999999999999999999", "--n", "4"],
+     "error: cycle:99999999999999999999 has at least 99999999999999999999 vertices, so its "
+     "arenas exceed the cap of 9223372036854775807 states\n"),
+    (["cr-solve", "--builtin", "path:3", "--n", "50"],
+     "error: arena on 3 vertices with N=50 exceeds the cap of 9223372036854775807 states\n"),
+], ids=["huge-k", "huge-n"])
+def test_a_state_count_must_fit_an_int64_index_whatever_the_cap(argv, message):
+    """Under a cap of 60 nines, a builtin's 2K^2 bound and an arena's
+    count stop at 2^63 - 1, before the graph or any table is built."""
+    start = time.perf_counter()
+    got = run_child(*argv, "--max-states", "9" * 60, timeout=30)
+    assert (got.returncode, got.stdout, got.stderr) == (2, "", message)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_a_sparse_edge_list_names_its_first_missing_id(tmp_path):

@@ -28,7 +28,7 @@ from scar import (
 )
 import scar
 from scar.arena import Solution
-from scar.crsolver import DEFAULT_MAX_STATES, _classic_wins, classic_cop_number, classic_cop_win
+from scar.crsolver import _classic_wins, classic_cop_number, classic_cop_win
 from scar.fixpoint import INT_INF
 
 from oracles import (
@@ -280,7 +280,7 @@ def test_classic_wins_match_the_rules(g, k):
     init = np.where(capture, 0, INT_INF)
     vals = jacobi_layers(offsets, targets, cop_turn, capture, init, INT_INF)
     won = (vals[cop_turn] < INT_INF).reshape(g.vertex_count**k, g.vertex_count)
-    assert np.array_equal(_classic_wins(g, k, DEFAULT_MAX_STATES), won)
+    assert np.array_equal(_classic_wins(build_arena(g, k + 1)), won)
     assert classic_cop_win(g, k) == won.all()
 
 

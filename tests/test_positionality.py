@@ -175,9 +175,9 @@ def test_scan_region_matches_pointwise():
     grid_g = [Q(1, 4), Q(1, 2), Q(3, 4)]
     grid_e = [Q(0), Q(1, 5)]
     s0 = State((0, 0), 1, 1)
-    rows = scan_region(builtin("path", 2), 3, s0, grid_g, grid_e)
-    assert len(rows) == 6
     a = _p2_arena()
+    rows = scan_region(a, s0, grid_g, grid_e)
+    assert len(rows) == 6
     it = iter(rows)
     for eps in grid_e:
         for gamma in grid_g:
@@ -281,7 +281,7 @@ def test_a_capture_start_is_refused_before_any_solve(monkeypatch):
     with pytest.raises(ValidationError, match="^s0 0,1,2;0;1 is a capture state$"):
         check_positionality(a, start, GameParams(4, Q(1, 2), Q(0)))
     with pytest.raises(ValidationError, match="^s0 0,1,2;0;1 is a capture state$"):
-        scan_region(builtin("petersen"), 4, start, [Q(1, 2)], [Q(0)])
+        scan_region(a, start, [Q(1, 2)], [Q(0)])
 
 
 def test_many_starts_solve_each_game_once(discounted_runs):

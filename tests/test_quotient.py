@@ -35,6 +35,7 @@ from scar import (
     build_trigger_profile,
     builtin,
     check_positionality,
+    classify,
     graph_from_edges,
     load_edge_list,
     positionality_table,
@@ -51,7 +52,7 @@ from scar.cli import main
 from scar.fixpoint import INT_INF
 from scar.graphs import Automorphisms, automorphisms, is_automorphism, serialize_edge_list
 from scar.positionality import solve_all_games
-from scar.statecop import _hardest_state
+from scar.statecop import _state_side
 
 from oracles import (
     INF, capture_credit, capture_times, coalition_wins, guarantee_wins, listing, padded_reverse,
@@ -480,7 +481,7 @@ def command_outputs(g, n) -> dict:
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
                 code = main([command, "--graph", path, "--n", str(n)])
             out[command] = json.loads(buf.getvalue()) if code == 0 else code
-    out["hardest"] = _hardest_state(g, n, 10**7)
+    out["hardest"] = _state_side(build_arena(g, n))
     return out
 
 
@@ -710,7 +711,7 @@ def test_a_single_start_check_builds_no_predecessor_table(monkeypatch, spec, wit
     refuse_full_tables(monkeypatch)
     s0, params = State((0, 0, 0), 2, 2), GameParams(4, Q(1, 2), Q(1, 10))
     v = check_positionality(build_arena(builtin(*spec), 4), s0, params)
-    (w,) = scan_region(builtin(*spec), 4, s0, [params.gamma], [params.epsilon])
+    (w,) = scan_region(build_arena(builtin(*spec), 4), s0, [params.gamma], [params.epsilon])
     for verdict in (v, w):
         assert (verdict.positional_exists, verdict.nonpositional_exists,
                 len(verdict.witnesses)) == (False, True, witnesses)
@@ -843,3 +844,44 @@ def test_a_symmetric_quotient_build_holds_no_int64_per_tuple():
         tracemalloc.stop()
     assert len(q.reps) == 60 and q.mix_orbit.dtype == np.uint8
     assert peak < 24 * 2**20 and peak < 8 * 39**4
+
+
+def relabelled(g, perm):
+    """g with each vertex u renamed perm[u]."""
+    return graph_from_edges(g.vertex_count, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def relabel_states(a, perm) -> np.ndarray:
+    """The index of every state of arena a with each token's vertex u
+    moved to perm[u], read off and rebuilt from the index's digits."""
+    n, v, idx = a.n_players, a.graph.vertex_count, np.arange(a.n_states)
+    perm, image = np.asarray(perm), idx % n
+    for j in range(n):  # the digit of token j + 1
+        stride = v ** (n - 1 - j)
+        image += perm[idx // n // stride % v] * stride * n
+    return image
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(max_vertices=8), st.sampled_from([3, 4]), st.data())
+def test_every_answer_is_invariant_under_relabelling(g, n, data):
+    """h is g relabelled by a drawn permutation pi. The group search, the
+    orbit representatives and the Schreier trees all read the labels, yet
+    every answer on h at pi(s) is the answer on g at s: capture values,
+    state cop numbers, both verdict arrays at a drawn (gamma, epsilon), a
+    start's witness count, the class, the orbit count and |Aut|."""
+    perm = data.draw(st.permutations(range(g.vertex_count)))
+    params = GameParams(n, Q(data.draw(st.integers(1, 19)), 20),
+                        Q(data.draw(st.integers(0, 4)), 4 * (n - 1)))
+    a, b = build_arena(g, n), build_arena(relabelled(g, perm), n)
+    image = relabel_states(a, perm)
+    for tables in (lambda x: [solve_capture_time(x).values, state_cop_report(x).values],
+                   lambda x: positionality_table(x, params)):
+        for mine, theirs in zip(tables(a), tables(b)):
+            assert np.array_equal(theirs[image], mine)
+    s = int(data.draw(st.sampled_from(a.noncapture_indices())))
+    assert (check_positionality(b, int(image[s]), params).witness_count
+            == check_positionality(a, s, params).witness_count)
+    assert classify(b).klass == classify(a).klass
+    assert len(b.quotient().reps) == len(a.quotient().reps)
+    assert automorphisms(b.graph).order == automorphisms(g).order

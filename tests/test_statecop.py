@@ -122,6 +122,18 @@ def test_crosscheck_reports_sides(suite_graphs):
     assert wide.agree and wide.classic_cop_number == 3
 
 
+@pytest.mark.parametrize("n, k_max", [(4, 3), (3, 10)], ids=["fewer-cops-first", "more-after"])
+def test_crosscheck_keeps_one_arena_alive_at_a_time(built_arenas, n, k_max):
+    """Petersen needs 3 cops. At N = 4 the classic games of 1 and 2 cops
+    run before the N = 4 arena, which answers both its state side and
+    the game of 3 cops; at N = 3 with k_max = 10, the game of 3 cops runs
+    once the N = 3 arena is freed. One arena per player count, and none
+    is alive when the next is made."""
+    check = crosscheck_theorem(builtin("petersen"), n, k_max=k_max)
+    assert check.agree and check.classic_cop_number == 3
+    assert [(players, alive) for _, players, alive in built_arenas] == [(2, 0), (3, 0), (4, 0)]
+
+
 def test_queries_reject_capture_states_and_bad_coalitions():
     a = build_arena(builtin("path", 3), 3)
     cap = State((1, 0), 1, 2)
@@ -167,7 +179,7 @@ def test_an_arena_without_noncapture_states_is_refused_where_a_maximum_is_asked(
     g = graph_from_edges(1, [])
     a = build_arena(g, 3)
     for ask in (lambda: state_cop_report(a).max_over_noncapture(),
-                lambda: classify(g, 3), lambda: crosscheck_theorem(g, 3)):
+                lambda: classify(a), lambda: crosscheck_theorem(g, 3)):
         with pytest.raises(ValidationError, match="no noncapture state"):
             ask()
     assert classic_cop_number(g) == 1

@@ -5,9 +5,10 @@ be refused."""
 import json
 import types
 
+import numpy as np
 import pytest
 
-from scar import ValidationError, verifysuite
+from scar import ValidationError, statecop, verifysuite
 from scar.verifysuite import build_recipe, load_manifest, run_case, run_suite
 
 
@@ -54,16 +55,32 @@ def test_the_region_case_reuses_solved_games_along_gamma(discounted_runs):
     assert len(discounted_runs) == 39
 
 
+def test_no_case_builds_one_arena_twice(built_arenas):
+    """taxonomy-petersen-c4 sweeps and classifies one arena, and
+    copnumber-crosscheck builds one per (graph, players): its 12 graphs at
+    N = 2, 3 and 4, the arena of each pair's N also answering the classic
+    game of N-1 cops. 66 arenas for the whole manifest."""
+    counts = {}
+    for case in load_manifest():
+        del built_arenas[:]
+        assert run_case(case).passed
+        games = [(g, n) for g, n, _ in built_arenas]
+        assert len(set(games)) == len(games), case["id"]
+        counts[case["id"]] = len(games)
+    assert (counts["taxonomy-petersen-c4"], counts["copnumber-crosscheck"]) == (1, 36)
+    assert sum(counts.values()) == 66
+
+
 def test_the_crosscheck_case_solves_each_game_once(monkeypatch):
     """complete:3 is listed as both c3 and k3, and the N = 3 and N = 4
     pairs of a graph share the classic games with k = 1 and 2: each
     (graph, N) is swept, and each (graph, k) solved, once."""
     sweeps, classic = [], []
-    hardest, wins = verifysuite._hardest_state, verifysuite.classic_cop_win
-    monkeypatch.setattr(verifysuite, "_hardest_state",
-                        lambda g, n: sweeps.append((g, n)) or hardest(g, n))
-    monkeypatch.setattr(verifysuite, "classic_cop_win",
-                        lambda g, k: classic.append((g, k)) or wins(g, k))
+    hardest, wins = statecop._state_side, statecop._classic_wins
+    monkeypatch.setattr(statecop, "_state_side",
+                        lambda a: sweeps.append((a.graph, a.n_players)) or hardest(a))
+    monkeypatch.setattr(statecop, "_classic_wins",
+                        lambda a: classic.append((a.graph, a.n_players - 1)) or wins(a))
     case = next(c for c in load_manifest() if c["id"] == "copnumber-crosscheck")
     assert run_case(case) == run_case(case)  # each run keeps its own memo
     assert run_case(case).passed
@@ -164,7 +181,7 @@ def test_a_crosscheck_whose_sides_disagree_fails(monkeypatch):
     """The theorem holds on every graph, so the classic side is made
     wrong: with no k below N winning, every pair disagrees, and each is
     named by its label ("?" without one) with the hardest state."""
-    monkeypatch.setattr(verifysuite, "classic_cop_win", lambda g, k: False)
+    monkeypatch.setattr(statecop, "_classic_wins", lambda a: np.array([False]))
     case = _case("crosscheck", pairs=[
         {"graph": {"builtin": "path", "k": 2}, "label": "p2", "n": 3},
         {"graph": {"builtin": "cycle", "k": 4}, "n": 3},
