@@ -64,7 +64,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IllegalMoveError, ValidationError
+from .errors import IllegalMoveError, StateCountExceededError, ValidationError
 from .graphs import Automorphisms, Graph, automorphisms, is_path_graph, path_order
 from .limits import DEFAULT_MAX_STATES, arena_size, capped_count, count_of
 
@@ -161,8 +161,14 @@ class Arena:
     def __init__(self, graph: Graph, n_players: int, max_states: int = DEFAULT_MAX_STATES):
         n_players = count_of(n_players, 2, "at least 2 players")
         v = graph.vertex_count
-        self.n_states = capped_count(n_players, v, n_players, max_states,
-                                     f"arena on {arena_size(v, n_players)}")
+        named = f"arena on {arena_size(v, n_players)}"
+        self.n_states = capped_count(n_players, v, n_players, max_states, named)
+        # a stride per token is listed at once: the count keeps N below 64 on
+        # a graph with an edge, but a one-vertex graph has only N states, so
+        # there N is held to the default cap whatever max_states says
+        if n_players > DEFAULT_MAX_STATES:
+            raise StateCountExceededError(
+                f"{named} exceeds the limit of {DEFAULT_MAX_STATES} players")
         self.graph = graph
         self.n_players = n_players
         self._strides = [v ** (n_players - j) for j in range(1, n_players + 1)]
@@ -554,9 +560,12 @@ class Csr:
 
     def row_reader(self):
         """A function from row indices to the concatenation of those rows
-        (`take` along the rows: a 2-D fancy index gathers far slower)."""
+        (`take` along the rows: a 2-D fancy index gathers far slower), as
+        intp. The table stays int32 while its entries fit; the rows read
+        are widened once, as numpy converts a narrower index array again
+        at every gather or scatter it indexes."""
         table = self.table
-        return lambda rows: table.take(rows, axis=0).ravel()
+        return lambda rows: table.take(rows, axis=0).reshape(-1).astype(np.intp, copy=False)
 
     def columns(self, rows: np.ndarray):
         """The entries of `rows`, one array per column: views of one `take`."""

@@ -33,7 +33,11 @@ level's states all take one rank, and the counts fall the same in any
 order. The engine stays linear: a wide level's O(n) work is at most 16
 times the predecessor entries it gathered. This is the top-down/bottom-up
 switch of Beamer, Asanović & Patterson, Direction-optimizing breadth-first
-search (SC 2012).
+search (SC 2012). A level's predecessor list comes from `Csr.row_reader`
+as intp, though the table holds int32: every gather and scatter of the
+level (the counts, `distinct`, the ready states, the batch's ranks) then
+indexes with it as it is, where numpy would convert an int32 index anew
+at each of them.
 
 The engine returns the ascending keys, one int rank per state and one
 origin per level, and ends with `check_fixpoint`, a vectorised exact check

@@ -11,7 +11,6 @@ import functools
 import math
 from collections import Counter, deque
 from itertools import groupby
-from dataclasses import dataclass, field
 
 from .errors import (
     DisconnectedGraphError,
@@ -23,12 +22,51 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple graph. `neighbors[v]` is a sorted tuple."""
+class _Frozen:
+    """A value set once from its `__slots__`, as a frozen dataclass is
+    (whose module would import `inspect` into every CLI process): equal and
+    hashed by its fields, shown by those in `_shown`, read-only."""
 
+    __slots__ = ()
+    _shown: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Graph(_Frozen):
+    """Immutable simple graph: `Graph(vertex_count, neighbors)`, where
+    `neighbors[v]` is a sorted tuple."""
+
+    __slots__ = ("vertex_count", "neighbors")
+    _shown = ("vertex_count",)
     vertex_count: int
-    neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
+    neighbors: tuple[tuple[int, ...], ...]
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -268,13 +306,14 @@ def is_automorphism(g: Graph, perm) -> bool:
         tuple(sorted(perm[w] for w in nb)) == g.neighbors[p] for p, nb in zip(perm, g.neighbors))
 
 
-@dataclass(frozen=True)
-class Automorphisms:
-    """A group of graph automorphisms: generators, order, and per vertex
-    orbit, by ascending least vertex m, (its Schreier tree, breadth first
-    from (m, None, None), (y, x, i) per vertex y = generators[i][x] with x
-    listed before it; generators of Stab(m), none if trivial)."""
+class Automorphisms(_Frozen):
+    """A group of graph automorphisms, `Automorphisms(generators, order,
+    orbits)`: generators, order, and per vertex orbit, by ascending least
+    vertex m, (its Schreier tree, breadth first from (m, None, None),
+    (y, x, i) per vertex y = generators[i][x] with x listed before it;
+    generators of Stab(m), none if trivial)."""
 
+    __slots__ = _shown = ("generators", "order", "orbits")
     generators: tuple[Perm, ...]
     order: int
     orbits: tuple[tuple[tuple[tuple[int, int | None, int | None], ...], tuple[Perm, ...]], ...]

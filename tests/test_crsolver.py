@@ -308,16 +308,16 @@ def test_classic_state_cap_counts_the_classic_arena():
         classic_cop_win_placement(g, 3, max_states=19_999)
 
 
-def classic_refusal_in_a_child(graph: str) -> str:
-    """What `classic_cop_win(<graph>, 10**20)` prints as its refusal, run
-    in a child under RLIMIT_AS and a timeout, where computing a power or a
-    stride per token would hang or run out of memory."""
+def refusal_in_a_child(call: str) -> str:
+    """What `call` prints as its refusal, run in a child under RLIMIT_AS
+    and a timeout, where computing a power or a stride per token would
+    hang or run out of memory."""
     limit = 1_500_000 * 1024
     code = ("import resource; "
             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-            "from scar import StateCountExceededError, builtin, classic_cop_win, "
-            "graph_from_edges\n"
-            f"try:\n    classic_cop_win({graph}, 10**20)\n"
+            "from scar import StateCountExceededError, build_arena, builtin, "
+            "classic_cop_win, graph_from_edges\n"
+            f"try:\n    {call}\n"
             "except StateCountExceededError as exc:\n    print(exc)")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(scar.__file__).parents[1])
@@ -332,7 +332,7 @@ def test_a_huge_classic_cop_count_is_refused_at_once():
     """10^20 cops on path:3: the classic arena's 2 * 3^(10^20 + 1) states
     are compared with the cap by a bounded loop, so the refusal, naming V
     and k, comes at once."""
-    assert classic_refusal_in_a_child("builtin('path', 3)") == (
+    assert refusal_in_a_child("classic_cop_win(builtin('path', 3), 10**20)") == (
         "classic arena on 3 vertices with k=100000000000000000000 cops "
         "exceeds the cap of 10000000 states\n")
 
@@ -342,9 +342,19 @@ def test_a_huge_classic_cop_count_on_one_vertex_is_refused_at_once():
     states are under the cap, but the arena it is solved on has a turn per
     token, 10^20 + 1 states, and that count is held to the cap too, before
     a stride per token is listed."""
-    assert classic_refusal_in_a_child("graph_from_edges(1, [])") == (
+    assert refusal_in_a_child("classic_cop_win(graph_from_edges(1, []), 10**20)") == (
         "classic arena on 1 vertices with k=100000000000000000000 cops "
         "exceeds the cap of 10000000 states\n")
+
+
+def test_a_huge_player_count_on_one_vertex_is_refused_whatever_the_cap():
+    """10^18 players on one vertex under a cap of 10^60: the arena's 10^18
+    states fit an int64 index and the cap, but it would list a stride per
+    token, so N is held to the default cap and refused at once."""
+    assert refusal_in_a_child(
+        "build_arena(graph_from_edges(1, []), 10**18, max_states=10**60)") == (
+        "arena on 1 vertices with N=1000000000000000000 exceeds the limit "
+        "of 10000000 players\n")
 
 
 def test_three_thousand_cops_on_one_vertex_stay_under_a_mebibyte():

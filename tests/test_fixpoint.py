@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scar import arena as arena_module, fixpoint
+from scar import arena as arena_module, fixpoint, scarsolver
 from scar import (
+    GameParams,
+    Q,
     ScarError,
     State,
     ValidationError,
@@ -19,6 +21,7 @@ from scar import (
     classic_cop_win,
     coalition_winning_set,
     solve_capture_time,
+    solve_game,
 )
 from scar.arena import WIDE_FRONTIER, Csr
 from scar.crsolver import capture_depths
@@ -519,3 +522,39 @@ def test_the_check_peaks_no_higher_than_the_engine_loop(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peaks and all(check <= loop for loop, check in peaks), peaks
+
+
+def test_int32_tables_read_as_intp_and_solve_as_int64_tables(monkeypatch):
+    """`Csr.row_reader` reads the quotient's int32 rows as intp, as it
+    reads an int64 copy's, and `retrograde` returns the same keys, ranks
+    and origins from either: for the capture-time game and for cop 1's
+    discounted game on path:14 N=3 at (1/2, 1/10)."""
+    a = build_arena(builtin("path", 14), 3)
+    q = a.quotient()
+    rows = np.arange(0, len(q.reps), 3)
+    for table in (q.moves, q.preds):
+        assert table.table.dtype == np.int32
+        wide = Csr(table.table.astype(np.int64), table.listed)
+        read, read_wide = table.row_reader()(rows), wide.row_reader()(rows)
+        assert read.dtype == read_wide.dtype == np.intp
+        assert np.array_equal(read, read_wide)
+
+    engine, games = fixpoint.retrograde, []
+
+    def recorded(*game):
+        games.append(game)
+        return engine(*game)
+
+    monkeypatch.setattr(fixpoint, "retrograde", recorded)
+    monkeypatch.setattr(scarsolver, "retrograde", recorded)
+    capture_depths(a)
+    solve_game(a, 1, GameParams(3, Q(1, 2), Q(1, 10)))
+    assert len(games) == 2
+    for moves, *game, preds in games:
+        assert moves.table.dtype == preds.table.dtype == np.int32
+        wide = (Csr(moves.table.astype(np.int64)),
+                *game, Csr(preds.table.astype(np.int64), preds.listed))
+        (keys, rank, origins), (wide_keys, wide_rank, wide_origins) = (
+            engine(moves, *game, preds), engine(*wide))
+        assert keys == wide_keys and origins == wide_origins
+        assert np.array_equal(rank, wide_rank)
