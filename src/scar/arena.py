@@ -372,7 +372,9 @@ class Quotient:
 def _turns(n_players: int, rows: int, tokens: tuple[int, ...]) -> np.ndarray:
     """Per row of a table whose turns cycle 1..n_players: is the token to
     move one of `tokens`?"""
-    return np.tile([t in tokens for t in range(1, n_players + 1)], rows // n_players)
+    turn = np.zeros(n_players, dtype=bool)
+    turn[[t - 1 for t in tokens]] = True
+    return np.tile(turn, rows // n_players)
 
 
 def _tuple_orbits(group: Automorphisms, v: int, n: int):

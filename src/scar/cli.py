@@ -329,7 +329,6 @@ def _add_graph_flags(p):
 
 
 def _add_common(p):
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.add_argument("--cache-dir", dest="cache_dir", default=None,
                    help="cache reports here (also honours SCAR_CACHE_DIR)")
 
@@ -389,6 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the packaged verification suite")
     _add_common(p)
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object in place of the PASS/FAIL lines")
     p.add_argument("ids", nargs="*", help="only cases whose id contains any of these")
     p.set_defaults(func=cmd_verify)
 

@@ -19,24 +19,21 @@ because the optimal strategy sets of all games involved are exactly the
 products of their per-state arg-opt sets. At least one of the two booleans
 is always true.
 
-A start fails a test iff it reaches a failing state, so `positionality_table`
-answers every start at once with one backward flood per test from the
-failing states. `check_positionality` and `scan_region` keep a forward flood
-from their one start instead: their witness lists name the failing states
-that this start reaches. Both refuse a capture-state start before solving
-anything.
+The set tests are start-independent. Each (gamma, epsilon) point has one
+record of them on the arena, `_SetTests`, per orbit of its quotient (every
+optimal-move set is constant on orbits): `fails`, which cops' optimal sets
+miss the capture-time-optimal set, and `loose`, whether some cop's is not
+inside it. A cop's optimal set is never empty, so every failing orbit is
+loose; this is checked once per record, and a violation is a solver fault.
+The arena keeps the last record with the games' rank arrays, the only part
+of a game the tests read, and returns it while `solve_game` hands back the
+very same arrays, as it does along a gamma grid while levels keep their order.
 
-The tests and the table's floods run on the arena's orbit quotient: every
-optimal-move set is constant on orbits, and a state reaches a failing
-orbit exactly when its own orbit does in the quotient. Only the table's
-two arrays are lifted to states.
-
-The tests read nothing of a game but its ranks. `solve_game` hands back
-the same solution at the same (gamma, epsilon), and a solution re-used at
-another gamma whose levels keep their order keeps its rank array, so along
-a gamma grid the ranks are often the very objects of the previous point; the arena keeps the last
-table with the rank arrays it came from, and returns it while they are
-the same.
+A start fails a test iff it reaches a failing orbit. `positionality_table`
+answers every start with one backward flood per test, lifted to states and
+kept in the record; `check_positionality` and `scan_region` flood forward
+once from their start, name the failing states it reaches as witnesses, and
+refuse a capture-state start before solving anything.
 
 Verdicts only ever use full arg-opt sets. A concrete profile's tables (for
 simulation) are int arrays over the states, each plan's canonical move, to
@@ -102,55 +99,49 @@ class PositionalityVerdict:
             (idx % n + 1).tolist(), self.fail_cops[:k].tolist(), digits.tolist()))
 
 
-def _state_tests(
-    arena: Arena, cr: CrSolution, games: dict[int, GameSolution]
-) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Per-orbit outcomes of the two set tests, counted on the rows of the
-    arena's quotient: meets[m][i] — cop m's optimal edge set at orbit i
-    intersects the capture-time-optimal set; inside[i] — every cop's is
-    contained in it. Capture rows are vacuously True. Start-independent."""
+@dataclass(eq=False)
+class _SetTests:
+    """One point's set tests per quotient orbit (see above), the games'
+    `ranks` they came from, and `positionality_table`'s answer once made."""
+
+    ranks: list[np.ndarray]
+    fails: np.ndarray  # (N-1, orbits): row m-1 for cop m
+    loose: np.ndarray
+    table: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _orbit_tests(arena: Arena, games: dict[int, GameSolution]) -> tuple[np.ndarray, np.ndarray]:
+    """`fails` and `loose` of the solved games, counted on the quotient's rows."""
     q = arena.quotient()
-    cr_keep = cr.orbit_edge_opt()
-    meets: dict[int, np.ndarray] = {}
-    inside = np.ones(len(q.reps), dtype=bool)
-    for m, sol in games.items():
+    cr_keep = solve_capture_time(arena).orbit_edge_opt()
+    fails = np.empty((len(games), len(q.reps)), dtype=bool)
+    loose = np.zeros(len(q.reps), dtype=bool)
+    for row, sol in zip(fails, games.values()):
         keep = sol.orbit_edge_opt()
         met = q.moves.row_counts(keep & cr_keep)
-        opt = q.moves.row_counts(keep)
-        meets[m] = q.capture | (met > 0)
-        inside &= q.capture | (met == opt)
-    return meets, inside
+        np.equal(met, 0, out=row)
+        loose |= met != q.moves.row_counts(keep)
+    return fails & ~q.capture, loose & ~q.capture
 
 
-def _no_profile(arena: Arena, params: GameParams, s0: State) -> ScarError:
-    """A trigger profile always exists, so a start with neither kind is a
-    solver fault."""
-    return ScarError(
-        f"positionality check at {s0.literal()} on {arena.graph.vertex_count} vertices, "
-        f"N={params.n_players}, gamma={params.gamma}, epsilon={params.epsilon}: "
-        "neither a positional nor a nonpositional trigger profile exists"
-    )
-
-
-def _verdict(
-    arena: Arena, params: GameParams, s0: State, reachable: np.ndarray
-) -> PositionalityVerdict:
-    """The verdict at s0, whose reachable noncapture states are given: the
-    games at `params` are solved and tested, and the failing pairs listed."""
+def _set_tests(arena: Arena, params: GameParams) -> _SetTests:
+    """The record at params: its games solved, and its tests made and
+    checked unless the kept record has the same rank arrays."""
     games = solve_all_games(arena, params)
-    meets, inside = _state_tests(arena, solve_capture_time(arena), games)
-    orbits = arena.quotient().orbit_of(reachable)
-    fails = {m: reachable[~meets[m][orbits]] for m in sorted(meets)}
-    states = np.concatenate(list(fails.values()))
-    nonpositional = not inside[orbits].all()
-    if states.size and not nonpositional:
-        raise _no_profile(arena, params, s0)
-    # reachable is ascending, so a stable sort by state keeps each state's m ascending
-    order = np.argsort(states, kind="stable")
-    cops = np.repeat(list(fails), [len(f) for f in fails.values()])[order]
-    return PositionalityVerdict(params.n_players, params.gamma, params.epsilon, s0,
-                                not states.size, nonpositional, arena.graph.vertex_count,
-                                *_read_only((states[order], cops)))
+    ranks = [sol.rank for sol in games.values()]
+    slot = arena.memo("set_tests", lambda: [None])
+    if slot[0] is not None and all(x is y for x, y in zip(slot[0].ranks, ranks)):
+        return slot[0]
+    fails, loose = _read_only(_orbit_tests(arena, games))
+    neither = np.flatnonzero(fails.any(axis=0) & ~loose)
+    if neither.size:
+        rep = arena.state_of(int(arena.quotient().reps[neither[0]]))
+        raise ScarError(
+            f"positionality check at {rep.literal()} on {arena.graph.vertex_count} vertices, "
+            f"N={params.n_players}, gamma={params.gamma}, epsilon={params.epsilon}: "
+            "neither a positional nor a nonpositional trigger profile exists")
+    slot[0] = _SetTests(ranks, fails, loose)
+    return slot[0]
 
 
 def solve_all_games(arena: Arena, params: GameParams) -> dict[int, GameSolution]:
@@ -158,47 +149,48 @@ def solve_all_games(arena: Arena, params: GameParams) -> dict[int, GameSolution]
     return {m: solve_game(arena, m, params) for m in range(1, arena.n_players)}
 
 
-def _start(arena: Arena, s0: State | int) -> tuple[State, np.ndarray]:
-    """A start state, which must not be a capture state, and the
-    noncapture states it reaches."""
+def _verdicts(
+    arena: Arena, s0: State | int, points: list[GameParams]
+) -> list[PositionalityVerdict]:
+    """The verdict at s0 at each point, from one flood of the noncapture
+    states s0 reaches; the failing pairs are listed by state, then cop."""
     idx = arena.index_of(s0)
     if arena.is_capture(idx):
         raise ValidationError(f"s0 {arena.state_of(idx).literal()} is a capture state")
-    return arena.state_of(idx), reachable_noncapture(arena, idx)
+    s0, reach = arena.state_of(idx), reachable_noncapture(arena, idx)
+    orbits = arena.quotient().orbit_of(reach)
+    out = []
+    for params in points:
+        tests = _set_tests(arena, params)
+        at, cops = np.nonzero(tests.fails[:, orbits].T)
+        out.append(PositionalityVerdict(
+            params.n_players, params.gamma, params.epsilon, s0, not at.size,
+            bool(tests.loose[orbits].any()), arena.graph.vertex_count,
+            *_read_only((reach[at], cops + 1))))
+    return out
 
 
 def check_positionality(
     arena: Arena, s0: State | int, params: GameParams
 ) -> PositionalityVerdict:
-    return _verdict(arena, params, *_start(arena, s0))
+    return _verdicts(arena, s0, [params])[0]
 
 
 def positionality_table(arena: Arena, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
     """The verdict booleans at every start at once: (positional,
-    nonpositional), two bool arrays indexed by state. The games are solved
-    once and each array comes from one backward reachability sweep over
-    the quotient's orbits, lifted to states: can the start reach a state
-    failing the intersection / subset test? Capture rows hold True in both,
-    as the set tests are vacuous there. The arrays are shared with later
-    calls that find the same games' ranks: read only."""
-    games = solve_all_games(arena, params)
-    ranks = [sol.rank for sol in games.values()]
-    kept = arena.memo("last_positionality_table", lambda: [None])
-    if kept[0] is not None:
-        kept_ranks, table = kept[0]
-        if all(x is y for x, y in zip(kept_ranks, ranks)):
-            return table
-    meets, inside = _state_tests(arena, solve_capture_time(arena), games)
-    q = arena.quotient()
-    sees_fail = _flood(q.preds, ~np.logical_and.reduce(list(meets.values())), q.capture)
-    sees_loose = _flood(q.preds, ~inside, q.capture)
-    positional, nonpositional = ~sees_fail, sees_loose | q.capture
-    neither = np.flatnonzero(~(positional | nonpositional))
-    if neither.size:
-        raise _no_profile(arena, params, arena.state_of(int(q.reps[neither[0]])))
-    table = _read_only((q.lift(positional), q.lift(nonpositional)))
-    kept[0] = (ranks, table)
-    return table
+    nonpositional), two bool arrays indexed by state. Each comes from one
+    backward reachability sweep over the quotient's orbits, lifted to
+    states: can the start reach a state failing the intersection / subset
+    test? Capture rows hold True in both, as the set tests are vacuous
+    there. The arrays are kept in the point's record and shared with later
+    calls: read only."""
+    tests = _set_tests(arena, params)
+    if tests.table is None:
+        q = arena.quotient()
+        positional = ~_flood(q.preds, tests.fails.any(axis=0), q.capture)
+        nonpositional = _flood(q.preds, tests.loose, q.capture) | q.capture
+        tests.table = _read_only((q.lift(positional), q.lift(nonpositional)))
+    return tests.table
 
 
 def scan_region(
@@ -213,8 +205,7 @@ def scan_region(
     checked before anything is flooded or solved."""
     points = [GameParams(arena.n_players, gamma, eps, allow_wide_epsilon)
               for eps in epsilon_grid for gamma in gamma_grid]
-    s0, reach = _start(arena, s0)
-    return [_verdict(arena, params, s0, reach) for params in points]
+    return _verdicts(arena, s0, points)
 
 
 # ---------------------------------------------------------------------------

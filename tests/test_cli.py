@@ -379,6 +379,16 @@ def test_each_graph_command_builds_one_arena_and_a_cache_hit_none(
     assert run(capsys, *argv) == cold and built_arenas == []
 
 
+@pytest.mark.parametrize("command", GRAPH_COMMANDS, ids=[argv[0] for argv in GRAPH_COMMANDS])
+def test_only_verify_takes_json(capsys, command):
+    """`--json` changes only verify's output; the graph commands print JSON
+    anyway, and argparse refuses the flag there."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--builtin", "petersen", "--n", "3", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_running_out_of_memory_is_one_error_line_with_exit_2(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError

@@ -316,7 +316,7 @@ def refusal_in_a_child(call: str) -> str:
     code = ("import resource; "
             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
             "from scar import StateCountExceededError, build_arena, builtin, "
-            "classic_cop_win, graph_from_edges\n"
+            "classic_cop_win, graph_from_edges, solve_capture_time\n"
             f"try:\n    {call}\n"
             "except StateCountExceededError as exc:\n    print(exc)")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
@@ -369,6 +369,14 @@ def test_three_thousand_cops_on_one_vertex_stay_under_a_mebibyte():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_a_hundred_thousand_players_on_one_vertex_solve_within_the_timeout():
+    """N = 10^5 on one vertex: each per-turn mask is written by index and
+    tiled, not built by testing every turn against a tuple of up to N-1
+    tokens, so the capture-time solve ends well inside the child's 30 s."""
+    assert refusal_in_a_child("print(solve_capture_time(build_arena(graph_from_edges(1, []), "
+                              "10**5)).capture_time(0))") == "0\n"
 
 
 @pytest.mark.parametrize("k_max, named", [(True, "bool"), (1.5, "float"), (0, "got 0")])

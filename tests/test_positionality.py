@@ -307,15 +307,16 @@ def test_the_table_is_kept_while_the_optimal_edges_are(discounted_runs):
 
 
 def test_a_verdict_without_a_trigger_profile_is_a_solver_error(monkeypatch, capsys):
-    """Set tests that leave neither kind of profile are a solver fault: a
-    ScarError naming the instance, and exit 3 from the CLI, under python -O
-    too."""
+    """Set tests that leave neither kind of profile are a solver fault,
+    found once per point over every orbit: a ScarError naming the first
+    such orbit's representative and the instance, and exit 3 from the
+    CLI, under python -O too."""
 
-    def contradictory(arena, cr, games):
-        everywhere = np.ones(len(arena.quotient().reps), dtype=bool)
-        return {m: ~everywhere for m in games}, everywhere
+    def contradictory(arena, games):
+        noncapture = ~arena.quotient().capture
+        return np.tile(noncapture, (len(games), 1)), np.zeros_like(noncapture)
 
-    monkeypatch.setattr(positionality, "_state_tests", contradictory)
+    monkeypatch.setattr(positionality, "_orbit_tests", contradictory)
     monkeypatch.delenv("SCAR_CACHE_DIR", raising=False)
     a = _p2_arena()
     params = GameParams(3, Q(1, 2), Q(0))
@@ -324,7 +325,63 @@ def test_a_verdict_without_a_trigger_profile_is_a_solver_error(monkeypatch, caps
         check_positionality(a, s0, params)
     with pytest.raises(ScarError, match="at 0,0;1;1 on 2 vertices, N=3, gamma=1/2.*neither"):
         positionality_table(a, params)
+    with pytest.raises(ScarError, match="at 0,0;1;1 on 2 vertices, N=3, gamma=1/2"):
+        scan_region(a, State((1, 1), 0, 2), [params.gamma], [params.epsilon])
     args = ["poscheck", "--builtin", "path:2", "--n", "3", "--s0", "0,0;1;1",
             "--gamma", "1/2", "--epsilon", "0"]
     assert main(args) == 3
     assert "solver error: positionality check at 0,0;1;1" in capsys.readouterr().err
+
+
+def _counted(monkeypatch, name):
+    """The argument tuples of every call of positionality's `name` from here on."""
+    calls, real = [], getattr(positionality, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(positionality, name, counted)
+    return calls
+
+
+def test_the_three_calls_at_one_point_compute_its_set_tests_once(monkeypatch):
+    """positionality_table, check_positionality and scan_region at one
+    point of one arena read one record of its set tests, and agree."""
+    tests = _counted(monkeypatch, "_orbit_tests")
+    a = build_arena(builtin("path", 4), 4)
+    params = GameParams(4, Q(1, 4), Q(0))
+    s0 = State((0, 3, 1), 2, 1)
+    positional, nonpositional = positionality_table(a, params)
+    v = check_positionality(a, s0, params)
+    (w,) = scan_region(a, s0, [params.gamma], [params.epsilon])
+    assert len(tests) == 1
+    i = a.index(s0)
+    assert (v.positional_exists, v.nonpositional_exists) == (positional[i], nonpositional[i])
+    assert v == w and v.witnesses == w.witnesses
+
+
+def test_scan_region_along_gamma_equals_cold_single_checks(monkeypatch):
+    """Along a gamma grid on path:2 N=3, every scan_region verdict equals a
+    cold arena's check_positionality, witnesses and their dtypes included,
+    and a point whose games kept their rank arrays computes no set tests."""
+    ranks = []
+    solve_all = positionality.solve_all_games
+
+    def spied(arena, params):
+        games = solve_all(arena, params)
+        ranks.append([sol.rank for sol in games.values()])
+        return games
+
+    monkeypatch.setattr(positionality, "solve_all_games", spied)
+    tests = _counted(monkeypatch, "_orbit_tests")
+    grid, eps, s0 = [Q(i, 40) for i in range(1, 40)], [Q(1, 10), Q(1, 4)], State((0, 0), 1, 1)
+    rows = scan_region(_p2_arena(), s0, grid, eps)
+    kept = sum(all(x is y for x, y in zip(*pair)) for pair in zip(ranks, ranks[1:]))
+    assert kept and len(tests) == len(rows) - kept
+    assert {row.positional_exists for row in rows} == {False, True}
+    for row in rows:
+        cold = check_positionality(_p2_arena(), s0, GameParams(3, row.gamma, row.epsilon))
+        assert row == cold and row.witnesses == cold.witnesses
+        for got, want in ((row.fail_states, cold.fail_states), (row.fail_cops, cold.fail_cops)):
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
