@@ -45,14 +45,18 @@ and a table handed to `fixpoint.retrograde` alone. Answers stay per
 orbit: a single state reads its orbit (`Arena.orbit`), a summary weighs
 orbits by their sizes (`Quotient.count`), and a per-state table is lifted
 (`Arena.lifted`) only when a caller reads one. The capture test is read
-off the digits of a state, so no full `capture_mask` is built for them
-or for a play. A solved game is a `Solution`. The orbits are labelled one
-vertex orbit at a time, down its Schreier tree (`_tuple_orbits`).
+off the digits of a state, or per position tuple (`noncapture_tuples`),
+so no full `capture_mask` is built for them, for a play or for a flood
+from one start. A solved game is a `Solution`. The orbits are labelled
+one vertex orbit at a time, down its Schreier tree (`_tuple_orbits`).
 
 `_flood` spreads from a seed one frontier at a time over the rows of a
-`Csr` or, for `reachable_noncapture`, over an arena's successor rows made
-per frontier, a wide frontier marked and a narrow one kept by `distinct`
-as `fixpoint.retrograde` counts its levels, with no sort.
+`Csr`, a wide frontier marked and a narrow one kept by `distinct` as
+`fixpoint.retrograde` counts its levels, with no sort.
+`reachable_noncapture` floods forward from one start by the same rule,
+but over position tuples: every state of a level has the same mover, so
+a level is a set of V^N tuples and a step moves that one token, with a
+tuple holding a cop on the robber's vertex never entered.
 """
 
 from __future__ import annotations
@@ -267,14 +271,25 @@ class Arena:
 
     # per state: does some cop share the robber's vertex? Built on first use
     capture_mask = property(lambda self: self.memo("capture_mask", lambda: np.repeat(
-        self.cops_at_robber(np.arange(self.n_states // self.n_players)).any(axis=0),
-        self.n_players)))
+        ~self.noncapture_tuples(), self.n_players)))
 
     def cops_at_robber(self, mixes: np.ndarray) -> np.ndarray:
         """Per cop m (row m-1) and position tuple (a state index // N): does
         cop m sit on the robber's vertex?"""
         v = self.graph.vertex_count
         return np.array([mixes // stride % v == mixes % v for stride in self._strides[:-1]])
+
+    def noncapture_tuples(self) -> np.ndarray:
+        """Per position tuple (a state index // N): does no cop sit on the
+        robber's vertex? One bool pass per cop, with its axis and the
+        robber's viewed apart, and no integer array over the tuples."""
+        n, v = self.n_players, self.graph.vertex_count
+        free = np.ones(v**n, dtype=bool)
+        apart = ~np.eye(v, dtype=bool)[:, None, :]  # (cop's vertex, 1, robber's vertex)
+        for m in range(n - 1):
+            view = free.reshape(v**m, v, -1, v)
+            view &= apart
+        return free
 
     def is_capture(self, s: State | int) -> bool:
         return is_capture(self.state_of(s))
@@ -300,11 +315,10 @@ class Arena:
         return idx + self._shift()[key, :len(self.graph.closed_neighborhood(u))]
 
     def noncapture_indices(self) -> np.ndarray:
-        """The noncapture states, ascending, the capture test read off
-        their digits: each position tuple's N states in a row, so the
-        states where token t moves are the slice [t-1::N]."""
-        mixes = np.arange(self.n_states // self.n_players)
-        mixes = mixes[~self.cops_at_robber(mixes).any(axis=0)]
+        """The noncapture states, ascending, from `noncapture_tuples`: each
+        position tuple's N states in a row, so the states where token t
+        moves are the slice [t-1::N]."""
+        mixes = np.flatnonzero(self.noncapture_tuples())
         return (mixes[:, None] * self.n_players + np.arange(self.n_players)).reshape(-1)
 
     def robber_mover_mask(self) -> np.ndarray:
@@ -672,10 +686,10 @@ def distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return values[slot[values] == at]
 
 
-def _flood(table, seed: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+def _flood(table: Csr, seed: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     """Mask of states reachable from the seed mask along the rows of
-    `table` (a `Csr`, or an `Arena` for its successors) without ever
-    stepping into (or out of) a blocked state; seeds are included as-is."""
+    `table` without ever stepping into (or out of) a blocked state; seeds
+    are included as-is."""
     n = len(blocked)
     seen = seed & ~blocked
     fresh = ~(seen | blocked)  # states a step may still enter
@@ -697,13 +711,66 @@ def _flood(table, seed: np.ndarray, blocked: np.ndarray) -> np.ndarray:
 
 def reachable_noncapture(arena: Arena, s0: State | int) -> np.ndarray:
     """Sorted indices of every noncapture state reachable from s0 along
-    successor steps that never enter a capture state (s0 included)."""
+    successor steps that never enter a capture state (s0 included).
+
+    Every state of one level has the same mover t, so a level is a set of
+    position tuples (mixes, below V^N) and a step moves token t alone;
+    `WIDE_FRONTIER` picks the form of each. A wide level is a bool mask
+    over the tuples, viewed as (V^t, V, V^(N-1-t)) with token t's axis
+    moved first: as moves are symmetric, a tuple with t at x is reached
+    when the level holds it with t at some u in x's closed neighbourhood,
+    so the step ORs one gather along that axis per column of the padded
+    neighbourhoods. A narrow level is an array of mixes whose successors
+    are kept by `distinct`. `seen` is (V^N, N), so its flat order is the
+    state index."""
     start = arena.index_of(s0)
     if arena.is_capture(start):
         raise ValidationError("reachability is defined from a noncapture state")
-    seed = np.zeros(arena.n_states, dtype=bool)
-    seed[start] = True
-    return np.flatnonzero(_flood(arena, seed, arena.capture_mask))
+    n, v = arena.n_players, arena.graph.vertex_count
+    tuples, hops = v**n, arena._hops()
+    nbhd = hops + np.arange(v)[:, None]
+    shifts = [hops * v ** (n - 1 - t) for t in range(n)]  # a narrow step's mix changes
+    # a wide step gathers column 0 of the neighbourhoods for every vertex,
+    # then each later column only for the vertices whose entry differs from
+    # the one before (a pad repeats it), all of them as a slice
+    later = []
+    for before, column in zip(nbhd.T, nbhd.T[1:]):
+        rows = np.flatnonzero(column != before)
+        later.append((slice(None), column) if rows.size == v else (rows, column[rows]))
+    free = arena.noncapture_tuples()
+    seen = np.zeros((tuples, n), dtype=bool)
+    # `distinct`'s scratch: a narrow level lists fewer than V^N successors
+    slot = np.empty(tuples, dtype=_index_dtype(tuples))
+    mix, t = divmod(start, n)
+    seen[mix, t] = True
+    level, size = np.array([mix]), 1
+    while size:  # token t moves from every state of the level
+        stride, shift = v ** (n - 1 - t), shifts[t]
+        t = (t + 1) % n
+        entered = seen[:, t]  # the successors' column, a view: marking it marks seen
+        if WIDE_FRONTIER * size * nbhd.shape[1] >= tuples:
+            if level.dtype != bool:
+                mask = np.zeros(tuples, dtype=bool)
+                mask[level] = True
+                level = mask
+            # the mover's axis first, so that each gather copies whole blocks
+            level = np.ascontiguousarray(level.reshape(-1, v, stride).swapaxes(0, 1))
+            hit = level[nbhd[:, 0]]
+            for rows, sources in later:
+                hit[rows] |= level[sources]
+            level = hit.swapaxes(0, 1).reshape(-1)
+            level &= free
+            level &= ~entered
+            size = np.count_nonzero(level)
+            entered |= level
+        else:
+            if level.dtype == bool:
+                level = np.flatnonzero(level)
+            level = (level[:, None] + shift[level // stride % v]).reshape(-1)
+            level = distinct(level[free[level] & ~entered[level]], slot)
+            size = level.size
+            entered[level] = True
+    return np.flatnonzero(seen)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,7 @@ class _SetTests:
 
     ranks: list[np.ndarray]
     fails: np.ndarray  # (N-1, orbits): row m-1 for cop m
+    failing: np.ndarray  # per orbit: does some cop fail?
     loose: np.ndarray
     table: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -132,15 +133,17 @@ def _set_tests(arena: Arena, params: GameParams) -> _SetTests:
     slot = arena.memo("set_tests", lambda: [None])
     if slot[0] is not None and all(x is y for x, y in zip(slot[0].ranks, ranks)):
         return slot[0]
-    fails, loose = _read_only(_orbit_tests(arena, games))
-    neither = np.flatnonzero(fails.any(axis=0) & ~loose)
+    fails, loose = _orbit_tests(arena, games)
+    failing = fails.any(axis=0)
+    _read_only((fails, failing, loose))
+    neither = np.flatnonzero(failing & ~loose)
     if neither.size:
         rep = arena.state_of(int(arena.quotient().reps[neither[0]]))
         raise ScarError(
             f"positionality check at {rep.literal()} on {arena.graph.vertex_count} vertices, "
             f"N={params.n_players}, gamma={params.gamma}, epsilon={params.epsilon}: "
             "neither a positional nor a nonpositional trigger profile exists")
-    slot[0] = _SetTests(ranks, fails, loose)
+    slot[0] = _SetTests(ranks, fails, failing, loose)
     return slot[0]
 
 
@@ -153,7 +156,8 @@ def _verdicts(
     arena: Arena, s0: State | int, points: list[GameParams]
 ) -> list[PositionalityVerdict]:
     """The verdict at s0 at each point, from one flood of the noncapture
-    states s0 reaches; the failing pairs are listed by state, then cop."""
+    states s0 reaches; the failing pairs are listed by state, then cop, the
+    cops read only at the reached states whose orbit fails."""
     idx = arena.index_of(s0)
     if arena.is_capture(idx):
         raise ValidationError(f"s0 {arena.state_of(idx).literal()} is a capture state")
@@ -162,11 +166,12 @@ def _verdicts(
     out = []
     for params in points:
         tests = _set_tests(arena, params)
-        at, cops = np.nonzero(tests.fails[:, orbits].T)
+        failed = np.flatnonzero(tests.failing[orbits])
+        at, cops = np.nonzero(tests.fails[:, orbits[failed]].T)
         out.append(PositionalityVerdict(
-            params.n_players, params.gamma, params.epsilon, s0, not at.size,
+            params.n_players, params.gamma, params.epsilon, s0, not failed.size,
             bool(tests.loose[orbits].any()), arena.graph.vertex_count,
-            *_read_only((reach[at], cops + 1))))
+            *_read_only((reach[failed[at]], cops + 1))))
     return out
 
 
@@ -187,7 +192,7 @@ def positionality_table(arena: Arena, params: GameParams) -> tuple[np.ndarray, n
     tests = _set_tests(arena, params)
     if tests.table is None:
         q = arena.quotient()
-        positional = ~_flood(q.preds, tests.fails.any(axis=0), q.capture)
+        positional = ~_flood(q.preds, tests.failing, q.capture)
         nonpositional = _flood(q.preds, tests.loose, q.capture) | q.capture
         tests.table = _read_only((q.lift(positional), q.lift(nonpositional)))
     return tests.table

@@ -31,6 +31,7 @@ from scar import (
     solve_game,
     state_cop_report,
 )
+from scar import arena as arena_module
 from scar.arena import Csr, Solution, distinct, is_capture, row_best
 from scar.classify import _restricted_tables
 from scar.graphs import automorphisms
@@ -56,11 +57,16 @@ def test_index_state_round_trip_exhaustive():
 
 
 def test_capture_mask_matches_definition():
-    a = build_arena(builtin("cycle", 4), 3)
-    for i in range(a.n_states):
-        s = a.state_of(i)
-        assert bool(a.capture_mask[i]) == (s.robber in s.cops)
-        assert a.is_capture(i) == is_capture(s)
+    """The capture mask and the noncapture states, both read off the
+    per-tuple test `noncapture_tuples`, match the definition state by
+    state, for two to four players and on a one-vertex graph."""
+    for g, n in ((builtin("cycle", 4), 3), (builtin("path", 3), 2), (builtin("star", 4), 4),
+                 (graph_from_edges(1, []), 3)):
+        a = build_arena(g, n)
+        want = [s.robber in s.cops for s in map(a.state_of, range(a.n_states))]
+        assert a.capture_mask.tolist() == want
+        assert [a.is_capture(i) for i in range(a.n_states)] == want
+        assert a.noncapture_indices().tolist() == [i for i, c in enumerate(want) if not c]
 
 
 def test_mover_cycles_through_successors():
@@ -418,8 +424,11 @@ def test_reachable_covers_everything_on_rich_graphs():
 
 
 @settings(max_examples=30, deadline=None)
-@given(connected_graphs(max_vertices=5), st.sampled_from([3, 4]), st.data())
+@given(connected_graphs(max_vertices=5), st.sampled_from([2, 3, 4]), st.data())
 def test_reachable_noncapture_matches_a_breadth_first_search(g, n, data):
+    """The flood over position tuples reaches what a breadth-first search
+    over the oracle's successors reaches, under the default rule and with
+    every step wide, then every step narrow."""
     a = build_arena(g, n)
     start = data.draw(st.sampled_from(a.noncapture_indices().tolist()))
     s0 = a.state_of(start)
@@ -431,7 +440,10 @@ def test_reachable_noncapture_matches_a_breadth_first_search(g, n, data):
                 seen.add(nxt)
                 todo.append(nxt)
     want = sorted(a.index(State(*s)) for s in seen)
-    assert reachable_noncapture(a, start).tolist() == want
+    for rule in (arena_module.WIDE_FRONTIER, a.n_states, 0):  # default, every step wide, narrow
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arena_module, "WIDE_FRONTIER", rule)
+            assert reachable_noncapture(a, start).tolist() == want, rule
 
 
 @pytest.mark.parametrize("g", [
@@ -457,19 +469,20 @@ def test_reachable_noncapture_equals_a_search_over_single_rows(g, n):
 
 def test_reachable_noncapture_on_the_dodecahedron_stays_small():
     """Four players on the dodecahedron: every one of the 548,720
-    noncapture states is reached, and the flood holds no move table, only
-    bool masks and one frontier's rows a column at a time (6.4 MB measured
-    under tracemalloc, capture mask included, against 45 MB when the full
-    successor table was built)."""
+    noncapture states is reached, and the flood holds no move table and no
+    per-state scratch but its (V^N, N) mask of seen states: a level is a
+    mask or an array of position tuples. 5.9 MiB measured under
+    tracemalloc, the 4.2 MiB result included, against 11.3 MiB when the
+    flood spanned states (a capture mask and an int64 scratch per state)."""
     a = build_arena(builtin("dodecahedron"), 4)
     tracemalloc.start()
     try:
-        reach = reachable_noncapture(a, parse_state("0,1,2;3;1", 4, 20))
+        reach = reachable_noncapture(a, parse_state("1,2,3;4;1", 4, 20))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(reach) == 20 * 19**3 * 4
-    assert peak < 20 * 2**20
+    assert peak < 8 * 2**20
 
 
 def check_package_tables(g, n: int) -> None:

@@ -272,15 +272,15 @@ def test_reverse_csr_lists_every_edge_once_by_target():
 
 
 class CountingNumpy:
-    """numpy as a module sees it, except that calls of `np.bincount` and
-    `np.unique` are counted."""
+    """numpy as a module sees it, except that calls of `np.bincount`,
+    `np.unique` and `np.count_nonzero` are counted."""
 
     def __init__(self, calls: Counter):
         self._calls = calls
 
     def __getattr__(self, name):
         attr = getattr(np, name)
-        if name not in ("bincount", "unique"):
+        if name not in ("bincount", "unique", "count_nonzero"):
             return attr
 
         def counted(*args, **kwargs):
@@ -292,20 +292,15 @@ class CountingNumpy:
 
 @pytest.fixture
 def frontier_spy(monkeypatch):
-    """watch(module) counts the module's `np.bincount`, `np.unique` and
-    `distinct` calls and records the length of every row list that
-    `Csr.row_reader` readers return, one per level, and of every frontier's
-    successor rows that `Arena.columns` makes; returns (calls, lengths)."""
+    """watch(module) counts the module's `np.bincount`, `np.unique`,
+    `np.count_nonzero` and `distinct` calls and records the length of
+    every row list that `Csr.row_reader` readers return, one per level;
+    returns (calls, lengths)."""
 
     def watch(module) -> tuple[Counter, list[int]]:
         calls: Counter = Counter()
         lengths: list[int] = []
-        make_reader, make_columns = Csr.row_reader, arena_module.Arena.columns
-        distinct = arena_module.distinct
-
-        def recording_columns(arena, rows):
-            lengths.append(rows.size * arena.width)
-            return make_columns(arena, rows)
+        make_reader, distinct = Csr.row_reader, arena_module.distinct
 
         def recording_reader(table):
             read = make_reader(table)
@@ -324,7 +319,6 @@ def frontier_spy(monkeypatch):
         monkeypatch.setattr(module, "np", CountingNumpy(calls))
         monkeypatch.setattr(module, "distinct", counted_distinct)
         monkeypatch.setattr(Csr, "row_reader", recording_reader)
-        monkeypatch.setattr(arena_module.Arena, "columns", recording_columns)
         return calls, lengths
 
     return watch
@@ -336,7 +330,9 @@ def test_wide_and_narrow_frontiers_both_run(frontier_spy, name, k, n):
     n / WIDE_FRONTIER entries is counted over every state, a narrower one
     is counted entry by entry and freed of repeats by `distinct`, with no
     sort; on these arenas both rules run, and the answers equal the
-    references."""
+    references. The flood from one start counts over its V^N position
+    tuples: a wide level is marked on a mask and counted once
+    (`np.count_nonzero`), a narrow one kept by `distinct`."""
     a, every_cop, frozen, init = cr_inputs(name, k, n)
     preds = a.predecessors()
     calls, lengths = frontier_spy(fixpoint)
@@ -350,24 +346,26 @@ def test_wide_and_narrow_frontiers_both_run(frontier_spy, name, k, n):
     assert calls["distinct"] == len(lengths) - wide > 0
     assert calls["unique"] == 0
 
-    calls, lengths = frontier_spy(arena_module)
+    calls, _ = frontier_spy(arena_module)
     start = int(np.flatnonzero(~a.capture_mask)[0])
     reach = arena_module.reachable_noncapture(a, start)
-    wide = sum(WIDE_FRONTIER * p >= a.n_states for p in lengths)
-    assert calls["bincount"] == 0 and 0 < wide < len(lengths)
-    assert calls["distinct"] == len(lengths) - wide
-    assert calls["unique"] == 0
-    # the reference: synchronous rounds from the start over all moves at once
+    # the reference: synchronous rounds from the start over all moves at
+    # once; the states new in a round are one level of the flood
     seen = np.zeros(a.n_states, dtype=bool)
     seen[start] = True
-    while True:
+    levels = [1]
+    while levels[-1]:
         hit = np.zeros(a.n_states, dtype=bool)
         hit[a.targets[np.repeat(seen, np.diff(a.offsets))]] = True
         grown = seen | (hit & ~a.capture_mask)
-        if np.array_equal(grown, seen):
-            break
+        levels.append(int(grown.sum() - seen.sum()))
         seen = grown
     assert np.array_equal(reach, np.flatnonzero(seen))
+    tuples = a.n_states // n
+    wide = sum(WIDE_FRONTIER * p * a.width >= tuples for p in levels[:-1])
+    assert calls["count_nonzero"] == wide > 0
+    assert calls["distinct"] == len(levels) - 1 - wide > 0
+    assert calls["bincount"] == calls["unique"] == 0
 
 
 def test_equal_keys_merge_by_comparison_alone():

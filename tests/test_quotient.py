@@ -750,6 +750,29 @@ def test_trigger_plays_read_no_capture_mask_and_no_full_table(monkeypatch):
     assert (play.capture_time, play.capturing_cops) == (11, frozenset({3}))
 
 
+def test_a_single_start_check_reads_no_capture_mask(monkeypatch):
+    """check_positionality floods from its start over position tuples and
+    tests capture per tuple, so the full capture mask is never built; at
+    every noncapture start of path:5 N=3, where some starts admit a
+    positional profile and some do not, its booleans are the verdict
+    table's entries, and it names a witness exactly where no positional
+    profile exists."""
+
+    def refused(*args):
+        raise AssertionError("the full capture mask was built")
+
+    params = GameParams(3, Q(1, 2), Q(0))
+    positional, nonpositional = positionality_table(build_arena(builtin("path", 5), 3), params)
+    monkeypatch.setattr(Arena, "capture_mask", property(refused))
+    a = build_arena(builtin("path", 5), 3)
+    starts = a.noncapture_indices().tolist()
+    verdicts = [check_positionality(a, i, params) for i in starts]
+    assert [(v.positional_exists, v.nonpositional_exists) for v in verdicts] == [
+        (positional[i], nonpositional[i]) for i in starts]
+    assert all((v.witness_count == 0) == v.positional_exists for v in verdicts)
+    assert 0 < sum(v.positional_exists for v in verdicts) < len(starts)
+
+
 def listing_answers(a, params) -> dict:
     """Every answer read through the quotient's predecessor table: the
     capture depths, every coalition's winning orbits, both guarantee
